@@ -11,9 +11,11 @@ outstanding ads grows.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
+from repro.budgets import throttle
 from repro.budgets.comparison import BoundedBid, top_k_throttled
 from repro.budgets.throttle import ThrottleProblem, exact_throttled_bid
 from repro.metrics.tables import ExperimentTable
@@ -85,35 +87,75 @@ def test_bound_refinement_beats_exact(benchmark):
     benchmark(select)
 
 
+def _best_seconds(route, problem, repeats):
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        route(problem)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 @pytest.mark.experiment("Throttle")
-def test_exact_dp_vs_enumeration_crossover(benchmark):
-    """The paper's O(min(2^l, beta)) bound: enumeration wins at small l,
-    the currency-unit DP at large l.  Record both operation counts."""
-    from repro.budgets.throttle import (
-        throttled_bid_via_dp,
-        throttled_bid_via_enumeration,
-    )
+def test_exact_dp_vs_enumeration_crossover(benchmark, monkeypatch):
+    """The paper's O(min(2^l, l*beta)) bound, by the clock: enumeration
+    wins for a handful of ads, the array DP beyond, and
+    ``exact_throttled_bid`` must be on the faster side wherever one
+    route is at least twice as fast as the other."""
+    taken = []
+    routes = {
+        name: getattr(throttle, f"throttled_bid_via_{name}")
+        for name in ("enumeration", "array")
+    }
+
+    def recording(name):
+        def route(problem):
+            taken.append(name)
+            return routes[name](problem)
+
+        return route
+
+    for name in routes:
+        monkeypatch.setattr(
+            throttle, f"throttled_bid_via_{name}", recording(name)
+        )
 
     rng = random.Random(11)
-    table = ExperimentTable(
-        "Exact computation cost model: 2^l vs l*beta",
-        ["l", "enumeration outcomes 2^l", "DP work l*beta", "cheaper"],
-    )
     beta = 300
-    for num_outstanding in (2, 4, 8, 12, 16):
-        enum_work = 1 << num_outstanding
-        dp_work = num_outstanding * beta
+    table = ExperimentTable(
+        f"Exact routes by wall clock (beta = {beta})",
+        ["l", "enumeration (us)", "array DP (us)", "faster", "taken"],
+    )
+    for num_outstanding in range(2, 17):
+        ads = [
+            (rng.randrange(20, 90), rng.uniform(0.1, 0.9))
+            for _ in range(num_outstanding)
+        ]
+        problem = ThrottleProblem(120, beta, 2, ads)
+        assert not problem.trivially_unthrottled()
+        repeats = 20 if num_outstanding <= 10 else 3
+        seconds = {
+            name: _best_seconds(route, problem, repeats)
+            for name, route in routes.items()
+        }
+        faster = min(seconds, key=seconds.get)
+        del taken[:]
+        value = throttle.exact_throttled_bid(problem)
+        assert value == pytest.approx(routes["array"](problem), rel=1e-9)
         table.add(
             num_outstanding,
-            enum_work,
-            dp_work,
-            "enumeration" if enum_work <= dp_work else "DP",
+            f"{seconds['enumeration'] * 1e6:.1f}",
+            f"{seconds['array'] * 1e6:.1f}",
+            faster,
+            taken[0],
         )
+        if max(seconds.values()) >= 2.0 * min(seconds.values()):
+            assert taken == [faster]
     table.show()
 
     ads = [(rng.randrange(2, 30), rng.uniform(0.1, 0.9)) for _ in range(10)]
     problem = ThrottleProblem(60, beta, 2, ads)
-    assert throttled_bid_via_dp(problem) == pytest.approx(
-        throttled_bid_via_enumeration(problem)
+    assert routes["array"](problem) == pytest.approx(
+        routes["enumeration"](problem)
     )
-    benchmark(lambda: throttled_bid_via_dp(problem))
+    benchmark(lambda: routes["array"](problem))

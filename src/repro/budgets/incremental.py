@@ -303,24 +303,19 @@ class IncrementalThrottleCache:
     def _resolve(self, entry: _Entry) -> float:
         """The exact b̂ for an entry, memoized, with honest work counts.
 
-        The two short-circuits return the same float
-        :func:`exact_throttled_bid` would: a zero capped bid integrates
-        to exactly ``0.0``, and a trivially unthrottled problem returns
-        ``float(bid_cents)`` by the paper's quick test -- in both cases
-        no DP runs, so neither counts as an exact fallback.
+        :func:`exact_throttled_bid` answers a zero capped bid and a
+        trivially unthrottled problem without running a DP, so neither
+        counts as an exact fallback (the engine's uncached path counts
+        by the same predicate).
         """
         if entry.exact_value is not None:
             return entry.exact_value
         problem = entry.problem
-        if problem.bid_cents == 0:
-            value = 0.0
-        elif problem.trivially_unthrottled():
-            value = float(problem.bid_cents)
-        else:
+        if problem.bid_cents > 0 and not problem.trivially_unthrottled():
             self.stats.exact_fallbacks += 1
             if self._collector.enabled:
                 self._collector.incr(metric_names.THROTTLE_EXACT_FALLBACKS)
-            value = exact_throttled_bid(problem)
+        value = exact_throttled_bid(problem)
         entry.exact_value = value
         if entry.bid is not None:
             entry.bid.collapse(value)

@@ -11,9 +11,12 @@ Exact computation goes through the distribution of ``min(β_i, S)``:
 
 - **DP over currency units** -- convolve the ads one at a time over the
   value range ``0..β`` (everything at or above ``β`` collapses into one
-  saturated bucket), ``O(l·β)`` time;
-- **enumeration** -- sum over all ``2^l`` outcomes, preferable when the
-  budget is large but few ads are outstanding.
+  saturated bucket), ``O(l·β)`` time.  The production form is a dense
+  ``float64`` array (:func:`min_beta_s_array`); the sparse dict form
+  (:func:`min_beta_s_distribution`) is the oracle and the route for
+  problems too large to lay out densely;
+- **enumeration** -- sum over all ``2^l`` outcomes, preferable when few
+  ads are outstanding.
 
 :func:`exact_throttled_bid` picks whichever is cheaper, matching the
 paper's ``O(min(2^l, β))`` bound.
@@ -22,8 +25,10 @@ paper's ``O(min(2^l, β))`` bound.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import BudgetError
 
@@ -34,6 +39,9 @@ __all__ = [
     "throttled_bid_via_enumeration",
     "monte_carlo_throttled_bid",
     "min_beta_s_distribution",
+    "min_beta_s_array",
+    "throttled_bid_via_array",
+    "ARRAY_CELL_LIMIT",
 ]
 
 
@@ -49,12 +57,15 @@ class ThrottleProblem:
         num_auctions: ``m_i`` -- auctions the advertiser takes part in
             this round.  Must be positive.
         outstanding: ``(π_j, ctr_j)`` pairs for the outstanding ads.
+        max_liability: ``ω_l`` -- sum of outstanding prices, derived at
+            construction (the quick test and the array DP both read it).
     """
 
     bid_cents: int
     budget_cents: int
     num_auctions: int
     outstanding: Tuple[Tuple[int, float], ...] = ()
+    max_liability: int = field(default=0, init=False, compare=False, repr=False)
 
     def __init__(
         self,
@@ -73,22 +84,21 @@ class ThrottleProblem:
                 f"{num_auctions}"
             )
         cleaned: List[Tuple[int, float]] = []
+        liability = 0
         for price, ctr in outstanding:
             if price < 0:
                 raise BudgetError(f"outstanding price must be >= 0, got {price}")
             if not 0.0 <= ctr <= 1.0:
                 raise BudgetError(f"outstanding CTR must be in [0, 1], got {ctr}")
             if price > 0 and ctr > 0.0:
-                cleaned.append((int(price), float(ctr)))
+                price = int(price)
+                cleaned.append((price, float(ctr)))
+                liability += price
         object.__setattr__(self, "bid_cents", int(bid_cents))
         object.__setattr__(self, "budget_cents", int(budget_cents))
         object.__setattr__(self, "num_auctions", int(num_auctions))
         object.__setattr__(self, "outstanding", tuple(cleaned))
-
-    @property
-    def max_liability(self) -> int:
-        """``ω_l`` -- sum of outstanding prices."""
-        return sum(price for price, _ in self.outstanding)
+        object.__setattr__(self, "max_liability", liability)
 
     @property
     def expected_liability(self) -> float:
@@ -130,9 +140,7 @@ def _value_given_spent(problem: ThrottleProblem, spent: float) -> float:
 
 
 def throttled_bid_via_dp(problem: ThrottleProblem) -> float:
-    """Exact ``b̂`` using the currency-unit DP (``O(l·β)``)."""
-    if problem.trivially_unthrottled():
-        return float(problem.bid_cents)
+    """Exact ``b̂`` using the sparse currency-unit DP (``O(l·β)``)."""
     dist = min_beta_s_distribution(problem)
     return sum(
         probability * _value_given_spent(problem, value)
@@ -142,8 +150,6 @@ def throttled_bid_via_dp(problem: ThrottleProblem) -> float:
 
 def throttled_bid_via_enumeration(problem: ThrottleProblem) -> float:
     """Exact ``b̂`` by enumerating all ``2^l`` click outcomes."""
-    if problem.trivially_unthrottled():
-        return float(problem.bid_cents)
     ads = problem.outstanding
     total = 0.0
     for mask in range(1 << len(ads)):
@@ -159,16 +165,83 @@ def throttled_bid_via_enumeration(problem: ThrottleProblem) -> float:
     return total
 
 
-def exact_throttled_bid(problem: ThrottleProblem) -> float:
-    """Exact ``b̂``, choosing the cheaper of DP and enumeration.
+def min_beta_s_array(problem: ThrottleProblem) -> np.ndarray:
+    """Dense distribution of ``min(β, S)``; cell ``v`` is ``P[min(β, S) = v]``.
 
-    The paper's ``O(min(2^l, β))``: enumeration wins for few outstanding
-    ads with huge budgets; the DP wins otherwise.
+    ``S`` never exceeds ``ω_l``, so the array has ``min(β, ω_l) + 1``
+    cells -- bounded by liability, not by budget -- and the last cell
+    collects everything that would land at or beyond it.  Each ad is one
+    in-place scale by ``1 - ctr`` plus one shifted add of the ``ctr``
+    share.  Every cell receives at most one addend per ad except the
+    last, whose addends are summed left to right (``cumsum``, never the
+    pairwise ``sum``), so a plain ascending-index Python loop reproduces
+    the floats bit for bit.
     """
-    ads = len(problem.outstanding)
-    if ads <= 16 and (1 << ads) <= max(4, problem.budget_cents):
+    cap = min(problem.budget_cents, problem.max_liability)
+    dist = np.zeros(cap + 1)
+    dist[0] = 1.0
+    reach = 0  # cells above ``reach`` still hold exact zeros
+    for price, ctr in problem.outstanding:
+        live = dist[: reach + 1]
+        hit = live * ctr
+        live *= 1.0 - ctr
+        # Sources ``v < direct`` land on their own cell ``v + price < cap``.
+        direct = max(0, min(cap - price, reach + 1))
+        if direct:
+            dist[price : price + direct] += hit[:direct]
+        if direct <= reach:
+            dist[cap] += np.cumsum(hit[direct:])[-1]
+        reach = min(cap, reach + price)
+    return dist
+
+
+def throttled_bid_via_array(problem: ThrottleProblem) -> float:
+    """Exact ``b̂`` using the dense array DP (``O(l·min(β, ω_l))``)."""
+    dist = min_beta_s_array(problem)
+    m = problem.num_auctions
+    headroom = problem.budget_cents - np.arange(len(dist))
+    # ``headroom <= β``: capping ``m·b`` at ``β`` changes no value and
+    # keeps the scalar inside int64.
+    capped = min(m * problem.bid_cents, problem.budget_cents)
+    values = np.minimum(capped, headroom) / m
+    return float(np.cumsum(dist * values)[-1])
+
+
+#: Above this many cells the array DP is not allocated (32 MiB of
+#: float64 per array at the limit); the sparse dict DP answers instead.
+ARRAY_CELL_LIMIT = 1 << 22
+
+# Enumeration against the array DP, in units of one enumeration
+# inner-loop step (~0.15 us; enumeration takes ``l·2^l`` of them): one
+# array-DP ad costs ~4 us of numpy call overhead plus ~3.5 ns per cell.
+# Both constants lean towards the array so the choice is right on either
+# side of the measured crossover (benchmarks/test_bench_throttle.py).
+_ARRAY_AD_OVERHEAD = 32
+_ARRAY_CELLS_PER_STEP = 64
+
+
+def exact_throttled_bid(problem: ThrottleProblem) -> float:
+    """Exact ``b̂`` by the cheapest exact route.
+
+    The paper's ``O(min(2^l, l·β))``, decided from ``l`` and the array
+    DP's cell count alone: the quick test first; the sparse dict DP when
+    the array would exceed :data:`ARRAY_CELL_LIMIT`; enumeration when
+    its ``l·2^l`` Python steps undercut the array DP's per-ad numpy
+    overhead (a handful of ads, or few ads over a wide range); the
+    array DP otherwise.
+    """
+    if problem.trivially_unthrottled():
+        return float(problem.bid_cents)
+    if problem.bid_cents == 0 or problem.budget_cents == 0:
+        return 0.0
+    cells = min(problem.budget_cents, problem.max_liability) + 1
+    if cells > ARRAY_CELL_LIMIT:
+        return throttled_bid_via_dp(problem)
+    if (1 << len(problem.outstanding)) <= (
+        _ARRAY_AD_OVERHEAD + cells // _ARRAY_CELLS_PER_STEP
+    ):
         return throttled_bid_via_enumeration(problem)
-    return throttled_bid_via_dp(problem)
+    return throttled_bid_via_array(problem)
 
 
 def monte_carlo_throttled_bid(
