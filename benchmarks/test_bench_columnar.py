@@ -107,7 +107,7 @@ def _time_kernel(engine, occurring, repeats=3, rounds_per_repeat=3):
     def one_round(round_index):
         report = RoundReport(round_index, tuple(occurring))
         scores, effective = engine._effective_scores(
-            occurring, round_index
+            occurring, round_index, report
         )
         rankings = engine._rank_phrases(
             occurring, scores, effective, report
@@ -277,7 +277,7 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
     def columnar_round():
         report = RoundReport(99, tuple(occurring))
         scores, effective = columnar_engine._effective_scores(
-            occurring, 99
+            occurring, 99, report
         )
         columnar_engine._rank_phrases(occurring, scores, effective, report)
 

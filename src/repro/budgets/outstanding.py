@@ -131,6 +131,34 @@ class OutstandingAd:
         elapsed = max(0, current_round - self.displayed_round)
         return decay.probability(self.base_ctr, elapsed)
 
+    def dead_round(self, decay: ClickDecayModel) -> float:
+        """First round ``r`` with ``current_ctr(decay, r) <= 0.0``.
+
+        Known at display time: a decay model's probability never rises
+        with elapsed time, so the ad is dead at every later round too
+        and an expiry queue can be keyed on this value once.  Normally
+        ``displayed_round + decay.horizon``; earlier when the
+        probability reaches zero before the horizon (``ratio == 0``,
+        float underflow), found by bisection.  An ad that is dead on
+        display (``base_ctr == 0``) is dead at *every* round --
+        ``current_ctr`` clamps elapsed time at zero -- and returns
+        ``-inf``.
+        """
+        horizon = decay.horizon
+        if decay.probability(self.base_ctr, horizon - 1) > 0.0:
+            elapsed = horizon
+        else:
+            low, elapsed = 0, horizon - 1
+            while low < elapsed:
+                middle = (low + elapsed) // 2
+                if decay.probability(self.base_ctr, middle) <= 0.0:
+                    elapsed = middle
+                else:
+                    low = middle + 1
+        if elapsed <= 0:
+            return -math.inf
+        return self.displayed_round + elapsed
+
 
 class OutstandingLedger:
     """Per-advertiser bookkeeping of outstanding ads.
@@ -144,6 +172,10 @@ class OutstandingLedger:
     *value*: it prefers the carried handle and falls back to a
     first-equal scan for hand-constructed ads.
 
+    The ledger also keeps a running :attr:`liability_cents` -- the sum
+    of the live ads' prices, adjusted by every add and removal -- so the
+    Section IV quick test can be asked in O(1) without a walk.
+
     Attributes:
         decay: The click-decay model applied to all ads in the ledger.
     """
@@ -152,6 +184,18 @@ class OutstandingLedger:
         self.decay: ClickDecayModel = decay if decay is not None else NoDecay()
         self._ads: "OrderedDict[int, OutstandingAd]" = OrderedDict()
         self._next_handle = 0
+        self._liability_cents = 0
+
+    @property
+    def liability_cents(self) -> int:
+        """Sum of the prices of every ad still in the ledger.
+
+        An upper bound on ``ω_l`` (:meth:`max_liability_cents`), which
+        leaves out ads whose click probability already decayed to zero
+        but that no expiry has removed yet: ``liability_cents <= x``
+        implies ``ω_l <= x``, never the reverse.
+        """
+        return self._liability_cents
 
     @property
     def ads(self) -> List[OutstandingAd]:
@@ -166,6 +210,7 @@ class OutstandingLedger:
         self._next_handle += 1
         ad = OutstandingAd(price_cents, base_ctr, round_index, handle=handle)
         self._ads[handle] = ad
+        self._liability_cents += price_cents
         return ad
 
     def has_handle(self, handle: int) -> bool:
@@ -184,6 +229,7 @@ class OutstandingLedger:
             raise BudgetError(
                 f"no outstanding ad with handle {handle} in this ledger"
             )
+        self._liability_cents -= ad.price_cents
         return ad
 
     def resolve(self, ad: OutstandingAd) -> None:
@@ -196,16 +242,21 @@ class OutstandingLedger:
         handles instead.
         """
         if ad.handle in self._ads:
-            del self._ads[ad.handle]
+            self.resolve_handle(ad.handle)
             return
         for handle, candidate in self._ads.items():
             if candidate == ad:
-                del self._ads[handle]
+                self.resolve_handle(handle)
                 return
         raise BudgetError("ad is not outstanding in this ledger")
 
     def prune(self, current_round: int) -> int:
         """Drop ads whose click probability has decayed to zero.
+
+        A walk over every ad.  The engine's budget manager expires from
+        a queue keyed on :meth:`OutstandingAd.dead_round` instead; this
+        is the oracle that queue is tested against, and the way to
+        expire a ledger used on its own.
 
         Returns the number of ads discarded.
         """
@@ -215,7 +266,7 @@ class OutstandingLedger:
             if ad.current_ctr(self.decay, current_round) <= 0.0
         ]
         for handle in dead:
-            del self._ads[handle]
+            self.resolve_handle(handle)
         return len(dead)
 
     def snapshot(self, current_round: int) -> List[Tuple[int, float]]:

@@ -65,6 +65,17 @@ class RoundReport:
         forgiven_cents: Click value forgiven this round.
         displays: Ads displayed this round.
         clicks: Clicks that arrived this round.
+        expired_ads: Outstanding ads discarded at the start of the round
+            because their click probability had reached zero.
+        debt_carriers_scored: Occurring advertisers with outstanding
+            ads for which the exact scoring stage built a
+            :class:`repro.budgets.throttle.ThrottleProblem`.  The
+            columnar layout first asks the O(1) liability quick test and
+            counts only those it could not clear; the object layout
+            builds one for every occurring debt carrier.  Stays 0 under
+            ``throttle=False``, ``throttle_cache`` and
+            ``throttle_mode="bounded"`` (the cache reports its own
+            rebuilds as ``throttle.*``).
         allocations: Per occurring phrase, the displayed ads as
             ``(slot, advertiser_id, price_cents)`` triples in slot
             order -- the round's full auction outcome, used by the
@@ -83,6 +94,8 @@ class RoundReport:
     forgiven_cents: int = 0
     displays: int = 0
     clicks: int = 0
+    expired_ads: int = 0
+    debt_carriers_scored: int = 0
     allocations: Dict[str, Tuple[Tuple[int, int, int], ...]] = field(
         default_factory=dict
     )
@@ -107,6 +120,8 @@ class EngineReport:
     forgiven_cents: int = 0
     displays: int = 0
     clicks: int = 0
+    expired_ads: int = 0
+    debt_carriers_scored: int = 0
     history: List[RoundReport] = field(default_factory=list)
     counters: Optional[Dict[str, int]] = None
 
@@ -120,6 +135,8 @@ class EngineReport:
         self.forgiven_cents += report.forgiven_cents
         self.displays += report.displays
         self.clicks += report.clicks
+        self.expired_ads += report.expired_ads
+        self.debt_carriers_scored += report.debt_carriers_scored
         if report.counters is not None:
             if self.counters is None:
                 self.counters = {}
@@ -445,6 +462,9 @@ class SharedAuctionEngine:
             # semantics for the multiplicity change feed.
             self._last_m_row = np.full(self._store.size, -1, dtype=np.int64)
             self._occurring_rows = None
+            # Settled spend by row, kept current from the budget
+            # manager's drained changes (see _sync_spent_column).
+            self._spent_by_row = np.zeros(self._store.size, dtype=np.int64)
         if throttle_mode == "bounded":
             # Bound-driven selection ranks each phrase directly from the
             # throttle cache's intervals; no aggregation plan or shared
@@ -636,6 +656,11 @@ class SharedAuctionEngine:
         collector.incr(metric_names.ENGINE_CLICKS, report.clicks)
         collector.incr(metric_names.ENGINE_REVENUE_CENTS, report.revenue_cents)
         collector.incr(metric_names.ENGINE_FORGIVEN_CENTS, report.forgiven_cents)
+        collector.incr(metric_names.ENGINE_EXPIRED_ADS, report.expired_ads)
+        collector.incr(
+            metric_names.ENGINE_DEBT_CARRIERS_SCORED,
+            report.debt_carriers_scored,
+        )
         report.counters = collector.delta_since(snapshot)
         collector.event(
             "engine.round",
@@ -676,7 +701,7 @@ class SharedAuctionEngine:
             )
         else:
             scores, effective_bid_cents = self._effective_scores(
-                phrases, round_index
+                phrases, round_index, report
             )
             rankings = self._rank_phrases(
                 phrases, scores, effective_bid_cents, report
@@ -704,7 +729,7 @@ class SharedAuctionEngine:
             )
         else:
             scores, effective_bid_cents = self._effective_scores(
-                (phrase,), round_index
+                (phrase,), round_index, report
             )
             rankings = self._rank_phrases(
                 (phrase,), scores, effective_bid_cents, report
@@ -738,19 +763,21 @@ class SharedAuctionEngine:
             report.revenue_cents += charge.charged_cents
             report.forgiven_cents += charge.forgiven_cents
             report.clicks += 1
-        self.budget_manager.expire_outstanding(round_index)
+        report.expired_ads = self.budget_manager.expire_outstanding(
+            round_index
+        )
         if self.changefeed.active and self._decay_varies:
             # A decaying model re-weighs every outstanding ad each
             # round, so any advertiser carrying debt can move.
-            for advertiser_id in sorted(
-                self.budget_manager.outstanding_counts()
-            ):
+            for advertiser_id in sorted(self.budget_manager.debt_carriers):
                 self.changefeed.publish(BidChanged(advertiser_id))
 
     def _effective_scores(
-        self, phrases: Sequence[str], round_index: int
+        self, phrases: Sequence[str], round_index: int, report: RoundReport
     ) -> Tuple[Mapping[int, float], Mapping[int, float]]:
         """Stage 2: effective scores ``b̂_i * c_i`` for the occurring set.
+
+        Sets ``report.debt_carriers_scored``.
 
         Returns:
             ``(scores, effective_bid_cents)`` over exactly the
@@ -760,7 +787,9 @@ class SharedAuctionEngine:
             bit-identical either way).
         """
         if self._store is not None:
-            return self._effective_scores_columnar(phrases, round_index)
+            return self._effective_scores_columnar(
+                phrases, round_index, report
+            )
         auctions_of: Dict[int, int] = {}
         for phrase in phrases:
             for advertiser_id in self.phrase_advertisers[phrase]:
@@ -768,6 +797,7 @@ class SharedAuctionEngine:
         scores: Dict[int, float] = {}
         effective_bid_cents: Dict[int, float] = {}
         cache = self._throttle_cache
+        carriers = self.budget_manager.debt_carriers
         for advertiser_id, m in auctions_of.items():
             advertiser = self._by_id[advertiser_id]
             bid_cents = dollars_to_cents(advertiser.bid)
@@ -777,6 +807,8 @@ class SharedAuctionEngine:
                         advertiser_id, bid_cents, m, round_index
                     )
                 else:
+                    if advertiser_id in carriers:
+                        report.debt_carriers_scored += 1
                     problem = self.budget_manager.throttle_problem(
                         advertiser_id, bid_cents, m, round_index
                     )
@@ -810,8 +842,22 @@ class SharedAuctionEngine:
             self._last_multiplicity.update(auctions_of)
         return scores, effective_bid_cents
 
+    def _sync_spent_column(self) -> "np.ndarray":
+        """The spent-by-row column, brought up to the manager's books.
+
+        Every settlement goes through the budget manager (the click
+        delivery stage and :meth:`settle_remaining_clicks` alike), which
+        remembers whose balance moved; only those cells are rewritten.
+        """
+        moved = self.budget_manager.drain_spent_changes()
+        if moved:
+            self._spent_by_row[self._store.rows_of(list(moved))] = np.fromiter(
+                moved.values(), dtype=np.int64, count=len(moved)
+            )
+        return self._spent_by_row
+
     def _effective_scores_columnar(
-        self, phrases: Sequence[str], round_index: int
+        self, phrases: Sequence[str], round_index: int, report: RoundReport
     ) -> Tuple[ArrayScoreMap, ArrayScoreMap]:
         """Stage 2 vectorized: whole-array scoring over occurring rows.
 
@@ -821,8 +867,14 @@ class SharedAuctionEngine:
         the DP/enumeration has a single outcome with spend 0), which is
         computed here as three int64 array ops and one true division --
         ``int64/int64`` and Python ``int/int`` both round correctly, so
-        the floats agree bitwise.  Debt-carrying advertisers (70-100 of
-        250 a round on the benchmark's one-component market) go through
+        the floats agree bitwise.  The same closed form stands for a
+        debt carrier that passes the paper's quick test ``ω_l <= β -
+        m·b`` (it yields ``float(min(b, β))``, which is what
+        :func:`exact_throttled_bid` returns for a trivially unthrottled
+        problem); the test is asked with the ledgers' running liability,
+        an upper bound on ``ω_l``, so no ledger is read for it.  The
+        remaining debt carriers (70-100 of 250 a round on the
+        benchmark's one-component market) go through
         :func:`exact_throttled_bid` one by one, as the object path
         does; its array DP is per problem because the problems are
         ragged (DESIGN.md section 16).
@@ -837,13 +889,9 @@ class SharedAuctionEngine:
         rows = np.flatnonzero(counts)
         m = counts[rows]
         ids_sub = store.ids[rows]
-        spent_map = self.budget_manager.spent_snapshot()
-        spent = np.zeros(store.size, dtype=np.int64)
-        if spent_map:
-            spent[store.rows_of(list(spent_map))] = np.fromiter(
-                spent_map.values(), dtype=np.int64, count=len(spent_map)
-            )
-        remaining_sub = np.maximum(store.budget_cents - spent, 0)[rows]
+        remaining_sub = np.maximum(
+            store.budget_cents[rows] - self._sync_spent_column()[rows], 0
+        )
         bid_sub = store.bid_cents[rows]
         collector = self.collector
         cache = self._throttle_cache
@@ -862,32 +910,46 @@ class SharedAuctionEngine:
         elif self.throttle:
             capped = np.minimum(bid_sub, remaining_sub)
             effective_sub = np.minimum(m * capped, remaining_sub) / m
-            fallbacks = 0
-            for advertiser_id in sorted(self.budget_manager.outstanding_counts()):
-                position = int(np.searchsorted(ids_sub, advertiser_id))
-                if (
-                    position == len(ids_sub)
-                    or int(ids_sub[position]) != advertiser_id
-                ):
-                    continue  # carries debt but occurs in no phrase
-                problem = self.budget_manager.throttle_problem(
-                    advertiser_id,
-                    int(bid_sub[position]),
-                    int(m[position]),
-                    round_index,
+            manager = self.budget_manager
+            carriers = manager.debt_carriers
+            if carriers:
+                # Debt carriers that occur: one searchsorted of the
+                # whole index against the (ascending) occurring ids.
+                carrier_ids = np.fromiter(
+                    carriers, dtype=np.int64, count=len(carriers)
                 )
-                if (
-                    collector.enabled
-                    and problem.bid_cents > 0
-                    and not problem.trivially_unthrottled()
-                ):
-                    collector.incr(metric_names.THROTTLE_EXACT_FALLBACKS)
-                effective_sub[position] = exact_throttled_bid(problem)
-                fallbacks += 1
-            if collector.enabled and fallbacks:
-                collector.incr(
-                    metric_names.COLUMNAR_THROTTLE_FALLBACKS, fallbacks
+                at = np.searchsorted(ids_sub, carrier_ids)
+                at[at == len(ids_sub)] = 0
+                hits = np.sort(at[ids_sub[at] == carrier_ids])
+                liability = np.fromiter(
+                    map(manager.liability_cents, ids_sub[hits].tolist()),
+                    dtype=np.int64,
+                    count=len(hits),
                 )
+                throttled = hits[
+                    liability > remaining_sub[hits] - m[hits] * capped[hits]
+                ]
+                for position in throttled.tolist():
+                    problem = manager.throttle_problem(
+                        int(ids_sub[position]),
+                        int(bid_sub[position]),
+                        int(m[position]),
+                        round_index,
+                    )
+                    if (
+                        collector.enabled
+                        and problem.bid_cents > 0
+                        and not problem.trivially_unthrottled()
+                    ):
+                        collector.incr(metric_names.THROTTLE_EXACT_FALLBACKS)
+                    effective_sub[position] = exact_throttled_bid(problem)
+                report.debt_carriers_scored = len(throttled)
+                if collector.enabled and len(hits):
+                    # Every occurring debt carrier counts: those the
+                    # quick test cleared were fallbacks that were trivial.
+                    collector.incr(
+                        metric_names.COLUMNAR_THROTTLE_FALLBACKS, len(hits)
+                    )
         else:
             effective_sub = np.minimum(bid_sub, remaining_sub).astype(
                 np.float64

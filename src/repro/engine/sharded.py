@@ -149,6 +149,8 @@ def merge_round_reports(reports: Sequence[RoundReport]) -> RoundReport:
         merged.forgiven_cents += report.forgiven_cents
         merged.displays += report.displays
         merged.clicks += report.clicks
+        merged.expired_ads += report.expired_ads
+        merged.debt_carriers_scored += report.debt_carriers_scored
         merged.allocations.update(report.allocations)
         if report.counters is not None:
             if merged.counters is None:

@@ -156,6 +156,17 @@ name                      meaning (paper reference)
                           counter.
 ``engine.forgiven_cents`` click value forgiven (over-budget clicks),
                           within rounds -- same flush caveat as revenue.
+``engine.expired_ads``    outstanding ads discarded because their click
+                          probability reached zero (popped from the
+                          budget manager's expiry queue at the start of
+                          a round or tick).
+``engine.debt_carriers_scored``  occurring debt carriers for which the
+                          exact scoring stage built a real throttle
+                          problem (``RoundReport.debt_carriers_scored``;
+                          under ``layout="columnar"`` those the O(1)
+                          liability quick test could not clear).  With
+                          ``engine.expired_ads`` it says whether a slow
+                          tick was slow in the books.
 ``serve.queries``         queries resolved by the serving loop
                           (:class:`repro.serving.ServingEngine`) -- one
                           per query-at-a-time tick.
@@ -231,6 +242,8 @@ __all__ = [
     "ENGINE_CLICKS",
     "ENGINE_REVENUE_CENTS",
     "ENGINE_FORGIVEN_CENTS",
+    "ENGINE_EXPIRED_ADS",
+    "ENGINE_DEBT_CARRIERS_SCORED",
     "ENGINE_ROUND_TIMER",
     "SERVE_QUERIES",
     "SERVE_QUERY_TIMER",
@@ -315,6 +328,8 @@ ENGINE_DISPLAYS = "engine.displays"
 ENGINE_CLICKS = "engine.clicks"
 ENGINE_REVENUE_CENTS = "engine.revenue_cents"
 ENGINE_FORGIVEN_CENTS = "engine.forgiven_cents"
+ENGINE_EXPIRED_ADS = "engine.expired_ads"
+ENGINE_DEBT_CARRIERS_SCORED = "engine.debt_carriers_scored"
 ENGINE_ROUND_TIMER = "engine.round_seconds"
 
 # Query-at-a-time serving loop.

@@ -65,6 +65,11 @@ class QueryReport:
         clicks: Clicks that arrived during the tick.
         displays: Ads displayed for this query.
         latency_seconds: Wall time spent resolving the query.
+        expired_ads: Outstanding ads discarded at the start of the tick.
+        debt_carriers_scored: The query's advertisers whose outstanding
+            debt needed a real throttle problem (see
+            :attr:`repro.engine.pipeline.RoundReport.debt_carriers_scored`).
+            With ``expired_ads``, what the books cost this query.
     """
 
     query_index: int
@@ -77,6 +82,8 @@ class QueryReport:
     clicks: int
     displays: int
     latency_seconds: float
+    expired_ads: int = 0
+    debt_carriers_scored: int = 0
 
 
 @dataclass
@@ -189,6 +196,8 @@ class ServingEngine:
             clicks=round_report.clicks,
             displays=round_report.displays,
             latency_seconds=elapsed,
+            expired_ads=round_report.expired_ads,
+            debt_carriers_scored=round_report.debt_carriers_scored,
         )
 
     def run(self, num_queries: int) -> ServingReport:

@@ -163,13 +163,18 @@ class TestVerifyMode:
             )
 
     def test_undeclared_book_movement_is_caught(self):
-        manager, cache, _ = make_cache({1: 300}, verify=True)
+        # A manager that publishes nowhere, and a cache listening on a
+        # feed that therefore never hears of its book movements: the
+        # second display goes through the manager (the only writer of
+        # its ledgers) yet stays undeclared, the entry still looks
+        # clean, so the next access takes the reuse path and the verify
+        # cross-check must blow up.
+        manager = BudgetManager({1: 300})
+        cache = IncrementalThrottleCache(manager, verify=True)
+        cache.connect(ChangeFeed())
         manager.record_display(1, 90, 0.7, 0)
         cache.exact_bid(1, 120, 3, 0)
-        # Mutate the ledger behind the feed's back: the entry still
-        # looks clean, so the next access takes the reuse path and the
-        # verify cross-check must blow up.
-        manager._ledger(1).record_display(80, 0.4, 0)
+        manager.record_display(1, 80, 0.4, 0)
         with pytest.raises(BudgetError, match="unsound change feed"):
             cache.exact_bid(1, 120, 3, 0)
 

@@ -104,3 +104,31 @@ class TestLedger:
         ledger.record_display(60, 0.25, 0)
         assert ledger.max_liability_cents(0) == 160
         assert ledger.expected_liability_cents(0) == pytest.approx(65.0)
+
+    def test_running_liability_follows_every_add_and_removal(self):
+        ledger = OutstandingLedger(decay=NoDecay(horizon=2))
+        first = ledger.record_display(100, 0.5, 0)
+        second = ledger.record_display(60, 0.25, 0)
+        ledger.record_display(30, 0.5, 1)
+        assert ledger.liability_cents == 190
+        ledger.resolve(first)
+        assert ledger.liability_cents == 90
+        # A hand-made value-equal ad resolves the live one it matches.
+        ledger.resolve(OutstandingAd(60, 0.25, 0))
+        assert not ledger.has_handle(second.handle)
+        assert ledger.liability_cents == 30
+        ledger.record_display(45, 0.5, 0)
+        assert ledger.prune(2) == 1
+        assert ledger.liability_cents == 30
+        assert ledger.prune(3) == 1
+        assert ledger.liability_cents == 0
+
+    def test_running_liability_bounds_the_exact_worst_case(self):
+        # Dead but not yet pruned: counted by the running sum, left out
+        # of omega_l -- so the running sum is the (sound) upper bound.
+        ledger = OutstandingLedger(decay=NoDecay(horizon=2))
+        ledger.record_display(100, 0.5, 0)
+        ledger.record_display(60, 0.0, 0)
+        assert ledger.max_liability_cents(0) == 100
+        assert ledger.max_liability_cents(2) == 0
+        assert ledger.liability_cents == 160

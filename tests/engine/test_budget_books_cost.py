@@ -1,0 +1,264 @@
+"""Cost bounds of the event-driven books (ROADMAP item 5e).
+
+The per-tick bookkeeping must cost what changed -- ads that expired,
+clicks that settled, debt carriers that occur -- not the number of
+ledgers on file.  These tests count calls, never time.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+pytest.importorskip("numpy")
+
+from repro.budgets.outstanding import NoDecay, OutstandingLedger
+from repro.engine.budget_manager import BudgetManager
+from repro.engine.pipeline import RoundReport, SharedAuctionEngine
+from repro.instrument import MetricsCollector, names
+from repro.workloads.generator import MarketConfig, generate_market
+
+LEDGER_METHODS = (
+    "prune",
+    "snapshot",
+    "has_handle",
+    "resolve_handle",
+    "resolve",
+    "__len__",
+)
+
+
+@pytest.fixture
+def ledger_calls(monkeypatch):
+    """Counts every call of an ``OutstandingLedger`` method, by name."""
+    calls: Counter = Counter()
+
+    def counted(name, original):
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return original(self, *args, **kwargs)
+
+        return wrapper
+
+    for name in LEDGER_METHODS:
+        monkeypatch.setattr(
+            OutstandingLedger,
+            name,
+            counted(name, vars(OutstandingLedger)[name]),
+        )
+    return calls
+
+
+def _books(idle_ledgers: int) -> BudgetManager:
+    """Five advertisers with two ads due at round 3, plus idle ledgers.
+
+    Half of the idle ledgers hold a live ad (displayed at round 3), half
+    were emptied by a settlement.
+    """
+    manager = BudgetManager({}, NoDecay(horizon=3))
+    for advertiser_id in range(5):
+        manager.record_display(advertiser_id, 10, 0.5, 0)
+        manager.record_display(advertiser_id, 20, 0.5, 0)
+    for advertiser_id in range(100, 100 + idle_ledgers):
+        handle = manager.record_display(advertiser_id, 30, 0.5, 3)
+        if advertiser_id % 2:
+            manager.settle_click(advertiser_id, 30, 3, handle=handle)
+    return manager
+
+
+class TestExpiryCost:
+    def test_idle_ledgers_are_never_touched(self, ledger_calls):
+        touched = {}
+        for idle_ledgers in (10, 100):
+            manager = _books(idle_ledgers)
+            ledger_calls.clear()
+            assert manager.expire_outstanding(2) == 0
+            assert not ledger_calls
+            assert manager.expire_outstanding(3) == 10
+            touched[idle_ledgers] = dict(ledger_calls)
+            ledger_calls.clear()
+            # Nothing left that is due: the next tick is free.
+            assert manager.expire_outstanding(3) == 0
+            assert manager.expire_outstanding(4) == 0
+            assert not ledger_calls
+        assert touched[10] == touched[100]
+        assert touched[10]["resolve_handle"] == 10
+        assert "prune" not in touched[10]
+
+    def test_counts_cost_the_debt_carriers(self, ledger_calls):
+        for idle_ledgers in (10, 100):
+            manager = _books(idle_ledgers)
+            manager.expire_outstanding(3)
+            ledger_calls.clear()
+            counts = manager.outstanding_counts()
+            # The idle ledgers that still hold their ad; nobody else.
+            assert len(counts) == idle_ledgers // 2
+            assert ledger_calls == {"__len__": idle_ledgers // 2}
+
+    def test_a_serving_tick_prunes_and_snapshots_nothing_idle(
+        self, ledger_calls
+    ):
+        # One phrase per tick on an unbudgeted market: every quick test
+        # clears, so no ledger is walked or snapshotted at all.
+        advertisers, rates = _market(seed=3, median_budget_cents=0)
+        engine = SharedAuctionEngine(
+            advertisers, [0.3, 0.2, 0.1], rates,
+            mode="unshared", layout="columnar", seed=3,
+        )
+        phrases = sorted(engine.phrase_advertisers)
+        for tick in range(60):
+            engine.serve_query(phrases[tick % len(phrases)])
+        assert engine.budget_manager.debt_carriers
+        assert ledger_calls["prune"] == 0
+        assert ledger_calls["snapshot"] == 0
+
+
+def _market(seed: int, median_budget_cents: int):
+    """A 27-advertiser market; ``median_budget_cents=0`` is unbudgeted."""
+    market = generate_market(
+        MarketConfig(
+            num_categories=3,
+            phrases_per_category=3,
+            specialists_per_category=5,
+            generalists=3,
+            generalist_categories=2,
+            median_budget_cents=median_budget_cents,
+            seed=seed,
+        )
+    )
+    return market.advertisers, market.search_rates
+
+
+def _column_as_snapshot(engine) -> dict:
+    column = engine._spent_by_row
+    return {
+        int(advertiser_id): int(spent)
+        for advertiser_id, spent in zip(engine._store.ids, column)
+        if spent
+    }
+
+
+class TestSpentColumn:
+    @pytest.mark.parametrize("mode", ("unshared", "shared", "shared-sort"))
+    def test_column_equals_the_books_after_every_round(self, mode):
+        advertisers, rates = _market(seed=11, median_budget_cents=600)
+        engine = SharedAuctionEngine(
+            advertisers, [0.3, 0.2, 0.1], rates,
+            mode=mode, layout="columnar", seed=11,
+        )
+        moved = throttled = 0
+        for _ in range(50):
+            report = engine.run_round()
+            if report.occurring_phrases:
+                # Clicks settle before scoring and displays charge
+                # nothing, so the column scoring left behind is current.
+                assert _column_as_snapshot(engine) == (
+                    engine.budget_manager.spent_snapshot()
+                )
+            moved += report.clicks
+            throttled += report.debt_carriers_scored
+        assert moved, "the session never settled a click"
+        assert throttled, "no budget ever bound: the session was too easy"
+        revenue, _, clicks = engine.settle_remaining_clicks()
+        assert clicks and revenue
+        # The flush settled outside any round; the next sync picks up
+        # exactly what it moved.
+        assert _column_as_snapshot(engine) != (
+            engine.budget_manager.spent_snapshot()
+        )
+        engine._sync_spent_column()
+        assert _column_as_snapshot(engine) == (
+            engine.budget_manager.spent_snapshot()
+        )
+
+
+class TestBooksObservability:
+    def _run(self, layout, **kw):
+        advertisers, rates = _market(seed=5, median_budget_cents=600)
+        collector = MetricsCollector()
+        engine = SharedAuctionEngine(
+            advertisers, [0.3, 0.2, 0.1], rates,
+            mode="unshared", layout=layout, seed=5, collector=collector,
+            click_horizon_rounds=4, **kw,
+        )
+        return engine, engine.run(30), collector
+
+    def test_report_fields_mirror_the_collector(self):
+        engine, report, collector = self._run("columnar")
+        assert report.expired_ads > 0
+        assert report.debt_carriers_scored > 0
+        assert report.expired_ads == sum(
+            r.expired_ads for r in report.history
+        )
+        assert collector.counter(names.ENGINE_EXPIRED_ADS) == (
+            report.expired_ads
+        )
+        assert collector.counter(names.ENGINE_DEBT_CARRIERS_SCORED) == (
+            report.debt_carriers_scored
+        )
+        # Displays either get clicked, expire, or are still on the books.
+        outstanding = sum(engine.budget_manager.outstanding_counts().values())
+        assert report.displays == (
+            report.clicks + report.expired_ads + outstanding
+        )
+
+    def test_quick_test_skips_are_still_counted_as_fallbacks(self):
+        _, report, collector = self._run("columnar")
+        fallbacks = collector.counter(names.COLUMNAR_THROTTLE_FALLBACKS)
+        # Every occurring debt carrier is a fallback; the quick test
+        # cleared some of them before a problem was built.
+        assert fallbacks > report.debt_carriers_scored
+        assert collector.counter(names.THROTTLE_EXACT_FALLBACKS) <= (
+            report.debt_carriers_scored
+        )
+
+    def test_object_layout_counts_every_occurring_debt_carrier(self):
+        _, columnar, collector = self._run("columnar")
+        _, reference, _ = self._run("object")
+        assert [r.allocations for r in columnar.history] == [
+            r.allocations for r in reference.history
+        ]
+        assert [r.expired_ads for r in columnar.history] == [
+            r.expired_ads for r in reference.history
+        ]
+        assert reference.debt_carriers_scored == collector.counter(
+            names.COLUMNAR_THROTTLE_FALLBACKS
+        )
+
+    def test_unthrottled_engine_scores_no_debt_carrier(self):
+        _, report, _ = self._run("columnar", throttle=False)
+        assert report.expired_ads > 0
+        assert report.debt_carriers_scored == 0
+
+
+class TestLiabilityQuickTest:
+    """The O(1) quick test agrees with the object layout's exact stage."""
+
+    @pytest.mark.parametrize("dead_price", (1, 150, 10_000))
+    def test_dead_unpruned_ads_only_loosen_the_bound(self, dead_price):
+        # An ad with zero click probability that no expiry has removed
+        # yet is in the running liability but not in omega_l.  However
+        # large, it may cost a problem build, never change a bid.
+        advertisers, rates = _market(seed=7, median_budget_cents=400)
+        phrases = sorted(rates)
+        scored = {}
+        for layout in ("object", "columnar"):
+            engine = SharedAuctionEngine(
+                advertisers, [0.3, 0.2, 0.1], rates,
+                mode="unshared", layout=layout, seed=7,
+            )
+            for _ in range(6):
+                engine.run_round(phrases)
+            for advertiser in advertisers[::2]:
+                engine.budget_manager.record_display(
+                    advertiser.advertiser_id, dead_price, 0.0, 6
+                )
+            report = RoundReport(6, tuple(phrases))
+            _, effective = engine._effective_scores(phrases, 6, report)
+            scored[layout] = (dict(effective.items()), report)
+        assert scored["object"][0] == scored["columnar"][0]
+        assert (
+            scored["columnar"][1].debt_carriers_scored
+            <= scored["object"][1].debt_carriers_scored
+        )

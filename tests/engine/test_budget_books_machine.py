@@ -1,0 +1,315 @@
+"""Event-driven budget books against the walk they replaced.
+
+:class:`repro.engine.budget_manager.BudgetManager` expires outstanding
+ads from a min-heap keyed on the round each ad dies, indexes the
+non-empty ledgers, and carries a running liability per ledger.  The
+oracle here is what the manager did before: one
+:meth:`repro.budgets.outstanding.OutstandingLedger.prune` walk over
+every ledger per expiry call, and full recounts.  A hypothesis machine
+drives both with the same random traffic -- displays (``base_ctr = 0``
+included), settlements by live handle, by a handle that is already
+gone, and by the legacy ``(price, round)`` match, expiries at repeated
+and non-monotone rounds -- under every shipped decay model, including
+the ones whose probability reaches zero before the horizon.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Tuple
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.budgets.outstanding import (
+    ExponentialDecay,
+    GeometricDecay,
+    NoDecay,
+    OutstandingAd,
+    OutstandingLedger,
+)
+from repro.engine.budget_manager import BudgetManager
+from repro.engine.changefeed import BudgetChanged, ChangeFeed
+
+ADVERTISERS = (1, 2, 3, 7)
+BUDGETS = {1: 400, 2: 150, 3: 0}  # 7 is unbudgeted
+MAX_ROUND = 12
+
+DECAYS = {
+    "no_decay": NoDecay(horizon=3),
+    "geometric": GeometricDecay(ratio=0.5, horizon=4),
+    # ratio**1 == 0: dead one round after display, horizon or not.
+    "geometric_ratio_zero": GeometricDecay(ratio=0.0, horizon=4),
+    # 0.5 * (1e-200)**2 underflows to 0.0 four rounds before the horizon.
+    "geometric_underflow": GeometricDecay(ratio=1e-200, horizon=6),
+    "exponential": ExponentialDecay(rate=0.3, horizon=5),
+    # exp(-800) == 0.0 while exp(-400) > 0: dead at elapsed 2 of 5.
+    "exponential_underflow": ExponentialDecay(rate=400.0, horizon=5),
+}
+
+
+class WalkingBooks:
+    """The parent commit's bookkeeping: walk every ledger, every time."""
+
+    def __init__(self, budgets: Dict[int, int], decay) -> None:
+        self.budgets = budgets
+        self.decay = decay
+        self.ledgers: Dict[int, OutstandingLedger] = {}
+        self.spent: Dict[int, int] = {}
+
+    def _ledger(self, advertiser_id: int) -> OutstandingLedger:
+        return self.ledgers.setdefault(
+            advertiser_id, OutstandingLedger(decay=self.decay)
+        )
+
+    def record_display(self, advertiser_id, price, ctr, round_index) -> int:
+        return self._ledger(advertiser_id).record_display(
+            price, ctr, round_index
+        ).handle
+
+    def settle_click(
+        self, advertiser_id, price, display_round, handle: Optional[int]
+    ) -> Tuple[int, int]:
+        ledger = self._ledger(advertiser_id)
+        if handle is not None:
+            if ledger.has_handle(handle):
+                ledger.resolve_handle(handle)
+        else:
+            for ad in ledger.ads:
+                if (
+                    ad.price_cents == price
+                    and ad.displayed_round == display_round
+                ):
+                    ledger.resolve(ad)
+                    break
+        budget = self.budgets.get(advertiser_id, BudgetManager.UNBUDGETED_CENTS)
+        remaining = max(0, budget - self.spent.get(advertiser_id, 0))
+        charged = min(price, remaining)
+        self.spent[advertiser_id] = self.spent.get(advertiser_id, 0) + charged
+        return charged, price - charged
+
+    def expire(self, round_index: int) -> Dict[int, int]:
+        expired = {}
+        for advertiser_id, ledger in self.ledgers.items():
+            pruned = ledger.prune(round_index)
+            if pruned:
+                expired[advertiser_id] = pruned
+        return expired
+
+    def counts(self) -> Dict[int, int]:
+        return {
+            advertiser_id: len(ledger)
+            for advertiser_id, ledger in self.ledgers.items()
+            if len(ledger)
+        }
+
+
+class BudgetBooksMachine(RuleBasedStateMachine):
+    """Event-driven manager and walking oracle, in lockstep."""
+
+    decay = NoDecay(horizon=3)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.feed = ChangeFeed()
+        self.subscription = self.feed.subscribe("books")
+        self.manager = BudgetManager(
+            BUDGETS, decay=self.decay, changefeed=self.feed
+        )
+        self.oracle = WalkingBooks(BUDGETS, self.decay)
+        # Every handle ever issued, settled and expired ones included.
+        self.issued: List[Tuple[int, int, int, int]] = []
+        self.spent_column: Dict[int, int] = {}
+
+    def _published(self) -> List[int]:
+        events = self.subscription.drain()
+        assert all(isinstance(event, BudgetChanged) for event in events)
+        return [event.advertiser_id for event in events]
+
+    @rule(
+        advertiser=st.sampled_from(ADVERTISERS),
+        price=st.integers(min_value=0, max_value=120),
+        ctr=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+        round_index=st.integers(min_value=0, max_value=MAX_ROUND),
+    )
+    def display(self, advertiser, price, ctr, round_index) -> None:
+        handle = self.manager.record_display(
+            advertiser, price, ctr, round_index
+        )
+        assert handle == self.oracle.record_display(
+            advertiser, price, ctr, round_index
+        )
+        self.issued.append((advertiser, price, round_index, handle))
+        assert self._published() == [advertiser]
+
+    @rule(data=st.data())
+    def settle_by_handle(self, data) -> None:
+        # Live, already settled or already expired: all three happen,
+        # and a handle that is gone still settles the charge.
+        if not self.issued:
+            return
+        advertiser, price, shown, handle = data.draw(
+            st.sampled_from(self.issued)
+        )
+        self._settle(advertiser, price, shown, handle)
+
+    @rule(data=st.data())
+    def settle_expired_handle(self, data) -> None:
+        gone = [
+            entry
+            for entry in self.issued
+            if not self.oracle.ledgers[entry[0]].has_handle(entry[3])
+        ]
+        if not gone:
+            return
+        advertiser, price, shown, handle = data.draw(st.sampled_from(gone))
+        before = self.manager.outstanding_counts()
+        self._settle(advertiser, price, shown, handle)
+        assert self.manager.outstanding_counts() == before
+
+    @rule(
+        data=st.data(),
+        advertiser=st.sampled_from(ADVERTISERS),
+        price=st.integers(min_value=0, max_value=120),
+        round_index=st.integers(min_value=0, max_value=MAX_ROUND),
+    )
+    def settle_legacy(self, data, advertiser, price, round_index) -> None:
+        # Handle-less: the first ad matching (price, round) goes.  Half
+        # the time aim at a display that really happened.
+        if self.issued and data.draw(st.booleans()):
+            advertiser, price, round_index, _ = data.draw(
+                st.sampled_from(self.issued)
+            )
+        self._settle(advertiser, price, round_index, None)
+
+    def _settle(self, advertiser, price, shown, handle) -> None:
+        charge = self.manager.settle_click(
+            advertiser, price, shown, handle=handle
+        )
+        assert (
+            charge.charged_cents,
+            charge.forgiven_cents,
+        ) == self.oracle.settle_click(advertiser, price, shown, handle)
+        assert self._published() == [advertiser]
+
+    @rule(round_index=st.integers(min_value=-1, max_value=MAX_ROUND + 8))
+    def expire(self, round_index) -> None:
+        expired = self.manager.expire_outstanding_by_advertiser(round_index)
+        assert expired == self.oracle.expire(round_index)
+        assert list(expired) == sorted(expired)
+        # One event per advertiser that lost ads, ascending id.
+        assert self._published() == sorted(expired)
+
+    @rule(round_index=st.integers(min_value=-1, max_value=MAX_ROUND + 8))
+    def expire_total(self, round_index) -> None:
+        total = self.manager.expire_outstanding(round_index)
+        expected = self.oracle.expire(round_index)
+        assert total == sum(expected.values())
+        assert set(self._published()) == set(expected)
+
+    @invariant()
+    def books_agree(self) -> None:
+        manager, oracle = self.manager, self.oracle
+        for advertiser in ADVERTISERS:
+            mine = manager._ledgers.get(advertiser)
+            theirs = oracle.ledgers.get(advertiser)
+            ads = mine.ads if mine is not None else []
+            assert ads == (theirs.ads if theirs is not None else [])
+            assert [ad.handle for ad in ads] == [
+                ad.handle for ad in (theirs.ads if theirs else [])
+            ]
+            liability = sum(ad.price_cents for ad in ads)
+            assert manager.liability_cents(advertiser) == liability
+            if mine is not None:
+                assert mine.liability_cents == liability
+                # An upper bound on the exact worst case at any round.
+                for round_index in (0, MAX_ROUND // 2, MAX_ROUND + 8):
+                    assert mine.max_liability_cents(round_index) <= liability
+        assert manager.outstanding_counts() == oracle.counts()
+        assert set(manager.debt_carriers) == set(oracle.counts())
+
+    @invariant()
+    def spent_column_follows_the_books(self) -> None:
+        self.spent_column.update(self.manager.drain_spent_changes())
+        assert self.manager.drain_spent_changes() == {}
+        snapshot = self.manager.spent_snapshot()
+        assert {
+            advertiser: spent
+            for advertiser, spent in self.spent_column.items()
+            if spent
+        } == snapshot
+        assert snapshot == {
+            advertiser: spent
+            for advertiser, spent in sorted(self.oracle.spent.items())
+            if spent
+        }
+
+
+def _machine_case(decay):
+    machine = type("Machine", (BudgetBooksMachine,), {"decay": decay})
+    case = machine.TestCase
+    case.settings = settings(
+        max_examples=30, stateful_step_count=40, deadline=None
+    )
+    return case
+
+
+TestNoDecayBooks = _machine_case(DECAYS["no_decay"])
+TestGeometricBooks = _machine_case(DECAYS["geometric"])
+TestGeometricRatioZeroBooks = _machine_case(DECAYS["geometric_ratio_zero"])
+TestGeometricUnderflowBooks = _machine_case(DECAYS["geometric_underflow"])
+TestExponentialBooks = _machine_case(DECAYS["exponential"])
+TestExponentialUnderflowBooks = _machine_case(DECAYS["exponential_underflow"])
+
+
+class TestDeadRound:
+    """``dead_round`` is the first round ``current_ctr`` is zero."""
+
+    @pytest.mark.parametrize("name", sorted(DECAYS))
+    @pytest.mark.parametrize("base_ctr", (0.0, 0.05, 0.5, 1.0))
+    @pytest.mark.parametrize("displayed", (0, 5))
+    def test_matches_a_scan_over_rounds(self, name, base_ctr, displayed):
+        decay = DECAYS[name]
+        ad = OutstandingAd(40, base_ctr, displayed)
+        dead = ad.dead_round(decay)
+        for round_index in range(-3, displayed + decay.horizon + 3):
+            assert (ad.current_ctr(decay, round_index) <= 0.0) == (
+                round_index >= dead
+            )
+
+    def test_normally_the_horizon(self):
+        assert OutstandingAd(40, 0.5, 7).dead_round(NoDecay(horizon=17)) == 24
+
+    def test_early_deaths(self):
+        ad = OutstandingAd(40, 0.5, 7)
+        assert ad.dead_round(DECAYS["geometric_ratio_zero"]) == 8
+        assert ad.dead_round(DECAYS["geometric_underflow"]) == 9
+        assert ad.dead_round(DECAYS["exponential_underflow"]) == 9
+
+    def test_dead_on_display_is_dead_at_every_round(self):
+        ad = OutstandingAd(40, 0.0, 7)
+        assert ad.dead_round(NoDecay(horizon=17)) == float("-inf")
+        assert OutstandingAd(40, 0.5, 7).dead_round(
+            NoDecay(horizon=0)
+        ) == float("-inf")
+
+
+class TestLedgerOwnership:
+    def test_ads_recorded_on_a_ledger_directly_are_never_queued(self):
+        # The documented limit of the manager being the only writer.
+        manager = BudgetManager({1: 100}, NoDecay(horizon=2))
+        manager.record_display(1, 10, 0.5, 0)
+        manager._ledgers[1].record_display(20, 0.5, 0)
+        assert manager.expire_outstanding(5) == 1
+        assert manager.outstanding_counts() == {1: 1}
+        assert manager._ledgers[1].prune(5) == 1
+
+    def test_settled_ads_are_skipped_when_they_come_due(self):
+        manager = BudgetManager({1: 100}, NoDecay(horizon=2))
+        first = manager.record_display(1, 10, 0.5, 0)
+        manager.record_display(1, 20, 0.5, 0)
+        manager.settle_click(1, 10, 0, handle=first)
+        assert manager.expire_outstanding_by_advertiser(2) == {1: 1}
+        assert manager.debt_carriers == set()
+        assert manager.liability_cents(1) == 0
