@@ -4,18 +4,30 @@
 network + threshold algorithm), and ``unshared`` (independent scans)
 resolve the same generated market.  With phrase-independent CTR factors
 all three must produce identical outcomes; the work profiles differ.
+
+``test_uncached_shared_plan_within_reach_of_the_scan`` is ROADMAP item
+1's threshold by the clock: on the scaled Fig. 4 market the Section II
+shared plan, with no cache to replay answers from, must stay within
+1.5x of independent vectorized scans (it was ~9x while every phrase
+was a ~125-deep Python merge chain).
 """
 
 from __future__ import annotations
+
+import random
+import statistics
+import time
 
 import pytest
 
 from repro.engine import SharedAuctionEngine
 from repro.metrics.tables import ExperimentTable
+from repro.workloads.fig4 import fig4_market
 from repro.workloads.generator import MarketConfig, generate_market
 
 ROUNDS = 25
 MODES = ("shared", "shared-sort", "unshared")
+SHARED_OVER_SCAN_CEILING = 1.5
 
 
 def build_engine(market, mode: str) -> SharedAuctionEngine:
@@ -77,3 +89,64 @@ def test_three_modes_agree_and_differ_in_work(benchmark):
 
     engine = build_engine(market, "shared-sort")
     benchmark(lambda: engine.run_round())
+
+
+def _median_round_ms(advertisers, rates, mode, rounds, warm):
+    """Median wall clock of the timed rounds of one fresh session, and
+    every round's allocations (the outcome the modes must agree on)."""
+    engine = SharedAuctionEngine(
+        advertisers, [0.3, 0.2, 0.1], rates,
+        mode=mode, layout="columnar", seed=11,
+    )
+    samples = []
+    allocations = []
+    for index, occurring in enumerate(rounds):
+        start = time.perf_counter()
+        report = engine.run_round(occurring)
+        if index >= warm:
+            samples.append(time.perf_counter() - start)
+        allocations.append(report.allocations)
+    return statistics.median(samples) * 1e3, allocations
+
+
+@pytest.mark.experiment("EngineModes")
+def test_uncached_shared_plan_within_reach_of_the_scan():
+    pytest.importorskip("numpy")
+    # batch_rank's market: 8 Fig. 4 components (2000 advertisers, 480
+    # phrases), unlimited budgets, each phrase occurring with
+    # probability 0.5.  Both engines replay the same rounds in this
+    # process, so the gate is a ratio and survives a slow box.
+    advertisers, rates = fig4_market(
+        num_queries=60, num_advertisers=250, num_components=8,
+        median_budget_cents=0, seed=0,
+    )
+    rng = random.Random(16)
+    phrases = sorted(rates)
+    warm, timed = 5, 40
+    rounds = [
+        [phrase for phrase in phrases if rng.random() < 0.5]
+        for _ in range(warm + timed)
+    ]
+    best = {}
+    outcomes = {}
+    for _lap in range(2):
+        for mode in ("unshared", "shared"):
+            ms, outcomes[mode] = _median_round_ms(
+                advertisers, rates, mode, rounds, warm
+            )
+            best[mode] = min(best.get(mode, ms), ms)
+    ratio = best["shared"] / best["unshared"]
+    table = ExperimentTable(
+        "Uncached shared plan vs unshared scan, columnar, "
+        f"{statistics.mean(map(len, rounds)):.0f} phrases/round "
+        f"(median of {timed} rounds, best of 2 laps)",
+        ["mode", "ms/round", "x scan"],
+    )
+    for mode in ("unshared", "shared"):
+        table.add(mode, best[mode], best[mode] / best["unshared"])
+    table.show()
+    assert outcomes["shared"] == outcomes["unshared"]
+    assert ratio <= SHARED_OVER_SCAN_CEILING, (
+        f"uncached shared plan is {ratio:.2f}x the unshared scan "
+        f"(ceiling {SHARED_OVER_SCAN_CEILING}x)"
+    )

@@ -14,7 +14,10 @@ kernels become whole-array operations:
   (:meth:`repro.engine.pipeline.SharedAuctionEngine` with
   ``layout="columnar"``);
 - per-phrase top-k: :func:`columnar_top_k` via ``np.argpartition`` with
-  the exact ``(-score, advertiser_id)`` tie-break of the object path;
+  the exact ``(-score, advertiser_id)`` tie-break of the object path,
+  and :func:`segmented_top_k` for a whole round's ragged batch of
+  segments in one lexsort (the shared plan's fragment and phrase
+  aggregation, :mod:`repro.plans.columnar_exec`);
 - TA sorted access: presorted column indices
   (:class:`repro.sharedsort.columnar.ColumnarThresholdKernel`).
 
@@ -72,6 +75,7 @@ __all__ = [
     "ColumnarStore",
     "columnar_top_k",
     "require_numpy",
+    "segmented_top_k",
 ]
 
 UNBUDGETED_CENTS = 10**12
@@ -306,6 +310,51 @@ def columnar_top_k(
             for i in selected
         ),
     )
+
+
+def segmented_top_k(k: int, scores, ids, seg, seg_count: int):
+    """Exact top-k of every segment of a ragged batch, in one sort.
+
+    The batched form of :func:`columnar_top_k`: ``seg[i]`` names the
+    segment candidate ``i`` belongs to, and one
+    ``np.lexsort((ids, -scores, seg))`` ranks every segment at once;
+    the first ``k`` positions of each segment's run are its answer.
+    ``(-score, advertiser_id)`` is a strict total order on distinct ids,
+    so the result has no dependence on input order and equals -- entry
+    for entry -- both ``columnar_top_k`` on each segment and any fold
+    of :func:`repro.core.topk.top_k_merge` over the segment's entries
+    (``0.0`` and ``-0.0`` compare equal in both and fall to the id
+    tie-break; the stored score keeps its sign).
+
+    Args:
+        k: Result capacity (positive).
+        scores: float64 score per candidate.
+        ids: Parallel int64 advertiser ids, distinct within a segment.
+        seg: Parallel int64 segment index in ``[0, seg_count)``; any
+            order, segments may be empty.
+        seg_count: Number of segments (output rows).
+
+    Returns:
+        ``(top_scores, top_ids, counts)``: ``(seg_count, k)`` float64
+        and int64 tables, best first, and the filled length
+        ``min(k, segment size)`` of each row.  Cells past a row's count
+        are padding (``0.0`` / ``-1``).
+    """
+    require_numpy()
+    if k <= 0:
+        raise InvalidAuctionError(f"k must be positive, got {k}")
+    sizes = np.bincount(seg, minlength=seg_count)
+    top_scores = np.zeros((seg_count, k), dtype=np.float64)
+    top_ids = np.full((seg_count, k), -1, dtype=np.int64)
+    order = np.lexsort((ids, -scores, seg))
+    ranked_seg = seg[order]
+    rank = np.arange(len(order)) - (np.cumsum(sizes) - sizes)[ranked_seg]
+    head = rank < k
+    picked = order[head]
+    cells = (ranked_seg[head], rank[head])
+    top_scores[cells] = scores[picked]
+    top_ids[cells] = ids[picked]
+    return top_scores, top_ids, np.minimum(sizes, k)
 
 
 class ColumnarStore:

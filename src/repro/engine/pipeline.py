@@ -481,9 +481,10 @@ class SharedAuctionEngine:
                 # The greedy plan's sharing structure collapses to
                 # fragment row slices in array space; the plan DAG is
                 # never built.  With exec_cache the executor keeps the
-                # fragment lists alive across rounds and rescans only
-                # fragments touching a dirty row -- the DAG-node
-                # ancestor cone becomes a row-mask lookup.
+                # fragment top-k table and the answers alive across
+                # rounds and rescans only fragments touching a dirty
+                # row -- the DAG-node ancestor cone becomes two CSR
+                # gathers.
                 from repro.plans.columnar_exec import ColumnarFragmentExecutor
 
                 self._columnar_exec = ColumnarFragmentExecutor(

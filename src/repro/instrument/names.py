@@ -48,6 +48,13 @@ name                      meaning (paper reference)
                           but not merges, which is why the incremental
                           mode may report ``plan.merges <
                           plan.nodes``.
+``plan.candidates_gathered``  ``(score, id)`` candidates the columnar
+                          fragment executor handed to
+                          :func:`repro.core.columnar.segmented_top_k`
+                          (member rows of refreshed fragments plus
+                          table cells of re-aggregated queries) -- the
+                          kernel's unit of work; zero on a round that
+                          replays every answer.
 ``plan.cache_evictions``  cross-round cache entries evicted by the
                           capacity bound (LRU order).
 ``plan.cache_resident``   *gauge*: entries resident in the cross-round
@@ -196,6 +203,7 @@ __all__ = [
     "PLAN_CACHE_MISSES",
     "PLAN_LEAF_SCANS",
     "PLAN_NODE_MERGES",
+    "PLAN_CANDIDATES_GATHERED",
     "PLAN_PAIRS_SCORED",
     "PLAN_PAIRS_SKIPPED_LAZY",
     "PLAN_COVERS_COMPUTED",
@@ -259,6 +267,7 @@ PLAN_CACHE_HITS = "plan.cache_hits"
 PLAN_CACHE_MISSES = "plan.cache_misses"
 PLAN_LEAF_SCANS = "plan.leaf_scans"
 PLAN_NODE_MERGES = "plan.node_merges"
+PLAN_CANDIDATES_GATHERED = "plan.candidates_gathered"
 
 # Greedy planner work accounting (Section II-D heuristic).
 PLAN_PAIRS_SCORED = "plan.pairs_scored"

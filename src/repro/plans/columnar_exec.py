@@ -1,56 +1,64 @@
 """Fragment-level columnar execution of shared aggregation rounds.
 
 The object-path :class:`repro.plans.executor.PlanExecutor` answers each
-round by walking the greedy plan DAG, materializing one
+round by walking the greedy plan DAG, one
 :class:`~repro.core.topk.TopKList` per operator node.  With the
-population in a :class:`repro.core.columnar.ColumnarStore`, the same
-sharing structure collapses to two vectorized steps:
+population in a :class:`repro.core.columnar.ColumnarStore` the sharing
+structure is held as arrays and a round is two calls of one kernel,
+:func:`repro.core.columnar.segmented_top_k` (DESIGN section 18):
 
-1. every needed *fragment* (Section II-D.1 equivalence class of
-   advertisers occurring in the same queries) is top-k'd **once** per
-   round by :func:`repro.core.columnar.columnar_top_k` over its row
-   slice;
-2. each requested query's answer is the ``⊕``-merge of its fragments'
-   k-lists -- exact because fragments partition the query's variable
-   set, and the binary top-k merge of exact per-part top-k lists is the
-   exact top-k of the union (axioms A1-A4).
+1. every needed dirty *fragment* (Section II-D.1 equivalence class of
+   advertisers occurring in the same queries) is top-k'd **once**: the
+   member rows of all of them form one ragged batch, segmented by
+   fragment, and the kernel writes each fragment's k best
+   ``(score, id)`` into its row of one ``(F, k)`` table;
+2. every requested query whose answer is stale is the top-k of its
+   fragments' table rows: those rows form a second ragged batch,
+   segmented by query, and the same kernel answers all of them at once.
 
-This keeps the paper's sharing (a fragment shared by ten queries is
-scanned once, not ten times) while replacing every per-advertiser
-Python loop with ``np.argpartition``.  The greedy plan itself is never
-built: fragment identification is the cheap first stage of planning,
-and the merge tree above fragments is a balanced left fold, which is
-sufficient because ``⊕`` is associative and commutative -- answers are
-byte-identical to the plan executor's, as the layout differential
-asserts.
+Exact because fragments partition a query's variable set, the top-k of
+a union is the top-k of the parts' top-k lists (axioms A1-A4), and
+``(-score, id)`` is a strict total order -- one lexsort returns, entry
+for entry, what any chain of binary
+:func:`~repro.core.topk.top_k_merge` calls over the same lists returns.
+The paper's sharing is kept (a fragment shared by ten queries is
+scanned once, not ten times); the greedy plan above fragments is never
+built.  A trivial (single-variable) query is a one-row fragment of its
+own covering only itself, so it takes the same path.
 
-Cross-round caching (``exec_cache=True``) runs in *array space*
-(``cross_round=True``): instead of the object executor's per-variable
-score dicts and DAG-node ancestor-cone walks, the executor keeps a
-full-length last-seen score column, a seen mask, per-row and
-per-fragment epoch arrays, and a per-fragment dirty flag.  Draining the
-:class:`repro.engine.changefeed.ChangeFeed` yields declared-dirty
-advertiser ids; one vectorized compare against the snapshot refines the
-declaration to the rows whose score actually moved (and, under
-``verify=True``, cross-checks that no undeclared row moved -- the same
-declared-vs-diffed soundness contract as
-:class:`repro.plans.executor.CrossRoundPlanExecutor`).  The
-"invalidation cone" of a dirty row is simply its fragment: a
-row-to-fragment index map turns the dirty rows into dirty fragments in
-O(|dirty|), clean fragments replay their cached
-:class:`~repro.core.topk.TopKList` with zero scans, and a per-query
-operand-identity memo skips the final merges when every fragment list
-is literally the same object as last time (the columnar analogue of
-the object cache's merge-free revalidation).
+The incidence is CSR offset/index pairs built once with array ops:
+fragment -> member rows and query -> covering fragments, plus the
+transposes row -> fragments and fragment -> queries, which carry
+invalidation (a dirty row dirties its fragments; a newly dirty fragment
+makes every query it covers stale).
+
+Cross-round caching (``exec_cache=True``, ``cross_round=True``) keeps
+the table, the ``dirty`` / ``stale`` bits and every query's last answer
+between rounds, plus a last-seen score column, a seen mask and per-row
+epochs.  Draining the :class:`repro.engine.changefeed.ChangeFeed`
+yields declared-dirty advertiser ids; one vectorized compare against
+the snapshot refines the declaration to the rows whose score actually
+moved (and, under ``verify=True``, cross-checks that no undeclared row
+moved -- the declared-vs-diffed soundness contract of
+:class:`repro.plans.executor.CrossRoundPlanExecutor`).  A query whose
+``stale`` bit is clear is handed its previous ``TopKList`` object; a
+round in which nothing requested is stale calls the kernel zero times.
+Without ``cross_round`` (and on an autotuner bypass) the same routine
+runs over a scratch table in which everything is dirty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
-from repro.core.columnar import ColumnarStore, columnar_top_k, require_numpy
-from repro.core.topk import TopKList, top_k_merge
+from repro.core.columnar import ColumnarStore, require_numpy, segmented_top_k
+from repro.core.topk import ScoredAdvertiser, TopKList
+# Not called here any more: benchmarks/e2e/spans.py::TARGETS patches both
+# names in this module's namespace (tests/engine/test_span_targets.py).
+from repro.core.columnar import columnar_top_k  # noqa: F401
+from repro.core.topk import top_k_merge  # noqa: F401
 from repro.errors import InvalidPlanError
 from repro.instrument import NULL, Collector, names as metric_names
 from repro.plans.fragments import identify_fragments
@@ -70,23 +78,27 @@ class ColumnarExecResult:
 
     Attributes:
         answers: ``{query name: TopKList}`` for every requested query.
-        merges_performed: Binary top-k merges (one per extra fragment
-            beyond the first in each requested query's cover).
+        merges_performed: Fragment lists combined beyond the first,
+            summed over the queries re-aggregated this round (what a
+            binary merge chain would perform; from CSR cover lengths).
         advertisers_scanned: Rows read by fragment materializations
             (each needed fragment is scanned exactly once per round --
             the sharing the paper's cost model counts).
-        nodes_reused: Cross-round mode only: cached fragment /
-            trivial-leaf lists served without a scan because no member
-            row was dirty.
+        nodes_reused: Cross-round mode only: cover touches of fragment /
+            trivial-leaf lists served without a scan (no dirty member).
         nodes_invalidated: Cross-round mode only: resident cached
             fragments newly marked dirty by this round's dirty rows.
         nodes_revalidated: Cross-round mode only: merges skipped
-            because every operand of a query's fold was identical (by
-            object identity) to the last time the query was answered.
-        bypassed: Cross-round mode only: the autotuner judged the
-            observed dirty fraction too high for caching to pay and the
-            round ran fresh (scores were still absorbed, so the cached
-            state stays sound for later rounds).
+            because no fragment of the query changed since it was last
+            answered, so its cached answer was handed back.
+        candidates_gathered: ``(score, id)`` candidates handed to
+            :func:`~repro.core.columnar.segmented_top_k` -- rows of
+            refreshed fragments plus table cells of re-aggregated
+            queries; zero on a round that replays every answer.
+        bypassed: Cross-round mode only: the autotuner judged the dirty
+            fraction too high for caching to pay and the round ran
+            fresh (scores were still absorbed, so the cached state
+            stays sound for later rounds).
     """
 
     answers: Dict[str, TopKList]
@@ -95,7 +107,54 @@ class ColumnarExecResult:
     nodes_reused: int = 0
     nodes_invalidated: int = 0
     nodes_revalidated: int = 0
+    candidates_gathered: int = 0
     bypassed: bool = False
+
+
+def _csr(keys, values, size: int):
+    """``(ptr, idx)`` grouping ``values`` by ``keys`` in ``[0, size)``."""
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=size), out=ptr[1:])
+    return ptr, values[np.argsort(keys, kind="stable")]
+
+
+def _ranges(starts, lens):
+    """Positions of the concatenated ranges ``[start, start + len)``.
+
+    Returns ``(positions, seg)``: every range's positions in range
+    order, and for each the index of the range it came from.
+    """
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    seg = np.repeat(np.arange(len(lens)), lens)
+    return np.arange(total) + np.repeat(starts - ends + lens, lens), seg
+
+
+def _gather(csr, keys):
+    """``(values, seg)``: the CSR rows of ``keys``, concatenated."""
+    ptr, idx = csr
+    starts = ptr[keys]
+    positions, seg = _ranges(starts, ptr[keys + 1] - starts)
+    return idx[positions], seg
+
+
+class _Tables:
+    """Fragment top-k table and per-query answers: one aggregation state.
+
+    ``scores`` / ``ids`` hold each fragment's best-first top-k in a row
+    (``lens`` cells live); ``dirty`` marks rows that no longer reflect
+    their members' scores; ``stale`` marks queries whose entry in
+    ``answers`` no longer reflects their fragments.  Invariant: a dirty
+    fragment's queries are all stale.
+    """
+
+    def __init__(self, fragments: int, queries: int, k: int) -> None:
+        self.scores = np.zeros((fragments, k), dtype=np.float64)
+        self.ids = np.zeros((fragments, k), dtype=np.int64)
+        self.lens = np.zeros(fragments, dtype=np.int64)
+        self.dirty = np.ones(fragments, dtype=bool)
+        self.stale = np.ones(queries, dtype=bool)
+        self.answers: list = [None] * queries
 
 
 class ColumnarFragmentExecutor:
@@ -107,17 +166,20 @@ class ColumnarFragmentExecutor:
             :func:`repro.plans.fragments.identify_fragments` -- the
             fragment partition).
         store: The columnar population; fragment member ids are
-            translated to row indices once at construction.
+            translated to row indices once at construction, so the
+            store's rows must not be renumbered afterwards
+            (:meth:`run_round` checks).
         k: Result capacity (the engine passes ``slots + 1`` for GSP).
-        collector: Counts ``plan.merges`` per fragment merge and
-            ``plan.leaf_scans`` per row read, so shared-mode work tables
-            keep their meaning under the columnar layout.  In
+        collector: Counts ``plan.merges``, ``plan.leaf_scans`` per row
+            read and ``plan.candidates_gathered``, so shared-mode work
+            tables keep their meaning under the columnar layout.  In
             cross-round mode additionally ``plan.nodes_reused`` /
             ``plan.nodes_invalidated`` / ``plan.revalidations``.
-        cross_round: Keep fragment lists alive between rounds and
-            rescore only fragments touching a dirty row (see the module
-            docstring).  ``False`` (the default) answers each round
-            from scratch with only a within-round fragment memo.
+        cross_round: Keep the fragment table and the answers alive
+            between rounds and rescan only fragments touching a dirty
+            row (see the module docstring).  ``False`` (the default)
+            answers each round from scratch, still scanning a fragment
+            once however many requested queries it covers.
         verify: Cross-round mode only: keep the exact score diff as a
             soundness cross-check on the declared dirty sets -- an
             undeclared score change raises ``InvalidPlanError``.
@@ -148,39 +210,59 @@ class ColumnarFragmentExecutor:
     ) -> None:
         if k <= 0:
             raise InvalidPlanError(f"k must be positive, got {k}")
+        require_numpy()
         self.k = k
         self.store = store
         self.collector = collector
         self.cross_round = cross_round
         self.verify = verify
         self.autotuner = autotuner
+        # The row numbering every index below is expressed in.
+        self._ids = store.ids
         fragments = identify_fragments(instance)
-        self._fragment_rows: List = [
-            store.rows_of(sorted(fragment.variables))
-            for fragment in fragments
-        ]
-        self._fragments_of: Dict[str, Tuple[int, ...]] = {}
-        covers: Dict[str, List[int]] = {
-            query.name: [] for query in instance.queries
+        trivial = instance.trivial_queries
+        queries = instance.queries + trivial
+        self._query_index: Dict[str, int] = {
+            query.name: index for index, query in enumerate(queries)
         }
-        for index, fragment in enumerate(fragments):
-            for name in fragment.query_names:
-                covers[name].append(index)
-        self._fragments_of = {
-            name: tuple(indices) for name, indices in covers.items()
-        }
-        self._trivial: Dict[str, int] = {
-            query.name: next(iter(query.variables))
-            for query in instance.trivial_queries
-        }
+        # A trivial query is one more fragment: its variable, covering
+        # only itself.  Regular fragments keep indices [0, regular).
+        self._regular = len(fragments)
+        members = [f.variables for f in fragments]
+        members += [q.variables for q in trivial]
+        covers = [f.query_names for f in fragments]
+        covers += [(q.name,) for q in trivial]
+        count = len(members)
+        frag_index = np.arange(count)
+        member_frag = np.repeat(
+            frag_index, np.fromiter(map(len, members), np.int64, count)
+        )
+        member_row = store.rows_of(
+            np.fromiter(
+                chain.from_iterable(members), np.int64, len(member_frag)
+            )
+        )
+        cover_frag = np.repeat(
+            frag_index, np.fromiter(map(len, covers), np.int64, count)
+        )
+        cover_query = np.fromiter(
+            map(self._query_index.__getitem__, chain.from_iterable(covers)),
+            np.int64,
+            len(cover_frag),
+        )
+        self._rows_of_frag = _csr(member_frag, member_row, count)
+        self._frags_of_row = _csr(member_row, member_frag, store.size)
+        self._frags_of_query = _csr(cover_query, cover_frag, len(queries))
+        self._queries_of_frag = _csr(cover_frag, cover_query, count)
+        self._cover_len = np.diff(self._frags_of_query[0])
+        self._shape = (count, len(queries), k)
         self.rounds = 0
         self.bypass_rounds = 0
         self._subscription = None
         self._pending_dirty: Set[int] = set()
         if cross_round:
-            require_numpy()
             size = store.size
-            count = len(fragments)
+            self._tables = _Tables(*self._shape)
             # Last absorbed score per row plus a seen mask: the array
             # analogue of the object executor's ``_last_scores`` dict
             # (absent key == never seen == always dirty).
@@ -190,20 +272,6 @@ class ColumnarFragmentExecutor:
             # same monotone versioning tests probe via ``leaf_epoch``.
             self._row_epoch = np.zeros(size, dtype=np.int64)
             self._frag_epoch = np.zeros(count, dtype=np.int64)
-            self._frag_dirty = np.ones(count, dtype=bool)
-            self._frag_value: List[Optional[TopKList]] = [None] * count
-            # The vectorized invalidation cone: each row belongs to at
-            # most one fragment, so dirty rows map to dirty fragments
-            # with one fancy-index write.
-            self._fragment_of_row = np.full(size, -1, dtype=np.int64)
-            for index, rows in enumerate(self._fragment_rows):
-                self._fragment_of_row[rows] = index
-            self._trivial_value: Dict[str, TopKList] = {}
-            self._trivial_epoch: Dict[str, int] = {}
-            # Per-query merge memo: the operand tuple (by identity) and
-            # the merged answer it produced.
-            self._answer_ops: Dict[str, Tuple[TopKList, ...]] = {}
-            self._answer_value: Dict[str, TopKList] = {}
             self._dirty_rows_last = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -287,59 +355,32 @@ class ColumnarFragmentExecutor:
 
         Raises:
             InvalidPlanError: If a name matches no query of the
-                instance, or (cross-round ``verify=True``) a score
-                changed without being declared dirty.
+                instance, the store's rows were renumbered after
+                construction (advertisers added or removed), or
+                (cross-round ``verify=True``) a score changed without
+                being declared dirty.
         """
+        size = len(self._ids)
+        if self.store.ids is not self._ids or len(score_by_row) != size:
+            raise InvalidPlanError(
+                f"store rows were renumbered since the executor indexed "
+                f"{size} of them (store: {self.store.size}, "
+                f"score_by_row: {len(score_by_row)}); build a new executor"
+            )
+        if dirty is not None and not self.cross_round:
+            raise InvalidPlanError(
+                "dirty declarations require cross_round=True"
+            )
+        try:
+            queries = np.fromiter(
+                map(self._query_index.__getitem__, names), np.int64, len(names)
+            )
+        except KeyError as error:
+            unknown = error.args[0]
+            raise InvalidPlanError(f"unknown query {unknown!r}") from None
         if not self.cross_round:
-            if dirty is not None:
-                raise InvalidPlanError(
-                    "dirty declarations require cross_round=True"
-                )
-            return self._run_fresh(score_by_row, names)
-        return self._run_cross_round(score_by_row, names, rows, dirty)
-
-    def _run_fresh(
-        self, score_by_row, names: Sequence[str]
-    ) -> ColumnarExecResult:
-        """One round from scratch, with only a within-round memo."""
-        result = ColumnarExecResult(answers={})
-        fragment_lists: Dict[int, TopKList] = {}
-        collector = self.collector
-        for name in names:
-            trivial_variable = self._trivial.get(name)
-            if trivial_variable is not None:
-                row = self.store.row_of(trivial_variable)
-                result.answers[name] = TopKList.singleton(
-                    self.k, float(score_by_row[row]), trivial_variable
-                )
-                result.advertisers_scanned += 1
-                if collector.enabled:
-                    collector.incr(metric_names.PLAN_LEAF_SCANS)
-                continue
-            cover = self._fragments_of.get(name)
-            if cover is None:
-                raise InvalidPlanError(f"unknown query {name!r}")
-            parts: List[TopKList] = []
-            for index in cover:
-                ranked = fragment_lists.get(index)
-                if ranked is None:
-                    ranked = self._scan_fragment(
-                        index, score_by_row, result
-                    )
-                    fragment_lists[index] = ranked
-                parts.append(ranked)
-            result.answers[name] = self._fold(parts, result)
-        return result
-
-    def _run_cross_round(
-        self,
-        score_by_row,
-        names: Sequence[str],
-        rows,
-        dirty: Optional[Iterable[int]],
-    ) -> ColumnarExecResult:
+            return self._aggregate(score_by_row, names, queries, False)
         self.rounds += 1
-        store = self.store
         if self._subscription is not None:
             if dirty is not None:
                 raise InvalidPlanError(
@@ -348,104 +389,73 @@ class ColumnarFragmentExecutor:
                 )
             for event in self._subscription.drain():
                 self._pending_dirty |= event.dirty_advertisers
-            declared_ids: Optional[Set[int]] = set(self._pending_dirty)
-        elif dirty is not None:
-            declared_ids = set(dirty)
-        else:
-            declared_ids = None
+            dirty = self._pending_dirty
         if rows is None:
-            rows = self._rows_for(names)
+            frags, _ = _gather(self._frags_of_query, queries)
+            rows, _ = _gather(self._rows_of_frag, np.unique(frags))
+            rows = np.unique(rows)
         else:
             rows = np.asarray(rows, dtype=np.int64)
-
+        declared = None
+        if dirty is not None:
+            # An id the store does not hold (an advertiser that left)
+            # matches no row.
+            ids = np.fromiter(dirty, np.int64)
+            at = np.minimum(np.searchsorted(self._ids, ids), size - 1)
+            held = self._ids[at] == ids
+            declared = np.zeros(size, dtype=bool)
+            declared[at[held]] = True
         changed_count, invalidated = self._absorb_scores(
-            score_by_row, rows, declared_ids
+            score_by_row, rows, declared
         )
         autotuner = self.autotuner
         if autotuner is not None and autotuner.should_bypass():
             # Fresh, cache-free execution: the scores were still
             # absorbed above (and dirty fragments stay marked), so the
-            # resident lists remain sound for whenever caching resumes.
-            result = self._run_fresh(score_by_row, names)
-            result.nodes_invalidated = invalidated
+            # resident table remains sound for whenever caching resumes.
+            result = self._aggregate(score_by_row, names, queries, False)
             result.bypassed = True
             self.bypass_rounds += 1
             autotuner.record_bypass()
-            if self.collector.enabled and invalidated:
-                self.collector.incr(
-                    metric_names.PLAN_NODES_INVALIDATED, invalidated
-                )
             working_set = result.advertisers_scanned
         else:
-            result = self._run_cached(score_by_row, names)
-            result.nodes_invalidated = invalidated
-            if self.collector.enabled and invalidated:
-                self.collector.incr(
-                    metric_names.PLAN_NODES_INVALIDATED, invalidated
-                )
+            result = self._aggregate(score_by_row, names, queries, True)
             working_set = result.nodes_reused + result.advertisers_scanned
-        if declared_ids is not None and self._pending_dirty:
+        result.nodes_invalidated = invalidated
+        self._count(metric_names.PLAN_NODES_INVALIDATED, invalidated)
+        if self._pending_dirty:
             # Scored advertisers are absorbed; events for everyone else
             # survive until they next occur.
-            scored = np.zeros(store.size, dtype=bool)
+            scored = np.zeros(size, dtype=bool)
             scored[rows] = True
-            self._pending_dirty = {
-                advertiser_id
-                for advertiser_id in self._pending_dirty
-                if advertiser_id not in store
-                or not scored[store.row_of(advertiser_id)]
-            }
+            self._pending_dirty = set(ids[~(held & scored[at])].tolist())
         if autotuner is not None:
             autotuner.observe_round(changed_count, int(len(rows)), working_set)
         return result
 
-    def _rows_for(self, names: Sequence[str]) -> "np.ndarray":
-        """Scored-row union of the requested queries (sorted, unique)."""
-        mask = np.zeros(self.store.size, dtype=bool)
-        for name in names:
-            trivial_variable = self._trivial.get(name)
-            if trivial_variable is not None:
-                mask[self.store.row_of(trivial_variable)] = True
-                continue
-            cover = self._fragments_of.get(name)
-            if cover is None:
-                raise InvalidPlanError(f"unknown query {name!r}")
-            for index in cover:
-                mask[self._fragment_rows[index]] = True
-        return np.flatnonzero(mask)
-
-    def _absorb_scores(
-        self, score_by_row, rows, declared_ids: Optional[Set[int]]
-    ) -> Tuple[int, int]:
+    def _absorb_scores(self, score_by_row, rows, declared) -> Tuple[int, int]:
         """Diff the scored rows against the snapshot; mark dirty fragments.
 
         The array-space transcription of
         ``CrossRoundPlanExecutor._absorb_scores``: first-sight rows are
-        always dirty; declared rows are dirty iff their score actually
-        moved; an undeclared move raises under ``verify=True`` and
-        keeps the stale snapshot under ``verify=False`` (so a later
-        covering event still repairs the cache).
+        always dirty; rows of the ``declared`` mask (``None``: every
+        scored row) are dirty iff their score actually moved; an
+        undeclared move raises under ``verify=True`` and keeps the stale
+        snapshot under ``verify=False`` (so a later covering event still
+        repairs the cache).  The "invalidation cone" of a dirty row is
+        its fragments and the queries they cover: two mask writes behind
+        two reverse-CSR gathers.
 
         Returns:
             ``(changed, invalidated)``: rows whose score actually
             changed, and resident cached fragments newly invalidated.
         """
-        store = self.store
         sub = score_by_row[rows]
         seen = self._seen[rows]
         changed = seen & (sub != self._last_scores[rows])
-        if declared_ids is None:
+        if declared is None:
             dirty_sub = ~seen | changed
         else:
-            declared = np.zeros(store.size, dtype=bool)
-            if declared_ids:
-                present = sorted(
-                    advertiser_id
-                    for advertiser_id in declared_ids
-                    if advertiser_id in store
-                )
-                if present:
-                    declared[store.rows_of(present)] = True
             declared_sub = declared[rows]
             if self.verify:
                 bad = changed & ~declared_sub
@@ -453,7 +463,7 @@ class ColumnarFragmentExecutor:
                     row = int(rows[int(np.flatnonzero(bad)[0])])
                     raise InvalidPlanError(
                         f"unsound dirty set: score of "
-                        f"{int(store.ids[row])} changed "
+                        f"{int(self._ids[row])} changed "
                         f"({float(self._last_scores[row])} -> "
                         f"{float(score_by_row[row])}) but the variable "
                         "was not declared dirty"
@@ -466,107 +476,94 @@ class ColumnarFragmentExecutor:
         self._last_scores[dirty_rows] = score_by_row[dirty_rows]
         self._seen[dirty_rows] = True
         self._row_epoch[dirty_rows] += 1
-        fragment_ids = self._fragment_of_row[dirty_rows]
-        fragment_ids = np.unique(fragment_ids[fragment_ids >= 0])
-        invalidated = 0
-        for index in fragment_ids:
-            index = int(index)
-            if not self._frag_dirty[index] and (
-                self._frag_value[index] is not None
-            ):
-                invalidated += 1
-            self._frag_dirty[index] = True
-        return int(len(dirty_rows)), invalidated
+        tables = self._tables
+        frags, _ = _gather(self._frags_of_row, dirty_rows)
+        # A clean fragment has been scanned, so it is resident.
+        newly = np.unique(frags[~tables.dirty[frags]])
+        tables.dirty[newly] = True
+        stale, _ = _gather(self._queries_of_frag, newly)
+        tables.stale[stale] = True
+        return len(dirty_rows), int(np.count_nonzero(newly < self._regular))
 
-    def _run_cached(
-        self, score_by_row, names: Sequence[str]
+    def _aggregate(
+        self, score_by_row, names, queries, cached: bool
     ) -> ColumnarExecResult:
-        """Serve requested queries, rescanning only dirty fragments."""
+        """Refresh the needed dirty fragments, answer the stale queries.
+
+        ``cached`` runs over the state kept between rounds -- only then
+        do untouched fragments count as reuse and refreshes bump epochs
+        -- instead of a scratch one in which everything is dirty.
+        """
+        k = self.k
+        tables = self._tables if cached else _Tables(*self._shape)
         result = ColumnarExecResult(answers={})
-        collector = self.collector
-        for name in names:
-            trivial_variable = self._trivial.get(name)
-            if trivial_variable is not None:
-                row = self.store.row_of(trivial_variable)
-                epoch = int(self._row_epoch[row])
-                cached = self._trivial_value.get(name)
-                if cached is not None and self._trivial_epoch[name] == epoch:
-                    result.answers[name] = cached
-                    result.nodes_reused += 1
-                    if collector.enabled:
-                        collector.incr(metric_names.PLAN_NODES_REUSED)
-                    continue
-                answer = TopKList.singleton(
-                    self.k, float(score_by_row[row]), trivial_variable
+        answers = tables.answers
+        touches = int(self._cover_len[queries].sum())
+        stale = queries[tables.stale[queries]]
+        refreshed = 0
+        if len(stale):
+            frags, seg = _gather(self._frags_of_query, stale)
+            # Every dirty fragment of a requested query belongs to a
+            # stale one (the _Tables invariant).
+            touched = np.zeros(len(tables.dirty), dtype=bool)
+            touched[frags] = True
+            due = np.flatnonzero(touched & tables.dirty)
+            refreshed = len(due)
+            if refreshed:
+                rows, row_seg = _gather(self._rows_of_frag, due)
+                tables.scores[due], tables.ids[due], tables.lens[due] = (
+                    segmented_top_k(
+                        k, score_by_row[rows], self._ids[rows], row_seg,
+                        refreshed,
+                    )
                 )
-                self._trivial_value[name] = answer
-                self._trivial_epoch[name] = epoch
-                result.answers[name] = answer
-                result.advertisers_scanned += 1
-                if collector.enabled:
-                    collector.incr(metric_names.PLAN_LEAF_SCANS)
-                continue
-            cover = self._fragments_of.get(name)
-            if cover is None:
-                raise InvalidPlanError(f"unknown query {name!r}")
-            parts: List[TopKList] = []
-            for index in cover:
-                if self._frag_dirty[index] or self._frag_value[index] is None:
-                    ranked = self._scan_fragment(index, score_by_row, result)
-                    self._frag_value[index] = ranked
-                    self._frag_dirty[index] = False
-                    self._frag_epoch[index] += 1
-                else:
-                    ranked = self._frag_value[index]
-                    result.nodes_reused += 1
-                    if collector.enabled:
-                        collector.incr(metric_names.PLAN_NODES_REUSED)
-                parts.append(ranked)
-            if len(parts) == 1:
-                result.answers[name] = parts[0]
-                continue
-            ops = tuple(parts)
-            previous = self._answer_ops.get(name)
-            if previous is not None and all(
-                a is b for a, b in zip(previous, ops)
+                tables.dirty[due] = False
+                if cached:
+                    self._frag_epoch[due] += 1
+                result.advertisers_scanned = len(rows)
+                result.candidates_gathered = len(rows)
+            # The live cells of the covers' table rows, as flat
+            # positions into the (F, k) tables.
+            lens = tables.lens[frags]
+            cells, cell_frag = _ranges(frags * k, lens)
+            top_scores, top_ids, counts = segmented_top_k(
+                k,
+                tables.scores.ravel()[cells],
+                tables.ids.ravel()[cells],
+                seg[cell_frag],
+                len(stale),
+            )
+            for query, n, scores, ids in zip(
+                *(a.tolist() for a in (stale, counts, top_scores, top_ids))
             ):
-                # Merge-free revalidation: every operand is literally
-                # the list the last fold consumed, so the fold's value
-                # is unchanged.
-                result.answers[name] = self._answer_value[name]
-                skipped = len(parts) - 1
-                result.nodes_revalidated += skipped
-                if collector.enabled:
-                    collector.incr(metric_names.PLAN_REVALIDATIONS, skipped)
-                continue
-            answer = self._fold(parts, result)
-            self._answer_ops[name] = ops
-            self._answer_value[name] = answer
-            result.answers[name] = answer
+                answers[query] = TopKList.from_ranked(
+                    k, tuple(map(ScoredAdvertiser, scores[:n], ids[:n]))
+                )
+            tables.stale[stale] = False
+            result.merges_performed = int(
+                self._cover_len[stale].sum() - len(stale)
+            )
+            result.candidates_gathered += len(cells)
+        result.answers = {
+            name: answers[query]
+            for name, query in zip(names, queries.tolist())
+        }
+        self._count(metric_names.PLAN_LEAF_SCANS, result.advertisers_scanned)
+        self._count(metric_names.PLAN_MERGES, result.merges_performed)
+        self._count(
+            metric_names.PLAN_CANDIDATES_GATHERED, result.candidates_gathered
+        )
+        if cached:
+            result.nodes_reused = touches - refreshed
+            result.nodes_revalidated = (
+                touches - len(queries) - result.merges_performed
+            )
+            self._count(metric_names.PLAN_NODES_REUSED, result.nodes_reused)
+            self._count(
+                metric_names.PLAN_REVALIDATIONS, result.nodes_revalidated
+            )
         return result
 
-    # ------------------------------------------------------------------
-    # shared helpers
-    # ------------------------------------------------------------------
-    def _scan_fragment(
-        self, index: int, score_by_row, result: ColumnarExecResult
-    ) -> TopKList:
-        rows = self._fragment_rows[index]
-        ranked = columnar_top_k(
-            self.k, score_by_row[rows], self.store.ids[rows]
-        )
-        result.advertisers_scanned += len(rows)
-        if self.collector.enabled:
-            self.collector.incr(metric_names.PLAN_LEAF_SCANS, len(rows))
-        return ranked
-
-    def _fold(
-        self, parts: List[TopKList], result: ColumnarExecResult
-    ) -> TopKList:
-        answer = parts[0]
-        for part in parts[1:]:
-            answer = top_k_merge(answer, part)
-            result.merges_performed += 1
-            if self.collector.enabled:
-                self.collector.incr(metric_names.PLAN_MERGES)
-        return answer
+    def _count(self, name: str, amount: int) -> None:
+        if amount and self.collector.enabled:
+            self.collector.incr(name, amount)

@@ -236,3 +236,43 @@ class TestAutotunerBypass:
         by_id[3] = 44.0
         with pytest.raises(InvalidPlanError, match="unsound dirty set"):
             executor.run_round(_scores(store, by_id), ALL, dirty=set())
+
+
+class TestRenumberedStore:
+    """The executor's row indices are frozen at construction; store
+    churn renumbers rows, and the feed only marks the ids dirty."""
+
+    def test_added_advertiser_raises_instead_of_misreading_rows(self):
+        store = _store()
+        executor = _executor(store)
+        by_id = {i: float(i) for i in IDS}
+        executor.run_round(_scores(store, by_id), ALL, dirty=set(IDS))
+        # Id 0 sorts first: every indexed row now holds its neighbour.
+        store.add_advertiser(Advertiser(0, 1.0, phrases=frozenset({"p"})))
+        by_id[0] = 100.0
+        with pytest.raises(InvalidPlanError, match="renumbered"):
+            executor.run_round(_scores(store, by_id), ALL, dirty={0})
+
+    def test_removed_advertiser_raises_through_the_feed(self):
+        store = _store()
+        executor = _executor(store)
+        feed = ChangeFeed()
+        executor.connect(feed)
+        by_id = {i: float(i) for i in IDS}
+        executor.run_round(_scores(store, by_id), ALL)
+        store.remove_advertiser(7)
+        del by_id[7]
+        with pytest.raises(InvalidPlanError, match="renumbered"):
+            executor.run_round(_scores(store, by_id), ["q1", "q2"])
+
+    def test_same_size_renumbering_and_short_scores_raise(self):
+        store = _store()
+        fresh = ColumnarFragmentExecutor(_instance(), store, 3)
+        with pytest.raises(InvalidPlanError, match="renumbered"):
+            fresh.run_round(np.zeros(store.size - 1), ALL)
+        # Swap one advertiser for another: the row count is unchanged
+        # but the ids column is a different array.
+        store.remove_advertiser(1)
+        store.add_advertiser(Advertiser(9, 1.0, phrases=frozenset({"p"})))
+        with pytest.raises(InvalidPlanError, match="renumbered"):
+            fresh.run_round(np.zeros(store.size), ALL)
