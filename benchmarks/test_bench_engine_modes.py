@@ -10,6 +10,10 @@ all three must produce identical outcomes; the work profiles differ.
 shared plan, with no cache to replay answers from, must stay within
 1.5x of independent vectorized scans (it was ~9x while every phrase
 was a ~125-deep Python merge chain).
+
+``test_feed_events_follow_movers`` gates the change feed's traffic on
+the same market by count: a round publishes one event per advertiser a
+stage moved, not one per movement.
 """
 
 from __future__ import annotations
@@ -149,4 +153,52 @@ def test_uncached_shared_plan_within_reach_of_the_scan():
     assert ratio <= SHARED_OVER_SCAN_CEILING, (
         f"uncached shared plan is {ratio:.2f}x the unshared scan "
         f"(ceiling {SHARED_OVER_SCAN_CEILING}x)"
+    )
+
+
+FEED_EVENTS_PER_ROUND_CEILING = 400
+
+
+@pytest.mark.experiment("EngineModes")
+def test_feed_events_follow_movers():
+    pytest.importorskip("numpy")
+    # batch_rank's configuration: the same market as above through the
+    # shared plan with the exec cache, whose subscription makes the feed
+    # active.  ~240 phrases a round display ~720 ads to ~90 distinct
+    # winners, settle ~180 clicks and expire ~700 ads; budgets are
+    # unlimited, so no multiplicity change moves a bid.  The feed must
+    # carry one event per advertiser a stage moved (measured 225 a
+    # round), not one per movement (2 786 before DESIGN section 19).
+    # An exact count, not a timing: it holds on any runner.
+    advertisers, rates = fig4_market(
+        num_queries=60, num_advertisers=250, num_components=8,
+        median_budget_cents=0, seed=0,
+    )
+    engine = SharedAuctionEngine(
+        advertisers, [0.3, 0.2, 0.1], rates,
+        mode="shared", layout="columnar", exec_cache=True, seed=11,
+    )
+    rng = random.Random(16)
+    phrases = sorted(rates)
+    warm, counted = 20, 40
+    displays = 0
+    for index in range(warm + counted):
+        if index == warm:
+            published = engine.changefeed.events_published
+        report = engine.run_round(
+            [phrase for phrase in phrases if rng.random() < 0.5]
+        )
+        if index >= warm:
+            displays += report.displays
+    per_round = (engine.changefeed.events_published - published) / counted
+    table = ExperimentTable(
+        f"Change-feed events per round, shared + exec_cache ({counted} rounds)",
+        ["displays/round", "events/round", "ceiling"],
+    )
+    table.add(displays / counted, per_round, FEED_EVENTS_PER_ROUND_CEILING)
+    table.show()
+    assert displays / counted > FEED_EVENTS_PER_ROUND_CEILING
+    assert per_round <= FEED_EVENTS_PER_ROUND_CEILING, (
+        f"{per_round:.0f} feed events a round for {displays / counted:.0f} "
+        f"displays (ceiling {FEED_EVENTS_PER_ROUND_CEILING})"
     )

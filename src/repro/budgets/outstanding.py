@@ -16,9 +16,8 @@ exact.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Protocol, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Protocol, Sequence, Tuple
 
 from repro.errors import BudgetError
 
@@ -29,6 +28,8 @@ __all__ = [
     "ExponentialDecay",
     "OutstandingAd",
     "OutstandingLedger",
+    "check_displays",
+    "dead_elapsed",
 ]
 
 
@@ -134,43 +135,84 @@ class OutstandingAd:
     def dead_round(self, decay: ClickDecayModel) -> float:
         """First round ``r`` with ``current_ctr(decay, r) <= 0.0``.
 
-        Known at display time: a decay model's probability never rises
-        with elapsed time, so the ad is dead at every later round too
-        and an expiry queue can be keyed on this value once.  Normally
-        ``displayed_round + decay.horizon``; earlier when the
-        probability reaches zero before the horizon (``ratio == 0``,
-        float underflow), found by bisection.  An ad that is dead on
-        display (``base_ctr == 0``) is dead at *every* round --
-        ``current_ctr`` clamps elapsed time at zero -- and returns
-        ``-inf``.
+        Known at display time (see :func:`dead_elapsed`), so an expiry
+        queue can be keyed on this value once.  Normally
+        ``displayed_round + decay.horizon``; ``-inf`` for an ad that is
+        dead on display.
         """
-        horizon = decay.horizon
-        if decay.probability(self.base_ctr, horizon - 1) > 0.0:
-            elapsed = horizon
-        else:
-            low, elapsed = 0, horizon - 1
-            while low < elapsed:
-                middle = (low + elapsed) // 2
-                if decay.probability(self.base_ctr, middle) <= 0.0:
-                    elapsed = middle
-                else:
-                    low = middle + 1
-        if elapsed <= 0:
-            return -math.inf
-        return self.displayed_round + elapsed
+        return self.displayed_round + dead_elapsed(decay, self.base_ctr)
+
+
+def dead_elapsed(decay: ClickDecayModel, base_ctr: float) -> float:
+    """Rounds after display at which an ad of ``base_ctr`` is first dead.
+
+    The first ``elapsed`` with ``decay.probability(base_ctr, elapsed)
+    <= 0.0``.  A decay model's probability never rises with elapsed
+    time, so the ad is dead at every later round too, and the value
+    does not depend on when the ad was shown: it is ``decay.horizon``
+    normally, earlier when the probability reaches zero before the
+    horizon (``ratio == 0``, float underflow; found by bisection).  An
+    ad that is dead on display (``base_ctr == 0``) is dead at *every*
+    round -- :meth:`OutstandingAd.current_ctr` clamps elapsed time at
+    zero -- and returns ``-inf``.
+    """
+    horizon = decay.horizon
+    if decay.probability(base_ctr, horizon - 1) > 0.0:
+        elapsed = horizon
+    else:
+        low, elapsed = 0, horizon - 1
+        while low < elapsed:
+            middle = (low + elapsed) // 2
+            if decay.probability(base_ctr, middle) <= 0.0:
+                elapsed = middle
+            else:
+                low = middle + 1
+    if elapsed <= 0:
+        return -math.inf
+    return elapsed
+
+
+def check_displays(prices_cents: Sequence[int], ctrs: Sequence[float]) -> None:
+    """Validate a batch of displays the way :class:`OutstandingAd` does.
+
+    Raises:
+        BudgetError: On a negative price, a CTR outside ``[0, 1]``
+            (NaN included), or columns of different lengths.
+    """
+    if len(prices_cents) != len(ctrs):
+        raise BudgetError(
+            f"{len(prices_cents)} prices for {len(ctrs)} CTRs: the "
+            "columns of a display batch must be parallel"
+        )
+    for price in prices_cents:
+        if price < 0:
+            raise BudgetError(f"price must be non-negative, got {price}")
+    for ctr in ctrs:
+        if not 0.0 <= ctr <= 1.0:
+            raise BudgetError(f"CTR must be in [0, 1], got {ctr}")
 
 
 class OutstandingLedger:
     """Per-advertiser bookkeeping of outstanding ads.
 
     Ads live in an insertion-ordered table keyed by a monotonically
-    increasing *handle*.  :meth:`record_display` returns the ad carrying
-    its handle, and :meth:`resolve_handle` removes exactly that ad in
-    O(1) -- the identity settlement needs when an advertiser holds two
-    value-equal ads (same price, CTR, and display round) of which only
-    one was clicked.  :meth:`resolve` remains for callers holding an ad
-    *value*: it prefers the carried handle and falls back to a
-    first-equal scan for hand-constructed ads.
+    increasing *handle*, one ``(price_cents, base_ctr, displayed_round)``
+    row each; :class:`OutstandingAd` is the value type handed out at
+    the single-ad boundary (:attr:`ads`, :meth:`record_display`,
+    :meth:`resolve_handle`), built on demand.  :meth:`record_display`
+    returns the ad carrying its handle, and :meth:`resolve_handle`
+    removes exactly that ad in O(1) -- the identity settlement needs
+    when an advertiser holds two value-equal ads (same price, CTR, and
+    display round) of which only one was clicked.  :meth:`resolve`
+    remains for callers holding an ad *value*: it prefers the carried
+    handle and falls back to a first-equal scan for hand-constructed
+    ads.
+
+    The budget manager books a stage's worth of ads through the lean
+    pair instead: :meth:`add` appends an ad the caller has validated
+    (:func:`check_displays`, once per batch), :meth:`discard_handles`
+    drops a run of consecutive handles, skipping those already gone --
+    neither builds an :class:`OutstandingAd`.
 
     The ledger also keeps a running :attr:`liability_cents` -- the sum
     of the live ads' prices, adjusted by every add and removal -- so the
@@ -182,7 +224,7 @@ class OutstandingLedger:
 
     def __init__(self, decay: ClickDecayModel | None = None) -> None:
         self.decay: ClickDecayModel = decay if decay is not None else NoDecay()
-        self._ads: "OrderedDict[int, OutstandingAd]" = OrderedDict()
+        self._ads: Dict[int, Tuple[int, float, int]] = {}
         self._next_handle = 0
         self._liability_cents = 0
 
@@ -200,18 +242,36 @@ class OutstandingLedger:
     @property
     def ads(self) -> List[OutstandingAd]:
         """The live outstanding ads, oldest first (a fresh list)."""
-        return list(self._ads.values())
+        return [
+            OutstandingAd(*row, handle=handle)
+            for handle, row in self._ads.items()
+        ]
 
     def record_display(
         self, price_cents: int, base_ctr: float, round_index: int
     ) -> OutstandingAd:
         """Add a newly displayed ad and return it (carrying its handle)."""
-        handle = self._next_handle
-        self._next_handle += 1
-        ad = OutstandingAd(price_cents, base_ctr, round_index, handle=handle)
-        self._ads[handle] = ad
-        self._liability_cents += price_cents
+        ad = OutstandingAd(
+            price_cents, base_ctr, round_index, handle=self._next_handle
+        )
+        self.add(price_cents, base_ctr, round_index)
         return ad
+
+    def add(self, price_cents: int, base_ctr: float, round_index: int) -> int:
+        """:meth:`record_display` for a caller that validated the ad.
+
+        Builds no :class:`OutstandingAd` and checks nothing: the budget
+        manager books a round's displays through here after one
+        :func:`check_displays` over the whole batch.
+
+        Returns:
+            The new ad's handle.
+        """
+        handle = self._next_handle
+        self._next_handle = handle + 1
+        self._ads[handle] = (price_cents, base_ctr, round_index)
+        self._liability_cents += price_cents
+        return handle
 
     def has_handle(self, handle: int) -> bool:
         """Whether an ad with this identity is still outstanding."""
@@ -224,13 +284,31 @@ class OutstandingLedger:
             BudgetError: If no outstanding ad has this handle (already
                 settled, expired, or never recorded here).
         """
-        ad = self._ads.pop(handle, None)
-        if ad is None:
+        row = self._ads.get(handle)
+        if row is None:
             raise BudgetError(
                 f"no outstanding ad with handle {handle} in this ledger"
             )
-        self._liability_cents -= ad.price_cents
-        return ad
+        self.discard_handles(handle, 1)
+        return OutstandingAd(*row, handle=handle)
+
+    def discard_handles(self, first: int, count: int = 1) -> int:
+        """Remove the ads with handles ``first .. first + count - 1``.
+
+        Handles that are no longer outstanding (settled or expired
+        earlier) are skipped.
+
+        Returns:
+            The number of ads removed.
+        """
+        ads = self._ads
+        removed = 0
+        for handle in range(first, first + count):
+            row = ads.pop(handle, None)
+            if row is not None:
+                self._liability_cents -= row[0]
+                removed += 1
+        return removed
 
     def resolve(self, ad: OutstandingAd) -> None:
         """Remove an ad that was clicked (debt settled) or cancelled.
@@ -241,12 +319,12 @@ class OutstandingLedger:
         duplicates exist, which is exactly why the engine threads
         handles instead.
         """
-        if ad.handle in self._ads:
-            self.resolve_handle(ad.handle)
+        if self.discard_handles(ad.handle):
             return
-        for handle, candidate in self._ads.items():
-            if candidate == ad:
-                self.resolve_handle(handle)
+        value = (ad.price_cents, ad.base_ctr, ad.displayed_round)
+        for handle, row in self._ads.items():
+            if row == value:
+                self.discard_handles(handle)
                 return
         raise BudgetError("ad is not outstanding in this ledger")
 
@@ -260,27 +338,30 @@ class OutstandingLedger:
 
         Returns the number of ads discarded.
         """
+        probability = self.decay.probability
         dead = [
             handle
-            for handle, ad in self._ads.items()
-            if ad.current_ctr(self.decay, current_round) <= 0.0
+            for handle, (_, base_ctr, shown) in self._ads.items()
+            if probability(base_ctr, max(0, current_round - shown)) <= 0.0
         ]
         for handle in dead:
-            self.resolve_handle(handle)
+            self.discard_handles(handle)
         return len(dead)
 
     def snapshot(self, current_round: int) -> List[Tuple[int, float]]:
         """The ``(π_j, ctr_j)`` pairs for the throttling computation.
 
-        Ads with zero current probability are omitted (they contribute
-        nothing to ``S_l``).
+        ``ctr_j`` is :meth:`OutstandingAd.current_ctr`; ads with zero
+        current probability are omitted (they contribute nothing to
+        ``S_l``).
         """
-        out: List[Tuple[int, float]] = []
-        for ad in self._ads.values():
-            ctr = ad.current_ctr(self.decay, current_round)
-            if ctr > 0.0:
-                out.append((ad.price_cents, ctr))
-        return out
+        probability = self.decay.probability
+        return [
+            (price, ctr)
+            for price, base_ctr, shown in self._ads.values()
+            if (ctr := probability(base_ctr, max(0, current_round - shown)))
+            > 0.0
+        ]
 
     def max_liability_cents(self, current_round: int) -> int:
         """``ω_l`` -- the worst-case total still owed."""

@@ -8,21 +8,35 @@ determination (Section IV-A).
 
 The books are event-driven: a tick costs the ads that expired and the
 clicks that settled, not one walk over every ledger (DESIGN.md section
-17).
+17).  Their unit of work is a stage's *batch* -- every ad a round
+displayed, every click a tick delivered -- booked in one call that
+announces each advertiser it moved once (DESIGN.md section 19).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import AbstractSet, Dict, List, Optional, Set, Tuple
+from itertools import chain
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.budgets.outstanding import ClickDecayModel, NoDecay, OutstandingLedger
+from repro.budgets.outstanding import (
+    ClickDecayModel,
+    NoDecay,
+    OutstandingLedger,
+    check_displays,
+    dead_elapsed,
+)
 from repro.budgets.throttle import ThrottleProblem
 from repro.engine.changefeed import BudgetChanged
 from repro.errors import BudgetError
 
 __all__ = ["BudgetManager", "ChargeResult"]
+
+_DEAD_AFTER_MEMO = 4096
+"""Base CTRs whose :func:`dead_elapsed` a manager remembers before it
+starts over: a market has a few thousand ``c_i * d_j`` values, and the
+memo must stay bounded when every display carries a new one."""
 
 
 @dataclass(frozen=True)
@@ -42,12 +56,14 @@ class BudgetManager:
     """Tracks budgets, settled spend, and outstanding ads.
 
     The manager is the only writer of its ledgers.  Every display goes
-    through :meth:`record_display`, which queues the ad on one min-heap
-    keyed by the first round its click probability is zero
-    (:meth:`repro.budgets.outstanding.OutstandingAd.dead_round`), and
-    keeps :attr:`debt_carriers` -- the advertisers whose ledger is not
-    empty -- current; expiry pops what is due.  An ad recorded directly
-    on a ledger is never queued for expiry and never indexed.
+    through :meth:`record_displays`, which queues the ads on one
+    min-heap keyed by the first round their click probability is zero
+    (:meth:`repro.budgets.outstanding.OutstandingAd.dead_round`) -- one
+    entry per run of an advertiser's consecutive handles that die
+    together -- and keeps :attr:`debt_carriers` -- the advertisers
+    whose ledger is not empty -- current; expiry pops what is due.  An
+    ad recorded directly on a ledger is never queued for expiry and
+    never indexed.
 
     Args:
         budgets_cents: Daily budget per advertiser id.  Advertisers not
@@ -55,12 +71,14 @@ class BudgetManager:
         decay: Click-decay model for outstanding ads.
         changefeed: Optional
             :class:`repro.engine.changefeed.ChangeFeed`.  When present
-            and active, the manager publishes a
-            :class:`repro.engine.changefeed.BudgetChanged` event for
-            every book movement -- click settlements, displays becoming
-            outstanding debt, and outstanding-ad expiries -- so the
-            cross-round caches learn about throttle-input changes from
-            the source instead of from engine-side bookkeeping.
+            and active, each call that moves the books --
+            :meth:`record_displays`, :meth:`settle_clicks`, an expiry
+            -- publishes one
+            :class:`repro.engine.changefeed.BudgetChanged` per
+            *distinct* advertiser it moved, in ascending id, after the
+            books are updated, so the cross-round caches learn about
+            throttle-input changes from the source instead of from
+            engine-side bookkeeping.
     """
 
     UNBUDGETED_CENTS = 10**12
@@ -82,18 +100,21 @@ class BudgetManager:
         self._decay = decay if decay is not None else NoDecay()
         self._ledgers: Dict[int, OutstandingLedger] = {}
         self._feed = changefeed
-        # (dead_round, advertiser_id, handle) of every ad displayed and
-        # not yet due; an entry whose ad was settled first is skipped
-        # when it comes due.
-        self._expiry: List[Tuple[float, int, int]] = []
+        # (dead_round, advertiser_id, first_handle, count): a run of
+        # consecutive handles displayed and not yet due; ads of the run
+        # that were settled first are skipped when it comes due.
+        self._expiry: List[Tuple[float, int, int, int]] = []
         self._carriers: Set[int] = set()
         self._spent_moved: Set[int] = set()
+        # dead_elapsed by base CTR (it does not depend on the round).
+        self._dead_after: Dict[float, float] = {}
 
-    def _publish_change(self, advertiser_id: int) -> None:
-        """Announce a book movement on the change feed, if anyone cares."""
+    def _publish_changes(self, advertiser_ids: Iterable[int]) -> None:
+        """Announce whose books a call moved, if anyone cares."""
         feed = self._feed
         if feed is not None and feed.active:
-            feed.publish(BudgetChanged(advertiser_id))
+            for advertiser_id in sorted(advertiser_ids):
+                feed.publish(BudgetChanged(advertiser_id))
 
     def _ledger(self, advertiser_id: int) -> OutstandingLedger:
         ledger = self._ledgers.get(advertiser_id)
@@ -138,24 +159,82 @@ class BudgetManager:
         ctr: float,
         round_index: int,
     ) -> int:
-        """Register a displayed ad as outstanding debt.
+        """Register one displayed ad: a :meth:`record_displays` of one.
 
         Returns:
             The ledger handle identifying exactly this outstanding ad.
-            Thread it to :meth:`settle_click` when the click arrives:
+        """
+        return self.record_displays(
+            (advertiser_id,), (price_cents,), (ctr,), round_index
+        )[0]
+
+    def record_displays(
+        self,
+        advertiser_ids: Sequence[int],
+        prices_cents: Sequence[int],
+        ctrs: Sequence[float],
+        round_index: int,
+    ) -> List[int]:
+        """Register a stage's displayed ads as outstanding debt.
+
+        The three columns are parallel, one row per ad, in display
+        order.  The batch is validated before the books are touched, so
+        a bad row leaves them as they were.  Each advertiser's ads are
+        appended to its ledger in display order and queued for expiry
+        as one entry per run of consecutive handles sharing a dead
+        round (normally one run: the dead round depends on the CTR only
+        where the decay model reaches zero early).
+
+        Returns:
+            The ledger handle of each ad, parallel to the columns.
+            Thread it to :meth:`settle_clicks` when the click arrives:
             the handle is the only unambiguous name when an advertiser
             wins several same-price slots in one round.
+
+        Raises:
+            BudgetError: On a negative price, a CTR outside ``[0, 1]``
+                or columns of different lengths.
         """
-        ad = self._ledger(advertiser_id).record_display(
-            price_cents, ctr, round_index
-        )
-        heappush(
-            self._expiry,
-            (ad.dead_round(self._decay), advertiser_id, ad.handle),
-        )
-        self._carriers.add(advertiser_id)
-        self._publish_change(advertiser_id)
-        return ad.handle
+        check_displays(prices_cents, ctrs)
+        if len(advertiser_ids) != len(ctrs):
+            raise BudgetError(
+                f"{len(advertiser_ids)} advertisers for {len(ctrs)} ads"
+            )
+        ledgers = self._ledgers
+        dead_after = self._dead_after
+        handles: List[int] = []
+        # [dead_round, advertiser_id, first_handle, count]: the run each
+        # advertiser's latest ad belongs to, and the runs a change of
+        # dead round closed before the batch ended.
+        open_runs: Dict[int, List] = {}
+        closed_runs: List[List] = []
+        for advertiser_id, price_cents, ctr in zip(
+            advertiser_ids, prices_cents, ctrs
+        ):
+            ledger = ledgers.get(advertiser_id)
+            if ledger is None:
+                ledger = self._ledger(advertiser_id)
+            handle = ledger.add(price_cents, ctr, round_index)
+            handles.append(handle)
+            elapsed = dead_after.get(ctr)
+            if elapsed is None:
+                if len(dead_after) >= _DEAD_AFTER_MEMO:
+                    dead_after.clear()
+                elapsed = dead_after[ctr] = dead_elapsed(self._decay, ctr)
+            run = open_runs.get(advertiser_id)
+            if run is not None and run[0] == round_index + elapsed:
+                run[3] += 1
+            else:
+                if run is not None:
+                    closed_runs.append(run)
+                open_runs[advertiser_id] = [
+                    round_index + elapsed, advertiser_id, handle, 1
+                ]
+        for run in chain(closed_runs, open_runs.values()):
+            heappush(self._expiry, tuple(run))
+        self._carriers.update(open_runs)
+        self._publish_changes(open_runs)
+        return handles
 
     def settle_click(
         self,
@@ -164,42 +243,59 @@ class BudgetManager:
         display_round: int,
         handle: Optional[int] = None,
     ) -> ChargeResult:
-        """Charge a click, forgiving any shortfall.
+        """Charge one click: a :meth:`settle_clicks` of one."""
+        return self.settle_clicks(
+            ((advertiser_id, price_cents, display_round, handle),)
+        )[0]
 
-        Also clears the clicked ad from the outstanding ledger.  With a
-        ``handle`` (from :meth:`record_display`) the resolve is O(1) and
-        names exactly the displayed ad that was clicked; an expired
-        handle (the ad aged past the ledger horizon) settles the charge
-        without touching the ledger.  Without a handle -- legacy callers
-        only -- the first outstanding ad matching ``(price_cents,
-        display_round)`` is cleared, which picks the *wrong* ad whenever
-        the advertiser holds two same-price same-round ads with
-        different CTRs and skews every later b̂ built from this ledger.
+    def settle_clicks(
+        self,
+        clicks: Iterable[Tuple[int, int, int, Optional[int]]],
+    ) -> List[ChargeResult]:
+        """Charge a stage's clicks in order, forgiving any shortfall.
+
+        Each click is ``(advertiser_id, price_cents, display_round,
+        handle)`` and also clears the clicked ad from the outstanding
+        ledger.  With a ``handle`` (from :meth:`record_displays`) the
+        resolve is O(1) and names exactly the displayed ad that was
+        clicked; an expired handle (the ad aged past the ledger
+        horizon) settles the charge without touching the ledger.  With
+        ``None`` -- legacy callers only -- the first outstanding ad
+        matching ``(price_cents, display_round)`` is cleared, which
+        picks the *wrong* ad whenever the advertiser holds two
+        same-price same-round ads with different CTRs and skews every
+        later b̂ built from this ledger.
+
+        Returns:
+            One :class:`ChargeResult` per click, in order.
         """
-        ledger = self._ledgers.get(advertiser_id)
-        if ledger is not None:
-            if handle is not None:
-                if ledger.has_handle(handle):
-                    ledger.resolve_handle(handle)
-            else:
-                for ad in ledger.ads:
-                    if (
-                        ad.price_cents == price_cents
-                        and ad.displayed_round == display_round
-                    ):
-                        ledger.resolve(ad)
-                        break
-            if not ledger:
-                self._carriers.discard(advertiser_id)
-        remaining = self.remaining_cents(advertiser_id)
-        charged = min(price_cents, remaining)
-        if charged:
-            self._spent[advertiser_id] = (
-                self.spent_cents(advertiser_id) + charged
-            )
-            self._spent_moved.add(advertiser_id)
-        self._publish_change(advertiser_id)
-        return ChargeResult(charged, price_cents - charged)
+        charges: List[ChargeResult] = []
+        settled: Set[int] = set()
+        for advertiser_id, price_cents, display_round, handle in clicks:
+            ledger = self._ledgers.get(advertiser_id)
+            if ledger is not None:
+                if handle is not None:
+                    ledger.discard_handles(handle)
+                else:
+                    for ad in ledger.ads:
+                        if (
+                            ad.price_cents == price_cents
+                            and ad.displayed_round == display_round
+                        ):
+                            ledger.resolve(ad)
+                            break
+                if not ledger:
+                    self._carriers.discard(advertiser_id)
+            charged = min(price_cents, self.remaining_cents(advertiser_id))
+            if charged:
+                self._spent[advertiser_id] = (
+                    self.spent_cents(advertiser_id) + charged
+                )
+                self._spent_moved.add(advertiser_id)
+            settled.add(advertiser_id)
+            charges.append(ChargeResult(charged, price_cents - charged))
+        self._publish_changes(settled)
+        return charges
 
     def expire_outstanding(self, round_index: int) -> int:
         """Drop outstanding ads whose click probability decayed to zero.
@@ -222,18 +318,18 @@ class BudgetManager:
         that lost ads, in ascending id order (as is the returned dict).
         """
         heap = self._expiry
+        ledgers = self._ledgers
         counts: Dict[int, int] = {}
         while heap and heap[0][0] <= round_index:
-            _, advertiser_id, handle = heappop(heap)
-            ledger = self._ledgers[advertiser_id]
-            if ledger.has_handle(handle):
-                ledger.resolve_handle(handle)
-                counts[advertiser_id] = counts.get(advertiser_id, 0) + 1
+            _, advertiser_id, first, count = heappop(heap)
+            removed = ledgers[advertiser_id].discard_handles(first, count)
+            if removed:
+                counts[advertiser_id] = counts.get(advertiser_id, 0) + removed
         expired = dict(sorted(counts.items()))
         for advertiser_id in expired:
-            if not self._ledgers[advertiser_id]:
+            if not ledgers[advertiser_id]:
                 self._carriers.discard(advertiser_id)
-            self._publish_change(advertiser_id)
+        self._publish_changes(expired)
         return expired
 
     def throttle_problem(

@@ -94,11 +94,14 @@ class ChangeEvent:
 
 @dataclass(frozen=True)
 class BidChanged(ChangeEvent):
-    """An advertiser's effective bid input moved.
+    """An advertiser's effective bid moved for a reason the books cannot see.
 
-    Published for throttle-input changes the budget manager cannot see:
-    auction-multiplicity changes and (under a decaying model) the
-    per-round re-weighing of outstanding debt.
+    Published by the engine's scoring stage when a change of auction
+    multiplicity moved the advertiser's effective bid (and the first
+    time an advertiser is scored) -- a multiplicity change that leaves
+    the bid where it was is not an event, consumers read bids and
+    scores, never ``m`` -- and, under a decaying model, for every debt
+    carrier each round (outstanding debt re-weighs).
     """
 
     advertiser_id: Variable
@@ -111,7 +114,13 @@ class BidChanged(ChangeEvent):
 
 @dataclass(frozen=True)
 class BudgetChanged(ChangeEvent):
-    """An advertiser's budget books moved (click, display, or expiry)."""
+    """An advertiser's budget books moved in one booking call.
+
+    The budget manager publishes one per *distinct* advertiser each
+    call moved -- a stage's displays, a tick's settled clicks, an
+    expiry -- in ascending id after the books are updated: "this
+    advertiser's books moved in this call", not one event per movement.
+    """
 
     advertiser_id: Variable
     kind = "budget_changed"

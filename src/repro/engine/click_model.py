@@ -10,13 +10,18 @@ matching the decay-to-zero assumption of Section IV).
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Dict, List
 
 from repro.errors import InvalidAuctionError
 
 __all__ = ["ClickEvent", "DelayedClickModel"]
+
+_ADVERTISER_ID = attrgetter("advertiser_id")
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,9 @@ class ClickEvent:
 class DelayedClickModel:
     """Samples click outcomes and delays for displayed ads.
 
+    Scheduled clicks wait in one bucket per arrival round, so a tick
+    pops what is due and never walks the clicks that are not.
+
     Args:
         mean_delay_rounds: Mean of the geometric delay (0 means clicks
             arrive in the next round).
@@ -69,7 +77,10 @@ class DelayedClickModel:
         self.mean_delay_rounds = mean_delay_rounds
         self.horizon_rounds = horizon_rounds
         self._rng = rng
-        self._pending: List[ClickEvent] = []
+        # Clicks by arrival round, in scheduling order, and a min-heap
+        # of the rounds that have a bucket.
+        self._pending: Dict[int, List[ClickEvent]] = {}
+        self._rounds: List[int] = []
 
     def record_display(
         self,
@@ -93,13 +104,18 @@ class DelayedClickModel:
         delay = self._sample_delay()
         if delay > self.horizon_rounds:
             return False
-        self._pending.append(
+        arrival_round = display_round + delay
+        bucket = self._pending.get(arrival_round)
+        if bucket is None:
+            bucket = self._pending[arrival_round] = []
+            heappush(self._rounds, arrival_round)
+        bucket.append(
             ClickEvent(
                 advertiser_id,
                 phrase,
                 price_cents,
                 display_round,
-                display_round + delay,
+                arrival_round,
                 ledger_handle,
             )
         )
@@ -116,20 +132,25 @@ class DelayedClickModel:
                 break
         return delay
 
-    def arrivals(self, round_index: int) -> List[ClickEvent]:
-        """Pop and return the clicks arriving at ``round_index`` or before."""
-        due = [c for c in self._pending if c.arrival_round <= round_index]
-        self._pending = [
-            c for c in self._pending if c.arrival_round > round_index
-        ]
-        return sorted(due, key=lambda c: (c.arrival_round, c.advertiser_id))
+    def arrivals(self, round_index: float) -> List[ClickEvent]:
+        """Pop and return the clicks arriving at ``round_index`` or before.
+
+        Ordered by ``(arrival_round, advertiser_id)``; clicks that tie
+        keep the order they were scheduled in.
+        """
+        due: List[ClickEvent] = []
+        rounds = self._rounds
+        while rounds and rounds[0] <= round_index:
+            bucket = self._pending.pop(heappop(rounds))
+            bucket.sort(key=_ADVERTISER_ID)
+            due += bucket
+        return due
 
     def flush(self) -> List[ClickEvent]:
         """Pop all remaining scheduled clicks (end of simulation)."""
-        due, self._pending = self._pending, []
-        return sorted(due, key=lambda c: (c.arrival_round, c.advertiser_id))
+        return self.arrivals(math.inf)
 
     @property
     def pending_count(self) -> int:
         """Clicks scheduled but not yet delivered."""
-        return len(self._pending)
+        return sum(map(len, self._pending.values()))

@@ -18,7 +18,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from itertools import chain, islice
+from operator import attrgetter
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.budgets.incremental import IncrementalThrottleCache
 from repro.budgets.outstanding import ClickDecayModel, NoDecay
@@ -36,7 +47,7 @@ from repro.core.topk import ScoredAdvertiser, TopKList, top_k_scan
 from repro.engine.autotune import CacheAutotuner
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.changefeed import BidChanged, ChangeFeed, RoundClosed
-from repro.engine.click_model import DelayedClickModel
+from repro.engine.click_model import ClickEvent, DelayedClickModel
 from repro.errors import InvalidAuctionError
 from repro.instrument import NULL, Collector, names as metric_names
 from repro.plans.executor import CrossRoundPlanExecutor, PlanExecutor
@@ -49,6 +60,27 @@ except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
 __all__ = ["SharedAuctionEngine", "EngineReport", "RoundReport"]
+
+ARRAY_PRICING_MIN_SLOTS = 32
+"""Slots in a round (phrases x k) from which the columnar layout prices
+them as arrays.  Measured, not tuned per workload: the array pass costs
+about 27 us whatever its size plus 0.3 us a slot, the scalar loop 3 us
+plus 1.1 us a slot, so they cross near 30 slots (near 38 with per-phrase
+CTR factors; EXPERIMENTS E25 has both tables).  A served query (k slots)
+is always below, a batch round of a dozen phrases or more above."""
+
+_SCORE_OF = attrgetter("score")
+_ID_OF = attrgetter("advertiser_id")
+
+
+def _timed(collector: Collector, timer_name: str, stage: Callable) -> Callable:
+    """``stage`` with each call accumulated under ``timer_name``."""
+
+    def timed_stage(*args):
+        with collector.timer(timer_name):
+            return stage(*args)
+
+    return timed_stage
 
 
 @dataclass
@@ -214,11 +246,13 @@ class SharedAuctionEngine:
             recomputes only the ancestor cone of advertisers whose
             effective score changed.  The dirty set flows over the
             engine's :class:`repro.engine.changefeed.ChangeFeed`: the
-            budget manager publishes ``BudgetChanged`` as books move
-            (clicks settled, ads displayed, outstanding expiries), the
-            engine publishes ``BidChanged`` for auction-multiplicity
-            changes and (under a decaying model) outstanding debt aging,
-            and the executor drains its subscription each round.  Under
+            budget manager publishes one ``BudgetChanged`` per
+            advertiser each booking call moved (a round's displays, a
+            tick's settled clicks, outstanding expiries), the engine
+            publishes ``BidChanged`` when a change of auction
+            multiplicity moved an effective bid and (under a decaying
+            model) for outstanding debt aging, and the executor drains
+            its subscription each round.  Under
             ``cache_verify=True`` the executor still cross-checks the
             events against an exact score diff and raises on any
             undeclared change.  Outcomes are bit-identical with and
@@ -266,7 +300,8 @@ class SharedAuctionEngine:
         collector: Optional :class:`repro.instrument.Collector`.  When an
             enabled collector is supplied, the engine threads it through
             the plan executor / shared-sort network / threshold algorithm
-            / per-phrase scans, flushes ``engine.*`` rollups, and attaches
+            / per-phrase scans, times its four stages
+            (``engine.stage.*``), flushes ``engine.*`` rollups, and attaches
             per-round counter deltas to :attr:`RoundReport.counters` and
             cumulative totals to :attr:`EngineReport.counters`.  ``None``
             (the default) uses the shared no-op collector; the engine
@@ -436,8 +471,10 @@ class SharedAuctionEngine:
                 self._throttle_cache.connect(self.changefeed)
         # Publisher-side event detection the budget manager cannot see:
         # auction-multiplicity changes (m_i feeds the throttle problem)
-        # and whether outstanding debt re-weighs every round.
+        # that moved the effective bid, and whether outstanding debt
+        # re-weighs every round.
         self._last_multiplicity: Dict[int, int] = {}
+        self._last_effective: Dict[int, float] = {}
         self._decay_varies = not isinstance(decay_model, NoDecay)
         self._rng = random.Random(seed)
         self.click_model = DelayedClickModel(
@@ -465,6 +502,9 @@ class SharedAuctionEngine:
             # Settled spend by row, kept current from the budget
             # manager's drained changes (see _sync_spent_column).
             self._spent_by_row = np.zeros(self._store.size, dtype=np.int64)
+            self._slot_factors = np.asarray(
+                self.ctr_model.slot_factors, dtype=np.float64
+            )
         if throttle_mode == "bounded":
             # Bound-driven selection ranks each phrase directly from the
             # throttle cache's intervals; no aggregation plan or shared
@@ -589,6 +629,22 @@ class SharedAuctionEngine:
                 for phrase, ids in self.phrase_advertisers.items()
             }
         self._round_index = 0
+        if self.collector.enabled:
+            # engine.stage.* timers: each stage method is rebound on
+            # this instance to a timed wrapper, so the null collector's
+            # path stays the plain method calls of _resolve.
+            for stage, timer_name in (
+                ("_deliver_due_clicks", metric_names.ENGINE_STAGE_DELIVER_TIMER),
+                ("_effective_scores", metric_names.ENGINE_STAGE_SCORE_TIMER),
+                ("_rank_phrases", metric_names.ENGINE_STAGE_RANK_TIMER),
+                ("_bounded_rankings", metric_names.ENGINE_STAGE_RANK_TIMER),
+                ("_allocate_round", metric_names.ENGINE_STAGE_ALLOCATE_TIMER),
+            ):
+                setattr(
+                    self,
+                    stage,
+                    _timed(self.collector, timer_name, getattr(self, stage)),
+                )
 
     # ------------------------------------------------------------------
     # round resolution
@@ -687,34 +743,7 @@ class SharedAuctionEngine:
         unknown = [p for p in phrases if p not in self.phrase_advertisers]
         if unknown:
             raise InvalidAuctionError(f"no advertisers bid on {unknown!r}")
-        report = RoundReport(round_index, tuple(phrases))
-
-        self._deliver_due_clicks(round_index, report)
-
-        if not phrases:
-            if self.changefeed.active:
-                self.changefeed.publish(RoundClosed(round_index))
-            return report
-
-        if self.throttle_mode == "bounded":
-            rankings, effective_bid_cents = self._bounded_rankings(
-                phrases, round_index, report
-            )
-        else:
-            scores, effective_bid_cents = self._effective_scores(
-                phrases, round_index, report
-            )
-            rankings = self._rank_phrases(
-                phrases, scores, effective_bid_cents, report
-            )
-        for phrase in phrases:
-            self._allocate_phrase(
-                phrase, rankings[phrase], effective_bid_cents, round_index,
-                report,
-            )
-        if self.changefeed.active:
-            self.changefeed.publish(RoundClosed(round_index))
-        return report
+        return self._resolve(tuple(phrases), round_index)
 
     def _serve_query(self, phrase: str) -> RoundReport:
         """The uninstrumented single-query tick (see :meth:`serve_query`)."""
@@ -722,22 +751,31 @@ class SharedAuctionEngine:
         self._round_index += 1
         if phrase not in self.phrase_advertisers:
             raise InvalidAuctionError(f"no advertisers bid on {[phrase]!r}")
-        report = RoundReport(round_index, (phrase,))
+        return self._resolve((phrase,), round_index)
+
+    def _resolve(
+        self, phrases: Tuple[str, ...], round_index: int
+    ) -> RoundReport:
+        """The four stages over ``phrases`` (sorted), then the round's
+        close on the change feed: one sequence for a batch round and a
+        served query."""
+        report = RoundReport(round_index, phrases)
         self._deliver_due_clicks(round_index, report)
-        if self.throttle_mode == "bounded":
-            rankings, effective_bid_cents = self._bounded_rankings(
-                (phrase,), round_index, report
+        if phrases:
+            if self.throttle_mode == "bounded":
+                rankings, effective_bid_cents = self._bounded_rankings(
+                    phrases, round_index, report
+                )
+            else:
+                scores, effective_bid_cents = self._effective_scores(
+                    phrases, round_index, report
+                )
+                rankings = self._rank_phrases(
+                    phrases, scores, effective_bid_cents, report
+                )
+            self._allocate_round(
+                phrases, rankings, effective_bid_cents, round_index, report
             )
-        else:
-            scores, effective_bid_cents = self._effective_scores(
-                (phrase,), round_index, report
-            )
-            rankings = self._rank_phrases(
-                (phrase,), scores, effective_bid_cents, report
-            )
-        self._allocate_phrase(
-            phrase, rankings[phrase], effective_bid_cents, round_index, report
-        )
         if self.changefeed.active:
             self.changefeed.publish(RoundClosed(round_index))
         return report
@@ -750,20 +788,16 @@ class SharedAuctionEngine:
     ) -> None:
         """Stage 1: settle due clicks and expire outstanding ads.
 
-        The budget manager publishes BudgetChanged for every
-        settle/display/expiry itself; the engine only publishes what the
+        The budget manager publishes one BudgetChanged per advertiser
+        each of the two calls moved; the engine only publishes what the
         books cannot see (decaying outstanding debt re-weighing).
         """
-        for click in self.click_model.arrivals(round_index):
-            charge = self.budget_manager.settle_click(
-                click.advertiser_id,
-                click.price_cents,
-                click.display_round,
-                handle=click.ledger_handle,
-            )
-            report.revenue_cents += charge.charged_cents
-            report.forgiven_cents += charge.forgiven_cents
-            report.clicks += 1
+        revenue, forgiven, clicks = self._settle(
+            self.click_model.arrivals(round_index)
+        )
+        report.revenue_cents += revenue
+        report.forgiven_cents += forgiven
+        report.clicks += clicks
         report.expired_ads = self.budget_manager.expire_outstanding(
             round_index
         )
@@ -772,6 +806,29 @@ class SharedAuctionEngine:
             # round, so any advertiser carrying debt can move.
             for advertiser_id in sorted(self.budget_manager.debt_carriers):
                 self.changefeed.publish(BidChanged(advertiser_id))
+
+    def _settle(self, clicks: Sequence[ClickEvent]) -> Tuple[int, int, int]:
+        """Settle delivered clicks against the books, as one batch.
+
+        Returns:
+            ``(revenue_cents, forgiven_cents, clicks)`` totals.
+        """
+        revenue = forgiven = 0
+        if clicks:
+            for charge in self.budget_manager.settle_clicks(
+                [
+                    (
+                        click.advertiser_id,
+                        click.price_cents,
+                        click.display_round,
+                        click.ledger_handle,
+                    )
+                    for click in clicks
+                ]
+            ):
+                revenue += charge.charged_cents
+                forgiven += charge.forgiven_cents
+        return revenue, forgiven, len(clicks)
 
     def _effective_scores(
         self, phrases: Sequence[str], round_index: int, report: RoundReport
@@ -833,14 +890,21 @@ class SharedAuctionEngine:
             scores[advertiser_id] = effective / 100.0 * advertiser.ctr_factor
 
         if self.changefeed.active:
-            # An advertiser whose auction multiplicity m_i moved since it
-            # was last scored gets a BidChanged: m_i feeds the throttle
-            # problem, so the effective bid (hence score) can move with
-            # no budget event at all.
+            # The auction multiplicity m_i feeds the throttle problem,
+            # so the effective bid (hence score) can move with no budget
+            # event at all.  An advertiser whose m_i moved since it was
+            # last scored gets a BidChanged if its effective bid moved
+            # with it (always, the first time it is scored): consumers
+            # read bids and scores, never m_i.
+            last_effective = self._last_effective
             for advertiser_id, m in auctions_of.items():
-                if self._last_multiplicity.get(advertiser_id) != m:
+                if self._last_multiplicity.get(advertiser_id) != m and (
+                    last_effective.get(advertiser_id)
+                    != effective_bid_cents[advertiser_id]
+                ):
                     self.changefeed.publish(BidChanged(advertiser_id))
             self._last_multiplicity.update(auctions_of)
+            last_effective.update(effective_bid_cents)
         return scores, effective_bid_cents
 
     def _sync_spent_column(self) -> "np.ndarray":
@@ -956,19 +1020,27 @@ class SharedAuctionEngine:
                 np.float64
             )
         score_sub = effective_sub / 100.0 * store.ctr_factors[rows]
+        if self.changefeed.active:
+            # Same publisher contract as the object path (a multiplicity
+            # change that moved the effective bid, or first sight); the
+            # per-round event *set* is identical, published in
+            # ascending-id order.  Compared against the bids the rows
+            # were last scored with, before those are overwritten.
+            last_m = self._last_m_row[rows]
+            changed = last_m != m
+            if changed.any():
+                moved = changed & (
+                    (last_m < 0) | (self._eff_by_row[rows] != effective_sub)
+                )
+                for advertiser_id in ids_sub[moved].tolist():
+                    self.changefeed.publish(BidChanged(advertiser_id))
+                self._last_m_row[rows] = m
         self._eff_by_row[rows] = effective_sub
         self._score_by_row[rows] = score_sub
         self._occurring_rows = rows
         if collector.enabled:
             collector.incr(metric_names.COLUMNAR_SCORE_BATCHES)
             collector.incr(metric_names.COLUMNAR_SCORE_ROWS, int(len(rows)))
-        if self.changefeed.active:
-            # Same publisher contract as the object path (multiplicity
-            # feeds the throttle problem); the per-round event *set* is
-            # identical, published in ascending-id order.
-            for row in rows[self._last_m_row[rows] != m]:
-                self.changefeed.publish(BidChanged(int(store.ids[row])))
-            self._last_m_row[rows] = m
         return (
             ArrayScoreMap(ids_sub, score_sub),
             ArrayScoreMap(ids_sub, effective_sub),
@@ -1132,17 +1204,83 @@ class SharedAuctionEngine:
             self._last_multiplicity.update(auctions_of)
         return rankings, effective_bid_cents
 
-    def _allocate_phrase(
+    def _allocate_round(
         self,
-        phrase: str,
-        ranking: TopKList,
+        phrases: Sequence[str],
+        rankings: Mapping[str, TopKList],
         effective_bid_cents: Mapping[int, float],
         round_index: int,
         report: RoundReport,
     ) -> None:
-        """Stage 4: allocate slots, price clicks (GSP), record displays."""
+        """Stage 4: allocate slots, price clicks (GSP), book the displays.
+
+        The round is the unit: every occurring phrase's slots are priced
+        first, then the displayed ads are booked as outstanding debt in
+        one :meth:`BudgetManager.record_displays` call and offered to
+        the click model one by one in (phrase, slot) order -- its draws
+        from the shared ``random.Random`` are the only part that has to
+        stay sequential.  The slot arithmetic has two routes that agree
+        bit for bit: :meth:`_allocate_phrase`, the scalar loop, which
+        the object layout always takes (it is the differential oracle),
+        and :meth:`_price_slots`, one array pass over the whole round,
+        which the columnar layout takes from
+        :data:`ARRAY_PRICING_MIN_SLOTS` slots up.
+        """
+        store = self._store
+        if (
+            store is not None
+            and len(phrases) * self.k >= ARRAY_PRICING_MIN_SLOTS
+        ):
+            shown, slots, ids, prices, ctrs = self._price_slots(
+                phrases, rankings
+            )
+        else:
+            bid_of = (
+                effective_bid_cents.__getitem__
+                if store is None
+                else self._row_bid
+            )
+            per_phrase = [
+                self._allocate_phrase(phrase, rankings[phrase], bid_of)
+                for phrase in phrases
+            ]
+            shown = [len(ads) for ads in per_phrase]
+            flat = list(chain.from_iterable(per_phrase))
+            slots, ids, prices, ctrs = zip(*flat) if flat else ((), (), (), ())
+        handles = self.budget_manager.record_displays(
+            ids, prices, ctrs, round_index
+        )
+        schedule = self.click_model.record_display
+        displayed = zip(ids, prices, ctrs, handles)
+        allocated = zip(slots, ids, prices)
+        for phrase, count in zip(phrases, shown):
+            for advertiser_id, price, ctr, handle in islice(displayed, count):
+                schedule(advertiser_id, phrase, price, ctr, round_index, handle)
+            report.allocations[phrase] = tuple(islice(allocated, count))
+        report.displays += len(ids)
+
+    def _row_bid(self, advertiser_id: int) -> float:
+        """The effective bid stage 2 left in row space (columnar layout);
+        ``effective_bid_cents`` would binary-search the same value."""
+        return float(self._eff_by_row[self._store.row_of(advertiser_id)])
+
+    def _allocate_phrase(
+        self,
+        phrase: str,
+        ranking: TopKList,
+        bid_of: Callable[[int], float],
+    ) -> List[Tuple[int, int, int, float]]:
+        """Stage 4, scalar arithmetic: one phrase's displayed ads.
+
+        Args:
+            bid_of: The effective bid (cents) of a ranked advertiser.
+
+        Returns:
+            ``(slot, advertiser_id, price_cents, ctr)`` per displayed
+            ad, in slot order.
+        """
         entries = ranking.entries
-        allocated: List[Tuple[int, int, int]] = []
+        allocated: List[Tuple[int, int, int, float]] = []
         for slot in range(min(self.k, len(entries))):
             entry = entries[slot]
             advertiser = self._by_id[entry.advertiser_id]
@@ -1159,23 +1297,79 @@ class SharedAuctionEngine:
             if c_i <= 0.0:
                 continue
             price_cents = min(
-                effective_bid_cents[entry.advertiser_id],
-                next_score / c_i * 100.0,
+                bid_of(entry.advertiser_id), next_score / c_i * 100.0
             )
             price = int(round(price_cents))
             if price <= 0:
                 continue
             ctr = min(1.0, c_i * self.ctr_model.slot_factors[slot])
-            ledger_handle = self.budget_manager.record_display(
-                entry.advertiser_id, price, ctr, round_index
+            allocated.append((slot, entry.advertiser_id, price, ctr))
+        return allocated
+
+    def _price_slots(
+        self, phrases: Sequence[str], rankings: Mapping[str, TopKList]
+    ) -> Tuple[List[int], List[int], List[int], List[int], List[float]]:
+        """Stage 4, array arithmetic: the whole round's displayed ads.
+
+        The ranked ``(score, id)`` entries of every phrase are laid end
+        to end; one ``rows_of`` takes the ids to row space, where the
+        effective bids stage 2 left and the CTR factors are gathered,
+        and every slot is priced in :meth:`_allocate_phrase`'s exact
+        operation order -- ``next / c * 100.0``, ``min``, then
+        ``np.rint``, which rounds half to even as Python's ``round``
+        does -- so the prices agree bit for bit.  What the scalar loop
+        skips (``score <= 0``, ``c <= 0``, ``price <= 0``) is masked.
+
+        Returns:
+            ``(shown, slots, ids, prices, ctrs)``: displayed ads per
+            phrase, then one row per displayed ad in (phrase, slot)
+            order.
+        """
+        store = self._store
+        ranked = [rankings[phrase].entries for phrase in phrases]
+        lens = np.fromiter(map(len, ranked), np.int64, len(ranked))
+        ends = np.cumsum(lens)
+        total = int(ends[-1])
+        entries = list(chain.from_iterable(ranked))
+        scores = np.fromiter(map(_SCORE_OF, entries), np.float64, total)
+        ids = np.fromiter(map(_ID_OF, entries), np.int64, total)
+        phrase_at = np.repeat(np.arange(len(ranked)), lens)
+        slot = np.arange(total) - (ends - lens)[phrase_at]
+        # The runner-up is the next entry of the same phrase; the last
+        # entry of a phrase has none.
+        next_score = np.zeros(total, dtype=np.float64)
+        next_score[:-1] = scores[1:]
+        next_score[ends[lens > 0] - 1] = 0.0
+        rows = store.rows_of(ids)
+        if self.mode == "shared-sort":
+            by_id = self._by_id
+            c = np.fromiter(
+                (
+                    by_id[entry.advertiser_id].ctr_factor_for(phrase)
+                    for phrase, phrase_entries in zip(phrases, ranked)
+                    for entry in phrase_entries
+                ),
+                np.float64,
+                total,
             )
-            self.click_model.record_display(
-                entry.advertiser_id, phrase, price, ctr, round_index,
-                ledger_handle,
+        else:
+            c = store.ctr_factors[rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            price = np.rint(
+                np.minimum(self._eff_by_row[rows], next_score / c * 100.0)
             )
-            report.displays += 1
-            allocated.append((slot, entry.advertiser_id, price))
-        report.allocations[phrase] = tuple(allocated)
+        at = np.flatnonzero(
+            (slot < self.k) & (scores > 0.0) & (c > 0.0) & (price > 0.0)
+        )
+        slots = slot[at]
+        ctrs = np.minimum(1.0, c[at] * self._slot_factors[slots])
+        return (
+            np.bincount(phrase_at[at], minlength=len(ranked)).tolist(),
+            slots.tolist(),
+            ids[at].tolist(),
+            price[at].astype(np.int64).tolist(),
+            ctrs.tolist(),
+        )
 
     def settle_remaining_clicks(self) -> Tuple[int, int, int]:
         """Flush the click model and settle every still-pending click.
@@ -1188,18 +1382,7 @@ class SharedAuctionEngine:
         Returns:
             ``(revenue_cents, forgiven_cents, clicks)`` totals.
         """
-        revenue = forgiven = clicks = 0
-        for click in self.click_model.flush():
-            charge = self.budget_manager.settle_click(
-                click.advertiser_id,
-                click.price_cents,
-                click.display_round,
-                handle=click.ledger_handle,
-            )
-            revenue += charge.charged_cents
-            forgiven += charge.forgiven_cents
-            clicks += 1
-        return revenue, forgiven, clicks
+        return self._settle(self.click_model.flush())
 
     def run(self, rounds: int) -> EngineReport:
         """Run several rounds, then flush and settle remaining clicks."""

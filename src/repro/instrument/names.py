@@ -128,6 +128,11 @@ name                      meaning (paper reference)
 ``bus.events_published``  events published on the engine's unified
                           change feed
                           (:class:`repro.engine.changefeed.ChangeFeed`).
+                          Follows *who* moved, not how often: one
+                          ``BudgetChanged`` per distinct advertiser per
+                          booking call, one ``BidChanged`` per
+                          advertiser whose effective bid moved with its
+                          auction multiplicity.
 ``bus.events_consumed``   event deliveries: queue drains plus push-
                           handler invocations.  An event delivered to
                           two subscribers counts twice; an unmatched
@@ -174,6 +179,25 @@ name                      meaning (paper reference)
                           liability quick test could not clear).  With
                           ``engine.expired_ads`` it says whether a slow
                           tick was slow in the books.
+``engine.stage.deliver``  *timer*: stage 1 of a round or tick -- due
+                          clicks settled as one batch, then outstanding
+                          ads expired.
+``engine.stage.score``    *timer*: stage 2 -- effective bids and scores
+                          of the occurring advertisers (Section IV
+                          throttle) and the ``BidChanged`` publishes.
+``engine.stage.rank``     *timer*: stage 3 -- the occurring phrases'
+                          top-(k + 1) through the shared plan, the
+                          shared sort + threshold algorithm or scans,
+                          including a cross-round cache's feed drain.
+                          Under ``throttle_mode="bounded"`` scoring is
+                          fused into ranking and lands here.
+``engine.stage.allocate`` *timer*: stage 4 -- slots priced for the
+                          whole round, displays booked in one
+                          ``record_displays`` call, clicks drawn.  The
+                          four add up to ``engine.round_seconds`` less
+                          the rollup itself; they exist only on an
+                          enabled collector (the null collector's path
+                          makes no timer call).
 ``serve.queries``         queries resolved by the serving loop
                           (:class:`repro.serving.ServingEngine`) -- one
                           per query-at-a-time tick.
@@ -253,6 +277,10 @@ __all__ = [
     "ENGINE_EXPIRED_ADS",
     "ENGINE_DEBT_CARRIERS_SCORED",
     "ENGINE_ROUND_TIMER",
+    "ENGINE_STAGE_DELIVER_TIMER",
+    "ENGINE_STAGE_SCORE_TIMER",
+    "ENGINE_STAGE_RANK_TIMER",
+    "ENGINE_STAGE_ALLOCATE_TIMER",
     "SERVE_QUERIES",
     "SERVE_QUERY_TIMER",
     "SERVE_P50_MS",
@@ -340,6 +368,10 @@ ENGINE_FORGIVEN_CENTS = "engine.forgiven_cents"
 ENGINE_EXPIRED_ADS = "engine.expired_ads"
 ENGINE_DEBT_CARRIERS_SCORED = "engine.debt_carriers_scored"
 ENGINE_ROUND_TIMER = "engine.round_seconds"
+ENGINE_STAGE_DELIVER_TIMER = "engine.stage.deliver"
+ENGINE_STAGE_SCORE_TIMER = "engine.stage.score"
+ENGINE_STAGE_RANK_TIMER = "engine.stage.rank"
+ENGINE_STAGE_ALLOCATE_TIMER = "engine.stage.allocate"
 
 # Query-at-a-time serving loop.
 SERVE_QUERIES = "serve.queries"

@@ -24,6 +24,7 @@ LEDGER_METHODS = (
     "snapshot",
     "has_handle",
     "resolve_handle",
+    "discard_handles",
     "resolve",
     "__len__",
 )
@@ -83,7 +84,8 @@ class TestExpiryCost:
             assert manager.expire_outstanding(4) == 0
             assert not ledger_calls
         assert touched[10] == touched[100]
-        assert touched[10]["resolve_handle"] == 10
+        # Ten single displays are ten queue entries: one removal each.
+        assert touched[10]["discard_handles"] == 10
         assert "prune" not in touched[10]
 
     def test_counts_cost_the_debt_carriers(self, ledger_calls):

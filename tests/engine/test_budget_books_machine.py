@@ -10,7 +10,11 @@ drives both with the same random traffic -- displays (``base_ctr = 0``
 included), settlements by live handle, by a handle that is already
 gone, and by the legacy ``(price, round)`` match, expiries at repeated
 and non-monotone rounds -- under every shipped decay model, including
-the ones whose probability reaches zero before the horizon.
+the ones whose probability reaches zero before the horizon.  The batch
+calls (``record_displays`` / ``settle_clicks``, DESIGN section 19) run
+against the same oracle fed one ad at a time: same handles, books and
+expiries, one event per distinct advertiser, and a bad row anywhere
+refuses the whole batch.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from repro.budgets.outstanding import (
 )
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.changefeed import BudgetChanged, ChangeFeed
+from repro.errors import BudgetError
 
 ADVERTISERS = (1, 2, 3, 7)
 BUDGETS = {1: 400, 2: 150, 3: 0}  # 7 is unbudgeted
@@ -105,6 +110,19 @@ class WalkingBooks:
         }
 
 
+def _ctr_runs(ads) -> int:
+    """Upper bound on a batch's expiry-queue entries: per advertiser,
+    the runs of consecutive ads with one CTR (same CTR, same dead
+    round; different CTRs may still die together)."""
+    runs = 0
+    last: Dict[int, float] = {}
+    for advertiser, _, ctr in ads:
+        if last.get(advertiser) != ctr:
+            runs += 1
+        last[advertiser] = ctr
+    return runs
+
+
 class BudgetBooksMachine(RuleBasedStateMachine):
     """Event-driven manager and walking oracle, in lockstep."""
 
@@ -142,6 +160,98 @@ class BudgetBooksMachine(RuleBasedStateMachine):
         )
         self.issued.append((advertiser, price, round_index, handle))
         assert self._published() == [advertiser]
+
+    @rule(
+        ads=st.lists(
+            st.tuples(
+                st.sampled_from(ADVERTISERS),
+                st.integers(min_value=0, max_value=120),
+                st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+            ),
+            max_size=9,
+        ),
+        round_index=st.integers(min_value=0, max_value=MAX_ROUND),
+    )
+    def display_batch(self, ads, round_index) -> None:
+        # One call for a stage's ads == the same ads one call each:
+        # same handles now, same counts / liability / expiry rounds by
+        # the invariants and the expire rules that follow.
+        advertisers, prices, ctrs = (
+            [ad[column] for ad in ads] for column in range(3)
+        )
+        queued = len(self.manager._expiry)
+        handles = self.manager.record_displays(
+            advertisers, prices, ctrs, round_index
+        )
+        assert handles == [
+            self.oracle.record_display(advertiser, price, ctr, round_index)
+            for advertiser, price, ctr in ads
+        ]
+        self.issued.extend(
+            (advertiser, price, round_index, handle)
+            for (advertiser, price, _), handle in zip(ads, handles)
+        )
+        # Exactly the batch's distinct advertisers, ascending, once each.
+        assert self._published() == sorted(set(advertisers))
+        # One queue entry per run of an advertiser's ads dying together.
+        assert len(self.manager._expiry) - queued <= _ctr_runs(ads)
+
+    @rule(
+        data=st.data(),
+        bad=st.sampled_from(
+            ((-1, 0.5), (10, -0.01), (10, 1.5), (10, float("nan")))
+        ),
+        round_index=st.integers(min_value=0, max_value=MAX_ROUND),
+    )
+    def display_batch_with_a_bad_row(self, data, bad, round_index) -> None:
+        # A bad row anywhere refuses the whole batch: no ad booked, no
+        # handle consumed, nothing queued, nothing published.
+        ads = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(ADVERTISERS),
+                    st.integers(min_value=0, max_value=120),
+                    st.sampled_from((0.05, 0.5)),
+                ),
+                max_size=5,
+            )
+        )
+        at = data.draw(st.integers(min_value=0, max_value=len(ads)))
+        ads.insert(at, (data.draw(st.sampled_from(ADVERTISERS)), *bad))
+        queued = list(self.manager._expiry)
+        carriers = set(self.manager.debt_carriers)
+        with pytest.raises(BudgetError):
+            self.manager.record_displays(
+                *([ad[column] for ad in ads] for column in range(3)),
+                round_index,
+            )
+        assert self.manager._expiry == queued
+        assert self.manager.debt_carriers == carriers
+        assert self._published() == []
+
+    @rule(data=st.data())
+    def settle_batch(self, data) -> None:
+        # A tick's clicks in one call: live, settled and expired handles
+        # mixed, repeats of one advertiser charged in order.
+        if not self.issued:
+            return
+        clicks = data.draw(
+            st.lists(st.sampled_from(self.issued), max_size=6)
+        )
+        charges = self.manager.settle_clicks(
+            [
+                (advertiser, price, shown, handle)
+                for advertiser, price, shown, handle in clicks
+            ]
+        )
+        assert [
+            (charge.charged_cents, charge.forgiven_cents)
+            for charge in charges
+        ] == [
+            self.oracle.settle_click(advertiser, price, shown, handle)
+            for advertiser, price, shown, handle in clicks
+        ]
+        assert self._published() == sorted({click[0] for click in clicks})
 
     @rule(data=st.data())
     def settle_by_handle(self, data) -> None:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.click_model import DelayedClickModel
 from repro.errors import InvalidAuctionError
@@ -88,3 +90,80 @@ class TestSampling:
             m.record_display(i, "p", 10, 1.0, 0)
         for click in m.flush():
             assert 1 <= click.arrival_round <= 6
+
+
+class _ListPending:
+    """The pending store this model replaced: one list, walked (twice)
+    and sorted on every poll.  Kept as the lockstep reference."""
+
+    def __init__(self):
+        self.pending = []
+
+    def arrivals(self, round_index):
+        due = [c for c in self.pending if c.arrival_round <= round_index]
+        self.pending = [
+            c for c in self.pending if c.arrival_round > round_index
+        ]
+        return sorted(due, key=lambda c: (c.arrival_round, c.advertiser_id))
+
+    def flush(self):
+        due, self.pending = self.pending, []
+        return sorted(due, key=lambda c: (c.arrival_round, c.advertiser_id))
+
+
+# A program is a list of steps: display n ads at the current round
+# (ids repeat, so ties on (arrival_round, advertiser_id) happen and the
+# scheduling order must break them), advance the round by a gap (gaps
+# above 1 skip rounds), poll, or flush.
+_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("display"),
+            st.lists(st.integers(min_value=0, max_value=4), max_size=12),
+        ),
+        st.tuples(st.just("advance"), st.integers(min_value=0, max_value=5)),
+        st.tuples(st.just("poll"), st.just(None)),
+        st.tuples(st.just("flush"), st.just(None)),
+    ),
+    max_size=40,
+)
+
+
+class TestBucketsMatchTheListWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=_steps,
+        seed=st.integers(min_value=0, max_value=10_000),
+        mean=st.sampled_from((0.0, 1.0, 3.0)),
+    )
+    def test_same_events_in_the_same_order(self, steps, seed, mean):
+        m = DelayedClickModel(mean, 6, random.Random(seed))
+        # Same seed, same calls, emptied after every display: it hands
+        # the reference the event the model under test just scheduled.
+        sampler = DelayedClickModel(mean, 6, random.Random(seed))
+        reference = _ListPending()
+        round_index = 0
+        serial = 0
+        for step, argument in steps:
+            if step == "display":
+                for advertiser_id in argument:
+                    # The handle is a serial number: two clicks of one
+                    # advertiser arriving together stay told apart.
+                    display = (advertiser_id, "p", 10, 0.9, round_index, serial)
+                    scheduled = m.record_display(*display)
+                    sampler.record_display(*display)
+                    sampled = sampler.flush()
+                    assert scheduled == bool(sampled)
+                    reference.pending += sampled
+                    serial += 1
+            elif step == "advance":
+                round_index += argument
+            elif step == "poll":
+                assert m.arrivals(round_index) == reference.arrivals(
+                    round_index
+                )
+            else:
+                assert m.flush() == reference.flush()
+            assert m.pending_count == len(reference.pending)
+        assert m.flush() == reference.flush()
+        assert m.pending_count == 0

@@ -236,6 +236,79 @@ class TestColumnarMatchesObject:
         assert columnar.counter(names.SORT_STREAMS_REUSED) > 0
 
 
+class TestFeedEventsMatchAcrossLayouts:
+    """Both layouts publish the same per-round *set* of events.
+
+    The columnar scoring stage promises it ("the per-round event set is
+    identical") and the coalesced publishing rules must hold in both:
+    one ``BudgetChanged`` per advertiser a booking call moved, one
+    ``BidChanged`` when a multiplicity change moved the effective bid.
+    The wide market (24 phrases, 3 slots) prices most rounds' slots
+    through the columnar array pass, so this is also the lockstep of
+    that pass against the object oracle under budgets; the object
+    layout's greedy planner takes seconds at that width, so the shared
+    plan runs on a 9-phrase one.
+    """
+
+    @pytest.mark.parametrize(
+        "config,phrases",
+        [
+            ("unshared+throttle", 24),
+            ("shared-sort+cache", 24),
+            ("shared+caches", 9),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_event_set_every_round(self, config, phrases, seed):
+        from repro.engine.pipeline import ARRAY_PRICING_MIN_SLOTS
+        from repro.workloads.fig4 import fig4_market
+
+        advertisers, rates = fig4_market(
+            num_queries=phrases, num_advertisers=phrases + 8,
+            median_budget_cents=700, seed=seed,
+        )
+        engines = {
+            layout: _build(advertisers, rates, layout, seed, **CONFIGS[config])
+            for layout in ("object", "columnar")
+        }
+        probes = {
+            layout: engine.changefeed.subscribe("probe")
+            for layout, engine in engines.items()
+        }
+        repeated_bid_events = array_rounds = 0
+        scored = set()
+        for round_index in range(30):
+            occurring = engines["object"].sample_occurring_phrases()
+            engines["columnar"]._rng.setstate(engines["object"]._rng.getstate())
+            reports = {
+                layout: engine.run_round(occurring)
+                for layout, engine in engines.items()
+            }
+            engines["object"]._rng.setstate(engines["columnar"]._rng.getstate())
+            assert reports["object"].allocations == reports["columnar"].allocations
+            events = {
+                layout: {
+                    (event.kind, getattr(event, "advertiser_id", None))
+                    for event in probe.drain()
+                }
+                for layout, probe in probes.items()
+            }
+            assert events["object"] == events["columnar"], (
+                f"event sets diverged in round {round_index}"
+            )
+            bid_moved = {
+                advertiser_id
+                for kind, advertiser_id in events["object"]
+                if kind == "bid_changed"
+            }
+            repeated_bid_events += len(bid_moved & scored)
+            scored |= bid_moved
+            array_rounds += len(occurring) * 3 >= ARRAY_PRICING_MIN_SLOTS
+        assert repeated_bid_events, "no budget ever bound a multiplicity change"
+        if phrases == 24:
+            assert array_rounds >= 15, "rounds too small for the array pass"
+
+
 class TestLayoutValidation:
     def test_unknown_layout_rejected(self):
         market = _small_market(0)

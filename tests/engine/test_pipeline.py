@@ -7,6 +7,7 @@ import pytest
 from repro.core.advertiser import Advertiser
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidAuctionError
+from repro.instrument import NULL, MetricsCollector, names
 
 
 def build_engine(advertisers, mode="shared", seed=5, **kwargs):
@@ -160,3 +161,60 @@ class TestBudgets:
             )
             if advertiser.daily_budget != float("inf"):
                 assert spent <= int(advertiser.daily_budget * 100)
+
+
+class TestStageTimers:
+    """``engine.stage.*``: on an enabled collector only."""
+
+    STAGES = (
+        names.ENGINE_STAGE_DELIVER_TIMER,
+        names.ENGINE_STAGE_SCORE_TIMER,
+        names.ENGINE_STAGE_RANK_TIMER,
+        names.ENGINE_STAGE_ALLOCATE_TIMER,
+    )
+
+    @pytest.mark.parametrize("layout", ("object", "columnar"))
+    def test_one_span_per_stage_per_round_and_tick(self, population, layout):
+        if layout == "columnar":
+            pytest.importorskip("numpy")
+        collector = MetricsCollector()
+        engine = build_engine(
+            population, mode="unshared", layout=layout, collector=collector
+        )
+        phrases = sorted(engine.phrase_advertisers)
+        for _ in range(5):
+            engine.run_round(phrases)
+        engine.serve_query(phrases[0])
+        engine.run_round([])  # nothing occurs: clicks are still delivered
+        timers = collector.timers
+        assert [timers[name].count for name in self.STAGES] == [7, 6, 6, 6]
+        assert sum(timers[name].total_s for name in self.STAGES) <= (
+            timers[names.ENGINE_ROUND_TIMER].total_s
+        )
+        assert {name for name in timers if name.startswith("engine.stage.")} == (
+            set(self.STAGES)
+        )
+
+    def test_bounded_mode_scores_inside_rank(self, population):
+        collector = MetricsCollector()
+        engine = build_engine(
+            population, mode="unshared", throttle_mode="bounded",
+            collector=collector,
+        )
+        engine.run_round(sorted(engine.phrase_advertisers))
+        assert names.ENGINE_STAGE_SCORE_TIMER not in collector.timers
+        assert collector.timers[names.ENGINE_STAGE_RANK_TIMER].count == 1
+
+    def test_the_null_collector_path_starts_no_timer(
+        self, population, monkeypatch
+    ):
+        def no_timer(self, name):
+            raise AssertionError(f"timer({name!r}) on the null collector")
+
+        monkeypatch.setattr(type(NULL), "timer", no_timer, raising=False)
+        engine = build_engine(population, mode="unshared")
+        phrases = sorted(engine.phrase_advertisers)
+        assert engine.run_round(phrases).displays
+        engine.serve_query(phrases[0])
+        # The stage methods are the class's own: nothing was rebound.
+        assert "_allocate_round" not in vars(engine)

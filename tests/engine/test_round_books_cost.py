@@ -1,0 +1,175 @@
+"""The books and the feed cost *who* moved, not how often (DESIGN 19).
+
+Beside ``test_budget_books_cost.py`` (a tick costs what changed): a
+round's displays are one booking call that announces each advertiser
+once and queues one expiry entry per run, and the engine announces a
+multiplicity change only when it moved the effective bid.  Counts of
+events and queue entries, never time.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+import pytest
+
+from repro.budgets.outstanding import NoDecay
+from repro.core.advertiser import Advertiser
+from repro.engine.budget_manager import BudgetManager
+from repro.engine.changefeed import BudgetChanged, ChangeFeed
+from repro.engine.pipeline import SharedAuctionEngine
+from repro.workloads.fig4 import fig4_market
+
+LAYOUTS = ("object", "columnar")
+
+
+def _layout(layout):
+    if layout == "columnar":
+        pytest.importorskip("numpy")
+    return layout
+
+
+class TestOneRoundOneBooking:
+    def _round(self):
+        rng = random.Random(3)
+        advertisers = [rng.randrange(20) for _ in range(180)] + list(range(20))
+        rng.shuffle(advertisers)
+        prices = [rng.randrange(1, 200) for _ in advertisers]
+        ctrs = [rng.choice((0.03, 0.1, 0.2, 0.3)) for _ in advertisers]
+        return advertisers, prices, ctrs
+
+    def test_200_displays_over_20_advertisers(self):
+        feed = ChangeFeed()
+        events = feed.subscribe("probe")
+        manager = BudgetManager({}, NoDecay(horizon=17), changefeed=feed)
+        advertisers, prices, ctrs = self._round()
+        handles = manager.record_displays(advertisers, prices, ctrs, 4)
+        assert len(handles) == 200
+        # One BudgetChanged per distinct advertiser, ascending.
+        assert events.drain() == [BudgetChanged(i) for i in range(20)]
+        # Every CTR is positive, so an advertiser's ads die together:
+        # one expiry entry each, not one per ad.
+        assert len(manager._expiry) <= 20
+        assert manager.debt_carriers == set(range(20))
+        assert manager.expire_outstanding(4 + 16) == 0
+        assert events.drain() == []
+        assert manager.expire_outstanding(4 + 17) == 200
+        assert events.drain() == [BudgetChanged(i) for i in range(20)]
+        assert not manager._expiry and not manager.debt_carriers
+
+    def test_handles_name_the_ads_of_the_batch_in_order(self):
+        manager = BudgetManager({}, NoDecay(horizon=17))
+        advertisers, prices, ctrs = self._round()
+        handles = manager.record_displays(advertisers, prices, ctrs, 4)
+        for advertiser in range(20):
+            mine = [
+                (handle, price, ctr)
+                for who, handle, price, ctr in zip(
+                    advertisers, handles, prices, ctrs
+                )
+                if who == advertiser
+            ]
+            assert [
+                (ad.handle, ad.price_cents, ad.base_ctr)
+                for ad in manager._ledgers[advertiser].ads
+            ] == mine
+
+    def test_a_tick_of_clicks_is_one_event_per_payer(self):
+        feed = ChangeFeed()
+        events = feed.subscribe("probe")
+        manager = BudgetManager({1: 150}, NoDecay(horizon=17), changefeed=feed)
+        handles = manager.record_displays(
+            [1, 2, 1, 1], [100, 40, 100, 100], [0.5] * 4, 0
+        )
+        events.drain()
+        charges = manager.settle_clicks(
+            [
+                (1, 100, 0, handles[0]),
+                (2, 40, 0, handles[1]),
+                (1, 100, 0, handles[2]),
+            ]
+        )
+        # Charged in order against one shrinking budget.
+        assert [(c.charged_cents, c.forgiven_cents) for c in charges] == [
+            (100, 0), (40, 0), (50, 50),
+        ]
+        assert events.drain() == [BudgetChanged(1), BudgetChanged(2)]
+        assert manager.outstanding_counts() == {1: 1}
+
+
+def _varying_rounds(phrases, rounds, seed):
+    rng = random.Random(seed)
+    return [
+        [phrase for phrase in phrases if rng.random() < 0.5] or [phrases[0]]
+        for _ in range(rounds)
+    ]
+
+
+class TestBidChangedFollowsTheBid:
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_unlimited_budgets_announce_an_advertiser_once(self, layout):
+        # Every round draws other phrases, so most multiplicities move
+        # every round -- and with unlimited budgets move no bid.
+        advertisers, rates = fig4_market(
+            num_queries=12, num_advertisers=30, median_budget_cents=0, seed=2
+        )
+        engine = SharedAuctionEngine(
+            advertisers, [0.3, 0.2, 0.1], rates,
+            mode="shared", layout=_layout(layout), exec_cache=True, seed=2,
+        )
+        bids = engine.changefeed.subscribe("probe", kinds=("bid_changed",))
+        announced = Counter()
+        moved_multiplicity = 0
+        last_m = {}
+        for occurring in _varying_rounds(sorted(rates), 15, seed=9):
+            engine.run_round(occurring)
+            announced.update(event.advertiser_id for event in bids.drain())
+            m = Counter(
+                advertiser_id
+                for phrase in occurring
+                for advertiser_id in engine.phrase_advertisers[phrase]
+            )
+            moved_multiplicity += sum(
+                1 for i in m if i in last_m and last_m[i] != m[i]
+            )
+            last_m.update(m)
+        assert moved_multiplicity > 100, "the rounds never moved an m_i"
+        assert announced and set(announced.values()) == {1}
+        assert set(announced) == set(last_m)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_a_budget_bound_bid_is_announced_when_it_moves(self, layout):
+        # b = 100, beta = 200: m = 1 -> 3 makes m*b > beta, so b-hat
+        # drops from b to about beta/3 (a little less: it owes 5 cents a
+        # click on a handful of outstanding ads); back at m = 1 the
+        # quick test clears and b-hat is b again.  The unbudgeted
+        # rival's bid never moves.  Slot factors this small mean no
+        # click is ever drawn, so the budget itself stays put.
+        phrases = ("p1", "p2", "p3")
+        everywhere = frozenset(phrases)
+        engine = SharedAuctionEngine(
+            [
+                Advertiser(1, bid=1.0, ctr_factor=0.5, daily_budget=2.0,
+                           phrases=everywhere),
+                Advertiser(2, bid=0.05, ctr_factor=0.5, phrases=everywhere),
+                Advertiser(3, bid=0.01, ctr_factor=0.5, phrases=everywhere),
+            ],
+            [1e-9, 1e-10], {phrase: 1.0 for phrase in phrases},
+            mode="shared", layout=_layout(layout), exec_cache=True,
+            cache_verify=True, seed=5,
+        )
+        bids = engine.changefeed.subscribe("probe", kinds=("bid_changed",))
+
+        def announced(occurring):
+            # cache_verify=True: a score that moved with no covering
+            # event would raise InvalidPlanError("unsound ...") here.
+            report = engine.run_round(occurring)
+            assert not report.clicks
+            return [event.advertiser_id for event in bids.drain()]
+
+        assert sorted(announced(["p1"])) == [1, 2, 3]  # first sight
+        assert announced(["p1", "p2", "p3"]) == [1]  # b-hat 100 -> ~65
+        assert announced(["p1", "p2", "p3"]) == []  # same m: the books'
+        assert announced(["p1"]) == [1]  # ... and back to 100
+        assert announced(["p1"]) == []

@@ -1,0 +1,244 @@
+"""Stage 4's two slot arithmetics agree bit for bit (DESIGN section 19).
+
+``_allocate_phrase`` prices one phrase's slots with Python floats;
+``_price_slots`` prices a whole round's slots as arrays.  The columnar
+layout picks between them from the slot count alone
+(``ARRAY_PRICING_MIN_SLOTS``), so a round on either side of the
+crossover must come out the same to the last bit -- prices (half-even
+rounding on an exact half cent included), CTRs, skipped slots.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+np = pytest.importorskip("numpy")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.advertiser import Advertiser
+from repro.core.columnar import ArrayScoreMap
+from repro.core.topk import TopKList
+from repro.engine.pipeline import ARRAY_PRICING_MIN_SLOTS, SharedAuctionEngine
+
+SLOT_FACTORS = (0.3, 0.2, 0.1)
+K = len(SLOT_FACTORS)
+PHRASES = tuple(f"p{index:02d}" for index in range(24))
+# 0.0 (never displayed), powers of two (exact quotients), one above 1
+# (the CTR cap) and ordinary factors.
+CTR_FACTORS = (0.0, 0.25, 0.5, 1.0, 4.0, 0.3, 0.07, 0.9, 0.61, 0.125, 1.0, 0.5)
+ADVERTISER_IDS = tuple(range(3, 3 + 2 * len(CTR_FACTORS), 2))
+
+
+def _engine(mode: str) -> SharedAuctionEngine:
+    rng = random.Random(17)
+    advertisers = [
+        Advertiser(
+            advertiser_id,
+            bid=1.0 + position / 10.0,
+            ctr_factor=ctr_factor,
+            phrases=frozenset(PHRASES),
+            # Per-phrase factors, zero included, for the Section III mode.
+            phrase_ctr_factors={
+                phrase: rng.choice((0.0, 0.5, 1.0, rng.random()))
+                for phrase in PHRASES[::3]
+            },
+        )
+        for position, (advertiser_id, ctr_factor) in enumerate(
+            zip(ADVERTISER_IDS, CTR_FACTORS)
+        )
+    ]
+    return SharedAuctionEngine(
+        advertisers,
+        SLOT_FACTORS,
+        {phrase: 1.0 for phrase in PHRASES},
+        mode=mode,
+        layout="columnar",
+        seed=0,
+    )
+
+
+ENGINES = {mode: _engine(mode) for mode in ("unshared", "shared-sort")}
+
+# Eighths times 100 are exact, so x/8 over a power-of-two factor lands a
+# price exactly on a half cent; mixed with arbitrary floats and zeros.
+amounts = st.one_of(
+    st.integers(min_value=0, max_value=48).map(lambda n: n / 8.0),
+    st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+    st.just(0.0),
+)
+# Effective bids in cents: exact half cents (a price capped by b-hat
+# then sits on one), whole cents, arbitrary floats.
+bids = st.one_of(
+    st.integers(min_value=0, max_value=900).map(lambda n: n / 2.0),
+    st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
+)
+# Up to k + 1 ranked entries: fewer than the slots, exactly the slots
+# (no runner-up for the last), and the full k + 1.
+ranked = st.lists(
+    st.tuples(amounts, st.sampled_from(ADVERTISER_IDS)),
+    min_size=0,
+    max_size=K + 1,
+    unique_by=lambda entry: entry[1],
+)
+
+
+def _scalar(engine, phrases, rankings):
+    shown, rows = [], []
+    for phrase in phrases:
+        ads = engine._allocate_phrase(phrase, rankings[phrase], engine._row_bid)
+        shown.append(len(ads))
+        rows.extend(ads)
+    columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
+    return (shown, *columns)
+
+
+@pytest.mark.parametrize("mode", sorted(ENGINES))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_array_pricing_equals_the_scalar_loop_bit_for_bit(mode, data):
+    engine = ENGINES[mode]
+    # Both sides of the dispatch crossover (11 phrases x 3 slots).
+    count = data.draw(
+        st.integers(min_value=1, max_value=2 * ARRAY_PRICING_MIN_SLOTS // K)
+    )
+    phrases = PHRASES[:count]
+    engine._eff_by_row[:] = data.draw(
+        st.lists(
+            bids, min_size=len(ADVERTISER_IDS), max_size=len(ADVERTISER_IDS)
+        )
+    )
+    rankings = {
+        phrase: TopKList(K + 1, data.draw(ranked)) for phrase in phrases
+    }
+    expected = _scalar(engine, phrases, rankings)
+    shown, slots, ids, prices, ctrs = engine._price_slots(phrases, rankings)
+    assert (shown, slots, ids, prices) == expected[:4]
+    # Bit for bit, not approximately: the floats feed the click draws.
+    assert [ctr.hex() for ctr in ctrs] == [ctr.hex() for ctr in expected[4]]
+    assert all(type(price) is int for price in prices)
+
+
+def test_recorded_edges():
+    # One phrase each: the half cent both ways (half-even), a price
+    # capped by b-hat, score == 0, c == 0, no runner-up, one entry.
+    engine = ENGINES["unshared"]
+    a, b, c, zero_ctr = 5, 7, 9, 3  # factors 0.25, 0.5, 1.0, 0.0
+    engine._eff_by_row[:] = 1000.0
+    engine._eff_by_row[engine._store.row_of(c)] = 40.5
+    rankings = {
+        # 0.125 / 1.0 * 100 = 12.5 -> 12; 0.375 -> 37.5 -> 38.
+        "p00": TopKList(K + 1, [(3.0, c), (0.125, a)]),
+        "p01": TopKList(K + 1, [(3.0, b), (0.375 * 0.5, a)]),
+        # Capped by b-hat = 40.5 -> 40 (half-even again).
+        "p02": TopKList(K + 1, [(3.0, c), (2.0, a)]),
+        # score == 0 is skipped; the slot above it prices at 0 too.
+        "p03": TopKList(K + 1, [(1.0, a), (0.5, c), (0.0, b)]),
+        # c == 0 is skipped even with the best score.
+        "p04": TopKList(K + 1, [(1.0, zero_ctr), (0.5, a), (0.25, b)]),
+        # A lone bidder prices at 0 and is not displayed.
+        "p05": TopKList(K + 1, [(1.0, a)]),
+        "p06": TopKList(K + 1, []),
+    }
+    phrases = sorted(rankings)
+    shown, slots, ids, prices, _ = engine._price_slots(phrases, rankings)
+    assert (shown, slots, ids, prices) == _scalar(engine, phrases, rankings)[:4]
+    allocated = iter(zip(slots, ids, prices))
+    by_phrase = {
+        phrase: [next(allocated) for _ in range(count)]
+        for phrase, count in zip(phrases, shown)
+    }
+    assert by_phrase == {
+        "p00": [(0, c, 12)],
+        "p01": [(0, b, 38)],
+        "p02": [(0, c, 40)],
+        "p03": [(0, a, 200)],
+        "p04": [(1, a, 100)],
+        "p05": [],
+        "p06": [],
+    }
+
+
+class TestDispatch:
+    """The route is chosen from the slot count alone."""
+
+    def _routes(self, monkeypatch, layout, phrases):
+        advertisers = [
+            Advertiser(i, bid=1.0 + i / 10, ctr_factor=0.5,
+                       phrases=frozenset(PHRASES))
+            for i in range(1, 9)
+        ]
+        engine = SharedAuctionEngine(
+            advertisers, SLOT_FACTORS, {p: 1.0 for p in PHRASES},
+            mode="unshared", layout=layout, seed=1,
+        )
+        calls = {"scalar": 0, "array": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            engine, "_allocate_phrase",
+            counted("scalar", engine._allocate_phrase),
+        )
+        monkeypatch.setattr(
+            engine, "_price_slots", counted("array", engine._price_slots)
+        )
+        return engine.run_round(phrases), calls
+
+    def test_crossover_is_the_module_constant(self, monkeypatch):
+        below = (ARRAY_PRICING_MIN_SLOTS - 1) // K
+        report, calls = self._routes(monkeypatch, "columnar", PHRASES[:below])
+        assert calls == {"scalar": below, "array": 0}
+        above = below + 1
+        assert above * K >= ARRAY_PRICING_MIN_SLOTS
+        other, calls = self._routes(monkeypatch, "columnar", PHRASES[:above])
+        assert calls == {"scalar": 0, "array": 1}
+        # Same session start, so the shared prefix of phrases allocates
+        # identically through either route.
+        for phrase in PHRASES[:below]:
+            assert report.allocations[phrase] == other.allocations[phrase]
+        assert report.displays and other.displays > report.displays
+
+    def test_the_object_layout_is_always_the_scalar_oracle(self, monkeypatch):
+        report, calls = self._routes(monkeypatch, "object", PHRASES)
+        assert calls == {"scalar": len(PHRASES), "array": 0}
+        columnar, _ = self._routes(monkeypatch, "columnar", PHRASES)
+        assert report.allocations == columnar.allocations
+
+
+@pytest.mark.parametrize(
+    "mode,cache",
+    [
+        ("unshared", {}),
+        ("shared", {"exec_cache": True}),
+        ("shared-sort", {}),
+        ("shared-sort", {"sort_cache": True}),
+    ],
+)
+def test_columnar_rounds_and_ticks_never_binary_search_a_bid(
+    monkeypatch, mode, cache
+):
+    # ArrayScoreMap stays the mapping handed to mapping consumers; the
+    # columnar stage 4 reads the row-space bids instead, on both routes.
+    def unreachable(self, key):
+        raise AssertionError(f"ArrayScoreMap.__getitem__({key}) reached")
+
+    monkeypatch.setattr(ArrayScoreMap, "__getitem__", unreachable)
+    engine = ENGINES["unshared"]
+    fresh = SharedAuctionEngine(
+        engine.advertisers, SLOT_FACTORS, {p: 1.0 for p in PHRASES},
+        mode=mode, layout="columnar", seed=2, **cache,
+    )
+    displays = 0
+    for _ in range(4):
+        displays += fresh.run_round().displays  # 24 phrases: array route
+        displays += fresh.run_round(PHRASES[:3]).displays  # scalar route
+        displays += fresh.serve_query(PHRASES[5]).displays
+    assert displays

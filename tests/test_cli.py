@@ -80,6 +80,22 @@ class TestCommands:
         payload = json.loads(trace.read_text())
         assert payload["counters"]["engine.rounds"] == 4
         assert payload["timers"]["engine.round_seconds"]["count"] == 4
+        stages = {
+            name: stats
+            for name, stats in payload["timers"].items()
+            if name.startswith("engine.stage.")
+        }
+        assert sorted(stages) == [
+            "engine.stage.allocate",
+            "engine.stage.deliver",
+            "engine.stage.rank",
+            "engine.stage.score",
+        ]
+        # deliver runs even in a round in which no phrase occurred.
+        assert stages["engine.stage.deliver"]["count"] == 4
+        assert sum(stats["total_s"] for stats in stages.values()) <= (
+            payload["timers"]["engine.round_seconds"]["total_s"]
+        )
         round_events = [
             e for e in payload["trace"]["events"] if e["name"] == "engine.round"
         ]
