@@ -9,7 +9,10 @@ all three must produce identical outcomes; the work profiles differ.
 1's threshold by the clock: on the scaled Fig. 4 market the Section II
 shared plan, with no cache to replay answers from, must stay within
 1.5x of independent vectorized scans (it was ~9x while every phrase
-was a ~125-deep Python merge chain).
+was a ~125-deep Python merge chain); and Section III's shared sort +
+threshold algorithm, which also caches nothing, must not be slower than
+the scans at all (it was 1.8x while TA ran phrase by phrase; the
+lockstep round kernel of DESIGN section 20 measured 0.7x).
 
 ``test_feed_events_follow_movers`` gates the change feed's traffic on
 the same market by count: a round publishes one event per advertiser a
@@ -32,6 +35,7 @@ from repro.workloads.generator import MarketConfig, generate_market
 ROUNDS = 25
 MODES = ("shared", "shared-sort", "unshared")
 SHARED_OVER_SCAN_CEILING = 1.5
+SORT_OVER_SCAN_CEILING = 1.0
 
 
 def build_engine(market, mode: str) -> SharedAuctionEngine:
@@ -131,29 +135,37 @@ def test_uncached_shared_plan_within_reach_of_the_scan():
         [phrase for phrase in phrases if rng.random() < 0.5]
         for _ in range(warm + timed)
     ]
+    ceilings = {
+        "shared": SHARED_OVER_SCAN_CEILING,
+        "shared-sort": SORT_OVER_SCAN_CEILING,
+    }
     best = {}
     outcomes = {}
     for _lap in range(2):
-        for mode in ("unshared", "shared"):
+        for mode in ("unshared", *ceilings):
             ms, outcomes[mode] = _median_round_ms(
                 advertisers, rates, mode, rounds, warm
             )
             best[mode] = min(best.get(mode, ms), ms)
-    ratio = best["shared"] / best["unshared"]
     table = ExperimentTable(
-        "Uncached shared plan vs unshared scan, columnar, "
+        "Uncached sharing vs unshared scan, columnar, "
         f"{statistics.mean(map(len, rounds)):.0f} phrases/round "
         f"(median of {timed} rounds, best of 2 laps)",
-        ["mode", "ms/round", "x scan"],
+        ["mode", "ms/round", "x scan", "ceiling"],
     )
-    for mode in ("unshared", "shared"):
-        table.add(mode, best[mode], best[mode] / best["unshared"])
+    table.add("unshared", best["unshared"], 1.0, "")
+    for mode, ceiling in ceilings.items():
+        table.add(mode, best[mode], best[mode] / best["unshared"], ceiling)
     table.show()
-    assert outcomes["shared"] == outcomes["unshared"]
-    assert ratio <= SHARED_OVER_SCAN_CEILING, (
-        f"uncached shared plan is {ratio:.2f}x the unshared scan "
-        f"(ceiling {SHARED_OVER_SCAN_CEILING}x)"
-    )
+    for mode, ceiling in ceilings.items():
+        # No per-phrase CTR factors on this market, so Section III must
+        # find the scan's winners too.
+        assert outcomes[mode] == outcomes["unshared"]
+        ratio = best[mode] / best["unshared"]
+        assert ratio <= ceiling, (
+            f"uncached {mode} is {ratio:.2f}x the unshared scan "
+            f"(ceiling {ceiling}x)"
+        )
 
 
 FEED_EVENTS_PER_ROUND_CEILING = 400

@@ -76,6 +76,7 @@ __all__ = [
     "columnar_top_k",
     "require_numpy",
     "segmented_top_k",
+    "segmented_top_k_picks",
 ]
 
 UNBUDGETED_CENTS = 10**12
@@ -340,21 +341,42 @@ def segmented_top_k(k: int, scores, ids, seg, seg_count: int):
         ``min(k, segment size)`` of each row.  Cells past a row's count
         are padding (``0.0`` / ``-1``).
     """
+    picked, picked_seg, picked_rank, counts = segmented_top_k_picks(
+        k, scores, ids, seg, seg_count
+    )
+    top_scores = np.zeros((seg_count, k), dtype=np.float64)
+    top_ids = np.full((seg_count, k), -1, dtype=np.int64)
+    cells = (picked_seg, picked_rank)
+    top_scores[cells] = scores[picked]
+    top_ids[cells] = ids[picked]
+    return top_scores, top_ids, counts
+
+
+def segmented_top_k_picks(k: int, scores, ids, seg, seg_count: int):
+    """Which candidates make each segment's top-k, and where.
+
+    The sort behind :func:`segmented_top_k`, for callers that carry more
+    per-candidate columns than ``(score, id)`` and want to gather them
+    themselves (the Section III round kernel keeps each candidate's row
+    and ``c_i^q``).
+
+    Returns:
+        ``(picked, picked_seg, picked_rank, counts)``: indices into the
+        batch of the candidates that rank below ``k`` in their segment,
+        in (segment, rank) order -- so ``scores[picked]`` is every
+        segment's answer laid end to end -- with each one's segment and
+        rank, and the answer length ``min(k, segment size)`` of every
+        segment.
+    """
     require_numpy()
     if k <= 0:
         raise InvalidAuctionError(f"k must be positive, got {k}")
     sizes = np.bincount(seg, minlength=seg_count)
-    top_scores = np.zeros((seg_count, k), dtype=np.float64)
-    top_ids = np.full((seg_count, k), -1, dtype=np.int64)
     order = np.lexsort((ids, -scores, seg))
     ranked_seg = seg[order]
     rank = np.arange(len(order)) - (np.cumsum(sizes) - sizes)[ranked_seg]
     head = rank < k
-    picked = order[head]
-    cells = (ranked_seg[head], rank[head])
-    top_scores[cells] = scores[picked]
-    top_ids[cells] = ids[picked]
-    return top_scores, top_ids, np.minimum(sizes, k)
+    return order[head], ranked_seg[head], rank[head], np.minimum(sizes, k)
 
 
 class ColumnarStore:
@@ -469,7 +491,7 @@ class ColumnarStore:
         self._phrase_masks: Dict[str, "np.ndarray"] = {}
         self._phrase_bits: Dict[str, "np.ndarray"] = {}
         self._phrase_ctrs: Dict[str, "np.ndarray"] = {}
-        self._phrase_ctr_ranks: Dict[str, "np.ndarray"] = {}
+        self._phrase_ctr_orders: Dict[str, "np.ndarray"] = {}
 
     def _invalidate_phrase(self, phrase: str) -> None:
         """Drop one phrase's derived arrays (membership or CTRs moved)."""
@@ -477,7 +499,7 @@ class ColumnarStore:
         self._phrase_masks.pop(phrase, None)
         self._phrase_bits.pop(phrase, None)
         self._phrase_ctrs.pop(phrase, None)
-        self._phrase_ctr_ranks.pop(phrase, None)
+        self._phrase_ctr_orders.pop(phrase, None)
 
     def _invalidate_advertiser(self, advertiser_id: int) -> None:
         """Drop derived arrays for every phrase the advertiser is in."""
@@ -594,22 +616,28 @@ class ColumnarStore:
             self._phrase_ctrs[phrase] = factors
         return factors
 
-    def phrase_ctr_rank_rows(self, phrase: str) -> "np.ndarray":
-        """The phrase's rows presorted by descending ``c_i^q``, ties by id.
+    def phrase_ctr_rank_positions(self, phrase: str) -> "np.ndarray":
+        """The phrase's CTR-sorted list, as positions into ``phrase_rows``.
 
-        This is the columnar replacement for the engine's per-phrase
-        ``_ctr_orders`` lists: the TA kernel walks this index array as
-        its CTR-sorted list (Section III treats CTR factors as
-        recalculated only occasionally, so the presort is cached).
+        Descending ``c_i^q``, ties by ascending id.  This is the
+        columnar replacement for the engine's per-phrase ``_ctr_orders``
+        lists: the TA kernel walks it as its CTR-sorted list (Section
+        III treats CTR factors as recalculated only occasionally, so the
+        presort is cached).  Positions rather than rows, because every
+        per-phrase array -- ``phrase_rows``, ``phrase_ctr`` -- is
+        indexed by them, for one phrase or for a round's phrases laid
+        end to end.
         """
-        ranked = self._phrase_ctr_ranks.get(phrase)
-        if ranked is None:
+        positions = self._phrase_ctr_orders.get(phrase)
+        if positions is None:
             rows = self.phrase_rows(phrase)
-            factors = self.phrase_ctr(phrase)
-            order = np.lexsort((self.ids[rows], -factors))
-            ranked = rows[order]
-            self._phrase_ctr_ranks[phrase] = ranked
-        return ranked
+            positions = np.lexsort((self.ids[rows], -self.phrase_ctr(phrase)))
+            self._phrase_ctr_orders[phrase] = positions
+        return positions
+
+    def phrase_ctr_rank_rows(self, phrase: str) -> "np.ndarray":
+        """The phrase's rows by descending ``c_i^q``, ties by id."""
+        return self.phrase_rows(phrase)[self.phrase_ctr_rank_positions(phrase)]
 
     # ------------------------------------------------------------------
     # mutations

@@ -53,6 +53,11 @@ from repro.instrument import NULL, Collector, names as metric_names
 from repro.plans.executor import CrossRoundPlanExecutor, PlanExecutor
 from repro.plans.greedy_planner import greedy_shared_plan
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
+from repro.sharedsort.columnar import (
+    ColumnarSortCache,
+    ColumnarThresholdKernel,
+    RankedRound,
+)
 
 try:  # pragma: no cover - numpy ships with the package
     import numpy as np
@@ -68,6 +73,18 @@ about 27 us whatever its size plus 0.3 us a slot, the scalar loop 3 us
 plus 1.1 us a slot, so they cross near 30 slots (near 38 with per-phrase
 CTR factors; EXPERIMENTS E25 has both tables).  A served query (k slots)
 is always below, a batch round of a dozen phrases or more above."""
+
+LOCKSTEP_RANKING_MIN_PHRASES = 6
+"""Phrases in a round from which ``shared-sort`` on the columnar layout
+runs the threshold algorithm for the whole round in lockstep
+(:meth:`ColumnarThresholdKernel.rank_round`) instead of phrase by phrase
+(``rank_phrase``).  Measured like the constant above: the lockstep
+kernel costs about 140 us whatever the round plus 6 us a phrase (and 4
+more a phrase for the ``TopKList`` objects a round this small is then
+priced from), the loop about 35 us a phrase, so they cross between 4 and
+6 phrases (EXPERIMENTS E26 has the table).  A served query (one phrase)
+is always below; the two routes return the same rankings and charge the
+same accesses."""
 
 _SCORE_OF = attrgetter("score")
 _ID_OF = attrgetter("advertiser_id")
@@ -578,11 +595,6 @@ class SharedAuctionEngine:
             # per-phrase CTR presorts live in the store.  With
             # sort_cache the shared order persists across rounds and
             # only dirty rows are re-ranked into it.
-            from repro.sharedsort.columnar import (
-                ColumnarSortCache,
-                ColumnarThresholdKernel,
-            )
-
             columnar_sort_cache = None
             if sort_cache:
                 columnar_sort_cache = ColumnarSortCache(
@@ -946,11 +958,12 @@ class SharedAuctionEngine:
         """
         store = self._store
         assert store is not None
-        counts = np.zeros(store.size, dtype=np.int64)
-        for phrase in phrases:
-            # Rows within one phrase are distinct, so fancy-index += is
-            # an exact per-phrase increment.
-            counts[store.phrase_rows(phrase)] += 1
+        # Auction multiplicity m_i: in how many occurring phrases each
+        # row is a member.
+        counts = np.bincount(
+            np.concatenate([store.phrase_rows(p) for p in phrases]),
+            minlength=store.size,
+        )
         rows = np.flatnonzero(counts)
         m = counts[rows]
         ids_sub = store.ids[rows]
@@ -1052,8 +1065,13 @@ class SharedAuctionEngine:
         scores: Mapping[int, float],
         effective_bid_cents: Mapping[int, float],
         report: RoundReport,
-    ) -> Dict[str, TopKList]:
-        """Stage 3: rankings via shared plan, shared sort + TA, or scans."""
+    ) -> Mapping[str, TopKList]:
+        """Stage 3: rankings via shared plan, shared sort + TA, or scans.
+
+        A mapping from phrase to ``TopKList``; the columnar Section III
+        route returns its round kernel's :class:`RankedRound`, which is
+        one and also carries the same rankings as flat arrays.
+        """
         rankings: Dict[str, TopKList] = {}
         if self.mode == "shared":
             canonical = sorted({self._phrase_alias[p] for p in phrases})
@@ -1085,10 +1103,15 @@ class SharedAuctionEngine:
             report.merges += kernel.begin_round(
                 self._eff_by_row, self._occurring_rows
             )
-            for phrase in phrases:
-                ranking, sorted_accesses = kernel.rank_phrase(phrase)
-                rankings[phrase] = ranking
-                report.scans += sorted_accesses
+            if len(phrases) >= LOCKSTEP_RANKING_MIN_PHRASES:
+                rankings, sorted_accesses = kernel.rank_round(phrases)
+                report.scans += int(sorted_accesses.sum())
+            else:
+                for phrase in phrases:
+                    rankings[phrase], sorted_accesses = kernel.rank_phrase(
+                        phrase
+                    )
+                    report.scans += sorted_accesses
         elif self.mode == "shared-sort":
             assert self._sort_plan is not None
             from repro.sharedsort.threshold import threshold_top_k
@@ -1311,35 +1334,71 @@ class SharedAuctionEngine:
     ) -> Tuple[List[int], List[int], List[int], List[int], List[float]]:
         """Stage 4, array arithmetic: the whole round's displayed ads.
 
-        The ranked ``(score, id)`` entries of every phrase are laid end
-        to end; one ``rows_of`` takes the ids to row space, where the
-        effective bids stage 2 left and the CTR factors are gathered,
-        and every slot is priced in :meth:`_allocate_phrase`'s exact
-        operation order -- ``next / c * 100.0``, ``min``, then
-        ``np.rint``, which rounds half to even as Python's ``round``
-        does -- so the prices agree bit for bit.  What the scalar loop
-        skips (``score <= 0``, ``c <= 0``, ``price <= 0``) is masked.
+        Works on every phrase's ranked entries laid end to end with
+        their rows and CTR factors (:meth:`_ranked_arrays`): what
+        Section III's round kernel hands over as it is, and what is
+        built from ``TopKList`` rankings otherwise.  The
+        effective bids stage 2 left in row space are gathered and every
+        slot is priced in :meth:`_allocate_phrase`'s exact operation
+        order -- ``next / c * 100.0``, ``min``, then ``np.rint``, which
+        rounds half to even as Python's ``round`` does -- so the prices
+        agree bit for bit.  What the scalar loop skips (``score <= 0``,
+        ``c <= 0``, ``price <= 0``) is masked.
 
         Returns:
             ``(shown, slots, ids, prices, ctrs)``: displayed ads per
             phrase, then one row per displayed ad in (phrase, slot)
             order.
         """
-        store = self._store
-        ranked = [rankings[phrase].entries for phrase in phrases]
-        lens = np.fromiter(map(len, ranked), np.int64, len(ranked))
+        lens, scores, ids, rows, c = self._ranked_arrays(phrases, rankings)
         ends = np.cumsum(lens)
         total = int(ends[-1])
-        entries = list(chain.from_iterable(ranked))
-        scores = np.fromiter(map(_SCORE_OF, entries), np.float64, total)
-        ids = np.fromiter(map(_ID_OF, entries), np.int64, total)
-        phrase_at = np.repeat(np.arange(len(ranked)), lens)
+        phrase_at = np.repeat(np.arange(len(lens)), lens)
         slot = np.arange(total) - (ends - lens)[phrase_at]
         # The runner-up is the next entry of the same phrase; the last
         # entry of a phrase has none.
         next_score = np.zeros(total, dtype=np.float64)
         next_score[:-1] = scores[1:]
         next_score[ends[lens > 0] - 1] = 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            price = np.rint(
+                np.minimum(self._eff_by_row[rows], next_score / c * 100.0)
+            )
+        at = np.flatnonzero(
+            (slot < self.k) & (scores > 0.0) & (c > 0.0) & (price > 0.0)
+        )
+        slots = slot[at]
+        ctrs = np.minimum(1.0, c[at] * self._slot_factors[slots])
+        return (
+            np.bincount(phrase_at[at], minlength=len(lens)).tolist(),
+            slots.tolist(),
+            ids[at].tolist(),
+            price[at].astype(np.int64).tolist(),
+            ctrs.tolist(),
+        )
+
+    def _ranked_arrays(
+        self, phrases: Sequence[str], rankings: Mapping[str, TopKList]
+    ):
+        """The round's rankings in :class:`RankedRound`'s array format.
+
+        A ``RankedRound`` is handed over as it is.  From ``TopKList``
+        rankings, the ranked ``(score, id)`` entries of every phrase
+        are laid end to end; one ``rows_of`` takes the ids to row space,
+        where the CTR factors are gathered.
+
+        Returns:
+            ``(lens, scores, ids, rows, c)``, see :class:`RankedRound`.
+        """
+        if isinstance(rankings, RankedRound):
+            return rankings.arrays
+        store = self._store
+        ranked = [rankings[phrase].entries for phrase in phrases]
+        lens = np.fromiter(map(len, ranked), np.int64, len(ranked))
+        entries = list(chain.from_iterable(ranked))
+        total = len(entries)
+        scores = np.fromiter(map(_SCORE_OF, entries), np.float64, total)
+        ids = np.fromiter(map(_ID_OF, entries), np.int64, total)
         rows = store.rows_of(ids)
         if self.mode == "shared-sort":
             by_id = self._by_id
@@ -1354,22 +1413,7 @@ class SharedAuctionEngine:
             )
         else:
             c = store.ctr_factors[rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            price = np.rint(
-                np.minimum(self._eff_by_row[rows], next_score / c * 100.0)
-            )
-        at = np.flatnonzero(
-            (slot < self.k) & (scores > 0.0) & (c > 0.0) & (price > 0.0)
-        )
-        slots = slot[at]
-        ctrs = np.minimum(1.0, c[at] * self._slot_factors[slots])
-        return (
-            np.bincount(phrase_at[at], minlength=len(ranked)).tolist(),
-            slots.tolist(),
-            ids[at].tolist(),
-            price[at].astype(np.int64).tolist(),
-            ctrs.tolist(),
-        )
+        return lens, scores, ids, rows, c
 
     def settle_remaining_clicks(self) -> Tuple[int, int, int]:
         """Flush the click model and settle every still-pending click.

@@ -13,23 +13,33 @@ are *index arrays*:
   mask -- the columnar analogue of the shared sort network: every
   phrase reads the same presorted column;
 - the **CTR list** is the store's cached
-  :meth:`~repro.core.columnar.ColumnarStore.phrase_ctr_rank_rows`
+  :meth:`~repro.core.columnar.ColumnarStore.phrase_ctr_rank_positions`
   (descending ``c_i^q``, ties by ascending id) -- CTR factors change
   rarely, so the presort amortizes across rounds exactly like the
   engine's object-path ``_ctr_orders``.
 
-:meth:`ColumnarThresholdKernel.rank_phrase` then runs TA with
-geometrically doubling sorted-access depth: read a prefix of both
-lists, resolve the union's scores by (vectorized) random access, and
-stop once the running k-th best *strictly* exceeds the threshold
-``last_bid * last_ctr``.  The strict stop makes the result provably the
-exact top-k with the full ``(-score, advertiser_id)`` tie-break: any
-unseen row's score is at most the threshold, hence strictly below every
-retained entry, so no tie against an unseen row can exist.  Outcomes
-are byte-identical to the object path (which the layout differential
-asserts); only the work counters -- ``ta.sorted_accesses`` et al. --
-differ by strategy, exactly as they do between the batched and
-item-at-a-time object engines.
+:class:`ColumnarThresholdKernel` then runs TA with geometrically
+doubling sorted-access depth: read a prefix of both lists, resolve the
+union's scores by (vectorized) random access, and stop once the running
+k-th best *strictly* exceeds the threshold ``last_bid * last_ctr``.  The
+strict stop makes the result provably the exact top-k with the full
+``(-score, advertiser_id)`` tie-break: any unseen row's score is at most
+the threshold, hence strictly below every retained entry, so no tie
+against an unseen row can exist.  Outcomes are byte-identical to the
+object path (which the layout differential asserts); only the work
+counters -- ``ta.sorted_accesses`` et al. -- differ by strategy, exactly
+as they do between the batched and item-at-a-time object engines.
+
+The kernel runs that algorithm at two granularities (DESIGN section
+20).  :meth:`ColumnarThresholdKernel.rank_phrase` takes one phrase
+through its stages; :meth:`ColumnarThresholdKernel.rank_round` takes
+every phrase of the round through them together -- stage ``s`` is a
+handful of array operations over the ``(active phrases, k * 2**s)``
+prefix tables -- and returns the round's rankings as flat arrays
+(:class:`RankedRound`) that stage 4 prices without rebuilding a
+``TopKList`` per phrase.  Same stop depths, same accesses, same floats;
+the engine picks by phrase count, because a one-phrase served tick
+should not pay for a round's arrays.
 
 Cross-round reuse (``sort_cache=True``) is :class:`ColumnarSortCache`:
 instead of one full lexsort per round, the cache keeps the descending
@@ -48,16 +58,22 @@ the object path.  A phrase's TA then filters the global order by its
 membership mask; every member of a ranked phrase is an occurring
 (freshly scored) row, so stale positions of non-occurring rows are
 never read.  The CTR-side presort
-(:meth:`~repro.core.columnar.ColumnarStore.phrase_ctr_rank_rows`)
+(:meth:`~repro.core.columnar.ColumnarStore.phrase_ctr_rank_positions`)
 already persists across rounds in the store.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Set, Tuple
+from collections.abc import Mapping
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
-from repro.core.columnar import ColumnarStore, columnar_top_k, require_numpy
-from repro.core.topk import TopKList
+from repro.core.columnar import (
+    ColumnarStore,
+    columnar_top_k,
+    require_numpy,
+    segmented_top_k_picks,
+)
+from repro.core.topk import ScoredAdvertiser, TopKList
 from repro.errors import InvalidPlanError
 from repro.instrument import NULL, Collector, names as metric_names
 
@@ -66,7 +82,7 @@ try:  # pragma: no cover - numpy ships with the package
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-__all__ = ["ColumnarSortCache", "ColumnarThresholdKernel"]
+__all__ = ["ColumnarSortCache", "ColumnarThresholdKernel", "RankedRound"]
 
 
 class ColumnarSortCache:
@@ -330,8 +346,92 @@ class ColumnarSortCache:
         return int(len(clean)), int(len(ranked_dirty))
 
 
+class RankedRound(Mapping):
+    """A round's Section III rankings, as flat arrays.
+
+    What :meth:`ColumnarThresholdKernel.rank_round` hands stage 4: every
+    phrase's ranked entries laid end to end in (phrase, rank) order,
+    with the two per-entry values pricing needs and the kernel already
+    held -- the advertiser's row and its ``c_i^q`` for that phrase.
+    Read as a ``Mapping[str, TopKList]`` it builds a phrase's
+    :class:`~repro.core.topk.TopKList` on demand, for the scalar
+    allocation route, the benches and the tests (the
+    :class:`repro.core.columnar.ArrayScoreMap` precedent: arrays for
+    array consumers, the object contract for the rest).
+
+    Attributes:
+        phrases: The round's phrases, in the order they were ranked.
+        k: Ranking capacity.
+        lens: int64 entries per phrase (``min(k, members)``).
+        scores: float64 scores, best first within a phrase.
+        ids: int64 advertiser ids, parallel to ``scores``.
+        rows: int64 store rows of ``ids``.
+        c: float64 ``c_i^q`` of each entry for its phrase
+            (:meth:`Advertiser.ctr_factor_for`).
+    """
+
+    __slots__ = (
+        "phrases", "k", "lens", "scores", "ids", "rows", "c", "_spans"
+    )
+
+    def __init__(
+        self, phrases: Sequence[str], k: int, lens, scores, ids, rows, c
+    ) -> None:
+        self.phrases = tuple(phrases)
+        self.k = k
+        self.lens = lens
+        self.scores = scores
+        self.ids = ids
+        self.rows = rows
+        self.c = c
+        self._spans: Optional[Dict[str, Tuple[int, int]]] = None
+
+    @property
+    def arrays(self):
+        """``(lens, scores, ids, rows, c)``."""
+        return self.lens, self.scores, self.ids, self.rows, self.c
+
+    def __getitem__(self, phrase: str) -> TopKList:
+        if self._spans is None:
+            ends = np.cumsum(self.lens).tolist()
+            self._spans = {
+                name: (end - count, end)
+                for name, count, end in zip(
+                    self.phrases, self.lens.tolist(), ends
+                )
+            }
+        start, end = self._spans[phrase]
+        return TopKList.from_ranked(
+            self.k,
+            tuple(
+                map(
+                    ScoredAdvertiser,
+                    self.scores[start:end].tolist(),
+                    self.ids[start:end].tolist(),
+                )
+            ),
+        )
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.phrases)
+
+    def __len__(self) -> int:
+        return len(self.phrases)
+
+
 class ColumnarThresholdKernel:
-    """Per-round shared bid presort + per-phrase vectorized TA.
+    """Per-round shared bid presort + vectorized TA.
+
+    Two routes to the same rankings, accesses and ``ta.*`` counts:
+    :meth:`rank_phrase` runs TA for one phrase, :meth:`rank_round` runs
+    it for every phrase of a round in lockstep array stages.  The caller
+    picks by how many phrases the round has (a one-phrase served tick
+    must not pay for the round's arrays); ``rank_phrase`` is also the
+    differential oracle of ``rank_round``.
+
+    The kernel holds no copy of phrase membership or CTR order: both
+    routes read the store's cached per-phrase arrays every round, so the
+    store's invalidation is the only invalidation rule.
 
     Args:
         store: The columnar population.
@@ -365,8 +465,9 @@ class ColumnarThresholdKernel:
         self.cache = cache
         self._order: Optional["np.ndarray"] = None
         self._effective_by_row: Optional["np.ndarray"] = None
-        # Scratch: row -> position within the current phrase's row list.
-        self._position_of_row = np.zeros(store.size, dtype=np.int64)
+        # rank_phrase's scratch, row -> position within the current
+        # phrase's row list; sized from the store when a round begins.
+        self._position_of_row = np.zeros(0, dtype=np.int64)
 
     def begin_round(self, effective_by_row, rows) -> int:
         """Compute the round's shared descending-bid order.
@@ -388,6 +489,9 @@ class ColumnarThresholdKernel:
             it as the round's shared-sort work.
         """
         self._effective_by_row = effective_by_row
+        if len(self._position_of_row) != self.store.size:
+            # Structural churn renumbers and resizes row space.
+            self._position_of_row = np.zeros(self.store.size, dtype=np.int64)
         if self.cache is not None:
             self._order, repaired = self.cache.order_for_round(
                 effective_by_row, rows
@@ -427,9 +531,8 @@ class ColumnarThresholdKernel:
         # Bid list: the shared round order filtered to this phrase.
         membership = store.membership(phrase)
         bid_rows = self._order[membership[self._order]]
-        ctr_rows = store.phrase_ctr_rank_rows(phrase)
         bid_positions = self._position_of_row[bid_rows]
-        ctr_positions = self._position_of_row[ctr_rows]
+        ctr_positions = store.phrase_ctr_rank_positions(phrase)
 
         seen = np.zeros(n, dtype=bool)
         depth = min(n, self.k)
@@ -472,3 +575,161 @@ class ColumnarThresholdKernel:
             collector.incr(metric_names.TA_STAGES, stages)
             collector.gauge(metric_names.TA_STOP_DEPTH, depth)
         return ranking, sorted_accesses
+
+    def rank_round(
+        self, phrases: Sequence[str]
+    ) -> Tuple[RankedRound, "np.ndarray"]:
+        """TA for every phrase of the round, in lockstep array stages.
+
+        The round's (phrase, member) *cells* are the store's per-phrase
+        arrays laid end to end.  One ``argsort`` of ``segment * size +
+        shared_rank[row]`` yields every phrase's bid list at once (the
+        batched form of :meth:`rank_phrase`'s ``order[membership[
+        order]]``; ranks of rows outside the round are never read).
+        Stage ``s`` reads depth ``d = k * 2**s`` of both lists of the
+        still-active phrases as two ``(active, d)`` tables of cells and
+        scores only those: a CTR-prefix cell that sorts at or before the
+        last cell of its phrase's bid prefix is in that prefix already
+        and is blanked, so a row of the ``(active, 2d)`` score table is
+        exactly the set ``rank_phrase`` has seen at that depth.  Its
+        k-th best is one
+        ``np.partition`` (an element, not an arithmetic result), the
+        threshold the same two operations on column ``d - 1``, and the
+        stop the same strict ``kth > threshold`` -- or ``n <= d``, the
+        lists exhausted.  Every phrase therefore stops at
+        ``rank_phrase``'s depth after its number of stages and
+        accesses, and the work is TA's own, the sum over stages of
+        ``active * 2d``: no table is padded to the longest phrase.  A
+        phrase leaves with its seen cells that score at least its k-th
+        best (no other can rank), and one ``(segment, -score, id)``
+        sort over those picks every phrase's entries.
+
+        Args:
+            phrases: The round's phrases; a phrase without members
+                ranks empty, as in :meth:`rank_phrase`.
+
+        Returns:
+            ``(ranked, sorted_accesses)`` -- the rankings as flat
+            arrays and the sorted accesses charged to each phrase.
+
+        Raises:
+            InvalidPlanError: If called before :meth:`begin_round`.
+        """
+        if self._order is None or self._effective_by_row is None:
+            raise InvalidPlanError("rank_round before begin_round")
+        store = self.store
+        k = self.k
+        order = self._order
+        effective = self._effective_by_row
+        count = len(phrases)
+        member_rows = [store.phrase_rows(phrase) for phrase in phrases]
+        sizes = np.fromiter(map(len, member_rows), np.int64, count)
+        depth = np.zeros(count, dtype=np.int64)
+        if not sizes.any():
+            no_ints = np.zeros(0, dtype=np.int64)
+            no_floats = np.zeros(0, dtype=np.float64)
+            return (
+                RankedRound(
+                    phrases, k, sizes, no_floats, no_ints, no_ints, no_floats
+                ),
+                depth,
+            )
+        starts = np.cumsum(sizes) - sizes
+        cell_rows = np.concatenate(member_rows)
+        cell_c = np.concatenate([store.phrase_ctr(p) for p in phrases])
+        # Both sorted lists of every phrase, laid end to end like the
+        # cells: entry starts[p] + j is the j-th of phrase p's list.  The
+        # CTR list holds positions within the phrase, the bid list cells.
+        ctr_list = np.concatenate(
+            [store.phrase_ctr_rank_positions(p) for p in phrases]
+        )
+        shared_rank = np.empty(store.size, dtype=np.int64)
+        shared_rank[order] = np.arange(len(order))
+        bid_key = (
+            np.repeat(np.arange(count) * len(order), sizes)
+            + shared_rank[cell_rows]
+        )
+        bid_list = np.argsort(bid_key)
+
+        stages = np.zeros(count, dtype=np.int64)
+        seen = np.zeros(count, dtype=np.int64)
+        kept_cells = []
+        kept_scores = []
+        kept_phrases = []
+        ran = np.flatnonzero(sizes)
+        active = ran
+        d = k
+        stage = 0
+        while len(active):
+            stage += 1
+            n = sizes[active]
+            first = starts[active][:, None]
+            columns = np.arange(d)
+            # Lists shorter than d repeat their last entry; `held` says
+            # which table cells are real.
+            at = first + np.minimum(columns, n[:, None] - 1)
+            held = columns < n[:, None]
+            bid_cells = bid_list[at]
+            ctr_cells = first + ctr_list[at]
+            cells = np.concatenate((bid_cells, ctr_cells), axis=1)
+            # A CTR-prefix cell that sorts at or before the bid prefix's
+            # last cell is in the bid prefix already.
+            last_bid_key = bid_key[bid_cells[:, -1:]]
+            fresh = np.concatenate(
+                (held, held & (bid_key[ctr_cells] > last_bid_key)), axis=1
+            )
+            bids = effective[cell_rows[cells]]
+            factors = cell_c[cells]
+            # Same operation order as rank_phrase: (cents / 100.0) * c.
+            scores = np.where(fresh, bids / 100.0 * factors, -np.inf)
+            kth = np.partition(scores, 2 * d - k, axis=1)[:, 2 * d - k]
+            threshold = bids[:, d - 1] / 100.0 * factors[:, 2 * d - 1]
+            # Strict: at kth == threshold an unseen row could still tie
+            # and win on the id tie-break, so keep reading.
+            done = (n <= d) | (kth > threshold)
+            leaving = active[done]
+            seen_cells = fresh[done]
+            final_scores = scores[done]
+            keep = seen_cells & (final_scores >= kth[done, None])
+            kept_cells.append(cells[done][keep])
+            kept_scores.append(final_scores[keep])
+            kept_phrases.append(np.repeat(leaving, keep.sum(axis=1)))
+            depth[leaving] = np.minimum(n[done], d)
+            stages[leaving] = stage
+            seen[leaving] = seen_cells.sum(axis=1)
+            active = active[~done]
+            d *= 2
+
+        candidates = np.concatenate(kept_cells)
+        candidate_scores = np.concatenate(kept_scores)
+        candidate_rows = cell_rows[candidates]
+        candidate_ids = store.ids[candidate_rows]
+        picked, _, _, lens = segmented_top_k_picks(
+            k,
+            candidate_scores,
+            candidate_ids,
+            np.concatenate(kept_phrases),
+            count,
+        )
+        sorted_accesses = 2 * depth
+        collector = self.collector
+        if collector.enabled:
+            collector.incr(metric_names.TA_RUNS, int(len(ran)))
+            collector.incr(
+                metric_names.TA_SORTED_ACCESSES, int(sorted_accesses.sum())
+            )
+            collector.incr(metric_names.TA_RANDOM_ACCESSES, int(seen.sum()))
+            collector.incr(metric_names.TA_STAGES, int(stages.sum()))
+            collector.gauge(metric_names.TA_STOP_DEPTH, int(depth[ran[-1]]))
+        return (
+            RankedRound(
+                phrases,
+                k,
+                lens,
+                candidate_scores[picked],
+                candidate_ids[picked],
+                candidate_rows[picked],
+                cell_c[candidates[picked]],
+            ),
+            sorted_accesses,
+        )

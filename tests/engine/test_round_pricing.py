@@ -1,11 +1,14 @@
-"""Stage 4's two slot arithmetics agree bit for bit (DESIGN section 19).
+"""Stage 4's two slot arithmetics agree bit for bit (DESIGN sections 19, 20).
 
 ``_allocate_phrase`` prices one phrase's slots with Python floats;
 ``_price_slots`` prices a whole round's slots as arrays.  The columnar
 layout picks between them from the slot count alone
 (``ARRAY_PRICING_MIN_SLOTS``), so a round on either side of the
 crossover must come out the same to the last bit -- prices (half-even
-rounding on an exact half cent included), CTRs, skipped slots.
+rounding on an exact half cent included), CTRs, skipped slots.  Under
+``shared-sort`` the array pass is handed the round kernel's flat arrays
+(``RankedRound``) instead of ``TopKList``s; that hand-off is held to the
+same oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ from hypothesis import strategies as st
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import ArrayScoreMap
 from repro.core.topk import TopKList
-from repro.engine.pipeline import ARRAY_PRICING_MIN_SLOTS, SharedAuctionEngine
+from repro.engine.pipeline import (
+    ARRAY_PRICING_MIN_SLOTS,
+    LOCKSTEP_RANKING_MIN_PHRASES,
+    SharedAuctionEngine,
+)
+from repro.sharedsort.columnar import RankedRound
 
 SLOT_FACTORS = (0.3, 0.2, 0.1)
 K = len(SLOT_FACTORS)
@@ -159,6 +167,139 @@ def test_recorded_edges():
         "p04": [(1, a, 100)],
         "p05": [],
         "p06": [],
+    }
+
+
+# ----------------------------------------------------------------------
+# pricing from the Section III round kernel's arrays
+# ----------------------------------------------------------------------
+SORT_SIZES = (1, 2, 3, 4, 5, 12)
+
+
+def _sort_engine(layout: str) -> SharedAuctionEngine:
+    """A shared-sort market whose phrases have 1, 2, 3 (fewer entries
+    than the k + 1 asked for), 4 and more members, most of them with a
+    per-phrase factor that differs from the advertiser's own."""
+    rng = random.Random(23)
+    advertisers = []
+    for position, advertiser_id in enumerate(ADVERTISER_IDS):
+        # Phrase i has SORT_SIZES[i % 6] members, a window of the
+        # advertisers that starts one further along for each phrase.
+        phrases = [
+            phrase
+            for index, phrase in enumerate(PHRASES)
+            if (position - index) % len(ADVERTISER_IDS) < SORT_SIZES[index % 6]
+        ]
+        advertisers.append(
+            Advertiser(
+                advertiser_id,
+                bid=1.0 + position / 10.0,
+                ctr_factor=CTR_FACTORS[position],
+                phrases=frozenset(phrases),
+                phrase_ctr_factors={
+                    phrase: rng.choice((0.0, 0.5, 1.0, rng.random()))
+                    for phrase in phrases
+                    if rng.random() < 0.7
+                },
+            )
+        )
+    return SharedAuctionEngine(
+        advertisers, SLOT_FACTORS, {phrase: 1.0 for phrase in PHRASES},
+        mode="shared-sort", layout=layout, seed=3,
+    )
+
+
+SORT_ENGINE = _sort_engine("columnar")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pricing_from_the_round_kernels_arrays(data):
+    engine = SORT_ENGINE
+    store = engine._store
+    kernel = engine._columnar_sort
+    # Through the phrase-count and the slot-count crossovers.
+    count = data.draw(st.integers(min_value=1, max_value=len(PHRASES)))
+    phrases = PHRASES[:count]
+    engine._eff_by_row[:] = data.draw(
+        st.lists(
+            bids, min_size=len(ADVERTISER_IDS), max_size=len(ADVERTISER_IDS)
+        )
+    )
+    member = np.zeros(store.size, dtype=bool)
+    for phrase in phrases:
+        member[store.phrase_rows(phrase)] = True
+    kernel.begin_round(engine._eff_by_row, np.flatnonzero(member))
+    ranked, _ = kernel.rank_round(phrases)
+    assert isinstance(ranked, RankedRound)
+    lens, _, ids, rows, c = ranked.arrays
+    # What the kernel carries is c_i^q, not c_i.
+    by_id = engine._by_id
+    carried = iter(zip(ids.tolist(), c.tolist()))
+    for phrase, entries in zip(phrases, lens.tolist()):
+        assert entries == min(K + 1, len(store.phrase_rows(phrase)))
+        for _ in range(entries):
+            advertiser_id, factor = next(carried)
+            assert factor == by_id[advertiser_id].ctr_factor_for(phrase)
+    # The scalar oracle reads the materialized TopKLists.
+    expected = _scalar(engine, phrases, ranked)
+    for rankings in (ranked, {phrase: ranked[phrase] for phrase in phrases}):
+        shown, slots, shown_ids, prices, ctrs = engine._price_slots(
+            phrases, rankings
+        )
+        assert (shown, slots, shown_ids, prices) == expected[:4]
+        assert [x.hex() for x in ctrs] == [x.hex() for x in expected[4]]
+
+
+def test_the_sort_market_has_the_cases_it_claims():
+    store = SORT_ENGINE._store
+    sizes = {len(store.phrase_rows(phrase)) for phrase in PHRASES}
+    assert sizes == set(SORT_SIZES)
+    overridden = [
+        advertiser
+        for advertiser in SORT_ENGINE.advertisers
+        for phrase in advertiser.phrases
+        if advertiser.ctr_factor_for(phrase) != advertiser.ctr_factor
+    ]
+    assert len(overridden) > len(PHRASES)
+
+
+def test_shared_sort_rounds_across_both_crossovers(monkeypatch):
+    # Rounds sized around LOCKSTEP_RANKING_MIN_PHRASES (stage 3) and
+    # ARRAY_PRICING_MIN_SLOTS (stage 4) allocate exactly as the object
+    # layout's scalar stages do, whichever pair of routes they take.
+    columnar, oracle = _sort_engine("columnar"), _sort_engine("object")
+    routes = []
+
+    def recorded(name, original):
+        def wrapper(*args):
+            routes.append(name)
+            return original(*args)
+        return wrapper
+
+    kernel = columnar._columnar_sort
+    for owner, name in (
+        (kernel, "rank_round"), (kernel, "rank_phrase"),
+        (columnar, "_price_slots"), (columnar, "_allocate_phrase"),
+    ):
+        monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+    stage3 = LOCKSTEP_RANKING_MIN_PHRASES
+    stage4 = -(-ARRAY_PRICING_MIN_SLOTS // K)
+    assert stage3 < stage4 < len(PHRASES)
+    seen = set()
+    displays = 0
+    for count in (1, stage3 - 1, stage3, stage4 - 1, stage4, len(PHRASES)) * 3:
+        del routes[:]
+        report = columnar.run_round(PHRASES[:count])
+        expected = oracle.run_round(PHRASES[:count])
+        assert report.allocations == expected.allocations
+        displays += report.displays
+        seen.add(tuple(sorted(set(routes))))
+    assert displays
+    assert seen == {
+        ("_allocate_phrase", "rank_phrase"),
+        ("_allocate_phrase", "rank_round"),
+        ("_price_slots", "rank_round"),
     }
 
 
