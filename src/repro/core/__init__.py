@@ -18,7 +18,6 @@ from repro.core.columnar import (
     ColumnarStore,
     columnar_top_k,
     segmented_top_k,
-    segmented_top_k_picks,
 )
 from repro.core.auction import Allocation, AuctionOutcome, AuctionSpec
 from repro.core.ctr import CTRModel, MatrixCTRModel, SeparableCTRModel
@@ -62,6 +61,5 @@ __all__ = [
     "dollars_to_cents",
     "hungarian_max_weight",
     "segmented_top_k",
-    "segmented_top_k_picks",
     "top_k_merge",
 ]

@@ -635,10 +635,6 @@ class ColumnarStore:
             self._phrase_ctr_orders[phrase] = positions
         return positions
 
-    def phrase_ctr_rank_rows(self, phrase: str) -> "np.ndarray":
-        """The phrase's rows by descending ``c_i^q``, ties by id."""
-        return self.phrase_rows(phrase)[self.phrase_ctr_rank_positions(phrase)]
-
     # ------------------------------------------------------------------
     # mutations
     # ------------------------------------------------------------------

@@ -74,18 +74,6 @@ plus 1.1 us a slot, so they cross near 30 slots (near 38 with per-phrase
 CTR factors; EXPERIMENTS E25 has both tables).  A served query (k slots)
 is always below, a batch round of a dozen phrases or more above."""
 
-LOCKSTEP_RANKING_MIN_PHRASES = 6
-"""Phrases in a round from which ``shared-sort`` on the columnar layout
-runs the threshold algorithm for the whole round in lockstep
-(:meth:`ColumnarThresholdKernel.rank_round`) instead of phrase by phrase
-(``rank_phrase``).  Measured like the constant above: the lockstep
-kernel costs about 140 us whatever the round plus 6 us a phrase (and 4
-more a phrase for the ``TopKList`` objects a round this small is then
-priced from), the loop about 35 us a phrase, so they cross between 4 and
-6 phrases (EXPERIMENTS E26 has the table).  A served query (one phrase)
-is always below; the two routes return the same rankings and charge the
-same accesses."""
-
 _SCORE_OF = attrgetter("score")
 _ID_OF = attrgetter("advertiser_id")
 
@@ -1103,15 +1091,8 @@ class SharedAuctionEngine:
             report.merges += kernel.begin_round(
                 self._eff_by_row, self._occurring_rows
             )
-            if len(phrases) >= LOCKSTEP_RANKING_MIN_PHRASES:
-                rankings, sorted_accesses = kernel.rank_round(phrases)
-                report.scans += int(sorted_accesses.sum())
-            else:
-                for phrase in phrases:
-                    rankings[phrase], sorted_accesses = kernel.rank_phrase(
-                        phrase
-                    )
-                    report.scans += sorted_accesses
+            rankings, sorted_accesses = kernel.rank_round(phrases)
+            report.scans += int(sorted_accesses.sum())
         elif self.mode == "shared-sort":
             assert self._sort_plan is not None
             from repro.sharedsort.threshold import threshold_top_k
@@ -1391,6 +1372,9 @@ class SharedAuctionEngine:
             ``(lens, scores, ids, rows, c)``, see :class:`RankedRound`.
         """
         if isinstance(rankings, RankedRound):
+            # The arrays are in the kernel's phrase order; the caller
+            # books `shown` against its own.
+            assert rankings.phrases == tuple(phrases)
             return rankings.arrays
         store = self._store
         ranked = [rankings[phrase].entries for phrase in phrases]

@@ -31,15 +31,14 @@ counters -- ``ta.sorted_accesses`` et al. -- differ by strategy, exactly
 as they do between the batched and item-at-a-time object engines.
 
 The kernel runs that algorithm at two granularities (DESIGN section
-20).  :meth:`ColumnarThresholdKernel.rank_phrase` takes one phrase
-through its stages; :meth:`ColumnarThresholdKernel.rank_round` takes
-every phrase of the round through them together -- stage ``s`` is a
-handful of array operations over the ``(active phrases, k * 2**s)``
-prefix tables -- and returns the round's rankings as flat arrays
-(:class:`RankedRound`) that stage 4 prices without rebuilding a
-``TopKList`` per phrase.  Same stop depths, same accesses, same floats;
-the engine picks by phrase count, because a one-phrase served tick
-should not pay for a round's arrays.
+20).  :meth:`ColumnarThresholdKernel.rank_round`, the engine's route,
+takes every phrase of the round through the stages together -- stage
+``s`` is a handful of array operations over the ``(active phrases,
+k * 2**s)`` prefix tables -- and returns the round's rankings as flat
+arrays (:class:`RankedRound`) that stage 4 prices without rebuilding a
+``TopKList`` per phrase.  :meth:`ColumnarThresholdKernel.rank_phrase`
+takes one phrase through them and is kept as its differential oracle:
+same stop depths, same accesses, same floats.
 
 Cross-round reuse (``sort_cache=True``) is :class:`ColumnarSortCache`:
 instead of one full lexsort per round, the cache keeps the descending
@@ -96,7 +95,9 @@ class ColumnarSortCache:
     a tree of live stream objects.  ``sort.streams_reused`` /
     ``sort.streams_invalidated`` count *rows* kept / re-ranked here
     (the object cache counts streams); either way the counters report
-    how much of the round's sort the cache saved.
+    how much of the round's sort the cache saved.  When advertisers
+    enter or leave the store its rows are renumbered, and the cache
+    starts over at the next round.
 
     Args:
         store: The columnar population (rows are positions in the
@@ -136,13 +137,23 @@ class ColumnarSortCache:
         self.autotuner = autotuner
         self._subscription = None
         self._pending_dirty: Set[int] = set()
-        self._order: Optional["np.ndarray"] = None
-        self._last_eff = np.zeros(store.size, dtype=np.float64)
-        self._seen = np.zeros(store.size, dtype=bool)
         self.rounds = 0
         self.bypass_rounds = 0
         self.rows_reused = 0
         self.rows_repaired = 0
+        self._forget_rows()
+
+    def _forget_rows(self) -> None:
+        """Empty everything keyed by row, sized for the store's rows.
+
+        ``_ids`` is the store's id column that numbering belongs to: the
+        store replaces the array when advertisers enter or leave.
+        """
+        size = self.store.size
+        self._ids = self.store.ids
+        self._order: Optional["np.ndarray"] = None
+        self._last_eff = np.zeros(size, dtype=np.float64)
+        self._seen = np.zeros(size, dtype=bool)
 
     def connect(self, feed) -> None:
         """Subscribe to a change feed; bid dirtiness then arrives as
@@ -192,6 +203,11 @@ class ColumnarSortCache:
         """
         self.rounds += 1
         store = self.store
+        if store.ids is not self._ids:
+            # Advertisers entered or left: rows were renumbered, so the
+            # cached order and snapshots describe other advertisers.
+            # The round builds from scratch, like the first.
+            self._forget_rows()
         if self._subscription is not None:
             if dirty is not None:
                 raise InvalidPlanError(
@@ -422,15 +438,14 @@ class RankedRound(Mapping):
 class ColumnarThresholdKernel:
     """Per-round shared bid presort + vectorized TA.
 
-    Two routes to the same rankings, accesses and ``ta.*`` counts:
-    :meth:`rank_phrase` runs TA for one phrase, :meth:`rank_round` runs
-    it for every phrase of a round in lockstep array stages.  The caller
-    picks by how many phrases the round has (a one-phrase served tick
-    must not pay for the round's arrays); ``rank_phrase`` is also the
-    differential oracle of ``rank_round``.
+    :meth:`rank_round` runs TA for every phrase of a round in lockstep
+    array stages and is what the engine calls, whatever the round's
+    size.  :meth:`rank_phrase` runs it for one phrase -- the same
+    rankings, accesses and ``ta.*`` counts -- and stays as the
+    differential oracle the tests hold ``rank_round`` to.
 
     The kernel holds no copy of phrase membership or CTR order: both
-    routes read the store's cached per-phrase arrays every round, so the
+    methods read the store's cached per-phrase arrays every round, so the
     store's invalidation is the only invalidation rule.
 
     Args:
@@ -613,7 +628,9 @@ class ColumnarThresholdKernel:
             arrays and the sorted accesses charged to each phrase.
 
         Raises:
-            InvalidPlanError: If called before :meth:`begin_round`.
+            InvalidPlanError: If called before :meth:`begin_round`, or
+                a phrase has a member row the round's shared order does
+                not hold.
         """
         if self._order is None or self._effective_by_row is None:
             raise InvalidPlanError("rank_round before begin_round")
@@ -643,12 +660,17 @@ class ColumnarThresholdKernel:
         ctr_list = np.concatenate(
             [store.phrase_ctr_rank_positions(p) for p in phrases]
         )
-        shared_rank = np.empty(store.size, dtype=np.int64)
+        shared_rank = np.full(store.size, -1, dtype=np.int64)
         shared_rank[order] = np.arange(len(order))
-        bid_key = (
-            np.repeat(np.arange(count) * len(order), sizes)
-            + shared_rank[cell_rows]
-        )
+        cell_rank = shared_rank[cell_rows]
+        if cell_rank.min() < 0:
+            unranked = cell_rows[np.flatnonzero(cell_rank < 0)[0]]
+            raise InvalidPlanError(
+                f"advertiser {int(store.ids[unranked])} is a member of a "
+                "ranked phrase but not in the round's shared order "
+                "(begin_round takes every member row of every phrase)"
+            )
+        bid_key = np.repeat(np.arange(count) * len(order), sizes) + cell_rank
         bid_list = np.argsort(bid_key)
 
         stages = np.zeros(count, dtype=np.int64)

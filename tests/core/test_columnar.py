@@ -94,8 +94,9 @@ class TestPhraseMembership:
 
     def test_phrase_ctr_rank_rows_orders_by_factor_then_id(self):
         store = ColumnarStore(_population())
+        rows = store.phrase_rows("shoes")
         ranked = [int(store.ids[r])
-                  for r in store.phrase_ctr_rank_rows("shoes")]
+                  for r in rows[store.phrase_ctr_rank_positions("shoes")]]
         # shoes factors: 1 -> 1.1, 3 -> 0.8, 4 -> 0.8 (tie broken by id)
         assert ranked == [1, 3, 4]
 

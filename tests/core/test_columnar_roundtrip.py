@@ -115,9 +115,10 @@ def assert_equivalent(store: ColumnarStore, model: dict) -> None:
             members,
             key=lambda m: (-model[m].ctr_factor_for(phrase), m),
         )
-        assert [
-            int(store.ids[r]) for r in store.phrase_ctr_rank_rows(phrase)
-        ] == ranked
+        ranked_rows = store.phrase_rows(phrase)[
+            store.phrase_ctr_rank_positions(phrase)
+        ]
+        assert store.ids[ranked_rows].tolist() == ranked
 
 
 class TestObjectToColumnar:
@@ -168,7 +169,7 @@ class TestColumnarToObject:
         model = {a.advertiser_id: a for a in population}
         # Warm every derived cache so staleness (not absence) is tested.
         for phrase in store.phrases():
-            store.phrase_ctr_rank_rows(phrase)
+            store.phrase_ctr_rank_positions(phrase)
             store.membership_bits(phrase)
         for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
             action = data.draw(
@@ -240,7 +241,7 @@ class TestChangeFeedInvalidation:
         feed = ChangeFeed()
         store.connect(feed)
         for phrase in store.phrases():
-            store.phrase_ctr_rank_rows(phrase)
+            store.phrase_ctr_rank_positions(phrase)
         for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
             kind = data.draw(
                 st.sampled_from(

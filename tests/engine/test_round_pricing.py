@@ -25,11 +25,7 @@ from hypothesis import strategies as st
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import ArrayScoreMap
 from repro.core.topk import TopKList
-from repro.engine.pipeline import (
-    ARRAY_PRICING_MIN_SLOTS,
-    LOCKSTEP_RANKING_MIN_PHRASES,
-    SharedAuctionEngine,
-)
+from repro.engine.pipeline import ARRAY_PRICING_MIN_SLOTS, SharedAuctionEngine
 from repro.sharedsort.columnar import RankedRound
 
 SLOT_FACTORS = (0.3, 0.2, 0.1)
@@ -218,7 +214,7 @@ def test_pricing_from_the_round_kernels_arrays(data):
     engine = SORT_ENGINE
     store = engine._store
     kernel = engine._columnar_sort
-    # Through the phrase-count and the slot-count crossovers.
+    # From one phrase up, through the slot-count crossover.
     count = data.draw(st.integers(min_value=1, max_value=len(PHRASES)))
     phrases = PHRASES[:count]
     engine._eff_by_row[:] = data.draw(
@@ -264,10 +260,10 @@ def test_the_sort_market_has_the_cases_it_claims():
     assert len(overridden) > len(PHRASES)
 
 
-def test_shared_sort_rounds_across_both_crossovers(monkeypatch):
-    # Rounds sized around LOCKSTEP_RANKING_MIN_PHRASES (stage 3) and
-    # ARRAY_PRICING_MIN_SLOTS (stage 4) allocate exactly as the object
-    # layout's scalar stages do, whichever pair of routes they take.
+def test_shared_sort_rounds_across_the_pricing_crossover(monkeypatch):
+    # Rounds sized around ARRAY_PRICING_MIN_SLOTS allocate exactly as
+    # the object layout's scalar stages do, whether stage 4 prices the
+    # round kernel's arrays or the TopKLists it materializes from them.
     columnar, oracle = _sort_engine("columnar"), _sort_engine("object")
     routes = []
 
@@ -277,18 +273,15 @@ def test_shared_sort_rounds_across_both_crossovers(monkeypatch):
             return original(*args)
         return wrapper
 
-    kernel = columnar._columnar_sort
-    for owner, name in (
-        (kernel, "rank_round"), (kernel, "rank_phrase"),
-        (columnar, "_price_slots"), (columnar, "_allocate_phrase"),
-    ):
-        monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
-    stage3 = LOCKSTEP_RANKING_MIN_PHRASES
-    stage4 = -(-ARRAY_PRICING_MIN_SLOTS // K)
-    assert stage3 < stage4 < len(PHRASES)
+    for name in ("_price_slots", "_allocate_phrase"):
+        monkeypatch.setattr(
+            columnar, name, recorded(name, getattr(columnar, name))
+        )
+    crossover = -(-ARRAY_PRICING_MIN_SLOTS // K)
+    assert 1 < crossover < len(PHRASES)
     seen = set()
     displays = 0
-    for count in (1, stage3 - 1, stage3, stage4 - 1, stage4, len(PHRASES)) * 3:
+    for count in (1, crossover - 1, crossover, len(PHRASES)) * 3:
         del routes[:]
         report = columnar.run_round(PHRASES[:count])
         expected = oracle.run_round(PHRASES[:count])
@@ -296,11 +289,7 @@ def test_shared_sort_rounds_across_both_crossovers(monkeypatch):
         displays += report.displays
         seen.add(tuple(sorted(set(routes))))
     assert displays
-    assert seen == {
-        ("_allocate_phrase", "rank_phrase"),
-        ("_allocate_phrase", "rank_round"),
-        ("_price_slots", "rank_round"),
-    }
+    assert seen == {("_allocate_phrase",), ("_price_slots",)}
 
 
 class TestDispatch:

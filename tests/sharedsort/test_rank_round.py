@@ -1,13 +1,13 @@
 """Lockstep TA (``rank_round``) equals per-phrase TA (``rank_phrase``).
 
-``ColumnarThresholdKernel`` answers a round two ways (DESIGN section
-20): phrase by phrase, or every phrase advanced through the threshold
-algorithm's doubling stages together.  The engine picks from the phrase
-count alone, so the two must agree on everything an observer can see --
-the ranked entries to the last bit and in order, and the accesses,
-stages and stop depths TA is charged.  Ties are the point: bids and CTR
-factors are drawn from a few small values, so equal scores straddle the
-k-th place and ``kth == threshold`` occurs.
+``ColumnarThresholdKernel`` can answer a round two ways (DESIGN section
+20): every phrase advanced through the threshold algorithm's doubling
+stages together, which is what the engine runs, or phrase by phrase,
+the older route kept as the oracle.  The two must agree on everything an
+observer can see -- the ranked entries to the last bit and in order, and
+the accesses, stages and stop depths TA is charged.  Ties are the point:
+bids and CTR factors are drawn from a few small values, so equal scores
+straddle the k-th place and ``kth == threshold`` occurs.
 """
 
 from __future__ import annotations
@@ -25,10 +25,7 @@ import repro.sharedsort.columnar as sharedsort_columnar
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import ColumnarStore
 from repro.core.topk import TopKList
-from repro.engine.pipeline import (
-    LOCKSTEP_RANKING_MIN_PHRASES,
-    SharedAuctionEngine,
-)
+from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidPlanError
 from repro.instrument import MetricsCollector, names
 from repro.sharedsort.columnar import (
@@ -354,10 +351,15 @@ CHURN = {
 }
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["fresh-sort", "cache"])
 @pytest.mark.parametrize("route", ["rank_round", "rank_phrase"])
 @pytest.mark.parametrize("change", sorted(CHURN))
-def test_a_changed_store_ranks_like_a_fresh_kernel(change, route):
+def test_a_changed_store_ranks_like_a_fresh_kernel(change, route, cached):
     phrases = ["a", "b", "c"]
+
+    def kernel_on(store):
+        cache = ColumnarSortCache(store) if cached else None
+        return ColumnarThresholdKernel(store, 3, cache=cache)
 
     def answers(kernel, store):
         kernel.begin_round(_effective(store), _occurring_rows(store, phrases))
@@ -368,12 +370,41 @@ def test_a_changed_store_ranks_like_a_fresh_kernel(change, route):
         return [_entries(r) for r, _ in results], [a for _, a in results]
 
     store = _churn_store()
-    kernel = ColumnarThresholdKernel(store, 3)
+    kernel = kernel_on(store)
     before = answers(kernel, store)
     CHURN[change](store)
     after = answers(kernel, store)
-    assert after == answers(ColumnarThresholdKernel(store, 3), store)
+    assert after == answers(kernel_on(store), store)
     assert after != before
+
+
+def test_a_renumbered_store_restarts_the_sort_cache():
+    # Advertiser 5 leaves and 40 enters: the store is the size it was,
+    # every row from 5's on names another advertiser, and nothing the
+    # cache held by row -- order, bid snapshots -- may survive.  Held
+    # against the old snapshots, the shifted rows would read as bids
+    # that moved without a covering event.
+    store = _churn_store()
+    cache = ColumnarSortCache(store)
+    everyone = np.arange(store.size)
+    cache.order_for_round(_effective(store), everyone, dirty=())
+    CHURN["remove_advertiser"](store)
+    CHURN["add_advertiser"](store)
+    effective = _effective(store)
+    order, repaired = cache.order_for_round(effective, everyone, dirty=(5, 40))
+    assert repaired == store.size
+    fresh, _ = ColumnarSortCache(store).order_for_round(effective, everyone)
+    assert order.tolist() == fresh.tolist()
+
+
+def test_a_member_outside_the_shared_order_is_refused():
+    # begin_round was given only phrase b's rows; phrase a has members
+    # the round's order never ranked.
+    store = _churn_store()
+    kernel = ColumnarThresholdKernel(store, 3)
+    kernel.begin_round(_effective(store), _occurring_rows(store, ["b"]))
+    with pytest.raises(InvalidPlanError, match="not in the round's shared"):
+        kernel.rank_round(["a", "b"])
 
 
 @pytest.mark.parametrize("phrases", [["nobody"], ["a", "nobody", "b"]])
@@ -399,67 +430,33 @@ def test_rank_round_before_begin_round():
 
 
 # ----------------------------------------------------------------------
-# cost: who runs which route
+# cost: the engine never goes phrase by phrase
 # ----------------------------------------------------------------------
-class TestRoute:
-    """The engine picks the route from the phrase count alone."""
+def test_no_round_reaches_the_per_phrase_top_k(monkeypatch):
+    phrases = [f"w{index:03d}" for index in range(244)]
+    advertisers = [
+        Advertiser(
+            i, bid=1.0 + (i * 13 % 40) / 10.0,
+            ctr_factor=0.5 + (i % 7) / 7.0,
+            phrases=frozenset(
+                p for j, p in enumerate(phrases)
+                if (i * 31 + j * 17) % 5 < 2
+            ),
+            phrase_ctr_factors={phrases[i % 244]: 0.5 + (i % 3) / 2.0},
+        )
+        for i in range(60)
+    ]
+    engine = SharedAuctionEngine(
+        advertisers, (0.3, 0.2, 0.1), {p: 1.0 for p in phrases},
+        mode="shared-sort", layout="columnar", seed=5,
+    )
 
-    @pytest.fixture
-    def engine(self):
-        phrases = [f"w{index:03d}" for index in range(244)]
-        advertisers = [
-            Advertiser(
-                i, bid=1.0 + (i * 13 % 40) / 10.0,
-                ctr_factor=0.5 + (i % 7) / 7.0,
-                phrases=frozenset(
-                    p for j, p in enumerate(phrases)
-                    if (i * 31 + j * 17) % 5 < 2
-                ),
-                phrase_ctr_factors={phrases[i % 244]: 0.5 + (i % 3) / 2.0},
-            )
-            for i in range(60)
-        ]
-        return SharedAuctionEngine(
-            advertisers, (0.3, 0.2, 0.1), {p: 1.0 for p in phrases},
-            mode="shared-sort", layout="columnar", seed=5,
-        ), phrases
+    def reached(*args, **kwargs):
+        raise AssertionError("the engine reached columnar_top_k")
 
-    def test_a_wide_round_never_reaches_the_per_phrase_top_k(
-        self, engine, monkeypatch
-    ):
-        engine, phrases = engine
-
-        def reached(*args, **kwargs):
-            raise AssertionError("a 244-phrase round reached columnar_top_k")
-
-        monkeypatch.setattr(sharedsort_columnar, "columnar_top_k", reached)
-        report = engine.run_round(phrases)
-        assert report.displays and len(report.allocations) == 244
-        # ... and a one-phrase round still goes phrase by phrase.
-        with pytest.raises(AssertionError, match="reached columnar_top_k"):
-            engine.run_round(phrases[:1])
-
-    def test_the_crossover_is_the_module_constant(self, engine, monkeypatch):
-        engine, phrases = engine
-        kernel = engine._columnar_sort
-        calls = []
-
-        def recorded(name, original):
-            def wrapper(arg):
-                calls.append(name)
-                return original(arg)
-            return wrapper
-
-        for name in ("rank_round", "rank_phrase"):
-            monkeypatch.setattr(
-                kernel, name, recorded(name, getattr(kernel, name))
-            )
-        below = LOCKSTEP_RANKING_MIN_PHRASES - 1
-        engine.run_round(phrases[:below])
-        assert calls == ["rank_phrase"] * below
-        del calls[:]
-        engine.run_round(phrases[:below + 1])
-        assert calls == ["rank_round"]
-        del calls[:]
-        engine.serve_query(phrases[7])
-        assert calls == ["rank_phrase"]
+    # rank_phrase ends in it; rank_round sorts the whole round at once.
+    monkeypatch.setattr(sharedsort_columnar, "columnar_top_k", reached)
+    report = engine.run_round(phrases)
+    assert report.displays and len(report.allocations) == 244
+    assert engine.run_round(phrases[:1]).displays
+    assert engine.serve_query(phrases[7]).displays
