@@ -9,10 +9,10 @@ item 2): every round the engine re-reads ``bid`` / ``ctr_factor`` /
 per-phrase membership (row-index arrays and packed bitmaps), so the hot
 kernels become whole-array operations:
 
-- effective scoring: ``min(m * bid, remaining) / m`` over the occurring
-  rows in a handful of vectorized int64/float64 ops
-  (:meth:`repro.engine.pipeline.SharedAuctionEngine` with
-  ``layout="columnar"``);
+- effective scoring: the closed-form throttled bid and score of every
+  row stand in row space beside these columns and a round gathers them
+  for its occurring rows (:meth:`repro.engine.pipeline.SharedAuctionEngine`
+  with ``layout="columnar"``);
 - per-phrase top-k: :func:`columnar_top_k` via ``np.argpartition`` with
   the exact ``(-score, advertiser_id)`` tie-break of the object path,
   and :func:`segmented_top_k` for a whole round's ragged batch of
@@ -487,6 +487,7 @@ class ColumnarStore:
         return self.advertiser(advertiser_id).materialize()
 
     def _drop_derived(self) -> None:
+        self._phrase_members: Optional[Dict[str, List[int]]] = None
         self._phrase_rows: Dict[str, "np.ndarray"] = {}
         self._phrase_masks: Dict[str, "np.ndarray"] = {}
         self._phrase_bits: Dict[str, "np.ndarray"] = {}
@@ -495,6 +496,8 @@ class ColumnarStore:
 
     def _invalidate_phrase(self, phrase: str) -> None:
         """Drop one phrase's derived arrays (membership or CTRs moved)."""
+        if self._phrase_members is not None:
+            self._phrase_members.pop(phrase, None)
         self._phrase_rows.pop(phrase, None)
         self._phrase_masks.pop(phrase, None)
         self._phrase_bits.pop(phrase, None)
@@ -531,9 +534,9 @@ class ColumnarStore:
         """Vectorized id -> row translation (ids must all exist).
 
         Exploits the ascending-id row order: a single ``searchsorted``
-        translates any id array, which is how per-round spent snapshots
-        and fragment member lists land in row space without a Python
-        loop per entry.
+        translates any id array, which is how a round's moved budget
+        books and fragment member lists land in row space without a
+        Python loop per entry.
         """
         wanted = np.asarray(advertiser_ids, dtype=np.int64)
         rows = np.searchsorted(self.ids, wanted)
@@ -571,14 +574,34 @@ class ColumnarStore:
         """Ascending row indices of the phrase's interested advertisers."""
         rows = self._phrase_rows.get(phrase)
         if rows is None:
-            members = sorted(
+            rows = self.rows_of(self._members_of(phrase))
+            self._phrase_rows[phrase] = rows
+        return rows
+
+    def _members_of(self, phrase: str) -> List[int]:
+        """Ascending ids of the phrase's interested advertisers.
+
+        Read off a phrase -> members inverted index, built in one pass
+        over every advertiser's phrase set the first time any phrase is
+        asked for, so a phrase seen for the first time costs its members
+        and not the population.  Churn drops the entry of a phrase it
+        touches (:meth:`_invalidate_phrase`); that phrase alone is
+        re-read from the phrase sets.
+        """
+        index = self._phrase_members
+        if index is None:
+            index = self._phrase_members = {}
+            for advertiser_id in sorted(self._phrases_of):
+                for member_phrase in self._phrases_of[advertiser_id]:
+                    index.setdefault(member_phrase, []).append(advertiser_id)
+        members = index.get(phrase)
+        if members is None:
+            members = index[phrase] = sorted(
                 advertiser_id
                 for advertiser_id, phrases in self._phrases_of.items()
                 if phrase in phrases
             )
-            rows = self.rows_of(members)
-            self._phrase_rows[phrase] = rows
-        return rows
+        return members
 
     def membership(self, phrase: str) -> "np.ndarray":
         """Boolean membership mask over all rows."""

@@ -105,12 +105,15 @@ class BudgetManager:
         # that were settled first are skipped when it comes due.
         self._expiry: List[Tuple[float, int, int, int]] = []
         self._carriers: Set[int] = set()
-        self._spent_moved: Set[int] = set()
+        # Whose books moved since drain_book_changes last handed them out.
+        self._moved: Set[int] = set()
         # dead_elapsed by base CTR (it does not depend on the round).
         self._dead_after: Dict[float, float] = {}
 
     def _publish_changes(self, advertiser_ids: Iterable[int]) -> None:
-        """Announce whose books a call moved, if anyone cares."""
+        """Note whose books a call moved and announce them, if anyone
+        cares."""
+        self._moved.update(advertiser_ids)
         feed = self._feed
         if feed is not None and feed.active:
             for advertiser_id in sorted(advertiser_ids):
@@ -291,7 +294,6 @@ class BudgetManager:
                 self._spent[advertiser_id] = (
                     self.spent_cents(advertiser_id) + charged
                 )
-                self._spent_moved.add(advertiser_id)
             settled.add(advertiser_id)
             charges.append(ChargeResult(charged, price_cents - charged))
         self._publish_changes(settled)
@@ -377,18 +379,37 @@ class BudgetManager:
             for advertiser_id in self._carriers
         }
 
-    def drain_spent_changes(self) -> Dict[int, int]:
-        """Settled spend of each advertiser charged since the last drain.
+    def drain_book_changes(
+        self,
+    ) -> Tuple[List[int], List[int], List[int], List[bool]]:
+        """The books of every advertiser moved since the last drain.
 
-        One consumer: the engine's columnar spent column, which applies
-        these and so never rebuilds itself from :meth:`spent_snapshot`.
+        Whoever a :meth:`record_displays`, :meth:`settle_clicks` or
+        expiry touched -- the sets the change feed is told about -- with
+        what the Section IV quick test reads of each.  One consumer: the
+        engine's standing score columns (DESIGN.md section 21), which
+        re-derive these advertisers' rows and nobody else's.
+
+        Returns:
+            ``(advertiser_ids, remaining_cents, liability_cents,
+            carries_debt)``: parallel columns, one entry per mover, in
+            no particular order.
         """
-        moved = self._spent_moved
-        if not moved:
-            return {}
-        self._spent_moved = set()
-        spent = self._spent
-        return {advertiser_id: spent[advertiser_id] for advertiser_id in moved}
+        ids = list(self._moved)
+        self._moved.clear()
+        # remaining_cents / liability_cents, inlined: this pass is paid
+        # per mover on every served tick.
+        budget, spent = self._budgets.get, self._spent.get
+        ledger_of, unbudgeted = self._ledgers.get, self.UNBUDGETED_CENTS
+        return (
+            ids,
+            [max(0, budget(i, unbudgeted) - spent(i, 0)) for i in ids],
+            [
+                ledger.liability_cents if (ledger := ledger_of(i)) is not None else 0
+                for i in ids
+            ],
+            list(map(self._carriers.__contains__, ids)),
+        )
 
     def spent_snapshot(self) -> Dict[int, int]:
         """Settled spend per advertiser (zero-spend advertisers omitted).

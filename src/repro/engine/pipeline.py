@@ -74,6 +74,15 @@ plus 1.1 us a slot, so they cross near 30 slots (near 38 with per-phrase
 CTR factors; EXPERIMENTS E25 has both tables).  A served query (k slots)
 is always below, a batch round of a dozen phrases or more above."""
 
+BOOK_SYNC_ARRAY_MIN_MOVERS = 16
+"""Advertisers whose books moved since the last scoring stage from which
+their rows of the standing score columns are re-derived as arrays.
+Measured, not tuned per workload: the array pass costs about 11 us
+whatever its size plus 0.1 us a mover, the cell-by-cell loop 0.5 us plus
+0.7 us a mover, so they cross near 18 movers (EXPERIMENTS E27 has the
+table).  A served tick (a median of 6 movers) is below, a batch round
+(25 to 190 movers on the benchmark's markets) above."""
+
 _SCORE_OF = attrgetter("score")
 _ID_OF = attrgetter("advertiser_id")
 
@@ -492,21 +501,49 @@ class SharedAuctionEngine:
         self._columnar_sort = None
         self._store: Optional[ColumnarStore] = None
         if layout == "columnar":
-            self._store = ColumnarStore.from_advertisers(self.advertisers)
+            store = self._store = ColumnarStore.from_advertisers(
+                self.advertisers
+            )
+            # The engine indexes this store once (_by_id, the budget
+            # manager's budgets, the standing columns below): an edit
+            # under it must raise, not be half seen.  A renumbering
+            # replaces store.ids, which stage 2 checks.
+            for column in (
+                store.bids, store.bid_cents, store.ctr_factors,
+                store.budget_cents,
+            ):
+                column.flags.writeable = False
+            self._store_ids = store.ids
             # Full-length scratch: the scoring stage scatters the round's
             # effective bids / scores into row space so every downstream
             # kernel indexes by row with no per-id lookups.  Rows outside
             # the round's occurring set hold stale values by design --
             # kernels only ever read occurring rows.
-            self._eff_by_row = np.zeros(self._store.size, dtype=np.float64)
-            self._score_by_row = np.zeros(self._store.size, dtype=np.float64)
+            self._eff_by_row = np.zeros(store.size, dtype=np.float64)
+            self._score_by_row = np.zeros(store.size, dtype=np.float64)
             # -1 == "never scored", matching the object path's dict-absent
             # semantics for the multiplicity change feed.
-            self._last_m_row = np.full(self._store.size, -1, dtype=np.int64)
+            self._last_m_row = np.full(store.size, -1, dtype=np.int64)
             self._occurring_rows = None
-            # Settled spend by row, kept current from the budget
-            # manager's drained changes (see _sync_spent_column).
-            self._spent_by_row = np.zeros(self._store.size, dtype=np.int64)
+            # m of a one-phrase round: a prefix of this.
+            self._ones = np.ones(store.size, dtype=np.int64)
+            self._ones.flags.writeable = False
+            # The standing score columns (DESIGN.md section 21), one
+            # cell per row whether it occurs or not: min(b, β), the quick
+            # test's slack β - Σ outstanding prices, whether the row holds
+            # ads, and the closed-form bid and score.  Nothing is spent
+            # or owed yet; _sync_book_columns re-derives the rows of
+            # whoever the budget manager's books moved.
+            self._cap_by_row = np.empty(store.size, dtype=np.int64)
+            self._slack_by_row = np.empty(store.size, dtype=np.int64)
+            self._carrying_by_row = np.empty(store.size, dtype=bool)
+            self._base_bid_by_row = np.empty(store.size, dtype=np.float64)
+            self._base_score_by_row = np.empty(store.size, dtype=np.float64)
+            self._derive_book_rows(slice(None), store.budget_cents, 0, False)
+            # m * cap stays an exact float64, so (m * cap) / m == cap bit
+            # for bit: the closed form may be stored instead of divided.
+            widest = len(self.phrase_advertisers)
+            assert int(store.bid_cents.max(initial=0)) * widest < 2**53
             self._slot_factors = np.asarray(
                 self.ctr_model.slot_factors, dtype=np.float64
             )
@@ -907,64 +944,105 @@ class SharedAuctionEngine:
             last_effective.update(effective_bid_cents)
         return scores, effective_bid_cents
 
-    def _sync_spent_column(self) -> "np.ndarray":
-        """The spent-by-row column, brought up to the manager's books.
+    def _sync_book_columns(self) -> int:
+        """Bring the standing score columns up to the manager's books.
 
-        Every settlement goes through the budget manager (the click
-        delivery stage and :meth:`settle_remaining_clicks` alike), which
-        remembers whose balance moved; only those cells are rewritten.
+        Every display, settlement and expiry goes through the budget
+        manager (stages 1 and 4, :meth:`settle_remaining_clicks` and a
+        caller booking on ``engine.budget_manager`` alike), which
+        remembers whom it moved; only their rows are re-derived, from
+        ``β`` and the ledger's running liability.  A served tick moves
+        a handful of advertisers, written cell by cell; from
+        :data:`BOOK_SYNC_ARRAY_MIN_MOVERS` up the same arithmetic runs
+        as array operations behind one ``rows_of``.
+
+        Returns:
+            The number of rows re-derived.
         """
-        moved = self.budget_manager.drain_spent_changes()
-        if moved:
-            self._spent_by_row[self._store.rows_of(list(moved))] = np.fromiter(
-                moved.values(), dtype=np.int64, count=len(moved)
-            )
-        return self._spent_by_row
+        changes = self.budget_manager.drain_book_changes()
+        movers = len(changes[0])
+        store = self._store
+        if movers < BOOK_SYNC_ARRAY_MIN_MOVERS:
+            row_of = store.row_of
+            bid_cents = store.bid_cents.item
+            ctr_factor = store.ctr_factors.item
+            for advertiser_id, beta, owed, carrying in zip(*changes):
+                row = row_of(advertiser_id)
+                cap = min(bid_cents(row), beta)
+                self._cap_by_row[row] = cap
+                self._slack_by_row[row] = beta - owed
+                self._carrying_by_row[row] = carrying
+                self._base_bid_by_row[row] = cap
+                self._base_score_by_row[row] = cap / 100.0 * ctr_factor(row)
+        else:
+            ids, beta, owed, carrying = np.array(changes, dtype=np.int64)
+            self._derive_book_rows(store.rows_of(ids), beta, owed, carrying)
+        return movers
+
+    def _derive_book_rows(self, rows, beta, owed, carrying) -> None:
+        """Write the standing cells of ``rows`` from their books: remaining
+        budget, outstanding liability, whether any ad is outstanding."""
+        store = self._store
+        cap = np.minimum(store.bid_cents[rows], beta)
+        self._cap_by_row[rows] = cap
+        self._slack_by_row[rows] = beta - owed
+        self._carrying_by_row[rows] = carrying
+        self._base_bid_by_row[rows] = cap
+        self._base_score_by_row[rows] = cap / 100.0 * store.ctr_factors[rows]
 
     def _effective_scores_columnar(
         self, phrases: Sequence[str], round_index: int, report: RoundReport
     ) -> Tuple[ArrayScoreMap, ArrayScoreMap]:
-        """Stage 2 vectorized: whole-array scoring over occurring rows.
+        """Stage 2 on standing columns: gather, and compute the exceptions.
 
-        Bit-identical to the object stage: for an advertiser with no
-        outstanding debt the Section IV exact throttle collapses to the
-        closed form ``min(m * min(b, β), β) / m`` (with an empty ledger
-        the DP/enumeration has a single outcome with spend 0), which is
-        computed here as three int64 array ops and one true division --
-        ``int64/int64`` and Python ``int/int`` both round correctly, so
-        the floats agree bitwise.  The same closed form stands for a
-        debt carrier that passes the paper's quick test ``ω_l <= β -
-        m·b`` (it yields ``float(min(b, β))``, which is what
-        :func:`exact_throttled_bid` returns for a trivially unthrottled
-        problem); the test is asked with the ledgers' running liability,
-        an upper bound on ``ω_l``, so no ledger is read for it.  The
-        remaining debt carriers (70-100 of 250 a round on the
-        benchmark's one-component market) go through
-        :func:`exact_throttled_bid` one by one, as the object path
-        does; its array DP is per problem because the problems are
-        ragged (DESIGN.md section 16).
+        Bit-identical to the object stage.  Section IV's quick test
+        ``ω_l <= β - m·b`` says when the throttled bid is simply
+        ``float(min(b, β))`` -- what :func:`exact_throttled_bid` returns
+        for a trivially unthrottled problem, and what the empty-ledger
+        closed form ``min(m·cap, β) / m`` divides out to, exactly, when
+        ``m·cap <= β`` (``m·cap < 2**53``).  That bid and its score
+        stand in row space (:meth:`_sync_book_columns`), so a round
+        gathers them for its rows and asks the test as ``m·cap >
+        slack``, with the ledgers' running liability (an upper bound on
+        ``ω_l``) inside ``slack``: no ledger is read for it.  Only rows
+        that fail leave the closed form -- without outstanding ads
+        ``min(m·cap, β) / m`` as array operations (``β`` is their
+        ``slack``), with ads through :func:`exact_throttled_bid` one by
+        one, as the object path does; its array DP is per problem
+        because the problems are ragged (DESIGN.md section 16).
+        ``throttle=False`` is the same gathers with the test never
+        asked.  One phrase (a served tick) and many differ only in how
+        the round's rows and multiplicities ``m`` are found.
         """
         store = self._store
         assert store is not None
-        # Auction multiplicity m_i: in how many occurring phrases each
-        # row is a member.
-        counts = np.bincount(
-            np.concatenate([store.phrase_rows(p) for p in phrases]),
-            minlength=store.size,
-        )
-        rows = np.flatnonzero(counts)
-        m = counts[rows]
+        if store.ids is not self._store_ids:
+            raise InvalidAuctionError(
+                f"the store's rows were renumbered under a running engine "
+                f"(it indexed {len(self._store_ids)}, the store holds "
+                f"{store.size}); build a new engine"
+            )
+        synced = self._sync_book_columns()
+        # The round's rows and each one's auction multiplicity m_i: in
+        # how many occurring phrases it is a member.
+        if len(phrases) == 1:
+            rows = store.phrase_rows(phrases[0])
+            m = self._ones[: len(rows)]
+        else:
+            counts = np.bincount(
+                np.concatenate([store.phrase_rows(p) for p in phrases]),
+                minlength=store.size,
+            )
+            rows = np.flatnonzero(counts)
+            m = counts[rows]
         ids_sub = store.ids[rows]
-        remaining_sub = np.maximum(
-            store.budget_cents[rows] - self._sync_spent_column()[rows], 0
-        )
-        bid_sub = store.bid_cents[rows]
         collector = self.collector
         cache = self._throttle_cache
-        if self.throttle and cache is not None:
+        if cache is not None:
             # Memoized exact path: the cache owns the throttle.* metric
             # bookkeeping and the change-feed-driven reuse, both keyed
             # per advertiser, so scoring stays a per-id loop here.
+            bid_sub = store.bid_cents[rows]
             effective_sub = np.empty(len(rows), dtype=np.float64)
             for position in range(len(rows)):
                 effective_sub[position] = cache.exact_bid(
@@ -973,34 +1051,31 @@ class SharedAuctionEngine:
                     int(m[position]),
                     round_index,
                 )
-        elif self.throttle:
-            capped = np.minimum(bid_sub, remaining_sub)
-            effective_sub = np.minimum(m * capped, remaining_sub) / m
-            manager = self.budget_manager
-            carriers = manager.debt_carriers
-            if carriers:
-                # Debt carriers that occur: one searchsorted of the
-                # whole index against the (ascending) occurring ids.
-                carrier_ids = np.fromiter(
-                    carriers, dtype=np.int64, count=len(carriers)
+            score_sub = effective_sub / 100.0 * store.ctr_factors[rows]
+        else:
+            effective_sub = self._base_bid_by_row[rows]
+            score_sub = self._base_score_by_row[rows]
+        if self.throttle and cache is None:
+            cap = self._cap_by_row[rows]
+            slack = self._slack_by_row[rows]
+            failed = (m * cap > slack).nonzero()[0]
+            if len(failed):
+                failed_rows = rows[failed]
+                m_failed = m[failed]
+                # A row without outstanding ads owes nothing: its slack
+                # is β.  A row with ads is overwritten below.
+                effective_failed = (
+                    np.minimum(m_failed * cap[failed], slack[failed]) / m_failed
                 )
-                at = np.searchsorted(ids_sub, carrier_ids)
-                at[at == len(ids_sub)] = 0
-                hits = np.sort(at[ids_sub[at] == carrier_ids])
-                liability = np.fromiter(
-                    map(manager.liability_cents, ids_sub[hits].tolist()),
-                    dtype=np.int64,
-                    count=len(hits),
-                )
-                throttled = hits[
-                    liability > remaining_sub[hits] - m[hits] * capped[hits]
-                ]
-                for position in throttled.tolist():
-                    problem = manager.throttle_problem(
-                        int(ids_sub[position]),
-                        int(bid_sub[position]),
-                        int(m[position]),
-                        round_index,
+                carrying = self._carrying_by_row[failed_rows].nonzero()[0]
+                for at, advertiser_id, bid_cents, auctions in zip(
+                    carrying.tolist(),
+                    ids_sub[failed[carrying]].tolist(),
+                    store.bid_cents[failed_rows[carrying]].tolist(),
+                    m_failed[carrying].tolist(),
+                ):
+                    problem = self.budget_manager.throttle_problem(
+                        advertiser_id, bid_cents, auctions, round_index
                     )
                     if (
                         collector.enabled
@@ -1008,19 +1083,20 @@ class SharedAuctionEngine:
                         and not problem.trivially_unthrottled()
                     ):
                         collector.incr(metric_names.THROTTLE_EXACT_FALLBACKS)
-                    effective_sub[position] = exact_throttled_bid(problem)
-                report.debt_carriers_scored = len(throttled)
-                if collector.enabled and len(hits):
-                    # Every occurring debt carrier counts: those the
-                    # quick test cleared were fallbacks that were trivial.
+                    effective_failed[at] = exact_throttled_bid(problem)
+                effective_sub[failed] = effective_failed
+                score_sub[failed] = (
+                    effective_failed / 100.0 * store.ctr_factors[failed_rows]
+                )
+                report.debt_carriers_scored = len(carrying)
+            if collector.enabled:
+                # Every occurring debt carrier counts: those the quick
+                # test cleared were fallbacks that were trivial.
+                carriers = int(np.count_nonzero(self._carrying_by_row[rows]))
+                if carriers:
                     collector.incr(
-                        metric_names.COLUMNAR_THROTTLE_FALLBACKS, len(hits)
+                        metric_names.COLUMNAR_THROTTLE_FALLBACKS, carriers
                     )
-        else:
-            effective_sub = np.minimum(bid_sub, remaining_sub).astype(
-                np.float64
-            )
-        score_sub = effective_sub / 100.0 * store.ctr_factors[rows]
         if self.changefeed.active:
             # Same publisher contract as the object path (a multiplicity
             # change that moved the effective bid, or first sight); the
@@ -1042,6 +1118,7 @@ class SharedAuctionEngine:
         if collector.enabled:
             collector.incr(metric_names.COLUMNAR_SCORE_BATCHES)
             collector.incr(metric_names.COLUMNAR_SCORE_ROWS, int(len(rows)))
+            collector.incr(metric_names.COLUMNAR_BOOK_ROWS_SYNCED, synced)
         return (
             ArrayScoreMap(ids_sub, score_sub),
             ArrayScoreMap(ids_sub, effective_sub),

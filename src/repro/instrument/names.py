@@ -151,10 +151,18 @@ name                      meaning (paper reference)
                           the columnar layout's unit of scoring work,
                           comparable to one object-path advertiser loop
                           iteration each.
-``columnar.throttle_fallbacks``  debt-carrying advertisers the columnar
-                          scorer handed back to the object path's exact
-                          per-advertiser DP/enumeration (the closed-form
-                          array kernel covers only empty-ledger rows).
+``columnar.book_rows_synced``  rows of the standing score columns the
+                          columnar engine re-derived before scoring: the
+                          advertisers whose books a display, settlement
+                          or expiry moved since the previous batch (the
+                          tick's dirty rows; every other occurring row
+                          is read, not computed).
+``columnar.throttle_fallbacks``  occurring advertisers holding
+                          outstanding ads, which the columnar scorer
+                          asks the Section IV quick test about; those
+                          that fail it go to the exact per-advertiser
+                          DP/enumeration and are reported as
+                          ``engine.debt_carriers_scored``.
 ``engine.rounds``         rounds resolved by the engine.
 ``engine.phrases``        phrase auctions resolved.
 ``engine.displays``       ads displayed.
@@ -267,6 +275,7 @@ __all__ = [
     "CACHE_BYPASS_ROUNDS",
     "COLUMNAR_SCORE_BATCHES",
     "COLUMNAR_SCORE_ROWS",
+    "COLUMNAR_BOOK_ROWS_SYNCED",
     "COLUMNAR_THROTTLE_FALLBACKS",
     "ENGINE_ROUNDS",
     "ENGINE_PHRASES",
@@ -356,6 +365,7 @@ CACHE_BYPASS_ROUNDS = "cache.bypass_rounds"
 # Columnar (struct-of-arrays) kernels.
 COLUMNAR_SCORE_BATCHES = "columnar.score_batches"
 COLUMNAR_SCORE_ROWS = "columnar.score_rows"
+COLUMNAR_BOOK_ROWS_SYNCED = "columnar.book_rows_synced"
 COLUMNAR_THROTTLE_FALLBACKS = "columnar.throttle_fallbacks"
 
 # Engine rollups.

@@ -105,6 +105,76 @@ class TestPhraseMembership:
         assert store.phrases() == ["boots", "sandals", "shoes"]
 
 
+class _CountingPhraseSets(dict):
+    """``{advertiser: phrases}`` that counts the advertisers read."""
+
+    reads = 0
+
+    def __getitem__(self, advertiser_id):
+        self.reads += 1
+        return super().__getitem__(advertiser_id)
+
+    def __iter__(self):
+        for advertiser_id in super().__iter__():
+            self.reads += 1
+            yield advertiser_id
+
+    def items(self):
+        for item in super().items():
+            self.reads += 1
+            yield item
+
+
+class TestPhraseIndexCost:
+    """A phrase seen for the first time costs its members, not the
+    population: one pass builds the phrase -> members index."""
+
+    def _store(self):
+        store = ColumnarStore(_population())
+        store._phrases_of = _CountingPhraseSets(store._phrases_of)
+        return store
+
+    def test_a_second_new_phrase_reads_no_advertiser(self):
+        store = self._store()
+        store.phrase_rows("shoes")
+        built = store._phrases_of.reads
+        assert built >= store.size
+        for phrase, members in (("boots", [3, 7]), ("sandals", [4])):
+            assert store.ids[store.phrase_rows(phrase)].tolist() == members
+        assert store._phrases_of.reads == built
+
+    def test_nothing_is_built_before_the_first_call(self):
+        store = self._store()
+        assert store._phrases_of.reads == 0
+        assert store._phrase_members is None
+
+    def test_churn_rereads_the_touched_phrase_only(self):
+        store = self._store()
+        store.phrase_rows("shoes")
+        store.add_interest(7, "shoes")
+        store.remove_interest(3, "boots")
+        built = store._phrases_of.reads
+        # Untouched: still off the index.
+        assert store.ids[store.phrase_rows("sandals")].tolist() == [4]
+        assert store._phrases_of.reads == built
+        # Touched: one scan of the phrase sets each, then cached again.
+        assert store.ids[store.phrase_rows("shoes")].tolist() == [1, 3, 4, 7]
+        assert store.ids[store.phrase_rows("boots")].tolist() == [7]
+        assert store._phrases_of.reads == built + 2 * store.size
+        store.phrase_rows("shoes")
+        assert store._phrases_of.reads == built + 2 * store.size
+
+    def test_renumbering_drops_the_index(self):
+        store = ColumnarStore(_population())
+        store.phrase_rows("shoes")
+        store.add_advertiser(
+            Advertiser(2, bid=1.0, ctr_factor=1.0, phrases=frozenset({"boots"}))
+        )
+        assert store._phrase_members is None
+        assert store.ids[store.phrase_rows("boots")].tolist() == [2, 3, 7]
+        assert store.phrase_rows("nobody's phrase").tolist() == []
+
+
 class TestAdvertiserView:
     def test_view_duck_types_the_object(self):
         advertisers = _population()

@@ -19,6 +19,8 @@ from repro.engine.pipeline import RoundReport, SharedAuctionEngine
 from repro.instrument import MetricsCollector, names
 from repro.workloads.generator import MarketConfig, generate_market
 
+from .test_standing_columns_machine import COLUMNS, _row_from_the_books
+
 LEDGER_METHODS = (
     "prune",
     "snapshot",
@@ -132,18 +134,23 @@ def _market(seed: int, median_budget_cents: int):
     return market.advertisers, market.search_rates
 
 
-def _column_as_snapshot(engine) -> dict:
-    column = engine._spent_by_row
-    return {
-        int(advertiser_id): int(spent)
-        for advertiser_id, spent in zip(engine._store.ids, column)
-        if spent
-    }
+def _columns_from_the_books(engine) -> dict:
+    """The standing score columns, recomputed for every advertiser from
+    the manager's public accessors."""
+    rows = [
+        _row_from_the_books(engine, advertiser_id, row)
+        for row, advertiser_id in enumerate(engine._store.ids.tolist())
+    ]
+    return {name: list(cells) for name, cells in zip(COLUMNS, zip(*rows))}
 
 
-class TestSpentColumn:
+def _columns(engine) -> dict:
+    return {name: getattr(engine, name).tolist() for name in COLUMNS}
+
+
+class TestStandingColumns:
     @pytest.mark.parametrize("mode", ("unshared", "shared", "shared-sort"))
-    def test_column_equals_the_books_after_every_round(self, mode):
+    def test_columns_equal_the_books_after_every_round(self, mode):
         advertisers, rates = _market(seed=11, median_budget_cents=600)
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
@@ -154,10 +161,12 @@ class TestSpentColumn:
             report = engine.run_round()
             if report.occurring_phrases:
                 # Clicks settle before scoring and displays charge
-                # nothing, so the column scoring left behind is current.
-                assert _column_as_snapshot(engine) == (
-                    engine.budget_manager.spent_snapshot()
-                )
+                # nothing, so what scoring left behind of the budgets
+                # is current; the round's displays are still to sync.
+                expected = _columns_from_the_books(engine)
+                found = _columns(engine)
+                for name in ("_cap_by_row", "_base_bid_by_row", "_base_score_by_row"):
+                    assert found[name] == expected[name]
             moved += report.clicks
             throttled += report.debt_carriers_scored
         assert moved, "the session never settled a click"
@@ -165,14 +174,132 @@ class TestSpentColumn:
         revenue, _, clicks = engine.settle_remaining_clicks()
         assert clicks and revenue
         # The flush settled outside any round; the next sync picks up
-        # exactly what it moved.
-        assert _column_as_snapshot(engine) != (
-            engine.budget_manager.spent_snapshot()
+        # exactly what it and the last round's displays moved.
+        assert _columns(engine) != _columns_from_the_books(engine)
+        pending = len(engine.budget_manager._moved)
+        assert engine._sync_book_columns() == pending > 0
+        assert _columns(engine) == _columns_from_the_books(engine)
+        assert engine._sync_book_columns() == 0
+
+
+@pytest.fixture
+def store_sized_calls(monkeypatch):
+    """Counts ``np.bincount`` / ``np.flatnonzero`` calls whose input or
+    output is as long as ``size[0]`` (set it to the store's size)."""
+    import numpy as np
+
+    calls: Counter = Counter()
+    size = [None]
+    bincount, flatnonzero = np.bincount, np.flatnonzero
+
+    def counted_bincount(x, *args, minlength=0, **kwargs):
+        if max(len(x), minlength) >= size[0]:
+            calls["bincount"] += 1
+        return bincount(x, *args, minlength=minlength, **kwargs)
+
+    def counted_flatnonzero(a):
+        if len(a) >= size[0]:
+            calls["flatnonzero"] += 1
+        return flatnonzero(a)
+
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    monkeypatch.setattr(np, "flatnonzero", counted_flatnonzero)
+    return calls, size
+
+
+class TestTickCostsMembersAndMovers:
+    """Stage 2 of a one-phrase tick: O(members + movers), not O(store)."""
+
+    def _engine(self, **kw):
+        advertisers, rates = _market(seed=11, median_budget_cents=600)
+        engine = SharedAuctionEngine(
+            advertisers, [0.3, 0.2, 0.1], rates,
+            mode="unshared", layout="columnar", seed=11, **kw,
         )
-        engine._sync_spent_column()
-        assert _column_as_snapshot(engine) == (
-            engine.budget_manager.spent_snapshot()
+        return engine, sorted(engine.phrase_advertisers)
+
+    def test_no_store_sized_pass(self, store_sized_calls):
+        calls, size = store_sized_calls
+        engine, phrases = self._engine()
+        size[0] = engine._store.size
+        assert all(
+            len(engine._store.phrase_rows(phrase)) < size[0]
+            for phrase in phrases
         )
+        for tick in range(40):
+            engine.serve_query(phrases[tick % len(phrases)])
+            engine.run_round([phrases[-1 - tick % len(phrases)]])
+        assert not calls
+        # The control: a round of several phrases counts memberships
+        # over the store, as before.
+        engine.run_round(phrases[:3])
+        assert calls == {"bincount": 1, "flatnonzero": 1}
+
+    def test_exactly_the_drained_movers_are_rederived(self, monkeypatch):
+        engine, phrases = self._engine(collector=MetricsCollector())
+        manager = engine.budget_manager
+        store = engine._store
+        drained = []
+        drain = manager.drain_book_changes
+
+        def recording_drain():
+            changes = drain()
+            drained.append(changes[0])
+            return changes
+
+        monkeypatch.setattr(manager, "drain_book_changes", recording_drain)
+        lookups = []
+        row_of = store.row_of
+        monkeypatch.setattr(
+            store, "row_of",
+            lambda advertiser_id: lookups.append(advertiser_id)
+            or row_of(advertiser_id),
+        )
+        synced = rewritten = 0
+        for tick in range(60):
+            before = _columns(engine)
+            del lookups[:]
+            report = engine.serve_query(phrases[tick % len(phrases)])
+            (movers,) = drained
+            del drained[:]
+            # One row lookup per mover, in the drain's order, before
+            # stage 4 prices the tick's slots off the same accessor.
+            assert lookups[: len(movers)] == movers
+            assert (report.counters or {}).get(
+                names.COLUMNAR_BOOK_ROWS_SYNCED, 0
+            ) == len(movers)
+            after = _columns(engine)
+            mover_rows = {store.row_of(advertiser_id) for advertiser_id in movers}
+            for name in COLUMNS:
+                changed = {
+                    row
+                    for row, (old, new) in enumerate(
+                        zip(before[name], after[name])
+                    )
+                    if old != new
+                }
+                assert changed <= mover_rows
+                rewritten += len(changed)
+            synced += len(movers)
+        assert synced > 60 and rewritten > 60
+
+    def test_a_tick_in_which_nobody_moved_rederives_nothing(self, monkeypatch):
+        engine, phrases = self._engine()
+        store = engine._store
+        engine.serve_query(phrases[0])
+        engine._sync_book_columns()
+        store.phrase_rows(phrases[1])
+        # Nothing was booked since: a scoring stage now reads, only.
+        lookups = []
+        for name in ("row_of", "rows_of"):
+            monkeypatch.setattr(
+                store, name, lambda *args, name=name: lookups.append(name)
+            )
+        before = _columns(engine)
+        report = RoundReport(1, (phrases[1],))
+        engine._effective_scores((phrases[1],), 1, report)
+        assert not lookups
+        assert _columns(engine) == before
 
 
 class TestBooksObservability:
@@ -199,6 +326,13 @@ class TestBooksObservability:
         assert collector.counter(names.ENGINE_DEBT_CARRIERS_SCORED) == (
             report.debt_carriers_scored
         )
+        # Plain ints, whatever numpy handed the stage: the CLI dumps
+        # the collector as JSON.
+        counters = collector.as_dict()["counters"]
+        assert counters[names.COLUMNAR_BOOK_ROWS_SYNCED] > 0
+        assert {type(value) for value in counters.values()} == {int}
+        assert type(report.debt_carriers_scored) is int
+        collector.to_json()
         # Displays either get clicked, expire, or are still on the books.
         outstanding = sum(engine.budget_manager.outstanding_counts().values())
         assert report.displays == (
@@ -211,6 +345,15 @@ class TestBooksObservability:
         # Every occurring debt carrier is a fallback; the quick test
         # cleared some of them before a problem was built.
         assert fallbacks > report.debt_carriers_scored
+        # Pinned on the commit before the standing score columns: 181
+        # occurring rows held ads, 121 of them failed the quick test,
+        # and every one of those really was throttled.
+        assert fallbacks == 181
+        assert report.debt_carriers_scored == 121
+        assert [r.debt_carriers_scored for r in report.history[:8]] == [
+            0, 1, 4, 2, 6, 3, 3, 3,
+        ]
+        assert collector.counter(names.THROTTLE_EXACT_FALLBACKS) == 121
         assert collector.counter(names.THROTTLE_EXACT_FALLBACKS) <= (
             report.debt_carriers_scored
         )

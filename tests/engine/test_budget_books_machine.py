@@ -138,7 +138,8 @@ class BudgetBooksMachine(RuleBasedStateMachine):
         self.oracle = WalkingBooks(BUDGETS, self.decay)
         # Every handle ever issued, settled and expired ones included.
         self.issued: List[Tuple[int, int, int, int]] = []
-        self.spent_column: Dict[int, int] = {}
+        # (remaining, liability, carries debt) as last drained.
+        self.drained_books: Dict[int, Tuple[int, int, bool]] = {}
 
     def _published(self) -> List[int]:
         events = self.subscription.drain()
@@ -340,16 +341,34 @@ class BudgetBooksMachine(RuleBasedStateMachine):
         assert set(manager.debt_carriers) == set(oracle.counts())
 
     @invariant()
-    def spent_column_follows_the_books(self) -> None:
-        self.spent_column.update(self.manager.drain_spent_changes())
-        assert self.manager.drain_spent_changes() == {}
-        snapshot = self.manager.spent_snapshot()
-        assert {
-            advertiser: spent
-            for advertiser, spent in self.spent_column.items()
-            if spent
-        } == snapshot
-        assert snapshot == {
+    def drained_books_follow_the_books(self) -> None:
+        # What the engine's standing score columns are fed: every
+        # advertiser a call moved, once, with its books as they stand.
+        ids, remaining, liability, carrying = (
+            self.manager.drain_book_changes()
+        )
+        assert len(set(ids)) == len(ids)
+        self.drained_books.update(
+            zip(ids, zip(remaining, liability, carrying))
+        )
+        assert self.manager.drain_book_changes() == ([], [], [], [])
+        counts = self.oracle.counts()
+        for advertiser in ADVERTISERS:
+            budget = BUDGETS.get(advertiser, BudgetManager.UNBUDGETED_CENTS)
+            theirs = self.oracle.ledgers.get(advertiser)
+            books = (
+                max(0, budget - self.oracle.spent.get(advertiser, 0)),
+                sum(ad.price_cents for ad in theirs.ads) if theirs else 0,
+                advertiser in counts,
+            )
+            # Never drained means never moved.
+            assert self.drained_books.get(advertiser, (budget, 0, False)) == books
+            assert books == (
+                self.manager.remaining_cents(advertiser),
+                self.manager.liability_cents(advertiser),
+                advertiser in self.manager.debt_carriers,
+            )
+        assert self.manager.spent_snapshot() == {
             advertiser: spent
             for advertiser, spent in sorted(self.oracle.spent.items())
             if spent

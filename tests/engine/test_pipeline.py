@@ -163,6 +163,61 @@ class TestBudgets:
                 assert spent <= int(advertiser.daily_budget * 100)
 
 
+class TestStoreUnderARunningEngine:
+    """The engine indexed its store once; an edit under it fails loudly
+    instead of being half seen (DESIGN.md section 21)."""
+
+    MODES = ("unshared", "shared", "shared-sort")
+
+    @pytest.fixture(params=MODES)
+    def engine(self, request, population):
+        pytest.importorskip("numpy")
+        engine = build_engine(population, mode=request.param, layout="columnar")
+        engine.run_round(["boots", "heels"])
+        return engine
+
+    def test_column_edits_raise(self, engine, population):
+        store = engine._store
+        before = [
+            column.copy()
+            for column in (
+                store.bids, store.bid_cents, store.ctr_factors,
+                store.budget_cents,
+            )
+        ]
+        with pytest.raises(ValueError, match="read-only"):
+            store.set_bid(0, 9.0)
+        with pytest.raises(ValueError, match="read-only"):
+            store.set_budget(0, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            store.absorb(population[0].with_bid(9.0))
+        for column, was in zip(
+            (store.bids, store.bid_cents, store.ctr_factors, store.budget_cents),
+            before,
+        ):
+            assert (column == was).all()
+        # Nothing moved: the engine carries on.
+        assert engine.run_round(["boots"]).occurring_phrases == ("boots",)
+
+    def test_a_renumbered_store_stops_the_engine(self, engine):
+        engine._store.add_advertiser(
+            Advertiser(9, bid=1.0, ctr_factor=1.0, phrases=frozenset({"boots"}))
+        )
+        with pytest.raises(InvalidAuctionError, match="renumbered"):
+            engine.run_round(["boots"])
+        with pytest.raises(InvalidAuctionError, match="renumbered"):
+            engine.serve_query("heels")
+
+    def test_a_store_of_ones_own_stays_writable(self, population):
+        pytest.importorskip("numpy")
+        from repro.core.columnar import ColumnarStore
+
+        build_engine(population, mode="unshared", layout="columnar")
+        store = ColumnarStore.from_advertisers(population)
+        store.set_bid(0, 9.0)
+        assert store.bid_cents[store.row_of(0)] == 900
+
+
 class TestStageTimers:
     """``engine.stage.*``: on an enabled collector only."""
 
