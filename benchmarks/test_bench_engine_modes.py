@@ -24,6 +24,14 @@ on the budgeted market, scoring a query (Section IV throttling
 included) may cost at most twice ranking it.  It was 3.3x while stage 2
 re-derived every member of the phrase each tick; reading the standing
 score columns of DESIGN section 21 it measures 1.75x.
+
+``test_debt_round_scores_off_standing_distributions`` gates the batch
+round under debt the same way: on ``batch_debt``'s shape the score stage
+of a session that keeps each carrier's throttle problem until its books
+move (DESIGN section 22) may cost at most 0.8x the stage of the same
+session given no room to keep any -- the per-round rebuild it replaced
+(measured 0.52-0.72x) -- and, by count, at most half of the exact
+scorings of the timed rounds may rebuild their problem (measured 0.37).
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import time
 
 import pytest
 
-from repro.engine import SharedAuctionEngine
+from repro.engine import SharedAuctionEngine, pipeline
 from repro.instrument import MetricsCollector, names
 from repro.metrics.tables import ExperimentTable
 from repro.workloads.fig4 import fig4_market
@@ -273,4 +281,83 @@ def test_served_tick_scores_off_standing_columns():
     assert ratio <= SCORE_OVER_RANK_CEILING, (
         f"scoring a served query costs {ratio:.2f}x ranking it "
         f"(ceiling {SCORE_OVER_RANK_CEILING}x)"
+    )
+
+
+KEPT_OVER_REBUILT_SCORE_CEILING = 0.8
+REBUILT_SHARE_CEILING = 0.5
+
+
+@pytest.mark.experiment("EngineModes")
+def test_debt_round_scores_off_standing_distributions(monkeypatch):
+    pytest.importorskip("numpy")
+    # batch_debt's shape: one budgeted Fig. 4 component (250 advertisers,
+    # 60 phrases, ~30 a round) through the shared plan with the exec
+    # cache, 17 warm rounds (the click horizon + 1: the ledgers are
+    # full) then 24 counted.  Both sessions replay the same rounds in
+    # this process and read the engine's own engine.stage.score timer,
+    # so the gate is a ratio and survives a slow box; the better of two
+    # laps is kept.  A session with no room to keep anything is the
+    # parent commit's stage 2: every failing carrier's problem built from
+    # its ledger and its DP run, every round.
+    advertisers, rates = fig4_market(
+        num_queries=60, num_advertisers=250, num_components=1, seed=0,
+    )
+    rng = random.Random(16)
+    phrases = sorted(rates)
+    warm, counted = 17, 24
+    rounds = [
+        [phrase for phrase in phrases if rng.random() < 0.5]
+        for _ in range(warm + counted)
+    ]
+
+    def session(cell_limit):
+        monkeypatch.setattr(pipeline, "STANDING_THROTTLE_CELL_LIMIT", cell_limit)
+        collector = MetricsCollector()
+        engine = SharedAuctionEngine(
+            advertisers, [0.3, 0.2, 0.1], rates,
+            mode="shared", layout="columnar", exec_cache=True, seed=11,
+            collector=collector,
+        )
+        allocations = []
+        for index, occurring in enumerate(rounds):
+            if index == warm:
+                before = dict(collector.as_dict()["counters"])
+            allocations.append(engine.run_round(occurring).allocations)
+        after = collector.as_dict()
+        scored, rebuilt = (
+            after["counters"][name] - before[name]
+            for name in (
+                names.ENGINE_DEBT_CARRIERS_SCORED,
+                names.COLUMNAR_THROTTLE_PROBLEMS_REBUILT,
+            )
+        )
+        score_s = after["timers"][names.ENGINE_STAGE_SCORE_TIMER]["total_s"]
+        return score_s, scored, rebuilt, allocations
+
+    room = pipeline.STANDING_THROTTLE_CELL_LIMIT
+    laps = [(session(room), session(0)) for _lap in range(2)]
+    kept_s, scored, rebuilt, kept_allocations = min(kept for kept, _ in laps)
+    scratch_s, scratch_scored, scratch_rebuilt, scratch_allocations = min(
+        scratch for _, scratch in laps
+    )
+    table = ExperimentTable(
+        f"Debt round, shared + exec_cache: engine.stage.score of {warm} + "
+        f"{counted} rounds, problems kept vs rebuilt every round "
+        "(better of 2 laps)",
+        ["session", "score (ms)", "exact scorings", "rebuilt", "x rebuilt"],
+    )
+    table.add("kept", kept_s * 1e3, scored, rebuilt, kept_s / scratch_s)
+    table.add("no room", scratch_s * 1e3, scratch_scored, scratch_rebuilt, 1.0)
+    table.show()
+    assert kept_allocations == scratch_allocations
+    assert scratch_rebuilt == scratch_scored == scored > 1000
+    assert rebuilt <= REBUILT_SHARE_CEILING * scored, (
+        f"{rebuilt} of {scored} exact scorings rebuilt their problem "
+        f"(ceiling {REBUILT_SHARE_CEILING})"
+    )
+    ratio = kept_s / scratch_s
+    assert ratio <= KEPT_OVER_REBUILT_SCORE_CEILING, (
+        f"scoring off kept problems costs {ratio:.2f}x rebuilding them "
+        f"every round (ceiling {KEPT_OVER_REBUILT_SCORE_CEILING}x)"
     )

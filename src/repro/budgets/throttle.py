@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,16 @@ __all__ = [
 ]
 
 
+def _check_ask(bid_cents: int, num_auctions: int) -> None:
+    if bid_cents < 0:
+        raise BudgetError(f"bid must be non-negative, got {bid_cents}")
+    if num_auctions <= 0:
+        raise BudgetError(
+            f"the advertiser must be in at least one auction, got "
+            f"{num_auctions}"
+        )
+
+
 @dataclass(frozen=True)
 class ThrottleProblem:
     """Inputs to one throttled-bid computation.
@@ -59,6 +69,12 @@ class ThrottleProblem:
         outstanding: ``(π_j, ctr_j)`` pairs for the outstanding ads.
         max_liability: ``ω_l`` -- sum of outstanding prices, derived at
             construction (the quick test and the array DP both read it).
+
+    The *books* -- ``budget_cents``, ``outstanding``, ``max_liability``
+    -- fix the distribution of ``min(β, S_l)``; ``bid_cents`` and
+    ``num_auctions`` only enter the last expectation.  :meth:`asked_again`
+    is the same books under another ``(bid, m)``, and it shares what
+    :func:`throttled_bid_via_array` computed from them.
     """
 
     bid_cents: int
@@ -66,6 +82,12 @@ class ThrottleProblem:
     num_auctions: int
     outstanding: Tuple[Tuple[int, float], ...] = ()
     max_liability: int = field(default=0, init=False, compare=False, repr=False)
+    # (min_beta_s_array, β - arange), both read-only, once
+    # throttled_bid_via_array has run over these books; until then the
+    # class default.
+    _standing: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __init__(
         self,
@@ -74,15 +96,9 @@ class ThrottleProblem:
         num_auctions: int,
         outstanding: Sequence[Tuple[int, float]] = (),
     ) -> None:
-        if bid_cents < 0:
-            raise BudgetError(f"bid must be non-negative, got {bid_cents}")
+        _check_ask(bid_cents, num_auctions)
         if budget_cents < 0:
             raise BudgetError(f"budget must be non-negative, got {budget_cents}")
-        if num_auctions <= 0:
-            raise BudgetError(
-                f"the advertiser must be in at least one auction, got "
-                f"{num_auctions}"
-            )
         cleaned: List[Tuple[int, float]] = []
         liability = 0
         for price, ctr in outstanding:
@@ -99,6 +115,27 @@ class ThrottleProblem:
         object.__setattr__(self, "num_auctions", int(num_auctions))
         object.__setattr__(self, "outstanding", tuple(cleaned))
         object.__setattr__(self, "max_liability", liability)
+
+    def asked_again(self, bid_cents: int, num_auctions: int) -> "ThrottleProblem":
+        """These books asked for another ``(bid, m)``.
+
+        Equal to ``ThrottleProblem(bid_cents, self.budget_cents,
+        num_auctions, self.outstanding)`` without walking the ads again:
+        ``outstanding``, ``max_liability`` and the array route's
+        distribution, if it has run, are shared, not copied.
+        """
+        _check_ask(bid_cents, num_auctions)
+        again = object.__new__(ThrottleProblem)
+        # Everything this problem holds, then the ask over it.
+        vars(again).update(
+            vars(self), bid_cents=int(bid_cents), num_auctions=int(num_auctions)
+        )
+        return again
+
+    @property
+    def array_cells(self) -> int:
+        """Cells of :func:`min_beta_s_array` over these books."""
+        return min(self.budget_cents, self.max_liability) + 1
 
     @property
     def expected_liability(self) -> float:
@@ -196,10 +233,23 @@ def min_beta_s_array(problem: ThrottleProblem) -> np.ndarray:
 
 
 def throttled_bid_via_array(problem: ThrottleProblem) -> float:
-    """Exact ``b̂`` using the dense array DP (``O(l·min(β, ω_l))``)."""
-    dist = min_beta_s_array(problem)
+    """Exact ``b̂`` using the dense array DP (``O(l·min(β, ω_l))``).
+
+    The distribution and the headroom ``β - v`` of its cells depend on
+    the books alone, so the first call leaves both on the problem,
+    read-only, and a problem :meth:`~ThrottleProblem.asked_again` off
+    it pays the last expectation only: the same operations on the same
+    cells, hence the same bits as running the DP again.
+    """
+    standing = problem._standing
+    if standing is None:
+        dist = min_beta_s_array(problem)
+        headroom = problem.budget_cents - np.arange(len(dist))
+        dist.flags.writeable = headroom.flags.writeable = False
+        standing = (dist, headroom)
+        object.__setattr__(problem, "_standing", standing)
+    dist, headroom = standing
     m = problem.num_auctions
-    headroom = problem.budget_cents - np.arange(len(dist))
     # ``headroom <= β``: capping ``m·b`` at ``β`` changes no value and
     # keeps the scalar inside int64.
     capped = min(m * problem.bid_cents, problem.budget_cents)

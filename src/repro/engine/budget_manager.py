@@ -15,6 +15,7 @@ announces each advertiser it moved once (DESIGN.md section 19).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
@@ -333,6 +334,21 @@ class BudgetManager:
                 self._carriers.discard(advertiser_id)
         self._publish_changes(expired)
         return expired
+
+    @property
+    def earliest_dead_round(self) -> float:
+        """First round at which an ad still queued for expiry is dead.
+
+        ``inf`` with nothing queued.  Before that round every ledger's
+        :meth:`repro.budgets.outstanding.OutstandingLedger.snapshot`
+        keeps all its ads, so under a constant ``ctr_j``
+        (:attr:`decay_varies` false) a :meth:`throttle_problem` built
+        for one such round is the problem of every other until the
+        advertiser's books move.  An expiry leaves it past the round it
+        ran for; a caller that scores a later round without expiring
+        first finds it at or below that round.
+        """
+        return self._expiry[0][0] if self._expiry else math.inf
 
     def throttle_problem(
         self,

@@ -33,7 +33,7 @@ from typing import (
 
 from repro.budgets.incremental import IncrementalThrottleCache
 from repro.budgets.outstanding import ClickDecayModel, NoDecay
-from repro.budgets.throttle import exact_throttled_bid
+from repro.budgets.throttle import ThrottleProblem, exact_throttled_bid
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import (
     ArrayScoreMap,
@@ -83,6 +83,15 @@ whatever its size plus 0.1 us a mover, the cell-by-cell loop 0.5 us plus
 table).  A served tick (a median of 6 movers) is below, a batch round
 (25 to 190 movers on the benchmark's markets) above."""
 
+STANDING_THROTTLE_CELL_LIMIT = 1 << 20
+"""Cells of ``min(β, S_l)`` distribution the columnar layout's kept
+throttle problems may lay out between them (each counted as its
+:attr:`repro.budgets.throttle.ThrottleProblem.array_cells`, built or
+not): 16 MiB of arrays at 16 bytes a cell.  A constant, not a knob: the
+benchmark's heaviest market keeps about 0.09 M cells.  A problem that
+would not fit is scored and dropped, as every problem was before
+problems were kept, until evictions make room."""
+
 _SCORE_OF = attrgetter("score")
 _ID_OF = attrgetter("advertiser_id")
 
@@ -114,10 +123,12 @@ class RoundReport:
         expired_ads: Outstanding ads discarded at the start of the round
             because their click probability had reached zero.
         debt_carriers_scored: Occurring advertisers with outstanding
-            ads for which the exact scoring stage built a
-            :class:`repro.budgets.throttle.ThrottleProblem`.  The
+            ads that needed an exact ``b̂`` from the scoring stage
+            (:func:`repro.budgets.throttle.exact_throttled_bid`).  The
             columnar layout first asks the O(1) liability quick test and
-            counts only those it could not clear; the object layout
+            counts only those it could not clear, whether their
+            :class:`repro.budgets.throttle.ThrottleProblem` was built
+            this round or kept from an earlier one; the object layout
             builds one for every occurring debt carrier.  Stays 0 under
             ``throttle=False``, ``throttle_cache`` and
             ``throttle_mode="bounded"`` (the cache reports its own
@@ -540,6 +551,12 @@ class SharedAuctionEngine:
             self._base_bid_by_row = np.empty(store.size, dtype=np.float64)
             self._base_score_by_row = np.empty(store.size, dtype=np.float64)
             self._derive_book_rows(slice(None), store.budget_cents, 0, False)
+            # The standing Section IV distributions (DESIGN.md section
+            # 22): the throttle problem of each debt carrier that failed
+            # the quick test, as built when its books last moved, and
+            # the cells they hold against STANDING_THROTTLE_CELL_LIMIT.
+            self._standing_problems: Dict[int, ThrottleProblem] = {}
+            self._standing_cells = 0
             # m * cap stays an exact float64, so (m * cap) / m == cap bit
             # for bit: the closed form may be stored instead of divided.
             widest = len(self.phrase_advertisers)
@@ -962,6 +979,12 @@ class SharedAuctionEngine:
         changes = self.budget_manager.drain_book_changes()
         movers = len(changes[0])
         store = self._store
+        standing = self._standing_problems
+        if standing:
+            # A kept throttle problem is its advertiser's books as they
+            # stood when it was built.
+            for advertiser_id in standing.keys() & changes[0]:
+                self._standing_cells -= standing.pop(advertiser_id).array_cells
         if movers < BOOK_SYNC_ARRAY_MIN_MOVERS:
             row_of = store.row_of
             bid_cents = store.bid_cents.item
@@ -1009,7 +1032,12 @@ class SharedAuctionEngine:
         ``min(m·cap, β) / m`` as array operations (``β`` is their
         ``slack``), with ads through :func:`exact_throttled_bid` one by
         one, as the object path does; its array DP is per problem
-        because the problems are ragged (DESIGN.md section 16).
+        because the problems are ragged (DESIGN.md section 16).  The
+        problem is the budget manager's, built from the ledger, the
+        first time and whenever the advertiser's books have moved since
+        (:meth:`_sync_book_columns` evicts); in between it is the kept
+        one asked again for this round's ``(bid, m)``, its ``min(β,
+        S_l)`` array standing (DESIGN.md section 22).
         ``throttle=False`` is the same gathers with the test never
         asked.  One phrase (a served tick) and many differ only in how
         the round's rows and multiplicities ``m`` are found.
@@ -1068,15 +1096,38 @@ class SharedAuctionEngine:
                     np.minimum(m_failed * cap[failed], slack[failed]) / m_failed
                 )
                 carrying = self._carrying_by_row[failed_rows].nonzero()[0]
+                manager = self.budget_manager
+                standing = self._standing_problems
+                # A problem answers for, and is kept from, only a round
+                # whose ledger snapshots are those of every other such
+                # round: ctr_j constant and no queued ad dead yet.
+                keeping = (
+                    not self._decay_varies
+                    and round_index < manager.earliest_dead_round
+                )
+                rebuilt = 0
                 for at, advertiser_id, bid_cents, auctions in zip(
                     carrying.tolist(),
                     ids_sub[failed[carrying]].tolist(),
                     store.bid_cents[failed_rows[carrying]].tolist(),
                     m_failed[carrying].tolist(),
                 ):
-                    problem = self.budget_manager.throttle_problem(
-                        advertiser_id, bid_cents, auctions, round_index
-                    )
+                    problem = standing.get(advertiser_id) if keeping else None
+                    if problem is not None:
+                        # The re-asked problem replaces the kept one: it
+                        # may be the first to take the array route.
+                        problem = standing[advertiser_id] = problem.asked_again(
+                            min(bid_cents, problem.budget_cents), auctions
+                        )
+                    else:
+                        problem = manager.throttle_problem(
+                            advertiser_id, bid_cents, auctions, round_index
+                        )
+                        rebuilt += 1
+                        cells = self._standing_cells + problem.array_cells
+                        if keeping and cells <= STANDING_THROTTLE_CELL_LIMIT:
+                            standing[advertiser_id] = problem
+                            self._standing_cells = cells
                     if (
                         collector.enabled
                         and problem.bid_cents > 0
@@ -1089,6 +1140,10 @@ class SharedAuctionEngine:
                     effective_failed / 100.0 * store.ctr_factors[failed_rows]
                 )
                 report.debt_carriers_scored = len(carrying)
+                if collector.enabled and rebuilt:
+                    collector.incr(
+                        metric_names.COLUMNAR_THROTTLE_PROBLEMS_REBUILT, rebuilt
+                    )
             if collector.enabled:
                 # Every occurring debt carrier counts: those the quick
                 # test cleared were fallbacks that were trivial.

@@ -163,6 +163,16 @@ name                      meaning (paper reference)
                           that fail it go to the exact per-advertiser
                           DP/enumeration and are reported as
                           ``engine.debt_carriers_scored``.
+``columnar.throttle_problems_rebuilt``  of
+                          ``engine.debt_carriers_scored``, those whose
+                          throttle problem the columnar scorer built
+                          from the ledger -- a first sight, or books
+                          that moved since the advertiser was last
+                          scored (every one under a decaying model).
+                          The rest were answered off the kept problem
+                          and its standing ``min(β, S_l)`` array:
+                          ``1 - rebuilt / debt_carriers_scored`` is the
+                          kept share.
 ``engine.rounds``         rounds resolved by the engine.
 ``engine.phrases``        phrase auctions resolved.
 ``engine.displays``       ads displayed.
@@ -180,9 +190,9 @@ name                      meaning (paper reference)
                           probability reached zero (popped from the
                           budget manager's expiry queue at the start of
                           a round or tick).
-``engine.debt_carriers_scored``  occurring debt carriers for which the
-                          exact scoring stage built a real throttle
-                          problem (``RoundReport.debt_carriers_scored``;
+``engine.debt_carriers_scored``  occurring debt carriers that needed
+                          an exact ``b̂`` from the scoring stage
+                          (``RoundReport.debt_carriers_scored``;
                           under ``layout="columnar"`` those the O(1)
                           liability quick test could not clear).  With
                           ``engine.expired_ads`` it says whether a slow
@@ -277,6 +287,7 @@ __all__ = [
     "COLUMNAR_SCORE_ROWS",
     "COLUMNAR_BOOK_ROWS_SYNCED",
     "COLUMNAR_THROTTLE_FALLBACKS",
+    "COLUMNAR_THROTTLE_PROBLEMS_REBUILT",
     "ENGINE_ROUNDS",
     "ENGINE_PHRASES",
     "ENGINE_DISPLAYS",
@@ -367,6 +378,7 @@ COLUMNAR_SCORE_BATCHES = "columnar.score_batches"
 COLUMNAR_SCORE_ROWS = "columnar.score_rows"
 COLUMNAR_BOOK_ROWS_SYNCED = "columnar.book_rows_synced"
 COLUMNAR_THROTTLE_FALLBACKS = "columnar.throttle_fallbacks"
+COLUMNAR_THROTTLE_PROBLEMS_REBUILT = "columnar.throttle_problems_rebuilt"
 
 # Engine rollups.
 ENGINE_ROUNDS = "engine.rounds"

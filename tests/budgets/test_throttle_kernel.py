@@ -25,6 +25,7 @@ from repro.budgets.throttle import (
     throttled_bid_via_dp,
     throttled_bid_via_enumeration,
 )
+from repro.errors import BudgetError
 
 
 def mirror_distribution(problem):
@@ -250,3 +251,142 @@ class TestRecordedExtremes:
         problem = ThrottleProblem(50, 30, 3)
         assert min_beta_s_array(problem).tolist() == [1.0]
         assert throttled_bid_via_array(problem) == 10.0
+
+
+def _bits(value):
+    return float(value).hex()
+
+
+@pytest.fixture
+def array_runs(monkeypatch):
+    """Counts the :func:`min_beta_s_array` runs over a kept problem's
+    own books (the fresh twins it is compared with walk their own)."""
+    runs = []
+    kernel = throttle.min_beta_s_array
+    monkeypatch.setattr(
+        throttle, "min_beta_s_array",
+        lambda problem: runs.append(problem.outstanding) or kernel(problem),
+    )
+    return lambda kept: sum(ads is kept.outstanding for ads in runs)
+
+
+def _ask_in_turn(budget, ads, asks):
+    """Ask one kept problem for each ``(bid, m)`` in turn; every answer
+    must be the fresh problem's, and no answer may touch what is kept."""
+    kept = None
+    for bid, m in asks:
+        fresh = ThrottleProblem(bid, budget, m, ads)
+        kept = (
+            ThrottleProblem(bid, budget, m, ads)
+            if kept is None
+            else kept.asked_again(bid, m)
+        )
+        assert kept == fresh
+        assert kept.max_liability == fresh.max_liability
+        standing = kept._standing
+        copies = standing and [array.copy() for array in standing]
+        assert _bits(exact_throttled_bid(kept)) == _bits(exact_throttled_bid(fresh))
+        if standing is not None:
+            # Kept once, shared from then on, never written.
+            assert kept._standing is standing
+            for array, copy in zip(standing, copies):
+                assert not array.flags.writeable
+                assert array.tolist() == copy.tolist()
+    return kept
+
+
+books = st.tuples(
+    st.integers(min_value=0, max_value=3000),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=700),
+            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+        ),
+        max_size=24,
+    ),
+)
+asks = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=400),
+        st.integers(min_value=1, max_value=40),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestAskedAgain:
+    """One set of books asked for several ``(bid, m)``: the bits of a
+    fresh problem each time, whatever route answers."""
+
+    ADS = [(40 + 13 * j, 0.1 + 0.05 * j) for j in range(12)]  # ω = 1338
+
+    @settings(deadline=None, max_examples=150)
+    @given(books=books, asks=asks)
+    def test_every_ask_equals_a_fresh_problem_bitwise(self, books, asks):
+        _ask_in_turn(*books, asks)
+
+    @settings(deadline=None, max_examples=40)
+    @given(books=books, asks=asks)
+    def test_every_ask_equals_a_fresh_problem_on_the_dict_route(
+        self, books, asks
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(throttle, "ARRAY_CELL_LIMIT", 8)
+            kept = _ask_in_turn(*books, asks)
+            if kept.array_cells > 8:
+                assert kept._standing is None
+
+    def test_the_array_runs_once_however_often_it_is_asked(self, array_runs):
+        kept = _ask_in_turn(
+            2000, self.ADS, [(120, 9), (120, 2), (300, 31), (7, 400)]
+        )
+        assert array_runs(kept) == 1
+        dist, headroom = kept._standing
+        fresh = ThrottleProblem(7, 2000, 400, self.ADS)
+        assert dist.tolist() == min_beta_s_array(fresh).tolist()
+        assert headroom.tolist() == [2000 - v for v in range(len(dist))]
+        with pytest.raises(ValueError):
+            dist[0] = 0.5
+        with pytest.raises(ValueError):
+            headroom[0] = 0
+
+    def test_m_crosses_the_quick_test_both_ways(self, array_runs):
+        # ω = 1338 <= 2000 - m·b only for the small asks.
+        kept = _ask_in_turn(2000, self.ADS, [(10, 3)])
+        assert kept.trivially_unthrottled() and kept._standing is None
+        kept = kept.asked_again(120, 9)
+        assert not kept.trivially_unthrottled()
+        assert exact_throttled_bid(kept) == exact_throttled_bid(
+            ThrottleProblem(120, 2000, 9, self.ADS)
+        )
+        assert array_runs(kept) == 1
+        kept = kept.asked_again(10, 3)
+        assert exact_throttled_bid(kept) == 10.0
+        kept = kept.asked_again(120, 12)
+        assert _bits(exact_throttled_bid(kept)) == _bits(
+            throttled_bid_via_array(ThrottleProblem(120, 2000, 12, self.ADS))
+        )
+        assert array_runs(kept) == 1
+
+    def test_zero_bid_and_zero_budget_are_dispatcher_returns(self, array_runs):
+        kept = _ask_in_turn(600, self.ADS, [(0, 3), (50, 3), (0, 7)])
+        assert exact_throttled_bid(kept) == 0.0
+        broke = _ask_in_turn(0, self.ADS, [(0, 1), (0, 5)])
+        assert not broke.trivially_unthrottled()
+        assert broke._standing is None and not array_runs(broke)
+        # The one positive bid over the 600 cents.
+        assert array_runs(kept) == 1
+
+    def test_enumeration_books_are_never_served_from_an_array(self, array_runs):
+        ads = self.ADS[:3]
+        kept = _ask_in_turn(150, ads, [(90, 2), (40, 5), (90, 1)])
+        assert kept._standing is None and not array_runs(kept)
+        assert exact_throttled_bid(kept) == throttled_bid_via_enumeration(kept)
+
+    def test_asked_again_validates_what_it_takes(self):
+        kept = ThrottleProblem(10, 100, 1, self.ADS)
+        with pytest.raises(BudgetError):
+            kept.asked_again(-1, 1)
+        with pytest.raises(BudgetError):
+            kept.asked_again(10, 0)

@@ -13,7 +13,10 @@ import pytest
 
 pytest.importorskip("numpy")
 
+from repro.budgets import throttle
 from repro.budgets.outstanding import NoDecay, OutstandingLedger
+from repro.budgets.throttle import exact_throttled_bid
+from repro.engine import pipeline
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.pipeline import RoundReport, SharedAuctionEngine
 from repro.instrument import MetricsCollector, names
@@ -300,6 +303,218 @@ class TestTickCostsMembersAndMovers:
         engine._effective_scores((phrases[1],), 1, report)
         assert not lookups
         assert _columns(engine) == before
+
+
+class TestStandingThrottleProblems:
+    """Stage 2 walks a ledger and runs the Section IV DP for a carrier
+    whose books moved since it was last scored, and for nobody else."""
+
+    def _engine(self, **kw):
+        advertisers, rates = _market(seed=5, median_budget_cents=600)
+        engine = SharedAuctionEngine(
+            advertisers, [0.3, 0.2, 0.1], rates,
+            mode="unshared", layout="columnar", seed=5, **kw,
+        )
+        return engine, sorted(engine.phrase_advertisers)
+
+    @staticmethod
+    def _multiplicity(engine, phrases) -> dict:
+        """``{advertiser_id: m}`` over the advertisers of ``phrases``."""
+        return Counter(
+            advertiser_id
+            for phrase in phrases
+            for advertiser_id in engine.phrase_advertisers[phrase]
+        )
+
+    @staticmethod
+    def _from_scratch(engine, advertiser_id, m, round_index):
+        """The problem the books give now, as the parent's stage built it."""
+        store = engine._store
+        return engine.budget_manager.throttle_problem(
+            advertiser_id,
+            int(store.bid_cents[store.row_of(advertiser_id)]),
+            m,
+            round_index,
+        )
+
+    @pytest.fixture
+    def books_read(self, monkeypatch):
+        """What a stretch of calls read of the books: ``(advertiser_id,
+        problem)`` per problem built, the ledgers snapshotted, and the
+        problems the array DP was run over."""
+        read = {"built": [], "snapshot": [], "array": []}
+        build = BudgetManager.throttle_problem
+        snapshot = OutstandingLedger.snapshot
+        kernel = throttle.min_beta_s_array
+
+        def counted_build(manager, advertiser_id, *args):
+            problem = build(manager, advertiser_id, *args)
+            read["built"].append((advertiser_id, problem))
+            return problem
+
+        def counted_snapshot(ledger, current_round):
+            read["snapshot"].append(ledger)
+            return snapshot(ledger, current_round)
+
+        def counted_kernel(problem):
+            read["array"].append(problem)
+            return kernel(problem)
+
+        monkeypatch.setattr(BudgetManager, "throttle_problem", counted_build)
+        monkeypatch.setattr(OutstandingLedger, "snapshot", counted_snapshot)
+        monkeypatch.setattr(throttle, "min_beta_s_array", counted_kernel)
+        return read
+
+    def test_a_round_rebuilds_first_sights_and_movers_only(
+        self, books_read, monkeypatch
+    ):
+        collector = MetricsCollector()
+        engine, _ = self._engine(collector=collector)
+        manager = engine.budget_manager
+        store = engine._store
+        moved = set()
+        drain = manager.drain_book_changes
+
+        def recording_drain():
+            changes = drain()
+            moved.update(changes[0])
+            return changes
+
+        monkeypatch.setattr(manager, "drain_book_changes", recording_drain)
+        current = set()  # scored since their books last moved
+        hits = arrays = 0
+        for _ in range(30):
+            for reads in books_read.values():
+                del reads[:]
+            moved.clear()
+            report = engine.run_round()
+            if not report.occurring_phrases:
+                continue
+            # The columns stand as stage 2 left them: who failed the
+            # quick test holding ads is who needed an exact bid.
+            needed = set()
+            for advertiser_id, m in self._multiplicity(
+                engine, report.occurring_phrases
+            ).items():
+                row = store.row_of(advertiser_id)
+                if engine._carrying_by_row[row] and (
+                    m * engine._cap_by_row[row] > engine._slack_by_row[row]
+                ):
+                    needed.add(advertiser_id)
+            assert len(needed) == report.debt_carriers_scored
+            current -= moved
+            rebuilt = needed - current
+            built = books_read["built"]
+            assert sorted(advertiser_id for advertiser_id, _ in built) == (
+                sorted(rebuilt)
+            )
+            assert len(books_read["snapshot"]) == len(rebuilt)
+            assert (report.counters or {}).get(
+                names.COLUMNAR_THROTTLE_PROBLEMS_REBUILT, 0
+            ) == len(rebuilt)
+            # The array DP ran over problems built this round at most.
+            for problem in books_read["array"]:
+                assert any(problem is fresh for _, fresh in built)
+            current |= needed
+            hits += len(needed) - len(rebuilt)
+            arrays += len(books_read["array"])
+        assert hits > 20 and arrays > 5, "the session never reused a problem"
+        assert collector.counter(
+            names.COLUMNAR_THROTTLE_PROBLEMS_REBUILT
+        ) == collector.counter(names.ENGINE_DEBT_CARRIERS_SCORED) - hits
+
+    def test_another_phrase_set_over_the_same_books_reads_neither(
+        self, books_read
+    ):
+        engine, phrases = self._engine()
+        for _ in range(12):
+            engine.run_round(phrases)
+        first = RoundReport(12, tuple(phrases))
+        engine._effective_scores(phrases, 12, first)
+        assert first.debt_carriers_scored > 3
+        for reads in books_read.values():
+            del reads[:]
+        # Fewer phrases: every m falls or stays, nothing was booked.
+        fewer = tuple(phrases[::2])
+        report = RoundReport(12, fewer)
+        _, effective = engine._effective_scores(fewer, 12, report)
+        assert 0 < report.debt_carriers_scored <= first.debt_carriers_scored
+        assert books_read == {"built": [], "snapshot": [], "array": []}
+        throttled = 0
+        for advertiser_id, m in self._multiplicity(engine, fewer).items():
+            fresh = self._from_scratch(engine, advertiser_id, m, 12)
+            assert effective[advertiser_id] == exact_throttled_bid(fresh)
+            throttled += effective[advertiser_id] < fresh.bid_cents
+        assert throttled
+
+    def test_a_round_past_an_unexpired_ad_is_scored_from_scratch(self):
+        # Nobody ran expiry for round r + horizon: the ledgers' snapshots
+        # drop the ads that died, and so must the bids, kept problem or
+        # not.
+        engine, phrases = self._engine(click_horizon_rounds=4)
+        for _ in range(8):
+            engine.run_round(phrases)
+        manager = engine.budget_manager
+        r = 7  # the last round expiry ran for
+        assert r < manager.earliest_dead_round
+        report = RoundReport(r, tuple(phrases))
+        engine._effective_scores(phrases, r, report)
+        kept = dict(engine._standing_problems)
+        assert len(kept) == report.debt_carriers_scored > 3
+        later = r + manager._decay.horizon
+        assert later >= manager.earliest_dead_round
+        _, effective = engine._effective_scores(
+            phrases, later, RoundReport(later, tuple(phrases))
+        )
+        moved = 0
+        for advertiser_id, problem in kept.items():
+            fresh = self._from_scratch(
+                engine, advertiser_id, problem.num_auctions, later
+            )
+            assert len(fresh.outstanding) < len(problem.outstanding)
+            assert effective[advertiser_id] == exact_throttled_bid(fresh)
+            moved += exact_throttled_bid(fresh) != exact_throttled_bid(problem)
+        assert moved
+        # Nothing was booked: what is kept is still round r's, and round
+        # r is still answered from it.
+        assert engine._standing_problems == kept
+        _, again = engine._effective_scores(
+            phrases, r, RoundReport(r, tuple(phrases))
+        )
+        for advertiser_id, problem in kept.items():
+            assert again[advertiser_id] == exact_throttled_bid(problem)
+            assert engine._standing_problems[advertiser_id] is not problem
+
+    def test_kept_cells_stay_under_the_limit(self, monkeypatch):
+        def session(limit):
+            monkeypatch.setattr(
+                pipeline, "STANDING_THROTTLE_CELL_LIMIT", limit
+            )
+            collector = MetricsCollector()
+            engine, _ = self._engine(collector=collector)
+            history = []
+            for _ in range(30):
+                history.append(engine.run_round().allocations)
+                kept = engine._standing_problems.values()
+                assert engine._standing_cells == sum(
+                    problem.array_cells for problem in kept
+                ) <= limit
+                arrays = sum(
+                    problem._standing[0].size
+                    for problem in kept
+                    if problem._standing is not None
+                )
+                assert arrays <= engine._standing_cells
+            return history, collector.counter(
+                names.COLUMNAR_THROTTLE_PROBLEMS_REBUILT
+            )
+
+        roomy, rebuilt_roomy = session(pipeline.STANDING_THROTTLE_CELL_LIMIT)
+        tight, rebuilt_tight = session(400)
+        none, rebuilt_none = session(0)
+        assert roomy == tight == none
+        # A problem that does not fit is scored and dropped.
+        assert rebuilt_roomy < rebuilt_tight < rebuilt_none
 
 
 class TestBooksObservability:
