@@ -182,9 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache-verify",
         action="store_true",
         help=(
-            "trust the change-feed events and skip the caches' exact "
-            "value-diff soundness cross-check (the production posture; "
-            "the default keeps the cross-check on)"
+            "trust the change-feed events and skip the feed-driven "
+            "caches' exact value-diff soundness cross-check (the "
+            "default keeps it on); no effect on --exec-cache with "
+            "--layout columnar, which invalidates by that diff alone"
         ),
     )
     engine.add_argument(

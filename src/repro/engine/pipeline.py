@@ -265,11 +265,17 @@ class SharedAuctionEngine:
             in O(1).  Composes with either ``throttle_mode`` and with
             the plan/sort caches.  Under ``cache_verify=True`` every
             reuse is cross-checked against a freshly built problem.
-        exec_cache: Shared mode only: resolve rounds through a
-            :class:`repro.plans.executor.CrossRoundPlanExecutor`, which
-            keeps materialized top-k nodes alive between rounds and
-            recomputes only the ancestor cone of advertisers whose
-            effective score changed.  The dirty set flows over the
+        exec_cache: Shared mode only: keep ranking work alive between
+            rounds and recompute only what advertisers whose effective
+            score changed invalidate.  On ``layout="columnar"`` the
+            :class:`repro.plans.columnar_exec.ColumnarFragmentExecutor`
+            keeps fragment top-k rows and answers and finds the changed
+            advertisers by diffing every scored row against the score
+            it last absorbed; it takes no change-feed subscription, so
+            this configuration publishes no events.  On
+            ``layout="object"`` a
+            :class:`repro.plans.executor.CrossRoundPlanExecutor` keeps
+            materialized top-k nodes and learns its dirty set from the
             engine's :class:`repro.engine.changefeed.ChangeFeed`: the
             budget manager publishes one ``BudgetChanged`` per
             advertiser each booking call moved (a round's displays, a
@@ -277,13 +283,13 @@ class SharedAuctionEngine:
             publishes ``BidChanged`` when a change of auction
             multiplicity moved an effective bid and (under a decaying
             model) for outstanding debt aging, and the executor drains
-            its subscription each round.  Under
-            ``cache_verify=True`` the executor still cross-checks the
-            events against an exact score diff and raises on any
-            undeclared change.  Outcomes are bit-identical with and
-            without the cache; only the work counters move.
-        exec_cache_capacity: Optional bound on resident cached nodes
-            (LRU eviction); ``None`` keeps every node.
+            its subscription each round; under ``cache_verify=True`` it
+            cross-checks the events against an exact score diff and
+            raises on any undeclared change.  Outcomes are bit-identical
+            with and without the cache; only the work counters move.
+        exec_cache_capacity: Object layout only: optional bound on
+            resident cached nodes (LRU eviction); ``None`` keeps every
+            node.
         planner: Stage-2 engine for the shared plan's greedy completion:
             ``"lazy"`` (default, CELF-style incremental rescoring) or
             ``"naive"`` (full rescan each step).  Both build identical
@@ -306,11 +312,14 @@ class SharedAuctionEngine:
             reused streams replay their output caches, so
             ``sort.operator_pulls`` / ``sort.leaf_reads`` drop while
             ``sort.streams_reused`` counts the savings.
-        cache_verify: Keep the caches' exact value diff as a soundness
-            cross-check on the change-feed events (the default).  An
-            event-uncovered change then raises
+        cache_verify: Keep the feed-driven caches' exact value diff as a
+            soundness cross-check on the change-feed events (the
+            default): the object exec cache, ``throttle_cache`` and both
+            sort caches.  An event-uncovered change then raises
             ``InvalidPlanError``; ``False`` trusts the feed and skips
-            comparing undeclared values.
+            comparing undeclared values.  The columnar exec cache has
+            no events to check -- its diff is its invalidation -- so
+            this has no effect on it.
         cache_autotune: Attach a
             :class:`repro.engine.autotune.CacheAutotuner` to the active
             cross-round cache: rounds run fresh while the windowed dirty
@@ -467,11 +476,12 @@ class SharedAuctionEngine:
             if decay is not None
             else NoDecay(horizon=click_horizon_rounds + 1)
         )
-        # The unified invalidation bus.  Consumers (the cross-round
-        # caches below; externally, plan maintenance or a serving loop)
+        # The unified invalidation bus.  Consumers (the feed-driven
+        # caches below -- not the columnar exec cache, which diffs its
+        # own scores; externally, plan maintenance or a serving loop)
         # subscribe to it; the budget manager and the engine publish to
         # it.  With no subscriber, `changefeed.active` is False and every
-        # publish site is skipped, so uncached runs pay nothing.
+        # publish site is skipped, so those runs pay nothing.
         self.changefeed = ChangeFeed(self.collector)
         self.budget_manager = BudgetManager(
             budgets, decay_model, changefeed=self.changefeed
@@ -581,9 +591,9 @@ class SharedAuctionEngine:
                 # fragment row slices in array space; the plan DAG is
                 # never built.  With exec_cache the executor keeps the
                 # fragment top-k table and the answers alive across
-                # rounds and rescans only fragments touching a dirty
-                # row -- the DAG-node ancestor cone becomes two CSR
-                # gathers.
+                # rounds and rescans only fragments touching a row whose
+                # score its own diff saw move (it subscribes to no feed)
+                # -- the DAG-node ancestor cone becomes two CSR gathers.
                 from repro.plans.columnar_exec import ColumnarFragmentExecutor
 
                 self._columnar_exec = ColumnarFragmentExecutor(
@@ -592,11 +602,8 @@ class SharedAuctionEngine:
                     self.k + 1,
                     self.collector,
                     cross_round=exec_cache,
-                    verify=cache_verify,
                     autotuner=self.autotuner,
                 )
-                if exec_cache:
-                    self._columnar_exec.connect(self.changefeed)
             else:
                 strategy = "cover" if len(instance.variables) > 64 else "full"
                 plan = greedy_shared_plan(
@@ -787,8 +794,6 @@ class SharedAuctionEngine:
         self, occurring: Optional[Iterable[str]] = None
     ) -> RoundReport:
         """The uninstrumented round resolution (see :meth:`run_round`)."""
-        round_index = self._round_index
-        self._round_index += 1
         phrases = (
             sorted(occurring)
             if occurring is not None
@@ -796,15 +801,19 @@ class SharedAuctionEngine:
         )
         unknown = [p for p in phrases if p not in self.phrase_advertisers]
         if unknown:
+            # Rejected before it takes a round index: a bad request must
+            # not shift the click-arrival and expiry rounds after it.
             raise InvalidAuctionError(f"no advertisers bid on {unknown!r}")
+        round_index = self._round_index
+        self._round_index += 1
         return self._resolve(tuple(phrases), round_index)
 
     def _serve_query(self, phrase: str) -> RoundReport:
         """The uninstrumented single-query tick (see :meth:`serve_query`)."""
-        round_index = self._round_index
-        self._round_index += 1
         if phrase not in self.phrase_advertisers:
             raise InvalidAuctionError(f"no advertisers bid on {[phrase]!r}")
+        round_index = self._round_index
+        self._round_index += 1
         return self._resolve((phrase,), round_index)
 
     def _resolve(
@@ -1196,9 +1205,8 @@ class SharedAuctionEngine:
         if self.mode == "shared":
             canonical = sorted({self._phrase_alias[p] for p in phrases})
             if self._columnar_exec is not None:
-                # In cross-round mode the executor drains its
-                # change-feed subscription inside run_round, exactly
-                # like the object CrossRoundPlanExecutor below.
+                # In cross-round mode the executor diffs the occurring
+                # rows' scores against the ones it last absorbed.
                 result = self._columnar_exec.run_round(
                     self._score_by_row, canonical,
                     rows=self._occurring_rows,

@@ -35,23 +35,22 @@ makes every query it covers stale).
 Cross-round caching (``exec_cache=True``, ``cross_round=True``) keeps
 the table, the ``dirty`` / ``stale`` bits and every query's last answer
 between rounds, plus a last-seen score column, a seen mask and per-row
-epochs.  Draining the :class:`repro.engine.changefeed.ChangeFeed`
-yields declared-dirty advertiser ids; one vectorized compare against
-the snapshot refines the declaration to the rows whose score actually
-moved (and, under ``verify=True``, cross-checks that no undeclared row
-moved -- the declared-vs-diffed soundness contract of
-:class:`repro.plans.executor.CrossRoundPlanExecutor`).  A query whose
-``stale`` bit is clear is handed its previous ``TopKList`` object; a
-round in which nothing requested is stale calls the kernel zero times.
-Without ``cross_round`` (and on an autotuner bypass) the same routine
-runs over a scratch table in which everything is dirty.
+epochs.  Invalidation is the executor's own score diff: one vectorized
+compare of the round's scored rows against the snapshot, a row being
+dirty on first sight or when its score moved.  It needs no change feed
+-- every row a round reads is compared, so no declaration could add a
+row and none may remove one.  A query whose ``stale`` bit is clear is
+handed its previous ``TopKList`` object; a round in which nothing
+requested is stale calls the kernel zero times.  Without
+``cross_round`` (and on an autotuner bypass) the same routine runs over
+a scratch table in which everything is dirty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.columnar import ColumnarStore, require_numpy, segmented_top_k
 from repro.core.topk import ScoredAdvertiser, TopKList
@@ -180,12 +179,6 @@ class ColumnarFragmentExecutor:
             row (see the module docstring).  ``False`` (the default)
             answers each round from scratch, still scanning a fragment
             once however many requested queries it covers.
-        verify: Cross-round mode only: keep the exact score diff as a
-            soundness cross-check on the declared dirty sets -- an
-            undeclared score change raises ``InvalidPlanError``.
-            ``False`` trusts the declaration and keeps the last-seen
-            snapshot for undeclared rows, so a later covering event
-            still repairs the cache.
         autotuner: Optional duck-typed
             :class:`repro.engine.autotune.CacheAutotuner` (cross-round
             mode only).  Consulted per round for the bypass decision
@@ -205,7 +198,6 @@ class ColumnarFragmentExecutor:
         k: int,
         collector: Collector = NULL,
         cross_round: bool = False,
-        verify: bool = True,
         autotuner=None,
     ) -> None:
         if k <= 0:
@@ -215,7 +207,6 @@ class ColumnarFragmentExecutor:
         self.store = store
         self.collector = collector
         self.cross_round = cross_round
-        self.verify = verify
         self.autotuner = autotuner
         # The row numbering every index below is expressed in.
         self._ids = store.ids
@@ -258,8 +249,6 @@ class ColumnarFragmentExecutor:
         self._shape = (count, len(queries), k)
         self.rounds = 0
         self.bypass_rounds = 0
-        self._subscription = None
-        self._pending_dirty: Set[int] = set()
         if cross_round:
             size = store.size
             self._tables = _Tables(*self._shape)
@@ -275,41 +264,8 @@ class ColumnarFragmentExecutor:
             self._dirty_rows_last = np.zeros(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # change-feed consumption (cross-round mode)
+    # cross-round state probes
     # ------------------------------------------------------------------
-    def connect(self, feed) -> None:
-        """Subscribe to a change feed; dirty sets then arrive as events.
-
-        Same contract as
-        :meth:`repro.plans.executor.CrossRoundPlanExecutor.connect`:
-        :meth:`run_round` drains the subscription at the top of every
-        round, unions the events' dirty advertisers into a pending set,
-        and absorbs the ids the round actually scored; passing
-        ``dirty=`` explicitly is then an error.
-        """
-        if not self.cross_round:
-            raise InvalidPlanError(
-                "connect requires cross_round=True (the uncached "
-                "executor keeps no state to invalidate)"
-            )
-        if self._subscription is not None:
-            raise InvalidPlanError("executor is already connected to a feed")
-        self._subscription = feed.subscribe(
-            name="columnar-exec-cache",
-            kinds=(
-                "bid_changed",
-                "budget_changed",
-                "advertiser_added",
-                "advertiser_removed",
-            ),
-        )
-
-    @property
-    def pending_dirty(self) -> frozenset:
-        """Advertisers declared dirty by drained events and not yet
-        absorbed by a round that scored them (cross-round mode)."""
-        return frozenset(self._pending_dirty)
-
     def fragment_epoch(self, index: int) -> int:
         """Monotone rescore count of one fragment (cross-round mode)."""
         return int(self._frag_epoch[index])
@@ -335,7 +291,6 @@ class ColumnarFragmentExecutor:
         score_by_row,
         names: Sequence[str],
         rows=None,
-        dirty: Optional[Iterable[int]] = None,
     ) -> ColumnarExecResult:
         """Answer the round's requested queries.
 
@@ -345,20 +300,15 @@ class ColumnarFragmentExecutor:
                 (the engine fills exactly the occurring rows).
             names: The requested (canonical) query names.
             rows: The round's scored row indices (ascending) -- the
-                union of the requested queries' member rows.  The
+                union of the requested queries' member rows, which the
+                cross-round mode diffs against its snapshot.  The
                 engine passes its occurring-row array; ``None`` derives
                 it from ``names`` (one-off callers and tests).
-            dirty: Cross-round mode only: explicitly declared dirty
-                advertiser ids.  ``None`` with no connected feed
-                auto-diffs every scored row.  Mutually exclusive with a
-                connected feed.
 
         Raises:
             InvalidPlanError: If a name matches no query of the
-                instance, the store's rows were renumbered after
-                construction (advertisers added or removed), or
-                (cross-round ``verify=True``) a score changed without
-                being declared dirty.
+                instance, or the store's rows were renumbered after
+                construction (advertisers added or removed).
         """
         size = len(self._ids)
         if self.store.ids is not self._ids or len(score_by_row) != size:
@@ -366,10 +316,6 @@ class ColumnarFragmentExecutor:
                 f"store rows were renumbered since the executor indexed "
                 f"{size} of them (store: {self.store.size}, "
                 f"score_by_row: {len(score_by_row)}); build a new executor"
-            )
-        if dirty is not None and not self.cross_round:
-            raise InvalidPlanError(
-                "dirty declarations require cross_round=True"
             )
         try:
             queries = np.fromiter(
@@ -381,33 +327,13 @@ class ColumnarFragmentExecutor:
         if not self.cross_round:
             return self._aggregate(score_by_row, names, queries, False)
         self.rounds += 1
-        if self._subscription is not None:
-            if dirty is not None:
-                raise InvalidPlanError(
-                    "dirty sets arrive via the change feed once connected; "
-                    "do not also declare them by argument"
-                )
-            for event in self._subscription.drain():
-                self._pending_dirty |= event.dirty_advertisers
-            dirty = self._pending_dirty
         if rows is None:
             frags, _ = _gather(self._frags_of_query, queries)
             rows, _ = _gather(self._rows_of_frag, np.unique(frags))
             rows = np.unique(rows)
         else:
             rows = np.asarray(rows, dtype=np.int64)
-        declared = None
-        if dirty is not None:
-            # An id the store does not hold (an advertiser that left)
-            # matches no row.
-            ids = np.fromiter(dirty, np.int64)
-            at = np.minimum(np.searchsorted(self._ids, ids), size - 1)
-            held = self._ids[at] == ids
-            declared = np.zeros(size, dtype=bool)
-            declared[at[held]] = True
-        changed_count, invalidated = self._absorb_scores(
-            score_by_row, rows, declared
-        )
+        dirty_count, invalidated = self._absorb_scores(score_by_row, rows)
         autotuner = self.autotuner
         if autotuner is not None and autotuner.should_bypass():
             # Fresh, cache-free execution: the scores were still
@@ -423,53 +349,26 @@ class ColumnarFragmentExecutor:
             working_set = result.nodes_reused + result.advertisers_scanned
         result.nodes_invalidated = invalidated
         self._count(metric_names.PLAN_NODES_INVALIDATED, invalidated)
-        if self._pending_dirty:
-            # Scored advertisers are absorbed; events for everyone else
-            # survive until they next occur.
-            scored = np.zeros(size, dtype=bool)
-            scored[rows] = True
-            self._pending_dirty = set(ids[~(held & scored[at])].tolist())
         if autotuner is not None:
-            autotuner.observe_round(changed_count, int(len(rows)), working_set)
+            autotuner.observe_round(dirty_count, int(len(rows)), working_set)
         return result
 
-    def _absorb_scores(self, score_by_row, rows, declared) -> Tuple[int, int]:
+    def _absorb_scores(self, score_by_row, rows) -> Tuple[int, int]:
         """Diff the scored rows against the snapshot; mark dirty fragments.
 
-        The array-space transcription of
-        ``CrossRoundPlanExecutor._absorb_scores``: first-sight rows are
-        always dirty; rows of the ``declared`` mask (``None``: every
-        scored row) are dirty iff their score actually moved; an
-        undeclared move raises under ``verify=True`` and keeps the stale
-        snapshot under ``verify=False`` (so a later covering event still
-        repairs the cache).  The "invalidation cone" of a dirty row is
-        its fragments and the queries they cover: two mask writes behind
-        two reverse-CSR gathers.
+        A row is dirty on first sight or when its score moved -- the
+        same rows ``CrossRoundPlanExecutor`` bumps from sound declared
+        sets, found without one.  The "invalidation cone" of a dirty row
+        is its fragments and the queries they cover: two mask writes
+        behind two reverse-CSR gathers.
 
         Returns:
-            ``(changed, invalidated)``: rows whose score actually
+            ``(dirty, invalidated)``: rows first seen or whose score
             changed, and resident cached fragments newly invalidated.
         """
-        sub = score_by_row[rows]
         seen = self._seen[rows]
-        changed = seen & (sub != self._last_scores[rows])
-        if declared is None:
-            dirty_sub = ~seen | changed
-        else:
-            declared_sub = declared[rows]
-            if self.verify:
-                bad = changed & ~declared_sub
-                if bad.any():
-                    row = int(rows[int(np.flatnonzero(bad)[0])])
-                    raise InvalidPlanError(
-                        f"unsound dirty set: score of "
-                        f"{int(self._ids[row])} changed "
-                        f"({float(self._last_scores[row])} -> "
-                        f"{float(score_by_row[row])}) but the variable "
-                        "was not declared dirty"
-                    )
-            dirty_sub = ~seen | (declared_sub & changed)
-        dirty_rows = rows[dirty_sub]
+        changed = score_by_row[rows] != self._last_scores[rows]
+        dirty_rows = rows[~seen | changed]
         self._dirty_rows_last = dirty_rows
         if not len(dirty_rows):
             return 0, 0

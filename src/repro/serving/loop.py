@@ -122,7 +122,8 @@ class ServingEngine:
         engine: The auction engine to drive.  Any mode and cache
             configuration works; with ``exec_cache``/``sort_cache`` the
             cross-round caches become the steady-state serving caches
-            and drain the change feed once per query.
+            (the feed-driven ones drain the change feed once per query;
+            the columnar exec cache diffs the query's scores instead).
         traffic: The arrival source.  Its phrase universe must be a
             subset of the engine's bid phrases (checked up front --
             a serving session must not die mid-trace on a typo).

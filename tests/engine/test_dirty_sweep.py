@@ -323,3 +323,22 @@ class TestEngineAutotuneDifferential:
         engine.run(4)
         assert not engine.changefeed.active
         assert engine.changefeed.events_published == 0
+
+    def test_columnar_exec_cache_publishes_nothing(self):
+        # The columnar exec cache invalidates by its own score diff and
+        # takes no subscription: with it on, the feed stays inactive.
+        pytest.importorskip("numpy")
+        market = _small_market(3)
+        engine = SharedAuctionEngine(
+            market.advertisers,
+            slot_factors=[0.3, 0.2, 0.1],
+            search_rates=market.search_rates,
+            mode="shared",
+            layout="columnar",
+            exec_cache=True,
+            seed=3,
+        )
+        report = engine.run(6)
+        assert report.displays > 0
+        assert not engine.changefeed.active
+        assert engine.changefeed.events_published == 0

@@ -427,13 +427,14 @@ class TestCachedColumnarServing:
 class TestDirtyMaskMatchesObjectCone:
     """Property: the columnar dirty mask IS the object dirty cone.
 
-    Both cross-round executors see the same score stream and the same
-    declared dirty sets.  After every round, the rows the columnar
-    executor treated as dirty must carry exactly the advertiser ids the
-    object executor bumped (first sight or declared-and-changed), and
-    the per-leaf epochs must agree -- the mask-based invalidation and
-    the DAG ancestor-cone walk are the same function in different
-    coordinates.
+    Both cross-round executors see the same score stream; the object
+    executor is also handed each round's declared dirty set, the
+    columnar one diffs its scores and is told nothing.  After every
+    round, the rows the columnar executor treated as dirty must carry
+    exactly the advertiser ids the object executor bumped (first sight
+    or declared-and-changed), and the per-leaf epochs must agree -- the
+    diff-driven mask and the declaration-driven DAG ancestor-cone walk
+    are the same function in different coordinates.
     """
 
     @settings(max_examples=30, deadline=None)
@@ -466,7 +467,7 @@ class TestDirtyMaskMatchesObjectCone:
         plan = greedy_shared_plan(instance)
         object_exec = CrossRoundPlanExecutor(plan, 3, verify=True)
         columnar_exec = ColumnarFragmentExecutor(
-            instance, store, 3, cross_round=True, verify=True
+            instance, store, 3, cross_round=True
         )
         # A-equivalent queries (identical variable sets) deduplicate to
         # one canonical query; request the survivors, as the engine does.
@@ -497,7 +498,7 @@ class TestDirtyMaskMatchesObjectCone:
                 dirty=declared,
             )
             result_columnar = columnar_exec.run_round(
-                score_by_row, request, rows=all_rows, dirty=declared
+                score_by_row, request, rows=all_rows
             )
             for name in request:
                 assert (

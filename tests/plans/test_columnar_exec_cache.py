@@ -2,10 +2,11 @@
 
 The cross-round mode keeps fragment top-k lists alive between rounds
 behind a row-granular dirty mask -- the array-space transcription of
-:class:`repro.plans.executor.CrossRoundPlanExecutor`'s dirty-cone walk.
+:class:`repro.plans.executor.CrossRoundPlanExecutor`'s dirty-cone walk,
+driven by the executor's own score diff instead of declared dirty sets.
 These tests pin the cache's unit semantics (reuse, invalidation,
-revalidation, verify, feed hand-off, bypass); the engine differential
-and the hypothesis dirty-mask property live in
+revalidation, the diff, bypass); the engine differential and the
+hypothesis dirty-mask property live in
 ``tests/engine/test_layout_differential.py``.
 """
 
@@ -19,7 +20,6 @@ np = pytest.importorskip("numpy")
 
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import ColumnarStore
-from repro.engine.changefeed import BidChanged, ChangeFeed
 from repro.errors import InvalidPlanError
 from repro.instrument import MetricsCollector, names
 from repro.plans.columnar_exec import ColumnarFragmentExecutor
@@ -47,11 +47,13 @@ def _store() -> ColumnarStore:
 
 
 def _executor(store, collector=None, **kw) -> ColumnarFragmentExecutor:
-    kwargs = dict(cross_round=True, verify=True)
-    kwargs.update(kw)
     if collector is None:
-        return ColumnarFragmentExecutor(_instance(), store, 3, **kwargs)
-    return ColumnarFragmentExecutor(_instance(), store, 3, collector, **kwargs)
+        return ColumnarFragmentExecutor(
+            _instance(), store, 3, cross_round=True, **kw
+        )
+    return ColumnarFragmentExecutor(
+        _instance(), store, 3, collector, cross_round=True, **kw
+    )
 
 
 def _scores(store, by_id):
@@ -59,6 +61,10 @@ def _scores(store, by_id):
     for advertiser_id, score in by_id.items():
         scores[store.row_of(advertiser_id)] = score
     return scores
+
+
+def _dirty_ids(store, executor):
+    return {int(store.ids[row]) for row in executor.dirty_rows_last_round()}
 
 
 ALL = ["q1", "q2", "t7"]
@@ -79,11 +85,11 @@ class TestCrossRoundIdentity:
         fresh = ColumnarFragmentExecutor(_instance(), store, 3)
         by_id = {i: float(rng.randint(1, 9)) for i in IDS}
         for _ in range(12):
-            dirty = {i for i in IDS if rng.random() < 0.3}
-            for i in dirty:
-                by_id[i] = float(rng.randint(1, 9))
+            for i in IDS:
+                if rng.random() < 0.3:
+                    by_id[i] = float(rng.randint(1, 9))
             scores = _scores(store, by_id)
-            result_cached = cached.run_round(scores, ALL, dirty=dirty)
+            result_cached = cached.run_round(scores, ALL)
             result_fresh = fresh.run_round(scores, ALL)
             assert _entries(result_cached) == _entries(result_fresh)
 
@@ -92,12 +98,12 @@ class TestCrossRoundIdentity:
         store = _store()
         executor = _executor(store, collector)
         scores = _scores(store, {i: float(10 * i) for i in IDS})
-        first = executor.run_round(scores, ALL, dirty=set(IDS))
+        first = executor.run_round(scores, ALL)
         assert first.advertisers_scanned == len(IDS)
         # q2's second touch of the shared {3,4} fragment (scanned while
         # answering q1) is already a reuse -- the within-round sharing.
         assert first.nodes_reused == 1
-        second = executor.run_round(scores, ALL, dirty=set())
+        second = executor.run_round(scores, ALL)
         # Nothing moved: every cover touch (q1's 2 fragments, q2's 2,
         # the trivial leaf) comes straight from the cache, and both
         # folds revalidate by operand identity.
@@ -113,9 +119,10 @@ class TestCrossRoundIdentity:
         store = _store()
         executor = _executor(store)
         by_id = {i: float(10 * i) for i in IDS}
-        executor.run_round(_scores(store, by_id), ALL, dirty=set(IDS))
+        executor.run_round(_scores(store, by_id), ALL)
         by_id[5] = 95.0  # fragment {5,6}: only q2's private fragment
-        result = executor.run_round(_scores(store, by_id), ALL, dirty={5})
+        result = executor.run_round(_scores(store, by_id), ALL)
+        assert _dirty_ids(store, executor) == {5}
         assert result.nodes_invalidated == 1
         assert result.advertisers_scanned == 2  # rows 5 and 6 only
         # q1's {1,2} + the shared {3,4} twice (once per cover) + leaf 7.
@@ -127,80 +134,53 @@ class TestCrossRoundIdentity:
         store = _store()
         executor = _executor(store)
         scores = _scores(store, {i: 1.0 for i in IDS})
-        executor.run_round(scores, ALL, dirty=set(IDS))
+        executor.run_round(scores, ALL)
         row = store.row_of(3)
         assert executor.row_epoch(row) == 1
-        # Declared but unchanged: no bump, no fragment invalidation.
-        result = executor.run_round(scores, ALL, dirty={3})
+        # Re-scored with the same values (a fresh array): no bump, no
+        # fragment invalidation.
+        result = executor.run_round(scores.copy(), ALL)
         assert executor.row_epoch(row) == 1
         assert result.nodes_invalidated == 0
         assert len(executor.dirty_rows_last_round()) == 0
 
 
-class TestVerify:
-    def test_undeclared_change_raises(self):
+class TestScoreDiff:
+    """The diff is the executor's only invalidation route."""
+
+    def test_first_sight_row_is_dirty_even_at_the_snapshot_value(self):
         store = _store()
         executor = _executor(store)
-        by_id = {i: 1.0 for i in IDS}
-        executor.run_round(_scores(store, by_id), ALL, dirty=set(IDS))
-        by_id[2] = 7.0
-        with pytest.raises(InvalidPlanError, match="unsound dirty set"):
-            executor.run_round(_scores(store, by_id), ALL, dirty=set())
+        # Every row scores 0.0 -- the value the never-written snapshot
+        # holds -- and is still dirty: it has never been seen.
+        zeros = _scores(store, {})
+        result = executor.run_round(zeros, ["q1"])
+        assert _dirty_ids(store, executor) == {1, 2, 3, 4}
+        assert result.advertisers_scanned == 4
+        # q2 brings rows 5 and 6 into sight; 3 and 4 are not re-dirtied.
+        result = executor.run_round(zeros, ["q2"])
+        assert _dirty_ids(store, executor) == {5, 6}
+        assert result.advertisers_scanned == 2
+        assert executor.row_epoch(store.row_of(5)) == 1
+        assert executor.row_epoch(store.row_of(3)) == 1
 
-    def test_unverified_keeps_snapshot_until_declared(self):
-        store = _store()
-        executor = _executor(store, verify=False)
-        by_id = {i: float(i) for i in IDS}
-        executor.run_round(_scores(store, by_id), ALL, dirty=set(IDS))
-        by_id[1] = 99.0  # undeclared: trusted unchanged
-        result = executor.run_round(_scores(store, by_id), ALL, dirty=set())
-        assert result.answers["q1"].entries[0].advertiser_id == 4
-        # The covering declaration repairs the cache (self-healing).
-        result = executor.run_round(_scores(store, by_id), ALL, dirty={1})
-        assert result.answers["q1"].entries[0].advertiser_id == 1
-
-    def test_dirty_declaration_requires_cross_round(self):
-        store = _store()
-        executor = ColumnarFragmentExecutor(_instance(), store, 3)
-        with pytest.raises(InvalidPlanError, match="cross_round"):
-            executor.run_round(_scores(store, {}), ALL, dirty={1})
-
-
-class TestChangeFeed:
-    def test_connect_requires_cross_round(self):
-        executor = ColumnarFragmentExecutor(_instance(), _store(), 3)
-        with pytest.raises(InvalidPlanError, match="cross_round"):
-            executor.connect(ChangeFeed())
-
-    def test_connected_feed_rejects_dirty_argument(self):
+    def test_unscored_move_is_caught_when_the_row_next_occurs(self):
         store = _store()
         executor = _executor(store)
-        executor.connect(ChangeFeed())
-        with pytest.raises(InvalidPlanError, match="change feed"):
-            executor.run_round(_scores(store, {}), ALL, dirty={1})
-
-    def test_events_absorbed_only_when_scored(self):
-        store = _store()
-        executor = _executor(store)
-        feed = ChangeFeed()
-        executor.connect(feed)
         by_id = {i: float(i) for i in IDS}
         executor.run_round(_scores(store, by_id), ALL)
-        feed.publish(BidChanged(advertiser_id=2))
-        feed.publish(BidChanged(advertiser_id=6))
         by_id[2] = 50.0
         by_id[6] = 60.0
-        # Round scoring only q1's rows: advertiser 6 is not scored, so
-        # its event must survive in the pending set.
+        # A round scoring only q1's rows: 6 is not read, so not absorbed.
         result = executor.run_round(
             _scores(store, by_id),
             ["q1"],
             rows=store.rows_of([1, 2, 3, 4]),
         )
-        assert executor.pending_dirty == frozenset({6})
+        assert _dirty_ids(store, executor) == {2}
         assert result.answers["q1"].entries[0].advertiser_id == 2
         result = executor.run_round(_scores(store, by_id), ALL)
-        assert executor.pending_dirty == frozenset()
+        assert _dirty_ids(store, executor) == {6}
         assert result.answers["q2"].entries[0].advertiser_id == 6
 
 
@@ -224,40 +204,39 @@ class TestAutotunerBypass:
         tuner = _ForceBypass()
         executor = _executor(store, autotuner=tuner)
         by_id = {i: float(i) for i in IDS}
-        result = executor.run_round(
-            _scores(store, by_id), ALL, dirty=set(IDS)
-        )
+        result = executor.run_round(_scores(store, by_id), ALL)
         assert result.bypassed
         assert tuner.bypasses == 1
         assert executor.bypass_rounds == 1
         assert result.answers["q1"].entries[0].advertiser_id == 4
-        # Scores were absorbed during the bypass: an undeclared change
-        # afterwards is still caught by the verify cross-check.
+        # Scores were absorbed during the bypass: the same scores again
+        # dirty nothing, and a move afterwards dirties exactly its row.
+        executor.run_round(_scores(store, by_id), ALL)
+        assert _dirty_ids(store, executor) == set()
         by_id[3] = 44.0
-        with pytest.raises(InvalidPlanError, match="unsound dirty set"):
-            executor.run_round(_scores(store, by_id), ALL, dirty=set())
+        result = executor.run_round(_scores(store, by_id), ALL)
+        assert _dirty_ids(store, executor) == {3}
+        assert result.answers["q1"].entries[0].advertiser_id == 3
 
 
 class TestRenumberedStore:
     """The executor's row indices are frozen at construction; store
-    churn renumbers rows, and the feed only marks the ids dirty."""
+    churn renumbers rows."""
 
     def test_added_advertiser_raises_instead_of_misreading_rows(self):
         store = _store()
         executor = _executor(store)
         by_id = {i: float(i) for i in IDS}
-        executor.run_round(_scores(store, by_id), ALL, dirty=set(IDS))
+        executor.run_round(_scores(store, by_id), ALL)
         # Id 0 sorts first: every indexed row now holds its neighbour.
         store.add_advertiser(Advertiser(0, 1.0, phrases=frozenset({"p"})))
         by_id[0] = 100.0
         with pytest.raises(InvalidPlanError, match="renumbered"):
-            executor.run_round(_scores(store, by_id), ALL, dirty={0})
+            executor.run_round(_scores(store, by_id), ALL)
 
-    def test_removed_advertiser_raises_through_the_feed(self):
+    def test_removed_advertiser_raises(self):
         store = _store()
         executor = _executor(store)
-        feed = ChangeFeed()
-        executor.connect(feed)
         by_id = {i: float(i) for i in IDS}
         executor.run_round(_scores(store, by_id), ALL)
         store.remove_advertiser(7)

@@ -79,7 +79,7 @@ class TestCleanRound:
             _instance(), store, K, collector, cross_round=True
         )
         scores = _scores(store, {i: float(10 * i) for i in IDS})
-        first = executor.run_round(scores, ALL, dirty=set(IDS))
+        first = executor.run_round(scores, ALL)
         # One refresh over all 8 member rows, one answer pass over the
         # covers' table cells: 4 + 4 + 3 + 1.
         assert kernel_calls == [8, 12]
@@ -87,8 +87,9 @@ class TestCleanRound:
         del kernel_calls[:]
         gathered = collector.counter(names.PLAN_CANDIDATES_GATHERED)
         assert gathered == 20
-        for declared in (set(), {3, 8}):  # declared but unchanged
-            again = executor.run_round(scores, ALL, dirty=declared)
+        # Re-scored with unchanged values, the same array and a copy.
+        for rescored in (scores, scores.copy()):
+            again = executor.run_round(rescored, ALL)
             assert kernel_calls == []
             assert again.candidates_gathered == 0
             assert again.advertisers_scanned == 0
@@ -103,25 +104,28 @@ class TestCleanRound:
             _instance(), store, K, cross_round=True
         )
         scores = _scores(store, {i: float(i) for i in IDS})
-        first = executor.run_round(scores, ALL, dirty=set(IDS))
+        first = executor.run_round(scores, ALL)
         del kernel_calls[:]
-        again = executor.run_round(scores, ["q2"], dirty=set())
+        again = executor.run_round(scores, ["q2"])
         assert kernel_calls == []
         assert again.answers == {"q2": first.answers["q2"]}
         assert again.answers["q2"] is first.answers["q2"]
 
 
 class TestOneDirtyRow:
+    """A score that moves -- no event, no declaration anywhere -- costs
+    its fragments and the phrases covering them, nobody else."""
+
     def test_only_the_covering_phrases_are_reaggregated(self, kernel_calls):
         store = _store()
         executor = ColumnarFragmentExecutor(
             _instance(), store, K, cross_round=True
         )
         by_id = {i: float(10 * i) for i in IDS}
-        first = executor.run_round(_scores(store, by_id), ALL, dirty=set(IDS))
+        first = executor.run_round(_scores(store, by_id), ALL)
         del kernel_calls[:]
         by_id[5] = 95.0  # fragment {5,6}, covered by q2 and q3
-        result = executor.run_round(_scores(store, by_id), ALL, dirty={5})
+        result = executor.run_round(_scores(store, by_id), ALL)
         # Refresh: the fragment's 2 rows.  Answer: q2 = {3,4} + {5,6}
         # (2 + 2 cells), q3 = {5,6} + {8} (2 + 1 cells).
         assert kernel_calls == [2, 7]
@@ -146,16 +150,16 @@ class TestOneDirtyRow:
             _instance(), store, K, cross_round=True
         )
         by_id = {i: float(10 * i) for i in IDS}
-        executor.run_round(_scores(store, by_id), ALL, dirty=set(IDS))
+        executor.run_round(_scores(store, by_id), ALL)
         by_id[8] = 1.0  # fragment {8}: q3 only
         scores = _scores(store, by_id)
         rows = store.rows_of([3, 4, 5, 6, 8])
         del kernel_calls[:]
-        result = executor.run_round(scores, ["q2"], rows=rows, dirty={8})
+        result = executor.run_round(scores, ["q2"], rows=rows)
         # q2 does not cover {8}: the fragment stays dirty, nothing runs.
         assert kernel_calls == []
         assert result.nodes_invalidated == 1
-        result = executor.run_round(scores, ["q3"], rows=rows, dirty=set())
+        result = executor.run_round(scores, ["q3"], rows=rows)
         assert kernel_calls == [1, 3]
         assert result.answers["q3"].advertiser_ids() == (6, 5, 8)
 

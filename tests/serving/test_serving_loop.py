@@ -139,6 +139,43 @@ class TestServeOne:
         assert engine.changefeed.events_published == 0
 
 
+class TestRejectedOperationKeepsTheTickClock:
+    """Regression: a rejected query or round takes no round index.
+
+    Click arrivals and expiries are scheduled by tick, so an index
+    burned by a bad request would shift every later tick against a
+    replay without it.
+    """
+
+    @pytest.mark.parametrize(
+        "reject",
+        [
+            lambda engine, market: engine.serve_query("never-bid-on"),
+            lambda engine, market: ServingEngine(
+                engine, make_traffic(market)
+            ).serve_one(QueryArrival(0, 0.0, "never-bid-on")),
+            lambda engine, market: engine.run_round(["never-bid-on"]),
+        ],
+        ids=["serve_query", "serve_one", "run_round"],
+    )
+    def test_next_ticks_match_a_fresh_engine(self, reject):
+        market = small_market()
+        trace = [arrival.phrase for arrival in make_traffic(market).take(50)]
+
+        def ticks(engine):
+            return [
+                (r.round_index, r.allocations, r.clicks, r.revenue_cents)
+                for r in map(engine.serve_query, trace)
+            ]
+
+        rejected = make_engine(market, collector=None)
+        with pytest.raises(InvalidAuctionError, match="never-bid-on"):
+            reject(rejected, market)
+        served = ticks(rejected)
+        assert served == ticks(make_engine(market, collector=None))
+        assert sum(clicks for _, _, clicks, _ in served) > 0
+
+
 class TestPerQueryDrain:
     def test_exec_cache_pending_dirty_holds_until_phrase_occurs(self):
         """An event for an advertiser off the served phrase survives the
