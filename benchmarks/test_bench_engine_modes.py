@@ -39,10 +39,17 @@ move (DESIGN section 22) may cost at most 0.8x the stage of the same
 session given no room to keep any -- the per-round rebuild it replaced
 (measured 0.52-0.72x) -- and, by count, at most half of the exact
 scorings of the timed rounds may rebuild their problem (measured 0.37).
+
+``test_unbudgeted_round_keeps_no_books`` gates the books of an
+unbudgeted advertiser (DESIGN section 17): on ``batch_rank``'s market,
+the deliver + allocate stages of a session with no budgets may cost at
+most 0.8x those of the same session with every budget finite but never
+binding, which books every display and click (measured 0.54-0.68x).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import statistics
 import time
@@ -194,16 +201,27 @@ def test_uncached_shared_plan_within_reach_of_the_scan():
 FEED_EVENTS_PER_ROUND_CEILING = 400
 
 
+def _booked(advertisers):
+    """``advertisers`` with every budget a finite 10^11 cents: one no
+    click stream here reaches, so every bid and outcome stays that of
+    the unbudgeted market while every display and click is booked."""
+    return [
+        dataclasses.replace(advertiser, daily_budget=1e9)
+        for advertiser in advertisers
+    ]
+
+
 @pytest.mark.experiment("EngineModes")
 def test_feed_events_follow_movers():
     pytest.importorskip("numpy")
-    # batch_rank's configuration: the same market as above through the
-    # shared plan with the exec cache.  That cache diffs its own scores
-    # and subscribes to nothing, so a probe subscription makes the feed
-    # active.  ~240 phrases a round display ~720 ads to ~90 distinct
-    # winners, settle ~180 clicks and expire ~700 ads; budgets are
-    # unlimited, so no multiplicity change moves a bid.  The feed must
-    # carry one event per advertiser a stage moved (measured 225 a
+    # batch_rank's configuration, but every budget a finite 10^11 cents
+    # (an unbudgeted advertiser keeps no books, so moves none), through
+    # the shared plan with the exec cache.  That cache diffs its own
+    # scores and subscribes to nothing, so a probe subscription makes
+    # the feed active.  ~240 phrases a round display ~720 ads to ~90
+    # distinct winners, settle ~180 clicks and expire ~700 ads; no
+    # budget binds, so no multiplicity change moves a bid.  The feed
+    # must carry one event per advertiser a stage moved (measured 225 a
     # round), not one per movement (2 786 before DESIGN section 19).
     # The same session without the probe must publish nothing at all.
     # Exact counts, not a timing: they hold on any runner.
@@ -211,6 +229,7 @@ def test_feed_events_follow_movers():
         num_queries=60, num_advertisers=250, num_components=8,
         median_budget_cents=0, seed=0,
     )
+    advertisers = _booked(advertisers)
     rng = random.Random(16)
     phrases = sorted(rates)
     warm, counted = 20, 40
@@ -454,4 +473,77 @@ def test_debt_round_scores_off_standing_distributions(monkeypatch):
     assert ratio <= KEPT_OVER_REBUILT_SCORE_CEILING, (
         f"scoring off kept problems costs {ratio:.2f}x rebuilding them "
         f"every round (ceiling {KEPT_OVER_REBUILT_SCORE_CEILING}x)"
+    )
+
+
+UNBUDGETED_OVER_BOOKED_CEILING = 0.8
+
+
+@pytest.mark.experiment("EngineModes")
+def test_unbudgeted_round_keeps_no_books():
+    pytest.importorskip("numpy")
+    # batch_rank's configuration: the 8-component market with unlimited
+    # budgets through the shared plan with the exec cache, 5 warm rounds
+    # then 80 timed.  The same market with every budget a finite 10^11
+    # cents (_booked: every bid and outcome is the same) keeps an
+    # outstanding ledger, expiry runs and book changes for every winner.
+    # Both sessions replay the same rounds in this process and read the
+    # engine's own engine.stage.* timers, so the gate is a ratio and
+    # survives a slow box; the best of three laps is kept.  Measured
+    # 0.54-0.68x.
+    advertisers, rates = fig4_market(
+        num_queries=60, num_advertisers=250, num_components=8,
+        median_budget_cents=0, seed=0,
+    )
+    booked = _booked(advertisers)
+    rng = random.Random(16)
+    phrases = sorted(rates)
+    warm, timed = 5, 80
+    rounds = [
+        [phrase for phrase in phrases if rng.random() < 0.5]
+        for _ in range(warm + timed)
+    ]
+    stages = (names.ENGINE_STAGE_DELIVER_TIMER, names.ENGINE_STAGE_ALLOCATE_TIMER)
+
+    def session(market):
+        collector = MetricsCollector()
+        engine = SharedAuctionEngine(
+            market, [0.3, 0.2, 0.1], rates,
+            mode="shared", layout="columnar", exec_cache=True, seed=11,
+            collector=collector,
+        )
+        allocations = []
+        for index, occurring in enumerate(rounds):
+            if index == warm:
+                before = collector.as_dict()["timers"]
+            allocations.append(engine.run_round(occurring).allocations)
+        after = collector.as_dict()["timers"]
+        seconds = sum(
+            after[stage]["total_s"] - before[stage]["total_s"]
+            for stage in stages
+        )
+        return seconds, allocations, engine
+
+    laps = [(session(advertisers), session(booked)) for _lap in range(3)]
+    unbudgeted_s, allocations, engine = min(
+        (free for free, _ in laps), key=lambda lap: lap[0]
+    )
+    booked_s, booked_allocations, booked_engine = min(
+        (kept for _, kept in laps), key=lambda lap: lap[0]
+    )
+    ratio = unbudgeted_s / booked_s
+    table = ExperimentTable(
+        f"Unbudgeted round, shared + exec_cache: engine.stage.deliver + "
+        f"allocate of {timed} rounds (best of 3 laps)",
+        ["budgets", "deliver + allocate (ms)", "x booked", "ceiling"],
+    )
+    table.add("none", unbudgeted_s * 1e3, ratio, UNBUDGETED_OVER_BOOKED_CEILING)
+    table.add("10^11 cents", booked_s * 1e3, 1.0, "")
+    table.show()
+    assert allocations == booked_allocations
+    assert not engine.budget_manager.outstanding_counts()
+    assert booked_engine.budget_manager.outstanding_counts()
+    assert ratio <= UNBUDGETED_OVER_BOOKED_CEILING, (
+        f"an unbudgeted round's deliver + allocate costs {ratio:.2f}x a "
+        f"booked one's (ceiling {UNBUDGETED_OVER_BOOKED_CEILING}x)"
     )

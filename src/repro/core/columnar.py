@@ -81,9 +81,8 @@ __all__ = [
 
 UNBUDGETED_CENTS = 10**12
 """Sentinel for an unlimited budget; mirrors
-:attr:`repro.engine.budget_manager.BudgetManager.UNBUDGETED_CENTS` so
-``budget_cents - spent`` in array space equals the manager's
-``remaining_cents`` exactly."""
+:attr:`repro.engine.budget_manager.BudgetManager.UNBUDGETED_CENTS`, the
+constant ``remaining_cents`` of an advertiser without a budget."""
 
 
 def require_numpy() -> None:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import chain
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.budgets.outstanding import (
     ClickDecayModel,
@@ -66,9 +66,15 @@ class BudgetManager:
     ad recorded directly on a ledger is never queued for expiry and
     never indexed.
 
+    An advertiser absent from ``budgets_cents`` is unbudgeted and keeps
+    no books: ``β = ∞`` never throttles its bid and always charges a
+    click in full, so its displays take handle ``-1`` and no ledger,
+    its clicks only add to the spend, and its ``remaining_cents`` is the
+    constant :attr:`UNBUDGETED_CENTS` (DESIGN.md section 17).
+
     Args:
         budgets_cents: Daily budget per advertiser id.  Advertisers not
-            present are treated as unbudgeted (infinite budget).
+            present are unbudgeted (infinite budget).
         decay: Click-decay model for outstanding ads.
         changefeed: Optional
             :class:`repro.engine.changefeed.ChangeFeed`.  When present
@@ -120,13 +126,6 @@ class BudgetManager:
             for advertiser_id in sorted(advertiser_ids):
                 feed.publish(BudgetChanged(advertiser_id))
 
-    def _ledger(self, advertiser_id: int) -> OutstandingLedger:
-        ledger = self._ledgers.get(advertiser_id)
-        if ledger is None:
-            ledger = OutstandingLedger(decay=self._decay)
-            self._ledgers[advertiser_id] = ledger
-        return ledger
-
     @property
     def decay_varies(self) -> bool:
         """Whether outstanding debt re-weighs as rounds pass.
@@ -146,11 +145,12 @@ class BudgetManager:
         return self._budgets.get(advertiser_id, self.UNBUDGETED_CENTS)
 
     def remaining_cents(self, advertiser_id: int) -> int:
-        """``β_i`` -- budget minus settled charges (never negative)."""
-        remaining = self.budget_cents(advertiser_id) - self._spent.get(
-            advertiser_id, 0
-        )
-        return max(0, remaining)
+        """``β_i`` -- budget minus settled charges (never negative);
+        :attr:`UNBUDGETED_CENTS` whatever an unbudgeted advertiser spent."""
+        budget = self._budgets.get(advertiser_id)
+        if budget is None:
+            return self.UNBUDGETED_CENTS
+        return max(0, budget - self._spent.get(advertiser_id, 0))
 
     def spent_cents(self, advertiser_id: int) -> int:
         """Total settled charges so far."""
@@ -183,17 +183,18 @@ class BudgetManager:
 
         The three columns are parallel, one row per ad, in display
         order.  The batch is validated before the books are touched, so
-        a bad row leaves them as they were.  Each advertiser's ads are
-        appended to its ledger in display order and queued for expiry
-        as one entry per run of consecutive handles sharing a dead
+        a bad row leaves them as they were.  Each budgeted advertiser's
+        ads are appended to its ledger in display order and queued for
+        expiry as one entry per run of consecutive handles sharing a dead
         round (normally one run: the dead round depends on the CTR only
         where the decay model reaches zero early).
 
         Returns:
-            The ledger handle of each ad, parallel to the columns.
-            Thread it to :meth:`settle_clicks` when the click arrives:
-            the handle is the only unambiguous name when an advertiser
-            wins several same-price slots in one round.
+            The ledger handle of each ad, parallel to the columns
+            (``-1`` for an unbudgeted advertiser's).  Thread it to
+            :meth:`settle_clicks` when the click arrives: the handle is
+            the only unambiguous name when an advertiser wins several
+            same-price slots in one round.
 
         Raises:
             BudgetError: On a negative price, a CTR outside ``[0, 1]``
@@ -204,6 +205,7 @@ class BudgetManager:
             raise BudgetError(
                 f"{len(advertiser_ids)} advertisers for {len(ctrs)} ads"
             )
+        budgets = self._budgets
         ledgers = self._ledgers
         dead_after = self._dead_after
         handles: List[int] = []
@@ -215,9 +217,12 @@ class BudgetManager:
         for advertiser_id, price_cents, ctr in zip(
             advertiser_ids, prices_cents, ctrs
         ):
+            if advertiser_id not in budgets:
+                handles.append(-1)
+                continue
             ledger = ledgers.get(advertiser_id)
             if ledger is None:
-                ledger = self._ledger(advertiser_id)
+                ledger = ledgers[advertiser_id] = OutstandingLedger(self._decay)
             handle = ledger.add(price_cents, ctr, round_index)
             handles.append(handle)
             elapsed = dead_after.get(ctr)
@@ -245,7 +250,7 @@ class BudgetManager:
         advertiser_id: int,
         price_cents: int,
         display_round: int,
-        handle: Optional[int] = None,
+        handle: int,
     ) -> ChargeResult:
         """Charge one click: a :meth:`settle_clicks` of one."""
         return self.settle_clicks(
@@ -254,48 +259,39 @@ class BudgetManager:
 
     def settle_clicks(
         self,
-        clicks: Iterable[Tuple[int, int, int, Optional[int]]],
+        clicks: Iterable[Tuple[int, int, int, int]],
     ) -> List[ChargeResult]:
         """Charge a stage's clicks in order, forgiving any shortfall.
 
         Each click is ``(advertiser_id, price_cents, display_round,
-        handle)`` and also clears the clicked ad from the outstanding
-        ledger.  With a ``handle`` (from :meth:`record_displays`) the
-        resolve is O(1) and names exactly the displayed ad that was
-        clicked; an expired handle (the ad aged past the ledger
-        horizon) settles the charge without touching the ledger.  With
-        ``None`` -- legacy callers only -- the first outstanding ad
-        matching ``(price_cents, display_round)`` is cleared, which
-        picks the *wrong* ad whenever the advertiser holds two
-        same-price same-round ads with different CTRs and skews every
-        later b̂ built from this ledger.
+        handle)`` and also clears the clicked ad -- the one
+        :meth:`record_displays` returned ``handle`` for -- from the
+        outstanding ledger, in O(1); an expired handle (the ad aged past
+        the ledger horizon) settles the charge without touching the
+        ledger.  An unbudgeted advertiser's click is charged in full and
+        moves no books.
 
         Returns:
             One :class:`ChargeResult` per click, in order.
         """
         charges: List[ChargeResult] = []
         settled: Set[int] = set()
-        for advertiser_id, price_cents, display_round, handle in clicks:
-            ledger = self._ledgers.get(advertiser_id)
-            if ledger is not None:
-                if handle is not None:
+        budgets, spent = self._budgets, self._spent
+        for advertiser_id, price_cents, _, handle in clicks:
+            budget = budgets.get(advertiser_id)
+            if budget is None:
+                charged = price_cents
+            else:
+                ledger = self._ledgers.get(advertiser_id)
+                if ledger is not None:
                     ledger.discard_handles(handle)
-                else:
-                    for ad in ledger.ads:
-                        if (
-                            ad.price_cents == price_cents
-                            and ad.displayed_round == display_round
-                        ):
-                            ledger.resolve(ad)
-                            break
-                if not ledger:
-                    self._carriers.discard(advertiser_id)
-            charged = min(price_cents, self.remaining_cents(advertiser_id))
+                    if not ledger:
+                        self._carriers.discard(advertiser_id)
+                remaining = max(0, budget - spent.get(advertiser_id, 0))
+                charged = min(price_cents, remaining)
+                settled.add(advertiser_id)
             if charged:
-                self._spent[advertiser_id] = (
-                    self.spent_cents(advertiser_id) + charged
-                )
-            settled.add(advertiser_id)
+                spent[advertiser_id] = spent.get(advertiser_id, 0) + charged
             charges.append(ChargeResult(charged, price_cents - charged))
         self._publish_changes(settled)
         return charges
@@ -359,7 +355,8 @@ class BudgetManager:
     ) -> ThrottleProblem:
         """Build the Section IV throttle inputs for one advertiser."""
         remaining = self.remaining_cents(advertiser_id)
-        outstanding = self._ledger(advertiser_id).snapshot(round_index)
+        ledger = self._ledgers.get(advertiser_id)
+        outstanding = ledger.snapshot(round_index) if ledger is not None else []
         return ThrottleProblem(
             bid_cents=min(bid_cents, remaining),
             budget_cents=remaining,
@@ -409,17 +406,19 @@ class BudgetManager:
         Returns:
             ``(advertiser_ids, remaining_cents, liability_cents,
             carries_debt)``: parallel columns, one entry per mover, in
-            no particular order.
+            no particular order.  Every mover is budgeted: an unbudgeted
+            advertiser's books never move, and its row stands at
+            :attr:`UNBUDGETED_CENTS`.
         """
         ids = list(self._moved)
         self._moved.clear()
         # remaining_cents / liability_cents, inlined: this pass is paid
         # per mover on every served tick.
-        budget, spent = self._budgets.get, self._spent.get
-        ledger_of, unbudgeted = self._ledgers.get, self.UNBUDGETED_CENTS
+        budget, spent = self._budgets.__getitem__, self._spent.get
+        ledger_of = self._ledgers.get
         return (
             ids,
-            [max(0, budget(i, unbudgeted) - spent(i, 0)) for i in ids],
+            [max(0, budget(i) - spent(i, 0)) for i in ids],
             [
                 ledger.liability_cents if (ledger := ledger_of(i)) is not None else 0
                 for i in ids

@@ -39,7 +39,8 @@ class ClickEvent:
             (:meth:`repro.engine.budget_manager.BudgetManager.record_display`),
             so settlement resolves exactly the clicked ad rather than
             the first ad with a matching price and round.  ``-1`` when
-            the display was not recorded against a ledger.
+            the display was not recorded against a ledger, as an
+            unbudgeted advertiser's never is.
     """
 
     advertiser_id: int

@@ -60,9 +60,11 @@ def _books(idle_ledgers: int) -> BudgetManager:
     """Five advertisers with two ads due at round 3, plus idle ledgers.
 
     Half of the idle ledgers hold a live ad (displayed at round 3), half
-    were emptied by a settlement.
+    were emptied by a settlement.  Every advertiser is budgeted: an
+    unbudgeted one keeps no ledger at all.
     """
-    manager = BudgetManager({}, NoDecay(horizon=3))
+    ids = [*range(5), *range(100, 100 + idle_ledgers)]
+    manager = BudgetManager(dict.fromkeys(ids, 10**6), NoDecay(horizon=3))
     for advertiser_id in range(5):
         manager.record_display(advertiser_id, 10, 0.5, 0)
         manager.record_display(advertiser_id, 20, 0.5, 0)
@@ -106,9 +108,10 @@ class TestExpiryCost:
     def test_a_serving_tick_prunes_and_snapshots_nothing_idle(
         self, ledger_calls
     ):
-        # One phrase per tick on an unbudgeted market: every quick test
-        # clears, so no ledger is walked or snapshotted at all.
-        advertisers, rates = _market(seed=3, median_budget_cents=0)
+        # One phrase per tick on a market whose budgets never bind:
+        # every quick test clears, so no ledger is walked or snapshotted
+        # at all.
+        advertisers, rates = _market(seed=3, median_budget_cents=10**9)
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
             mode="unshared", layout="columnar", seed=3,

@@ -7,10 +7,12 @@ oracle here is what the manager did before: one
 :meth:`repro.budgets.outstanding.OutstandingLedger.prune` walk over
 every ledger per expiry call, and full recounts.  A hypothesis machine
 drives both with the same random traffic -- displays (``base_ctr = 0``
-included), settlements by live handle, by a handle that is already
-gone, and by the legacy ``(price, round)`` match, expiries at repeated
-and non-monotone rounds -- under every shipped decay model, including
-the ones whose probability reaches zero before the horizon.  The batch
+included), settlements by live handle and by a handle that is already
+gone, expiries at repeated and non-monotone rounds -- under every
+shipped decay model, including the ones whose probability reaches zero
+before the horizon.  The market mixes budgeted advertisers with an
+unbudgeted one, which keeps no books at all: handle ``-1``, every click
+charged in full, never a mover (DESIGN section 17).  The batch
 calls (``record_displays`` / ``settle_clicks``, DESIGN section 19) run
 against the same oracle fed one ad at a time: same handles, books and
 expiries, one event per distinct advertiser, and a bad row anywhere
@@ -19,7 +21,7 @@ refuses the whole batch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import pytest
 from hypothesis import settings
@@ -54,8 +56,15 @@ DECAYS = {
 }
 
 
+def _budgeted(advertisers: Iterable[int]) -> List[int]:
+    """The distinct budgeted advertisers among ``advertisers``, ascending:
+    whose books a call moves."""
+    return sorted(set(advertisers) & set(BUDGETS))
+
+
 class WalkingBooks:
-    """The parent commit's bookkeeping: walk every ledger, every time."""
+    """The parent commit's bookkeeping: walk every ledger, every time --
+    for the budgeted advertisers; an unbudgeted one only spends."""
 
     def __init__(self, budgets: Dict[int, int], decay) -> None:
         self.budgets = budgets
@@ -69,28 +78,25 @@ class WalkingBooks:
         )
 
     def record_display(self, advertiser_id, price, ctr, round_index) -> int:
+        if advertiser_id not in self.budgets:
+            return -1
         return self._ledger(advertiser_id).record_display(
             price, ctr, round_index
         ).handle
 
     def settle_click(
-        self, advertiser_id, price, display_round, handle: Optional[int]
+        self, advertiser_id, price, display_round, handle: int
     ) -> Tuple[int, int]:
-        ledger = self._ledger(advertiser_id)
-        if handle is not None:
+        if advertiser_id in self.budgets:
+            ledger = self._ledger(advertiser_id)
             if ledger.has_handle(handle):
                 ledger.resolve_handle(handle)
+            remaining = self.budgets[advertiser_id] - self.spent.get(
+                advertiser_id, 0
+            )
+            charged = min(price, max(0, remaining))
         else:
-            for ad in ledger.ads:
-                if (
-                    ad.price_cents == price
-                    and ad.displayed_round == display_round
-                ):
-                    ledger.resolve(ad)
-                    break
-        budget = self.budgets.get(advertiser_id, BudgetManager.UNBUDGETED_CENTS)
-        remaining = max(0, budget - self.spent.get(advertiser_id, 0))
-        charged = min(price, remaining)
+            charged = price
         self.spent[advertiser_id] = self.spent.get(advertiser_id, 0) + charged
         return charged, price - charged
 
@@ -160,7 +166,7 @@ class BudgetBooksMachine(RuleBasedStateMachine):
             advertiser, price, ctr, round_index
         )
         self.issued.append((advertiser, price, round_index, handle))
-        assert self._published() == [advertiser]
+        assert self._published() == _budgeted([advertiser])
 
     @rule(
         ads=st.lists(
@@ -192,8 +198,9 @@ class BudgetBooksMachine(RuleBasedStateMachine):
             (advertiser, price, round_index, handle)
             for (advertiser, price, _), handle in zip(ads, handles)
         )
-        # Exactly the batch's distinct advertisers, ascending, once each.
-        assert self._published() == sorted(set(advertisers))
+        # Exactly the batch's distinct budgeted advertisers, ascending,
+        # once each.
+        assert self._published() == _budgeted(advertisers)
         # One queue entry per run of an advertiser's ads dying together.
         assert len(self.manager._expiry) - queued <= _ctr_runs(ads)
 
@@ -252,7 +259,7 @@ class BudgetBooksMachine(RuleBasedStateMachine):
             self.oracle.settle_click(advertiser, price, shown, handle)
             for advertiser, price, shown, handle in clicks
         ]
-        assert self._published() == sorted({click[0] for click in clicks})
+        assert self._published() == _budgeted(click[0] for click in clicks)
 
     @rule(data=st.data())
     def settle_by_handle(self, data) -> None:
@@ -270,7 +277,8 @@ class BudgetBooksMachine(RuleBasedStateMachine):
         gone = [
             entry
             for entry in self.issued
-            if not self.oracle.ledgers[entry[0]].has_handle(entry[3])
+            if entry[0] in BUDGETS
+            and not self.oracle.ledgers[entry[0]].has_handle(entry[3])
         ]
         if not gone:
             return
@@ -278,21 +286,6 @@ class BudgetBooksMachine(RuleBasedStateMachine):
         before = self.manager.outstanding_counts()
         self._settle(advertiser, price, shown, handle)
         assert self.manager.outstanding_counts() == before
-
-    @rule(
-        data=st.data(),
-        advertiser=st.sampled_from(ADVERTISERS),
-        price=st.integers(min_value=0, max_value=120),
-        round_index=st.integers(min_value=0, max_value=MAX_ROUND),
-    )
-    def settle_legacy(self, data, advertiser, price, round_index) -> None:
-        # Handle-less: the first ad matching (price, round) goes.  Half
-        # the time aim at a display that really happened.
-        if self.issued and data.draw(st.booleans()):
-            advertiser, price, round_index, _ = data.draw(
-                st.sampled_from(self.issued)
-            )
-        self._settle(advertiser, price, round_index, None)
 
     def _settle(self, advertiser, price, shown, handle) -> None:
         charge = self.manager.settle_click(
@@ -302,7 +295,7 @@ class BudgetBooksMachine(RuleBasedStateMachine):
             charge.charged_cents,
             charge.forgiven_cents,
         ) == self.oracle.settle_click(advertiser, price, shown, handle)
-        assert self._published() == [advertiser]
+        assert self._published() == _budgeted([advertiser])
 
     @rule(round_index=st.integers(min_value=-1, max_value=MAX_ROUND + 8))
     def expire(self, round_index) -> None:
@@ -354,10 +347,18 @@ class BudgetBooksMachine(RuleBasedStateMachine):
         assert self.manager.drain_book_changes() == ([], [], [], [])
         counts = self.oracle.counts()
         for advertiser in ADVERTISERS:
-            budget = BUDGETS.get(advertiser, BudgetManager.UNBUDGETED_CENTS)
+            budget = BUDGETS.get(advertiser)
             theirs = self.oracle.ledgers.get(advertiser)
+            if budget is None:
+                # Unbudgeted: no books, so never a mover, and the
+                # sentinel remaining whatever it spent.
+                assert advertiser not in self.drained_books
+                assert theirs is None
+                budget, spent = BudgetManager.UNBUDGETED_CENTS, 0
+            else:
+                spent = self.oracle.spent.get(advertiser, 0)
             books = (
-                max(0, budget - self.oracle.spent.get(advertiser, 0)),
+                max(0, budget - spent),
                 sum(ad.price_cents for ad in theirs.ads) if theirs else 0,
                 advertiser in counts,
             )

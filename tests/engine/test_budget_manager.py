@@ -17,7 +17,7 @@ class TestBudgets:
     def test_remaining_decreases_with_settlement(self):
         manager = BudgetManager({1: 100})
         assert manager.remaining_cents(1) == 100
-        result = manager.settle_click(1, 40, display_round=0)
+        result = manager.settle_click(1, 40, display_round=0, handle=-1)
         assert result.charged_cents == 40
         assert result.forgiven_cents == 0
         assert manager.remaining_cents(1) == 60
@@ -25,7 +25,7 @@ class TestBudgets:
 
     def test_forgiveness_beyond_budget(self):
         manager = BudgetManager({1: 30})
-        result = manager.settle_click(1, 50, display_round=0)
+        result = manager.settle_click(1, 50, display_round=0, handle=-1)
         assert result.charged_cents == 30
         assert result.forgiven_cents == 20
         assert manager.remaining_cents(1) == 0
@@ -33,16 +33,68 @@ class TestBudgets:
     def test_unbudgeted_advertiser_is_effectively_infinite(self):
         manager = BudgetManager({})
         assert manager.remaining_cents(7) == BudgetManager.UNBUDGETED_CENTS
-        result = manager.settle_click(7, 1_000, display_round=0)
+        result = manager.settle_click(7, 1_000, display_round=0, handle=-1)
         assert result.forgiven_cents == 0
+
+
+class TestUnbudgetedKeepsNoBooks:
+    """An advertiser without a budget: β = ∞, so no ledger, no debt."""
+
+    def test_display_gets_the_sentinel_handle_and_no_ledger(self):
+        manager = BudgetManager({1: 1_000})
+        handles = manager.record_displays(
+            [7, 1, 7], [40, 30, 20], [0.5, 0.4, 0.3], round_index=0
+        )
+        assert handles == [-1, 0, -1]
+        assert set(manager.debt_carriers) == {1}
+        assert manager.outstanding_counts() == {1: 1}
+        assert manager.liability_cents(7) == 0
+        assert manager.throttle_problem(7, 60, 3, 0).outstanding == ()
+        assert manager.earliest_dead_round < float("inf")
+
+    def test_remaining_is_constant_and_spend_accumulates(self):
+        manager = BudgetManager({})
+        for price in (1_000, 2_500, 7):
+            handle = manager.record_display(7, price, 0.5, round_index=2)
+            charge = manager.settle_click(7, price, 2, handle)
+            assert charge.charged_cents == price
+            assert charge.forgiven_cents == 0
+            assert manager.remaining_cents(7) == BudgetManager.UNBUDGETED_CENTS
+        assert manager.spent_cents(7) == 3_507
+        assert manager.spent_snapshot() == {7: 3_507}
+        # Nothing was queued for expiry and nothing moved.
+        assert manager.earliest_dead_round == float("inf")
+        assert manager.drain_book_changes()[0] == []
+
+    def test_books_never_move(self):
+        manager = BudgetManager({1: 1_000})
+        handles = manager.record_displays([7, 1], [40, 30], [0.5, 0.5], 0)
+        manager.settle_clicks([(7, 40, 0, handles[0]), (1, 30, 0, handles[1])])
+        manager.expire_outstanding(10_000)
+        ids, remaining, owed, carrying = manager.drain_book_changes()
+        assert ids == [1]
+        assert remaining == [970]
+        assert owed == [0]
+        assert carrying == [False]
+        assert 7 not in manager.debt_carriers
+        assert manager.debt_carriers == set()
+
+    def test_a_bad_row_still_rejects_the_whole_batch(self):
+        manager = BudgetManager({1: 1_000})
+        with pytest.raises(BudgetError):
+            manager.record_displays([1, 7], [40, -1], [0.5, 0.5], 0)
+        with pytest.raises(BudgetError):
+            manager.record_displays([7], [40, 30], [0.5, 0.5], 0)
+        assert manager.debt_carriers == set()
+        assert manager.drain_book_changes()[0] == []
 
 
 class TestOutstanding:
     def test_display_then_settle_clears_ledger(self):
         manager = BudgetManager({1: 100})
-        manager.record_display(1, 40, 0.5, round_index=3)
+        handle = manager.record_display(1, 40, 0.5, round_index=3)
         assert manager.outstanding_counts() == {1: 1}
-        manager.settle_click(1, 40, display_round=3)
+        manager.settle_click(1, 40, display_round=3, handle=handle)
         assert manager.outstanding_counts() == {}
 
     def test_expire_outstanding_uses_decay(self):
@@ -70,9 +122,12 @@ class TestOutstanding:
         )
         assert problem.bid_cents == 25
 
-    def test_settle_matches_ledger_entry_by_round_and_price(self):
+    def test_settle_clears_the_ad_its_handle_names(self):
         manager = BudgetManager({1: 1000})
         manager.record_display(1, 40, 0.5, round_index=2)
-        manager.record_display(1, 40, 0.5, round_index=3)
-        manager.settle_click(1, 40, display_round=3)
+        later = manager.record_display(1, 40, 0.5, round_index=3)
+        manager.settle_click(1, 40, display_round=3, handle=later)
         assert manager.outstanding_counts() == {1: 1}
+        assert manager.throttle_problem(1, 40, 1, 3).outstanding == (
+            (40, 0.5),
+        )

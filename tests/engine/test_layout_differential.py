@@ -236,6 +236,70 @@ class TestColumnarMatchesObject:
         assert columnar.counter(names.SORT_STREAMS_REUSED) > 0
 
 
+def _half_unbudgeted(advertisers):
+    """Lift the budget of about half of each phrase's bidders.
+
+    Phrase by phrase, the bidders not yet decided alternate unbudgeted /
+    budgeted in id order, so every phrase of two or more bidders mixes
+    an advertiser that keeps no books with one that does.
+    """
+    bidders = {}
+    for advertiser in advertisers:
+        for phrase in advertiser.phrases:
+            bidders.setdefault(phrase, []).append(advertiser.advertiser_id)
+    unbudgeted = {}
+    for phrase in sorted(bidders):
+        undecided = [
+            advertiser_id
+            for advertiser_id in sorted(bidders[phrase])
+            if advertiser_id not in unbudgeted
+        ]
+        lifted = sum(unbudgeted.get(i, False) for i in bidders[phrase])
+        kept = len(bidders[phrase]) - len(undecided) - lifted
+        for advertiser_id in undecided:
+            unbudgeted[advertiser_id] = lifted <= kept
+            lifted += unbudgeted[advertiser_id]
+            kept += not unbudgeted[advertiser_id]
+    return [
+        Advertiser(
+            advertiser.advertiser_id,
+            bid=advertiser.bid,
+            ctr_factor=advertiser.ctr_factor,
+            daily_budget=(
+                float("inf")
+                if unbudgeted.get(advertiser.advertiser_id)
+                else advertiser.daily_budget
+            ),
+            phrases=advertiser.phrases,
+            phrase_ctr_factors=advertiser.phrase_ctr_factors,
+        )
+        for advertiser in advertisers
+    ], bidders
+
+
+class TestMixedBudgetsMatchObject:
+    """Unbudgeted advertisers keep no books (DESIGN section 17); the
+    budgeted ones beside them in the same auctions keep theirs.  Both
+    layouts, every configuration, round for round."""
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("seed", range(20))
+    def test_half_of_each_phrase_unbudgeted(self, config, seed):
+        market = _small_market(seed)
+        advertisers, bidders = _half_unbudgeted(market.advertisers)
+        unlimited = {
+            advertiser.advertiser_id
+            for advertiser in advertisers
+            if advertiser.daily_budget == float("inf")
+        }
+        for members in bidders.values():
+            if len(members) > 1:
+                assert unlimited & set(members) and set(members) - unlimited
+        _run_lockstep(
+            advertisers, market.search_rates, seed, **CONFIGS[config]
+        )
+
+
 class TestFeedEventsMatchAcrossLayouts:
     """Both layouts publish the same per-round *set* of events.
 

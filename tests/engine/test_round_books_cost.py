@@ -14,8 +14,9 @@ from collections import Counter
 
 import pytest
 
-from repro.budgets.outstanding import NoDecay
+from repro.budgets.outstanding import NoDecay, OutstandingLedger
 from repro.core.advertiser import Advertiser
+from repro.engine import budget_manager
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.changefeed import BudgetChanged, ChangeFeed
 from repro.engine.pipeline import SharedAuctionEngine
@@ -30,19 +31,34 @@ def _layout(layout):
     return layout
 
 
+def _displays(count, num_advertisers, seed=3):
+    """``count`` displays over advertisers ``0 .. num_advertisers - 1``,
+    each of whom shows at least once."""
+    rng = random.Random(seed)
+    advertisers = [
+        rng.randrange(num_advertisers) for _ in range(count - num_advertisers)
+    ] + list(range(num_advertisers))
+    rng.shuffle(advertisers)
+    prices = [rng.randrange(1, 200) for _ in advertisers]
+    ctrs = [rng.choice((0.03, 0.1, 0.2, 0.3)) for _ in advertisers]
+    return advertisers, prices, ctrs
+
+
+def _budgeted(num_advertisers):
+    """Budgets that never bind, for ``0 .. num_advertisers - 1``."""
+    return dict.fromkeys(range(num_advertisers), 10**9)
+
+
 class TestOneRoundOneBooking:
     def _round(self):
-        rng = random.Random(3)
-        advertisers = [rng.randrange(20) for _ in range(180)] + list(range(20))
-        rng.shuffle(advertisers)
-        prices = [rng.randrange(1, 200) for _ in advertisers]
-        ctrs = [rng.choice((0.03, 0.1, 0.2, 0.3)) for _ in advertisers]
-        return advertisers, prices, ctrs
+        return _displays(200, 20)
 
     def test_200_displays_over_20_advertisers(self):
         feed = ChangeFeed()
         events = feed.subscribe("probe")
-        manager = BudgetManager({}, NoDecay(horizon=17), changefeed=feed)
+        manager = BudgetManager(
+            _budgeted(20), NoDecay(horizon=17), changefeed=feed
+        )
         advertisers, prices, ctrs = self._round()
         handles = manager.record_displays(advertisers, prices, ctrs, 4)
         assert len(handles) == 200
@@ -59,7 +75,7 @@ class TestOneRoundOneBooking:
         assert not manager._expiry and not manager.debt_carriers
 
     def test_handles_name_the_ads_of_the_batch_in_order(self):
-        manager = BudgetManager({}, NoDecay(horizon=17))
+        manager = BudgetManager(_budgeted(20), NoDecay(horizon=17))
         advertisers, prices, ctrs = self._round()
         handles = manager.record_displays(advertisers, prices, ctrs, 4)
         for advertiser in range(20):
@@ -78,7 +94,9 @@ class TestOneRoundOneBooking:
     def test_a_tick_of_clicks_is_one_event_per_payer(self):
         feed = ChangeFeed()
         events = feed.subscribe("probe")
-        manager = BudgetManager({1: 150}, NoDecay(horizon=17), changefeed=feed)
+        manager = BudgetManager(
+            {1: 150, 2: 1_000}, NoDecay(horizon=17), changefeed=feed
+        )
         handles = manager.record_displays(
             [1, 2, 1, 1], [100, 40, 100, 100], [0.5] * 4, 0
         )
@@ -96,6 +114,88 @@ class TestOneRoundOneBooking:
         ]
         assert events.drain() == [BudgetChanged(1), BudgetChanged(2)]
         assert manager.outstanding_counts() == {1: 1}
+
+
+class TestUnbudgetedRoundBooksNothing:
+    """An advertiser without a budget keeps no books (DESIGN 17)."""
+
+    @pytest.fixture
+    def booked(self, monkeypatch):
+        """Counts every ``OutstandingLedger`` call, by name, and every
+        expiry-heap push of the budget manager."""
+        calls = Counter()
+        for name, method in list(vars(OutstandingLedger).items()):
+            if callable(method):
+
+                def counted(*args, name=name, method=method, **kwargs):
+                    calls[name] += 1
+                    return method(*args, **kwargs)
+
+                monkeypatch.setattr(OutstandingLedger, name, counted)
+        pushed = []
+        push = budget_manager.heappush
+        monkeypatch.setattr(
+            budget_manager,
+            "heappush",
+            lambda heap, item: pushed.append(item) or push(heap, item),
+        )
+        return calls, pushed
+
+    def _session(self, budgets):
+        feed = ChangeFeed()
+        events = feed.subscribe("probe")
+        manager = BudgetManager(budgets, NoDecay(horizon=17), changefeed=feed)
+        advertisers, prices, ctrs = _displays(720, 60)
+        handles = manager.record_displays(advertisers, prices, ctrs, 4)
+        clicks = list(zip(advertisers, prices, [4] * 720, handles))[::3]
+        charges = manager.settle_clicks(clicks)
+        manager.expire_outstanding(4 + 17)
+        return manager, events, handles, clicks, charges
+
+    def test_a_720_display_round_touches_no_ledger(self, booked):
+        calls, pushed = booked
+        manager, events, handles, clicks, charges = self._session({})
+        assert handles == [-1] * 720
+        assert not calls
+        assert not pushed
+        assert manager.drain_book_changes() == ([], [], [], [])
+        assert events.drain() == []
+        assert not manager.debt_carriers
+        assert manager.earliest_dead_round == float("inf")
+        # Every click is charged in full, and the spend is still kept.
+        assert all(charge.forgiven_cents == 0 for charge in charges)
+        spent = Counter()
+        for advertiser_id, price, _, _ in clicks:
+            spent[advertiser_id] += price
+        assert manager.spent_snapshot() == dict(sorted(spent.items()))
+
+    def test_the_same_round_budgeted_books_every_ad(self, booked):
+        calls, pushed = booked
+        manager, events, handles, _, _ = self._session(_budgeted(60))
+        assert -1 not in handles
+        assert calls["add"] == 720
+        assert 60 <= len(pushed) <= 2 * 60
+        assert len(manager.drain_book_changes()[0]) == 60
+        assert events.drain()
+
+    def test_an_unbudgeted_engine_round_moves_no_row(self):
+        pytest.importorskip("numpy")
+        advertisers, rates = fig4_market(
+            num_queries=12, num_advertisers=30, median_budget_cents=0, seed=2
+        )
+        engine = SharedAuctionEngine(
+            advertisers, [0.3, 0.2, 0.1], rates,
+            mode="unshared", layout="columnar", seed=2,
+        )
+        displays = clicks = 0
+        for _ in range(20):
+            report = engine.run_round()
+            displays += report.displays
+            clicks += report.clicks
+            assert engine._sync_book_columns() == 0
+            assert not engine.budget_manager.debt_carriers
+        assert displays and clicks
+        assert sum(engine.budget_manager.spent_snapshot().values()) > 0
 
 
 def _varying_rounds(phrases, rounds, seed):

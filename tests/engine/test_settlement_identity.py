@@ -6,8 +6,8 @@ advertiser wins two same-price slots in one round with *different* CTRs
 (different slot factors do exactly that), the first value-match was
 cleared regardless of which ad was actually clicked -- leaving the wrong
 CTR in the ledger and skewing every later throttled bid built from it.
-``record_display`` now returns an identity handle, and settlement with
-the handle resolves exactly the clicked ad in O(1).
+``record_display`` now returns an identity handle, and settlement names
+the clicked ad by that handle, resolving exactly it in O(1).
 """
 
 from __future__ import annotations
@@ -80,32 +80,25 @@ class TestSettlementIdentity:
         manager.settle_click(1, 100, 0, handle=low)
         assert self._remaining_ctrs(manager) == [pytest.approx(0.9)]
 
-    def test_legacy_matching_settles_the_wrong_ad(self):
-        # The bug this PR fixes, pinned: without a handle, the first
-        # (price, round) match -- the high-CTR ad -- is cleared even
-        # though the click belonged to the low-CTR ad, so the ledger
-        # keeps the wrong debt.
-        manager, high, low = self._manager_with_two_same_price_ads()
-        manager.settle_click(1, 100, 0)
-        assert self._remaining_ctrs(manager) == [pytest.approx(0.1)]
-
-    def test_wrong_ad_resolution_skews_the_throttled_bid(self):
-        # End-to-end consequence: after clicking the low-CTR ad, the
-        # handle path and the legacy path disagree on b-hat because they
-        # left different debts behind.
+    def test_which_ad_is_settled_moves_the_throttled_bid(self):
+        # End-to-end consequence: the two ads are equal by (price,
+        # round), yet settling one or the other leaves a different debt
+        # behind, and with it a different b-hat -- which is why a
+        # settlement must name its ad by handle.
         from repro.budgets.throttle import exact_throttled_bid
 
-        with_handle, _, low = self._manager_with_two_same_price_ads()
-        with_handle.settle_click(1, 100, 0, handle=low)
-        legacy, _, _ = self._manager_with_two_same_price_ads()
-        legacy.settle_click(1, 100, 0)
-        bid_handle = exact_throttled_bid(
-            with_handle.throttle_problem(1, 100, 1, 0)
+        low_clicked, high, low = self._manager_with_two_same_price_ads()
+        low_clicked.settle_click(1, 100, 0, handle=low)
+        high_clicked, high, low = self._manager_with_two_same_price_ads()
+        high_clicked.settle_click(1, 100, 0, handle=high)
+        bid_low_clicked = exact_throttled_bid(
+            low_clicked.throttle_problem(1, 100, 1, 0)
         )
-        bid_legacy = exact_throttled_bid(legacy.throttle_problem(1, 100, 1, 0))
-        assert bid_handle != bid_legacy
-        # The 0.9 debt throttles harder than the 0.1 debt.
-        assert bid_handle < bid_legacy
+        bid_high_clicked = exact_throttled_bid(
+            high_clicked.throttle_problem(1, 100, 1, 0)
+        )
+        # The 0.9 debt left behind throttles harder than the 0.1 debt.
+        assert bid_low_clicked < bid_high_clicked
 
     def test_expired_handle_still_settles_the_charge(self):
         # A click arriving after its ad aged out of the ledger must

@@ -88,6 +88,7 @@ class TestSharedSortMode:
                 ctr_factor=1.0,
                 phrases=frozenset({"p"}),
                 phrase_ctr_factors={"p": 2.0},
+                daily_budget=100.0,
             ),
             Advertiser(
                 1,
@@ -95,6 +96,7 @@ class TestSharedSortMode:
                 ctr_factor=1.0,
                 phrases=frozenset({"p"}),
                 phrase_ctr_factors={"p": 1.0},
+                daily_budget=100.0,
             ),
         ]
         engine = SharedAuctionEngine(
@@ -108,7 +110,8 @@ class TestSharedSortMode:
         )
         engine.run_round(["p"])
         # Advertiser 0 scores 1.0 * 2.0 = 2.0 > 1.5: it must have won and
-        # been displayed (spend recorded as outstanding).
+        # been displayed (spend recorded as outstanding -- both are
+        # budgeted, since an unbudgeted advertiser keeps no ledger).
         counts = engine.budget_manager.outstanding_counts()
         assert list(counts) == [0]
 

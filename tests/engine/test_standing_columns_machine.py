@@ -9,7 +9,8 @@ score for every occurring advertiser from the manager's books, each
 time.  A hypothesis machine drives one engine through arbitrary
 interleavings of multi-phrase rounds (so ``m > 1``, and ``m·cap > β``
 with an empty ledger, occur), served queries and out-of-round flushes,
-on a market of tight, exhausted and unlimited budgets, under the six
+on a market of tight, exhausted, ample and unlimited budgets -- the
+unlimited ones keep no books at all (DESIGN section 17) -- under the six
 decay configurations of ``test_budget_books_machine.py``.  The check
 runs where it is exact -- between stage 2 and stage 3, when the books
 are as scoring saw them -- and compares every row of every column with
@@ -42,6 +43,7 @@ from repro.budgets.outstanding import NoDecay
 from repro.budgets import throttle as throttle_kernel
 from repro.budgets.throttle import exact_throttled_bid, min_beta_s_array
 from repro.core.advertiser import Advertiser
+from repro.core.columnar import UNBUDGETED_CENTS
 from repro.engine import pipeline
 from repro.engine.pipeline import SharedAuctionEngine
 
@@ -58,7 +60,11 @@ MARKET = (
     # min(m·cap, β) / m branch, round one.
     (1.00, 0.9, 1.50, EVERYWHERE),
     (1.20, 0.8, 3.00, EVERYWHERE),
+    # Unbudgeted: no books, so never carrying and never a mover.
     (0.90, 1.0, INF, EVERYWHERE),
+    # A budget that never binds: once the tight budgets above drain it
+    # wins, carrying debt that passes the quick test.
+    (0.40, 0.8, 50.00, EVERYWHERE),
     (1.50, 0.7, 0.00, EVERYWHERE),
     (0.80, 0.9, 2.00, frozenset(("p0", "p1"))),
     (1.10, 0.6, INF, frozenset(("p1", "p2"))),
@@ -357,15 +363,18 @@ class TestTheMarketIsHard:
             result = score(phrases, round_index, report)
             rows = engine._occurring_rows
             m = len(phrases)  # everyone below bids on every phrase
-            for row in rows[:4].tolist():
+            for row in rows[:5].tolist():
                 failed = (
                     m * engine._cap_by_row[row] > engine._slack_by_row[row]
                 )
                 kinds.add((bool(failed), bool(engine._carrying_by_row[row])))
+            unbudgeted = engine._store.row_of(3)
+            assert not engine._carrying_by_row[unbudgeted]
+            assert engine._slack_by_row[unbudgeted] == UNBUDGETED_CENTS
             return result
 
         engine._effective_scores_columnar = spying_score
-        for _ in range(12):
+        for _ in range(30):
             engine.run_round(PHRASES)
         assert kinds == {
             (False, False), (False, True), (True, False), (True, True),

@@ -43,19 +43,19 @@ class BudgetMachine(RuleBasedStateMachine):
         self.model_spent = 0
         self.model_forgiven = 0
         self.round_index = 0
-        self.displayed: list[tuple[int, int]] = []  # (price, round)
+        self.displayed: list[tuple[int, int, int]] = []  # (price, round, handle)
 
     @rule(price=st.integers(min_value=1, max_value=120))
     def display(self, price: int) -> None:
-        self.manager.record_display(1, price, 0.5, self.round_index)
-        self.displayed.append((price, self.round_index))
+        handle = self.manager.record_display(1, price, 0.5, self.round_index)
+        self.displayed.append((price, self.round_index, handle))
 
     @rule()
     def click_oldest(self) -> None:
         if not self.displayed:
             return
-        price, shown_round = self.displayed.pop(0)
-        result = self.manager.settle_click(1, price, shown_round)
+        price, shown_round, handle = self.displayed.pop(0)
+        result = self.manager.settle_click(1, price, shown_round, handle)
         charge = min(price, self.BUDGET - self.model_spent)
         assert result.charged_cents == charge
         assert result.forgiven_cents == price - charge
