@@ -15,10 +15,6 @@ This package implements the paper's principled treatment:
   *expanding out* the largest-price outstanding ads exactly.
 - :mod:`repro.budgets.comparison` -- deciding ``b̂_i`` vs ``b̂_i'`` with
   successive refinement, and top-k selection under uncertainty.
-- :mod:`repro.budgets.incremental` -- the change-feed-backed throttle
-  cache: clean advertisers reuse their last ``b̂`` in O(1); selection
-  refines bounds lazily and falls back to the exact DP only for
-  genuinely incomparable contenders.
 - :mod:`repro.budgets.gaming` -- the Section IV gaming attack: what a
   nearly-exhausted advertiser gains when the system ignores budget
   uncertainty, and how throttling removes the exploit.
@@ -28,10 +24,6 @@ from repro.budgets.comparison import (
     BoundedBid,
     compare_throttled_bids,
     top_k_throttled,
-)
-from repro.budgets.incremental import (
-    IncrementalThrottleCache,
-    ThrottleCacheStats,
 )
 from repro.budgets.hoeffding import (
     Interval,
@@ -56,12 +48,10 @@ __all__ = [
     "BoundedBid",
     "ExponentialDecay",
     "GeometricDecay",
-    "IncrementalThrottleCache",
     "Interval",
     "NoDecay",
     "OutstandingAd",
     "OutstandingLedger",
-    "ThrottleCacheStats",
     "ThrottleProblem",
     "compare_throttled_bids",
     "exact_throttled_bid",

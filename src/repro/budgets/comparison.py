@@ -70,16 +70,6 @@ class BoundedBid:
         )
         return True
 
-    def collapse(self, value: float) -> None:
-        """Adopt an externally computed exact ``b̂`` (no DP runs here).
-
-        Used by the incremental throttle cache, which computes (and
-        memoizes) exact values itself and must not pay the exact
-        computation a second time just to shut this interval.
-        """
-        self._bounds = Interval(value, value)
-        self.depth = len(self.problem.outstanding)
-
     def resolve_exact(self) -> float:
         """The precise ``b̂`` (used for pricing the winners).
 

@@ -148,27 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     engine.add_argument(
-        "--throttle-mode",
-        choices=["exact", "bounded"],
-        default="exact",
-        help=(
-            "Section IV throttling regime: 'exact' computes every "
-            "occurring advertiser's throttled bid up front; 'bounded' "
-            "ranks on lazily refined Hoeffding intervals and resolves "
-            "only the selected k+1 exactly (bit-identical outcomes, "
-            "less throttle work)"
-        ),
-    )
-    engine.add_argument(
-        "--throttle-cache",
-        action="store_true",
-        help=(
-            "memoize throttle problems across rounds on the change "
-            "feed: advertisers whose books did not move reuse their "
-            "last throttled bid in O(1)"
-        ),
-    )
-    engine.add_argument(
         "--cache-autotune",
         action="store_true",
         help=(
@@ -354,8 +333,8 @@ def _cmd_gaming_at_scale(
             slot_factors=[1.0, 0.6, 0.3],
             search_rates=market.search_rates,
             mode="unshared",
+            layout="columnar",
             throttle=throttle,
-            throttle_cache=throttle,
             mean_click_delay_rounds=float(delay),
             seed=seed,
         )
@@ -418,8 +397,6 @@ def _cmd_engine(
     queries: int = 1000,
     arrival_rate: float = 200.0,
     zipf_exponent: float = 1.0,
-    throttle_mode: str = "exact",
-    throttle_cache: bool = False,
     layout: str = "object",
     workers: int = 1,
 ) -> int:
@@ -431,21 +408,6 @@ def _cmd_engine(
         # flag combination gets one line on stderr, not a traceback.
         print(
             "--cache-autotune requires --exec-cache or --sort-cache",
-            file=sys.stderr,
-        )
-        return 1
-    if throttle_mode == "bounded" and (exec_cache or sort_cache):
-        print(
-            "--throttle-mode bounded runs its own bound-driven selection "
-            "and cannot combine with --exec-cache/--sort-cache",
-            file=sys.stderr,
-        )
-        return 1
-    if layout == "columnar" and throttle_mode == "bounded":
-        print(
-            "--layout columnar vectorizes whole score columns; the "
-            "bounded interval regime refines advertisers one at a time "
-            "and stays on --layout object",
             file=sys.stderr,
         )
         return 1
@@ -484,8 +446,6 @@ def _cmd_engine(
         + (" +exec-cache" if exec_cache else "")
         + (" +sort-cache" if sort_cache else "")
         + (" +autotune" if cache_autotune else "")
-        + (" +bounded-throttle" if throttle_mode == "bounded" else "")
-        + (" +throttle-cache" if throttle_cache else "")
     )
     if workers > 1:
         from repro.engine import ShardedEngine
@@ -504,8 +464,6 @@ def _cmd_engine(
             sort_cache=sort_cache,
             cache_autotune=cache_autotune,
             cache_verify=cache_verify,
-            throttle_mode=throttle_mode,
-            throttle_cache=throttle_cache,
         ) as sharded:
             report = sharded.run(rounds)
             effective = sharded.shards
@@ -536,8 +494,6 @@ def _cmd_engine(
         sort_cache=sort_cache,
         cache_autotune=cache_autotune,
         cache_verify=cache_verify,
-        throttle_mode=throttle_mode,
-        throttle_cache=throttle_cache,
         layout=layout,
     )
     if serve:
@@ -655,8 +611,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.queries,
             args.arrival_rate,
             args.zipf_exponent,
-            args.throttle_mode,
-            args.throttle_cache,
             args.layout,
             args.workers,
         )

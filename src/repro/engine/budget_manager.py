@@ -135,8 +135,8 @@ class BudgetManager:
         publishes ``BudgetChanged``), so a throttle problem built for
         one round stays valid in later rounds with no event.  Any other
         decay model moves every debt-carrying advertiser's b̂ each
-        round; incremental consumers must then treat cached problems as
-        valid only within the round they were built.
+        round, so a problem is valid only within the round it was
+        built.
         """
         return not isinstance(self._decay, NoDecay)
 

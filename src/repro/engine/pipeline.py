@@ -31,7 +31,6 @@ from typing import (
     Tuple,
 )
 
-from repro.budgets.incremental import IncrementalThrottleCache
 from repro.budgets.outstanding import ClickDecayModel, NoDecay
 from repro.budgets.throttle import ThrottleProblem, exact_throttled_bid
 from repro.core.advertiser import Advertiser
@@ -130,9 +129,7 @@ class RoundReport:
             :class:`repro.budgets.throttle.ThrottleProblem` was built
             this round or kept from an earlier one; the object layout
             builds one for every occurring debt carrier.  Stays 0 under
-            ``throttle=False``, ``throttle_cache`` and
-            ``throttle_mode="bounded"`` (the cache reports its own
-            rebuilds as ``throttle.*``).
+            ``throttle=False``.
         allocations: Per occurring phrase, the displayed ads as
             ``(slot, advertiser_id, price_cents)`` triples in slot
             order -- the round's full auction outcome, used by the
@@ -240,31 +237,10 @@ class SharedAuctionEngine:
             in cross-round mode) and ``sort_cache`` incrementally
             repairs the shared descending-bid order
             (:class:`repro.sharedsort.columnar.ColumnarSortCache`).
-            ``throttle_mode="bounded"`` stays object-only -- its
-            interval refinement is inherently per-advertiser.  Requires
-            numpy.
-        throttle: Apply Section IV bid throttling against outstanding ads.
-        throttle_mode: How throttled bids reach the ranking stage.
-            ``"exact"`` (default) computes every occurring advertiser's
-            exact ``b̂`` up front (optionally memoized; see
-            ``throttle_cache``).  ``"bounded"`` is the paper's Section
-            IV-B regime: rank each phrase directly on lazily refined
-            Hoeffding intervals, expanding an advertiser's largest
-            outstanding ads only when two contenders are genuinely
-            incomparable, and fall back to the exact DP only for the
-            selected ``k + 1`` (pricing needs their precise values).
-            Outcomes are bit-identical to ``"exact"``; only the work
-            counters move.  Requires ``throttle=True`` and runs its own
-            per-phrase selection, so it cannot combine with
-            ``exec_cache`` / ``sort_cache``.
-        throttle_cache: Memoize throttle problems and values across
-            rounds in an
-            :class:`repro.budgets.incremental.IncrementalThrottleCache`
-            driven by the change feed: advertisers whose books did not
-            move since they were last scored reuse their previous ``b̂``
-            in O(1).  Composes with either ``throttle_mode`` and with
-            the plan/sort caches.  Under ``cache_verify=True`` every
-            reuse is cross-checked against a freshly built problem.
+            Requires numpy.
+        throttle: Apply Section IV bid throttling against outstanding
+            ads: every occurring advertiser's exact ``b̂`` is computed
+            before ranking.
         exec_cache: Shared mode only: keep ranking work alive between
             rounds and recompute only what advertisers whose effective
             score changed invalidate.  On ``layout="columnar"`` the
@@ -314,9 +290,8 @@ class SharedAuctionEngine:
             ``sort.streams_reused`` counts the savings.
         cache_verify: Keep the feed-driven caches' exact value diff as a
             soundness cross-check on the change-feed events (the
-            default): the object exec cache, ``throttle_cache`` and both
-            sort caches.  An event-uncovered change then raises
-            ``InvalidPlanError``; ``False`` trusts the feed and skips
+            default): the object exec cache and both sort caches.  An
+            event-uncovered change then raises ``InvalidPlanError``; ``False`` trusts the feed and skips
             comparing undeclared values.  The columnar exec cache has
             no events to check -- its diff is its invalidation -- so
             this has no effect on it.
@@ -361,8 +336,6 @@ class SharedAuctionEngine:
         mode: str = "shared",
         layout: str = "object",
         throttle: bool = True,
-        throttle_mode: str = "exact",
-        throttle_cache: bool = False,
         exec_cache: bool = False,
         exec_cache_capacity: Optional[int] = None,
         cache_verify: bool = True,
@@ -382,32 +355,6 @@ class SharedAuctionEngine:
             raise InvalidAuctionError(f"unknown layout {layout!r}")
         if layout == "columnar":
             require_numpy()
-            if throttle_mode == "bounded":
-                raise InvalidAuctionError(
-                    "layout='columnar' vectorizes exact scoring; the "
-                    "bounded interval regime refines advertisers one at "
-                    "a time and stays on layout='object'"
-                )
-        if throttle_mode not in ("exact", "bounded"):
-            raise InvalidAuctionError(
-                f"unknown throttle mode {throttle_mode!r}"
-            )
-        if throttle_mode == "bounded" and not throttle:
-            raise InvalidAuctionError(
-                "throttle_mode='bounded' ranks on throttled-bid bounds "
-                "and is meaningless with throttle=False"
-            )
-        if throttle_mode == "bounded" and (exec_cache or sort_cache):
-            raise InvalidAuctionError(
-                "throttle_mode='bounded' runs its own bound-driven "
-                "per-phrase selection and cannot combine with "
-                "exec_cache/sort_cache"
-            )
-        if throttle_cache and not throttle:
-            raise InvalidAuctionError(
-                "throttle_cache memoizes throttle problems and requires "
-                "throttle=True"
-            )
         if exec_cache and mode != "shared":
             raise InvalidAuctionError(
                 "exec_cache requires mode='shared' (the cross-round cache "
@@ -427,8 +374,6 @@ class SharedAuctionEngine:
         self.mode = mode
         self.layout = layout
         self.throttle = throttle
-        self.throttle_mode = throttle_mode
-        self.throttle_cache = throttle_cache
         self.exec_cache = exec_cache
         self.collector: Collector = collector if collector is not None else NULL
         self._by_id = {a.advertiser_id: a for a in self.advertisers}
@@ -489,28 +434,11 @@ class SharedAuctionEngine:
         self.autotuner = (
             CacheAutotuner(collector=self.collector) if cache_autotune else None
         )
-        # The incremental throttle layer.  Bounded selection always runs
-        # through the cache object (it owns the bound/exact machinery and
-        # the throttle.* counters); memoization across rounds is what
-        # `throttle_cache` switches on, and only a memoizing cache needs
-        # (or takes) a change-feed subscription.
-        self._throttle_cache: Optional[IncrementalThrottleCache] = None
-        if throttle and (throttle_cache or throttle_mode == "bounded"):
-            self._throttle_cache = IncrementalThrottleCache(
-                self.budget_manager,
-                self.collector,
-                verify=cache_verify,
-                memoize=throttle_cache,
-            )
-            if throttle_cache:
-                self._throttle_cache.connect(self.changefeed)
         # Publisher-side event detection the budget manager cannot see:
         # auction-multiplicity changes (m_i feeds the throttle problem)
-        # that moved the effective bid, and whether outstanding debt
-        # re-weighs every round.
+        # that moved the effective bid.
         self._last_multiplicity: Dict[int, int] = {}
         self._last_effective: Dict[int, float] = {}
-        self._decay_varies = not isinstance(decay_model, NoDecay)
         self._rng = random.Random(seed)
         self.click_model = DelayedClickModel(
             mean_click_delay_rounds, click_horizon_rounds, self._rng
@@ -574,12 +502,7 @@ class SharedAuctionEngine:
             self._slot_factors = np.asarray(
                 self.ctr_model.slot_factors, dtype=np.float64
             )
-        if throttle_mode == "bounded":
-            # Bound-driven selection ranks each phrase directly from the
-            # throttle cache's intervals; no aggregation plan or shared
-            # sort network is ever consulted, so none is built.
-            pass
-        elif mode == "shared":
+        if mode == "shared":
             instance = SharedAggregationInstance(
                 AggregateQuery(
                     phrase, ids, self.search_rates[phrase]
@@ -698,7 +621,6 @@ class SharedAuctionEngine:
                 ("_deliver_due_clicks", metric_names.ENGINE_STAGE_DELIVER_TIMER),
                 ("_effective_scores", metric_names.ENGINE_STAGE_SCORE_TIMER),
                 ("_rank_phrases", metric_names.ENGINE_STAGE_RANK_TIMER),
-                ("_bounded_rankings", metric_names.ENGINE_STAGE_RANK_TIMER),
                 ("_allocate_round", metric_names.ENGINE_STAGE_ALLOCATE_TIMER),
             ):
                 setattr(
@@ -825,17 +747,12 @@ class SharedAuctionEngine:
         report = RoundReport(round_index, phrases)
         self._deliver_due_clicks(round_index, report)
         if phrases:
-            if self.throttle_mode == "bounded":
-                rankings, effective_bid_cents = self._bounded_rankings(
-                    phrases, round_index, report
-                )
-            else:
-                scores, effective_bid_cents = self._effective_scores(
-                    phrases, round_index, report
-                )
-                rankings = self._rank_phrases(
-                    phrases, scores, effective_bid_cents, report
-                )
+            scores, effective_bid_cents = self._effective_scores(
+                phrases, round_index, report
+            )
+            rankings = self._rank_phrases(
+                phrases, scores, effective_bid_cents, report
+            )
             self._allocate_round(
                 phrases, rankings, effective_bid_cents, round_index, report
             )
@@ -864,7 +781,7 @@ class SharedAuctionEngine:
         report.expired_ads = self.budget_manager.expire_outstanding(
             round_index
         )
-        if self.changefeed.active and self._decay_varies:
+        if self.changefeed.active and self.budget_manager.decay_varies:
             # A decaying model re-weighs every outstanding ad each
             # round, so any advertiser carrying debt can move.
             for advertiser_id in sorted(self.budget_manager.debt_carriers):
@@ -917,34 +834,25 @@ class SharedAuctionEngine:
                 auctions_of[advertiser_id] = auctions_of.get(advertiser_id, 0) + 1
         scores: Dict[int, float] = {}
         effective_bid_cents: Dict[int, float] = {}
-        cache = self._throttle_cache
         carriers = self.budget_manager.debt_carriers
         for advertiser_id, m in auctions_of.items():
             advertiser = self._by_id[advertiser_id]
             bid_cents = dollars_to_cents(advertiser.bid)
             if self.throttle:
-                if cache is not None:
-                    effective = cache.exact_bid(
-                        advertiser_id, bid_cents, m, round_index
-                    )
-                else:
-                    if advertiser_id in carriers:
-                        report.debt_carriers_scored += 1
-                    problem = self.budget_manager.throttle_problem(
-                        advertiser_id, bid_cents, m, round_index
-                    )
-                    if (
-                        self.collector.enabled
-                        and problem.bid_cents > 0
-                        and not problem.trivially_unthrottled()
-                    ):
-                        # Count real DP/enumeration runs here too, so
-                        # the exact-recompute baseline and the throttle
-                        # cache report work through one counter.
-                        self.collector.incr(
-                            metric_names.THROTTLE_EXACT_FALLBACKS
-                        )
-                    effective = exact_throttled_bid(problem)
+                if advertiser_id in carriers:
+                    report.debt_carriers_scored += 1
+                problem = self.budget_manager.throttle_problem(
+                    advertiser_id, bid_cents, m, round_index
+                )
+                if (
+                    self.collector.enabled
+                    and problem.bid_cents > 0
+                    and not problem.trivially_unthrottled()
+                ):
+                    # Real DP/enumeration runs: both layouts count them
+                    # through this one counter.
+                    self.collector.incr(metric_names.THROTTLE_EXACT_FALLBACKS)
+                effective = exact_throttled_bid(problem)
             else:
                 effective = float(
                     min(bid_cents, self.budget_manager.remaining_cents(advertiser_id))
@@ -1074,25 +982,9 @@ class SharedAuctionEngine:
             m = counts[rows]
         ids_sub = store.ids[rows]
         collector = self.collector
-        cache = self._throttle_cache
-        if cache is not None:
-            # Memoized exact path: the cache owns the throttle.* metric
-            # bookkeeping and the change-feed-driven reuse, both keyed
-            # per advertiser, so scoring stays a per-id loop here.
-            bid_sub = store.bid_cents[rows]
-            effective_sub = np.empty(len(rows), dtype=np.float64)
-            for position in range(len(rows)):
-                effective_sub[position] = cache.exact_bid(
-                    int(ids_sub[position]),
-                    int(bid_sub[position]),
-                    int(m[position]),
-                    round_index,
-                )
-            score_sub = effective_sub / 100.0 * store.ctr_factors[rows]
-        else:
-            effective_sub = self._base_bid_by_row[rows]
-            score_sub = self._base_score_by_row[rows]
-        if self.throttle and cache is None:
+        effective_sub = self._base_bid_by_row[rows]
+        score_sub = self._base_score_by_row[rows]
+        if self.throttle:
             cap = self._cap_by_row[rows]
             slack = self._slack_by_row[rows]
             failed = (m * cap > slack).nonzero()[0]
@@ -1111,7 +1003,7 @@ class SharedAuctionEngine:
                 # whose ledger snapshots are those of every other such
                 # round: ctr_j constant and no queued ad dead yet.
                 keeping = (
-                    not self._decay_varies
+                    not manager.decay_varies
                     and round_index < manager.earliest_dead_round
                 )
                 rebuilt = 0
@@ -1288,65 +1180,6 @@ class SharedAuctionEngine:
                     self.collector,
                 )
         return rankings
-
-    def _bounded_rankings(
-        self, phrases: Sequence[str], round_index: int, report: RoundReport
-    ) -> Tuple[Dict[str, TopKList], Dict[int, float]]:
-        """Stages 2+3 fused, Section IV-B style: rank on bid bounds.
-
-        Each phrase's top-(k + 1) is selected directly from lazily
-        refined throttled-bid intervals; only the selected advertisers
-        are resolved exactly (GSP pricing needs their precise ``b̂``),
-        so ``effective_bid_cents`` covers exactly the selected set.
-        Outcome-identical to the exact path: interval decisions are only
-        taken outside the bounds' floating-point noise, and anything
-        closer is resolved exactly and compared with the engine's own
-        score floats (ties by lower advertiser id, as everywhere).
-        """
-        cache = self._throttle_cache
-        assert cache is not None
-        auctions_of: Dict[int, int] = {}
-        for phrase in phrases:
-            for advertiser_id in self.phrase_advertisers[phrase]:
-                auctions_of[advertiser_id] = auctions_of.get(advertiser_id, 0) + 1
-        rankings: Dict[str, TopKList] = {}
-        effective_bid_cents: Dict[int, float] = {}
-        for phrase in phrases:
-            ids = self.phrase_advertisers[phrase]
-            report.scans += len(ids)
-            contenders = []
-            for advertiser_id in ids:
-                advertiser = self._by_id[advertiser_id]
-                factor = (
-                    advertiser.ctr_factor_for(phrase)
-                    if self.mode == "shared-sort"
-                    else advertiser.ctr_factor
-                )
-                contenders.append(
-                    (
-                        advertiser_id,
-                        dollars_to_cents(advertiser.bid),
-                        auctions_of[advertiser_id],
-                        factor,
-                    )
-                )
-            selected = cache.select_top(contenders, self.k + 1, round_index)
-            for advertiser_id, exact_cents, _score in selected:
-                effective_bid_cents[advertiser_id] = exact_cents
-            rankings[phrase] = TopKList(
-                self.k + 1,
-                [(score, advertiser_id) for advertiser_id, _, score in selected],
-            )
-        if self.changefeed.active:
-            # Same publisher-side contract as the exact path: an
-            # advertiser whose auction multiplicity moved gets a
-            # BidChanged for any subscriber that keys off effective bids
-            # (the throttle cache itself covers m via its cache key).
-            for advertiser_id, m in sorted(auctions_of.items()):
-                if self._last_multiplicity.get(advertiser_id) != m:
-                    self.changefeed.publish(BidChanged(advertiser_id))
-            self._last_multiplicity.update(auctions_of)
-        return rankings, effective_bid_cents
 
     def _allocate_round(
         self,

@@ -101,30 +101,12 @@ name                      meaning (paper reference)
 ``ta.stages``             total stages executed; the gauge
                           ``ta.stop_depth`` holds the depth at which the
                           most recent run stopped.
-``throttle.problems_reused``  Section IV throttle problems served
-                          unchanged from the incremental throttle cache
-                          (:class:`repro.budgets.incremental.IncrementalThrottleCache`)
-                          -- the advertiser was clean on the change feed
-                          and its ``(bid, multiplicity)`` key matched, so
-                          its last b̂ / bounds were reused in O(1).
-``throttle.problems_rebuilt``  throttle problems rebuilt because the
-                          advertiser was dirty, its key moved, or it was
-                          never cached.
-``throttle.cache_invalidations``  cache entries marked dirty by drained
-                          ``BudgetChanged``/``BidChanged`` events
-                          (entries only; events for uncached advertisers
-                          do not count).
-``throttle.exact_fallbacks``  non-trivial exact b̂ computations -- the
-                          ``O(min(2^l, l·β))`` DP/enumeration actually
-                          ran (trivially-unthrottled shortcuts are
-                          free and not counted).  This is the unit of
-                          "throttle work" the budgets benchmark gates.
-``throttle.bounds_comparisons``  interval comparisons made by
-                          bound-driven top-k selection
-                          (``throttle_mode="bounded"``).
-``throttle.expansions``   largest-π expand-out refinement steps taken to
-                          separate incomparable intervals -- the other
-                          half of gated throttle work.
+``throttle.exact_fallbacks``  non-trivial exact b̂ computations in the
+                          scoring stage of either layout -- the Section
+                          IV problem was not trivially unthrottled, so
+                          the ``O(min(2^l, l·β))`` DP/enumeration ran
+                          (or, for a kept columnar problem, its standing
+                          ``min(β, S_l)`` array was asked again).
 ``bus.events_published``  events published on the engine's unified
                           change feed
                           (:class:`repro.engine.changefeed.ChangeFeed`).
@@ -207,8 +189,6 @@ name                      meaning (paper reference)
                           top-(k + 1) through the shared plan, the
                           shared sort + threshold algorithm or scans,
                           including a cross-round cache's feed drain.
-                          Under ``throttle_mode="bounded"`` scoring is
-                          fused into ranking and lands here.
 ``engine.stage.allocate`` *timer*: stage 4 -- slots priced for the
                           whole round, displays booked in one
                           ``record_displays`` call, clicks drawn.  The
@@ -273,12 +253,7 @@ __all__ = [
     "TA_RANDOM_ACCESSES",
     "TA_STAGES",
     "TA_STOP_DEPTH",
-    "THROTTLE_PROBLEMS_REUSED",
-    "THROTTLE_PROBLEMS_REBUILT",
-    "THROTTLE_CACHE_INVALIDATIONS",
     "THROTTLE_EXACT_FALLBACKS",
-    "THROTTLE_BOUNDS_COMPARISONS",
-    "THROTTLE_EXPANSIONS",
     "BUS_EVENTS_PUBLISHED",
     "BUS_EVENTS_CONSUMED",
     "CACHE_AUTOTUNE_RESIZES",
@@ -358,14 +333,8 @@ TA_RANDOM_ACCESSES = "ta.random_accesses"
 TA_STAGES = "ta.stages"
 TA_STOP_DEPTH = "ta.stop_depth"
 
-# Incremental Section IV throttling (change-feed cache + bound-driven
-# selection).
-THROTTLE_PROBLEMS_REUSED = "throttle.problems_reused"
-THROTTLE_PROBLEMS_REBUILT = "throttle.problems_rebuilt"
-THROTTLE_CACHE_INVALIDATIONS = "throttle.cache_invalidations"
+# Section IV throttling (exact b̂ in the scoring stage).
 THROTTLE_EXACT_FALLBACKS = "throttle.exact_fallbacks"
-THROTTLE_BOUNDS_COMPARISONS = "throttle.bounds_comparisons"
-THROTTLE_EXPANSIONS = "throttle.expansions"
 
 # Unified change feed and adaptive cache policy.
 BUS_EVENTS_PUBLISHED = "bus.events_published"

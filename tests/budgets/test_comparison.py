@@ -36,6 +36,32 @@ class TestBoundedBid:
         assert widths[-1] < 1e-6
         assert all(a >= b - 1e-9 for a, b in zip(widths, widths[1:]))
 
+    @given(
+        ads=throttle_ads(),
+        bid=st.integers(min_value=0, max_value=150),
+        budget=st.integers(min_value=0, max_value=400),
+        auctions=st.integers(min_value=1, max_value=5),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_intersection_tightens_and_contains_exact_at_every_depth(
+        self, ads, bid, budget, auctions
+    ):
+        problem = ThrottleProblem(min(bid, budget), budget, auctions, ads)
+        exact = exact_throttled_bid(problem)
+        bid = BoundedBid(0, problem)
+        previous = bid.bounds
+        assert exact in previous
+        while bid.refine():
+            current = bid.bounds
+            # The running intersection only shrinks -- exactly, not up
+            # to tolerance: lo is a max, hi is a min.
+            assert current.lo >= previous.lo
+            assert current.hi <= previous.hi
+            assert exact in current
+            previous = current
+        assert bid.exact
+        assert abs(bid.bounds.midpoint - exact) <= 1e-6
+
     def test_refine_on_exact_returns_false(self):
         bid = bounded(1, 20, 1000)
         assert bid.exact

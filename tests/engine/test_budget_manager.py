@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.budgets.outstanding import GeometricDecay
+from repro.budgets.outstanding import ExponentialDecay, GeometricDecay, NoDecay
+from repro.budgets.throttle import exact_throttled_bid
 from repro.engine.budget_manager import BudgetManager
 from repro.errors import BudgetError
 
@@ -87,6 +88,40 @@ class TestUnbudgetedKeepsNoBooks:
             manager.record_displays([7], [40, 30], [0.5, 0.5], 0)
         assert manager.debt_carriers == set()
         assert manager.drain_book_changes()[0] == []
+
+
+class TestDecayVaries:
+    """``decay_varies`` is the engine's one answer to "may a problem
+    built in one round answer for a later one?"."""
+
+    @pytest.mark.parametrize(
+        ("decay", "varies"),
+        [
+            (NoDecay(horizon=3), False),
+            (GeometricDecay(ratio=0.5, horizon=4), True),
+            (ExponentialDecay(rate=0.3, horizon=5), True),
+        ],
+    )
+    def test_only_a_non_decaying_model_holds_still(self, decay, varies):
+        assert BudgetManager({1: 300}, decay).decay_varies is varies
+
+    def test_no_decay_problem_holds_across_rounds(self):
+        manager = BudgetManager({1: 300})
+        manager.record_display(1, 90, 0.7, round_index=0)
+        assert not manager.decay_varies
+        early = manager.throttle_problem(1, 120, 3, round_index=0)
+        late = manager.throttle_problem(1, 120, 3, round_index=5)
+        assert late == early
+        assert exact_throttled_bid(late) == exact_throttled_bid(early)
+
+    def test_varying_decay_moves_the_bid_across_rounds(self):
+        manager = BudgetManager({1: 200}, GeometricDecay(ratio=0.5, horizon=32))
+        manager.record_display(1, 90, 0.8, round_index=0)
+        assert manager.decay_varies
+        # The same books, no event between: only the round differs.
+        early = manager.throttle_problem(1, 120, 3, round_index=0)
+        late = manager.throttle_problem(1, 120, 3, round_index=3)
+        assert exact_throttled_bid(early) != exact_throttled_bid(late)
 
 
 class TestOutstanding:

@@ -50,9 +50,8 @@ CONFIGS = {
     "unshared": dict(mode="unshared", throttle=False),
     "unshared+throttle": dict(mode="unshared", throttle=True),
     "shared": dict(mode="shared"),
-    "shared+caches": dict(
-        mode="shared", exec_cache=True, throttle_cache=True,
-        cache_verify=True,
+    "shared+exec_cache": dict(
+        mode="shared", exec_cache=True, cache_verify=True
     ),
     "shared-sort": dict(mode="shared-sort"),
     "shared-sort+cache": dict(
@@ -203,7 +202,7 @@ class TestColumnarMatchesObject:
         market = _small_market(seed)
         _, columnar = _run_lockstep(
             market.advertisers, market.search_rates, seed,
-            **CONFIGS["shared+caches"],
+            **CONFIGS["shared+exec_cache"],
         )
         assert columnar.counter(names.PLAN_LEAF_SCANS) > 0
         # Eight rounds on a static-bid market: later rounds must serve
@@ -319,7 +318,7 @@ class TestFeedEventsMatchAcrossLayouts:
         [
             ("unshared+throttle", 24),
             ("shared-sort+cache", 24),
-            ("shared+caches", 9),
+            ("shared+exec_cache", 9),
         ],
     )
     @pytest.mark.parametrize("seed", range(3))
@@ -378,14 +377,6 @@ class TestLayoutValidation:
         market = _small_market(0)
         with pytest.raises(InvalidAuctionError, match="unknown layout"):
             _build(market.advertisers, market.search_rates, "rowwise", 0)
-
-    def test_columnar_refuses_bounded_throttle(self):
-        market = _small_market(0)
-        with pytest.raises(InvalidAuctionError, match="bounded"):
-            _build(
-                market.advertisers, market.search_rates, "columnar", 0,
-                throttle_mode="bounded",
-            )
 
     def test_columnar_full_run_matches_object_end_to_end(self):
         # A plain .run() (engine-sampled phrases, terminal click flush)

@@ -250,15 +250,23 @@ class TestStageTimers:
             set(self.STAGES)
         )
 
-    def test_bounded_mode_scores_inside_rank(self, population):
+    @pytest.mark.parametrize("layout", ("object", "columnar"))
+    @pytest.mark.parametrize("mode", ("unshared", "shared", "shared-sort"))
+    def test_every_mode_scores_then_ranks_each_round(
+        self, population, mode, layout
+    ):
+        if layout == "columnar":
+            pytest.importorskip("numpy")
         collector = MetricsCollector()
         engine = build_engine(
-            population, mode="unshared", throttle_mode="bounded",
-            collector=collector,
+            population, mode=mode, layout=layout, collector=collector
         )
-        engine.run_round(sorted(engine.phrase_advertisers))
-        assert names.ENGINE_STAGE_SCORE_TIMER not in collector.timers
-        assert collector.timers[names.ENGINE_STAGE_RANK_TIMER].count == 1
+        phrases = sorted(engine.phrase_advertisers)
+        for _ in range(3):
+            engine.run_round(phrases)
+        timers = collector.timers
+        assert timers[names.ENGINE_STAGE_SCORE_TIMER].count == 3
+        assert timers[names.ENGINE_STAGE_RANK_TIMER].count == 3
 
     def test_the_null_collector_path_starts_no_timer(
         self, population, monkeypatch

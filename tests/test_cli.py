@@ -241,65 +241,7 @@ class TestCommands:
         assert plan.total_cost == 2
 
 
-class TestThrottleFlags:
-    def test_engine_bounded_throttle_with_cache(self, capsys):
-        assert (
-            main(
-                [
-                    "engine", "--rounds", "3", "--mode", "unshared",
-                    "--throttle-mode", "bounded", "--throttle-cache",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "+bounded-throttle" in out
-        assert "+throttle-cache" in out
-
-    def test_engine_throttle_cache_alone(self, capsys):
-        assert (
-            main(
-                [
-                    "engine", "--rounds", "3", "--mode", "shared",
-                    "--throttle-cache",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "+throttle-cache" in out
-        assert "+bounded-throttle" not in out
-
-    def test_engine_bounded_rejects_exec_cache(self, capsys):
-        assert (
-            main(
-                [
-                    "engine", "--rounds", "2", "--mode", "shared",
-                    "--exec-cache", "--throttle-mode", "bounded",
-                ]
-            )
-            == 1
-        )
-        assert "bounded" in capsys.readouterr().err
-
-    def test_engine_bounded_rejects_sort_cache(self, capsys):
-        assert (
-            main(
-                [
-                    "engine", "--rounds", "2", "--mode", "shared-sort",
-                    "--sort-cache", "--throttle-mode", "bounded",
-                ]
-            )
-            == 1
-        )
-        assert "bounded" in capsys.readouterr().err
-
-    def test_engine_rejects_unknown_throttle_mode(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["engine", "--throttle-mode", "sideways"]
-            )
-
+class TestGamingAtScale:
     def test_gaming_at_scale(self, capsys):
         assert (
             main(
@@ -420,18 +362,6 @@ class TestLayoutAndWorkerFlags:
     def test_workers_must_be_positive(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["engine", "--workers", "0"])
-
-    def test_columnar_rejects_bounded_throttle(self, capsys):
-        assert (
-            main(
-                [
-                    "engine", "--layout", "columnar",
-                    "--throttle-mode", "bounded",
-                ]
-            )
-            == 1
-        )
-        assert "bounded" in capsys.readouterr().err
 
     def test_workers_reject_serve(self, capsys):
         assert main(["engine", "--workers", "2", "--serve"]) == 1
