@@ -1,54 +1,44 @@
-"""E13 -- the unified invalidation bus: overhead and autotune policy.
+"""E17 -- the unified invalidation bus: what one event costs.
 
 The bus must be cheap enough to be invisible: publishing a typed event
 and draining it from a subscription is a few dict/list operations, paid
-once per *changed advertiser* per round -- independent of plan size.
-This experiment measures that per-event cost in isolation, then runs the
-Fig. 4 cross-round workload with the dirty set flowing entirely over the
-bus and verifies the accounting: cached work stays at or below uncached
-work, and the bus's total overhead is exactly ``events_published`` times
-the measured per-event cost.  A compact dirty-fraction sweep records the
-autotuner's bypass decisions.  Everything is written to
-``BENCH_changefeed.json`` at the repo root as the reproduction record.
+once per *changed advertiser* per booking call -- independent of plan
+size.  This experiment measures that per-event cost in isolation, then
+counts the events a real engine market publishes while a probe
+subscription keeps the feed active (nothing inside the engine
+subscribes, so without one it publishes nothing).  Everything is
+written to ``BENCH_changefeed.json`` at the repo root as the
+reproduction record.
 
-The work gates are counter arithmetic and machine-independent; the only
-wall-clock gate is a deliberately generous per-event ceiling (100 us --
-measured ~1 us) to catch pathological regressions without CI noise.
+The only wall-clock gate is a deliberately generous per-event ceiling
+(100 us -- measured ~1 us) to catch pathological regressions without CI
+noise.
 """
 
 from __future__ import annotations
 
 import json
-import random
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.engine.autotune import CacheAutotuner
 from repro.engine.changefeed import BidChanged, ChangeFeed
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.instrument import MetricsCollector, names
-from repro.metrics.tables import ExperimentTable
-from repro.plans.executor import CrossRoundPlanExecutor, PlanExecutor
-from repro.plans.greedy_planner import greedy_shared_plan
-from repro.workloads.fig4 import fig4_instance
 from repro.workloads.generator import MarketConfig, generate_market
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_changefeed.json"
 PER_EVENT_CEILING_SECONDS = 100e-6
 MICRO_EVENTS = 20_000
-ROUNDS = 50
-DIRTY_FRACTION = 0.05
-SWEEP_FRACTIONS = (0.01, 0.10, 0.50, 1.00)
-SWEEP_ROUNDS = 12
+ENGINE_ROUNDS = 30
 
 
 def _measure_per_event_seconds():
-    """Publish/drain cost per event with one realistic subscriber."""
+    """Publish/drain cost per event with one probe subscriber."""
     feed = ChangeFeed()
     sub = feed.subscribe(
-        "bench", kinds=("bid_changed", "budget_changed")
+        "probe", kinds=("bid_changed", "budget_changed")
     )
     events = [BidChanged(i % 64) for i in range(MICRO_EVENTS)]
     started = time.perf_counter()
@@ -63,94 +53,17 @@ def _measure_per_event_seconds():
     return elapsed / MICRO_EVENTS
 
 
-def _fig4_bus_run(seed):
-    """The E11 cross-round workload, dirty sets flowing over the bus."""
-    instance = fig4_instance(0.9)
-    plan = greedy_shared_plan(instance)
-    rng = random.Random(seed)
-    variables = sorted(instance.variables)
-    scores = {v: rng.uniform(0.1, 100.0) for v in variables}
-    dirty_count = max(1, int(len(variables) * DIRTY_FRACTION))
-
-    feed = ChangeFeed()
-    cached_collector = MetricsCollector()
-    uncached_collector = MetricsCollector()
-    cached = CrossRoundPlanExecutor(plan, 3, cached_collector)
-    cached.connect(feed)
-    uncached = PlanExecutor(plan, 3, uncached_collector)
-
-    for round_index in range(ROUNDS):
-        if round_index:
-            for v in rng.sample(variables, dirty_count):
-                scores[v] = rng.uniform(0.1, 100.0)
-                feed.publish(BidChanged(v))
-        occurring = [
-            q.name for q in instance.queries if rng.random() < q.search_rate
-        ]
-        a = cached.run_round(dict(scores), occurring)
-        b = uncached.run_round(dict(scores), occurring)
-        assert a.answers == b.answers, f"diverged in round {round_index}"
-
-    return (
-        cached_collector.counter(names.PLAN_NODES),
-        uncached_collector.counter(names.PLAN_NODES),
-        feed.events_published,
-    )
-
-
-def _sweep_point(fraction):
-    """Bypass behaviour of the autotuned executor at one dirty fraction."""
-    instance = fig4_instance(0.9)
-    plan = greedy_shared_plan(instance)
-    variables = sorted(instance.variables)
-    order = list(variables)
-    random.Random(1).shuffle(order)
-    dirty_count = max(1, int(round(fraction * len(variables))))
-
-    feed = ChangeFeed()
-    autotuner = CacheAutotuner(warmup=3)
-    executor = CrossRoundPlanExecutor(plan, 3, autotuner=autotuner)
-    executor.connect(feed)
-    scores = {v: float(i * 37 % 50 + 1) for i, v in enumerate(variables)}
-    for round_index in range(SWEEP_ROUNDS):
-        if round_index:
-            for v in order[:dirty_count]:
-                scores[v] = scores[v] + 1.0
-                feed.publish(BidChanged(v))
-        executor.run_round(dict(scores))
-    return autotuner.bypass_rounds
-
-
 @pytest.mark.experiment("ChangeFeed")
-def test_bus_overhead_and_autotune_sweep(benchmark):
+def test_bus_overhead(benchmark):
     per_event = _measure_per_event_seconds()
     assert per_event <= PER_EVENT_CEILING_SECONDS, (
         f"bus costs {per_event * 1e6:.1f} us/event "
         f"(ceiling {PER_EVENT_CEILING_SECONDS * 1e6:.0f} us)"
     )
 
-    table = ExperimentTable(
-        f"Bus-driven cross-round cache, fig4 sr=0.9, {ROUNDS} rounds, "
-        f"{DIRTY_FRACTION:.0%} dirty",
-        ["seed", "cached nodes", "uncached nodes", "ratio", "bus events"],
-    )
-    fig4_record = {}
-    for seed in range(3):
-        cached_nodes, uncached_nodes, events = _fig4_bus_run(seed)
-        ratio = cached_nodes / uncached_nodes if uncached_nodes else 0.0
-        table.add(seed, cached_nodes, uncached_nodes, ratio, events)
-        assert cached_nodes <= uncached_nodes, seed
-        fig4_record[f"seed {seed}"] = {
-            "cached_nodes": cached_nodes,
-            "uncached_nodes": uncached_nodes,
-            "ratio": round(ratio, 3),
-            "events_published": events,
-            "bus_overhead_seconds": round(events * per_event, 6),
-        }
-    table.show()
-
     # Engine-level event traffic on a generated market: how many events
-    # one real round publishes (clicks, displays, expiries, m_i moves).
+    # one real round publishes (displays, clicks, expiries, m_i moves)
+    # while a probe keeps the feed active.
     market = generate_market(
         MarketConfig(
             num_categories=3,
@@ -167,44 +80,33 @@ def test_bus_overhead_and_autotune_sweep(benchmark):
         slot_factors=[0.3, 0.2, 0.1],
         search_rates=market.search_rates,
         mode="shared",
-        exec_cache=True,
         seed=13,
         collector=collector,
     )
-    engine.run(30)
+    probe = engine.changefeed.subscribe("probe")
+    for _ in range(ENGINE_ROUNDS):
+        engine.run_round()
+        probe.drain()
     engine_events = collector.counter(names.BUS_EVENTS_PUBLISHED)
     assert engine_events > 0
-    assert collector.counter(names.BUS_EVENTS_CONSUMED) > 0
-
-    sweep = {}
-    bypasses = []
-    for fraction in SWEEP_FRACTIONS:
-        bypass_rounds = _sweep_point(fraction)
-        sweep[f"{fraction:.0%} dirty"] = {"bypass_rounds": bypass_rounds}
-        bypasses.append(bypass_rounds)
-    assert bypasses == sorted(bypasses), (
-        f"bypass not monotone over {SWEEP_FRACTIONS}: {bypasses}"
-    )
-    assert bypasses[0] == 0 and bypasses[-1] > 0
+    assert collector.counter(names.BUS_EVENTS_CONSUMED) == engine_events
 
     record = {
         "per_event_seconds": round(per_event, 9),
         "per_event_ceiling_seconds": PER_EVENT_CEILING_SECONDS,
         "micro_events": MICRO_EVENTS,
-        "fig4 sr=0.9": fig4_record,
-        "engine market (30 rounds)": {
+        f"engine market ({ENGINE_ROUNDS} rounds, probe subscribed)": {
             "events_published": engine_events,
-            "events_per_round": round(engine_events / 30, 1),
+            "events_per_round": round(engine_events / ENGINE_ROUNDS, 1),
             "estimated_bus_overhead_seconds": round(
                 engine_events * per_event, 6
             ),
         },
-        "autotune_sweep": sweep,
     }
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
 
     # Timed kernel: one published event delivered to one subscriber and
-    # drained -- the marginal cost a dirty advertiser adds to a round.
+    # drained -- the marginal cost a moved advertiser adds to a round.
     feed = ChangeFeed()
     sub = feed.subscribe("kernel", kinds=("bid_changed",))
     event = BidChanged(7)

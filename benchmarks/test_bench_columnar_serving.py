@@ -1,24 +1,17 @@
-"""E21 -- cached-columnar serving: the tentpole composition, measured.
+"""E21 -- columnar serving against the object layout, measured.
 
-ISSUE 10's headline path: ``layout="columnar"`` with the cross-round
-caches on, serving queries one at a time.  Two halves:
+``layout="columnar"`` serving queries one at a time through the
+Section III pipeline (``mode="shared-sort"``), no cross-round cache.
+Two halves:
 
-1. **Identity** (50 seeds): columnar cached serving is byte-identical
-   to object cached serving on the same arrival trace -- every query's
-   winners and prices, click money, and the final budget books -- for
-   both cache families, with ``cache_verify=True`` so an event-uncovered
-   stale score raises instead of diverging.
+1. **Identity** (50 seeds): columnar serving is byte-identical to object
+   serving on the same arrival trace -- every query's winners and
+   prices, click money, and the final budget books.
 2. **Speed** (the scaled Fig. 4 market, 2000 advertisers / 480
-   phrases): cached-columnar serving resolves a query at least 2x
-   faster than cached-object serving.  The gate runs on the shared-sort
-   family, which is the only one whose *object* engine is even
-   constructible at this scale -- the object exec path's greedy plan
-   build exceeds minutes at 480 phrases (the ``pair_strategy="cover"``
-   planner is quadratic-ish in the phrase overlap structure), while the
-   columnar fragment executor builds in milliseconds.  That asymmetry
-   is recorded, not hidden: the exec family reports the columnar
-   per-query cost at scale with an explicitly infeasible object
-   baseline.
+   phrases): columnar serving resolves a query at least 2x faster than
+   object serving.  ``shared-sort`` is the family whose *object* engine
+   is constructible at this scale -- the object greedy plan build of
+   ``mode="shared"`` exceeds minutes at 480 phrases.
 
 Results merge into the ``columnar_serving`` key of
 ``BENCH_serving.json`` (E18 owns the other keys); the tracked entries
@@ -51,11 +44,7 @@ SLOTS = [0.3, 0.2, 0.1]
 SCALED = dict(num_queries=60, num_advertisers=250, num_components=8)
 WARMUP_QUERIES = 50
 TIMED_QUERIES = 250
-
-FAMILIES = {
-    "exec": {"mode": "shared", "exec_cache": True},
-    "sort": {"mode": "shared-sort", "sort_cache": True},
-}
+MODE = "shared-sort"
 
 
 def _small_market(seed: int):
@@ -71,14 +60,14 @@ def _small_market(seed: int):
     )
 
 
-def _loop(advertisers, rates, layout, seed, **kw):
+def _loop(advertisers, rates, layout, seed):
     engine = SharedAuctionEngine(
         advertisers,
         slot_factors=SLOTS,
         search_rates=rates,
         seed=seed,
         layout=layout,
-        **kw,
+        mode=MODE,
     )
     traffic = TrafficGenerator.from_search_rates(
         rates, rate_qps=200.0, seed=seed
@@ -86,8 +75,8 @@ def _loop(advertisers, rates, layout, seed, **kw):
     return engine, ServingEngine(engine, traffic, keep_history=True)
 
 
-def _served_outcome(advertisers, rates, layout, seed, **kw):
-    engine, loop = _loop(advertisers, rates, layout, seed, **kw)
+def _served_outcome(advertisers, rates, layout, seed):
+    engine, loop = _loop(advertisers, rates, layout, seed)
     report = loop.run(IDENTITY_QUERIES)
     return (
         [(q.phrase, q.allocation) for q in report.history],
@@ -98,77 +87,49 @@ def _served_outcome(advertisers, rates, layout, seed, **kw):
     )
 
 
-def _timed_ms_per_query(advertisers, rates, layout, **kw):
-    engine = SharedAuctionEngine(
-        advertisers,
-        slot_factors=SLOTS,
-        search_rates=rates,
-        seed=17,
-        layout=layout,
-        **kw,
-    )
-    traffic = TrafficGenerator.from_search_rates(
-        rates, rate_qps=200.0, seed=17
-    )
-    loop = ServingEngine(engine, traffic, keep_history=False)
-    loop.run(WARMUP_QUERIES)  # past cold caches and lazy presorts
+def _timed_ms_per_query(advertisers, rates, layout):
+    _, loop = _loop(advertisers, rates, layout, 17)
+    loop.keep_history = False
+    loop.run(WARMUP_QUERIES)  # past lazy presorts
     start = time.perf_counter()
     loop.run(TIMED_QUERIES)
     return (time.perf_counter() - start) * 1000.0 / TIMED_QUERIES
 
 
 @pytest.mark.experiment("E21")
-def test_cached_columnar_serving_identity_and_speed(benchmark):
+def test_columnar_serving_identity_and_speed(benchmark):
     # ------------------------------------------------------------- 1.
-    # 50-seed trace identity, both cache families, verify on.
+    # 50-seed trace identity.
     identical = True
     for seed in range(IDENTITY_SEEDS):
         market = _small_market(seed)
-        for family, config in FAMILIES.items():
-            outcomes = {
-                layout: _served_outcome(
-                    market.advertisers,
-                    market.search_rates,
-                    layout,
-                    seed,
-                    cache_verify=True,
-                    **config,
-                )
-                for layout in ("object", "columnar")
-            }
-            same = outcomes["object"] == outcomes["columnar"]
-            identical = identical and same
-            assert same, (
-                f"cached serving diverged across layouts "
-                f"(family {family}, seed {seed})"
+        outcomes = {
+            layout: _served_outcome(
+                market.advertisers, market.search_rates, layout, seed
             )
+            for layout in ("object", "columnar")
+        }
+        same = outcomes["object"] == outcomes["columnar"]
+        identical = identical and same
+        assert same, f"serving diverged across layouts (seed {seed})"
 
     # ------------------------------------------------------------- 2.
     # Per-query wall clock at the scaled point.
     advertisers, rates = fig4_market(
         seed=4, median_budget_cents=20_000, **SCALED
     )
-    sort_object_ms = _timed_ms_per_query(
-        advertisers, rates, "object",
-        mode="shared-sort", sort_cache=True, cache_verify=False,
-    )
-    sort_columnar_ms = _timed_ms_per_query(
-        advertisers, rates, "columnar",
-        mode="shared-sort", sort_cache=True, cache_verify=False,
-    )
-    exec_columnar_ms = _timed_ms_per_query(
-        advertisers, rates, "columnar",
-        mode="shared", exec_cache=True, cache_verify=False,
-    )
-    speedup = sort_object_ms / sort_columnar_ms
+    object_ms = _timed_ms_per_query(advertisers, rates, "object")
+    columnar_ms = _timed_ms_per_query(advertisers, rates, "columnar")
+    speedup = object_ms / columnar_ms
     assert speedup >= SPEEDUP_FLOOR, (
-        f"cached-columnar serving only {speedup:.2f}x faster per query "
-        f"than cached-object serving (floor {SPEEDUP_FLOOR}x)"
+        f"columnar serving only {speedup:.2f}x faster per query "
+        f"than object serving (floor {SPEEDUP_FLOOR}x)"
     )
 
     record = {
         "workload": {
             **SCALED,
+            "mode": MODE,
             "advertisers": len(advertisers),
             "phrases": len(rates),
             "warmup_queries": WARMUP_QUERIES,
@@ -179,18 +140,8 @@ def test_cached_columnar_serving_identity_and_speed(benchmark):
         "outcomes_identical": identical,
         "speedup_per_query": round(speedup, 2),
         "speedup_floor": SPEEDUP_FLOOR,
-        "sort_cache": {
-            "object_ms_per_query": round(sort_object_ms, 4),
-            "columnar_ms_per_query": round(sort_columnar_ms, 4),
-        },
-        "exec_cache": {
-            "columnar_ms_per_query": round(exec_columnar_ms, 4),
-            "object_baseline": (
-                "infeasible: greedy plan construction exceeds minutes "
-                "at 480 phrases; the columnar fragment executor builds "
-                "in milliseconds"
-            ),
-        },
+        "object_ms_per_query": round(object_ms, 4),
+        "columnar_ms_per_query": round(columnar_ms, 4),
     }
     merged = {}
     if BENCH_JSON.exists():
@@ -199,22 +150,18 @@ def test_cached_columnar_serving_identity_and_speed(benchmark):
     BENCH_JSON.write_text(json.dumps(merged, indent=2) + "\n")
 
     table = ExperimentTable(
-        "E21: cached-columnar serving "
+        f"E21: {MODE} serving by layout "
         f"({len(advertisers)} advertisers, {len(rates)} phrases)",
         ["metric", "value"],
     )
-    table.add("identity seeds x families", f"{IDENTITY_SEEDS} x 2")
-    table.add("sort-cache object (ms/q)", round(sort_object_ms, 3))
-    table.add("sort-cache columnar (ms/q)", round(sort_columnar_ms, 3))
+    table.add("identity seeds", IDENTITY_SEEDS)
+    table.add("object (ms/q)", round(object_ms, 3))
+    table.add("columnar (ms/q)", round(columnar_ms, 3))
     table.add("speedup per query", round(speedup, 2))
-    table.add("exec-cache columnar (ms/q)", round(exec_columnar_ms, 3))
     table.show()
 
-    # Timed kernel: one steady-state cached-columnar serving tick.
-    engine, loop = _loop(
-        advertisers, rates, "columnar", 17,
-        mode="shared-sort", sort_cache=True, cache_verify=False,
-    )
+    # Timed kernel: one steady-state columnar serving tick.
+    _, loop = _loop(advertisers, rates, "columnar", 17)
     loop.keep_history = False
     loop.run(WARMUP_QUERIES)
     arrivals = iter(loop.traffic)

@@ -1,24 +1,17 @@
-"""E18 -- the serving engine: sustained QPS, exact tail latency, and
-steady-state cache amortization.
+"""E18 -- the serving engine: sustained QPS and exact tail latency.
 
-The serving loop's performance claim has two halves.  *Latency*: a
-query-at-a-time tick on the Fig. 4-derived market resolves in well under
-a millisecond, measured as exact nearest-rank p50/p99 over a 600-query
-session (no sketches -- the recorder keeps every sample).  *Work*: with
-the cross-round caches acting as steady-state serving caches, each query
-re-materializes only the dirty cone left by asynchronous click
-settlements, so a cached session does measurably less winner-
-determination work per query than a cache-off session on the identical
-trace -- `plan.nodes` for the shared executor, operator pulls + leaf
-reads for the shared-sort network.
+A query-at-a-time tick on the Fig. 4-derived market resolves in well
+under a millisecond, measured as exact nearest-rank p50/p99 over a
+600-query session (no sketches -- the recorder keeps every sample).
+Every configuration serves the identical trace; the columnar exec cache
+must reuse fragment lists in steady state (``plan.nodes_reused`` > 0).
 
 Latency sessions run with the null collector (metric bookkeeping would
 tax exactly the path being timed); work sessions re-run the identical
 trace with a collector, which is sound because outcomes and work
 counters are deterministic for a fixed configuration.  Results land in
-``BENCH_serving.json`` at the repo root.  The work gates are counter
-arithmetic and machine-independent; the only wall gate is a generous
-p50 ceiling to catch pathological regressions without CI noise.
+``BENCH_serving.json`` at the repo root.  The only wall gate is a
+generous p50 ceiling to catch pathological regressions without CI noise.
 """
 
 from __future__ import annotations
@@ -41,7 +34,6 @@ ZIPF_EXPONENT = 1.0
 MARKET_SEED = 4
 ENGINE_SEED = 17
 P50_CEILING_SECONDS = 0.050  # measured ~0.3 ms; 50 ms means pathology
-CACHED_WORK_MAX_RATIO = 0.9  # "measurably less", not merely "not more"
 
 
 def make_loop(collector=None, **engine_kwargs):
@@ -49,8 +41,7 @@ def make_loop(collector=None, **engine_kwargs):
     # stays on its trivially-unthrottled fast path (tight budgets make
     # every tick pay O(outstanding x budget) per advertiser -- a real
     # cost, but a property of the throttle problem, not of the serving
-    # loop this experiment measures) while clicks still move the books,
-    # so BudgetChanged events keep the caches' dirty cones honest.
+    # loop this experiment measures) while clicks still move the books.
     advertisers, search_rates = fig4_market(
         seed=MARKET_SEED, median_budget_cents=20_000
     )
@@ -84,22 +75,16 @@ def work_session(**engine_kwargs):
     return report.counters, report
 
 
+EXEC_CACHE = {"mode": "shared", "layout": "columnar", "exec_cache": True}
 CONFIGS = [
     ("shared uncached", {"mode": "shared"}),
-    (
-        "shared +exec-cache",
-        {"mode": "shared", "exec_cache": True, "cache_verify": False},
-    ),
+    ("shared columnar +exec-cache", EXEC_CACHE),
     ("shared-sort uncached", {"mode": "shared-sort"}),
-    (
-        "shared-sort +sort-cache",
-        {"mode": "shared-sort", "sort_cache": True, "cache_verify": False},
-    ),
 ]
 
 
 def plan_work(counters):
-    return counters.get(names.PLAN_NODES, 0)
+    return counters.get(names.PLAN_LEAF_SCANS, 0)
 
 
 def sort_work(counters):
@@ -109,10 +94,10 @@ def sort_work(counters):
 
 
 @pytest.mark.experiment("Serving")
-def test_serving_qps_latency_and_cache_amortization(benchmark):
+def test_serving_qps_and_latency(benchmark):
     table = ExperimentTable(
         f"Serving fig4 market, {QUERIES} queries, Zipf {ZIPF_EXPONENT}",
-        ["config", "qps", "p50 (ms)", "p99 (ms)", "work/query"],
+        ["config", "qps", "p50 (ms)", "p99 (ms)", "scans/query"],
     )
     record = {
         "queries": QUERIES,
@@ -123,6 +108,7 @@ def test_serving_qps_latency_and_cache_amortization(benchmark):
         "configs": {},
     }
     counters_by_label = {}
+    revenues = set()
     for label, config in CONFIGS:
         latency = latency_session(**config)
         counters, report = work_session(**config)
@@ -149,39 +135,20 @@ def test_serving_qps_latency_and_cache_amortization(benchmark):
             "revenue_cents": report.revenue_cents,
             "clicks": report.clicks,
         }
+        revenues.add((report.revenue_cents, report.clicks))
     table.show()
+    assert len(revenues) == 1, f"configs disagree on outcomes: {revenues}"
 
-    # The tentpole gate: steady-state cached serving does measurably
-    # less winner-determination work per query than cache-off serving
-    # on the identical trace.
-    exec_cached = plan_work(counters_by_label["shared +exec-cache"])
-    exec_uncached = plan_work(counters_by_label["shared uncached"])
-    assert exec_cached < exec_uncached * CACHED_WORK_MAX_RATIO, (
-        f"exec cache saved too little: {exec_cached} vs {exec_uncached}"
-    )
-    sort_cached = sort_work(counters_by_label["shared-sort +sort-cache"])
-    sort_uncached = sort_work(counters_by_label["shared-sort uncached"])
-    assert sort_cached < sort_uncached * CACHED_WORK_MAX_RATIO, (
-        f"sort cache saved too little: {sort_cached} vs {sort_uncached}"
-    )
-    reused = counters_by_label["shared +exec-cache"].get(
+    reused = counters_by_label["shared columnar +exec-cache"].get(
         names.PLAN_NODES_REUSED, 0
     )
-    assert reused > 0, "steady state never reused a cached node"
-    record["gates"] = {
-        "exec_cache_work_ratio": round(exec_cached / exec_uncached, 3),
-        "sort_cache_work_ratio": round(sort_cached / sort_uncached, 3),
-        "max_allowed_ratio": CACHED_WORK_MAX_RATIO,
-        "plan_nodes_reused": reused,
-        "sort_streams_reused": counters_by_label[
-            "shared-sort +sort-cache"
-        ].get(names.SORT_STREAMS_REUSED, 0),
-    }
+    assert reused > 0, "steady state never reused a cached fragment"
+    record["exec_cache"] = {"plan_nodes_reused": reused}
 
     # Identical sessions must record identical counters (the serving
     # determinism contract the test suite pins on a smaller market).
-    again, _ = work_session(mode="shared", exec_cache=True, cache_verify=False)
-    assert again == counters_by_label["shared +exec-cache"]
+    again, _ = work_session(**EXEC_CACHE)
+    assert again == counters_by_label["shared columnar +exec-cache"]
 
     # Merge-preserve: test_bench_columnar_serving.py owns the
     # "columnar_serving" key in the same file.
@@ -192,7 +159,7 @@ def test_serving_qps_latency_and_cache_amortization(benchmark):
     BENCH_JSON.write_text(json.dumps(merged, indent=2) + "\n")
 
     # Timed kernel: one steady-state cached serving tick, end to end.
-    loop = make_loop(mode="shared", exec_cache=True, cache_verify=False)
+    loop = make_loop(**EXEC_CACHE)
     loop.run(100)  # past the cold start
     arrivals = iter(loop.traffic)
 

@@ -1,18 +1,14 @@
-"""E13 -- the shared-sort hot-path rebuild (ISSUE 5 acceptance gates).
+"""E13 -- the shared-sort hot path: lazy builder and batched pulls.
 
-Three claims, three gates, all on the scaled nonseparable workload
-(per-phrase CTR factors force Section III; small paper-scale points are
-reported but not gated):
+Two claims, two gates, on the scaled nonseparable workload (per-phrase
+CTR factors force Section III; the small paper-scale point is reported
+but not gated):
 
 1. **Builder**: the lazy pair-heap completion performs at least 5x
    fewer expected-savings evaluations than the naive full rescan and is
    at least 2x faster in wall-clock, while building the byte-identical
    plan (serialized-form equality asserted here, not just counters).
-2. **Cross-round reuse**: over a 20-round run where ~5% of bids change
-   per round, :class:`CrossRoundSortCache` cuts cumulative operator
-   pulls by at least 40% against rebuilding the network every round,
-   with every phrase stream item-for-item identical.
-3. **Batched pulls**: the batched threshold path issues at most the
+2. **Batched pulls**: the batched threshold path issues at most the
    operator pulls of the item-at-a-time register model (strict counter
    parity is asserted; the batch/item call amortization is recorded).
 
@@ -31,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from repro.instrument import MetricsCollector, names as metric_names
-from repro.sharedsort.cache import CrossRoundSortCache
 from repro.sharedsort.plan import SortBuilderStats, build_shared_sort_plan
 from repro.sharedsort.serialize import serialize_plan
 from repro.sharedsort.threshold import threshold_top_k
@@ -40,9 +35,6 @@ from repro.metrics.tables import ExperimentTable
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sharedsort.json"
 SAVINGS_REDUCTION_FLOOR = 5.0
 WALL_SPEEDUP_FLOOR = 2.0
-PULL_REDUCTION_FLOOR = 0.40
-ROUNDS = 20
-DIRTY_FRACTION = 0.05
 TOP_K = 4
 
 
@@ -93,58 +85,12 @@ def _build_both(phrases, rates):
     return results
 
 
-def _run_rounds(plan, phrases, rates, factors, bids, rng, use_cache):
-    """Drive ROUNDS rounds of per-phrase TA; returns (pulls, collector).
-
-    Each round ~5% of bids change and each phrase occurs by its rate;
-    the bid/occurrence schedule is derived from a fresh ``Random`` seeded
-    identically for the cached and uncached runs, so both see the exact
-    same rounds.
-    """
-    collector = MetricsCollector()
-    cache = CrossRoundSortCache(plan, collector) if use_cache else None
-    ctr_orders = {
-        phrase: sorted(ids, key=lambda i: (-factors[phrase][i], i))
-        for phrase, ids in phrases.items()
-    }
-    bids = dict(bids)
-    dirty_count = max(1, int(len(bids) * DIRTY_FRACTION))
-    total_pulls = 0
-    answers = []
-    for round_index in range(ROUNDS):
-        if round_index:
-            for advertiser in rng.sample(sorted(bids), dirty_count):
-                bids[advertiser] = round(rng.uniform(0.1, 50.0), 2)
-        occurring = [
-            phrase for phrase in sorted(phrases) if rng.random() < rates[phrase]
-        ]
-        round_bids = {
-            i: bids[i] for phrase in occurring for i in phrases[phrase]
-        }
-        if cache is not None:
-            live = cache.instantiate(round_bids, collector)
-        else:
-            live = plan.instantiate(round_bids, collector)
-        for phrase in occurring:
-            result = threshold_top_k(
-                TOP_K,
-                live.stream_for_phrase(phrase),
-                ctr_orders[phrase],
-                round_bids,
-                factors[phrase],
-                collector,
-            )
-            answers.append((round_index, phrase, result.ranking.entries))
-        total_pulls += live.round_pulls()
-    return total_pulls, answers, collector
-
-
 @pytest.mark.experiment("SharedSortRebuild")
-def test_builder_cache_and_batching_gates(benchmark):
+def test_builder_and_batching_gates(benchmark):
     table = ExperimentTable(
-        "Shared-sort rebuild: builder work, cross-round pulls",
+        "Shared-sort rebuild: builder work",
         ["workload", "evals naive", "evals lazy", "reduction",
-         "wall speedup", "pulls fresh", "pulls cached", "pull cut"],
+         "wall speedup"],
     )
     record = {}
     for label, num_phrases, num_ads, scaled in _workloads():
@@ -162,28 +108,12 @@ def test_builder_cache_and_batching_gates(benchmark):
         )
         speedup = naive_s / lazy_s if lazy_s else float("inf")
 
-        # Identical round schedules: same seed, same draw sequence.
-        fresh_pulls, fresh_answers, _ = _run_rounds(
-            lazy_plan, phrases, rates, factors, bids,
-            random.Random(11), use_cache=False,
-        )
-        cached_pulls, cached_answers, cached_collector = _run_rounds(
-            lazy_plan, phrases, rates, factors, bids,
-            random.Random(11), use_cache=True,
-        )
-        assert cached_answers == fresh_answers, f"{label}: answers diverged"
-        assert cached_pulls <= fresh_pulls
-        pull_cut = 1.0 - cached_pulls / fresh_pulls if fresh_pulls else 0.0
-
         table.add(
             label,
             naive_stats.savings_evaluated,
             lazy_stats.savings_evaluated,
             reduction,
             speedup,
-            fresh_pulls,
-            cached_pulls,
-            pull_cut,
         )
         record[label] = {
             "scaled_acceptance_point": scaled,
@@ -206,22 +136,6 @@ def test_builder_cache_and_batching_gates(benchmark):
                 },
                 "plans_identical": True,
             },
-            "cross_round": {
-                "rounds": ROUNDS,
-                "dirty_fraction": DIRTY_FRACTION,
-                "operator_pulls": {
-                    "fresh": fresh_pulls,
-                    "cached": cached_pulls,
-                    "reduction": round(pull_cut, 3),
-                },
-                "streams_reused": cached_collector.counter(
-                    metric_names.SORT_STREAMS_REUSED
-                ),
-                "streams_invalidated": cached_collector.counter(
-                    metric_names.SORT_STREAMS_INVALIDATED
-                ),
-                "answers_identical": True,
-            },
         }
         if scaled:
             assert reduction >= SAVINGS_REDUCTION_FLOOR, (
@@ -231,10 +145,6 @@ def test_builder_cache_and_batching_gates(benchmark):
             assert speedup >= WALL_SPEEDUP_FLOOR, (
                 f"{label}: builder wall-clock speedup only {speedup:.2f}x "
                 f"(floor {WALL_SPEEDUP_FLOOR}x)"
-            )
-            assert pull_cut >= PULL_REDUCTION_FLOOR, (
-                f"{label}: cross-round pull reduction only {pull_cut:.0%} "
-                f"(floor {PULL_REDUCTION_FLOOR:.0%})"
             )
 
     # Batched pull parity + amortization on the scaled workload: the
@@ -264,7 +174,7 @@ def test_builder_cache_and_batching_gates(benchmark):
             )
         parity[batched] = dict(collector.snapshot())
         # Warm pass: every stream replays its cache -- the regime shared
-        # operators and cross-round reuse put the engine in.
+        # operators put the engine in.
         snapshot = collector.snapshot()
         for phrase in sorted(phrases):
             threshold_top_k(
@@ -307,31 +217,23 @@ def test_builder_cache_and_batching_gates(benchmark):
     record["acceptance"] = {
         "savings_reduction_floor": SAVINGS_REDUCTION_FLOOR,
         "wall_speedup_floor": WALL_SPEEDUP_FLOOR,
-        "pull_reduction_floor": PULL_REDUCTION_FLOOR,
     }
     BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
 
-    # Timed kernel: one incremental round (5% dirty) on the scaled
-    # workload through the cross-round cache.
-    rng = random.Random(0)
-    cache = CrossRoundSortCache(plan)
-    live_bids = dict(bids)
-    cache.instantiate(live_bids)
-
-    def cached_round():
-        for advertiser in rng.sample(sorted(live_bids), 5):
-            live_bids[advertiser] = round(rng.uniform(0.1, 50.0), 2)
-        live = cache.instantiate(live_bids)
+    # Timed kernel: one round on the scaled workload -- the network
+    # instantiated fresh and every phrase ranked through it.
+    def fresh_round():
+        live = plan.instantiate(bids)
         for phrase in sorted(phrases):
             threshold_top_k(
                 TOP_K,
                 live.stream_for_phrase(phrase),
                 ctr_orders[phrase],
-                live_bids,
+                bids,
                 factors[phrase],
             )
 
-    benchmark(cached_round)
+    benchmark(fresh_round)
 
 
 @pytest.mark.experiment("SharedSortRebuild")

@@ -115,8 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--exec-cache",
         action="store_true",
         help=(
-            "keep materialized top-k nodes alive across rounds and "
-            "recompute only the invalidated cone (shared mode only)"
+            "keep fragment top-k lists alive across rounds and rescan "
+            "only fragments whose scores moved (shared mode, --layout "
+            "columnar only)"
         ),
     )
     engine.add_argument(
@@ -137,34 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
             "shared-sort merge-plan builder: 'lazy' (versioned pair "
             "heap, the default) or 'naive' (full same-size rescan; "
             "byte-identical plan, more work)"
-        ),
-    )
-    engine.add_argument(
-        "--sort-cache",
-        action="store_true",
-        help=(
-            "keep merge-sort streams alive across rounds and rebuild "
-            "only those above changed bids (shared-sort mode only)"
-        ),
-    )
-    engine.add_argument(
-        "--cache-autotune",
-        action="store_true",
-        help=(
-            "adaptive cache policy: bypass the cross-round cache while "
-            "the observed dirty fraction makes caching a net loss, and "
-            "auto-size the exec cache's LRU bound from the working set "
-            "(requires --exec-cache or --sort-cache)"
-        ),
-    )
-    engine.add_argument(
-        "--no-cache-verify",
-        action="store_true",
-        help=(
-            "trust the change-feed events and skip the feed-driven "
-            "caches' exact value-diff soundness cross-check (the "
-            "default keeps it on); no effect on --exec-cache with "
-            "--layout columnar, which invalidates by that diff alone"
         ),
     )
     engine.add_argument(
@@ -390,9 +363,6 @@ def _cmd_engine(
     exec_cache: bool = False,
     planner: str = "lazy",
     sort_planner: str = "lazy",
-    sort_cache: bool = False,
-    cache_autotune: bool = False,
-    cache_verify: bool = True,
     serve: bool = False,
     queries: int = 1000,
     arrival_rate: float = 200.0,
@@ -403,14 +373,6 @@ def _cmd_engine(
     from repro.engine import SharedAuctionEngine
     from repro.workloads.generator import MarketConfig, generate_market
 
-    if cache_autotune and not (exec_cache or sort_cache):
-        # Same fail-fast contract as the trace-path check below: a bad
-        # flag combination gets one line on stderr, not a traceback.
-        print(
-            "--cache-autotune requires --exec-cache or --sort-cache",
-            file=sys.stderr,
-        )
-        return 1
     if workers > 1 and serve:
         print(
             "--workers shards synchronous batch rounds; the serving "
@@ -444,8 +406,6 @@ def _cmd_engine(
         + (" +columnar" if layout == "columnar" else "")
         + (f" +workers={workers}" if workers > 1 else "")
         + (" +exec-cache" if exec_cache else "")
-        + (" +sort-cache" if sort_cache else "")
-        + (" +autotune" if cache_autotune else "")
     )
     if workers > 1:
         from repro.engine import ShardedEngine
@@ -461,9 +421,6 @@ def _cmd_engine(
             exec_cache=exec_cache,
             planner=planner,
             sort_planner=sort_planner,
-            sort_cache=sort_cache,
-            cache_autotune=cache_autotune,
-            cache_verify=cache_verify,
         ) as sharded:
             report = sharded.run(rounds)
             effective = sharded.shards
@@ -491,9 +448,6 @@ def _cmd_engine(
         exec_cache=exec_cache,
         planner=planner,
         sort_planner=sort_planner,
-        sort_cache=sort_cache,
-        cache_autotune=cache_autotune,
-        cache_verify=cache_verify,
         layout=layout,
     )
     if serve:
@@ -604,9 +558,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.exec_cache,
             args.planner,
             args.sort_planner,
-            args.sort_cache,
-            args.cache_autotune,
-            not args.no_cache_verify,
             args.serve,
             args.queries,
             args.arrival_rate,

@@ -209,8 +209,8 @@ class ArrayScoreMap(Mapping):
 
     The columnar scoring stage produces its results as two arrays -- the
     occurring advertiser ids (ascending) and their values -- but the
-    object-path consumers (the cross-round plan executor, the shared
-    merge-sort network, GSP pricing) expect a mapping.  This adapter
+    object-path consumers (the plan executor, the shared merge-sort
+    network, GSP pricing) expect a mapping.  This adapter
     serves them without materializing a dict: ``__getitem__`` is a
     binary search, iteration and ``items()`` stream straight off the
     arrays.

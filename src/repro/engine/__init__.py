@@ -6,12 +6,10 @@ auctions with a shared plan or per-phrase scans
 (:mod:`repro.engine.pipeline`), manages budgets and outstanding ads
 (:mod:`repro.engine.budget_manager`), simulates delayed user clicks
 (:mod:`repro.engine.click_model`), and broadcasts every state change on
-one typed invalidation bus (:mod:`repro.engine.changefeed`) that the
-cross-round caches and plan maintenance consume, with an optional
-adaptive cache policy on top (:mod:`repro.engine.autotune`).
+one typed invalidation bus (:mod:`repro.engine.changefeed`) for whoever
+subscribes -- plan maintenance, observers.
 """
 
-from repro.engine.autotune import CacheAutotuner
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.changefeed import (
     AdvertiserAdded,
@@ -36,7 +34,6 @@ __all__ = [
     "BidChanged",
     "BudgetChanged",
     "BudgetManager",
-    "CacheAutotuner",
     "ChangeEvent",
     "ChangeFeed",
     "ClickEvent",

@@ -83,7 +83,7 @@ class BudgetManager:
             -- publishes one
             :class:`repro.engine.changefeed.BudgetChanged` per
             *distinct* advertiser it moved, in ascending id, after the
-            books are updated, so the cross-round caches learn about
+            books are updated, so a subscriber learns about
             throttle-input changes from the source instead of from
             engine-side bookkeeping.
     """

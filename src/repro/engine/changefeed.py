@@ -1,34 +1,23 @@
 """The engine's unified invalidation bus.
 
-PRs 2-5 each grew a bespoke dirty-set pipeline: the engine accumulated a
-``set[int]`` of event-touched advertisers for the cross-round plan
-executor, the sort cache ran its own exact bid diff, and the plan
-maintainer was mutated directly by whoever noticed the market drift.
-:class:`ChangeFeed` replaces all three with one typed event stream: the
-engine (and :class:`repro.engine.budget_manager.BudgetManager`) publish
+:class:`ChangeFeed` is one typed event stream: the engine (and
+:class:`repro.engine.budget_manager.BudgetManager`) publish
 :class:`BidChanged` / :class:`BudgetChanged` / churn events as they
-happen, and each consumer subscribes to the kinds it cares about --
+happen, and each consumer subscribes to the kinds it cares about.  The
+engine itself subscribes nothing -- its one cross-round cache, the
+columnar exec cache, diffs its own scores -- so the consumers are
+outside it:
 
-- :class:`repro.plans.executor.CrossRoundPlanExecutor` drains its
-  subscription at the top of every round and treats the accumulated
-  ``dirty_advertisers`` as its declared dirty set;
-- :class:`repro.sharedsort.cache.CrossRoundSortCache` does the same for
-  effective bids;
 - :class:`repro.plans.maintenance.PlanMaintainer` consumes churn events
   (:class:`AdvertiserAdded` / :class:`AdvertiserRemoved` /
   :class:`PhraseAdded` / :class:`PhraseRemoved`) through a push handler
-  and repairs the plan, which in turn rebinds any subscribed executor.
-
-Soundness stays checkable: both caches keep their exact value diff as a
-cross-check behind ``verify=True`` (the default), raising
-``InvalidPlanError`` when a value changed without a covering event --
-the same declared-vs-diffed contract the legacy pipelines enforced, now
-stated once against the bus.
+  and repairs the plan, notifying its plan-change listeners;
+- observers (a monitoring probe, a test) hold pull subscriptions and
+  drain them when they like.
 
 Consumers never import this module.  Events are duck-typed: every event
-carries a ``kind`` string and a ``dirty_advertisers`` frozenset, which
-is all the cache layers read -- so ``repro.plans`` and
-``repro.sharedsort`` stay import-independent of ``repro.engine``.
+carries a ``kind`` string and a ``dirty_advertisers`` frozenset -- so
+``repro.plans`` stays import-independent of ``repro.engine``.
 
 Publishing is free when nobody listens: the engine guards every publish
 site on :attr:`ChangeFeed.active`, so an uncached run constructs no
@@ -76,8 +65,8 @@ _NO_EVENTS: List["ChangeEvent"] = []
 class ChangeEvent:
     """Base class for bus events.
 
-    Every event exposes two duck-typed fields the cache layers consume
-    without importing this module:
+    Every event exposes two duck-typed fields consumers read without
+    importing this module:
 
     - ``kind``: a stable string tag used for subscription filtering;
     - ``dirty_advertisers``: the advertisers whose effective score or
@@ -219,10 +208,9 @@ EVENT_KINDS: Tuple[str, ...] = (
 class Subscription:
     """A pull-style subscription: events queue until :meth:`drain`.
 
-    Create via :meth:`ChangeFeed.subscribe`.  The cache layers drain at
-    the top of each round, so events published between rounds (click
-    settlements, churn, the end-of-run flush) accumulate here and are
-    consumed exactly once.
+    Create via :meth:`ChangeFeed.subscribe`.  Events published between
+    two drains (click settlements, churn, the end-of-run flush)
+    accumulate here and are consumed exactly once.
     """
 
     def __init__(
@@ -249,8 +237,8 @@ class Subscription:
         """All queued events, in publication order; empties the queue.
 
         An empty queue returns a shared immutable-by-convention list
-        without allocating: the serving loop drains per *query*, so the
-        overwhelmingly common drain is empty and must cost nothing.
+        without allocating: a consumer draining per served *query* mostly
+        finds it empty, and that drain must cost nothing.
         """
         if not self._queue:
             return _NO_EVENTS

@@ -43,20 +43,15 @@ from repro.core.columnar import (
 from repro.core.ctr import SeparableCTRModel
 from repro.core.money import dollars_to_cents
 from repro.core.topk import ScoredAdvertiser, TopKList, top_k_scan
-from repro.engine.autotune import CacheAutotuner
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.changefeed import BidChanged, ChangeFeed, RoundClosed
 from repro.engine.click_model import ClickEvent, DelayedClickModel
 from repro.errors import InvalidAuctionError
 from repro.instrument import NULL, Collector, names as metric_names
-from repro.plans.executor import CrossRoundPlanExecutor, PlanExecutor
+from repro.plans.executor import PlanExecutor
 from repro.plans.greedy_planner import greedy_shared_plan
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
-from repro.sharedsort.columnar import (
-    ColumnarSortCache,
-    ColumnarThresholdKernel,
-    RankedRound,
-)
+from repro.sharedsort.columnar import ColumnarThresholdKernel, RankedRound
 
 try:  # pragma: no cover - numpy ships with the package
     import numpy as np
@@ -228,44 +223,22 @@ class SharedAuctionEngine:
             (:class:`repro.sharedsort.columnar.ColumnarThresholdKernel`).
             Outcomes are byte-identical between layouts (the layout
             differential suite asserts it over 50 seeds); only the work
-            counters move, exactly as between the cached and uncached
-            engines.  Composes with every mode and with the cross-round
-            caches, which run columnar-native: ``exec_cache`` keeps
-            fragment top-k lists alive across rounds with dirty-row
-            mask invalidation
-            (:class:`repro.plans.columnar_exec.ColumnarFragmentExecutor`
-            in cross-round mode) and ``sort_cache`` incrementally
-            repairs the shared descending-bid order
-            (:class:`repro.sharedsort.columnar.ColumnarSortCache`).
-            Requires numpy.
+            counters move.  Composes with every mode, and is the layout
+            of the one cross-round cache, ``exec_cache``.  Requires
+            numpy.
         throttle: Apply Section IV bid throttling against outstanding
             ads: every occurring advertiser's exact ``b̂`` is computed
             before ranking.
-        exec_cache: Shared mode only: keep ranking work alive between
-            rounds and recompute only what advertisers whose effective
-            score changed invalidate.  On ``layout="columnar"`` the
+        exec_cache: Shared mode on ``layout="columnar"`` only: keep
+            ranking work alive between rounds and recompute only what
+            advertisers whose effective score changed invalidate.  The
             :class:`repro.plans.columnar_exec.ColumnarFragmentExecutor`
             keeps fragment top-k rows and answers and finds the changed
             advertisers by diffing every scored row against the score
             it last absorbed; it takes no change-feed subscription, so
-            this configuration publishes no events.  On
-            ``layout="object"`` a
-            :class:`repro.plans.executor.CrossRoundPlanExecutor` keeps
-            materialized top-k nodes and learns its dirty set from the
-            engine's :class:`repro.engine.changefeed.ChangeFeed`: the
-            budget manager publishes one ``BudgetChanged`` per
-            advertiser each booking call moved (a round's displays, a
-            tick's settled clicks, outstanding expiries), the engine
-            publishes ``BidChanged`` when a change of auction
-            multiplicity moved an effective bid and (under a decaying
-            model) for outstanding debt aging, and the executor drains
-            its subscription each round; under ``cache_verify=True`` it
-            cross-checks the events against an exact score diff and
-            raises on any undeclared change.  Outcomes are bit-identical
-            with and without the cache; only the work counters move.
-        exec_cache_capacity: Object layout only: optional bound on
-            resident cached nodes (LRU eviction); ``None`` keeps every
-            node.
+            this configuration publishes no events.  Outcomes are
+            bit-identical with and without the cache; only the work
+            counters move.
         planner: Stage-2 engine for the shared plan's greedy completion:
             ``"lazy"`` (default, CELF-style incremental rescoring) or
             ``"naive"`` (full rescan each step).  Both build identical
@@ -275,33 +248,6 @@ class SharedAuctionEngine:
             ``"lazy"`` (default, versioned pair heap) or ``"naive"``
             (full same-size rescan each merge).  Both build
             byte-identical plans; only builder work counters differ.
-        sort_cache: Shared-sort mode only: keep the round's merge-sort
-            streams alive in a
-            :class:`repro.sharedsort.cache.CrossRoundSortCache` and
-            rebuild, next round, only the streams above advertisers
-            whose effective bid actually changed.  The cache consumes
-            the same change-feed events as the exec cache and refines
-            them by its own value domain -- a declared advertiser counts
-            as dirty only if its *bid* really moved -- with the exact
-            bid diff kept as the ``cache_verify`` soundness cross-check.
-            Outcomes are bit-identical with and without the cache;
-            reused streams replay their output caches, so
-            ``sort.operator_pulls`` / ``sort.leaf_reads`` drop while
-            ``sort.streams_reused`` counts the savings.
-        cache_verify: Keep the feed-driven caches' exact value diff as a
-            soundness cross-check on the change-feed events (the
-            default): the object exec cache and both sort caches.  An
-            event-uncovered change then raises ``InvalidPlanError``; ``False`` trusts the feed and skips
-            comparing undeclared values.  The columnar exec cache has
-            no events to check -- its diff is its invalidation -- so
-            this has no effect on it.
-        cache_autotune: Attach a
-            :class:`repro.engine.autotune.CacheAutotuner` to the active
-            cross-round cache: rounds run fresh while the windowed dirty
-            fraction makes caching a net loss (``cache.bypass_rounds``)
-            and the exec cache's LRU bound tracks the observed working
-            set (``cache.autotune_resizes``).  Requires ``exec_cache``
-            or ``sort_cache``.
         decay: Click-decay model for outstanding ads.
         mean_click_delay_rounds: Mean click arrival delay.
         click_horizon_rounds: Rounds after which an unclicked ad expires.
@@ -337,12 +283,8 @@ class SharedAuctionEngine:
         layout: str = "object",
         throttle: bool = True,
         exec_cache: bool = False,
-        exec_cache_capacity: Optional[int] = None,
-        cache_verify: bool = True,
-        cache_autotune: bool = False,
         planner: str = "lazy",
         sort_planner: str = "lazy",
-        sort_cache: bool = False,
         decay: Optional[ClickDecayModel] = None,
         mean_click_delay_rounds: float = 2.0,
         click_horizon_rounds: int = 16,
@@ -360,15 +302,10 @@ class SharedAuctionEngine:
                 "exec_cache requires mode='shared' (the cross-round cache "
                 "lives in the shared plan executor)"
             )
-        if sort_cache and mode != "shared-sort":
+        if exec_cache and layout != "columnar":
             raise InvalidAuctionError(
-                "sort_cache requires mode='shared-sort' (the cross-round "
-                "cache holds merge-sort streams)"
-            )
-        if cache_autotune and not (exec_cache or sort_cache):
-            raise InvalidAuctionError(
-                "cache_autotune requires a cross-round cache to tune "
-                "(exec_cache or sort_cache)"
+                "exec_cache requires layout='columnar' (the cross-round "
+                "cache is the columnar fragment executor's)"
             )
         self.advertisers = tuple(advertisers)
         self.mode = mode
@@ -421,18 +358,14 @@ class SharedAuctionEngine:
             if decay is not None
             else NoDecay(horizon=click_horizon_rounds + 1)
         )
-        # The unified invalidation bus.  Consumers (the feed-driven
-        # caches below -- not the columnar exec cache, which diffs its
-        # own scores; externally, plan maintenance or a serving loop)
-        # subscribe to it; the budget manager and the engine publish to
+        # The unified invalidation bus.  Nothing in the engine subscribes
+        # (the columnar exec cache diffs its own scores); an outside
+        # consumer may.  The budget manager and the engine publish to
         # it.  With no subscriber, `changefeed.active` is False and every
         # publish site is skipped, so those runs pay nothing.
         self.changefeed = ChangeFeed(self.collector)
         self.budget_manager = BudgetManager(
             budgets, decay_model, changefeed=self.changefeed
-        )
-        self.autotuner = (
-            CacheAutotuner(collector=self.collector) if cache_autotune else None
         )
         # Publisher-side event detection the budget manager cannot see:
         # auction-multiplicity changes (m_i feeds the throttle problem)
@@ -445,7 +378,6 @@ class SharedAuctionEngine:
         )
         self._executor: Optional[PlanExecutor] = None
         self._sort_plan = None
-        self._sort_cache = None
         self._columnar_exec = None
         self._columnar_sort = None
         self._store: Optional[ColumnarStore] = None
@@ -525,7 +457,6 @@ class SharedAuctionEngine:
                     self.k + 1,
                     self.collector,
                     cross_round=exec_cache,
-                    autotuner=self.autotuner,
                 )
             else:
                 strategy = "cover" if len(instance.variables) > 64 else "full"
@@ -536,21 +467,7 @@ class SharedAuctionEngine:
                     collector=self.collector,
                 )
                 # k + 1 so GSP can read the runner-up score.
-                if exec_cache:
-                    executor = CrossRoundPlanExecutor(
-                        plan,
-                        self.k + 1,
-                        self.collector,
-                        capacity=exec_cache_capacity,
-                        verify=cache_verify,
-                        autotuner=self.autotuner,
-                    )
-                    executor.connect(self.changefeed)
-                    self._executor = executor
-                else:
-                    self._executor = PlanExecutor(
-                        plan, self.k + 1, self.collector
-                    )
+                self._executor = PlanExecutor(plan, self.k + 1, self.collector)
             # Phrases with identical advertiser sets are A-equivalent and
             # deduplicate to one plan query; map each phrase to the
             # surviving query's name.
@@ -564,26 +481,11 @@ class SharedAuctionEngine:
             }
         elif mode == "shared-sort" and layout == "columnar":
             # One shared lexsort per round replaces the merge network;
-            # per-phrase CTR presorts live in the store.  With
-            # sort_cache the shared order persists across rounds and
-            # only dirty rows are re-ranked into it.
-            columnar_sort_cache = None
-            if sort_cache:
-                columnar_sort_cache = ColumnarSortCache(
-                    self._store,
-                    self.collector,
-                    verify=cache_verify,
-                    autotuner=self.autotuner,
-                )
-                columnar_sort_cache.connect(self.changefeed)
+            # per-phrase CTR presorts live in the store.
             self._columnar_sort = ColumnarThresholdKernel(
-                self._store,
-                self.k + 1,
-                self.collector,
-                cache=columnar_sort_cache,
+                self._store, self.k + 1, self.collector
             )
         elif mode == "shared-sort":
-            from repro.sharedsort.cache import CrossRoundSortCache
             from repro.sharedsort.plan import build_shared_sort_plan
 
             self._sort_plan = build_shared_sort_plan(
@@ -592,14 +494,6 @@ class SharedAuctionEngine:
                 planner=sort_planner,
                 collector=self.collector,
             )
-            if sort_cache:
-                self._sort_cache = CrossRoundSortCache(
-                    self._sort_plan,
-                    self.collector,
-                    verify=cache_verify,
-                    autotuner=self.autotuner,
-                )
-                self._sort_cache.connect(self.changefeed)
             # Precomputed per-phrase descending c_i^q orders (Section III
             # treats CTR factors as recalculated only occasionally).
             self._ctr_orders: Dict[str, List[int]] = {
@@ -663,11 +557,10 @@ class SharedAuctionEngine:
         whatever clicks came due, scores only ``phrase``'s advertisers
         (auction multiplicity is always 1), ranks the one phrase through
         the configured machinery, allocates, and closes the tick on the
-        change feed -- so a connected cross-round cache drains its
-        subscription *per query* instead of per round.  The serving
-        differential suite asserts this path is outcome-identical to
-        ``run_round([phrase])``, which is what makes the query-at-a-time
-        engine provably equivalent to the batch engine it grew out of.
+        change feed.  The serving differential suite asserts this path
+        is outcome-identical to ``run_round([phrase])``, which is what
+        makes the query-at-a-time engine provably equivalent to the
+        batch engine it grew out of.
 
         Args:
             phrase: The single bid phrase the query resolved to.
@@ -1105,9 +998,6 @@ class SharedAuctionEngine:
                 )
             else:
                 assert self._executor is not None
-                # A connected CrossRoundPlanExecutor drains its
-                # change-feed subscription inside run_round; the base
-                # executor just runs.
                 result = self._executor.run_round(scores, canonical)
             rankings = {
                 phrase: result.answers[self._phrase_alias[phrase]]
@@ -1117,9 +1007,8 @@ class SharedAuctionEngine:
             report.scans += result.advertisers_scanned
         elif self.mode == "shared-sort" and self._columnar_sort is not None:
             kernel = self._columnar_sort
-            # The shared presort materializes every occurring row once
-            # (only the repaired rows, under the sort cache); report it
-            # where the object path reports network pulls.
+            # The shared presort materializes every occurring row once;
+            # report it where the object path reports network pulls.
             report.merges += kernel.begin_round(
                 self._eff_by_row, self._occurring_rows
             )
@@ -1136,10 +1025,7 @@ class SharedAuctionEngine:
                 advertiser_id: value / 100.0
                 for advertiser_id, value in effective_bid_cents.items()
             }
-            if self._sort_cache is not None:
-                live = self._sort_cache.instantiate(bids, self.collector)
-            else:
-                live = self._sort_plan.instantiate(bids, self.collector)
+            live = self._sort_plan.instantiate(bids, self.collector)
             for phrase in phrases:
                 ids = self.phrase_advertisers[phrase]
                 factors = {
@@ -1155,10 +1041,7 @@ class SharedAuctionEngine:
                 )
                 rankings[phrase] = ta.ranking
                 report.scans += ta.sorted_accesses
-            # round_pulls == total_pulls for a fresh network; under the
-            # cross-round cache it excludes pulls adopted streams
-            # performed in earlier rounds.
-            report.merges += live.round_pulls()
+            report.merges += live.total_pulls()
         elif self._store is not None:
             store = self._store
             for phrase in phrases:
@@ -1375,10 +1258,9 @@ class SharedAuctionEngine:
     def settle_remaining_clicks(self) -> Tuple[int, int, int]:
         """Flush the click model and settle every still-pending click.
 
-        The flush settles outside any round; the budget manager's
-        published events queue on the feed, so any later round still
-        treats these advertisers as dirty.  Shared by the batch
-        :meth:`run` loop and the end of a serving session.
+        The flush settles outside any round; the next scoring stage
+        picks the moved books up (:meth:`_sync_book_columns`).  Shared
+        by the batch :meth:`run` loop and the end of a serving session.
 
         Returns:
             ``(revenue_cents, forgiven_cents, clicks)`` totals.

@@ -8,8 +8,8 @@ no advertiser, budget ledger, plan fragment, or sort stream crosses a
 component boundary.  :class:`ShardedEngine` exploits this by
 partitioning components across ``multiprocessing`` workers, each running
 its own complete :class:`repro.engine.pipeline.SharedAuctionEngine` --
-shared-nothing exec/sort caches, its own change feed, its own
-budget books -- and merging results only at the boundary:
+a shared-nothing exec cache, its own change feed, its own budget
+books -- and merging results only at the boundary:
 
 - per-round reports are merged phrase-disjointly (allocations are a
   dict union; money and work counters are sums);

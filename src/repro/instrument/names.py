@@ -33,21 +33,17 @@ name                      meaning (paper reference)
                           while planning.
 ``plan.covers_memo_hits``  cover requests served from the lazy planner's
                           per-(query, candidate-generation) memo.
-``plan.nodes_reused``     needed operator nodes served unchanged from the
-                          cross-round cache (no merge, no leaf read) --
-                          the per-round work the incremental executor
-                          amortizes away.
-``plan.nodes_invalidated``  cached node values invalidated by a round's
-                          dirty leaves (the ancestor cone of changed
-                          scores, restricted to resident cache entries);
-                          plan rebinds after maintenance count their
-                          dropped entries here too.
-``plan.revalidations``    stale nodes proven unchanged without a merge
-                          (both operand values identical to the last
-                          computation); these count as materializations
-                          but not merges, which is why the incremental
-                          mode may report ``plan.merges <
-                          plan.nodes``.
+``plan.nodes_reused``     fragment top-k lists the columnar exec cache
+                          served without a rescan (no member's score
+                          moved) -- the per-round work cross-round
+                          reuse amortizes away.
+``plan.nodes_invalidated``  cached fragments newly invalidated by a
+                          round's dirty rows (first sights and rows
+                          whose score moved).
+``plan.revalidations``    re-aggregations the columnar exec cache
+                          skipped because none of a query's fragments
+                          changed since it was last answered (its
+                          cached answer is handed back).
 ``plan.candidates_gathered``  ``(score, id)`` candidates the columnar
                           fragment executor handed to
                           :func:`repro.core.columnar.segmented_top_k`
@@ -55,10 +51,6 @@ name                      meaning (paper reference)
                           table cells of re-aggregated queries) -- the
                           kernel's unit of work; zero on a round that
                           replays every answer.
-``plan.cache_evictions``  cross-round cache entries evicted by the
-                          capacity bound (LRU order).
-``plan.cache_resident``   *gauge*: entries resident in the cross-round
-                          cache after the most recent round.
 ``topk.scans``            :func:`repro.core.topk.top_k_scan` invocations
                           (one per unshared per-phrase ranking).
 ``topk.scan_entries``     entries consumed by ``top_k_scan`` -- the
@@ -88,12 +80,6 @@ name                      meaning (paper reference)
 ``sort.savings_memo_hits``  savings requests the lazy builder served from
                           its ``(size, phrase-mask)`` memo instead of
                           recomputing.
-``sort.streams_reused``   streams served unchanged from the cross-round
-                          sort cache (their output caches replay across
-                          rounds for free).
-``sort.streams_invalidated``  streams dropped by the cross-round sort
-                          cache because a bid below them changed (the
-                          dirty ancestor cone over the sort-plan DAG).
 ``ta.runs``               threshold-algorithm invocations (one per
                           occurring phrase in shared-sort mode).
 ``ta.sorted_accesses``    Section III sorted accesses across both lists.
@@ -119,13 +105,6 @@ name                      meaning (paper reference)
                           handler invocations.  An event delivered to
                           two subscribers counts twice; an unmatched
                           event counts zero.
-``cache.autotune_resizes``  LRU capacity changes the cache autotuner
-                          (:class:`repro.engine.autotune.CacheAutotuner`)
-                          actually applied (recommendations inside the
-                          hysteresis band are not counted).
-``cache.bypass_rounds``   rounds a cross-round cache ran fresh because
-                          the windowed dirty fraction made caching a
-                          net loss.
 ``columnar.score_batches``  vectorized scoring batches executed by the
                           columnar engine (one per round with occurring
                           phrases under ``layout="columnar"``).
@@ -187,8 +166,7 @@ name                      meaning (paper reference)
                           throttle) and the ``BidChanged`` publishes.
 ``engine.stage.rank``     *timer*: stage 3 -- the occurring phrases'
                           top-(k + 1) through the shared plan, the
-                          shared sort + threshold algorithm or scans,
-                          including a cross-round cache's feed drain.
+                          shared sort + threshold algorithm or scans.
 ``engine.stage.allocate`` *timer*: stage 4 -- slots priced for the
                           whole round, displays booked in one
                           ``record_displays`` call, clicks drawn.  The
@@ -233,8 +211,6 @@ __all__ = [
     "PLAN_NODES_REUSED",
     "PLAN_NODES_INVALIDATED",
     "PLAN_REVALIDATIONS",
-    "PLAN_CACHE_EVICTIONS",
-    "PLAN_CACHE_RESIDENT",
     "TOPK_SCANS",
     "TOPK_SCAN_ENTRIES",
     "TOPK_MERGES",
@@ -246,8 +222,6 @@ __all__ = [
     "SORT_BATCHED_ITEMS",
     "SORT_PAIRS_SCORED",
     "SORT_SAVINGS_MEMO_HITS",
-    "SORT_STREAMS_REUSED",
-    "SORT_STREAMS_INVALIDATED",
     "TA_RUNS",
     "TA_SORTED_ACCESSES",
     "TA_RANDOM_ACCESSES",
@@ -256,8 +230,6 @@ __all__ = [
     "THROTTLE_EXACT_FALLBACKS",
     "BUS_EVENTS_PUBLISHED",
     "BUS_EVENTS_CONSUMED",
-    "CACHE_AUTOTUNE_RESIZES",
-    "CACHE_BYPASS_ROUNDS",
     "COLUMNAR_SCORE_BATCHES",
     "COLUMNAR_SCORE_ROWS",
     "COLUMNAR_BOOK_ROWS_SYNCED",
@@ -298,12 +270,10 @@ PLAN_PAIRS_SKIPPED_LAZY = "plan.pairs_skipped_lazy"
 PLAN_COVERS_COMPUTED = "plan.covers_computed"
 PLAN_COVERS_MEMO_HITS = "plan.covers_memo_hits"
 
-# Cross-round incremental execution (dirty-set invalidation layer).
+# Cross-round reuse (the columnar exec cache).
 PLAN_NODES_REUSED = "plan.nodes_reused"
 PLAN_NODES_INVALIDATED = "plan.nodes_invalidated"
 PLAN_REVALIDATIONS = "plan.revalidations"
-PLAN_CACHE_EVICTIONS = "plan.cache_evictions"
-PLAN_CACHE_RESIDENT = "plan.cache_resident"
 
 # Top-k primitives (Section II-A).
 TOPK_SCANS = "topk.scans"
@@ -322,10 +292,6 @@ SORT_BATCHED_ITEMS = "sort.batched_items"
 SORT_PAIRS_SCORED = "sort.pairs_scored"
 SORT_SAVINGS_MEMO_HITS = "sort.savings_memo_hits"
 
-# Cross-round sort-stream reuse (dirty-set invalidation layer).
-SORT_STREAMS_REUSED = "sort.streams_reused"
-SORT_STREAMS_INVALIDATED = "sort.streams_invalidated"
-
 # Threshold algorithm (Section III-A).
 TA_RUNS = "ta.runs"
 TA_SORTED_ACCESSES = "ta.sorted_accesses"
@@ -336,11 +302,9 @@ TA_STOP_DEPTH = "ta.stop_depth"
 # Section IV throttling (exact b̂ in the scoring stage).
 THROTTLE_EXACT_FALLBACKS = "throttle.exact_fallbacks"
 
-# Unified change feed and adaptive cache policy.
+# Unified change feed.
 BUS_EVENTS_PUBLISHED = "bus.events_published"
 BUS_EVENTS_CONSUMED = "bus.events_consumed"
-CACHE_AUTOTUNE_RESIZES = "cache.autotune_resizes"
-CACHE_BYPASS_ROUNDS = "cache.bypass_rounds"
 
 # Columnar (struct-of-arrays) kernels.
 COLUMNAR_SCORE_BATCHES = "columnar.score_batches"

@@ -120,7 +120,7 @@ WORK_COLUMN_NAMES: Tuple[str, ...] = (
 ``nodes``/``merges``/``leaf scans`` carry Section II shared-plan work,
 ``scan entries`` the unshared baseline, ``operator pulls``/``sorted
 accesses`` the Section III shared-sort pipeline, and ``reused`` the
-cross-round cache's amortized nodes (nonzero only with ``--exec-cache``);
+columnar exec cache's reused fragments (nonzero only with ``--exec-cache``);
 counters a mode does not touch render as 0, so rows from different
 engine modes line up in one table (the Fig. 4/5 presentation).
 """

@@ -31,12 +31,7 @@ from repro.plans.columnar_exec import (
 )
 from repro.plans.cost import expected_plan_cost, node_materialization_probability
 from repro.plans.dag import Plan, PlanNode
-from repro.plans.executor import (
-    CrossRoundCache,
-    CrossRoundPlanExecutor,
-    ExecutionResult,
-    PlanExecutor,
-)
+from repro.plans.executor import ExecutionResult, PlanExecutor
 from repro.plans.fragments import Fragment, identify_fragments
 from repro.plans.greedy_planner import GreedyPlannerStats, greedy_shared_plan
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
@@ -48,8 +43,6 @@ __all__ = [
     "AggregateQuery",
     "ColumnarExecResult",
     "ColumnarFragmentExecutor",
-    "CrossRoundCache",
-    "CrossRoundPlanExecutor",
     "ExecutionResult",
     "Fragment",
     "GreedyPlannerStats",

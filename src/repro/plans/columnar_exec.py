@@ -42,15 +42,15 @@ dirty on first sight or when its score moved.  It needs no change feed
 row and none may remove one.  A query whose ``stale`` bit is clear is
 handed its previous ``TopKList`` object; a round in which nothing
 requested is stale calls the kernel zero times.  Without
-``cross_round`` (and on an autotuner bypass) the same routine runs over
-a scratch table in which everything is dirty.
+``cross_round`` the same routine runs over a scratch table in which
+everything is dirty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.core.columnar import ColumnarStore, require_numpy, segmented_top_k
 from repro.core.topk import ScoredAdvertiser, TopKList
@@ -94,10 +94,6 @@ class ColumnarExecResult:
             :func:`~repro.core.columnar.segmented_top_k` -- rows of
             refreshed fragments plus table cells of re-aggregated
             queries; zero on a round that replays every answer.
-        bypassed: Cross-round mode only: the autotuner judged the dirty
-            fraction too high for caching to pay and the round ran
-            fresh (scores were still absorbed, so the cached state
-            stays sound for later rounds).
     """
 
     answers: Dict[str, TopKList]
@@ -107,7 +103,6 @@ class ColumnarExecResult:
     nodes_invalidated: int = 0
     nodes_revalidated: int = 0
     candidates_gathered: int = 0
-    bypassed: bool = False
 
 
 def _csr(keys, values, size: int):
@@ -179,16 +174,9 @@ class ColumnarFragmentExecutor:
             row (see the module docstring).  ``False`` (the default)
             answers each round from scratch, still scanning a fragment
             once however many requested queries it covers.
-        autotuner: Optional duck-typed
-            :class:`repro.engine.autotune.CacheAutotuner` (cross-round
-            mode only).  Consulted per round for the bypass decision
-            and fed the observed dirty fraction.  LRU sizing does not
-            apply -- the resident set is bounded by the fragment count,
-            exactly like the sort cache's stream set.
 
     Attributes:
         rounds: Cross-round rounds absorbed.
-        bypass_rounds: Rounds answered fresh on autotuner advice.
     """
 
     def __init__(
@@ -198,7 +186,6 @@ class ColumnarFragmentExecutor:
         k: int,
         collector: Collector = NULL,
         cross_round: bool = False,
-        autotuner=None,
     ) -> None:
         if k <= 0:
             raise InvalidPlanError(f"k must be positive, got {k}")
@@ -207,7 +194,6 @@ class ColumnarFragmentExecutor:
         self.store = store
         self.collector = collector
         self.cross_round = cross_round
-        self.autotuner = autotuner
         # The row numbering every index below is expressed in.
         self._ids = store.ids
         fragments = identify_fragments(instance)
@@ -248,7 +234,6 @@ class ColumnarFragmentExecutor:
         self._cover_len = np.diff(self._frags_of_query[0])
         self._shape = (count, len(queries), k)
         self.rounds = 0
-        self.bypass_rounds = 0
         if cross_round:
             size = store.size
             self._tables = _Tables(*self._shape)
@@ -277,9 +262,9 @@ class ColumnarFragmentExecutor:
     def dirty_rows_last_round(self) -> "np.ndarray":
         """Row indices the last round treated as dirty (ascending).
 
-        Exposed for the differential suites: the hypothesis property
-        asserts these rows' advertiser ids equal the object executor's
-        dirty cone leaves, round for round.
+        Exposed for the tests: the hypothesis property asserts these
+        are exactly the round's first sights and the rows whose score
+        moved.
         """
         return self._dirty_rows_last
 
@@ -333,45 +318,29 @@ class ColumnarFragmentExecutor:
             rows = np.unique(rows)
         else:
             rows = np.asarray(rows, dtype=np.int64)
-        dirty_count, invalidated = self._absorb_scores(score_by_row, rows)
-        autotuner = self.autotuner
-        if autotuner is not None and autotuner.should_bypass():
-            # Fresh, cache-free execution: the scores were still
-            # absorbed above (and dirty fragments stay marked), so the
-            # resident table remains sound for whenever caching resumes.
-            result = self._aggregate(score_by_row, names, queries, False)
-            result.bypassed = True
-            self.bypass_rounds += 1
-            autotuner.record_bypass()
-            working_set = result.advertisers_scanned
-        else:
-            result = self._aggregate(score_by_row, names, queries, True)
-            working_set = result.nodes_reused + result.advertisers_scanned
+        invalidated = self._absorb_scores(score_by_row, rows)
+        result = self._aggregate(score_by_row, names, queries, True)
         result.nodes_invalidated = invalidated
         self._count(metric_names.PLAN_NODES_INVALIDATED, invalidated)
-        if autotuner is not None:
-            autotuner.observe_round(dirty_count, int(len(rows)), working_set)
         return result
 
-    def _absorb_scores(self, score_by_row, rows) -> Tuple[int, int]:
+    def _absorb_scores(self, score_by_row, rows) -> int:
         """Diff the scored rows against the snapshot; mark dirty fragments.
 
-        A row is dirty on first sight or when its score moved -- the
-        same rows ``CrossRoundPlanExecutor`` bumps from sound declared
-        sets, found without one.  The "invalidation cone" of a dirty row
-        is its fragments and the queries they cover: two mask writes
-        behind two reverse-CSR gathers.
+        A row is dirty on first sight or when its score moved.  The
+        "invalidation cone" of a dirty row is its fragments and the
+        queries they cover: two mask writes behind two reverse-CSR
+        gathers.
 
         Returns:
-            ``(dirty, invalidated)``: rows first seen or whose score
-            changed, and resident cached fragments newly invalidated.
+            The resident cached fragments newly invalidated.
         """
         seen = self._seen[rows]
         changed = score_by_row[rows] != self._last_scores[rows]
         dirty_rows = rows[~seen | changed]
         self._dirty_rows_last = dirty_rows
         if not len(dirty_rows):
-            return 0, 0
+            return 0
         self._last_scores[dirty_rows] = score_by_row[dirty_rows]
         self._seen[dirty_rows] = True
         self._row_epoch[dirty_rows] += 1
@@ -382,7 +351,7 @@ class ColumnarFragmentExecutor:
         tables.dirty[newly] = True
         stale, _ = _gather(self._queries_of_frag, newly)
         tables.stale[stale] = True
-        return len(dirty_rows), int(np.count_nonzero(newly < self._regular))
+        return int(np.count_nonzero(newly < self._regular))
 
     def _aggregate(
         self, score_by_row, names, queries, cached: bool

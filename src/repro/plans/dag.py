@@ -87,7 +87,6 @@ class Plan:
         self._by_mask: Dict[int, NodeId] = {}
         self._leaf_of: Dict[Variable, NodeId] = {}
         self._query_assignment: Dict[str, NodeId] = {}
-        self._parent_index: Optional[Dict[NodeId, Tuple[NodeId, ...]]] = None
         # The interner already holds the repr-sorted variable order.
         for index, variable in enumerate(self.interner.variables):
             node = PlanNode(len(self._nodes), frozenset({variable}))
@@ -137,7 +136,6 @@ class Plan:
         # deterministic even when duplicates are forced.
         self._by_varset.setdefault(varset, node.node_id)
         self._by_mask.setdefault(mask, node.node_id)
-        self._parent_index = None
         return node.node_id
 
     def add_chain(self, operands: Iterable[NodeId], reuse: bool = True) -> NodeId:
@@ -265,71 +263,6 @@ class Plan:
                     stack.append(node.left)
                     stack.append(node.right)
         return downstream
-
-    def parent_index(self) -> Dict[NodeId, Tuple[NodeId, ...]]:
-        """For each node, the operator nodes that consume it directly.
-
-        The inverse of the operand edges: ``parent_index()[v]`` lists
-        every internal node with ``v`` as ``left`` or ``right``, in
-        creation order.  Computed once and cached; the cache is dropped
-        whenever :meth:`add_internal` grows the plan, so incremental
-        consumers (the cross-round executor's dirty-set propagation) can
-        hold the plan and the index together safely.
-        """
-        if self._parent_index is None:
-            parents: Dict[NodeId, List[NodeId]] = {
-                node.node_id: [] for node in self._nodes
-            }
-            for node in self._nodes:
-                if node.is_leaf:
-                    continue
-                assert node.left is not None and node.right is not None
-                parents[node.left].append(node.node_id)
-                if node.right != node.left:
-                    parents[node.right].append(node.node_id)
-            self._parent_index = {
-                node_id: tuple(ids) for node_id, ids in parents.items()
-            }
-        return self._parent_index
-
-    def ancestors_of(self, node_ids: Iterable[NodeId]) -> Set[NodeId]:
-        """Upward closure of ``node_ids`` through operand edges.
-
-        Returns every node from which some seed is reachable by operand
-        edges -- *including the seeds themselves*.  Because a node's
-        varset is exactly the union of the leaves below it, the closure
-        of a set of leaves is precisely the nodes whose varset intersects
-        those leaves' variables; the dirty-set property tests assert this
-        structural identity, and the cross-round executor uses the
-        closure as the invalidation cone for changed leaf scores.
-        """
-        parents = self.parent_index()
-        closure: Set[NodeId] = set()
-        stack = list(node_ids)
-        while stack:
-            node_id = stack.pop()
-            if node_id in closure:
-                continue
-            # Validate the id eagerly so typos fail loudly.
-            self.node(node_id)
-            closure.add(node_id)
-            stack.extend(parents[node_id])
-        return closure
-
-    def dirty_closure(self, variables: Iterable[Variable]) -> Set[NodeId]:
-        """The invalidation cone of a set of changed variables.
-
-        Maps each variable to its leaf and returns
-        :meth:`ancestors_of` of those leaves.  Variables without a leaf
-        in this plan are ignored (a score feed may cover advertisers the
-        plan no longer aggregates after maintenance dropped them).
-        """
-        leaves = [
-            self._leaf_of[variable]
-            for variable in variables
-            if variable in self._leaf_of
-        ]
-        return self.ancestors_of(leaves)
 
     @property
     def total_cost(self) -> int:

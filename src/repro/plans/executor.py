@@ -6,51 +6,26 @@ lazily and memoized within the round -- exactly the nodes needed for the
 queries that occurred, mirroring the paper's cost model: a node is
 materialized iff it is used to compute some occurring query.
 
-:class:`CrossRoundPlanExecutor` extends that model *across* rounds.
-Between consecutive rounds only a small dirty set of advertisers
-actually changes score (a click settles, a budget depletes, a throttle
-flips), so rebuilding every needed node from scratch wastes the work the
-previous round already paid for.  The incremental executor versions
-every leaf with a monotone epoch, keeps materialized :class:`TopKList`
-values alive in a bounded :class:`CrossRoundCache` keyed by plan-node
-id, and on each round invalidates only the ancestor cone of the dirty
-leaves (computed through :meth:`repro.plans.dag.Plan.dirty_closure`).
-Everything outside the cone is served unchanged from the cache; the
-saved work is observable through the ``plan.nodes_reused`` /
-``plan.nodes_invalidated`` counters and the ``plan.cache_resident``
-gauge.
-
 Work-accounting contract: the base executor performs exactly one binary
 merge per materialized operator node, and :meth:`PlanExecutor.run_round`
 *enforces* ``merges_performed == nodes_materialized`` after every round.
-The incremental executor legitimately diverges the two: a stale node
-whose operand values turn out identical to its last computation is
-*revalidated* without a merge, so there the invariant weakens to
-``merges_performed + nodes_revalidated == nodes_materialized``.
 
 The executor counts materialized operator nodes so tests can check the
 closed-form expected cost against the empirical average over random
-rounds, and benchmarks can report actual work saved by sharing and by
-cross-round reuse.
+rounds, and benchmarks can report actual work saved by sharing.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Optional
 
-from repro.core.topk import ScoredAdvertiser, TopKList, top_k_merge
+from repro.core.topk import TopKList, top_k_merge
 from repro.errors import InvalidPlanError
 from repro.instrument import NULL, Collector, names as metric_names
 from repro.plans.dag import Plan
 
-__all__ = [
-    "PlanExecutor",
-    "CrossRoundPlanExecutor",
-    "CrossRoundCache",
-    "ExecutionResult",
-]
+__all__ = ["PlanExecutor", "ExecutionResult"]
 
 Variable = Hashable
 NodeId = int
@@ -63,45 +38,17 @@ class ExecutionResult:
     Attributes:
         answers: Per occurring query, the top-k list of its advertisers.
         nodes_materialized: Operator nodes whose value was established
-            this round (the paper's per-round cost): fresh merges plus,
-            in cross-round mode, merge-free revalidations.
-        merges_performed: Binary top-k merges actually executed.  The
-            base executor performs exactly one merge per materialized
-            operator node and :meth:`PlanExecutor.run_round` *checks*
-            ``merges_performed == nodes_materialized`` after every round;
-            the cross-round executor batches work by revalidating
-            unchanged nodes without merging, so there the enforced
-            invariant is ``merges_performed + nodes_revalidated ==
-            nodes_materialized`` and the two counters legitimately
-            diverge.
+            this round (the paper's per-round cost).
+        merges_performed: Binary top-k merges actually executed: one per
+            materialized operator node, which
+            :meth:`PlanExecutor.run_round` *checks* after every round.
         advertisers_scanned: Leaf values read this round (used by the
-            scan-count comparisons, e.g. the shoe-store example E2).  In
-            cross-round mode a reused or revalidated node reads no
-            leaves, so this counts only the reads performed by actual
-            merges and rebuilt trivial-query leaves.
+            scan-count comparisons, e.g. the shoe-store example E2).
         cache_hits: Node requests served by the round memo -- a node
             shared by several occurring queries is materialized once and
             hit here thereafter.
         cache_misses: First materializations within the round (leaves
-            included), the complement of ``cache_hits``.  In cross-round
-            mode, first touches served *unchanged* from the cross-round
-            cache are counted as ``nodes_reused`` instead -- nothing was
-            missed.
-        nodes_reused: Cross-round mode only: needed operator nodes
-            served unchanged from the cross-round cache (no merge, no
-            leaf read).
-        nodes_invalidated: Cross-round mode only: resident cache entries
-            invalidated by this round's dirty leaves (the ancestor cone
-            of changed scores, leaves included).
-        nodes_revalidated: Cross-round mode only: stale nodes proven
-            unchanged without a merge because both operand values were
-            identical to the node's last computation.
-        cache_evictions: Cross-round mode only: entries evicted from the
-            bounded cache during this round (LRU order).
-        bypassed: Cross-round mode only: the autotuner judged the
-            observed dirty fraction too high for caching to pay and the
-            round ran fresh (scores were still absorbed, so the cache
-            stays sound for later rounds).
+            included), the complement of ``cache_hits``.
     """
 
     answers: Dict[str, TopKList] = field(default_factory=dict)
@@ -110,120 +57,6 @@ class ExecutionResult:
     advertisers_scanned: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    nodes_reused: int = 0
-    nodes_invalidated: int = 0
-    nodes_revalidated: int = 0
-    cache_evictions: int = 0
-    bypassed: bool = False
-
-
-@dataclass
-class _CacheEntry:
-    """One cross-round cache slot.
-
-    Attributes:
-        value: The node's materialized top-k list.
-        left_value: The left operand's value object at the time of the
-            last merge, or ``None`` for leaves (and for entries carried
-            across a plan rebind, whose operand structure may have
-            changed).  Compared *by identity* to detect that a stale
-            node's inputs did not actually change.
-        right_value: Same for the right operand.
-    """
-
-    value: TopKList
-    left_value: Optional[TopKList] = None
-    right_value: Optional[TopKList] = None
-
-
-class CrossRoundCache:
-    """Bounded LRU store of materialized node values, keyed by node id.
-
-    The cache also tracks which resident entries are *stale* -- ancestors
-    of leaves whose score changed since the entry was computed.  A stale
-    entry is never served; it is either recomputed (and refreshed) on
-    demand or evicted.  Invariant maintained jointly with the executor:
-    if a node is stale, every ancestor of it is stale or absent, so
-    serving a non-stale entry can never leak an outdated value upward.
-
-    Args:
-        capacity: Maximum resident entries; ``None`` means unbounded.
-            Eviction is LRU over lookups and stores.
-
-    Attributes:
-        capacity: The configured bound.
-        evictions: Lifetime count of capacity evictions.
-    """
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise InvalidPlanError(
-                f"cache capacity must be positive or None, got {capacity}"
-            )
-        self.capacity = capacity
-        self.evictions = 0
-        self._entries: "OrderedDict[NodeId, _CacheEntry]" = OrderedDict()
-        self._stale: Set[NodeId] = set()
-
-    @property
-    def resident(self) -> int:
-        """Number of entries currently resident."""
-        return len(self._entries)
-
-    def lookup(self, node_id: NodeId) -> Optional[_CacheEntry]:
-        """The entry for ``node_id`` (refreshing its LRU position)."""
-        entry = self._entries.get(node_id)
-        if entry is not None:
-            self._entries.move_to_end(node_id)
-        return entry
-
-    def is_stale(self, node_id: NodeId) -> bool:
-        """Whether the resident entry for ``node_id`` is invalidated."""
-        return node_id in self._stale
-
-    def mark_stale(self, node_id: NodeId) -> bool:
-        """Invalidate ``node_id``'s entry; True if a resident entry was
-        newly invalidated (absent or already-stale entries return False).
-        """
-        if node_id in self._entries and node_id not in self._stale:
-            self._stale.add(node_id)
-            return True
-        return False
-
-    def store(self, node_id: NodeId, entry: _CacheEntry) -> None:
-        """Insert or refresh an entry, clearing staleness and evicting
-        least-recently-used entries beyond the capacity bound."""
-        self._entries[node_id] = entry
-        self._entries.move_to_end(node_id)
-        self._stale.discard(node_id)
-        if self.capacity is not None:
-            while len(self._entries) > self.capacity:
-                evicted_id, _ = self._entries.popitem(last=False)
-                self._stale.discard(evicted_id)
-                self.evictions += 1
-
-    def resize(self, capacity: Optional[int]) -> None:
-        """Change the capacity bound, evicting LRU entries if shrinking.
-
-        Used by :class:`repro.engine.autotune.CacheAutotuner` to track
-        the observed working set; evictions forced by the new bound
-        count on :attr:`evictions` like any other.
-        """
-        if capacity is not None and capacity <= 0:
-            raise InvalidPlanError(
-                f"cache capacity must be positive or None, got {capacity}"
-            )
-        self.capacity = capacity
-        if capacity is not None:
-            while len(self._entries) > capacity:
-                evicted_id, _ = self._entries.popitem(last=False)
-                self._stale.discard(evicted_id)
-                self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry and staleness mark."""
-        self._entries.clear()
-        self._stale.clear()
 
 
 class PlanExecutor:
@@ -339,14 +172,8 @@ class PlanExecutor:
         return list(occurring)
 
     def _check_round_invariants(self, result: ExecutionResult) -> None:
-        """Enforce the base executor's work-accounting invariants.
-
-        One binary merge per materialized operator node, and no
-        cross-round bookkeeping: the base executor starts every round
-        from scratch.  Subclasses that batch or reuse work override this
-        with their own (weaker) invariant rather than silently breaking
-        the accounting -- see
-        :meth:`CrossRoundPlanExecutor._check_round_invariants`.
+        """Enforce the work-accounting invariant: one binary merge per
+        materialized operator node.
 
         Raises:
             InvalidPlanError: If the counters disagree.
@@ -357,16 +184,6 @@ class PlanExecutor:
                 f"{result.merges_performed} merges vs "
                 f"{result.nodes_materialized} materialized nodes (the base "
                 "executor performs exactly one merge per operator node)"
-            )
-        if (
-            result.nodes_reused
-            or result.nodes_invalidated
-            or result.nodes_revalidated
-            or result.cache_evictions
-        ):
-            raise InvalidPlanError(
-                "work-accounting invariant violated: the base executor must "
-                "not report cross-round counters"
             )
 
     def _flush_round(self, result: ExecutionResult, num_queries: int) -> None:
@@ -419,419 +236,6 @@ class PlanExecutor:
             ]
             total += self.run_round(scores, occurring).nodes_materialized
         return total / rounds if rounds else 0.0
-
-
-class CrossRoundPlanExecutor(PlanExecutor):
-    """Incremental plan executor with dirty-set invalidation.
-
-    Keeps every materialized node value alive in a
-    :class:`CrossRoundCache` between rounds.  Each round, the executor
-    diffs the incoming scores against the last scores it saw; every leaf
-    whose score changed gets its epoch bumped and its ancestor cone
-    (via :meth:`repro.plans.dag.Plan.dirty_closure`) invalidated.
-    Materialization then recomputes exactly the stale part of the needed
-    cone and serves everything else unchanged from the cache.
-
-    Determinism contract: for identical ``(plan, k, scores-sequence,
-    occurring-sequence)`` inputs the answers are bit-identical to a
-    fresh :class:`PlanExecutor` evaluating every round from scratch --
-    caching changes the *work*, never the *values*.  The differential
-    and stateful suites assert exactly this.
-
-    Args:
-        plan: A validated complete plan.
-        k: The top-k capacity.
-        collector: Receives the ``plan.*`` counters plus the
-            cross-round ``plan.nodes_reused`` / ``plan.nodes_invalidated``
-            / ``plan.revalidations`` / ``plan.cache_evictions`` counters
-            and the ``plan.cache_resident`` gauge.
-        cache: An existing cache to adopt (e.g. to persist across
-            executors); mutually exclusive with ``capacity``.
-        capacity: Bound for a newly created cache; ``None`` (default)
-            keeps every node value resident.
-        verify: Keep the exact score diff as a soundness cross-check on
-            declared dirty sets (whether declared by argument or via a
-            connected change feed): a score that changed without being
-            declared raises.  ``False`` trusts declarations and skips
-            comparing undeclared scores -- the production posture once
-            the bus is trusted; the differential suites run with the
-            default ``True``.
-        autotuner: Optional
-            :class:`repro.engine.autotune.CacheAutotuner` (duck-typed).
-            When present, each round first asks ``should_bypass()`` --
-            a fresh, cache-free execution when the windowed dirty
-            fraction makes caching a net loss -- and afterwards reports
-            ``observe_round(...)`` and applies ``maybe_resize(cache)``.
-    """
-
-    def __init__(
-        self,
-        plan: Plan,
-        k: int,
-        collector: Collector = NULL,
-        cache: Optional[CrossRoundCache] = None,
-        capacity: Optional[int] = None,
-        verify: bool = True,
-        autotuner=None,
-    ) -> None:
-        super().__init__(plan, k, collector)
-        if cache is not None and capacity is not None:
-            raise InvalidPlanError(
-                "pass either an existing cache or a capacity, not both"
-            )
-        self.cache = cache if cache is not None else CrossRoundCache(capacity)
-        self.verify = verify
-        self.autotuner = autotuner
-        self.rebinds = 0
-        self._last_scores: Dict[Variable, float] = {}
-        self._leaf_epochs: Dict[Variable, int] = {}
-        self._subscription = None
-        self._pending_dirty: Set[Variable] = set()
-
-    # ------------------------------------------------------------------
-    # change-feed consumption
-    # ------------------------------------------------------------------
-    def connect(self, feed) -> None:
-        """Subscribe to a change feed; dirty sets then arrive as events.
-
-        Args:
-            feed: A :class:`repro.engine.changefeed.ChangeFeed`
-                (duck-typed -- anything whose ``subscribe`` returns a
-                drainable queue of events carrying
-                ``dirty_advertisers``).
-
-        Once connected, :meth:`run_round` drains the subscription at the
-        top of every round and unions the events' dirty advertisers into
-        a pending set; advertisers scored by the round are absorbed,
-        events for everyone else survive until they next occur.  Passing
-        ``dirty=`` explicitly is then an error -- the bus is the single
-        source of dirty truth.
-        """
-        if self._subscription is not None:
-            raise InvalidPlanError("executor is already connected to a feed")
-        self._subscription = feed.subscribe(
-            name="plan-exec-cache",
-            kinds=(
-                "bid_changed",
-                "budget_changed",
-                "advertiser_added",
-                "advertiser_removed",
-            ),
-        )
-
-    @property
-    def pending_dirty(self) -> frozenset:
-        """Advertisers declared dirty by drained events and not yet
-        absorbed by a round that scored them.
-
-        Under per-query serving the executor drains its subscription
-        once per query, so an advertiser touched by an asynchronous
-        click settlement sits here until its phrase next occurs -- the
-        serving tests observe exactly that hand-off.
-        """
-        return frozenset(self._pending_dirty)
-
-    # ------------------------------------------------------------------
-    # leaf versioning
-    # ------------------------------------------------------------------
-    def leaf_epoch(self, variable: Variable) -> int:
-        """The monotone epoch of a leaf score (0 if never seen).
-
-        Bumped exactly when a round's score for ``variable`` differs
-        from the last score the executor absorbed for it.
-        """
-        return self._leaf_epochs.get(variable, 0)
-
-    def _absorb_scores(
-        self,
-        scores: Mapping[Variable, float],
-        dirty: Optional[Iterable[Variable]],
-    ) -> Tuple[int, int]:
-        """Diff scores against the previous round and invalidate the cone.
-
-        Args:
-            scores: This round's scores.
-            dirty: Optional *declared* dirty set -- drained from the
-                change feed, or passed by a caller driving the executor
-                directly.  The declaration may be a superset of the real
-                changes (over-reporting costs nothing because epochs
-                bump only on actual score changes), but under
-                ``verify=True`` it must be *sound*: a score that changed
-                without being declared raises, which is what keeps
-                event-driven dirty tracking honest under test.  Under
-                ``verify=False`` undeclared scores are trusted unchanged
-                and not even compared -- their last-seen snapshot is
-                kept, so a later covering event still repairs the cache.
-                ``None`` auto-diffs every score with no soundness check.
-
-        Returns:
-            ``(changed, invalidated)``: leaves whose score actually
-            changed, and resident cache entries newly invalidated.
-        """
-        declared: Optional[Set[Variable]] = (
-            None if dirty is None else set(dirty)
-        )
-        changed: List[Variable] = []
-        for variable, score in scores.items():
-            last = self._last_scores.get(variable)
-            if last is None:
-                pass  # first sight: always dirty, declared or not
-            elif declared is not None and variable not in declared:
-                if not self.verify:
-                    continue  # trusted unchanged, not compared
-                if last == float(score):
-                    continue
-                raise InvalidPlanError(
-                    f"unsound dirty set: score of {variable!r} changed "
-                    f"({last} -> {float(score)}) but the variable was not "
-                    "declared dirty"
-                )
-            elif last == float(score):
-                continue
-            value = float(score)
-            self._last_scores[variable] = value
-            self._leaf_epochs[variable] = self._leaf_epochs.get(variable, 0) + 1
-            changed.append(variable)
-        if not changed:
-            return 0, 0
-        newly = 0
-        for node_id in self.plan.dirty_closure(changed):
-            newly += self.cache.mark_stale(node_id)
-        return len(changed), newly
-
-    # ------------------------------------------------------------------
-    # round execution
-    # ------------------------------------------------------------------
-    def run_round(
-        self,
-        scores: Mapping[Variable, float],
-        occurring: Optional[Iterable[str]] = None,
-        dirty: Optional[Iterable[Variable]] = None,
-    ) -> ExecutionResult:
-        """Execute one round, reusing unchanged work from prior rounds.
-
-        Args:
-            scores: Current score per variable.  Only *changed* scores
-                cost anything beyond a dict compare.
-            occurring: Names of the queries occurring this round;
-                defaults to all queries.
-            dirty: Optional declared dirty variables (see
-                :meth:`_absorb_scores`); ``None`` auto-diffs.  Illegal
-                once :meth:`connect` has wired the executor to a change
-                feed -- the bus then supplies the declarations.
-
-        Returns:
-            The answers plus base and cross-round work counters.
-        """
-        if self._subscription is not None:
-            if dirty is not None:
-                raise InvalidPlanError(
-                    "dirty sets arrive via the change feed once connected; "
-                    "do not also declare them by argument"
-                )
-            for event in self._subscription.drain():
-                self._pending_dirty |= event.dirty_advertisers
-            dirty = set(self._pending_dirty)
-        autotuner = self.autotuner
-        changed, invalidated = self._absorb_scores(scores, dirty)
-        if autotuner is not None and autotuner.should_bypass():
-            # Fresh, cache-free execution: the scores were still
-            # absorbed above, so epochs and staleness marks keep the
-            # resident entries sound for whenever caching resumes.
-            result = PlanExecutor.run_round(self, scores, occurring)
-            result.nodes_invalidated = invalidated
-            result.bypassed = True
-            autotuner.record_bypass()
-            self.collector.incr(
-                metric_names.PLAN_NODES_INVALIDATED, invalidated
-            )
-            working_set = result.cache_misses
-        else:
-            result, working_set = self._run_cached_round(
-                scores, occurring, invalidated
-            )
-        if self._subscription is not None:
-            # Scored advertisers are absorbed; events for everyone else
-            # survive until they next occur.
-            self._pending_dirty.difference_update(scores)
-        if autotuner is not None:
-            autotuner.observe_round(changed, len(scores), working_set)
-            autotuner.maybe_resize(self.cache)
-        return result
-
-    def _run_cached_round(
-        self,
-        scores: Mapping[Variable, float],
-        occurring: Optional[Iterable[str]],
-        invalidated: int,
-    ) -> Tuple[ExecutionResult, int]:
-        """The cache-backed round body (scores already absorbed).
-
-        Returns the result plus the round's working set -- the count of
-        distinct nodes touched, which is what an LRU bound must cover.
-        """
-        plan = self.plan
-        instance = plan.instance
-        names = self._occurring_names(occurring)
-        result = ExecutionResult()
-        collector = self.collector
-        keyed = collector.enabled
-        cache = self.cache
-        evictions_before = cache.evictions
-
-        result.nodes_invalidated = invalidated
-
-        round_memo: Dict[NodeId, TopKList] = {}
-        rebuilt_leaves: Set[NodeId] = set()
-
-        def materialize(node_id: NodeId) -> TopKList:
-            memoized = round_memo.get(node_id)
-            if memoized is not None:
-                result.cache_hits += 1
-                return memoized
-            node = plan.node(node_id)
-            entry = cache.lookup(node_id)
-            if entry is not None and not cache.is_stale(node_id):
-                if not node.is_leaf:
-                    result.nodes_reused += 1
-                round_memo[node_id] = entry.value
-                return entry.value
-            result.cache_misses += 1
-            if node.is_leaf:
-                variable = node.variable
-                try:
-                    score = scores[variable]
-                except KeyError:
-                    raise InvalidPlanError(
-                        f"no score provided for advertiser {variable!r}"
-                    ) from None
-                value = TopKList.singleton(self.k, score, _as_int(variable))
-                rebuilt_leaves.add(node_id)
-                cache.store(node_id, _CacheEntry(value))
-            else:
-                assert node.left is not None and node.right is not None
-                left_value = materialize(node.left)
-                right_value = materialize(node.right)
-                if (
-                    entry is not None
-                    and entry.left_value is left_value
-                    and entry.right_value is right_value
-                ):
-                    # Both operands are the very objects of the last
-                    # computation: the value cannot have changed.  A
-                    # merge-free revalidation -- this is where
-                    # merges_performed diverges from nodes_materialized.
-                    value = entry.value
-                    result.nodes_materialized += 1
-                    result.nodes_revalidated += 1
-                else:
-                    for child in (node.left, node.right):
-                        if plan.node(child).is_leaf:
-                            result.advertisers_scanned += 1
-                    value = top_k_merge(left_value, right_value)
-                    result.nodes_materialized += 1
-                    result.merges_performed += 1
-                    if keyed:
-                        collector.incr_keyed(
-                            metric_names.PLAN_NODE_MERGES, node_id
-                        )
-                    if entry is not None and value == entry.value:
-                        # Equal recompute: keep the old object so stale
-                        # ancestors can revalidate by identity.
-                        value = entry.value
-                cache.store(node_id, _CacheEntry(value, left_value, right_value))
-            round_memo[node_id] = value
-            return value
-
-        for name in names:
-            query = instance.query_by_name(name)
-            node_id = plan.query_node(query)
-            if node_id is None:
-                raise InvalidPlanError(f"plan does not answer query {name!r}")
-            value = materialize(node_id)
-            if plan.node(node_id).is_leaf and node_id in rebuilt_leaves:
-                result.advertisers_scanned += 1
-            result.answers[name] = value
-
-        result.cache_evictions = cache.evictions - evictions_before
-        self._check_round_invariants(result)
-        self._flush_round(result, len(names))
-        return result, len(round_memo)
-
-    def _check_round_invariants(self, result: ExecutionResult) -> None:
-        """The incremental executor's weakened accounting invariant.
-
-        Every materialized node is either a fresh merge or a merge-free
-        revalidation, never both, and reuse never exceeds what a cache
-        can hold.
-
-        Raises:
-            InvalidPlanError: If the counters disagree.
-        """
-        if (
-            result.merges_performed + result.nodes_revalidated
-            != result.nodes_materialized
-        ):
-            raise InvalidPlanError(
-                "work-accounting invariant violated: "
-                f"{result.merges_performed} merges + "
-                f"{result.nodes_revalidated} revalidations != "
-                f"{result.nodes_materialized} materialized nodes"
-            )
-
-    def _flush_round(self, result: ExecutionResult, num_queries: int) -> None:
-        super()._flush_round(result, num_queries)
-        collector = self.collector
-        collector.incr(metric_names.PLAN_NODES_REUSED, result.nodes_reused)
-        collector.incr(
-            metric_names.PLAN_NODES_INVALIDATED, result.nodes_invalidated
-        )
-        collector.incr(metric_names.PLAN_REVALIDATIONS, result.nodes_revalidated)
-        collector.incr(metric_names.PLAN_CACHE_EVICTIONS, result.cache_evictions)
-        collector.gauge(metric_names.PLAN_CACHE_RESIDENT, self.cache.resident)
-
-    # ------------------------------------------------------------------
-    # plan maintenance
-    # ------------------------------------------------------------------
-    def rebind(self, plan: Plan) -> None:
-        """Adopt a repaired or replanned plan, keeping still-valid work.
-
-        A node's value depends only on its variable set and the leaf
-        scores, so cache entries survive a rebind exactly when the new
-        plan has a node with the same varset: the repaired subtree's
-        varsets are new, which invalidates (drops) precisely the touched
-        entries, while untouched structure keeps its values -- this is
-        how :class:`repro.plans.maintenance.PlanMaintainer` repairs and
-        caching compose.  Operand snapshots are discarded (the operand
-        *structure* may have changed even where varsets survive), so
-        revalidation resumes only after a node's first recompute under
-        the new plan.  Staleness marks and leaf epochs carry over.
-
-        Dropped entries are reported on the ``plan.nodes_invalidated``
-        counter immediately (rebinds happen between rounds, outside any
-        :class:`ExecutionResult`).
-        """
-        plan.validate()
-        old_plan = self.plan
-        cache = self.cache
-        entries: "OrderedDict[NodeId, _CacheEntry]" = OrderedDict()
-        stale: Set[NodeId] = set()
-        dropped = 0
-        for node_id, entry in cache._entries.items():
-            varset = old_plan.node(node_id).varset
-            new_id = plan.node_for_varset(varset)
-            if new_id is None:
-                dropped += 1
-                continue
-            entries[new_id] = _CacheEntry(entry.value)
-            if node_id in cache._stale:
-                stale.add(new_id)
-        cache._entries = entries
-        cache._stale = stale
-        self.plan = plan
-        self.rebinds += 1
-        self.collector.incr(metric_names.PLAN_NODES_INVALIDATED, dropped)
-        self.collector.gauge(metric_names.PLAN_CACHE_RESIDENT, cache.resident)
 
 
 def _as_int(variable: Variable) -> int:

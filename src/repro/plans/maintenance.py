@@ -77,13 +77,9 @@ class PlanMaintainer:
         """Register a callback invoked with every new plan.
 
         Called after each repair or full replan, once the fresh plan has
-        validated.  The primary consumer is
-        :meth:`repro.plans.executor.CrossRoundPlanExecutor.rebind`, which
-        carries cached node values whose varsets survived the repair and
-        invalidates the touched subtree -- subscribing it keeps
-        incremental execution and plan maintenance composed:
-
-            maintainer.subscribe(executor.rebind)
+        validated.  A caller holding something built from the old plan
+        rebuilds it here, e.g. a
+        :class:`repro.plans.executor.PlanExecutor` over the new plan.
 
         Listeners fire in subscription order; exceptions propagate to
         the mutation that triggered the change.
@@ -110,8 +106,8 @@ class PlanMaintainer:
                 publishing call and the very next round already runs
                 against the updated structure.  Each repair fires the
                 plan-change listeners (:meth:`subscribe`) as usual, so a
-                subscribed executor rebinds transitively from one
-                published event.
+                listener sees the repaired plan from one published
+                event.
         """
         feed.attach(
             self._apply_event,

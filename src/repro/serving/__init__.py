@@ -3,9 +3,8 @@
 The batch engine (:mod:`repro.engine`) amortizes winner determination
 across co-occurring phrases in synchronous rounds; this package serves
 the same auctions the way live traffic asks for them -- one query at a
-time, with click and budget events streaming back asynchronously over
-the change feed and the cross-round caches acting as steady-state
-serving caches:
+time, with clicks settling against the budget books asynchronously and
+the columnar exec cache acting as a steady-state serving cache:
 
 - :mod:`repro.serving.traffic` -- seeded Poisson/Zipf query traffic
   (the paper's ``sr_q`` search rates made concrete);

@@ -4,22 +4,19 @@
 the way live search traffic would: queries arrive one at a time from a
 seeded :class:`repro.serving.traffic.TrafficGenerator`, each query
 triggers winner determination for *just its phrase* through
-:meth:`SharedAuctionEngine.serve_query`, and clicks/budget events stream
-back through the engine's :class:`repro.engine.changefeed.ChangeFeed`
-asynchronously relative to query processing -- a click settles some
-ticks after the display that earned it, and whichever cross-round cache
-is attached (:class:`repro.plans.executor.CrossRoundPlanExecutor` or
-:class:`repro.sharedsort.cache.CrossRoundSortCache`) drains the
-resulting events at its next per-query drain.  The batch engine's
-cross-round caches are thereby the serving engine's *steady-state*
-caches: between consecutive queries almost nothing moves, so the dirty
-cone per query is tiny and reuse dominates.
+:meth:`SharedAuctionEngine.serve_query`, and clicks settle against the
+budget books asynchronously relative to query processing -- a click
+settles some ticks after the display that earned it.  With
+``exec_cache`` the batch engine's cross-round cache (the columnar
+fragment executor) is the serving engine's *steady-state* cache: between
+consecutive queries almost nothing moves, so the rows its score diff
+finds dirty per query are few and reuse dominates.
 
 Equivalence contract: serving a trace is outcome-identical -- winners,
 prices, clicks, and the full budget trajectory -- to replaying the same
 trace through the batch engine as single-phrase rounds
 (:func:`repro.engine.rounds.singleton_rounds` is that replay's
-vocabulary), with and without the caches.  The 50-seed differential
+vocabulary), with and without the exec cache.  The 50-seed differential
 suite in ``tests/serving`` enforces this; the serving loop changes
 *when* work happens and *how much* of it there is, never the auction's
 outcomes.
@@ -120,10 +117,9 @@ class ServingEngine:
 
     Args:
         engine: The auction engine to drive.  Any mode and cache
-            configuration works; with ``exec_cache``/``sort_cache`` the
-            cross-round caches become the steady-state serving caches
-            (the feed-driven ones drain the change feed once per query;
-            the columnar exec cache diffs the query's scores instead).
+            configuration works; with ``exec_cache`` the columnar
+            fragment executor becomes the steady-state serving cache
+            (it diffs each query's scores).
         traffic: The arrival source.  Its phrase universe must be a
             subset of the engine's bid phrases (checked up front --
             a serving session must not die mid-trace on a typo).

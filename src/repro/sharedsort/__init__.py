@@ -14,13 +14,9 @@ only the bids ``b_i`` are shared.  Section III's architecture:
   advertiser set is common;
 - which operators to share is decided offline by a **greedy bottom-up
   plan builder** (:mod:`repro.sharedsort.plan`) maximizing expected
-  savings under the full-sort cost model (:mod:`repro.sharedsort.cost`);
-- across rounds, streams whose underlying bids did not change are kept
-  alive by :class:`repro.sharedsort.cache.CrossRoundSortCache`, so their
-  output caches replay instead of being rebuilt.
+  savings under the full-sort cost model (:mod:`repro.sharedsort.cost`).
 """
 
-from repro.sharedsort.cache import CrossRoundSortCache
 from repro.sharedsort.columnar import ColumnarThresholdKernel
 from repro.sharedsort.cost import (
     expected_full_sort_cost,
@@ -39,7 +35,6 @@ from repro.sharedsort.threshold import ThresholdResult, threshold_top_k
 
 __all__ = [
     "ColumnarThresholdKernel",
-    "CrossRoundSortCache",
     "LeafSource",
     "LiveSharedSort",
     "MergeOperator",

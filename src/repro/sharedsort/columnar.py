@@ -39,32 +39,12 @@ arrays (:class:`RankedRound`) that stage 4 prices without rebuilding a
 ``TopKList`` per phrase.  :meth:`ColumnarThresholdKernel.rank_phrase`
 takes one phrase through them and is kept as its differential oracle:
 same stop depths, same accesses, same floats.
-
-Cross-round reuse (``sort_cache=True``) is :class:`ColumnarSortCache`:
-instead of one full lexsort per round, the cache keeps the descending
-``(-effective_bid, id)`` order alive across rounds as a *global* row
-permutation covering every row ever scored, and repairs it
-incrementally.  Per round it drains the change feed, refines the
-declared advertisers to the rows whose effective bid actually moved
-(with the same declared-vs-diffed ``verify=`` soundness cross-check as
-:class:`repro.sharedsort.cache.CrossRoundSortCache`), removes the
-dirty and first-sight rows from the cached order with one boolean
-mask, and merge-inserts them at their ``searchsorted`` positions.
-Because advertiser ids are distinct, ``(-bid, id)`` is a strict total
-order, so the repaired permutation is *the* sorted permutation --
-byte-identical to a fresh lexsort, hence to the uncached kernel and to
-the object path.  A phrase's TA then filters the global order by its
-membership mask; every member of a ranked phrase is an occurring
-(freshly scored) row, so stale positions of non-occurring rows are
-never read.  The CTR-side presort
-(:meth:`~repro.core.columnar.ColumnarStore.phrase_ctr_rank_positions`)
-already persists across rounds in the store.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.core.columnar import (
     ColumnarStore,
@@ -81,285 +61,7 @@ try:  # pragma: no cover - numpy ships with the package
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-__all__ = ["ColumnarSortCache", "ColumnarThresholdKernel", "RankedRound"]
-
-
-class ColumnarSortCache:
-    """Cross-round incremental repair of the shared descending-bid order.
-
-    The columnar counterpart of
-    :class:`repro.sharedsort.cache.CrossRoundSortCache`, with the same
-    interface contract -- :meth:`connect` to the engine's change feed,
-    :attr:`pending_dirty`, declared-vs-diffed ``verify``, autotuner
-    bypass -- but row-granular state: one cached permutation instead of
-    a tree of live stream objects.  ``sort.streams_reused`` /
-    ``sort.streams_invalidated`` count *rows* kept / re-ranked here
-    (the object cache counts streams); either way the counters report
-    how much of the round's sort the cache saved.  When advertisers
-    enter or leave the store its rows are renumbered, and the cache
-    starts over at the next round.
-
-    Args:
-        store: The columnar population (rows are positions in the
-            cached permutation).
-        collector: Receives ``sort.streams_reused`` (rows kept in
-            place) and ``sort.streams_invalidated`` (rows re-ranked)
-            per round.
-        verify: Keep the exact effective-bid diff as a soundness
-            cross-check on the change-feed events: an undeclared bid
-            change raises ``InvalidPlanError``.  ``False`` trusts the
-            feed and keeps undeclared rows' snapshots.
-        autotuner: Optional duck-typed
-            :class:`repro.engine.autotune.CacheAutotuner`; consulted
-            per round for the bypass decision (a bypass round re-sorts
-            from scratch) and fed the observed dirty fraction.  LRU
-            sizing does not apply -- the permutation is bounded by the
-            population.
-
-    Attributes:
-        rounds: Rounds absorbed.
-        bypass_rounds: Rounds re-sorted fresh on autotuner advice.
-        rows_reused: Cumulative rows kept in their cached positions.
-        rows_repaired: Cumulative rows re-ranked into the order.
-    """
-
-    def __init__(
-        self,
-        store: ColumnarStore,
-        collector: Collector = NULL,
-        verify: bool = True,
-        autotuner=None,
-    ) -> None:
-        require_numpy()
-        self.store = store
-        self.collector = collector
-        self.verify = verify
-        self.autotuner = autotuner
-        self._subscription = None
-        self._pending_dirty: Set[int] = set()
-        self.rounds = 0
-        self.bypass_rounds = 0
-        self.rows_reused = 0
-        self.rows_repaired = 0
-        self._forget_rows()
-
-    def _forget_rows(self) -> None:
-        """Empty everything keyed by row, sized for the store's rows.
-
-        ``_ids`` is the store's id column that numbering belongs to: the
-        store replaces the array when advertisers enter or leave.
-        """
-        size = self.store.size
-        self._ids = self.store.ids
-        self._order: Optional["np.ndarray"] = None
-        self._last_eff = np.zeros(size, dtype=np.float64)
-        self._seen = np.zeros(size, dtype=bool)
-
-    def connect(self, feed) -> None:
-        """Subscribe to a change feed; bid dirtiness then arrives as
-        events, drained once per :meth:`order_for_round`."""
-        if self._subscription is not None:
-            raise InvalidPlanError("sort cache is already connected to a feed")
-        self._subscription = feed.subscribe(
-            name="columnar-sort-cache",
-            kinds=(
-                "bid_changed",
-                "budget_changed",
-                "advertiser_added",
-                "advertiser_removed",
-            ),
-        )
-
-    @property
-    def pending_dirty(self) -> frozenset:
-        """Advertisers declared dirty by drained events and not yet
-        absorbed by a round that scored them."""
-        return frozenset(self._pending_dirty)
-
-    def order_for_round(
-        self,
-        effective_by_row,
-        rows,
-        dirty: Optional[Iterable[int]] = None,
-    ) -> Tuple["np.ndarray", int]:
-        """Repair (or build) the shared order for one round.
-
-        Args:
-            effective_by_row: Full-length float64 effective bids in
-                cents; the engine keeps non-occurring rows at their
-                last-written values, which is what lets the global
-                permutation stay valid for rows outside this round.
-            rows: The round's occurring (freshly scored) row indices.
-            dirty: Explicitly declared dirty advertiser ids; mutually
-                exclusive with a connected feed.  ``None`` with no feed
-                auto-diffs every scored row.
-
-        Returns:
-            ``(order, repaired)``: the global descending-bid row
-            permutation (covering every row ever scored) and the number
-            of rows re-ranked into it this round -- the cached round's
-            sort work, which the engine reports where the uncached
-            kernel reports the full materialization count.
-        """
-        self.rounds += 1
-        store = self.store
-        if store.ids is not self._ids:
-            # Advertisers entered or left: rows were renumbered, so the
-            # cached order and snapshots describe other advertisers.
-            # The round builds from scratch, like the first.
-            self._forget_rows()
-        if self._subscription is not None:
-            if dirty is not None:
-                raise InvalidPlanError(
-                    "dirty sets arrive via the change feed once connected; "
-                    "do not also declare them by argument"
-                )
-            for event in self._subscription.drain():
-                self._pending_dirty |= event.dirty_advertisers
-            declared_ids: Optional[Set[int]] = set(self._pending_dirty)
-        elif dirty is not None:
-            declared_ids = set(dirty)
-        else:
-            declared_ids = None
-        rows = np.asarray(rows, dtype=np.int64)
-        sub = effective_by_row[rows]
-        seen = self._seen[rows]
-        changed = seen & (sub != self._last_eff[rows])
-        if declared_ids is None:
-            dirty_sub = ~seen | changed
-        else:
-            declared = np.zeros(store.size, dtype=bool)
-            if declared_ids:
-                present = sorted(
-                    advertiser_id
-                    for advertiser_id in declared_ids
-                    if advertiser_id in store
-                )
-                if present:
-                    declared[store.rows_of(present)] = True
-            declared_sub = declared[rows]
-            if self.verify:
-                bad = changed & ~declared_sub
-                if bad.any():
-                    row = int(rows[int(np.flatnonzero(bad)[0])])
-                    raise InvalidPlanError(
-                        f"unsound change feed: bid of advertiser "
-                        f"{int(store.ids[row])} changed "
-                        f"({float(self._last_eff[row])} -> "
-                        f"{float(effective_by_row[row])}) without a "
-                        "covering event"
-                    )
-            dirty_sub = ~seen | (declared_sub & changed)
-        dirty_rows = rows[dirty_sub]
-        changed_count = int(len(dirty_rows))
-        self._last_eff[dirty_rows] = effective_by_row[dirty_rows]
-        self._seen[dirty_rows] = True
-
-        autotuner = self.autotuner
-        bypass = (
-            self._order is not None
-            and autotuner is not None
-            and autotuner.should_bypass()
-        )
-        if self._order is None:
-            # First round: nothing to repair, build from scratch (the
-            # object cache likewise charges no reuse/invalidation for
-            # its first instantiation).
-            order = np.lexsort((store.ids[rows], -effective_by_row[rows]))
-            self._order = rows[order]
-            repaired = int(len(rows))
-            reused = 0
-            counted = False
-        elif bypass:
-            self.bypass_rounds += 1
-            autotuner.record_bypass()
-            self._order = self._resort(effective_by_row, dirty_rows)
-            repaired = int(len(self._order))
-            reused = 0
-            counted = False
-        else:
-            reused, repaired = self._repair(effective_by_row, dirty_rows)
-            counted = True
-        if counted:
-            self.rows_reused += reused
-            self.rows_repaired += repaired
-            collector = self.collector
-            if collector.enabled:
-                if reused:
-                    collector.incr(metric_names.SORT_STREAMS_REUSED, reused)
-                if repaired:
-                    collector.incr(
-                        metric_names.SORT_STREAMS_INVALIDATED, repaired
-                    )
-        if declared_ids is not None and self._pending_dirty:
-            scored = np.zeros(store.size, dtype=bool)
-            scored[rows] = True
-            self._pending_dirty = {
-                advertiser_id
-                for advertiser_id in self._pending_dirty
-                if advertiser_id not in store
-                or not scored[store.row_of(advertiser_id)]
-            }
-        if autotuner is not None:
-            autotuner.observe_round(
-                changed_count, int(len(rows)), int(len(self._order))
-            )
-        return self._order, repaired
-
-    def _resort(self, effective_by_row, dirty_rows) -> "np.ndarray":
-        """Full lexsort over the union of cached and dirty rows."""
-        store = self.store
-        member = np.zeros(store.size, dtype=bool)
-        member[self._order] = True
-        member[dirty_rows] = True
-        all_rows = np.flatnonzero(member)
-        order = np.lexsort((store.ids[all_rows], -effective_by_row[all_rows]))
-        return all_rows[order]
-
-    def _repair(self, effective_by_row, dirty_rows) -> Tuple[int, int]:
-        """Remove dirty rows from the cached order and merge them back.
-
-        The clean remainder is already sorted by ``(-bid, id)`` (its
-        rows' bids are verified unchanged), and the dirty rows are
-        sorted by the same key, so positions come from two vectorized
-        ``searchsorted`` calls on the bid key plus an id-level
-        ``searchsorted`` inside each equal-bid run -- a loop over the
-        (small) dirty set only.  Distinct ids make the key a strict
-        total order, so the merged permutation is byte-identical to a
-        fresh lexsort.
-        """
-        store = self.store
-        previous = self._order
-        if not len(dirty_rows):
-            return int(len(previous)), 0
-        # A dirty fraction large enough that merge-insert positions stop
-        # paying for themselves: re-sort.  Work-only heuristic -- the
-        # resulting permutation is identical either way.
-        if 4 * len(dirty_rows) >= len(previous):
-            self._order = self._resort(effective_by_row, dirty_rows)
-            return 0, int(len(self._order))
-        dirty_mask = np.zeros(store.size, dtype=bool)
-        dirty_mask[dirty_rows] = True
-        clean = previous[~dirty_mask[previous]]
-        key_order = np.lexsort(
-            (store.ids[dirty_rows], -effective_by_row[dirty_rows])
-        )
-        ranked_dirty = dirty_rows[key_order]
-        clean_neg = -effective_by_row[clean]
-        clean_ids = store.ids[clean]
-        neg = -effective_by_row[ranked_dirty]
-        lo = np.searchsorted(clean_neg, neg, side="left")
-        hi = np.searchsorted(clean_neg, neg, side="right")
-        positions = np.empty(len(ranked_dirty), dtype=np.int64)
-        dirty_ids = store.ids[ranked_dirty]
-        for j in range(len(ranked_dirty)):
-            start = int(lo[j])
-            stop = int(hi[j])
-            positions[j] = start + int(
-                np.searchsorted(clean_ids[start:stop], dirty_ids[j])
-            )
-        self._order = np.insert(clean, positions, ranked_dirty)
-        return int(len(clean)), int(len(ranked_dirty))
+__all__ = ["ColumnarThresholdKernel", "RankedRound"]
 
 
 class RankedRound(Mapping):
@@ -455,13 +157,6 @@ class ColumnarThresholdKernel:
             accesses, random accesses, stages, stop depth), so
             shared-sort work tables keep reporting through the same
             names under either layout.
-        cache: Optional :class:`ColumnarSortCache`; when present,
-            :meth:`begin_round` delegates the shared order to the
-            cache's incremental repair instead of a fresh lexsort.  The
-            cached order covers every row ever scored (a superset of
-            the round's occurring rows); a phrase's TA filters it by
-            membership, and every member of a ranked phrase occurs in
-            that round, so the extra rows are never read.
     """
 
     def __init__(
@@ -469,7 +164,6 @@ class ColumnarThresholdKernel:
         store: ColumnarStore,
         k: int,
         collector: Collector = NULL,
-        cache: Optional[ColumnarSortCache] = None,
     ) -> None:
         require_numpy()
         if k <= 0:
@@ -477,7 +171,6 @@ class ColumnarThresholdKernel:
         self.store = store
         self.k = k
         self.collector = collector
-        self.cache = cache
         self._order: Optional["np.ndarray"] = None
         self._effective_by_row: Optional["np.ndarray"] = None
         # rank_phrase's scratch, row -> position within the current
@@ -489,9 +182,7 @@ class ColumnarThresholdKernel:
 
         One lexsort over the occurring rows, shared by every phrase of
         the round -- the work the object path spends instantiating and
-        pulling the merge network.  With a :class:`ColumnarSortCache`
-        attached, the order is instead repaired incrementally and the
-        returned work is the number of rows re-ranked.
+        pulling the merge network.
 
         Args:
             effective_by_row: Full-length float64 effective bids in
@@ -499,19 +190,13 @@ class ColumnarThresholdKernel:
             rows: The round's occurring row indices (ascending).
 
         Returns:
-            The number of rows materialized into the shared order
-            (repaired into it, under the cache) -- the engine reports
-            it as the round's shared-sort work.
+            The number of rows materialized into the shared order --
+            the engine reports it as the round's shared-sort work.
         """
         self._effective_by_row = effective_by_row
         if len(self._position_of_row) != self.store.size:
             # Structural churn renumbers and resizes row space.
             self._position_of_row = np.zeros(self.store.size, dtype=np.int64)
-        if self.cache is not None:
-            self._order, repaired = self.cache.order_for_round(
-                effective_by_row, rows
-            )
-            return repaired
         order = np.lexsort(
             (self.store.ids[rows], -effective_by_row[rows])
         )

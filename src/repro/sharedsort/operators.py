@@ -94,7 +94,7 @@ class SortStream:
         prefetched speculatively.  An early-stopping consumer therefore
         sees exactly the operator pulls of the item-at-a-time engine
         (``sort.operator_pulls`` parity), while replayed regions -- the
-        common case for shared operators and cross-round reuse -- are
+        common case for shared operators -- are
         returned as one list slice instead of ``hi - lo`` calls walking
         the operator tree.
 
@@ -218,7 +218,7 @@ class MergeOperator(SortStream):
         # item is already materialized -- same replay accounting as
         # ``child.item()`` without re-entering the wrapper per item,
         # which is where the per-item engine spent most of its time on
-        # replayed (shared or cross-round-reused) subtrees.
+        # replayed (shared) subtrees.
         counting = self.collector.enabled
         left = self.left
         cursor = self._left_cursor

@@ -137,24 +137,6 @@ class SharedSortPlan:
         """The shared merge operators (non-leaf nodes)."""
         return [n for n in self.nodes if not n.is_leaf]
 
-    def node_for_advertisers(self, advertisers: FrozenSet[int]) -> Optional[int]:
-        """The id of a node over exactly ``advertisers``, or ``None``.
-
-        A sort stream's output is fully determined by the bids of the
-        advertisers below it, so after a structural rebind a stream from
-        an old plan remains valid for any new node with the same
-        advertiser set -- this lookup is how
-        :meth:`repro.sharedsort.cache.CrossRoundSortCache.rebind`
-        carries streams across plans.  When several nodes share an
-        advertiser set (duplicated structure), any of them is a correct
-        answer; the last in plan order wins.
-        """
-        index = self.__dict__.get("_by_advertisers")
-        if index is None:
-            index = {node.advertisers: node.node_id for node in self.nodes}
-            self._by_advertisers = index
-        return index.get(frozenset(advertisers))
-
     def shared_expected_cost(self) -> float:
         """Expected full-sort cost of the shared operators only."""
         return expected_full_sort_cost(
@@ -219,11 +201,6 @@ class LiveSharedSort:
         self.collector = collector
         self._streams: Dict[int, SortStream] = {}
         self._phrase_streams: Dict[str, SortStream] = {}
-        # Pull/read totals carried by streams adopted from a previous
-        # round (cross-round reuse); ``round_pulls`` subtracts them so
-        # per-round work stays comparable with a fresh instantiation.
-        self._base_pulls = 0
-        self._base_leaf_reads = 0
 
     def _stream_for_node(self, node_id: int) -> SortStream:
         stream = self._streams.get(node_id)
@@ -318,45 +295,6 @@ class LiveSharedSort:
         return sum(
             s.pulls for s in self._all_streams() if isinstance(s, LeafSource)
         )
-
-    def round_pulls(self) -> int:
-        """Operator pulls performed *through this live instance*.
-
-        Equal to :meth:`total_pulls` for a fresh instantiation; under
-        cross-round reuse the pulls adopted streams performed in earlier
-        rounds are subtracted, so the engine's per-round merge counter
-        stays a per-round quantity.
-        """
-        return self.total_pulls() - self._base_pulls
-
-    def round_leaf_reads(self) -> int:
-        """Leaf reads performed through this live instance (see
-        :meth:`round_pulls`)."""
-        return self.leaf_reads() - self._base_leaf_reads
-
-    def _adopt(
-        self,
-        streams: Mapping[int, SortStream],
-        phrase_streams: Mapping[str, SortStream],
-    ) -> None:
-        """Seed this instance with streams reused from a previous round.
-
-        Called by :class:`repro.sharedsort.cache.CrossRoundSortCache`
-        before the round runs.  The adopted streams' lifetime pulls are
-        recorded as a baseline so the ``round_*`` accessors report only
-        work performed from this round on.
-        """
-        self._streams.update(streams)
-        self._phrase_streams.update(phrase_streams)
-        base_pulls = 0
-        base_leaf_reads = 0
-        for stream in self._all_streams():
-            if isinstance(stream, MergeOperator):
-                base_pulls += stream.pulls
-            elif isinstance(stream, LeafSource):
-                base_leaf_reads += stream.pulls
-        self._base_pulls = base_pulls
-        self._base_leaf_reads = base_leaf_reads
 
 
 def _huffman_merge_cost(sizes: Sequence[int]) -> int:

@@ -94,8 +94,8 @@ def fig4_market(
     advertisers each query aggregates); this helper fleshes it out into
     live :class:`~repro.core.advertiser.Advertiser` objects so the same
     topology can be auctioned end to end -- in particular by the serving
-    benchmark, which replays Zipf-weighted Fig. 4 queries against the
-    cross-round caches.
+    benchmark, which replays Zipf-weighted Fig. 4 queries against every
+    engine configuration.
 
     Bids are log-normal around ``median_bid_cents`` and budgets around
     ``median_budget_cents`` (``median_budget_cents <= 0`` means

@@ -1,20 +1,11 @@
-"""The unified invalidation bus: delivery semantics and consumer contracts.
+"""The unified invalidation bus: delivery semantics.
 
-Covers the :class:`repro.engine.changefeed.ChangeFeed` event bus itself
-(kind filtering, drain ordering, push handlers, the ``active`` guard,
-and the ``bus.*`` counters) and the contracts of its three consumers:
-
-- the cross-round plan executor and sort cache receive dirty sets
-  exclusively through their subscriptions once connected;
-- ``verify=True`` keeps the exact value diff as a soundness cross-check
-  and raises on any change no event covered;
-- ``verify=False`` trusts the feed, serves from the (possibly stale)
-  cache, and *self-heals* as soon as a covering event arrives;
-- the two caches refine the same events by their own value domains --
-  the exec cache by *scores*, the sort cache by *bids* -- so one event
-  invalidates exactly the cache whose value actually moved
-  (the regression pinning the semantics the bespoke pipelines left
-  implicit and mutually inconsistent).
+Covers the :class:`repro.engine.changefeed.ChangeFeed` event bus itself:
+kind filtering, drain ordering, push handlers, the ``active`` guard,
+the ``bus.*`` counters and the event shapes -- and the engine's side of
+the contract as a publisher, seen through an outside probe: every round
+and every served query closes with exactly one ``RoundClosed``, after
+everything the round published.
 """
 
 from __future__ import annotations
@@ -34,34 +25,10 @@ from repro.engine.changefeed import (
     QueryServed,
     RoundClosed,
 )
-from repro.core.topk import top_k_scan
-from repro.errors import InvalidAuctionError, InvalidPlanError
+from repro.engine.pipeline import SharedAuctionEngine
+from repro.errors import InvalidAuctionError
 from repro.instrument import MetricsCollector, names
-from repro.plans.executor import CrossRoundPlanExecutor
-from repro.plans.greedy_planner import greedy_shared_plan
-from repro.plans.instance import AggregateQuery, SharedAggregationInstance
-from repro.sharedsort.cache import CrossRoundSortCache
-from repro.sharedsort.plan import build_shared_sort_plan
-
-
-def drain_items(stream):
-    items = []
-    index = 0
-    while (item := stream.item(index)) is not None:
-        items.append(item)
-        index += 1
-    return items
-
-
-PHRASES = {"alpha": (1, 2, 3), "beta": (2, 3, 4)}
-
-
-def small_plan():
-    instance = SharedAggregationInstance(
-        AggregateQuery(phrase, set(ids), 1.0)
-        for phrase, ids in PHRASES.items()
-    )
-    return greedy_shared_plan(instance)
+from repro.workloads.generator import MarketConfig, generate_market
 
 
 class TestChangeFeedDelivery:
@@ -155,214 +122,52 @@ class TestEventShapes:
         assert event.dirty_advertisers == frozenset()
 
 
-class TestConnectedExecutor:
-    def test_connect_twice_rejected(self):
-        feed = ChangeFeed()
-        executor = CrossRoundPlanExecutor(small_plan(), 2)
-        executor.connect(feed)
-        with pytest.raises(InvalidPlanError, match="already connected"):
-            executor.connect(feed)
+ENGINE_CONFIGS = [
+    ("unshared", "object"),
+    ("shared", "object"),
+    ("shared-sort", "object"),
+    ("unshared", "columnar"),
+    ("shared", "columnar"),
+    ("shared-sort", "columnar"),
+]
 
-    def test_explicit_dirty_argument_rejected_once_connected(self):
-        feed = ChangeFeed()
-        executor = CrossRoundPlanExecutor(small_plan(), 2)
-        executor.connect(feed)
-        scores = {i: float(i) for i in range(1, 5)}
-        executor.run_round(scores)
-        with pytest.raises(InvalidPlanError, match="change feed"):
-            executor.run_round(scores, dirty={1})
 
-    def test_events_drive_invalidation(self):
-        feed = ChangeFeed()
-        executor = CrossRoundPlanExecutor(small_plan(), 2)
-        executor.connect(feed)
-        scores = {i: float(i) for i in range(1, 5)}
-        executor.run_round(dict(scores))
-        scores[2] = 40.0
-        feed.publish(BudgetChanged(2))
-        result = executor.run_round(dict(scores))
-        assert result.nodes_invalidated > 0
-        for query in executor.plan.instance.queries:
-            assert result.answers[query.name] == top_k_scan(
-                2, [(scores[v], v) for v in sorted(query.variables)]
+class TestTheEngineAsPublisher:
+    def _engine(self, mode, layout):
+        if layout == "columnar":
+            pytest.importorskip("numpy")
+        market = generate_market(
+            MarketConfig(
+                num_categories=3,
+                phrases_per_category=3,
+                specialists_per_category=5,
+                generalists=3,
+                generalist_categories=2,
+                median_budget_cents=2_000,
+                seed=4,
             )
-
-    def test_undeclared_change_raises_under_verify(self):
-        feed = ChangeFeed()
-        executor = CrossRoundPlanExecutor(small_plan(), 2, verify=True)
-        executor.connect(feed)
-        scores = {i: float(i) for i in range(1, 5)}
-        executor.run_round(dict(scores))
-        scores[3] = 99.0  # no event published
-        with pytest.raises(InvalidPlanError, match="unsound dirty set"):
-            executor.run_round(dict(scores))
-
-    def test_unverified_executor_trusts_then_self_heals(self):
-        feed = ChangeFeed()
-        executor = CrossRoundPlanExecutor(small_plan(), 2, verify=False)
-        executor.connect(feed)
-        scores = {i: float(i) for i in range(1, 5)}
-        executor.run_round(dict(scores))
-        stale_scores = dict(scores)
-        scores[3] = 99.0  # changed, but no event: the feed is trusted
-        trusted = executor.run_round(dict(scores))
-        for query in executor.plan.instance.queries:
-            assert trusted.answers[query.name] == top_k_scan(
-                2, [(stale_scores[v], v) for v in sorted(query.variables)]
-            ), "undeclared change must serve the last covered value"
-        # A later covering event repairs the cache: the kept snapshot
-        # still holds the old score, so the diff fires and invalidates.
-        feed.publish(BidChanged(3))
-        healed = executor.run_round(dict(scores))
-        assert healed.nodes_invalidated > 0
-        for query in executor.plan.instance.queries:
-            assert healed.answers[query.name] == top_k_scan(
-                2, [(scores[v], v) for v in sorted(query.variables)]
-            )
-
-    def test_pending_events_survive_rounds_that_do_not_score_them(self):
-        # An event for an advertiser outside the round's scored set must
-        # not be lost: it stays pending until the advertiser next occurs.
-        feed = ChangeFeed()
-        executor = CrossRoundPlanExecutor(small_plan(), 2)
-        executor.connect(feed)
-        scores = {i: float(i) for i in range(1, 5)}
-        executor.run_round(dict(scores))
-        scores[1] = 50.0
-        feed.publish(BidChanged(1))
-        # A round over 'beta' only: advertiser 1 is not scored.
-        beta_scores = {i: scores[i] for i in PHRASES["beta"]}
-        executor.run_round(beta_scores, occurring=["beta"])
-        # No drain in between: the pending declaration must still cover
-        # advertiser 1 when it reappears, or verify=True would raise.
-        result = executor.run_round(dict(scores))
-        assert result.answers["alpha"] == top_k_scan(
-            2, [(scores[v], v) for v in sorted(PHRASES["alpha"])]
+        )
+        return SharedAuctionEngine(
+            market.advertisers,
+            slot_factors=[0.3, 0.2, 0.1],
+            search_rates=market.search_rates,
+            mode=mode,
+            layout=layout,
+            seed=4,
         )
 
-
-class TestConnectedSortCache:
-    def test_connect_twice_rejected(self):
-        plan = build_shared_sort_plan(
-            {p: list(ids) for p, ids in PHRASES.items()}, 1.0
-        )
-        cache = CrossRoundSortCache(plan)
-        feed = ChangeFeed()
-        cache.connect(feed)
-        with pytest.raises(InvalidPlanError, match="already connected"):
-            cache.connect(feed)
-
-    def test_undeclared_bid_change_raises_under_verify(self):
-        plan = build_shared_sort_plan(
-            {p: list(ids) for p, ids in PHRASES.items()}, 1.0
-        )
-        cache = CrossRoundSortCache(plan, verify=True)
-        feed = ChangeFeed()
-        cache.connect(feed)
-        bids = {i: float(i) for i in range(1, 5)}
-        cache.instantiate(dict(bids))
-        bids[2] = 9.0  # no event published
-        with pytest.raises(InvalidPlanError, match="unsound change feed"):
-            cache.instantiate(dict(bids))
-
-    def test_unverified_sort_cache_trusts_then_self_heals(self):
-        plan = build_shared_sort_plan(
-            {p: list(ids) for p, ids in PHRASES.items()}, 1.0
-        )
-        cache = CrossRoundSortCache(plan, verify=False)
-        feed = ChangeFeed()
-        cache.connect(feed)
-        bids = {i: float(i) for i in range(1, 5)}
-        live = cache.instantiate(dict(bids))
-        for phrase in sorted(PHRASES):
-            drain_items(live.stream_for_phrase(phrase))
-        stale_bids = dict(bids)
-        bids[2] = 9.0  # changed, but no event: the feed is trusted
-        trusted = cache.instantiate(dict(bids))
-        for phrase in sorted(PHRASES):
-            assert drain_items(trusted.stream_for_phrase(phrase)) == (
-                drain_items(plan.instantiate(stale_bids).stream_for_phrase(phrase))
-            ), "undeclared change must replay the last covered streams"
-        feed.publish(BudgetChanged(2))
-        healed = cache.instantiate(dict(bids))
-        for phrase in sorted(PHRASES):
-            assert drain_items(healed.stream_for_phrase(phrase)) == (
-                drain_items(plan.instantiate(bids).stream_for_phrase(phrase))
-            )
-
-
-class TestDirtyDomainsUnified:
-    """One event stream, two value domains -- the pinned semantics.
-
-    Historically the exec cache diffed *scores* while the sort cache
-    diffed *bids*, each against its own bespoke declaration pipeline.
-    On the bus both consume identical events and refine them by their
-    own domain: a declared advertiser dirties a cache only if the value
-    *that cache* ranks by actually moved.  A bid change that cancels
-    out of the score (say the CTR factor moved the other way) must
-    invalidate sort streams but not plan nodes, and a score change at
-    constant bid (a budget-driven throttle move scaled by CTR) the
-    converse.
-    """
-
-    def _build(self):
-        feed = ChangeFeed()
-        executor = CrossRoundPlanExecutor(small_plan(), 2, verify=True)
-        executor.connect(feed)
-        sort_plan = build_shared_sort_plan(
-            {p: list(ids) for p, ids in PHRASES.items()}, 1.0
-        )
-        sort_cache = CrossRoundSortCache(sort_plan, verify=True)
-        sort_cache.connect(feed)
-        return feed, executor, sort_cache
-
-    def _check_answers(self, executor, result, scores, sort_cache, live, bids):
-        for query in executor.plan.instance.queries:
-            assert result.answers[query.name] == top_k_scan(
-                2, [(scores[v], v) for v in sorted(query.variables)]
-            )
-        for phrase in sorted(PHRASES):
-            assert drain_items(live.stream_for_phrase(phrase)) == drain_items(
-                sort_cache.plan.instantiate(bids).stream_for_phrase(phrase)
-            )
-
-    def test_bid_change_with_constant_score_dirties_only_sort_streams(self):
-        feed, executor, sort_cache = self._build()
-        scores = {i: float(i) for i in range(1, 5)}
-        bids = {i: float(i) for i in range(1, 5)}
-        executor.run_round(dict(scores))
-        live = sort_cache.instantiate(dict(bids))
-        for phrase in sorted(PHRASES):
-            drain_items(live.stream_for_phrase(phrase))
-
-        bids[2] = 3.5  # bid moved; the score (bid x CTR) cancelled out
-        feed.publish(BidChanged(2))
-        result = executor.run_round(dict(scores))
-        live = sort_cache.instantiate(dict(bids))
-        # Exec cache: declared but unmoved in the score domain.
-        assert result.nodes_invalidated == 0
-        assert result.merges_performed == 0
-        assert result.nodes_reused > 0
-        # Sort cache: the bid really moved, streams above 2 rebuild.
-        assert sort_cache.streams_invalidated > 0
-        self._check_answers(executor, result, scores, sort_cache, live, bids)
-
-    def test_score_change_with_constant_bid_dirties_only_plan_nodes(self):
-        feed, executor, sort_cache = self._build()
-        scores = {i: float(i) for i in range(1, 5)}
-        bids = {i: float(i) for i in range(1, 5)}
-        executor.run_round(dict(scores))
-        live = sort_cache.instantiate(dict(bids))
-        for phrase in sorted(PHRASES):
-            drain_items(live.stream_for_phrase(phrase))
-
-        scores[2] = 7.0  # CTR-side move: score changed, bid did not
-        feed.publish(BudgetChanged(2))
-        invalidated_before = sort_cache.streams_invalidated
-        result = executor.run_round(dict(scores))
-        live = sort_cache.instantiate(dict(bids))
-        # Exec cache: the score really moved, the cone rebuilds.
-        assert result.nodes_invalidated > 0
-        # Sort cache: declared but unmoved in the bid domain.
-        assert sort_cache.streams_invalidated == invalidated_before
-        self._check_answers(executor, result, scores, sort_cache, live, bids)
+    @pytest.mark.parametrize("mode, layout", ENGINE_CONFIGS)
+    def test_every_round_and_query_closes_after_its_events(self, mode, layout):
+        engine = self._engine(mode, layout)
+        probe = engine.changefeed.subscribe("probe")
+        closes = engine.changefeed.subscribe("closes", kinds=("round_closed",))
+        phrases = sorted(engine.phrase_advertisers)
+        for index in range(8):
+            if index < 5:
+                engine.run_round()
+            else:
+                engine.serve_query(phrases[index % len(phrases)])
+            events = probe.drain()
+            assert events[-1] == RoundClosed(index)
+            assert sum(isinstance(e, RoundClosed) for e in events) == 1
+        assert closes.drain() == [RoundClosed(index) for index in range(8)]

@@ -1,17 +1,14 @@
-"""Market churn through the bus: maintainer rebind + cache invalidation.
+"""Market churn through the bus: the plan maintainer repairs as it hears.
 
 Advertisers and phrases enter and leave mid-run as
 ``AdvertiserAdded`` / ``AdvertiserRemoved`` / ``PhraseAdded`` /
 ``PhraseRemoved`` events on one :class:`ChangeFeed`.  The
 :class:`PlanMaintainer` consumes them through its push handler and
-repairs the plan inside the publishing call; its plan-change listeners
-then rebind the :class:`CrossRoundPlanExecutor` (carrying surviving
-node values) and the :class:`CrossRoundSortCache` (carrying streams
-whose advertiser sets survived) -- the first test exercising structural
-churn and both cross-round caches *together*.
-
-Throughout, both caches run ``verify=True``: any churn-driven value
-change not covered by its event would raise inside the round.
+repairs the plan inside the publishing call.  After every step the
+repaired plan, run through a fresh :class:`PlanExecutor`, must answer
+every live phrase exactly like an independent scan, and a shared-sort
+plan built from the live interests must stream every phrase's bids in
+descending order.
 """
 
 from __future__ import annotations
@@ -28,9 +25,8 @@ from repro.engine.changefeed import (
     PhraseRemoved,
 )
 from repro.errors import InvalidPlanError
-from repro.plans.executor import CrossRoundPlanExecutor
+from repro.plans.executor import PlanExecutor
 from repro.plans.maintenance import PlanMaintainer
-from repro.sharedsort.cache import CrossRoundSortCache
 from repro.sharedsort.plan import build_shared_sort_plan
 
 
@@ -44,7 +40,7 @@ def drain(stream):
 
 
 class ChurnHarness:
-    """The full bus-driven stack of one serving loop."""
+    """A maintainer on a feed, checked against fresh oracles."""
 
     K = 2
     CTR = {a: 0.5 + 0.05 * a for a in range(12)}
@@ -55,45 +51,34 @@ class ChurnHarness:
             {"p": {0, 1, 2}, "q": {2, 3, 4}, "r": {4, 5, 0}},
             replan_after=8,
         )
-        self.executor = CrossRoundPlanExecutor(
-            self.maintainer.plan, self.K, verify=True
-        )
-        self.executor.connect(self.feed)
-        self.maintainer.subscribe(self.executor.rebind)
         self.maintainer.connect(self.feed)
-        self.sort_cache = CrossRoundSortCache(self._sort_plan(), verify=True)
-        self.sort_cache.connect(self.feed)
-        self.maintainer.subscribe(
-            lambda plan: self.sort_cache.rebind(self._sort_plan())
-        )
+        self.plans = []
+        self.maintainer.subscribe(self.plans.append)
         self.bids = {a: float(a % 7 + 1) for a in range(6)}
-
-    def _sort_plan(self):
-        return build_shared_sort_plan(
-            {
-                phrase: sorted(ids)
-                for phrase, ids in sorted(self.maintainer.interests().items())
-            },
-            1.0,
-        )
 
     def scores(self):
         return {a: bid * self.CTR[a] for a, bid in self.bids.items()}
 
     def run_round_and_check(self):
-        """One round through both caches, checked against fresh oracles."""
+        """One round through the live plan and a fresh sort plan."""
         scores = self.scores()
-        result = self.executor.run_round(dict(scores))
-        for query in self.executor.plan.instance.queries:
+        plan = self.maintainer.plan
+        result = PlanExecutor(plan, self.K).run_round(dict(scores))
+        for query in plan.instance.queries:
             expected = top_k_scan(
                 self.K, [(scores[v], v) for v in sorted(query.variables)]
             )
             assert result.answers[query.name] == expected, query.name
-        live = self.sort_cache.instantiate(dict(self.bids))
-        fresh = self.sort_cache.plan.instantiate(dict(self.bids))
-        for phrase in sorted(self.maintainer.interests()):
-            assert drain(live.stream_for_phrase(phrase)) == drain(
-                fresh.stream_for_phrase(phrase)
+        interests = self.maintainer.interests()
+        sort_plan = build_shared_sort_plan(
+            {phrase: sorted(ids) for phrase, ids in sorted(interests.items())},
+            1.0,
+        )
+        live = sort_plan.instantiate(dict(self.bids))
+        for phrase, ids in sorted(interests.items()):
+            streamed = drain(live.stream_for_phrase(phrase))
+            assert [advertiser_id for _, advertiser_id in streamed] == sorted(
+                ids, key=lambda a: (-self.bids[a], a)
             ), phrase
         return result
 
@@ -109,12 +94,11 @@ class TestAdvertiserChurn:
         interests = harness.maintainer.interests()
         assert 6 in interests["p"]
         assert interests["brand-new"] == frozenset({6})
-        assert harness.executor.rebinds >= 1
-        assert harness.sort_cache.rebinds >= 1
+        assert harness.plans, "the repair must notify plan listeners"
         result = harness.run_round_and_check()
         assert "brand-new" in result.answers or any(
             q.name == "brand-new"
-            for q in harness.executor.plan.instance.trivial_queries
+            for q in harness.maintainer.plan.instance.trivial_queries
         )
 
     def test_advertiser_leaves_dropping_singleton_phrases(self):
@@ -131,8 +115,8 @@ class TestAdvertiserChurn:
         harness.run_round_and_check()
 
     def test_readded_advertiser_with_new_bid_is_covered(self):
-        # Leave and come back with a different bid: the AdvertiserAdded
-        # event must cover the value change, or verify=True would raise.
+        # Leave and come back with a different bid: the re-added
+        # advertiser ranks on its new bid.
         harness = ChurnHarness()
         harness.run_round_and_check()
         harness.bids[8] = 2.0
@@ -188,21 +172,20 @@ class TestChurnAndValueChangesCompose:
         # Phrase "w" survives with advertiser 0 alone.
         assert harness.maintainer.interests()["w"] == frozenset({0})
         harness.run_round_and_check()
-        assert harness.executor.rebinds >= 3
-        assert harness.sort_cache.rebinds >= 3
+        assert len(harness.plans) >= 3
 
-    def test_caches_keep_reusing_work_across_rebinds(self):
+    def test_disjoint_repair_keeps_untouched_structure(self):
+        # A phrase over advertisers 1 and 5 is repaired in; the nodes
+        # answering the existing phrases keep their variable sets.
         harness = ChurnHarness()
-        harness.run_round_and_check()
-        harness.run_round_and_check()
-        reused_before = harness.sort_cache.streams_reused
-        # Touch a phrase disjoint from 'q': its subtree must survive the
-        # repair and keep feeding both caches.
+        before = harness.maintainer.plan
+        kept = {
+            query.name: before.node(before.query_node(query)).varset
+            for query in before.instance.queries
+        }
         harness.feed.publish(PhraseAdded("extra", frozenset({1, 5}), 0.9))
-        result = harness.run_round_and_check()
-        assert result.nodes_reused > 0, (
-            "plan-node values must survive a disjoint structural repair"
-        )
-        assert harness.sort_cache.streams_reused > reused_before, (
-            "sort streams must survive a disjoint structural repair"
-        )
+        after = harness.maintainer.plan
+        assert after is not before
+        for name, varset in kept.items():
+            assert after.node_for_varset(varset) is not None, name
+        harness.run_round_and_check()

@@ -5,17 +5,16 @@ effective scoring, per-phrase top-k, and TA sorted access -- for
 vectorized numpy implementations.  The implementation promise is *byte
 identity*, not approximate agreement: the same winners, the same GSP
 prices, the same budget trajectories, round for round, under every mode
-and cache combination.  The object layout is the oracle; these tests run
-both layouts in lockstep on randomized markets across 50 seeds.
+and with the exec cache on.  The uncached object layout is the oracle;
+these tests run both layouts in lockstep on randomized markets across
+50 seeds.
 
-The cross-round caches are columnar-native under this layout: the exec
-cache keeps fragment top-k lists alive behind a row-granular dirty mask,
-and the sort cache incrementally repairs the shared presorted order.
-Both cached configurations run the full lockstep sweep with
-``verify=True`` (any event-uncovered staleness raises), the serving
-loop's per-query trace is compared across layouts, and a hypothesis
-property pins the columnar dirty mask to the object executor's dirty
-cone leaf for leaf.
+The exec cache exists on the columnar layout only: it keeps fragment
+top-k lists alive behind a row-granular dirty mask drawn from its own
+score diff.  It runs the full lockstep sweep against the uncached
+object engine, the serving loop's per-query trace is compared across
+layouts, and a hypothesis property pins the dirty mask to the score
+diff and every cached answer to a from-scratch top-k.
 """
 
 from __future__ import annotations
@@ -30,33 +29,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.advertiser import Advertiser
-from repro.core.columnar import ColumnarStore
+from repro.core.columnar import ColumnarStore, columnar_top_k
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidAuctionError
 from repro.instrument import MetricsCollector, names
 from repro.plans.columnar_exec import ColumnarFragmentExecutor
-from repro.plans.executor import CrossRoundPlanExecutor
-from repro.plans.greedy_planner import greedy_shared_plan
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
 from repro.serving import ServingEngine, TrafficGenerator
 from repro.workloads.generator import MarketConfig, generate_market
 
 DIFFERENTIAL_SEEDS = range(50)
 
-# Every engine configuration the columnar layout supports, exercised
-# with the caches both off and on and with the caches' exact soundness
-# cross-check enabled (cache_verify=True is the constructor default).
+# Every engine configuration the columnar layout supports.  The object
+# oracle runs each one uncached (see _build).
 CONFIGS = {
     "unshared": dict(mode="unshared", throttle=False),
     "unshared+throttle": dict(mode="unshared", throttle=True),
     "shared": dict(mode="shared"),
-    "shared+exec_cache": dict(
-        mode="shared", exec_cache=True, cache_verify=True
-    ),
+    "shared+exec_cache": dict(mode="shared", exec_cache=True),
     "shared-sort": dict(mode="shared-sort"),
-    "shared-sort+cache": dict(
-        mode="shared-sort", sort_cache=True, cache_verify=True
-    ),
+    "shared-sort-unthrottled": dict(mode="shared-sort", throttle=False),
 }
 
 
@@ -104,6 +96,9 @@ def _with_overrides(advertisers, seed: int):
 
 
 def _build(advertisers, search_rates, layout, seed, collector=None, **kw):
+    if layout == "object":
+        # The exec cache is columnar-only; the oracle is uncached.
+        kw.pop("exec_cache", None)
     return SharedAuctionEngine(
         advertisers,
         slot_factors=[0.3, 0.2, 0.1],
@@ -195,10 +190,9 @@ class TestColumnarMatchesObject:
         assert columnar.counter(names.PLAN_LEAF_SCANS) > 0
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
-    def test_shared_with_caches_verified(self, seed):
-        # The columnar exec cache is native now: fragments persist
-        # across rounds and only dirty rows force rescans, with the
-        # verify cross-check diffing every absorbed score.
+    def test_shared_with_exec_cache(self, seed):
+        # Fragments persist across rounds and only rows whose score
+        # moved force rescans; the uncached object engine is the oracle.
         market = _small_market(seed)
         _, columnar = _run_lockstep(
             market.advertisers, market.search_rates, seed,
@@ -221,18 +215,15 @@ class TestColumnarMatchesObject:
         assert columnar.counter(names.TA_SORTED_ACCESSES) > 0
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
-    def test_shared_sort_cache_columnar_native(self, seed):
-        # sort_cache under the columnar layout persists the shared
-        # presorted order across rounds and repairs only dirty rows
-        # back into it (ColumnarSortCache).  Outcomes must not move,
-        # and clean rows must actually be carried over.
+    def test_shared_sort_unthrottled(self, seed):
+        # The lockstep TA kernel on every seed, without the Section IV
+        # throttle: effective bids are min(b, remaining budget).
         market = _small_market(seed)
         _, columnar = _run_lockstep(
             market.advertisers, market.search_rates, seed,
-            **CONFIGS["shared-sort+cache"],
+            **CONFIGS["shared-sort-unthrottled"],
         )
         assert columnar.counter(names.TA_RUNS) > 0
-        assert columnar.counter(names.SORT_STREAMS_REUSED) > 0
 
 
 def _half_unbudgeted(advertisers):
@@ -317,7 +308,7 @@ class TestFeedEventsMatchAcrossLayouts:
         "config,phrases",
         [
             ("unshared+throttle", 24),
-            ("shared-sort+cache", 24),
+            ("shared-sort", 24),
             ("shared+exec_cache", 9),
         ],
     )
@@ -378,6 +369,17 @@ class TestLayoutValidation:
         with pytest.raises(InvalidAuctionError, match="unknown layout"):
             _build(market.advertisers, market.search_rates, "rowwise", 0)
 
+    def test_exec_cache_requires_columnar_layout(self):
+        market = _small_market(0)
+        with pytest.raises(InvalidAuctionError, match="layout='columnar'"):
+            SharedAuctionEngine(
+                market.advertisers,
+                slot_factors=[0.3, 0.2, 0.1],
+                search_rates=market.search_rates,
+                mode="shared",
+                exec_cache=True,
+            )
+
     def test_columnar_full_run_matches_object_end_to_end(self):
         # A plain .run() (engine-sampled phrases, terminal click flush)
         # as the CLI drives it, compared on the final report.
@@ -427,14 +429,14 @@ def _serve_trace(market, seed, **kw):
 
 
 class TestCachedColumnarServing:
-    """The tentpole's headline path: serving with columnar caches on.
+    """Serving on the columnar layout, the exec cache on.
 
-    Per-query drains feed the columnar dirty masks, so the serving loop
-    is where cross-round caching and the vectorized kernels genuinely
+    The exec cache diffs each query's scores, so the serving loop is
+    where cross-round caching and the vectorized kernels genuinely
     compose.  The trace -- every query's phrase, winners, and prices,
     plus click money and final budgets -- must be byte-identical to the
-    object layout serving the same arrivals with the same caches.  The
-    full 50-seed identity (and the speedup) is gated in
+    uncached object layout serving the same arrivals.  The full 50-seed
+    identity (and the speedup) is gated in
     ``benchmarks/test_bench_columnar_serving.py``; this sweep keeps a
     fast tier-1 guard on the same claim.
     """
@@ -442,59 +444,50 @@ class TestCachedColumnarServing:
     @pytest.mark.parametrize("seed", range(0, 50, 5))
     def test_exec_cache_serving_trace_identical(self, seed):
         market = _small_market(seed)
-        config = dict(mode="shared", exec_cache=True, cache_verify=True)
-        object_trace = _serve_trace(market, seed, layout="object", **config)
+        object_trace = _serve_trace(
+            market, seed, layout="object", mode="shared"
+        )
         columnar_trace = _serve_trace(
-            market, seed, layout="columnar", **config
+            market, seed, layout="columnar", mode="shared", exec_cache=True
         )
         assert object_trace == columnar_trace
 
     @pytest.mark.parametrize("seed", range(0, 50, 5))
-    def test_sort_cache_serving_trace_identical(self, seed):
+    def test_shared_sort_serving_trace_identical(self, seed):
         market = _small_market(seed)
-        config = dict(mode="shared-sort", sort_cache=True, cache_verify=True)
-        object_trace = _serve_trace(market, seed, layout="object", **config)
+        object_trace = _serve_trace(
+            market, seed, layout="object", mode="shared-sort"
+        )
         columnar_trace = _serve_trace(
-            market, seed, layout="columnar", **config
+            market, seed, layout="columnar", mode="shared-sort"
         )
         assert object_trace == columnar_trace
 
     def test_cached_equals_uncached_columnar_serving(self):
-        # Caches change the work, never the trace: columnar serving
-        # with each cache on equals columnar serving with caches off.
+        # The cache changes the work, never the trace.
         market = _small_market(11)
         baseline = _serve_trace(
             market, 11, layout="columnar", mode="shared"
         )
         assert baseline == _serve_trace(
-            market, 11, layout="columnar", mode="shared",
-            exec_cache=True, cache_verify=True,
-        )
-        sort_baseline = _serve_trace(
-            market, 11, layout="columnar", mode="shared-sort"
-        )
-        assert sort_baseline == _serve_trace(
-            market, 11, layout="columnar", mode="shared-sort",
-            sort_cache=True, cache_verify=True,
+            market, 11, layout="columnar", mode="shared", exec_cache=True
         )
 
 
-class TestDirtyMaskMatchesObjectCone:
-    """Property: the columnar dirty mask IS the object dirty cone.
+class TestDirtyMaskIsTheScoreDiff:
+    """Property: the rows the exec cache rescans are the score diff.
 
-    Both cross-round executors see the same score stream; the object
-    executor is also handed each round's declared dirty set, the
-    columnar one diffs its scores and is told nothing.  After every
-    round, the rows the columnar executor treated as dirty must carry
-    exactly the advertiser ids the object executor bumped (first sight
-    or declared-and-changed), and the per-leaf epochs must agree -- the
-    diff-driven mask and the declaration-driven DAG ancestor-cone walk
-    are the same function in different coordinates.
+    The cross-round executor sees a stream of score columns and is told
+    nothing else.  After every round, the rows it treated as dirty must
+    be exactly the rows it had never seen plus the rows whose score
+    moved since it last absorbed them, each row's epoch must count those
+    moves, and every answer must equal a from-scratch
+    :func:`repro.core.columnar.columnar_top_k` over the query's rows.
     """
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_dirty_rows_equal_object_dirty_leaves(self, data):
+    def test_dirty_rows_are_first_sights_and_moved_scores(self, data):
         ids = sorted(
             data.draw(
                 st.sets(st.integers(0, 60), min_size=4, max_size=12),
@@ -519,56 +512,59 @@ class TestDirtyMaskMatchesObjectCone:
                 for i in ids
             ]
         )
-        plan = greedy_shared_plan(instance)
-        object_exec = CrossRoundPlanExecutor(plan, 3, verify=True)
-        columnar_exec = ColumnarFragmentExecutor(
+        executor = ColumnarFragmentExecutor(
             instance, store, 3, cross_round=True
         )
         # A-equivalent queries (identical variable sets) deduplicate to
         # one canonical query; request the survivors, as the engine does.
-        request = [
-            query.name
-            for query in instance.queries + instance.trivial_queries
-        ]
-        all_rows = np.arange(store.size, dtype=np.int64)
+        canonical = instance.queries + instance.trivial_queries
+        request = [query.name for query in canonical]
         score_by_row = np.zeros(store.size, dtype=np.float64)
         # Scores from a small value pool so ties and no-op "changes"
-        # (declared dirty but same value) genuinely occur.
+        # (redrawn to the same value) genuinely occur.
         value = st.integers(1, 6).map(lambda v: v / 2.0)
         for i in ids:
             score_by_row[store.row_of(i)] = data.draw(value, label=f"s{i}")
+        last_seen = {}
+        epochs = dict.fromkeys(ids, 0)
         for round_index in range(data.draw(st.integers(2, 4), label="rounds")):
             if round_index:
-                declared = data.draw(
-                    st.sets(st.sampled_from(ids)), label="declared"
-                )
-                for i in declared:
+                for i in data.draw(
+                    st.sets(st.sampled_from(ids)), label="redrawn"
+                ):
                     score_by_row[store.row_of(i)] = data.draw(value)
-            else:
-                declared = set()  # first sight: dirty without declaration
-            epochs_before = {i: object_exec.leaf_epoch(i) for i in ids}
-            result_object = object_exec.run_round(
-                {i: float(score_by_row[store.row_of(i)]) for i in ids},
-                request,
-                dirty=declared,
+            # Some rounds score only one query's rows: the others are
+            # not compared, so a move there waits for a later round.
+            scored = data.draw(
+                st.sampled_from([None] + list(canonical)), label="scored"
             )
-            result_columnar = columnar_exec.run_round(
-                score_by_row, request, rows=all_rows
+            names = request if scored is None else [scored.name]
+            members = (
+                ids if scored is None else sorted(scored.variables)
             )
-            for name in request:
-                assert (
-                    result_object.answers[name].entries
-                    == result_columnar.answers[name].entries
-                ), f"answers diverged in round {round_index}"
-            bumped = {
-                i for i in ids if object_exec.leaf_epoch(i) > epochs_before[i]
-            }
+            rows = store.rows_of(members)
+            result = executor.run_round(score_by_row, names, rows=rows)
+            expected_dirty = set()
+            for i in members:
+                score = float(score_by_row[store.row_of(i)])
+                if last_seen.get(i) != score:
+                    expected_dirty.add(i)
+                    epochs[i] += 1
+                    last_seen[i] = score
             dirty_ids = {
                 int(store.ids[row])
-                for row in columnar_exec.dirty_rows_last_round()
+                for row in executor.dirty_rows_last_round()
             }
-            assert dirty_ids == bumped
+            assert dirty_ids == expected_dirty
             for i in ids:
-                assert columnar_exec.row_epoch(
-                    store.row_of(i)
-                ) == object_exec.leaf_epoch(i)
+                assert executor.row_epoch(store.row_of(i)) == epochs[i]
+            for query in canonical:
+                if query.name not in names:
+                    continue
+                query_rows = store.rows_of(sorted(query.variables))
+                fresh = columnar_top_k(
+                    3, score_by_row[query_rows], store.ids[query_rows]
+                )
+                assert (
+                    result.answers[query.name].entries == fresh.entries
+                ), f"answers diverged in round {round_index}"

@@ -216,7 +216,7 @@ class TestBidChangedFollowsTheBid:
         )
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
-            mode="shared", layout=_layout(layout), exec_cache=True, seed=2,
+            mode="shared", layout=_layout(layout), seed=2,
         )
         bids = engine.changefeed.subscribe("probe", kinds=("bid_changed",))
         announced = Counter()
@@ -256,14 +256,11 @@ class TestBidChangedFollowsTheBid:
                 Advertiser(3, bid=0.01, ctr_factor=0.5, phrases=everywhere),
             ],
             [1e-9, 1e-10], {phrase: 1.0 for phrase in phrases},
-            mode="shared", layout=_layout(layout), exec_cache=True,
-            cache_verify=True, seed=5,
+            mode="shared", layout=_layout(layout), seed=5,
         )
         bids = engine.changefeed.subscribe("probe", kinds=("bid_changed",))
 
         def announced(occurring):
-            # cache_verify=True: a score that moved with no covering
-            # event would raise InvalidPlanError("unsound ...") here.
             report = engine.run_round(occurring)
             assert not report.clicks
             return [event.advertiser_id for event in bids.drain()]

@@ -348,8 +348,8 @@ class TestDispatch:
     [
         ("unshared", {}),
         ("shared", {"exec_cache": True}),
+        ("shared", {}),
         ("shared-sort", {}),
-        ("shared-sort", {"sort_cache": True}),
     ],
 )
 def test_columnar_rounds_and_ticks_never_binary_search_a_bid(

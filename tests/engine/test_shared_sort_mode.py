@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.advertiser import Advertiser
 from repro.engine.pipeline import SharedAuctionEngine
+from repro.instrument import MetricsCollector, names
 
 
 def population(per_phrase_factors: bool):
@@ -135,21 +134,23 @@ def build_full(seed=5, **kwargs):
     )
 
 
-class TestSortRebuildOptions:
-    """The PR's knobs: sort_planner and sort_cache (see ISSUE 5)."""
-
-    def test_sort_cache_requires_shared_sort_mode(self):
-        from repro.errors import InvalidAuctionError
-
-        advertisers, phrases = population(per_phrase_factors=False)
-        with pytest.raises(InvalidAuctionError):
-            SharedAuctionEngine(
-                advertisers,
-                slot_factors=[0.3],
-                search_rates={p: 0.8 for p in phrases},
-                mode="shared",
-                sort_cache=True,
+class TestFreshNetworkEachRound:
+    def test_round_merges_are_the_round_networks_operator_pulls(self):
+        # Each round instantiates its own network, so the merges a round
+        # reports are exactly the operator pulls that round made.
+        collector = MetricsCollector()
+        engine = build_full(seed=3, collector=collector)
+        report = engine.run(20)
+        assert report.merges > 0
+        for round_report in report.history:
+            assert round_report.merges == round_report.counters.get(
+                names.SORT_OPERATOR_PULLS, 0
             )
+        assert report.merges == collector.counter(names.SORT_OPERATOR_PULLS)
+
+
+class TestSortRebuildOptions:
+    """The shared-sort plan builder knob, ``sort_planner``."""
 
     def test_sort_planner_does_not_change_outcomes(self):
         lazy = build_full(seed=9, sort_planner="lazy").run(25)
@@ -160,24 +161,3 @@ class TestSortRebuildOptions:
         assert [r.allocations for r in lazy.history] == [
             r.allocations for r in naive.history
         ]
-
-    def test_sort_cache_is_outcome_invisible(self):
-        plain = build_full(seed=13).run(40)
-        cached = build_full(seed=13, sort_cache=True).run(40)
-        assert plain.revenue_cents == cached.revenue_cents
-        assert plain.forgiven_cents == cached.forgiven_cents
-        assert plain.displays == cached.displays
-        assert plain.scans == cached.scans
-        assert [r.allocations for r in plain.history] == [
-            r.allocations for r in cached.history
-        ]
-        # ... and work-visible: reused streams replay instead of pulling.
-        assert cached.merges < plain.merges
-
-    def test_sort_cache_with_collector_counts_reuse(self):
-        from repro.instrument import MetricsCollector, names as metric_names
-
-        collector = MetricsCollector()
-        engine = build_full(seed=2, sort_cache=True, collector=collector)
-        engine.run(30)
-        assert collector.counter(metric_names.SORT_STREAMS_REUSED) > 0

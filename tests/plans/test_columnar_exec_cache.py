@@ -1,13 +1,10 @@
 """Unit tests for cross-round :class:`ColumnarFragmentExecutor` caching.
 
 The cross-round mode keeps fragment top-k lists alive between rounds
-behind a row-granular dirty mask -- the array-space transcription of
-:class:`repro.plans.executor.CrossRoundPlanExecutor`'s dirty-cone walk,
-driven by the executor's own score diff instead of declared dirty sets.
-These tests pin the cache's unit semantics (reuse, invalidation,
-revalidation, the diff, bypass); the engine differential and the
-hypothesis dirty-mask property live in
-``tests/engine/test_layout_differential.py``.
+behind a row-granular dirty mask drawn from the executor's own score
+diff.  These tests pin the cache's unit semantics (reuse, invalidation,
+revalidation, the diff); the engine differential and the hypothesis
+dirty-mask property live in ``tests/engine/test_layout_differential.py``.
 """
 
 from __future__ import annotations
@@ -184,41 +181,6 @@ class TestScoreDiff:
         assert result.answers["q2"].entries[0].advertiser_id == 6
 
 
-class _ForceBypass:
-    def __init__(self):
-        self.bypasses = 0
-
-    def should_bypass(self):
-        return True
-
-    def record_bypass(self):
-        self.bypasses += 1
-
-    def observe_round(self, dirty, population, working_set):
-        pass
-
-
-class TestAutotunerBypass:
-    def test_bypass_runs_fresh_but_absorbs_scores(self):
-        store = _store()
-        tuner = _ForceBypass()
-        executor = _executor(store, autotuner=tuner)
-        by_id = {i: float(i) for i in IDS}
-        result = executor.run_round(_scores(store, by_id), ALL)
-        assert result.bypassed
-        assert tuner.bypasses == 1
-        assert executor.bypass_rounds == 1
-        assert result.answers["q1"].entries[0].advertiser_id == 4
-        # Scores were absorbed during the bypass: the same scores again
-        # dirty nothing, and a move afterwards dirties exactly its row.
-        executor.run_round(_scores(store, by_id), ALL)
-        assert _dirty_ids(store, executor) == set()
-        by_id[3] = 44.0
-        result = executor.run_round(_scores(store, by_id), ALL)
-        assert _dirty_ids(store, executor) == {3}
-        assert result.answers["q1"].entries[0].advertiser_id == 3
-
-
 class TestRenumberedStore:
     """The executor's row indices are frozen at construction; store
     churn renumbers rows."""
@@ -255,3 +217,113 @@ class TestRenumberedStore:
         store.add_advertiser(Advertiser(9, 1.0, phrases=frozenset({"p"})))
         with pytest.raises(InvalidPlanError, match="renumbered"):
             fresh.run_round(np.zeros(store.size), ALL)
+
+
+class TestWhatAMoveRestales:
+    def test_a_move_below_the_top_k_still_rescans_its_fragment(self):
+        # k = 1: row 5 tops {5,6}; lowering row 6 changes no answer, but
+        # the diff cannot know that -- {5,6} is rescanned, q2 re-merged.
+        store = _store()
+        executor = ColumnarFragmentExecutor(
+            _instance(), store, 1, cross_round=True
+        )
+        by_id = {i: float(10 * i) for i in IDS}
+        by_id[5] = 99.0
+        first = executor.run_round(_scores(store, by_id), ALL)
+        by_id[6] = 1.0
+        result = executor.run_round(_scores(store, by_id), ALL)
+        assert _dirty_ids(store, executor) == {6}
+        assert result.advertisers_scanned == 2
+        assert result.merges_performed == 1  # q2's two fragments
+        assert _entries(result) == _entries(first)
+
+    def test_a_move_in_a_shared_fragment_restales_both_queries(self):
+        store = _store()
+        executor = _executor(store)
+        by_id = {i: float(10 * i) for i in IDS}
+        executor.run_round(_scores(store, by_id), ALL)
+        by_id[3] = 500.0
+        result = executor.run_round(_scores(store, by_id), ALL)
+        assert result.nodes_invalidated == 1  # {3,4}, shared
+        assert result.advertisers_scanned == 2
+        assert result.merges_performed == 2  # q1 and q2, one merge each
+        assert result.nodes_revalidated == 0
+        assert result.answers["q1"].entries[0].advertiser_id == 3
+        assert result.answers["q2"].entries[0].advertiser_id == 3
+
+    def test_a_clean_round_hands_back_the_same_answer_objects(self):
+        store = _store()
+        executor = _executor(store)
+        scores = _scores(store, {i: float(i) for i in IDS})
+        first = executor.run_round(scores, ALL)
+        second = executor.run_round(scores.copy(), ALL)
+        for name in ALL:
+            assert second.answers[name] is first.answers[name]
+        assert second.candidates_gathered == 0
+
+
+def _random_instance(rng):
+    """Overlapping queries over 30 advertisers, singletons included."""
+    ids = rng.sample(range(200), 30)
+    queries = [
+        AggregateQuery(f"q{index}", set(rng.sample(ids, rng.randint(1, 12))))
+        for index in range(7)
+    ]
+    store = ColumnarStore(
+        [Advertiser(i, 1.0, phrases=frozenset({"p"})) for i in ids]
+    )
+    return SharedAggregationInstance(queries), store
+
+
+class TestRandomInstances:
+    """Cached rounds against a fresh executor and a brute-force top-k.
+
+    Each round requests a random subset of the queries, and a random
+    fraction of the scores moves -- none, a few, or all -- over a small
+    pool of values, so equal scores (the id tie-break) are common.  The
+    dirty rows are modelled exactly: a requested row never absorbed
+    before, or one whose score differs from the last one absorbed.
+    """
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_cached_rounds_match_a_fresh_executor(self, seed):
+        rng = random.Random(seed)
+        instance, store = _random_instance(rng)
+        k = rng.randint(1, 4)
+        cached = ColumnarFragmentExecutor(instance, store, k, cross_round=True)
+        fresh = ColumnarFragmentExecutor(instance, store, k)
+        members = {
+            query.name: query.variables
+            for query in instance.queries + instance.trivial_queries
+        }
+        names = sorted(members)
+        by_id = {i: float(rng.randint(1, 5)) for i in store.ids.tolist()}
+        absorbed: dict = {}
+        moves: dict = {}
+        for _ in range(15):
+            fraction = rng.choice([0.0, 0.05, 0.3, 1.0])
+            for i in by_id:
+                if rng.random() < fraction:
+                    by_id[i] = float(rng.randint(1, 5))
+            requested = rng.sample(names, rng.randint(1, len(names)))
+            scores = _scores(store, by_id)
+            result = cached.run_round(scores, requested)
+            reference = fresh.run_round(scores, requested)
+            assert _entries(result) == _entries(reference)
+            for name in requested:
+                expected = sorted(
+                    ((by_id[i], i) for i in members[name]),
+                    key=lambda entry: (-entry[0], entry[1]),
+                )[:k]
+                assert _entries(result)[name] == expected
+            assert result.advertisers_scanned <= reference.advertisers_scanned
+            scored = {i for name in requested for i in members[name]}
+            dirty = {
+                i for i in scored if absorbed.get(i, None) != by_id[i]
+            }
+            assert _dirty_ids(store, cached) == dirty
+            for i in dirty:
+                absorbed[i] = by_id[i]
+                moves[i] = moves.get(i, 0) + 1
+        for i in store.ids.tolist():
+            assert cached.row_epoch(store.row_of(i)) == moves.get(i, 0)

@@ -4,7 +4,7 @@ A round must cost what moved: a round in which nothing requested is
 stale calls the kernel zero times and hands back the very objects it
 handed back last time; one dirty row rescans its fragment and
 re-aggregates the phrases covering that fragment, nobody else; and no
-round -- fresh, cached or bypassed -- reaches the binary merge chain
+round -- fresh or cached -- reaches the binary merge chain
 the kernel replaced.  These tests count calls, never time.
 """
 
@@ -21,7 +21,7 @@ from repro.core.columnar import ColumnarStore
 from repro.instrument import MetricsCollector, names
 from repro.plans.columnar_exec import ColumnarFragmentExecutor
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
-from tests.plans.test_columnar_exec_cache import _ForceBypass, _scores
+from tests.plans.test_columnar_exec_cache import _scores
 
 # Fragments {1,2} -> q1; {3,4} -> q1,q2; {5,6} -> q2,q3; {8} -> q3; the
 # trivial query t7 is a one-row fragment of its own.
@@ -165,24 +165,19 @@ class TestOneDirtyRow:
 
 
 class TestMergeChainIsGone:
-    def test_fresh_cached_and_bypassed_rounds(self, no_merge_chain):
+    def test_fresh_and_cached_rounds(self, no_merge_chain):
         store = _store()
         by_id = {i: float(i % 3) for i in IDS}
         scores = _scores(store, by_id)
         fresh = ColumnarFragmentExecutor(_instance(), store, K)
-        expected = fresh.run_round(scores, ALL).answers
+        result = fresh.run_round(scores, ALL)
+        expected = result.answers
+        # Work of a from-scratch round.
+        assert result.merges_performed == 3
+        assert result.advertisers_scanned == 8
+        assert result.nodes_reused == result.nodes_revalidated == 0
         cached = ColumnarFragmentExecutor(
             _instance(), store, K, cross_round=True
         )
         assert cached.run_round(scores, ALL).answers == expected
         assert cached.run_round(scores, ALL).answers == expected
-        bypassed = ColumnarFragmentExecutor(
-            _instance(), store, K, cross_round=True, autotuner=_ForceBypass()
-        )
-        result = bypassed.run_round(scores, ALL)
-        assert result.bypassed
-        assert result.answers == expected
-        # Work of a from-scratch round, whichever way it was reached.
-        assert result.merges_performed == 3
-        assert result.advertisers_scanned == 8
-        assert result.nodes_reused == result.nodes_revalidated == 0

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.topk import TopKList
 from repro.errors import InvalidPlanError
+from repro.instrument import MetricsCollector, names
 from repro.plans.dag import Plan
-from repro.plans.executor import PlanExecutor
+from repro.plans.executor import ExecutionResult, PlanExecutor
 from repro.plans.greedy_planner import greedy_shared_plan
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
 from tests.conftest import query_families
@@ -84,6 +87,30 @@ class TestRunRound:
         executor = PlanExecutor(greedy_shared_plan(instance), 2)
         result = executor.run_round({"alice": 3.0, "bob": 2.0, "carol": 1.0})
         assert len(result.answers["q"]) == 2
+
+
+class TestWorkAccountingInvariant:
+    """The executor *enforces* one merge per materialized node."""
+
+    def test_counters_agree_over_random_rounds(self, instance, executor):
+        collector = MetricsCollector()
+        counted = PlanExecutor(executor.plan, 2, collector)
+        rng = random.Random(3)
+        for _ in range(6):
+            occurring = [q.name for q in instance.queries if rng.random() < 0.7]
+            counted.run_round(
+                {v: float(rng.randint(1, 9)) for v in instance.variables},
+                occurring,
+            )
+        assert collector.counter(names.PLAN_NODES) > 0
+        assert collector.counter(names.PLAN_MERGES) == collector.counter(
+            names.PLAN_NODES
+        )
+
+    def test_checker_rejects_merge_node_mismatch(self, executor):
+        bad = ExecutionResult(nodes_materialized=2, merges_performed=1)
+        with pytest.raises(InvalidPlanError, match="work-accounting"):
+            executor._check_round_invariants(bad)
 
 
 class TestSharingSavesWork:

@@ -1,2 +1,2 @@
 """Serving-loop suite: differential equivalence, traffic properties,
-latency oracles, autotuner window boundaries, loop units."""
+latency oracles, loop units."""

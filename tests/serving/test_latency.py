@@ -146,6 +146,7 @@ def run_serving_session(seed=11, queries=40):
         slot_factors=[0.3, 0.2],
         search_rates=market.search_rates,
         mode="shared",
+        layout="columnar",
         exec_cache=True,
         seed=seed,
         collector=MetricsCollector(),

@@ -11,12 +11,10 @@ work happens (per query instead of per round), so the equivalence is a
 real claim about the composition, not a tautology.
 
 This suite checks the theorem empirically over 50 seeded markets per
-engine configuration -- shared and shared-sort, each with its
-cross-round cache off and on (``verify=True``, so any event-uncovered
-staleness raises instead of silently diverging), and under the
-columnar layout with its native caches (the per-query drain feeds the
-row-granular dirty masks, so serving is where the vectorized kernels
-and the incremental caches genuinely compose).
+engine configuration -- unshared, shared and shared-sort on both
+layouts, and the columnar layout's exec cache (its per-query score diff
+feeds the row-granular dirty mask, so serving is where the vectorized
+kernels and the incremental cache genuinely compose).
 """
 
 from __future__ import annotations
@@ -43,33 +41,21 @@ needs_numpy = pytest.mark.skipif(
 
 CONFIGS = [
     pytest.param({"mode": "shared"}, id="shared-uncached"),
-    pytest.param(
-        {"mode": "shared", "exec_cache": True, "cache_verify": True},
-        id="shared-exec-cache",
-    ),
+    pytest.param({"mode": "unshared"}, id="unshared"),
     pytest.param({"mode": "shared-sort"}, id="shared-sort-uncached"),
     pytest.param(
-        {"mode": "shared-sort", "sort_cache": True, "cache_verify": True},
-        id="shared-sort-cache",
+        {"mode": "shared", "layout": "columnar"},
+        id="columnar-shared-uncached",
+        marks=needs_numpy,
     ),
     pytest.param(
-        {
-            "mode": "shared",
-            "exec_cache": True,
-            "cache_verify": True,
-            "layout": "columnar",
-        },
+        {"mode": "shared", "exec_cache": True, "layout": "columnar"},
         id="columnar-exec-cache",
         marks=needs_numpy,
     ),
     pytest.param(
-        {
-            "mode": "shared-sort",
-            "sort_cache": True,
-            "cache_verify": True,
-            "layout": "columnar",
-        },
-        id="columnar-sort-cache",
+        {"mode": "shared-sort", "layout": "columnar"},
+        id="columnar-shared-sort",
         marks=needs_numpy,
     ),
 ]
@@ -186,19 +172,19 @@ def test_trajectories_actually_move():
 
 def test_serving_outcomes_agree_across_configs():
     """Every configuration serves the same trace identically -- modes,
-    caches, and layouts change work, never outcomes."""
+    the exec cache, and layouts change work, never outcomes."""
     market = small_market(7)
     arrivals = arrivals_for(market, 7)
     baseline = serve_trace(market, arrivals, 7, mode="shared")
     configs = [
-        {"mode": "shared", "exec_cache": True},
+        {"mode": "unshared"},
         {"mode": "shared-sort"},
-        {"mode": "shared-sort", "sort_cache": True},
     ]
     if numpy is not None:
         configs += [
             {"mode": "shared", "layout": "columnar", "exec_cache": True},
-            {"mode": "shared-sort", "layout": "columnar", "sort_cache": True},
+            {"mode": "shared-sort", "layout": "columnar"},
+            {"mode": "unshared", "layout": "columnar"},
         ]
     for config in configs:
         assert serve_trace(market, arrivals, 7, **config) == baseline

@@ -3,8 +3,8 @@
 Covers the pieces the differential battery treats as a black box: the
 phrase-universe validation, per-query latency capture through an
 injected clock, ``QueryServed`` publication on the change feed, the
-per-query drain hand-off visible through the caches' ``pending_dirty``
-accessors, report totals, and the ``serve.*`` gauge flush.
+columnar exec cache's per-query score diff, report totals, and the
+``serve.*`` gauge flush.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import SharedAuctionEngine
-from repro.engine.changefeed import BidChanged
 from repro.errors import InvalidAuctionError
 from repro.instrument import MetricsCollector, names
 from repro.serving import QueryArrival, ServingEngine, TrafficGenerator
@@ -119,7 +118,8 @@ class TestServeOne:
 
     def test_query_served_event_is_published_when_feed_is_active(self):
         market = small_market()
-        engine = make_engine(market, exec_cache=True)  # cache activates feed
+        engine = make_engine(market, layout="columnar", exec_cache=True)
+        # The subscription activates the feed; the cache subscribes nothing.
         subscription = engine.changefeed.subscribe(
             "observer", kinds=("query_served",)
         )
@@ -176,54 +176,55 @@ class TestRejectedOperationKeepsTheTickClock:
         assert sum(clicks for _, _, clicks, _ in served) > 0
 
 
-class TestPerQueryDrain:
-    def test_exec_cache_pending_dirty_holds_until_phrase_occurs(self):
-        """An event for an advertiser off the served phrase survives the
-        per-query drain until that advertiser's phrase is served."""
-        market = small_market()
-        engine = make_engine(market, exec_cache=True)
-        loop = ServingEngine(engine, make_traffic(market))
-        phrase_a = phrases_of(market)[0]
-        loop.serve_one(QueryArrival(0, 0.0, phrase_a))
-        only_elsewhere = next(
-            advertiser_id
-            for phrase, ids in engine.phrase_advertisers.items()
-            for advertiser_id in ids
-            if advertiser_id not in engine.phrase_advertisers[phrase_a]
-        )
-        home_phrase = next(
-            phrase
-            for phrase, ids in engine.phrase_advertisers.items()
-            if only_elsewhere in ids
-        )
-        engine.changefeed.publish(BidChanged(only_elsewhere))
-        loop.serve_one(QueryArrival(1, 0.1, phrase_a))
-        assert only_elsewhere in engine._executor.pending_dirty
-        loop.serve_one(QueryArrival(2, 0.2, home_phrase))
-        assert only_elsewhere not in engine._executor.pending_dirty
+class TestPerQueryDiff:
+    """A served query diffs only its own phrase's rows.
 
-    def test_sort_cache_pending_dirty_mirrors_exec_semantics(self):
+    The columnar exec cache takes no events: a tick absorbs the scores
+    of the rows it scores, so a row off the served phrase is neither
+    read nor marked until a query of its phrase arrives.
+    """
+
+    def _rows_of(self, engine, phrase):
+        store = engine._store
+        return {store.row_of(i) for i in engine.phrase_advertisers[phrase]}
+
+    def _dirty(self, engine):
+        return set(engine._columnar_exec.dirty_rows_last_round().tolist())
+
+    def test_a_served_query_diffs_only_its_phrase_rows(self):
+        pytest.importorskip("numpy")
         market = small_market()
-        engine = make_engine(market, mode="shared-sort", sort_cache=True)
+        engine = make_engine(market, layout="columnar", exec_cache=True)
         loop = ServingEngine(engine, make_traffic(market))
-        phrase_a = phrases_of(market)[0]
+        seen = set()
+        for arrival in make_traffic(market).take(40):
+            loop.serve_one(arrival)
+            rows = self._rows_of(engine, arrival.phrase)
+            dirty = self._dirty(engine)
+            assert dirty <= rows
+            # A row never scored before is always dirty.
+            assert rows - seen <= dirty
+            seen |= rows
+
+    def test_the_first_query_of_a_phrase_sees_its_new_rows_first(self):
+        pytest.importorskip("numpy")
+        market = small_market()
+        engine = make_engine(market, layout="columnar", exec_cache=True)
+        loop = ServingEngine(engine, make_traffic(market))
+        phrase_a, phrase_b = next(
+            (a, b)
+            for a in phrases_of(market)
+            for b in phrases_of(market)
+            if self._rows_of(engine, b) - self._rows_of(engine, a)
+        )
         loop.serve_one(QueryArrival(0, 0.0, phrase_a))
-        only_elsewhere = next(
-            advertiser_id
-            for phrase, ids in engine.phrase_advertisers.items()
-            for advertiser_id in ids
-            if advertiser_id not in engine.phrase_advertisers[phrase_a]
-        )
-        home_phrase = next(
-            phrase
-            for phrase, ids in engine.phrase_advertisers.items()
-            if only_elsewhere in ids
-        )
-        engine.changefeed.publish(BidChanged(only_elsewhere))
-        loop.serve_one(QueryArrival(1, 0.1, phrase_a))
-        assert only_elsewhere in engine._sort_cache.pending_dirty
-        loop.serve_one(QueryArrival(2, 0.2, home_phrase))
-        assert only_elsewhere not in engine._sort_cache.pending_dirty
+        rows_a = self._rows_of(engine, phrase_a)
+        assert self._dirty(engine) == rows_a
+        loop.serve_one(QueryArrival(1, 0.1, phrase_b))
+        fresh = self._rows_of(engine, phrase_b) - rows_a
+        assert fresh <= self._dirty(engine)
+        for row in fresh:
+            assert engine._columnar_exec.row_epoch(row) == 1
 
 
 class TestRun:

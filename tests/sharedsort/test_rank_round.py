@@ -28,11 +28,7 @@ from repro.core.topk import TopKList
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidPlanError
 from repro.instrument import MetricsCollector, names
-from repro.sharedsort.columnar import (
-    ColumnarSortCache,
-    ColumnarThresholdKernel,
-    RankedRound,
-)
+from repro.sharedsort.columnar import ColumnarThresholdKernel, RankedRound
 
 TA_COUNTERS = (
     names.TA_RUNS,
@@ -49,17 +45,21 @@ def _occurring_rows(store, phrases):
     return np.flatnonzero(member)
 
 
-def _both_routes(store, k, effective, phrases, cache=None):
+def _both_routes(store, k, effective, phrases, rows=None):
     """One round through each route on its own kernel and collector.
+
+    ``rows`` is what ``begin_round`` orders: the phrases' members by
+    default, or a superset of them.
 
     Returns:
         ``(ranked, per_phrase, lockstep_collector, loop_collector)``:
         the lockstep answer and ``{phrase: (TopKList, accesses)}`` from
         the loop.
     """
-    rows = _occurring_rows(store, phrases)
+    if rows is None:
+        rows = _occurring_rows(store, phrases)
     lockstep_collector = MetricsCollector()
-    lockstep = ColumnarThresholdKernel(store, k, lockstep_collector, cache)
+    lockstep = ColumnarThresholdKernel(store, k, lockstep_collector)
     lockstep.begin_round(effective, rows)
     ranked, accesses = lockstep.rank_round(phrases)
     loop_collector = MetricsCollector()
@@ -75,9 +75,9 @@ def _entries(ranking: TopKList):
     return [(repr(e.score), e.advertiser_id) for e in ranking.entries]
 
 
-def _assert_identical(store, k, effective, phrases, cache=None):
+def _assert_identical(store, k, effective, phrases, rows=None):
     ranked, per_phrase, lockstep, loop = _both_routes(
-        store, k, effective, phrases, cache
+        store, k, effective, phrases, rows
     )
     assert isinstance(ranked, RankedRound)
     assert list(ranked) == list(phrases)
@@ -290,7 +290,7 @@ class TestPinned:
         for phrase in PHRASES:
             assert _entries(forward[phrase]) == _entries(backward[phrase])
 
-    def test_cached_order_covering_rows_outside_the_round(self):
+    def test_an_order_covering_rows_outside_the_round(self):
         advertisers = [
             Advertiser(
                 i, 1.0, ctr_factor=float(1 + i % 3),
@@ -300,13 +300,12 @@ class TestPinned:
         ]
         store = ColumnarStore(advertisers)
         effective = np.asarray([float(100 * (1 + i % 7)) for i in range(40)])
-        cache = ColumnarSortCache(store)
-        # The first round scores everybody; the second one phrase pair,
-        # ranked off the cached order of all 40 rows.
-        _assert_identical(store, 3, effective, list(PHRASES[:5]), cache)
+        # One phrase pair, ranked off an order of all 40 rows: ranks of
+        # rows outside the round are written and never read.
         some = [PHRASES[0], PHRASES[3]]
-        ranked = _assert_identical(store, 3, effective, some, cache)
-        assert len(cache._order) == 40 > len(_occurring_rows(store, some))
+        everyone = np.arange(store.size)
+        assert len(everyone) > len(_occurring_rows(store, some))
+        ranked = _assert_identical(store, 3, effective, some, everyone)
         assert all(len(ranked[p].entries) == 3 for p in some)
 
 
@@ -351,18 +350,26 @@ CHURN = {
 }
 
 
-@pytest.mark.parametrize("cached", [False, True], ids=["fresh-sort", "cache"])
+def _round_rows(store, phrases, order):
+    """What ``begin_round`` orders: the members, or every row."""
+    if order == "members":
+        return _occurring_rows(store, phrases)
+    return np.arange(store.size)
+
+
+@pytest.mark.parametrize("order", ["members", "everyone"])
 @pytest.mark.parametrize("route", ["rank_round", "rank_phrase"])
 @pytest.mark.parametrize("change", sorted(CHURN))
-def test_a_changed_store_ranks_like_a_fresh_kernel(change, route, cached):
+def test_a_changed_store_ranks_like_a_fresh_kernel(change, route, order):
     phrases = ["a", "b", "c"]
 
     def kernel_on(store):
-        cache = ColumnarSortCache(store) if cached else None
-        return ColumnarThresholdKernel(store, 3, cache=cache)
+        return ColumnarThresholdKernel(store, 3)
 
     def answers(kernel, store):
-        kernel.begin_round(_effective(store), _occurring_rows(store, phrases))
+        kernel.begin_round(
+            _effective(store), _round_rows(store, phrases, order)
+        )
         if route == "rank_round":
             ranked, accesses = kernel.rank_round(phrases)
             return [_entries(ranked[p]) for p in phrases], accesses.tolist()
@@ -378,23 +385,84 @@ def test_a_changed_store_ranks_like_a_fresh_kernel(change, route, cached):
     assert after != before
 
 
-def test_a_renumbered_store_restarts_the_sort_cache():
+@pytest.mark.parametrize("route", ["rank_round", "rank_phrase"])
+def test_a_renumbered_store_ranks_like_a_fresh_kernel(route):
     # Advertiser 5 leaves and 40 enters: the store is the size it was,
-    # every row from 5's on names another advertiser, and nothing the
-    # cache held by row -- order, bid snapshots -- may survive.  Held
-    # against the old snapshots, the shifted rows would read as bids
-    # that moved without a covering event.
+    # so the kernel's row scratch is not resized, and every row from
+    # 5's on names another advertiser.  Nothing held by row may leak.
+    phrases = ["a", "b", "c"]
     store = _churn_store()
-    cache = ColumnarSortCache(store)
-    everyone = np.arange(store.size)
-    cache.order_for_round(_effective(store), everyone, dirty=())
+    kernel = ColumnarThresholdKernel(store, 3)
+    kernel.begin_round(_effective(store), _occurring_rows(store, phrases))
+    for phrase in phrases:
+        kernel.rank_phrase(phrase)
+    size = store.size
     CHURN["remove_advertiser"](store)
     CHURN["add_advertiser"](store)
-    effective = _effective(store)
-    order, repaired = cache.order_for_round(effective, everyone, dirty=(5, 40))
-    assert repaired == store.size
-    fresh, _ = ColumnarSortCache(store).order_for_round(effective, everyone)
-    assert order.tolist() == fresh.tolist()
+    assert store.size == size
+
+    def answers(kernel):
+        kernel.begin_round(_effective(store), _occurring_rows(store, phrases))
+        if route == "rank_round":
+            ranked, accesses = kernel.rank_round(phrases)
+            return [_entries(ranked[p]) for p in phrases], accesses.tolist()
+        results = [kernel.rank_phrase(p) for p in phrases]
+        return [_entries(r) for r, _ in results], [a for _, a in results]
+
+    assert answers(kernel) == answers(ColumnarThresholdKernel(store, 3))
+    ranked_ids = {e[1] for entries in answers(kernel)[0] for e in entries}
+    assert 40 in ranked_ids and 5 not in ranked_ids
+
+
+def _brute_force(store, effective, phrase, k):
+    """Every member scored, one sort: the answer TA must reproduce."""
+    rows = store.phrase_rows(phrase)
+    scores = effective[rows] / 100.0 * store.phrase_ctr(phrase)
+    ranked = sorted(
+        zip(scores.tolist(), store.ids[rows].tolist()),
+        key=lambda entry: (-entry[0], entry[1]),
+    )
+    return [(repr(score), advertiser) for score, advertiser in ranked[:k]]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_reused_kernel_ranks_partial_rounds_from_scratch(seed):
+    # One kernel across thirty rounds, each ranking a random subset of
+    # the phrases off tie-heavy bids that move between rounds: every
+    # round's answer is that round's brute-force top-k, and the shared
+    # order is exactly the round's rows, nothing kept from before.
+    rng = np.random.default_rng(seed)
+    phrases = [f"q{index}" for index in range(8)]
+    advertisers = [
+        Advertiser(
+            i, 1.0, ctr_factor=float(rng.choice([0.5, 1.0, 2.0])),
+            phrases=frozenset(
+                p for p in phrases if rng.random() < 0.4
+            ) or frozenset({phrases[i % 8]}),
+            phrase_ctr_factors={phrases[i % 8]: float(rng.choice([1.0, 3.0]))},
+        )
+        for i in range(40)
+    ]
+    store = ColumnarStore(advertisers)
+    k = int(rng.integers(1, 5))
+    kernel = ColumnarThresholdKernel(store, k)
+    effective = rng.choice([100.0, 200.0, 300.0], size=store.size)
+    for _ in range(30):
+        moved = rng.random(store.size) < 0.3
+        effective[moved] = rng.choice([100.0, 200.0, 300.0], size=moved.sum())
+        occurring = sorted(
+            str(phrase)
+            for phrase in rng.choice(
+                phrases, size=int(rng.integers(1, 9)), replace=False
+            )
+        )
+        rows = _occurring_rows(store, occurring)
+        assert kernel.begin_round(effective.copy(), rows) == len(rows)
+        ranked, _ = kernel.rank_round(occurring)
+        for phrase in occurring:
+            assert _entries(ranked[phrase]) == _brute_force(
+                store, effective, phrase, k
+            )
 
 
 def test_a_member_outside_the_shared_order_is_refused():

@@ -118,6 +118,8 @@ class TestCommands:
                     "8",
                     "--mode",
                     "shared",
+                    "--layout",
+                    "columnar",
                     "--exec-cache",
                     "--trace-json",
                     str(trace),
@@ -129,13 +131,18 @@ class TestCommands:
         assert "+exec-cache" in out
         payload = json.loads(trace.read_text())
         assert payload["counters"]["plan.nodes_reused"] > 0
-        assert payload["gauges"]["plan.cache_resident"] > 0
+        # The cache diffs its own scores: nothing subscribes to the feed.
+        assert "bus.events_published" not in payload["counters"]
 
     def test_engine_exec_cache_requires_shared_mode(self):
         with pytest.raises(InvalidAuctionError, match="exec_cache"):
             main(["engine", "--rounds", "2", "--mode", "unshared", "--exec-cache"])
 
-    def test_engine_sort_cache(self, capsys, tmp_path):
+    def test_engine_exec_cache_requires_columnar_layout(self):
+        with pytest.raises(InvalidAuctionError, match="layout='columnar'"):
+            main(["engine", "--rounds", "2", "--mode", "shared", "--exec-cache"])
+
+    def test_engine_sort_planner_naive(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
         assert (
             main(
@@ -145,7 +152,6 @@ class TestCommands:
                     "8",
                     "--mode",
                     "shared-sort",
-                    "--sort-cache",
                     "--sort-planner",
                     "naive",
                     "--trace-json",
@@ -154,15 +160,8 @@ class TestCommands:
             )
             == 0
         )
-        out = capsys.readouterr().out
-        assert "+sort-cache" in out
         payload = json.loads(trace.read_text())
-        assert payload["counters"]["sort.streams_reused"] > 0
         assert payload["counters"]["sort.pairs_scored"] > 0
-
-    def test_engine_sort_cache_requires_shared_sort_mode(self):
-        with pytest.raises(InvalidAuctionError, match="sort_cache"):
-            main(["engine", "--rounds", "2", "--mode", "shared", "--sort-cache"])
 
     def test_engine_trace_capacity_bounds_ring(self, tmp_path):
         trace = tmp_path / "trace.json"
@@ -338,22 +337,20 @@ class TestLayoutAndWorkerFlags:
         out = capsys.readouterr().out
         assert "+columnar" in out and "+exec-cache" in out
 
-    def test_engine_columnar_sort_cache_serving(self, capsys):
-        # The headline combination: per-query serving with the
-        # columnar incremental sort cache on.
+    def test_engine_columnar_shared_sort_serving(self, capsys):
+        # Per-query serving through the lockstep Section III kernel.
         pytest.importorskip("numpy")
         assert (
             main(
                 [
                     "engine", "--serve", "--queries", "40",
                     "--mode", "shared-sort", "--layout", "columnar",
-                    "--sort-cache",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "+columnar" in out and "+sort-cache" in out
+        assert "Serving run" in out and "+columnar" in out
 
     def test_layout_choices_enforced(self):
         with pytest.raises(SystemExit):

@@ -9,8 +9,8 @@ state-heavy components and checks invariants after every step:
 - :class:`MaintainerMachine` -- the plan maintainer must keep a valid,
   exact plan through arbitrary interleavings of interest changes,
   phrase additions, and drops.
-- :class:`CachedExecutionMachine` -- a cross-round incremental executor
-  subscribed to a drifting maintainer must answer every round exactly
+- :class:`MaintainedExecutionMachine` -- an executor rebuilt from every
+  plan a drifting maintainer announces must answer every round exactly
   like a fresh single-scan oracle, no matter how repairs, replans,
   score perturbations, and rounds interleave.
 """
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.topk import top_k_scan
 from repro.engine.budget_manager import BudgetManager
-from repro.plans.executor import CrossRoundPlanExecutor, PlanExecutor
+from repro.plans.executor import PlanExecutor
 from repro.plans.maintenance import PlanMaintainer
 
 
@@ -149,15 +149,14 @@ MaintainerMachine.TestCase.settings = settings(
 TestMaintainerMachine = MaintainerMachine.TestCase
 
 
-class CachedExecutionMachine(RuleBasedStateMachine):
-    """Plan maintenance interleaved with cached incremental execution.
+class MaintainedExecutionMachine(RuleBasedStateMachine):
+    """Plan maintenance interleaved with execution.
 
-    The executor's cross-round cache must stay exact through arbitrary
-    interleavings of structural repairs (which rebind the executor via
-    the maintainer's plan-change subscription), score perturbations
-    (declared through the dirty set), and executed rounds.  After every
-    step, running a round must reproduce a fresh ``top_k_scan`` over the
-    live interests -- the cache can never serve an outdated value.
+    The executor is rebuilt from each plan the maintainer announces
+    through its plan-change subscription, and must stay exact through
+    arbitrary interleavings of structural repairs, score perturbations
+    and executed rounds.  After every step, running a round must
+    reproduce a fresh ``top_k_scan`` over the live interests.
     """
 
     K = 2
@@ -170,11 +169,13 @@ class CachedExecutionMachine(RuleBasedStateMachine):
             {"p": {0, 1, 2}, "q": {2, 3, 4}, "r": {4, 5, 0}},
             replan_after=4,
         )
-        self.executor = CrossRoundPlanExecutor(self.maintainer.plan, self.K)
-        self.maintainer.subscribe(self.executor.rebind)
+        self.executor = PlanExecutor(self.maintainer.plan, self.K)
+        self.maintainer.subscribe(self._rebuild)
         self.scores = {a: float((a * 37) % 23 + 1) for a in self.ADVERTISERS}
-        self.dirty: set[int] = set(self.ADVERTISERS)
         self.extra_phrases = 0
+
+    def _rebuild(self, plan) -> None:
+        self.executor = PlanExecutor(plan, self.K)
 
     @rule(
         phrase=st.sampled_from(PHRASES),
@@ -209,22 +210,19 @@ class CachedExecutionMachine(RuleBasedStateMachine):
     )
     def perturb_score(self, advertiser: int, score: int) -> None:
         self.scores[advertiser] = float(score)
-        self.dirty.add(advertiser)
 
     @rule()
     def run_round(self) -> None:
         self._run_and_check()
 
     @invariant()
-    def cached_answers_match_fresh_scan(self) -> None:
+    def answers_match_fresh_scan(self) -> None:
         self._run_and_check()
 
     def _run_and_check(self) -> None:
         plan = self.executor.plan
-        result = self.executor.run_round(
-            dict(self.scores), dirty=set(self.dirty)
-        )
-        self.dirty.clear()
+        assert plan is self.maintainer.plan
+        result = self.executor.run_round(dict(self.scores))
         # Oracle: an independent single-scan top-k per live query.
         for query in plan.instance.queries:
             expected = top_k_scan(
@@ -232,16 +230,12 @@ class CachedExecutionMachine(RuleBasedStateMachine):
                 [(self.scores[v], v) for v in sorted(query.variables)],
             )
             assert result.answers[query.name] == expected, (
-                f"cached answer diverged from fresh scan for {query.name!r}"
+                f"answer diverged from fresh scan for {query.name!r}"
             )
-        # The weakened accounting invariant must hold every round.
-        assert (
-            result.merges_performed + result.nodes_revalidated
-            == result.nodes_materialized
-        )
+        assert result.merges_performed == result.nodes_materialized
 
 
-CachedExecutionMachine.TestCase.settings = settings(
+MaintainedExecutionMachine.TestCase.settings = settings(
     max_examples=20, stateful_step_count=25, deadline=None
 )
-TestCachedExecutionMachine = CachedExecutionMachine.TestCase
+TestMaintainedExecutionMachine = MaintainedExecutionMachine.TestCase
