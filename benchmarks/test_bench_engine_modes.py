@@ -45,6 +45,12 @@ unbudgeted advertiser (DESIGN section 17): on ``batch_rank``'s market,
 the deliver + allocate stages of a session with no budgets may cost at
 most 0.8x those of the same session with every budget finite but never
 binding, which books every display and click (measured 0.54-0.68x).
+
+``test_a_round_of_displays_is_one_click_model_call`` gates stage 4's
+hand-off to the click model: the displays of one ``batch_rank`` round
+through one ``record_displays`` call must schedule exactly what one
+``record_display`` call per display does -- same rows, same random
+stream after -- at most 0.3x its cost (measured 0.14-0.15x).
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ import time
 
 import pytest
 
-from repro.engine import SharedAuctionEngine, pipeline
+from repro.engine import DelayedClickModel, SharedAuctionEngine, pipeline
 from repro.instrument import MetricsCollector, names
 from repro.metrics.tables import ExperimentTable
 from repro.workloads.fig4 import fig4_market
@@ -546,4 +552,82 @@ def test_unbudgeted_round_keeps_no_books():
     assert ratio <= UNBUDGETED_OVER_BOOKED_CEILING, (
         f"an unbudgeted round's deliver + allocate costs {ratio:.2f}x a "
         f"booked one's (ceiling {UNBUDGETED_OVER_BOOKED_CEILING}x)"
+    )
+
+
+BATCHED_OVER_SINGLE_CLICKS_CEILING = 0.3
+
+
+@pytest.mark.experiment("EngineModes")
+def test_a_round_of_displays_is_one_click_model_call():
+    pytest.importorskip("numpy")
+    # batch_rank's market: one sampled round through the shared plan;
+    # its ~720 displays, as stage 4 hands them to the click model,
+    # are captured.  Two models with one seed then take them -- one
+    # record_displays call against one record_display call per display
+    # -- and must schedule the same rows and leave the same stream.  The
+    # gate is a ratio in this process, so it survives a slow box; each
+    # lap times 20 fresh pairs and the best of three laps is kept.
+    # Measured 0.14-0.15x.
+    advertisers, rates = fig4_market(
+        num_queries=60, num_advertisers=250, num_components=8,
+        median_budget_cents=0, seed=0,
+    )
+    engine = SharedAuctionEngine(
+        advertisers, [0.3, 0.2, 0.1], rates,
+        mode="shared", layout="columnar", exec_cache=True, seed=11,
+    )
+    captured = []
+    record_displays = engine.click_model.record_displays
+    engine.click_model.record_displays = (
+        lambda *args: captured.append(args) or record_displays(*args)
+    )
+    engine.run_round()
+    ((display_round, *columns),) = captured
+    rows = list(zip(*columns))
+
+    def models():
+        return [
+            DelayedClickModel(
+                engine.click_model.mean_delay_rounds,
+                engine.click_model.horizon_rounds,
+                random.Random(seed),
+            )
+            for seed in range(20)
+        ]
+
+    best = {}
+    for _lap in range(3):
+        batched, single = models(), models()
+        start = time.perf_counter()
+        for model in batched:
+            model.record_displays(display_round, *columns)
+        batched_s = time.perf_counter() - start
+        start = time.perf_counter()
+        for model in single:
+            record_display = model.record_display
+            for advertiser_id, price, ctr, handle in rows:
+                record_display(advertiser_id, price, ctr, display_round, handle)
+        single_s = time.perf_counter() - start
+        best["batched"] = min(best.get("batched", batched_s), batched_s)
+        best["single"] = min(best.get("single", single_s), single_s)
+        for one, other in zip(batched, single):
+            assert one._pending == other._pending
+            assert one._rounds == other._rounds
+            assert one._rng.getstate() == other._rng.getstate()
+    ratio = best["batched"] / best["single"]
+    table = ExperimentTable(
+        f"Click model, one batch_rank round ({len(rows)} displays): one "
+        f"call vs one call per display (20 models, best of 3 laps)",
+        ["calls", "ms", "x per display", "ceiling"],
+    )
+    table.add("record_displays", best["batched"] * 1e3, ratio,
+              BATCHED_OVER_SINGLE_CLICKS_CEILING)
+    table.add("record_display", best["single"] * 1e3, 1.0, "")
+    table.show()
+    assert len(rows) > 500
+    assert sum(model.pending_count for model in batched) > 0
+    assert ratio <= BATCHED_OVER_SINGLE_CLICKS_CEILING, (
+        f"one record_displays call costs {ratio:.2f}x a record_display "
+        f"call per display (ceiling {BATCHED_OVER_SINGLE_CLICKS_CEILING}x)"
     )

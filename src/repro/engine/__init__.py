@@ -23,7 +23,7 @@ from repro.engine.changefeed import (
     QueryServed,
     RoundClosed,
 )
-from repro.engine.click_model import ClickEvent, DelayedClickModel
+from repro.engine.click_model import DelayedClickModel
 from repro.engine.pipeline import EngineReport, SharedAuctionEngine
 from repro.engine.rounds import RoundBatcher, singleton_rounds
 from repro.engine.sharded import ShardedEngine
@@ -36,7 +36,6 @@ __all__ = [
     "BudgetManager",
     "ChangeEvent",
     "ChangeFeed",
-    "ClickEvent",
     "DelayedClickModel",
     "EngineReport",
     "PhraseAdded",

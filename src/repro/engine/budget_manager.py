@@ -253,14 +253,14 @@ class BudgetManager:
         handle: int,
     ) -> ChargeResult:
         """Charge one click: a :meth:`settle_clicks` of one."""
-        return self.settle_clicks(
+        return ChargeResult(*self.settle_clicks(
             ((advertiser_id, price_cents, display_round, handle),)
-        )[0]
+        ))
 
     def settle_clicks(
         self,
         clicks: Iterable[Tuple[int, int, int, int]],
-    ) -> List[ChargeResult]:
+    ) -> Tuple[int, int]:
         """Charge a stage's clicks in order, forgiving any shortfall.
 
         Each click is ``(advertiser_id, price_cents, display_round,
@@ -272,9 +272,9 @@ class BudgetManager:
         moves no books.
 
         Returns:
-            One :class:`ChargeResult` per click, in order.
+            ``(charged_cents, forgiven_cents)`` over the batch.
         """
-        charges: List[ChargeResult] = []
+        total_charged = total_forgiven = 0
         settled: Set[int] = set()
         budgets, spent = self._budgets, self._spent
         for advertiser_id, price_cents, _, handle in clicks:
@@ -292,9 +292,10 @@ class BudgetManager:
                 settled.add(advertiser_id)
             if charged:
                 spent[advertiser_id] = spent.get(advertiser_id, 0) + charged
-            charges.append(ChargeResult(charged, price_cents - charged))
+            total_charged += charged
+            total_forgiven += price_cents - charged
         self._publish_changes(settled)
-        return charges
+        return total_charged, total_forgiven
 
     def expire_outstanding(self, round_index: int) -> int:
         """Drop outstanding ads whose click probability decayed to zero.

@@ -12,50 +12,30 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from operator import attrgetter
-from typing import Dict, List
+from operator import itemgetter
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import InvalidAuctionError
 
-__all__ = ["ClickEvent", "DelayedClickModel"]
+__all__ = ["DelayedClickModel"]
 
-_ADVERTISER_ID = attrgetter("advertiser_id")
-
-
-@dataclass(frozen=True)
-class ClickEvent:
-    """A click scheduled to arrive in a future round.
-
-    Attributes:
-        advertiser_id: Whose ad was clicked.
-        phrase: The auction's bid phrase.
-        price_cents: Price the pricing rule set for this click.
-        display_round: Round the ad was shown.
-        arrival_round: Round the click arrives (payment is attempted).
-        ledger_handle: Identity of the outstanding-ledger entry recorded
-            for this display
-            (:meth:`repro.engine.budget_manager.BudgetManager.record_display`),
-            so settlement resolves exactly the clicked ad rather than
-            the first ad with a matching price and round.  ``-1`` when
-            the display was not recorded against a ledger, as an
-            unbudgeted advertiser's never is.
-    """
-
-    advertiser_id: int
-    phrase: str
-    price_cents: int
-    display_round: int
-    arrival_round: int
-    ledger_handle: int = -1
+_ADVERTISER_ID = itemgetter(0)
+ClickRow = Tuple[int, int, int, int]
 
 
 class DelayedClickModel:
     """Samples click outcomes and delays for displayed ads.
 
-    Scheduled clicks wait in one bucket per arrival round, so a tick
-    pops what is due and never walks the clicks that are not.
+    A scheduled click is the row ``(advertiser_id, price_cents,
+    display_round, ledger_handle)`` --
+    :meth:`repro.engine.budget_manager.BudgetManager.settle_clicks`'
+    input.  The handle names the outstanding-ledger entry recorded for
+    the display, so settlement resolves exactly the clicked ad; ``-1``
+    when the display was not recorded against a ledger, as an
+    unbudgeted advertiser's never is.  Rows wait in one bucket per
+    arrival round, so a tick pops what is due and never walks the
+    clicks that are not.
 
     Args:
         mean_delay_rounds: Mean of the geometric delay (0 means clicks
@@ -78,68 +58,96 @@ class DelayedClickModel:
         self.mean_delay_rounds = mean_delay_rounds
         self.horizon_rounds = horizon_rounds
         self._rng = rng
-        # Clicks by arrival round, in scheduling order, and a min-heap
-        # of the rounds that have a bucket.
-        self._pending: Dict[int, List[ClickEvent]] = {}
+        # Click rows by arrival round, in scheduling order, and a
+        # min-heap of the rounds that have a bucket.
+        self._pending: Dict[int, List[ClickRow]] = {}
         self._rounds: List[int] = []
 
     def record_display(
         self,
         advertiser_id: int,
-        phrase: str,
         price_cents: int,
         ctr: float,
         display_round: int,
         ledger_handle: int = -1,
     ) -> bool:
-        """Sample one displayed ad; returns whether a click was scheduled.
+        """Sample one displayed ad: a :meth:`record_displays` of one.
 
-        ``ledger_handle`` rides along on the scheduled
-        :class:`ClickEvent` so the eventual settlement can name the
-        exact outstanding-ledger entry this display created.
+        Returns:
+            Whether a click was scheduled.
         """
-        if not 0.0 <= ctr <= 1.0:
-            raise InvalidAuctionError(f"CTR must be in [0, 1], got {ctr}")
-        if self._rng.random() >= ctr:
-            return False
-        delay = self._sample_delay()
-        if delay > self.horizon_rounds:
-            return False
-        arrival_round = display_round + delay
-        bucket = self._pending.get(arrival_round)
-        if bucket is None:
-            bucket = self._pending[arrival_round] = []
-            heappush(self._rounds, arrival_round)
-        bucket.append(
-            ClickEvent(
-                advertiser_id,
-                phrase,
-                price_cents,
-                display_round,
-                arrival_round,
-                ledger_handle,
-            )
-        )
-        return True
+        return bool(self.record_displays(
+            display_round, (advertiser_id,), (price_cents,), (ctr,),
+            (ledger_handle,),
+        ))
 
-    def _sample_delay(self) -> int:
-        if self.mean_delay_rounds == 0.0:
-            return 1
+    def record_displays(
+        self,
+        display_round: int,
+        advertiser_ids: Sequence[int],
+        prices_cents: Sequence[int],
+        ctrs: Sequence[float],
+        ledger_handles: Sequence[int],
+    ) -> int:
+        """Sample a stage's displayed ads, in order.
+
+        The four columns are parallel, one row per ad.  The batch is
+        validated before anything is drawn, so a bad row leaves the
+        random stream and the pending clicks as they were.  Each ad then
+        takes one click draw and, if clicked, the geometric delay's
+        draws -- the stream one :meth:`record_display` per row would
+        take.
+
+        Returns:
+            The number of clicks scheduled.
+
+        Raises:
+            InvalidAuctionError: On a CTR outside ``[0, 1]`` or columns
+                of different lengths.
+        """
+        lengths = {len(advertiser_ids), len(prices_cents), len(ledger_handles)}
+        if lengths != {len(ctrs)}:
+            raise InvalidAuctionError(f"ragged display columns: {lengths}")
+        for ctr in ctrs:
+            if not 0.0 <= ctr <= 1.0:
+                raise InvalidAuctionError(f"CTR must be in [0, 1], got {ctr}")
+        draw = self._rng.random
+        horizon = self.horizon_rounds
+        # A zero mean delays every click one round and draws no delay.
+        geometric = self.mean_delay_rounds != 0.0
         p = 1.0 / (1.0 + self.mean_delay_rounds)
-        delay = 1
-        while self._rng.random() > p:
-            delay += 1
-            if delay > self.horizon_rounds:
-                break
-        return delay
+        pending = self._pending
+        scheduled = 0
+        for advertiser_id, price_cents, ctr, ledger_handle in zip(
+            advertiser_ids, prices_cents, ctrs, ledger_handles
+        ):
+            if draw() >= ctr:
+                continue
+            delay = 1
+            while geometric and draw() > p:
+                delay += 1
+                if delay > horizon:
+                    break
+            if delay > horizon:
+                continue
+            arrival_round = display_round + delay
+            bucket = pending.get(arrival_round)
+            if bucket is None:
+                bucket = pending[arrival_round] = []
+                heappush(self._rounds, arrival_round)
+            bucket.append(
+                (advertiser_id, price_cents, display_round, ledger_handle)
+            )
+            scheduled += 1
+        return scheduled
 
-    def arrivals(self, round_index: float) -> List[ClickEvent]:
+    def arrivals(self, round_index: float) -> List[ClickRow]:
         """Pop and return the clicks arriving at ``round_index`` or before.
 
         Ordered by ``(arrival_round, advertiser_id)``; clicks that tie
         keep the order they were scheduled in.
         """
-        due: List[ClickEvent] = []
+        due: List[ClickRow] = []
         rounds = self._rounds
         while rounds and rounds[0] <= round_index:
             bucket = self._pending.pop(heappop(rounds))
@@ -147,7 +155,7 @@ class DelayedClickModel:
             due += bucket
         return due
 
-    def flush(self) -> List[ClickEvent]:
+    def flush(self) -> List[ClickRow]:
         """Pop all remaining scheduled clicks (end of simulation)."""
         return self.arrivals(math.inf)
 

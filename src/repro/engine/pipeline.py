@@ -45,7 +45,7 @@ from repro.core.money import dollars_to_cents
 from repro.core.topk import ScoredAdvertiser, TopKList, top_k_scan
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.changefeed import BidChanged, ChangeFeed, RoundClosed
-from repro.engine.click_model import ClickEvent, DelayedClickModel
+from repro.engine.click_model import ClickRow, DelayedClickModel
 from repro.errors import InvalidAuctionError
 from repro.instrument import NULL, Collector, names as metric_names
 from repro.plans.executor import PlanExecutor
@@ -619,6 +619,8 @@ class SharedAuctionEngine:
             # Rejected before it takes a round index: a bad request must
             # not shift the click-arrival and expiry rounds after it.
             raise InvalidAuctionError(f"no advertisers bid on {unknown!r}")
+        if len(set(phrases)) != len(phrases):  # it would book twice
+            raise InvalidAuctionError(f"a phrase repeats in {phrases!r}")
         round_index = self._round_index
         self._round_index += 1
         return self._resolve(tuple(phrases), round_index)
@@ -680,28 +682,13 @@ class SharedAuctionEngine:
             for advertiser_id in sorted(self.budget_manager.debt_carriers):
                 self.changefeed.publish(BidChanged(advertiser_id))
 
-    def _settle(self, clicks: Sequence[ClickEvent]) -> Tuple[int, int, int]:
+    def _settle(self, clicks: Sequence[ClickRow]) -> Tuple[int, int, int]:
         """Settle delivered clicks against the books, as one batch.
 
         Returns:
             ``(revenue_cents, forgiven_cents, clicks)`` totals.
         """
-        revenue = forgiven = 0
-        if clicks:
-            for charge in self.budget_manager.settle_clicks(
-                [
-                    (
-                        click.advertiser_id,
-                        click.price_cents,
-                        click.display_round,
-                        click.ledger_handle,
-                    )
-                    for click in clicks
-                ]
-            ):
-                revenue += charge.charged_cents
-                forgiven += charge.forgiven_cents
-        return revenue, forgiven, len(clicks)
+        return (*self.budget_manager.settle_clicks(clicks), len(clicks))
 
     def _effective_scores(
         self, phrases: Sequence[str], round_index: int, report: RoundReport
@@ -1076,11 +1063,11 @@ class SharedAuctionEngine:
 
         The round is the unit: every occurring phrase's slots are priced
         first, then the displayed ads are booked as outstanding debt in
-        one :meth:`BudgetManager.record_displays` call and offered to
-        the click model one by one in (phrase, slot) order -- its draws
-        from the shared ``random.Random`` are the only part that has to
-        stay sequential.  The slot arithmetic has two routes that agree
-        bit for bit: :meth:`_allocate_phrase`, the scalar loop, which
+        one :meth:`BudgetManager.record_displays` call and handed to the
+        click model in one :meth:`DelayedClickModel.record_displays`
+        call, in (phrase, slot) order -- its draws from the shared
+        ``random.Random`` are the only part that has to stay sequential.
+        The slot arithmetic has two routes that agree bit for bit: :meth:`_allocate_phrase`, the scalar loop, which
         the object layout always takes (it is the differential oracle),
         and :meth:`_price_slots`, one array pass over the whole round,
         which the columnar layout takes from
@@ -1110,12 +1097,11 @@ class SharedAuctionEngine:
         handles = self.budget_manager.record_displays(
             ids, prices, ctrs, round_index
         )
-        schedule = self.click_model.record_display
-        displayed = zip(ids, prices, ctrs, handles)
+        self.click_model.record_displays(
+            round_index, ids, prices, ctrs, handles
+        )
         allocated = zip(slots, ids, prices)
         for phrase, count in zip(phrases, shown):
-            for advertiser_id, price, ctr, handle in islice(displayed, count):
-                schedule(advertiser_id, phrase, price, ctr, round_index, handle)
             report.allocations[phrase] = tuple(islice(allocated, count))
         report.displays += len(ids)
 

@@ -410,6 +410,8 @@ class ShardedEngine:
                     raise InvalidAuctionError(
                         f"no advertisers bid on {[phrase]!r}"
                     )
+                if phrase in subsets[shard]:  # before any shard runs
+                    raise InvalidAuctionError(f"a phrase repeats: {phrase!r}")
                 subsets[shard].append(phrase)
             messages = [("round", subsets[s]) for s in range(self.shards)]
         for shard, message in enumerate(messages):

@@ -70,7 +70,9 @@ class TestUnbudgetedKeepsNoBooks:
     def test_books_never_move(self):
         manager = BudgetManager({1: 1_000})
         handles = manager.record_displays([7, 1], [40, 30], [0.5, 0.5], 0)
-        manager.settle_clicks([(7, 40, 0, handles[0]), (1, 30, 0, handles[1])])
+        assert manager.settle_clicks(
+            [(7, 40, 0, handles[0]), (1, 30, 0, handles[1])]
+        ) == (70, 0)
         manager.expire_outstanding(10_000)
         ids, remaining, owed, carrying = manager.drain_book_changes()
         assert ids == [1]

@@ -19,6 +19,7 @@ from repro.core.advertiser import Advertiser
 from repro.engine import budget_manager
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.changefeed import BudgetChanged, ChangeFeed
+from repro.engine.click_model import DelayedClickModel
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.workloads.fig4 import fig4_market
 
@@ -101,17 +102,17 @@ class TestOneRoundOneBooking:
             [1, 2, 1, 1], [100, 40, 100, 100], [0.5] * 4, 0
         )
         events.drain()
-        charges = manager.settle_clicks(
+        totals = manager.settle_clicks(
             [
                 (1, 100, 0, handles[0]),
                 (2, 40, 0, handles[1]),
                 (1, 100, 0, handles[2]),
             ]
         )
-        # Charged in order against one shrinking budget.
-        assert [(c.charged_cents, c.forgiven_cents) for c in charges] == [
-            (100, 0), (40, 0), (50, 50),
-        ]
+        # Charged in order against one shrinking budget: 100 + 40 + 50,
+        # and the third click's other 50 forgiven.
+        assert totals == (190, 50)
+        assert manager.spent_snapshot() == {1: 150, 2: 40}
         assert events.drain() == [BudgetChanged(1), BudgetChanged(2)]
         assert manager.outstanding_counts() == {1: 1}
 
@@ -148,13 +149,13 @@ class TestUnbudgetedRoundBooksNothing:
         advertisers, prices, ctrs = _displays(720, 60)
         handles = manager.record_displays(advertisers, prices, ctrs, 4)
         clicks = list(zip(advertisers, prices, [4] * 720, handles))[::3]
-        charges = manager.settle_clicks(clicks)
+        totals = manager.settle_clicks(clicks)
         manager.expire_outstanding(4 + 17)
-        return manager, events, handles, clicks, charges
+        return manager, events, handles, clicks, totals
 
     def test_a_720_display_round_touches_no_ledger(self, booked):
         calls, pushed = booked
-        manager, events, handles, clicks, charges = self._session({})
+        manager, events, handles, clicks, totals = self._session({})
         assert handles == [-1] * 720
         assert not calls
         assert not pushed
@@ -163,10 +164,10 @@ class TestUnbudgetedRoundBooksNothing:
         assert not manager.debt_carriers
         assert manager.earliest_dead_round == float("inf")
         # Every click is charged in full, and the spend is still kept.
-        assert all(charge.forgiven_cents == 0 for charge in charges)
         spent = Counter()
         for advertiser_id, price, _, _ in clicks:
             spent[advertiser_id] += price
+        assert totals == (sum(spent.values()), 0)
         assert manager.spent_snapshot() == dict(sorted(spent.items()))
 
     def test_the_same_round_budgeted_books_every_ad(self, booked):
@@ -196,6 +197,61 @@ class TestUnbudgetedRoundBooksNothing:
             assert not engine.budget_manager.debt_carriers
         assert displays and clicks
         assert sum(engine.budget_manager.spent_snapshot().values()) > 0
+
+
+class TestOneClickModelCallPerStage:
+    """A round's displays reach the click model in one call, and its
+    clicks settle as rows into totals: no ``ChargeResult`` is built."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts the click model's two entry points and every
+        ``ChargeResult`` the budget manager constructs."""
+        calls = Counter()
+        for owner, name in (
+            (DelayedClickModel, "record_displays"),
+            (DelayedClickModel, "record_display"),
+            (budget_manager, "ChargeResult"),
+        ):
+
+            def counted(*args, name=name, original=vars(owner)[name], **kw):
+                calls[name] += 1
+                return original(*args, **kw)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("median_budget_cents", (0, 1500))
+    def test_batch_rank_rounds_and_served_ticks(
+        self, calls, median_budget_cents
+    ):
+        pytest.importorskip("numpy")
+        # batch_rank's market (unlimited budgets), and the same shape
+        # budgeted: each round is every phrase, ~720 displays.
+        advertisers, rates = fig4_market(
+            num_queries=60, num_advertisers=250, num_components=8,
+            median_budget_cents=median_budget_cents, seed=0,
+        )
+        engine = SharedAuctionEngine(
+            advertisers, [0.3, 0.2, 0.1], rates,
+            mode="shared", layout="columnar", exec_cache=True, seed=11,
+        )
+        phrases = sorted(rates)
+        displays = clicks = 0
+        for _ in range(6):
+            calls.clear()
+            report = engine.run_round(phrases)
+            assert calls == {"record_displays": 1}
+            displays += report.displays
+            clicks += report.clicks
+        assert displays > 6 * 300 and clicks
+        for phrase in phrases[:10]:
+            calls.clear()
+            engine.serve_query(phrase)
+            assert calls == {"record_displays": 1}
+        calls.clear()
+        assert engine.settle_remaining_clicks()[2]
+        assert not calls
 
 
 def _varying_rounds(phrases, rounds, seed):
