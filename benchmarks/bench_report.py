@@ -44,7 +44,6 @@ TRACKED: Tuple[Tuple[str, str, str, float], ...] = (
      ">=", 5.0),
     ("BENCH_budgets", "policies.throttled.revenue_loss", "<=", 0.01),
     ("BENCH_budgets", "policies.naive.revenue_loss", ">=", 0.05),
-    ("BENCH_changefeed", "per_event_seconds", "<=", 1e-4),
     ("BENCH_serving", "columnar_serving.outcomes_identical", "is_true", 0),
     ("BENCH_serving", "columnar_serving.speedup_per_query", ">=", 2.0),
     ("BENCH_columnar", "kernels.outcomes_identical", "is_true", 0),

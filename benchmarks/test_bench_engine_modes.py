@@ -14,10 +14,10 @@ threshold algorithm, which also caches nothing, must not be slower than
 the scans at all (it was 1.8x while TA ran phrase by phrase; the
 lockstep round kernel of DESIGN section 20 measured 0.7x).
 
-``test_feed_events_follow_movers`` gates the change feed's traffic on
-the same market by count: a round publishes one event per advertiser a
-stage moved, not one per movement, and a session with no subscriber
-publishes none.
+``test_book_rows_follow_movers`` gates the budget books' traffic on
+the same market by count: a round's scoring stage re-derives one
+standing-column row per advertiser the books moved, not one per
+movement.
 
 ``test_cached_shared_tick_within_reach_of_the_scan`` gates the served
 tick of the shared plan with the exec cache against the unshared scan
@@ -204,7 +204,9 @@ def test_uncached_shared_plan_within_reach_of_the_scan():
         )
 
 
-FEED_EVENTS_PER_ROUND_CEILING = 400
+# About 1.5x the measured 89 and far below the 2000 budgeted rows, so
+# re-deriving every budgeted row each stage fails it.
+BOOK_ROWS_PER_ROUND_CEILING = 135
 
 
 def _booked(advertisers):
@@ -218,68 +220,53 @@ def _booked(advertisers):
 
 
 @pytest.mark.experiment("EngineModes")
-def test_feed_events_follow_movers():
+def test_book_rows_follow_movers():
     pytest.importorskip("numpy")
     # batch_rank's configuration, but every budget a finite 10^11 cents
     # (an unbudgeted advertiser keeps no books, so moves none), through
-    # the shared plan with the exec cache.  That cache diffs its own
-    # scores and subscribes to nothing, so a probe subscription makes
-    # the feed active.  ~240 phrases a round display ~720 ads to ~90
-    # distinct winners, settle ~180 clicks and expire ~700 ads; no
-    # budget binds, so no multiplicity change moves a bid.  The feed
-    # must carry one event per advertiser a stage moved (measured 225 a
-    # round), not one per movement (2 786 before DESIGN section 19).
-    # The same session without the probe must publish nothing at all.
-    # Exact counts, not a timing: they hold on any runner.
+    # the shared plan with the exec cache.  ~240 phrases a round display
+    # ~720 ads to ~90 distinct winners, settle ~180 clicks and expire
+    # ~700 ads; no budget binds.  Each scoring stage re-derives the
+    # standing-column rows of the advertisers whose books moved since
+    # the one before (columnar.book_rows_synced): one row per advertiser
+    # a round moved (measured 89 a round), not one per display, click
+    # or expiry (716 displays alone).  Exact counts, not a timing: they
+    # hold on any runner.
     advertisers, rates = fig4_market(
         num_queries=60, num_advertisers=250, num_components=8,
         median_budget_cents=0, seed=0,
     )
-    advertisers = _booked(advertisers)
+    collector = MetricsCollector()
+    engine = SharedAuctionEngine(
+        _booked(advertisers), [0.3, 0.2, 0.1], rates,
+        mode="shared", layout="columnar", exec_cache=True, seed=11,
+        collector=collector,
+    )
     rng = random.Random(16)
     phrases = sorted(rates)
     warm, counted = 20, 40
-    rounds = [
-        [phrase for phrase in phrases if rng.random() < 0.5]
-        for _ in range(warm + counted)
-    ]
-
-    def session(probe):
-        engine = SharedAuctionEngine(
-            advertisers, [0.3, 0.2, 0.1], rates,
-            mode="shared", layout="columnar", exec_cache=True, seed=11,
-        )
-        subscription = engine.changefeed.subscribe("probe") if probe else None
-        displays = 0
-        allocations = []
-        for index, occurring in enumerate(rounds):
-            if index == warm:
-                published = engine.changefeed.events_published
-            report = engine.run_round(occurring)
-            if subscription is not None:
-                subscription.drain()
-            if index >= warm:
-                displays += report.displays
-            allocations.append(report.allocations)
-        events = engine.changefeed.events_published - published
-        return displays / counted, events / counted, allocations, engine
-
-    displays, per_round, allocations, _ = session(probe=True)
-    _, unprobed, unprobed_allocations, engine = session(probe=False)
+    displays = 0
+    for index in range(warm + counted):
+        occurring = [phrase for phrase in phrases if rng.random() < 0.5]
+        if index == warm:
+            synced = collector.counter(names.COLUMNAR_BOOK_ROWS_SYNCED)
+        report = engine.run_round(occurring)
+        if index >= warm:
+            displays += report.displays
+    displays /= counted
+    per_round = (
+        collector.counter(names.COLUMNAR_BOOK_ROWS_SYNCED) - synced
+    ) / counted
     table = ExperimentTable(
-        f"Change-feed events per round, shared + exec_cache ({counted} rounds)",
-        ["session", "displays/round", "events/round", "ceiling"],
+        f"Book rows synced per round, shared + exec_cache ({counted} rounds)",
+        ["displays/round", "rows synced/round", "ceiling"],
     )
-    table.add("probe", displays, per_round, FEED_EVENTS_PER_ROUND_CEILING)
-    table.add("no subscriber", displays, unprobed, 0)
+    table.add(displays, per_round, BOOK_ROWS_PER_ROUND_CEILING)
     table.show()
-    assert allocations == unprobed_allocations
-    assert not engine.changefeed.active
-    assert engine.changefeed.events_published == 0
-    assert displays > FEED_EVENTS_PER_ROUND_CEILING
-    assert 0 < per_round <= FEED_EVENTS_PER_ROUND_CEILING, (
-        f"{per_round:.0f} feed events a round for {displays:.0f} "
-        f"displays (ceiling {FEED_EVENTS_PER_ROUND_CEILING})"
+    assert displays > BOOK_ROWS_PER_ROUND_CEILING
+    assert 0 < per_round <= BOOK_ROWS_PER_ROUND_CEILING, (
+        f"{per_round:.0f} book rows synced a round for {displays:.0f} "
+        f"displays (ceiling {BOOK_ROWS_PER_ROUND_CEILING})"
     )
 
 

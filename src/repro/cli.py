@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     engine = sub.add_parser("engine", help="run a generated market")
-    engine.add_argument("--rounds", type=int, default=50)
+    engine.add_argument("--rounds", type=_positive_int, default=50)
     engine.add_argument(
         "--mode",
         choices=["shared", "unshared", "shared-sort"],
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "partition the market's phrase-advertiser connected "
             "components across N worker processes (shared-nothing "
-            "caches, per-shard change feeds, top-k merged at the "
+            "caches and budget books, top-k merged at the "
             "boundary); 1 runs the sequential engine in-process"
         ),
     )

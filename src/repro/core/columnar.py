@@ -383,8 +383,7 @@ class ColumnarStore:
 
     Rows are ordered by ascending advertiser id, so any row subset
     selected by ascending row index carries ascending ids -- which is
-    what lets :class:`ArrayScoreMap` binary-search and what makes the
-    columnar change-feed publishes deterministic (sorted-id order).
+    what lets :class:`ArrayScoreMap` binary-search.
 
     Attributes (all parallel, one row per advertiser):
         ids: int64 advertiser ids, ascending.
@@ -399,8 +398,7 @@ class ColumnarStore:
     (ascending; the form every kernel consumes) and packed *bitmaps*
     (:meth:`membership_bits`; 1 bit per row, the compact interchange
     form).  Both are derived caches over the authoritative
-    ``{advertiser: phrases}`` sets and are invalidated on churn and on
-    change-feed events (:meth:`connect`).
+    ``{advertiser: phrases}`` sets and are invalidated on churn.
 
     Mutations go through the store (:meth:`set_bid`, :meth:`set_budget`,
     :meth:`add_interest`, :meth:`remove_interest`, :meth:`absorb`,
@@ -502,11 +500,6 @@ class ColumnarStore:
         self._phrase_bits.pop(phrase, None)
         self._phrase_ctrs.pop(phrase, None)
         self._phrase_ctr_orders.pop(phrase, None)
-
-    def _invalidate_advertiser(self, advertiser_id: int) -> None:
-        """Drop derived arrays for every phrase the advertiser is in."""
-        for phrase in self._phrases_of.get(advertiser_id, ()):
-            self._invalidate_phrase(phrase)
 
     # ------------------------------------------------------------------
     # reads
@@ -762,54 +755,3 @@ class ColumnarStore:
         del self._overrides_of[advertiser_id]
         self._rebuild_columns(ordered)
         self._drop_derived()
-
-    # ------------------------------------------------------------------
-    # change-feed integration
-    # ------------------------------------------------------------------
-    def connect(self, feed) -> None:
-        """Subscribe to a change feed and keep derived arrays honest.
-
-        The store attaches a push handler so invalidation happens at
-        publish time, before any consumer can read a stale derived
-        array:
-
-        - ``bid_changed`` / ``budget_changed``: the advertiser's numeric
-          inputs may have moved externally; its phrases' derived CTR /
-          rank caches are dropped (cheap and sound -- over-invalidation
-          only costs a rebuild).
-        - ``phrase_added`` / ``phrase_removed``: membership churn is
-          applied directly (the events carry the member ids).
-        - ``advertiser_removed``: the row is dropped.
-        - ``advertiser_added``: the event names the advertiser and its
-          phrases but carries no bid or budget, so the store cannot
-          build the row from the event alone; callers follow up with
-          :meth:`absorb` of the full object (the property suite pins
-          this contract).
-        """
-        feed.attach(
-            self._on_event,
-            kinds=(
-                "bid_changed",
-                "budget_changed",
-                "advertiser_removed",
-                "phrase_added",
-                "phrase_removed",
-            ),
-        )
-
-    def _on_event(self, event) -> None:
-        kind = event.kind
-        if kind in ("bid_changed", "budget_changed"):
-            self._invalidate_advertiser(event.advertiser_id)
-        elif kind == "advertiser_removed":
-            if event.advertiser_id in self._row_of:
-                self.remove_advertiser(event.advertiser_id)
-        elif kind == "phrase_added":
-            for advertiser_id in sorted(event.advertiser_ids):
-                if advertiser_id in self._row_of:
-                    self.add_interest(advertiser_id, event.phrase)
-        elif kind == "phrase_removed":
-            for advertiser_id, phrases in self._phrases_of.items():
-                phrases.discard(event.phrase)
-                self._overrides_of[advertiser_id].pop(event.phrase, None)
-            self._invalidate_phrase(event.phrase)

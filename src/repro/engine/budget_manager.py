@@ -10,7 +10,7 @@ The books are event-driven: a tick costs the ads that expired and the
 clicks that settled, not one walk over every ledger (DESIGN.md section
 17).  Their unit of work is a stage's *batch* -- every ad a round
 displayed, every click a tick delivered -- booked in one call that
-announces each advertiser it moved once (DESIGN.md section 19).
+notes each advertiser it moved once (DESIGN.md section 19).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.budgets.outstanding import (
     dead_elapsed,
 )
 from repro.budgets.throttle import ThrottleProblem
-from repro.engine.changefeed import BudgetChanged
 from repro.errors import BudgetError
 
 __all__ = ["BudgetManager", "ChargeResult"]
@@ -76,16 +75,6 @@ class BudgetManager:
         budgets_cents: Daily budget per advertiser id.  Advertisers not
             present are unbudgeted (infinite budget).
         decay: Click-decay model for outstanding ads.
-        changefeed: Optional
-            :class:`repro.engine.changefeed.ChangeFeed`.  When present
-            and active, each call that moves the books --
-            :meth:`record_displays`, :meth:`settle_clicks`, an expiry
-            -- publishes one
-            :class:`repro.engine.changefeed.BudgetChanged` per
-            *distinct* advertiser it moved, in ascending id, after the
-            books are updated, so a subscriber learns about
-            throttle-input changes from the source instead of from
-            engine-side bookkeeping.
     """
 
     UNBUDGETED_CENTS = 10**12
@@ -95,7 +84,6 @@ class BudgetManager:
         self,
         budgets_cents: Dict[int, int],
         decay: ClickDecayModel | None = None,
-        changefeed=None,
     ) -> None:
         for advertiser_id, budget in budgets_cents.items():
             if budget < 0:
@@ -106,7 +94,6 @@ class BudgetManager:
         self._spent: Dict[int, int] = {}
         self._decay = decay if decay is not None else NoDecay()
         self._ledgers: Dict[int, OutstandingLedger] = {}
-        self._feed = changefeed
         # (dead_round, advertiser_id, first_handle, count): a run of
         # consecutive handles displayed and not yet due; ads of the run
         # that were settled first are skipped when it comes due.
@@ -117,23 +104,14 @@ class BudgetManager:
         # dead_elapsed by base CTR (it does not depend on the round).
         self._dead_after: Dict[float, float] = {}
 
-    def _publish_changes(self, advertiser_ids: Iterable[int]) -> None:
-        """Note whose books a call moved and announce them, if anyone
-        cares."""
-        self._moved.update(advertiser_ids)
-        feed = self._feed
-        if feed is not None and feed.active:
-            for advertiser_id in sorted(advertiser_ids):
-                feed.publish(BudgetChanged(advertiser_id))
-
     @property
     def decay_varies(self) -> bool:
         """Whether outstanding debt re-weighs as rounds pass.
 
         Under :class:`repro.budgets.outstanding.NoDecay` an ad's
         ``ctr_j`` is constant until the horizon prunes it (and pruning
-        publishes ``BudgetChanged``), so a throttle problem built for
-        one round stays valid in later rounds with no event.  Any other
+        moves the books), so a throttle problem built for one round
+        stays valid in later rounds until its books move.  Any other
         decay model moves every debt-carrying advertiser's b̂ each
         round, so a problem is valid only within the round it was
         built.
@@ -242,7 +220,7 @@ class BudgetManager:
         for run in chain(closed_runs, open_runs.values()):
             heappush(self._expiry, tuple(run))
         self._carriers.update(open_runs)
-        self._publish_changes(open_runs)
+        self._moved.update(open_runs)
         return handles
 
     def settle_click(
@@ -294,7 +272,7 @@ class BudgetManager:
                 spent[advertiser_id] = spent.get(advertiser_id, 0) + charged
             total_charged += charged
             total_forgiven += price_cents - charged
-        self._publish_changes(settled)
+        self._moved.update(settled)
         return total_charged, total_forgiven
 
     def expire_outstanding(self, round_index: int) -> int:
@@ -314,8 +292,9 @@ class BudgetManager:
         outstanding debt and therefore moves its throttled bid, so the
         engine's dirty-set tracking needs the ids, not just the total.
         Removes exactly the ads ``ledger.prune(round_index)`` would on
-        every ledger, and publishes one ``BudgetChanged`` per advertiser
-        that lost ads, in ascending id order (as is the returned dict).
+        every ledger, and notes every advertiser that lost ads for
+        :meth:`drain_book_changes`.  The returned dict is in ascending
+        id order.
         """
         heap = self._expiry
         ledgers = self._ledgers
@@ -329,7 +308,7 @@ class BudgetManager:
         for advertiser_id in expired:
             if not ledgers[advertiser_id]:
                 self._carriers.discard(advertiser_id)
-        self._publish_changes(expired)
+        self._moved.update(expired)
         return expired
 
     @property
@@ -399,10 +378,10 @@ class BudgetManager:
         """The books of every advertiser moved since the last drain.
 
         Whoever a :meth:`record_displays`, :meth:`settle_clicks` or
-        expiry touched -- the sets the change feed is told about -- with
-        what the Section IV quick test reads of each.  One consumer: the
-        engine's standing score columns (DESIGN.md section 21), which
-        re-derive these advertisers' rows and nobody else's.
+        expiry touched, with what the Section IV quick test reads of
+        each.  One consumer: the engine's standing score columns
+        (DESIGN.md section 21), which re-derive these advertisers' rows
+        and nobody else's.
 
         Returns:
             ``(advertiser_ids, remaining_cents, liability_cents,

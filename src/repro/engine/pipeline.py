@@ -44,7 +44,6 @@ from repro.core.ctr import SeparableCTRModel
 from repro.core.money import dollars_to_cents
 from repro.core.topk import ScoredAdvertiser, TopKList, top_k_scan
 from repro.engine.budget_manager import BudgetManager
-from repro.engine.changefeed import BidChanged, ChangeFeed, RoundClosed
 from repro.engine.click_model import ClickRow, DelayedClickModel
 from repro.errors import InvalidAuctionError
 from repro.instrument import NULL, Collector, names as metric_names
@@ -235,10 +234,8 @@ class SharedAuctionEngine:
             :class:`repro.plans.columnar_exec.ColumnarFragmentExecutor`
             keeps fragment top-k rows and answers and finds the changed
             advertisers by diffing every scored row against the score
-            it last absorbed; it takes no change-feed subscription, so
-            this configuration publishes no events.  Outcomes are
-            bit-identical with and without the cache; only the work
-            counters move.
+            it last absorbed.  Outcomes are bit-identical with and
+            without the cache; only the work counters move.
         planner: Stage-2 engine for the shared plan's greedy completion:
             ``"lazy"`` (default, CELF-style incremental rescoring) or
             ``"naive"`` (full rescan each step).  Both build identical
@@ -358,20 +355,7 @@ class SharedAuctionEngine:
             if decay is not None
             else NoDecay(horizon=click_horizon_rounds + 1)
         )
-        # The unified invalidation bus.  Nothing in the engine subscribes
-        # (the columnar exec cache diffs its own scores); an outside
-        # consumer may.  The budget manager and the engine publish to
-        # it.  With no subscriber, `changefeed.active` is False and every
-        # publish site is skipped, so those runs pay nothing.
-        self.changefeed = ChangeFeed(self.collector)
-        self.budget_manager = BudgetManager(
-            budgets, decay_model, changefeed=self.changefeed
-        )
-        # Publisher-side event detection the budget manager cannot see:
-        # auction-multiplicity changes (m_i feeds the throttle problem)
-        # that moved the effective bid.
-        self._last_multiplicity: Dict[int, int] = {}
-        self._last_effective: Dict[int, float] = {}
+        self.budget_manager = BudgetManager(budgets, decay_model)
         self._rng = random.Random(seed)
         self.click_model = DelayedClickModel(
             mean_click_delay_rounds, click_horizon_rounds, self._rng
@@ -402,9 +386,6 @@ class SharedAuctionEngine:
             # kernels only ever read occurring rows.
             self._eff_by_row = np.zeros(store.size, dtype=np.float64)
             self._score_by_row = np.zeros(store.size, dtype=np.float64)
-            # -1 == "never scored", matching the object path's dict-absent
-            # semantics for the multiplicity change feed.
-            self._last_m_row = np.full(store.size, -1, dtype=np.int64)
             self._occurring_rows = None
             # m of a one-phrase round: a prefix of this.
             self._ones = np.ones(store.size, dtype=np.int64)
@@ -447,8 +428,8 @@ class SharedAuctionEngine:
                 # never built.  With exec_cache the executor keeps the
                 # fragment top-k table and the answers alive across
                 # rounds and rescans only fragments touching a row whose
-                # score its own diff saw move (it subscribes to no feed)
-                # -- the DAG-node ancestor cone becomes two CSR gathers.
+                # score its own diff saw move -- the DAG-node ancestor
+                # cone becomes two CSR gathers.
                 from repro.plans.columnar_exec import ColumnarFragmentExecutor
 
                 self._columnar_exec = ColumnarFragmentExecutor(
@@ -556,11 +537,10 @@ class SharedAuctionEngine:
         Serving collapses the round to a single query: the tick delivers
         whatever clicks came due, scores only ``phrase``'s advertisers
         (auction multiplicity is always 1), ranks the one phrase through
-        the configured machinery, allocates, and closes the tick on the
-        change feed.  The serving differential suite asserts this path
-        is outcome-identical to ``run_round([phrase])``, which is what
-        makes the query-at-a-time engine provably equivalent to the
-        batch engine it grew out of.
+        the configured machinery, and allocates.  The serving
+        differential suite asserts this path is outcome-identical to
+        ``run_round([phrase])``, which is what makes the query-at-a-time
+        engine provably equivalent to the batch engine it grew out of.
 
         Args:
             phrase: The single bid phrase the query resolved to.
@@ -636,9 +616,8 @@ class SharedAuctionEngine:
     def _resolve(
         self, phrases: Tuple[str, ...], round_index: int
     ) -> RoundReport:
-        """The four stages over ``phrases`` (sorted), then the round's
-        close on the change feed: one sequence for a batch round and a
-        served query."""
+        """The four stages over ``phrases`` (sorted): one sequence for a
+        batch round and a served query."""
         report = RoundReport(round_index, phrases)
         self._deliver_due_clicks(round_index, report)
         if phrases:
@@ -651,8 +630,6 @@ class SharedAuctionEngine:
             self._allocate_round(
                 phrases, rankings, effective_bid_cents, round_index, report
             )
-        if self.changefeed.active:
-            self.changefeed.publish(RoundClosed(round_index))
         return report
 
     # ------------------------------------------------------------------
@@ -661,12 +638,7 @@ class SharedAuctionEngine:
     def _deliver_due_clicks(
         self, round_index: int, report: RoundReport
     ) -> None:
-        """Stage 1: settle due clicks and expire outstanding ads.
-
-        The budget manager publishes one BudgetChanged per advertiser
-        each of the two calls moved; the engine only publishes what the
-        books cannot see (decaying outstanding debt re-weighing).
-        """
+        """Stage 1: settle due clicks and expire outstanding ads."""
         revenue, forgiven, clicks = self._settle(
             self.click_model.arrivals(round_index)
         )
@@ -676,11 +648,6 @@ class SharedAuctionEngine:
         report.expired_ads = self.budget_manager.expire_outstanding(
             round_index
         )
-        if self.changefeed.active and self.budget_manager.decay_varies:
-            # A decaying model re-weighs every outstanding ad each
-            # round, so any advertiser carrying debt can move.
-            for advertiser_id in sorted(self.budget_manager.debt_carriers):
-                self.changefeed.publish(BidChanged(advertiser_id))
 
     def _settle(self, clicks: Sequence[ClickRow]) -> Tuple[int, int, int]:
         """Settle delivered clicks against the books, as one batch.
@@ -739,23 +706,6 @@ class SharedAuctionEngine:
                 )
             effective_bid_cents[advertiser_id] = effective
             scores[advertiser_id] = effective / 100.0 * advertiser.ctr_factor
-
-        if self.changefeed.active:
-            # The auction multiplicity m_i feeds the throttle problem,
-            # so the effective bid (hence score) can move with no budget
-            # event at all.  An advertiser whose m_i moved since it was
-            # last scored gets a BidChanged if its effective bid moved
-            # with it (always, the first time it is scored): consumers
-            # read bids and scores, never m_i.
-            last_effective = self._last_effective
-            for advertiser_id, m in auctions_of.items():
-                if self._last_multiplicity.get(advertiser_id) != m and (
-                    last_effective.get(advertiser_id)
-                    != effective_bid_cents[advertiser_id]
-                ):
-                    self.changefeed.publish(BidChanged(advertiser_id))
-            self._last_multiplicity.update(auctions_of)
-            last_effective.update(effective_bid_cents)
         return scores, effective_bid_cents
 
     def _sync_book_columns(self) -> int:
@@ -933,21 +883,6 @@ class SharedAuctionEngine:
                     collector.incr(
                         metric_names.COLUMNAR_THROTTLE_FALLBACKS, carriers
                     )
-        if self.changefeed.active:
-            # Same publisher contract as the object path (a multiplicity
-            # change that moved the effective bid, or first sight); the
-            # per-round event *set* is identical, published in
-            # ascending-id order.  Compared against the bids the rows
-            # were last scored with, before those are overwritten.
-            last_m = self._last_m_row[rows]
-            changed = last_m != m
-            if changed.any():
-                moved = changed & (
-                    (last_m < 0) | (self._eff_by_row[rows] != effective_sub)
-                )
-                for advertiser_id in ids_sub[moved].tolist():
-                    self.changefeed.publish(BidChanged(advertiser_id))
-                self._last_m_row[rows] = m
         self._eff_by_row[rows] = effective_sub
         self._score_by_row[rows] = score_sub
         self._occurring_rows = rows
@@ -1255,6 +1190,8 @@ class SharedAuctionEngine:
 
     def run(self, rounds: int) -> EngineReport:
         """Run several rounds, then flush and settle remaining clicks."""
+        if rounds < 0:
+            raise InvalidAuctionError(f"rounds must be >= 0, got {rounds}")
         report = EngineReport()
         for _ in range(rounds):
             report.absorb(self.run_round())

@@ -12,6 +12,7 @@ sharing).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -66,42 +67,33 @@ class RoundBatcher:
     """Groups a time-ordered query stream into fixed-length rounds.
 
     Args:
-        round_length: Round duration in seconds.  Must be positive.  The
-            paper's worked example uses 2/3 s.
-        changefeed: Optional
-            :class:`repro.engine.changefeed.ChangeFeed`.  When present
-            and active, the batcher publishes a ``RoundClosed`` event as
-            each batch is yielded, so feed consumers see the same round
-            boundaries the winner-determination machinery does.
+        round_length: Round duration in seconds.  Must be positive and
+            finite.  The paper's worked example uses 2/3 s.
     """
 
-    def __init__(self, round_length: float, changefeed=None) -> None:
-        if round_length <= 0.0:
+    def __init__(self, round_length: float) -> None:
+        if not (0.0 < round_length < math.inf):
             raise InvalidAuctionError(
-                f"round length must be positive, got {round_length}"
+                f"round length must be positive and finite, got {round_length}"
             )
         self.round_length = round_length
-        self.changefeed = changefeed
-
-    def _close_round(self, batch: RoundBatch) -> RoundBatch:
-        feed = self.changefeed
-        if feed is not None and feed.active:
-            from repro.engine.changefeed import RoundClosed
-
-            feed.publish(RoundClosed(batch.round_index))
-        return batch
 
     def batch(self, queries: Iterable[TimestampedQuery]) -> Iterator[RoundBatch]:
         """Yield rounds in order; empty rounds are skipped.
 
         Raises:
-            InvalidAuctionError: If the stream is not time-ordered.
+            InvalidAuctionError: If the stream is not time-ordered or an
+                arrival time is not finite.
         """
         current: Dict[str, int] = {}
         current_index = 0
         last_time = float("-inf")
         started = False
         for query in queries:
+            if not math.isfinite(query.arrival_time):
+                raise InvalidAuctionError(
+                    f"arrival time must be finite, got {query.arrival_time}"
+                )
             if query.arrival_time < last_time:
                 raise InvalidAuctionError(
                     "query stream must be ordered by arrival time"
@@ -113,21 +105,17 @@ class RoundBatcher:
                 started = True
             if index != current_index:
                 if current:
-                    yield self._close_round(
-                        RoundBatch(
-                            current_index,
-                            current_index * self.round_length,
-                            current,
-                        )
+                    yield RoundBatch(
+                        current_index,
+                        current_index * self.round_length,
+                        current,
                     )
                 current = {}
                 current_index = index
             current[query.phrase] = current.get(query.phrase, 0) + 1
         if current:
-            yield self._close_round(
-                RoundBatch(
-                    current_index, current_index * self.round_length, current
-                )
+            yield RoundBatch(
+                current_index, current_index * self.round_length, current
             )
 
 

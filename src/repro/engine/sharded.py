@@ -8,13 +8,11 @@ no advertiser, budget ledger, plan fragment, or sort stream crosses a
 component boundary.  :class:`ShardedEngine` exploits this by
 partitioning components across ``multiprocessing`` workers, each running
 its own complete :class:`repro.engine.pipeline.SharedAuctionEngine` --
-a shared-nothing exec cache, its own change feed, its own budget
-books -- and merging results only at the boundary:
+a shared-nothing exec cache, its own budget books -- and merging
+results only at the boundary:
 
 - per-round reports are merged phrase-disjointly (allocations are a
   dict union; money and work counters are sums);
-- externally injected change-feed events are routed to the one shard
-  owning the named advertiser or phrase;
 - spent snapshots are the union of the shards' books.
 
 Determinism contract: a fixed ``(advertisers, slot_factors,
@@ -218,10 +216,6 @@ def _shard_worker(conn, advertisers, slot_factors, search_rates, kwargs):
                 payload = engine.settle_remaining_clicks()
             elif command == "spent":
                 payload = engine.budget_manager.spent_snapshot()
-            elif command == "event":
-                if engine.changefeed.active:
-                    engine.changefeed.publish(message[1])
-                payload = None
             elif command == "stats":
                 payload = {
                     "advertisers": len(engine.advertisers),
@@ -305,13 +299,10 @@ class ShardedEngine:
         self.shards = max(1, min(shards, len(self.components)))
         self.requested_shards = shards
         assignment = assign_components(self.components, self.shards)
-        self._shard_of_advertiser: Dict[int, int] = {}
         self._shard_of_phrase: Dict[str, int] = {}
         shard_ids: List[set] = [set() for _ in range(self.shards)]
         for (ids, phrases), shard in zip(self.components, assignment):
             shard_ids[shard].update(ids)
-            for advertiser_id in ids:
-                self._shard_of_advertiser[advertiser_id] = shard
             for phrase in phrases:
                 self._shard_of_phrase[phrase] = shard
         by_id = {a.advertiser_id: a for a in self.advertisers}
@@ -435,31 +426,6 @@ class ShardedEngine:
         for snapshot in self._broadcast(("spent",)):
             merged.update(snapshot)
         return dict(sorted(merged.items()))
-
-    def publish(self, event) -> None:
-        """Route one change-feed event to the shard that owns it.
-
-        Events naming an advertiser go to that advertiser's shard;
-        events naming a phrase go to the phrase's shard.  The receiving
-        worker re-publishes on its engine's feed (a no-op when nothing
-        subscribes, same as the in-process engine).
-        """
-        advertiser_id = getattr(event, "advertiser_id", None)
-        if advertiser_id is not None:
-            shard = self._shard_of_advertiser.get(advertiser_id)
-            if shard is None:
-                raise InvalidAuctionError(
-                    f"unknown advertiser {advertiser_id}"
-                )
-        else:
-            phrase = getattr(event, "phrase", None)
-            shard = self._shard_of_phrase.get(phrase)
-            if shard is None:
-                raise InvalidAuctionError(
-                    f"cannot route event {event!r} to a shard"
-                )
-        self._pipes[shard].send(("event", event))
-        self._receive(shard)
 
     def stats(self) -> List[Dict]:
         """Per-shard population and progress figures."""

@@ -93,18 +93,6 @@ name                      meaning (paper reference)
                           the ``O(min(2^l, l·β))`` DP/enumeration ran
                           (or, for a kept columnar problem, its standing
                           ``min(β, S_l)`` array was asked again).
-``bus.events_published``  events published on the engine's unified
-                          change feed
-                          (:class:`repro.engine.changefeed.ChangeFeed`).
-                          Follows *who* moved, not how often: one
-                          ``BudgetChanged`` per distinct advertiser per
-                          booking call, one ``BidChanged`` per
-                          advertiser whose effective bid moved with its
-                          auction multiplicity.
-``bus.events_consumed``   event deliveries: queue drains plus push-
-                          handler invocations.  An event delivered to
-                          two subscribers counts twice; an unmatched
-                          event counts zero.
 ``columnar.score_batches``  vectorized scoring batches executed by the
                           columnar engine (one per round with occurring
                           phrases under ``layout="columnar"``).
@@ -163,7 +151,7 @@ name                      meaning (paper reference)
                           ads expired.
 ``engine.stage.score``    *timer*: stage 2 -- effective bids and scores
                           of the occurring advertisers (Section IV
-                          throttle) and the ``BidChanged`` publishes.
+                          throttle).
 ``engine.stage.rank``     *timer*: stage 3 -- the occurring phrases'
                           top-(k + 1) through the shared plan, the
                           shared sort + threshold algorithm or scans.
@@ -228,8 +216,6 @@ __all__ = [
     "TA_STAGES",
     "TA_STOP_DEPTH",
     "THROTTLE_EXACT_FALLBACKS",
-    "BUS_EVENTS_PUBLISHED",
-    "BUS_EVENTS_CONSUMED",
     "COLUMNAR_SCORE_BATCHES",
     "COLUMNAR_SCORE_ROWS",
     "COLUMNAR_BOOK_ROWS_SYNCED",
@@ -301,10 +287,6 @@ TA_STOP_DEPTH = "ta.stop_depth"
 
 # Section IV throttling (exact b̂ in the scoring stage).
 THROTTLE_EXACT_FALLBACKS = "throttle.exact_fallbacks"
-
-# Unified change feed.
-BUS_EVENTS_PUBLISHED = "bus.events_published"
-BUS_EVENTS_CONSUMED = "bus.events_consumed"
 
 # Columnar (struct-of-arrays) kernels.
 COLUMNAR_SCORE_BATCHES = "columnar.score_batches"

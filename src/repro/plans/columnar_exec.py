@@ -37,11 +37,11 @@ the table, the ``dirty`` / ``stale`` bits and every query's last answer
 between rounds, plus a last-seen score column, a seen mask and per-row
 epochs.  Invalidation is the executor's own score diff: one vectorized
 compare of the round's scored rows against the snapshot, a row being
-dirty on first sight or when its score moved.  It needs no change feed
--- every row a round reads is compared, so no declaration could add a
-row and none may remove one.  A query whose ``stale`` bit is clear is
-handed its previous ``TopKList`` object; a round in which nothing
-requested is stale calls the kernel zero times.  Without
+dirty on first sight or when its score moved.  It needs no outside
+notice of who moved -- every row a round reads is compared, so no
+declaration could add a row and none may remove one.  A query whose
+``stale`` bit is clear is handed its previous ``TopKList`` object; a
+round in which nothing requested is stale calls the kernel zero times.  Without
 ``cross_round`` the same routine runs over a scratch table in which
 everything is dirty.
 """

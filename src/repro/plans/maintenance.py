@@ -92,63 +92,6 @@ class PlanMaintainer:
             listener(plan)
 
     # ------------------------------------------------------------------
-    # change-feed consumption
-    # ------------------------------------------------------------------
-    def connect(self, feed) -> None:
-        """Consume market-churn events from a change feed.
-
-        Args:
-            feed: A :class:`repro.engine.changefeed.ChangeFeed`
-                (duck-typed).  The maintainer attaches a *push* handler
-                for the four churn kinds -- ``advertiser_added`` /
-                ``advertiser_removed`` / ``phrase_added`` /
-                ``phrase_removed`` -- so the plan is repaired inside the
-                publishing call and the very next round already runs
-                against the updated structure.  Each repair fires the
-                plan-change listeners (:meth:`subscribe`) as usual, so a
-                listener sees the repaired plan from one published
-                event.
-        """
-        feed.attach(
-            self._apply_event,
-            kinds=(
-                "advertiser_added",
-                "advertiser_removed",
-                "phrase_added",
-                "phrase_removed",
-            ),
-        )
-
-    def _apply_event(self, event) -> None:
-        """Translate one churn event into interest-map mutations."""
-        kind = event.kind
-        if kind == "phrase_added":
-            self.add_phrase(
-                event.phrase, set(event.advertiser_ids), event.search_rate
-            )
-        elif kind == "phrase_removed":
-            self.drop_phrase(event.phrase)
-        elif kind == "advertiser_added":
-            for phrase in sorted(event.phrases):
-                if phrase in self._interests:
-                    self.add_interest(phrase, event.advertiser_id)
-                else:
-                    self.add_phrase(phrase, {event.advertiser_id})
-        elif kind == "advertiser_removed":
-            member_of = sorted(
-                phrase
-                for phrase, ids in self._interests.items()
-                if event.advertiser_id in ids
-            )
-            for phrase in member_of:
-                if len(self._interests[phrase]) == 1:
-                    self.drop_phrase(phrase)
-                else:
-                    self.remove_interest(phrase, event.advertiser_id)
-        else:  # pragma: no cover - the kind filter prevents this
-            raise InvalidPlanError(f"unexpected event kind {kind!r}")
-
-    # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def interests(self) -> Dict[str, FrozenSet[Variable]]:
@@ -215,6 +158,32 @@ class PlanMaintainer:
         del self._interests[phrase]
         self._rates.pop(phrase, None)
         self._after_change()
+
+    def add_advertiser(
+        self, advertiser_id: Variable, phrases: Set[str]
+    ) -> None:
+        """A new advertiser enters bidding on ``phrases``: it joins each
+        phrase that exists, and each one that does not is created with
+        it as the sole member (at search rate 1.0)."""
+        for phrase in sorted(phrases):
+            if phrase in self._interests:
+                self.add_interest(phrase, advertiser_id)
+            else:
+                self.add_phrase(phrase, {advertiser_id})
+
+    def remove_advertiser(self, advertiser_id: Variable) -> None:
+        """An advertiser leaves the market: it stops bidding on every
+        phrase, and each phrase it was the sole member of is dropped."""
+        member_of = sorted(
+            phrase
+            for phrase, ids in self._interests.items()
+            if advertiser_id in ids
+        )
+        for phrase in member_of:
+            if len(self._interests[phrase]) == 1:
+                self.drop_phrase(phrase)
+            else:
+                self.remove_interest(phrase, advertiser_id)
 
     # ------------------------------------------------------------------
     # internals

@@ -34,7 +34,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.changefeed import QueryServed
 from repro.engine.pipeline import RoundReport, SharedAuctionEngine
 from repro.errors import InvalidAuctionError
 from repro.instrument import Collector, names as metric_names
@@ -178,10 +177,6 @@ class ServingEngine:
         self.latency.record(elapsed)
         self.queries_served += 1
         collector.incr(metric_names.SERVE_QUERIES)
-        if engine.changefeed.active:
-            engine.changefeed.publish(
-                QueryServed(arrival.index, arrival.phrase)
-            )
         return QueryReport(
             query_index=arrival.index,
             tick=round_report.round_index,

@@ -3,8 +3,8 @@
 The columnar store's whole value rests on one invariant: the arrays and
 the object API are two views of the *same* population.  Any mutation
 expressed through the object API (``with_bid`` copies absorbed back,
-phrase churn driven through the engine's maintenance layer, change-feed
-events) must be visible in the arrays, and any array-side mutation must
+phrase churn driven through the engine's maintenance layer) must be
+visible in the arrays, and any array-side mutation must
 be visible through the views -- including the derived per-phrase caches,
 which are invalidated rather than recomputed eagerly and are therefore
 the easiest place for staleness to hide.
@@ -25,14 +25,6 @@ from hypothesis import strategies as st
 
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import ColumnarStore
-from repro.engine.changefeed import (
-    AdvertiserRemoved,
-    BidChanged,
-    BudgetChanged,
-    ChangeFeed,
-    PhraseAdded,
-    PhraseRemoved,
-)
 
 PHRASES = ["p0", "p1", "p2", "p3"]
 
@@ -229,89 +221,3 @@ class TestColumnarToObject:
                 del model[target]
             assert_equivalent(store, model)
 
-
-class TestChangeFeedInvalidation:
-    """Events on a connected feed keep the derived arrays honest."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(population=populations(min_size=2), data=st.data())
-    def test_event_program(self, population, data):
-        store = ColumnarStore(population)
-        model = {a.advertiser_id: a for a in population}
-        feed = ChangeFeed()
-        store.connect(feed)
-        for phrase in store.phrases():
-            store.phrase_ctr_rank_positions(phrase)
-        for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
-            kind = data.draw(
-                st.sampled_from(
-                    ["bid", "budget", "removed", "phrase_added",
-                     "phrase_removed"]
-                )
-            )
-            if kind == "bid":
-                # The event is the *notification*; the value change
-                # itself arrives through the arrays (as the engine's
-                # budget manager and bid books do in production).
-                target = data.draw(st.sampled_from(sorted(model)))
-                bid = data.draw(bids)
-                store.set_bid(target, bid)
-                model[target] = model[target].with_bid(bid)
-                feed.publish(BidChanged(target))
-            elif kind == "budget":
-                target = data.draw(st.sampled_from(sorted(model)))
-                feed.publish(BudgetChanged(target))
-            elif kind == "removed" and len(model) > 1:
-                target = data.draw(st.sampled_from(sorted(model)))
-                feed.publish(AdvertiserRemoved(target))
-                del model[target]
-            elif kind == "phrase_added":
-                phrase = data.draw(st.sampled_from(PHRASES))
-                member_pool = sorted(model)
-                members = data.draw(
-                    st.sets(
-                        st.sampled_from(member_pool), min_size=1
-                    )
-                )
-                feed.publish(
-                    PhraseAdded(phrase, frozenset(members))
-                )
-                for member in members:
-                    model[member] = model[member].with_phrases(
-                        model[member].phrases | {phrase}
-                    )
-            elif kind == "phrase_removed":
-                phrase = data.draw(st.sampled_from(PHRASES))
-                feed.publish(PhraseRemoved(phrase))
-                for advertiser_id in list(model):
-                    source = model[advertiser_id]
-                    if not source.interested_in(phrase):
-                        if phrase not in source.phrase_ctr_factors:
-                            continue
-                    model[advertiser_id] = Advertiser(
-                        advertiser_id,
-                        bid=source.bid,
-                        ctr_factor=source.ctr_factor,
-                        daily_budget=source.daily_budget,
-                        phrases=frozenset(source.phrases - {phrase}),
-                        phrase_ctr_factors={
-                            p: c
-                            for p, c in source.phrase_ctr_factors.items()
-                            if p != phrase
-                        },
-                    )
-            survivors = {
-                advertiser_id: source
-                for advertiser_id, source in model.items()
-                if source.phrases
-            }
-            # Phrase removal can leave an advertiser phrase-less; the
-            # store keeps the row (it only drops rows on
-            # advertiser_removed), so compare on the full model but
-            # skip the live-phrase assertion for empty members.
-            if survivors == model:
-                assert_equivalent(store, model)
-            else:
-                for advertiser_id, source in model.items():
-                    view = store.advertiser(advertiser_id)
-                    assert view.phrases == source.phrases

@@ -15,7 +15,7 @@ unbudgeted one, which keeps no books at all: handle ``-1``, every click
 charged in full, never a mover (DESIGN section 17).  The batch
 calls (``record_displays`` / ``settle_clicks``, DESIGN section 19) run
 against the same oracle fed one ad at a time: same handles, books and
-expiries, one event per distinct advertiser, and a bad row anywhere
+expiries, one mover per distinct advertiser, and a bad row anywhere
 refuses the whole batch.
 """
 
@@ -36,7 +36,6 @@ from repro.budgets.outstanding import (
     OutstandingLedger,
 )
 from repro.engine.budget_manager import BudgetManager
-from repro.engine.changefeed import BudgetChanged, ChangeFeed
 from repro.errors import BudgetError
 
 ADVERTISERS = (1, 2, 3, 7)
@@ -136,21 +135,24 @@ class BudgetBooksMachine(RuleBasedStateMachine):
 
     def __init__(self) -> None:
         super().__init__()
-        self.feed = ChangeFeed()
-        self.subscription = self.feed.subscribe("books")
-        self.manager = BudgetManager(
-            BUDGETS, decay=self.decay, changefeed=self.feed
-        )
+        self.manager = BudgetManager(BUDGETS, decay=self.decay)
         self.oracle = WalkingBooks(BUDGETS, self.decay)
         # Every handle ever issued, settled and expired ones included.
         self.issued: List[Tuple[int, int, int, int]] = []
         # (remaining, liability, carries debt) as last drained.
         self.drained_books: Dict[int, Tuple[int, int, bool]] = {}
 
-    def _published(self) -> List[int]:
-        events = self.subscription.drain()
-        assert all(isinstance(event, BudgetChanged) for event in events)
-        return [event.advertiser_id for event in events]
+    def _movers(self) -> List[int]:
+        """Whom the calls since the last drain moved, ascending, with
+        their books recorded as drained."""
+        ids, remaining, liability, carrying = (
+            self.manager.drain_book_changes()
+        )
+        assert len(set(ids)) == len(ids)
+        self.drained_books.update(
+            zip(ids, zip(remaining, liability, carrying))
+        )
+        return sorted(ids)
 
     @rule(
         advertiser=st.sampled_from(ADVERTISERS),
@@ -166,7 +168,7 @@ class BudgetBooksMachine(RuleBasedStateMachine):
             advertiser, price, ctr, round_index
         )
         self.issued.append((advertiser, price, round_index, handle))
-        assert self._published() == _budgeted([advertiser])
+        assert self._movers() == _budgeted([advertiser])
 
     @rule(
         ads=st.lists(
@@ -200,7 +202,7 @@ class BudgetBooksMachine(RuleBasedStateMachine):
         )
         # Exactly the batch's distinct budgeted advertisers, ascending,
         # once each.
-        assert self._published() == _budgeted(advertisers)
+        assert self._movers() == _budgeted(advertisers)
         # One queue entry per run of an advertiser's ads dying together.
         assert len(self.manager._expiry) - queued <= _ctr_runs(ads)
 
@@ -235,7 +237,7 @@ class BudgetBooksMachine(RuleBasedStateMachine):
             )
         assert self.manager._expiry == queued
         assert self.manager.debt_carriers == carriers
-        assert self._published() == []
+        assert self._movers() == []
 
     @rule(data=st.data())
     def settle_batch(self, data) -> None:
@@ -262,7 +264,7 @@ class BudgetBooksMachine(RuleBasedStateMachine):
             sum(charged for charged, _ in charges),
             sum(forgiven for _, forgiven in charges),
         )
-        assert self._published() == _budgeted(click[0] for click in clicks)
+        assert self._movers() == _budgeted(click[0] for click in clicks)
 
     @rule(data=st.data())
     def settle_by_handle(self, data) -> None:
@@ -298,22 +300,22 @@ class BudgetBooksMachine(RuleBasedStateMachine):
             charge.charged_cents,
             charge.forgiven_cents,
         ) == self.oracle.settle_click(advertiser, price, shown, handle)
-        assert self._published() == _budgeted([advertiser])
+        assert self._movers() == _budgeted([advertiser])
 
     @rule(round_index=st.integers(min_value=-1, max_value=MAX_ROUND + 8))
     def expire(self, round_index) -> None:
         expired = self.manager.expire_outstanding_by_advertiser(round_index)
         assert expired == self.oracle.expire(round_index)
         assert list(expired) == sorted(expired)
-        # One event per advertiser that lost ads, ascending id.
-        assert self._published() == sorted(expired)
+        # One mover per advertiser that lost ads.
+        assert self._movers() == sorted(expired)
 
     @rule(round_index=st.integers(min_value=-1, max_value=MAX_ROUND + 8))
     def expire_total(self, round_index) -> None:
         total = self.manager.expire_outstanding(round_index)
         expected = self.oracle.expire(round_index)
         assert total == sum(expected.values())
-        assert set(self._published()) == set(expected)
+        assert self._movers() == sorted(expected)
 
     @invariant()
     def books_agree(self) -> None:

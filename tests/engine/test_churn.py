@@ -1,10 +1,9 @@
-"""Market churn through the bus: the plan maintainer repairs as it hears.
+"""Market churn: the plan maintainer repairs as it is told.
 
-Advertisers and phrases enter and leave mid-run as
-``AdvertiserAdded`` / ``AdvertiserRemoved`` / ``PhraseAdded`` /
-``PhraseRemoved`` events on one :class:`ChangeFeed`.  The
-:class:`PlanMaintainer` consumes them through its push handler and
-repairs the plan inside the publishing call.  After every step the
+Advertisers and phrases enter and leave mid-run through
+:class:`PlanMaintainer`'s methods (``add_advertiser`` /
+``remove_advertiser`` / ``add_phrase`` / ``drop_phrase``), each of
+which repairs the plan before it returns.  After every step the
 repaired plan, run through a fresh :class:`PlanExecutor`, must answer
 every live phrase exactly like an independent scan, and a shared-sort
 plan built from the live interests must stream every phrase's bids in
@@ -16,14 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.topk import top_k_scan
-from repro.engine.changefeed import (
-    AdvertiserAdded,
-    AdvertiserRemoved,
-    BidChanged,
-    ChangeFeed,
-    PhraseAdded,
-    PhraseRemoved,
-)
 from repro.errors import InvalidPlanError
 from repro.plans.executor import PlanExecutor
 from repro.plans.maintenance import PlanMaintainer
@@ -40,18 +31,16 @@ def drain(stream):
 
 
 class ChurnHarness:
-    """A maintainer on a feed, checked against fresh oracles."""
+    """A maintainer, checked against fresh oracles."""
 
     K = 2
     CTR = {a: 0.5 + 0.05 * a for a in range(12)}
 
     def __init__(self):
-        self.feed = ChangeFeed()
         self.maintainer = PlanMaintainer(
             {"p": {0, 1, 2}, "q": {2, 3, 4}, "r": {4, 5, 0}},
             replan_after=8,
         )
-        self.maintainer.connect(self.feed)
         self.plans = []
         self.maintainer.subscribe(self.plans.append)
         self.bids = {a: float(a % 7 + 1) for a in range(6)}
@@ -88,9 +77,7 @@ class TestAdvertiserChurn:
         harness = ChurnHarness()
         harness.run_round_and_check()
         harness.bids[6] = 9.0
-        harness.feed.publish(
-            AdvertiserAdded(6, frozenset({"p", "brand-new"}))
-        )
+        harness.maintainer.add_advertiser(6, {"p", "brand-new"})
         interests = harness.maintainer.interests()
         assert 6 in interests["p"]
         assert interests["brand-new"] == frozenset({6})
@@ -105,9 +92,9 @@ class TestAdvertiserChurn:
         harness = ChurnHarness()
         harness.run_round_and_check()
         harness.bids[7] = 3.0
-        harness.feed.publish(AdvertiserAdded(7, frozenset({"solo", "q"})))
+        harness.maintainer.add_advertiser(7, {"solo", "q"})
         harness.run_round_and_check()
-        harness.feed.publish(AdvertiserRemoved(7))
+        harness.maintainer.remove_advertiser(7)
         del harness.bids[7]
         interests = harness.maintainer.interests()
         assert "solo" not in interests, "singleton phrase must be dropped"
@@ -120,13 +107,13 @@ class TestAdvertiserChurn:
         harness = ChurnHarness()
         harness.run_round_and_check()
         harness.bids[8] = 2.0
-        harness.feed.publish(AdvertiserAdded(8, frozenset({"r"})))
+        harness.maintainer.add_advertiser(8, {"r"})
         harness.run_round_and_check()
-        harness.feed.publish(AdvertiserRemoved(8))
+        harness.maintainer.remove_advertiser(8)
         del harness.bids[8]
         harness.run_round_and_check()
         harness.bids[8] = 11.0  # different bid on re-entry
-        harness.feed.publish(AdvertiserAdded(8, frozenset({"p"})))
+        harness.maintainer.add_advertiser(8, {"p"})
         harness.run_round_and_check()
 
 
@@ -134,40 +121,39 @@ class TestPhraseChurn:
     def test_phrase_added_and_removed(self):
         harness = ChurnHarness()
         harness.run_round_and_check()
-        harness.feed.publish(PhraseAdded("z", frozenset({1, 3}), 0.8))
+        harness.maintainer.add_phrase("z", {1, 3}, 0.8)
         interests = harness.maintainer.interests()
         assert interests["z"] == frozenset({1, 3})
         harness.run_round_and_check()
-        harness.feed.publish(PhraseRemoved("z"))
+        harness.maintainer.drop_phrase("z")
         assert "z" not in harness.maintainer.interests()
         harness.run_round_and_check()
 
-    def test_duplicate_phrase_add_raises_through_the_bus(self):
+    def test_duplicate_phrase_add_raises(self):
         harness = ChurnHarness()
         with pytest.raises(InvalidPlanError, match="already exists"):
-            harness.feed.publish(PhraseAdded("p", frozenset({1})))
+            harness.maintainer.add_phrase("p", {1})
 
-    def test_unknown_phrase_removal_raises_through_the_bus(self):
+    def test_unknown_phrase_removal_raises(self):
         harness = ChurnHarness()
         with pytest.raises(InvalidPlanError, match="unknown phrase"):
-            harness.feed.publish(PhraseRemoved("never-existed"))
+            harness.maintainer.drop_phrase("never-existed")
 
 
 class TestChurnAndValueChangesCompose:
     def test_interleaved_churn_bids_and_rounds(self):
         harness = ChurnHarness()
         harness.run_round_and_check()
-        # Structural and value events in the same inter-round gap.
+        # Structural and value changes in the same inter-round gap: a
+        # bid moves the scores only, never the plan.
         harness.bids[2] = 12.0
-        harness.feed.publish(BidChanged(2))
         harness.bids[9] = 6.5
-        harness.feed.publish(AdvertiserAdded(9, frozenset({"q", "r"})))
+        harness.maintainer.add_advertiser(9, {"q", "r"})
         harness.run_round_and_check()
-        harness.feed.publish(PhraseAdded("w", frozenset({0, 9}), 0.5))
+        harness.maintainer.add_phrase("w", {0, 9}, 0.5)
         harness.bids[9] = 1.5
-        harness.feed.publish(BidChanged(9))
         harness.run_round_and_check()
-        harness.feed.publish(AdvertiserRemoved(9))
+        harness.maintainer.remove_advertiser(9)
         del harness.bids[9]
         # Phrase "w" survives with advertiser 0 alone.
         assert harness.maintainer.interests()["w"] == frozenset({0})
@@ -183,7 +169,7 @@ class TestChurnAndValueChangesCompose:
             query.name: before.node(before.query_node(query)).varset
             for query in before.instance.queries
         }
-        harness.feed.publish(PhraseAdded("extra", frozenset({1, 5}), 0.9))
+        harness.maintainer.add_phrase("extra", {1, 5}, 0.9)
         after = harness.maintainer.plan
         assert after is not before
         for name, varset in kept.items():

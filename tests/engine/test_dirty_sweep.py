@@ -1,6 +1,4 @@
-"""The columnar exec cache under a controlled dirty-fraction sweep, and
-an engine whose only cross-round cache diffs its own scores publishes
-nothing on the change feed.
+"""The columnar exec cache under a controlled dirty-fraction sweep.
 
 The sweep drives a cross-round :class:`ColumnarFragmentExecutor` with
 nested dirty sets covering 1% to 100% of a 100-advertiser population
@@ -11,10 +9,6 @@ and pins its contract against the uncached executor and the object
 - the rows a round treats as dirty are exactly the rows that moved;
 - cached work never exceeds uncached work, grows with the fraction
   (nested dirty sets), and equals it once every row moves.
-
-The feed is active only while something subscribes, and nothing inside
-the engine does: without an outside subscriber every publish site is
-skipped, with the exec cache on or off.
 """
 
 from __future__ import annotations
@@ -199,69 +193,3 @@ class TestExecCacheIsOutcomeInvisible:
             names.PLAN_LEAF_SCANS
         ) < plain_collector.counter(names.PLAN_LEAF_SCANS)
 
-
-class TestNothingSubscribes:
-    def test_uncached_engine_publishes_nothing(self):
-        market = _small_market(3)
-        engine = SharedAuctionEngine(
-            market.advertisers,
-            slot_factors=[0.3, 0.2, 0.1],
-            search_rates=market.search_rates,
-            mode="shared",
-            seed=3,
-        )
-        engine.run(4)
-        assert not engine.changefeed.active
-        assert engine.changefeed.events_published == 0
-
-    def test_columnar_exec_cache_publishes_nothing(self):
-        # The columnar exec cache invalidates by its own score diff and
-        # takes no subscription: with it on, the feed stays inactive.
-        pytest.importorskip("numpy")
-        market = _small_market(3)
-        engine = SharedAuctionEngine(
-            market.advertisers,
-            slot_factors=[0.3, 0.2, 0.1],
-            search_rates=market.search_rates,
-            mode="shared",
-            layout="columnar",
-            exec_cache=True,
-            seed=3,
-        )
-        report = engine.run(6)
-        assert report.displays > 0
-        assert not engine.changefeed.active
-        assert engine.changefeed.events_published == 0
-
-    def test_a_probe_surfaces_bus_counters_in_engine_report(self):
-        market = _small_market(3)
-        collector = MetricsCollector()
-        engine = SharedAuctionEngine(
-            market.advertisers,
-            slot_factors=[0.3, 0.2, 0.1],
-            search_rates=market.search_rates,
-            mode="shared",
-            seed=3,
-            collector=collector,
-        )
-        probe = engine.changefeed.subscribe("probe")
-        report = engine.run(6)
-        assert engine.changefeed.active
-        assert report.counters[names.BUS_EVENTS_PUBLISHED] > 0
-        # The lifetime collector count matches the feed exactly; the
-        # round-delta rollup may trail it because the end-of-run click
-        # flush publishes between rounds, outside any RoundReport.
-        assert engine.changefeed.events_published == collector.counter(
-            names.BUS_EVENTS_PUBLISHED
-        )
-        assert (
-            report.counters[names.BUS_EVENTS_PUBLISHED]
-            <= engine.changefeed.events_published
-        )
-        # Nothing inside the engine drains: every event waits for the
-        # probe, and is consumed once when it drains.
-        assert collector.counter(names.BUS_EVENTS_CONSUMED) == 0
-        assert probe.pending == engine.changefeed.events_published
-        drained = probe.drain()
-        assert len(drained) == engine.changefeed.events_published
-        assert collector.counter(names.BUS_EVENTS_CONSUMED) == len(drained)

@@ -88,12 +88,60 @@ class TestRoundResolution:
         report_u = unshared.run(rounds)
         assert report_s.scans < report_u.scans
 
+    def test_negative_round_count_rejected_before_any_state(self, population):
+        engine = build_engine(population)
+        twin = build_engine(population)
+        engine.run_round(["boots", "heels"])
+        twin.run_round(["boots", "heels"])
+        rng_state = engine._rng.getstate()
+        with pytest.raises(InvalidAuctionError, match="rounds must be >= 0"):
+            engine.run(-3)
+        assert engine._round_index == 1
+        assert engine._rng.getstate() == rng_state
+        # run(0) still flushes what the round left in flight.
+        report = engine.run(0)
+        assert report.rounds == 0
+        assert (
+            report.revenue_cents, report.forgiven_cents, report.clicks
+        ) == twin.settle_remaining_clicks()
+
     def test_work_counters_populate(self, population):
         engine = build_engine(population)
         report = engine.run(10)
         assert report.rounds == 10
         assert report.merges >= 0
         assert len(report.history) == 10
+
+
+class TestTheRoundClock:
+    """Batch rounds, served queries and ``run`` share one tick counter:
+    each takes the next index and reports only its own phrases."""
+
+    @pytest.mark.parametrize("layout", ("object", "columnar"))
+    @pytest.mark.parametrize("mode", ("unshared", "shared", "shared-sort"))
+    def test_every_round_and_query_takes_the_next_tick(
+        self, population, mode, layout
+    ):
+        if layout == "columnar":
+            pytest.importorskip("numpy")
+        engine = build_engine(population, mode=mode, layout=layout)
+        reports = [
+            engine.run_round(["boots", "heels"]),
+            engine.serve_query("sandals"),
+            engine.run_round([]),
+            *engine.run(2).history,
+            engine.serve_query("boots"),
+        ]
+        assert [r.round_index for r in reports] == list(range(6))
+        assert [r.occurring_phrases for r in reports[:3]] == [
+            ("boots", "heels"), ("sandals",), (),
+        ]
+        assert reports[5].occurring_phrases == ("boots",)
+        for report in reports:
+            assert set(report.allocations) <= set(report.occurring_phrases)
+            assert report.displays == sum(
+                map(len, report.allocations.values())
+            )
 
 
 class TestBudgets:

@@ -1,10 +1,9 @@
-"""The books and the feed cost *who* moved, not how often (DESIGN 19).
+"""The books cost *who* moved, not how often (DESIGN 19).
 
 Beside ``test_budget_books_cost.py`` (a tick costs what changed): a
-round's displays are one booking call that announces each advertiser
-once and queues one expiry entry per run, and the engine announces a
-multiplicity change only when it moved the effective bid.  Counts of
-events and queue entries, never time.
+round's displays are one booking call that notes each advertiser once
+for ``drain_book_changes`` and queues one expiry entry per run.  Counts
+of movers and queue entries, never time.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.budgets.outstanding import NoDecay, OutstandingLedger
 from repro.core.advertiser import Advertiser
 from repro.engine import budget_manager
 from repro.engine.budget_manager import BudgetManager
-from repro.engine.changefeed import BudgetChanged, ChangeFeed
 from repro.engine.click_model import DelayedClickModel
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.workloads.fig4 import fig4_market
@@ -50,29 +48,30 @@ def _budgeted(num_advertisers):
     return dict.fromkeys(range(num_advertisers), 10**9)
 
 
+def _movers(manager):
+    """The ids ``drain_book_changes`` hands out (and clears)."""
+    return manager.drain_book_changes()[0]
+
+
 class TestOneRoundOneBooking:
     def _round(self):
         return _displays(200, 20)
 
     def test_200_displays_over_20_advertisers(self):
-        feed = ChangeFeed()
-        events = feed.subscribe("probe")
-        manager = BudgetManager(
-            _budgeted(20), NoDecay(horizon=17), changefeed=feed
-        )
+        manager = BudgetManager(_budgeted(20), NoDecay(horizon=17))
         advertisers, prices, ctrs = self._round()
         handles = manager.record_displays(advertisers, prices, ctrs, 4)
         assert len(handles) == 200
-        # One BudgetChanged per distinct advertiser, ascending.
-        assert events.drain() == [BudgetChanged(i) for i in range(20)]
+        # One id per distinct advertiser, not one per display.
+        assert sorted(_movers(manager)) == list(range(20))
         # Every CTR is positive, so an advertiser's ads die together:
         # one expiry entry each, not one per ad.
         assert len(manager._expiry) <= 20
         assert manager.debt_carriers == set(range(20))
         assert manager.expire_outstanding(4 + 16) == 0
-        assert events.drain() == []
+        assert _movers(manager) == []
         assert manager.expire_outstanding(4 + 17) == 200
-        assert events.drain() == [BudgetChanged(i) for i in range(20)]
+        assert sorted(_movers(manager)) == list(range(20))
         assert not manager._expiry and not manager.debt_carriers
 
     def test_handles_name_the_ads_of_the_batch_in_order(self):
@@ -92,16 +91,12 @@ class TestOneRoundOneBooking:
                 for ad in manager._ledgers[advertiser].ads
             ] == mine
 
-    def test_a_tick_of_clicks_is_one_event_per_payer(self):
-        feed = ChangeFeed()
-        events = feed.subscribe("probe")
-        manager = BudgetManager(
-            {1: 150, 2: 1_000}, NoDecay(horizon=17), changefeed=feed
-        )
+    def test_a_tick_of_clicks_is_one_mover_per_payer(self):
+        manager = BudgetManager({1: 150, 2: 1_000}, NoDecay(horizon=17))
         handles = manager.record_displays(
             [1, 2, 1, 1], [100, 40, 100, 100], [0.5] * 4, 0
         )
-        events.drain()
+        _movers(manager)
         totals = manager.settle_clicks(
             [
                 (1, 100, 0, handles[0]),
@@ -113,7 +108,7 @@ class TestOneRoundOneBooking:
         # and the third click's other 50 forgiven.
         assert totals == (190, 50)
         assert manager.spent_snapshot() == {1: 150, 2: 40}
-        assert events.drain() == [BudgetChanged(1), BudgetChanged(2)]
+        assert sorted(_movers(manager)) == [1, 2]
         assert manager.outstanding_counts() == {1: 1}
 
 
@@ -143,24 +138,21 @@ class TestUnbudgetedRoundBooksNothing:
         return calls, pushed
 
     def _session(self, budgets):
-        feed = ChangeFeed()
-        events = feed.subscribe("probe")
-        manager = BudgetManager(budgets, NoDecay(horizon=17), changefeed=feed)
+        manager = BudgetManager(budgets, NoDecay(horizon=17))
         advertisers, prices, ctrs = _displays(720, 60)
         handles = manager.record_displays(advertisers, prices, ctrs, 4)
         clicks = list(zip(advertisers, prices, [4] * 720, handles))[::3]
         totals = manager.settle_clicks(clicks)
         manager.expire_outstanding(4 + 17)
-        return manager, events, handles, clicks, totals
+        return manager, handles, clicks, totals
 
     def test_a_720_display_round_touches_no_ledger(self, booked):
         calls, pushed = booked
-        manager, events, handles, clicks, totals = self._session({})
+        manager, handles, clicks, totals = self._session({})
         assert handles == [-1] * 720
         assert not calls
         assert not pushed
         assert manager.drain_book_changes() == ([], [], [], [])
-        assert events.drain() == []
         assert not manager.debt_carriers
         assert manager.earliest_dead_round == float("inf")
         # Every click is charged in full, and the spend is still kept.
@@ -172,12 +164,11 @@ class TestUnbudgetedRoundBooksNothing:
 
     def test_the_same_round_budgeted_books_every_ad(self, booked):
         calls, pushed = booked
-        manager, events, handles, _, _ = self._session(_budgeted(60))
+        manager, handles, _, _ = self._session(_budgeted(60))
         assert -1 not in handles
         assert calls["add"] == 720
         assert 60 <= len(pushed) <= 2 * 60
-        assert len(manager.drain_book_changes()[0]) == 60
-        assert events.drain()
+        assert sorted(_movers(manager)) == list(range(60))
 
     def test_an_unbudgeted_engine_round_moves_no_row(self):
         pytest.importorskip("numpy")
@@ -262,11 +253,27 @@ def _varying_rounds(phrases, rounds, seed):
     ]
 
 
-class TestBidChangedFollowsTheBid:
+def _effective_bids_of_each_round(engine):
+    """Wrap stage 3 so every round hands it its stage-2 ``b̂`` map."""
+    seen = []
+    rank = engine._rank_phrases
+
+    def recording_rank(phrases, scores, effective_bid_cents, report):
+        seen.append(dict(effective_bid_cents.items()))
+        return rank(phrases, scores, effective_bid_cents, report)
+
+    engine._rank_phrases = recording_rank
+    return seen
+
+
+class TestEffectiveBidFollowsTheBooks:
+    """A multiplicity that moves moves ``b̂`` only where a budget binds."""
+
     @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_unlimited_budgets_announce_an_advertiser_once(self, layout):
+    def test_unlimited_budgets_bid_their_bid_whatever_m_does(self, layout):
         # Every round draws other phrases, so most multiplicities move
-        # every round -- and with unlimited budgets move no bid.
+        # every round -- and with unlimited budgets move no bid, and
+        # leave no books to drain.
         advertisers, rates = fig4_market(
             num_queries=12, num_advertisers=30, median_budget_cents=0, seed=2
         )
@@ -274,33 +281,34 @@ class TestBidChangedFollowsTheBid:
             advertisers, [0.3, 0.2, 0.1], rates,
             mode="shared", layout=_layout(layout), seed=2,
         )
-        bids = engine.changefeed.subscribe("probe", kinds=("bid_changed",))
-        announced = Counter()
+        bid_cents = {a.advertiser_id: round(a.bid * 100) for a in advertisers}
+        seen = _effective_bids_of_each_round(engine)
         moved_multiplicity = 0
         last_m = {}
         for occurring in _varying_rounds(sorted(rates), 15, seed=9):
             engine.run_round(occurring)
-            announced.update(event.advertiser_id for event in bids.drain())
             m = Counter(
                 advertiser_id
                 for phrase in occurring
                 for advertiser_id in engine.phrase_advertisers[phrase]
+            )
+            assert seen.pop() == {i: float(bid_cents[i]) for i in m}
+            assert engine.budget_manager.drain_book_changes() == (
+                [], [], [], []
             )
             moved_multiplicity += sum(
                 1 for i in m if i in last_m and last_m[i] != m[i]
             )
             last_m.update(m)
         assert moved_multiplicity > 100, "the rounds never moved an m_i"
-        assert announced and set(announced.values()) == {1}
-        assert set(announced) == set(last_m)
 
     @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_a_budget_bound_bid_is_announced_when_it_moves(self, layout):
+    def test_a_budget_bound_bid_moves_with_its_multiplicity(self, layout):
         # b = 100, beta = 200: m = 1 -> 3 makes m*b > beta, so b-hat
-        # drops from b to about beta/3 (a little less: it owes 5 cents a
-        # click on a handful of outstanding ads); back at m = 1 the
-        # quick test clears and b-hat is b again.  The unbudgeted
-        # rival's bid never moves.  Slot factors this small mean no
+        # drops from b to about beta/3 (a little less: it owes on its
+        # outstanding ads, and owes more after each round); back at
+        # m = 1 the quick test clears and b-hat is b again.  The unbudgeted
+        # rivals' bids never move.  Slot factors this small mean no
         # click is ever drawn, so the budget itself stays put.
         phrases = ("p1", "p2", "p3")
         everywhere = frozenset(phrases)
@@ -314,15 +322,19 @@ class TestBidChangedFollowsTheBid:
             [1e-9, 1e-10], {phrase: 1.0 for phrase in phrases},
             mode="shared", layout=_layout(layout), seed=5,
         )
-        bids = engine.changefeed.subscribe("probe", kinds=("bid_changed",))
+        seen = _effective_bids_of_each_round(engine)
 
-        def announced(occurring):
+        def bids(occurring):
             report = engine.run_round(occurring)
             assert not report.clicks
-            return [event.advertiser_id for event in bids.drain()]
+            effective = seen.pop()
+            assert (effective[2], effective[3]) == (5.0, 1.0)
+            return effective[1]
 
-        assert sorted(announced(["p1"])) == [1, 2, 3]  # first sight
-        assert announced(["p1", "p2", "p3"]) == [1]  # b-hat 100 -> ~65
-        assert announced(["p1", "p2", "p3"]) == []  # same m: the books'
-        assert announced(["p1"]) == [1]  # ... and back to 100
-        assert announced(["p1"]) == []
+        assert bids(["p1"]) == 100.0
+        throttled = bids(["p1", "p2", "p3"])
+        assert 60.0 < throttled < 200.0 / 3
+        again = bids(["p1", "p2", "p3"])  # same m, more outstanding ads
+        assert 60.0 < again <= throttled
+        assert bids(["p1"]) == 100.0
+        assert bids(["p1"]) == 100.0

@@ -17,6 +17,16 @@ class TestRoundBatcher:
         with pytest.raises(InvalidAuctionError):
             RoundBatcher(0.0)
 
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    def test_rejects_non_finite_length(self, length):
+        with pytest.raises(InvalidAuctionError, match="finite"):
+            RoundBatcher(length)
+
+    def test_rejects_non_finite_arrival_time(self):
+        batcher = RoundBatcher(1.0)
+        with pytest.raises(InvalidAuctionError, match="finite"):
+            list(batcher.batch([q(0.5, "a"), q(float("nan"), "b")]))
+
     def test_groups_by_round_boundary(self):
         batcher = RoundBatcher(1.0)
         rounds = list(

@@ -21,12 +21,6 @@ The same checkpoint holds the kept Section IV throttle problems (DESIGN
 section 22) to the books: each equals the problem the budget manager
 would build now, a standing ``min(β, S_l)`` array is the array of that
 fresh problem, and under a decaying model nothing is kept at all.
-
-With a probe subscribed to the change feed, the stage's
-multiplicity-change block runs too, and its ``BidChanged`` events are
-held to the rule they follow: an advertiser is announced the first time
-it is scored, and afterwards when its auction multiplicity ``m`` moved
-and its effective bid moved with it.
 """
 
 from __future__ import annotations
@@ -142,7 +136,6 @@ class StandingColumnsMachine(RuleBasedStateMachine):
     @initialize(
         mode=st.sampled_from(("unshared", "shared", "shared-sort")),
         throttle=st.booleans(),
-        feed_probe=st.booleans(),
         exec_cache=st.booleans(),
         array_sync_from=st.sampled_from(
             (1, 3, pipeline.BOOK_SYNC_ARRAY_MIN_MOVERS)
@@ -156,7 +149,6 @@ class StandingColumnsMachine(RuleBasedStateMachine):
         self,
         mode,
         throttle,
-        feed_probe,
         exec_cache,
         array_sync_from,
         array_ad_overhead,
@@ -187,15 +179,6 @@ class StandingColumnsMachine(RuleBasedStateMachine):
             seed=seed,
         )
         self.stages_checked = 0
-        # A subscriber makes the change feed active, which turns on the
-        # stage's multiplicity-change block; nothing in the engine
-        # subscribes, in any mode.
-        self.probe = (
-            engine.changefeed.subscribe("probe") if feed_probe else None
-        )
-        self.last_m = {}
-        self.last_bid = {}
-        self.bid_events_checked = 0
         # Exact scorings stage 2 answered off a kept problem: those it
         # reported less the problems it had the manager build.
         self.answered_from_kept = 0
@@ -209,17 +192,6 @@ class StandingColumnsMachine(RuleBasedStateMachine):
             return build_problem(*args)
 
         manager.throttle_problem = counted_build
-        score = engine._effective_scores
-
-        def probed_score(phrases, round_index, report):
-            if self.probe is None:
-                return score(phrases, round_index, report)
-            self.probe.drain()
-            scores, effective_bid_cents = score(phrases, round_index, report)
-            self._check_bid_events(phrases, effective_bid_cents)
-            return scores, effective_bid_cents
-
-        engine._effective_scores = probed_score
         rank = engine._rank_phrases
 
         def checked_rank(phrases, scores, effective_bid_cents, report):
@@ -262,29 +234,6 @@ class StandingColumnsMachine(RuleBasedStateMachine):
         self._check_kept_problems(multiplicity, report.round_index)
         self.problems_built = 0
         self.stages_checked += 1
-
-    def _check_bid_events(self, phrases, effective_bid_cents) -> None:
-        """Stage 2 publishes exactly the multiplicity block's events."""
-        multiplicity = {}
-        for phrase in phrases:
-            for advertiser_id in self.engine.phrase_advertisers[phrase]:
-                multiplicity[advertiser_id] = (
-                    multiplicity.get(advertiser_id, 0) + 1
-                )
-        expected = []
-        for advertiser_id, m in sorted(multiplicity.items()):
-            bid = effective_bid_cents[advertiser_id]
-            if self.last_m.get(advertiser_id) != m and (
-                self.last_bid.get(advertiser_id) != bid
-            ):
-                expected.append(("bid_changed", advertiser_id))
-            self.last_m[advertiser_id] = m
-            self.last_bid[advertiser_id] = bid
-        published = [
-            (event.kind, event.advertiser_id) for event in self.probe.drain()
-        ]
-        assert published == expected
-        self.bid_events_checked += len(expected)
 
     def _check_kept_problems(self, multiplicity, round_index) -> None:
         """Every kept throttle problem is the one the books give now."""
@@ -440,8 +389,7 @@ class TestTheMarketIsHard:
         # kept-problem assertions could pass on an always-empty dict.
         machine = StandingColumnsMachine()  # decay = NoDecay(horizon=3)
         machine.build(
-            mode="unshared", throttle=True, feed_probe=False,
-            exec_cache=False,
+            mode="unshared", throttle=True, exec_cache=False,
             array_sync_from=pipeline.BOOK_SYNC_ARRAY_MIN_MOVERS,
             array_ad_overhead=0, seed=5,
         )
@@ -456,26 +404,23 @@ class TestTheMarketIsHard:
         finally:
             machine.teardown()
 
-    def test_a_probed_run_checks_the_multiplicity_events(self):
-        # The machine's event check driven by hand, in every mode:
+    def test_every_mode_checks_its_scoring_stages(self):
+        # The machine's scoring check driven by hand, in every mode:
         # rounds of two phrases and served queries alternate, so the
         # multiplicity of most advertisers moves between 1 and 2.
         for mode in ("unshared", "shared", "shared-sort"):
             machine = StandingColumnsMachine()
             machine.build(
-                mode=mode, throttle=True, feed_probe=True,
-                exec_cache=mode == "shared",
+                mode=mode, throttle=True, exec_cache=mode == "shared",
                 array_sync_from=pipeline.BOOK_SYNC_ARRAY_MIN_MOVERS,
                 array_ad_overhead=0, seed=5,
             )
             try:
-                assert machine.engine.changefeed.active
                 for step in range(12):
                     machine.run_round(
                         {PHRASES[step % 4], PHRASES[(step + 1) % 4]}
                     )
                     machine.serve_query(PHRASES[(step + 2) % 4])
-                # First sights plus re-announcements of moved bids.
-                assert machine.bid_events_checked > len(ADVERTISERS)
+                assert machine.stages_checked == 24
             finally:
                 machine.teardown()

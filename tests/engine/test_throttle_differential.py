@@ -239,8 +239,8 @@ class TestExactFallbackAccounting:
 
 
 class TestDecayVariesIsReadFromTheManager:
-    """Stages 1 and 2 ask ``BudgetManager.decay_varies``; the engine
-    keeps no copy of its own."""
+    """Stage 2 asks ``BudgetManager.decay_varies``; the engine keeps no
+    copy of its own."""
 
     @pytest.fixture
     def decay_varies(self, monkeypatch):
@@ -263,20 +263,3 @@ class TestDecayVariesIsReadFromTheManager:
         engine, report = self._columnar_engine()
         assert report.debt_carriers_scored > 0
         assert not engine._standing_problems
-
-    @pytest.mark.parametrize("varies", (False, True))
-    def test_stage_one_republishes_every_carrier_only_if_decay_varies(
-        self, monkeypatch, varies
-    ):
-        monkeypatch.setattr(
-            BudgetManager, "decay_varies", property(lambda self: varies)
-        )
-        market = tight_market(3)
-        engine = make_engine(market, 3)
-        engine.run(BATCH_ROUNDS)
-        subscription = engine.changefeed.subscribe(kinds=["bid_changed"])
-        engine.run_round([])  # stage 1 only: nothing occurs, nothing scored
-        carriers = sorted(engine.budget_manager.debt_carriers)
-        assert carriers
-        published = [event.advertiser_id for event in subscription.drain()]
-        assert published == (carriers if varies else [])

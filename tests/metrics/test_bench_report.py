@@ -137,9 +137,6 @@ class TestMain:
             },
         )
         self._write(
-            tmp_path, "BENCH_changefeed", {"per_event_seconds": 1e-6}
-        )
-        self._write(
             tmp_path,
             "BENCH_serving",
             {
@@ -166,7 +163,7 @@ class TestMain:
     def test_healthy_root_passes_check(self, tmp_path, capsys):
         root = self._healthy_root(tmp_path)
         assert bench_report.main(["--root", str(root), "--check"]) == 0
-        assert "14/14 tracked ok" in capsys.readouterr().out
+        assert "13/13 tracked ok" in capsys.readouterr().out
         assert (root / "bench_tables.txt").exists()
 
     def test_output_is_byte_stable(self, tmp_path):

@@ -104,6 +104,27 @@ class TestMutations:
         assert "sandals" not in maintainer.interests()
         check_answers(maintainer)
 
+    def test_add_advertiser_joins_and_creates_phrases(self, maintainer):
+        maintainer.add_advertiser(7, {"heels", "gloves"})
+        interests = maintainer.interests()
+        assert interests["heels"] == frozenset({1, 2, 5, 7})
+        assert interests["gloves"] == frozenset({7})
+        check_answers(maintainer)
+
+    def test_remove_advertiser_drops_sole_phrases(self, maintainer):
+        maintainer.remove_interest("sandals", 5)
+        maintainer.remove_advertiser(6)
+        interests = maintainer.interests()
+        assert "sandals" not in interests
+        assert all(6 not in ids for ids in interests.values())
+        check_answers(maintainer)
+
+    def test_remove_unknown_advertiser_is_noop(self, maintainer):
+        before = maintainer.plan
+        maintainer.remove_advertiser(99)
+        assert maintainer.plan is before
+        assert maintainer.repairs_since_replan == 0
+
 
 class TestDriftPolicy:
     def test_replan_triggers_after_budget(self):

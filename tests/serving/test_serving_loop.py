@@ -2,9 +2,8 @@
 
 Covers the pieces the differential battery treats as a black box: the
 phrase-universe validation, per-query latency capture through an
-injected clock, ``QueryServed`` publication on the change feed, the
-columnar exec cache's per-query score diff, report totals, and the
-``serve.*`` gauge flush.
+injected clock, the columnar exec cache's per-query score diff, report
+totals, and the ``serve.*`` gauge flush.
 """
 
 from __future__ import annotations
@@ -115,28 +114,6 @@ class TestServeOne:
         loop.serve_one(QueryArrival(0, 0.0, phrases_of(market)[0]))
         loop.serve_one(QueryArrival(1, 0.1, phrases_of(market)[1]))
         assert engine.collector.counter(names.SERVE_QUERIES) == 2
-
-    def test_query_served_event_is_published_when_feed_is_active(self):
-        market = small_market()
-        engine = make_engine(market, layout="columnar", exec_cache=True)
-        # The subscription activates the feed; the cache subscribes nothing.
-        subscription = engine.changefeed.subscribe(
-            "observer", kinds=("query_served",)
-        )
-        loop = ServingEngine(engine, make_traffic(market))
-        loop.serve_one(QueryArrival(9, 0.5, phrases_of(market)[0]))
-        events = subscription.drain()
-        assert [(e.query_index, e.phrase) for e in events] == [
-            (9, phrases_of(market)[0])
-        ]
-        assert events[0].dirty_advertisers == frozenset()
-
-    def test_no_publish_on_inactive_feed(self):
-        market = small_market()
-        engine = make_engine(market)  # no subscriber -> inactive feed
-        loop = ServingEngine(engine, make_traffic(market))
-        loop.serve_one(QueryArrival(0, 0.0, phrases_of(market)[0]))
-        assert engine.changefeed.events_published == 0
 
 
 class TestRejectedOperationKeepsTheTickClock:

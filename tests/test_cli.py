@@ -28,6 +28,12 @@ class TestParser:
             build_parser().parse_args(["engine", "--trace-capacity", "0"])
         assert "must be positive" in capsys.readouterr().err
 
+    def test_engine_rounds_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["engine", "--rounds", "-3"])
+        assert raised.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_example(self, capsys):
@@ -131,7 +137,7 @@ class TestCommands:
         assert "+exec-cache" in out
         payload = json.loads(trace.read_text())
         assert payload["counters"]["plan.nodes_reused"] > 0
-        # The cache diffs its own scores: nothing subscribes to the feed.
+        # The cache diffs its own scores; the engine keeps no bus.
         assert "bus.events_published" not in payload["counters"]
 
     def test_engine_exec_cache_requires_shared_mode(self):
