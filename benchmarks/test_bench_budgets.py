@@ -11,14 +11,9 @@ of delivered click value is the provider's loss.  Section IV throttling
 drives it to ~zero on the identical click fortunes -- the paper's
 Table-style result, recorded per policy.  Both policies run the engine's
 default exact scoring on ``layout="columnar"``.
-
-Results land in ``BENCH_budgets.json`` at the repo root.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import pytest
 
@@ -26,7 +21,6 @@ from repro.budgets.gaming import forgiven_fraction, gaming_market_at_scale
 from repro.engine import SharedAuctionEngine
 from repro.metrics.tables import ExperimentTable
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_budgets.json"
 ATTACKERS = 2000
 HONEST = 200
 ROUNDS = 24
@@ -35,6 +29,7 @@ ENGINE_SEED = 7
 CLICK_DELAY_ROUNDS = 3.0
 SLOT_FACTORS = [1.0, 0.6, 0.3]
 MIN_NAIVE_LOSS = 0.05  # the attack must visibly bite before mitigation
+MAX_THROTTLED_LOSS = 0.01  # and throttling must all but remove it (0.0)
 
 MARKET = gaming_market_at_scale(
     num_attackers=ATTACKERS, num_honest=HONEST, seed=MARKET_SEED
@@ -56,15 +51,6 @@ def make_engine(throttle: bool) -> SharedAuctionEngine:
 
 @pytest.mark.experiment("E19")
 def test_gaming_at_scale_revenue_loss(benchmark):
-    record = {
-        "attackers": ATTACKERS,
-        "honest": HONEST,
-        "rounds": ROUNDS,
-        "market_seed": MARKET_SEED,
-        "engine_seed": ENGINE_SEED,
-        "policies": {},
-    }
-
     # Naive vs throttled on identical click fortunes.
     loss_table = ExperimentTable(
         f"Gaming at scale: {ATTACKERS} attackers, {HONEST} honest, "
@@ -84,11 +70,6 @@ def test_gaming_at_scale_revenue_loss(benchmark):
             report.forgiven_cents / 100,
             round(loss, 4),
         )
-        record["policies"][label] = {
-            "revenue_cents": report.revenue_cents,
-            "forgiven_cents": report.forgiven_cents,
-            "revenue_loss": round(loss, 4),
-        }
     loss_table.show()
     assert losses["naive"] >= MIN_NAIVE_LOSS, (
         "the attack never bit; the workload is not probing anything"
@@ -96,8 +77,10 @@ def test_gaming_at_scale_revenue_loss(benchmark):
     assert losses["throttled"] < losses["naive"] / 5.0, (
         "throttling should remove most of the naive revenue loss"
     )
-
-    BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
+    assert losses["throttled"] <= MAX_THROTTLED_LOSS, (
+        f"throttled revenue loss {losses['throttled']:.4f} "
+        f"above {MAX_THROTTLED_LOSS}"
+    )
 
     # Timed kernel: one steady-state throttled round on the gaming
     # market, end to end.

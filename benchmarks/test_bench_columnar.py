@@ -13,11 +13,11 @@ kernels measure real work):
    the sequential engine's run byte for byte; sharding is a
    conservative extension, not a second auction.
 3. **Scaling curve**: wall clock of the sharded engine at 1, 2, and 4
-   workers is recorded to ``BENCH_columnar.json``.  The >= 1.8x
-   speedup floor at 4 workers is asserted only when the host actually
-   has 4 cores (``os.cpu_count() >= 4``); the curve itself is recorded
+   workers is printed.  The >= 1.8x speedup floor at 4 workers is
+   asserted only when the host actually has 4 cores
+   (``os.cpu_count() >= 4``); the curve itself is printed
    unconditionally, with the core count alongside, so a single-core CI
-   run records an honest flat curve instead of a vacuous pass.
+   run shows an honest flat curve instead of a vacuous pass.
 
 A fourth claim rides with this file (ISSUE 10): the Section V
 **non-separable matching** path has a columnar kernel --
@@ -26,22 +26,13 @@ A fourth claim rides with this file (ISSUE 10): the Section V
 path at the scaled advertiser count while returning the *same*
 allocation, bit for bit, across a seeded sweep
 (``test_columnar_pruned_matching_gate``).
-
-Results land in ``BENCH_columnar.json`` at the repo root; the tracked
-entries (``kernels.speedup``, ``kernels.outcomes_identical``,
-``sharded.single_shard_identical``, ``matching.kernel_speedup``,
-``matching.outcomes_identical``) feed ``bench_report.py --check``.
-Both tests merge their sections into the JSON instead of overwriting
-it, so either can be re-run alone.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -60,7 +51,6 @@ from repro.engine.sharded import ShardedEngine
 from repro.metrics.tables import ExperimentTable
 from repro.workloads.fig4 import fig4_market
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_columnar.json"
 KERNEL_SPEEDUP_FLOOR = 3.0
 MATCHING_SPEEDUP_FLOOR = 3.0
 SHARDED_SPEEDUP_FLOOR = 1.8
@@ -68,15 +58,6 @@ EQUALITY_SEEDS = 50
 MATCHING_EQUALITY_SEEDS = 50
 SLOTS = [0.3, 0.2, 0.1]
 
-
-def _merge_bench_json(update: dict) -> None:
-    """Read-modify-write ``BENCH_columnar.json``: update the caller's
-    top-level keys, preserve everyone else's."""
-    merged = {}
-    if BENCH_JSON.exists():
-        merged = json.loads(BENCH_JSON.read_text())
-    merged.update(update)
-    BENCH_JSON.write_text(json.dumps(merged, indent=2) + "\n")
 
 # The scaled point: 8 tiled Fig. 4 components of 250 advertisers / 60
 # queries each -> 2000 advertisers, 480 phrases.
@@ -126,14 +107,8 @@ def _time_kernel(engine, occurring, repeats=3, rounds_per_repeat=3):
 
 @pytest.mark.experiment("E20")
 def test_columnar_kernel_and_sharded_gates(benchmark):
-    record = {
-        "workload": {**SCALED, "seed": 0},
-        "cpu_count": os.cpu_count(),
-    }
     advertisers, rates = _scaled_market()
     occurring = sorted(rates)
-    record["workload"]["advertisers"] = len(advertisers)
-    record["workload"]["phrases"] = len(rates)
     assert len(advertisers) >= 2_000
     assert len(rates) >= 480
 
@@ -155,12 +130,6 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
         for phrase, ranking in columnar_rankings.items()
     }, "kernel rankings diverged between layouts"
     speedup = object_seconds / columnar_seconds
-    record["kernels"] = {
-        "round_phrases": len(occurring),
-        "object_seconds": round(object_seconds, 4),
-        "columnar_seconds": round(columnar_seconds, 4),
-        "speedup": round(speedup, 2),
-    }
     assert speedup >= KERNEL_SPEEDUP_FLOOR, (
         f"columnar scoring+top-k only {speedup:.2f}x faster than the "
         f"object layout (floor {KERNEL_SPEEDUP_FLOOR}x)"
@@ -169,7 +138,6 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
     # ------------------------------------------------------------- 2.
     # 50-seed byte-identity sweep on a medium tiled market: the full
     # engine (clicks, budgets, settlement), not just the kernels.
-    identical = True
     for seed in range(EQUALITY_SEEDS):
         adv, sweep_rates = fig4_market(
             num_queries=10, num_advertisers=40, num_components=2,
@@ -192,10 +160,7 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
                 )
             )
         )
-        identical = identical and same
         assert same, f"layouts diverged on sweep seed {seed}"
-    record["kernels"]["equality_seeds"] = EQUALITY_SEEDS
-    record["kernels"]["outcomes_identical"] = identical
 
     # ------------------------------------------------------------- 3.
     # Single-shard identity + the worker scaling curve.
@@ -234,14 +199,6 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
     )
     speedup_at_4 = curve["1"] / curve["4"]
     gate_enforced = (os.cpu_count() or 1) >= 4
-    record["sharded"] = {
-        "rounds": 4,
-        "sequential_seconds": round(sequential_seconds, 4),
-        "wall_seconds_by_workers": curve,
-        "speedup_at_4": round(speedup_at_4, 2),
-        "single_shard_identical": single_shard_identical,
-        "gate_enforced": gate_enforced,
-    }
     if gate_enforced:
         assert speedup_at_4 >= SHARDED_SPEEDUP_FLOOR, (
             f"4-worker sharded run only {speedup_at_4:.2f}x faster "
@@ -249,27 +206,19 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
             f"{os.cpu_count()}-core host)"
         )
 
-    record["acceptance"] = {
-        "kernel_speedup_floor": KERNEL_SPEEDUP_FLOOR,
-        "sharded_speedup_floor": SHARDED_SPEEDUP_FLOOR,
-        "sharded_gate_requires_cores": 4,
-    }
-    _merge_bench_json(record)
-
     table = ExperimentTable(
         "E20: columnar kernels + sharded scaling "
         f"({len(advertisers)} advertisers, {len(rates)} phrases)",
         ["metric", "value"],
     )
-    table.add("object kernel (s/round)", record["kernels"]["object_seconds"])
-    table.add(
-        "columnar kernel (s/round)", record["kernels"]["columnar_seconds"]
-    )
-    table.add("kernel speedup", record["kernels"]["speedup"])
+    table.add("object kernel (s/round)", round(object_seconds, 4))
+    table.add("columnar kernel (s/round)", round(columnar_seconds, 4))
+    table.add("kernel speedup", round(speedup, 2))
     table.add("equality seeds", EQUALITY_SEEDS)
+    table.add("sequential 4 rounds (s)", round(sequential_seconds, 4))
     for workers, seconds in curve.items():
         table.add(f"sharded {workers}w (s)", seconds)
-    table.add("speedup at 4 workers", record["sharded"]["speedup_at_4"])
+    table.add("speedup at 4 workers", round(speedup_at_4, 2))
     table.add("cores", os.cpu_count())
     table.show()
 
@@ -329,7 +278,6 @@ def test_columnar_pruned_matching_gate(benchmark):
     build_seconds = _best_of(lambda: nonseparable_weight_matrix(spec))
     speedup = object_seconds / columnar_seconds
 
-    identical = True
     for seed in range(MATCHING_EQUALITY_SEEDS):
         sweep = _nonseparable_spec(
             n=40 + 17 * seed % 160, k=1 + seed % 4, seed=seed
@@ -340,27 +288,11 @@ def test_columnar_pruned_matching_gate(benchmark):
             columnar.slot_to_advertiser == oracle.slot_to_advertiser
             and columnar.expected_value == oracle.expected_value
         )
-        identical = identical and same
         assert same, f"matching diverged on sweep seed {seed}"
 
     assert speedup >= MATCHING_SPEEDUP_FLOOR, (
         f"columnar pruned matching only {speedup:.2f}x faster than the "
         f"object path (floor {MATCHING_SPEEDUP_FLOOR}x)"
-    )
-    _merge_bench_json(
-        {
-            "matching": {
-                "advertisers": n,
-                "slots": k,
-                "object_seconds": round(object_seconds, 5),
-                "columnar_seconds": round(columnar_seconds, 5),
-                "matrix_build_seconds": round(build_seconds, 5),
-                "kernel_speedup": round(speedup, 2),
-                "equality_seeds": MATCHING_EQUALITY_SEEDS,
-                "outcomes_identical": identical,
-                "speedup_floor": MATCHING_SPEEDUP_FLOOR,
-            }
-        }
     )
     table = ExperimentTable(
         f"E21: Section V pruned matching ({n} advertisers, {k} slots)",

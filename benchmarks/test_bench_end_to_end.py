@@ -3,8 +3,9 @@
 The paper's headline motivation: batching simultaneous auctions and
 sharing their top-k work cuts the per-round computation while leaving
 every outcome identical.  We run the full engine (throttling, budgets,
-delayed clicks) on a generated market in both modes and compare work
-counters and timings.
+delayed clicks) on a generated market in both modes -- the shared plan
+on the columnar layout, the unshared scans on the object reference --
+and compare work counters and timings.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ def build_engine(market, mode: str, collector=None) -> SharedAuctionEngine:
         slot_factors=[0.3, 0.2, 0.1],
         search_rates=market.search_rates,
         mode=mode,
+        layout="object" if mode == "unshared" else "columnar",
         throttle=True,
         seed=13,
         collector=collector,

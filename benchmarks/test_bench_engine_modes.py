@@ -1,9 +1,10 @@
 """E15 -- the three engine modes head to head.
 
-``shared`` (Section II plans), ``shared-sort`` (Section III merge-sort
-network + threshold algorithm), and ``unshared`` (independent scans)
-resolve the same generated market.  With phrase-independent CTR factors
-all three must produce identical outcomes; the work profiles differ.
+``shared`` (Section II plans), ``shared-sort`` (Section III shared sort
++ threshold algorithm), both on the columnar layout, and ``unshared``
+(independent scans, the object reference) resolve the same generated
+market.  With phrase-independent CTR factors all three must produce
+identical outcomes; the work profiles differ.
 
 ``test_uncached_shared_plan_within_reach_of_the_scan`` is ROADMAP item
 1's threshold by the clock: on the scaled Fig. 4 market the Section II
@@ -80,6 +81,9 @@ def build_engine(market, mode: str) -> SharedAuctionEngine:
         slot_factors=[0.3, 0.2],
         search_rates=market.search_rates,
         mode=mode,
+        # The sharing mechanisms run on the columnar layout; the
+        # unshared scan is held to the object reference.
+        layout="object" if mode == "unshared" else "columnar",
         throttle=True,
         seed=31,
     )

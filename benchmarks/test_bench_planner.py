@@ -6,19 +6,17 @@ greedy covers over interned bitmasks -- produces the *byte-identical*
 plan the naive per-step full rescan produces, while running a fraction
 of its greedy set-cover computations.  On the scaled synthetic workload
 the reduction must be at least 5x in covers computed and at least 3x in
-wall-clock; both engines' counters and the timings are written to
-``BENCH_planner.json`` at the repo root as the reproduction record.
+wall-clock.  On the Fig. 4 default point the reduction must be at least
+1.5x in covers computed (3.035x recorded).
 
 Cover counts are deterministic (pure counter arithmetic, no clocks), so
-the 5x floor is machine-independent; the wall-clock floor has headroom
-(measured ~4x) against timer noise.
+the cover floors are machine-independent; the wall-clock floor has
+headroom (measured ~4x) against timer noise.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
@@ -28,8 +26,8 @@ from repro.metrics.tables import ExperimentTable
 from repro.workloads.fig4 import fig4_instance
 from repro.workloads.scenarios import shoe_store_instance
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_planner.json"
 COVER_REDUCTION_FLOOR = 5.0
+FIG4_DEFAULT_COVER_REDUCTION_FLOOR = 1.5
 WALL_SPEEDUP_FLOOR = 3.0
 
 
@@ -71,7 +69,6 @@ def test_lazy_planner_work_and_wall_clock(benchmark):
         ["workload", "covers naive", "covers lazy", "reduction",
          "wall naive (s)", "wall lazy (s)", "speedup"],
     )
-    record = {}
     for label, instance, pair_strategy, scaled in _workloads():
         results = _plan_both(instance, pair_strategy)
         naive_stats, naive_s, naive_dump = results["naive"]
@@ -90,31 +87,15 @@ def test_lazy_planner_work_and_wall_clock(benchmark):
             lazy_s,
             speedup,
         )
-        record[label] = {
-            "pair_strategy": pair_strategy,
-            "scaled_acceptance_point": scaled,
-            "covers_computed": {
-                "naive": naive_stats.covers_computed,
-                "lazy": lazy_stats.covers_computed,
-                "reduction": round(reduction, 3),
-            },
-            "pairs": {
-                "naive_scored": naive_stats.pairs_scored,
-                "lazy_scored": lazy_stats.pairs_scored,
-                "lazy_skipped": lazy_stats.pairs_skipped_lazy,
-                "lazy_cover_memo_hits": lazy_stats.covers_memo_hits,
-            },
-            "wall_seconds": {
-                "naive": round(naive_s, 4),
-                "lazy": round(lazy_s, 4),
-                "speedup": round(speedup, 3),
-            },
-            "plans_identical": True,
-        }
+        if label == "fig4 default":
+            assert reduction >= FIG4_DEFAULT_COVER_REDUCTION_FLOOR, (
+                f"{label}: covers reduced only {reduction:.3f}x "
+                f"(floor {FIG4_DEFAULT_COVER_REDUCTION_FLOOR}x)"
+            )
         if scaled:
-            # The acceptance floors hold on the scaled point only; the
-            # small workloads are reported but not gated (their plans
-            # finish in milliseconds and the rescan barely amortizes).
+            # The 5x / 3x acceptance floors hold on the scaled point
+            # only; the small workloads' plans finish in milliseconds
+            # and the rescan barely amortizes.
             assert reduction >= COVER_REDUCTION_FLOOR, (
                 f"{label}: covers reduced only {reduction:.2f}x "
                 f"(floor {COVER_REDUCTION_FLOOR}x)"
@@ -124,11 +105,6 @@ def test_lazy_planner_work_and_wall_clock(benchmark):
                 f"(floor {WALL_SPEEDUP_FLOOR}x)"
             )
     table.show()
-    record["acceptance"] = {
-        "cover_reduction_floor": COVER_REDUCTION_FLOOR,
-        "wall_speedup_floor": WALL_SPEEDUP_FLOOR,
-    }
-    BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
 
     # Timed kernel: the default-workload lazy plan, end to end.
     instance = fig4_instance(0.7)

@@ -1,8 +1,9 @@
 """Work accounting with the instrumentation layer.
 
 Runs the same generated market through the engine in all three modes
-with an enabled :class:`MetricsCollector`, then prints the measured work
-counters side by side -- the counter-derived version of the paper's
+(on the default columnar layout) with an enabled
+:class:`MetricsCollector`, then prints the measured work counters side
+by side -- the counter-derived version of the paper's
 shared-vs-unshared comparison -- plus a per-round trace excerpt and a
 JSON dump.
 
@@ -63,10 +64,10 @@ def main() -> None:
 
     shared = collectors["shared"]
     print(
-        f"\nshared plan: {shared.counter(names.PLAN_NODES)} nodes "
-        f"materialized, {shared.counter(names.PLAN_CACHE_HITS)} round-memo "
-        f"hits; busiest node merged "
-        f"{max(shared.keyed(names.PLAN_NODE_MERGES).values())} times"
+        f"\nshared plan: {shared.counter(names.PLAN_MERGES)} merges over "
+        f"{shared.counter(names.PLAN_LEAF_SCANS)} leaf reads, "
+        f"{shared.counter(names.PLAN_CANDIDATES_GATHERED)} candidates "
+        f"gathered"
     )
     timer = shared.timers[names.ENGINE_ROUND_TIMER]
     print(

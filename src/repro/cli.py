@@ -91,12 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--layout",
         choices=["object", "columnar"],
-        default="object",
+        default="columnar",
         help=(
-            "advertiser storage layout: 'object' scores one Advertiser "
-            "at a time; 'columnar' keeps id-sorted numpy columns and "
-            "runs scoring/top-k/sorted-access as vectorized kernels "
-            "(byte-identical outcomes)"
+            "advertiser storage layout: 'columnar' (the default) keeps "
+            "id-sorted numpy columns and runs the mode's mechanism as "
+            "vectorized kernels; 'object' is the reference, one scan "
+            "per phrase in every mode (byte-identical outcomes)"
         ),
     )
     engine.add_argument(
@@ -118,26 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
             "keep fragment top-k lists alive across rounds and rescan "
             "only fragments whose scores moved (shared mode, --layout "
             "columnar only)"
-        ),
-    )
-    engine.add_argument(
-        "--planner",
-        choices=["lazy", "naive"],
-        default="lazy",
-        help=(
-            "greedy completion engine: 'lazy' (CELF-style incremental "
-            "rescoring, the default) or 'naive' (full rescan each step; "
-            "same plan, more work)"
-        ),
-    )
-    engine.add_argument(
-        "--sort-planner",
-        choices=["lazy", "naive"],
-        default="lazy",
-        help=(
-            "shared-sort merge-plan builder: 'lazy' (versioned pair "
-            "heap, the default) or 'naive' (full same-size rescan; "
-            "byte-identical plan, more work)"
         ),
     )
     engine.add_argument(
@@ -354,33 +334,18 @@ def _cmd_gaming(rounds: int, delay: int) -> int:
     return 0
 
 
-def _cmd_engine(
-    rounds: int,
-    mode: str,
-    seed: int,
-    trace_json: Optional[str] = None,
-    trace_capacity: int = 65536,
-    exec_cache: bool = False,
-    planner: str = "lazy",
-    sort_planner: str = "lazy",
-    serve: bool = False,
-    queries: int = 1000,
-    arrival_rate: float = 200.0,
-    zipf_exponent: float = 1.0,
-    layout: str = "object",
-    workers: int = 1,
-) -> int:
+def _cmd_engine(args: argparse.Namespace) -> int:
     from repro.engine import SharedAuctionEngine
     from repro.workloads.generator import MarketConfig, generate_market
 
-    if workers > 1 and serve:
+    if args.workers > 1 and args.serve:
         print(
             "--workers shards synchronous batch rounds; the serving "
             "loop (--serve) runs single-process",
             file=sys.stderr,
         )
         return 1
-    if workers > 1 and trace_json is not None:
+    if args.workers > 1 and args.trace_json is not None:
         print(
             "--trace-json needs an in-process collector; worker shards "
             "run shared-nothing (drop --workers or --trace-json)",
@@ -388,45 +353,46 @@ def _cmd_engine(
         )
         return 1
     collector = None
-    if trace_json is not None:
+    if args.trace_json is not None:
         from repro.instrument import MetricsCollector, TraceRing
 
         # Fail before the run, not after: a long simulation should not
         # end in a traceback because the output directory is missing.
         try:
-            with open(trace_json, "w"):
+            with open(args.trace_json, "w"):
                 pass
         except OSError as error:
-            print(f"cannot write trace to {trace_json}: {error}", file=sys.stderr)
+            print(
+                f"cannot write trace to {args.trace_json}: {error}",
+                file=sys.stderr,
+            )
             return 1
-        collector = MetricsCollector(trace=TraceRing(trace_capacity))
-    market = generate_market(MarketConfig(seed=seed))
+        collector = MetricsCollector(trace=TraceRing(args.trace_capacity))
+    market = generate_market(MarketConfig(seed=args.seed))
     label = (
-        f"mode={mode}"
-        + (" +columnar" if layout == "columnar" else "")
-        + (f" +workers={workers}" if workers > 1 else "")
-        + (" +exec-cache" if exec_cache else "")
+        f"mode={args.mode}"
+        + (" +columnar" if args.layout == "columnar" else "")
+        + (f" +workers={args.workers}" if args.workers > 1 else "")
+        + (" +exec-cache" if args.exec_cache else "")
     )
-    if workers > 1:
+    if args.workers > 1:
         from repro.engine import ShardedEngine
 
         with ShardedEngine(
             market.advertisers,
             slot_factors=[0.3, 0.2, 0.1],
             search_rates=market.search_rates,
-            shards=workers,
-            seed=seed,
-            mode=mode,
-            layout=layout,
-            exec_cache=exec_cache,
-            planner=planner,
-            sort_planner=sort_planner,
+            shards=args.workers,
+            seed=args.seed,
+            mode=args.mode,
+            layout=args.layout,
+            exec_cache=args.exec_cache,
         ) as sharded:
-            report = sharded.run(rounds)
+            report = sharded.run(args.rounds)
             effective = sharded.shards
         table = ExperimentTable(
             f"Sharded run: {label} ({effective} shard"
-            f"{'s' if effective != 1 else ''}), {rounds} rounds",
+            f"{'s' if effective != 1 else ''}), {args.rounds} rounds",
             ["auctions", "merges", "scans", "revenue ($)", "forgiven ($)"],
         )
         table.add(
@@ -442,28 +408,26 @@ def _cmd_engine(
         market.advertisers,
         slot_factors=[0.3, 0.2, 0.1],
         search_rates=market.search_rates,
-        mode=mode,
-        seed=seed,
+        mode=args.mode,
+        seed=args.seed,
         collector=collector,
-        exec_cache=exec_cache,
-        planner=planner,
-        sort_planner=sort_planner,
-        layout=layout,
+        exec_cache=args.exec_cache,
+        layout=args.layout,
     )
-    if serve:
+    if args.serve:
         from repro.serving import ServingEngine, TrafficGenerator
 
         traffic = TrafficGenerator.from_search_rates(
             market.search_rates,
-            rate_qps=arrival_rate,
-            zipf_exponent=zipf_exponent,
-            seed=seed,
+            rate_qps=args.arrival_rate,
+            zipf_exponent=args.zipf_exponent,
+            seed=args.seed,
         )
         loop = ServingEngine(engine, traffic, keep_history=False)
-        serving_report = loop.run(queries)
+        serving_report = loop.run(args.queries)
         latency = serving_report.latency
         table = ExperimentTable(
-            f"Serving run: {label}, {queries} queries",
+            f"Serving run: {label}, {args.queries} queries",
             [
                 "queries",
                 "sustained qps",
@@ -481,9 +445,9 @@ def _cmd_engine(
         )
         table.show()
     else:
-        report = engine.run(rounds)
+        report = engine.run(args.rounds)
         table = ExperimentTable(
-            f"Engine run: {label}, {rounds} rounds",
+            f"Engine run: {label}, {args.rounds} rounds",
             ["auctions", "merges", "scans", "revenue ($)", "forgiven ($)"],
         )
         table.add(
@@ -494,13 +458,12 @@ def _cmd_engine(
             report.forgiven_cents / 100,
         )
         table.show()
-    if collector is not None and trace_json is not None:
-        from repro.metrics.tables import counter_table, planner_stats_line
+    if collector is not None and args.trace_json is not None:
+        from repro.metrics.tables import counter_table
 
         counter_table(collector, title=f"Work counters: {label}").show()
-        print(planner_stats_line(collector))
-        collector.dump(trace_json)
-        print(f"metrics + trace written to {trace_json}")
+        collector.dump(args.trace_json)
+        print(f"metrics + trace written to {args.trace_json}")
     return 0
 
 
@@ -549,22 +512,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         return _cmd_gaming(args.rounds, args.delay)
     if args.command == "engine":
-        return _cmd_engine(
-            args.rounds,
-            args.mode,
-            args.seed,
-            args.trace_json,
-            args.trace_capacity,
-            args.exec_cache,
-            args.planner,
-            args.sort_planner,
-            args.serve,
-            args.queries,
-            args.arrival_rate,
-            args.zipf_exponent,
-            args.layout,
-            args.workers,
-        )
+        return _cmd_engine(args)
     if args.command == "plan":
         return _cmd_plan(args.spec, args.output, args.planner)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -21,6 +21,8 @@ from repro.errors import InvalidAuctionError
 
 __all__ = ["Advertiser", "BidPhrase"]
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True, order=True)
 class BidPhrase:
@@ -77,18 +79,28 @@ class Advertiser:
     def __post_init__(self) -> None:
         if self.advertiser_id < 0:
             raise InvalidAuctionError("advertiser_id must be non-negative")
-        if self.bid < 0.0:
-            raise InvalidAuctionError(f"bid must be non-negative, got {self.bid!r}")
-        if self.ctr_factor < 0.0:
+        # Chained comparisons: NaN and +inf fail ``0 <= x < inf``.
+        if not 0.0 <= self.bid < _INF:
             raise InvalidAuctionError(
-                f"ctr_factor must be non-negative, got {self.ctr_factor!r}"
+                f"bid must be finite and non-negative, got {self.bid!r}"
             )
-        if self.daily_budget < 0.0:
-            raise InvalidAuctionError("daily_budget must be non-negative")
-        bad = [c for c in self.phrase_ctr_factors.values() if c < 0.0]
+        if not 0.0 <= self.ctr_factor < _INF:
+            raise InvalidAuctionError(
+                f"ctr_factor must be finite and non-negative, "
+                f"got {self.ctr_factor!r}"
+            )
+        # +inf means unbudgeted; NaN compares false with everything.
+        if not self.daily_budget >= 0.0:
+            raise InvalidAuctionError(
+                f"daily_budget must be non-negative, got {self.daily_budget!r}"
+            )
+        bad = [
+            c for c in self.phrase_ctr_factors.values() if not 0.0 <= c < _INF
+        ]
         if bad:
             raise InvalidAuctionError(
-                f"phrase ctr factors must be non-negative, got {bad!r}"
+                f"phrase ctr factors must be finite and non-negative, "
+                f"got {bad!r}"
             )
 
     def __hash__(self) -> int:

@@ -17,6 +17,7 @@ docstring for the exact convention).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence, Tuple
 
@@ -74,15 +75,17 @@ class SeparableCTRModel:
         factors = tuple(float(d) for d in slot_factors)
         if not factors:
             raise InvalidAuctionError("at least one slot factor is required")
-        if any(d < 0.0 or d > 1.0 for d in factors):
+        if any(not 0.0 <= d <= 1.0 for d in factors):
             raise InvalidAuctionError(f"slot factors must be in [0, 1]: {factors!r}")
         if any(factors[j] < factors[j + 1] for j in range(len(factors) - 1)):
             raise InvalidAuctionError(
                 "slot factors must be non-increasing (slot 1 is most clickable); "
                 f"got {factors!r}"
             )
-        if any(c < 0.0 for c in advertiser_factors.values()):
-            raise InvalidAuctionError("advertiser factors must be non-negative")
+        if any(not 0.0 <= c < math.inf for c in advertiser_factors.values()):
+            raise InvalidAuctionError(
+                "advertiser factors must be finite and non-negative"
+            )
         object.__setattr__(self, "advertiser_factors", dict(advertiser_factors))
         object.__setattr__(self, "slot_factors", factors)
 
@@ -148,7 +151,7 @@ class MatrixCTRModel:
                 f"all CTR rows must have the same number of slots, got {lengths!r}"
             )
         for i, row in converted.items():
-            if any(x < 0.0 or x > 1.0 for x in row):
+            if any(not 0.0 <= x <= 1.0 for x in row):
                 raise InvalidAuctionError(
                     f"CTRs must be probabilities in [0, 1]; row {i} is {row!r}"
                 )

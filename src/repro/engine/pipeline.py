@@ -3,15 +3,15 @@
 :class:`SharedAuctionEngine` is the full pipeline of the paper: phrases
 are batched into rounds; per round, advertiser scores ``b̂_i * c_i`` are
 formed (with Section IV throttling against outstanding ads), the
-occurring phrases' top-(k+1) rankings are computed through a shared
-aggregation plan built offline by the Section II heuristic (or by
-independent per-phrase scans, for the unshared baseline), slots are
-allocated, clicks are priced with a configurable rule, displayed ads
-become outstanding debt, and simulated clicks arrive with delay and are
-settled against budgets.
+occurring phrases' top-(k+1) rankings are computed (through a shared
+aggregation plan built offline by the Section II heuristic, the Section
+III shared sort with the threshold algorithm, or independent per-phrase
+scans), slots are allocated, clicks are priced with generalized second
+pricing, displayed ads become outstanding debt, and simulated clicks
+arrive with delay and are settled against budgets.
 
-The engine asks the plan for *k + 1* entries so generalized second
-pricing can see the runner-up score without a second pass.
+The engine ranks *k + 1* entries so generalized second pricing can see
+the runner-up score without a second pass.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from repro.engine.budget_manager import BudgetManager
 from repro.engine.click_model import ClickRow, DelayedClickModel
 from repro.errors import InvalidAuctionError
 from repro.instrument import NULL, Collector, names as metric_names
-from repro.plans.executor import PlanExecutor
-from repro.plans.greedy_planner import greedy_shared_plan
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
 from repro.sharedsort.columnar import ColumnarThresholdKernel, RankedRound
 
@@ -106,9 +104,11 @@ class RoundReport:
     Attributes:
         round_index: The round number.
         occurring_phrases: Phrases auctioned this round.
-        merges: Top-k merge operations performed (shared mode).
-        scans: Advertiser entries scanned (leaf reads in shared mode;
-            full per-phrase scans in unshared mode).
+        merges: Top-k merge operations performed (shared mode), or
+            rows presorted (shared-sort); 0 on the object layout.
+        scans: Advertiser entries scanned: leaf reads in shared mode,
+            sorted accesses in shared-sort mode, full per-phrase scans
+            in unshared mode and in every mode on the object layout.
         revenue_cents: Click payments settled this round.
         forgiven_cents: Click value forgiven this round.
         displays: Ads displayed this round.
@@ -207,24 +207,23 @@ class SharedAuctionEngine:
         mode: ``"shared"`` resolves rounds through a greedy shared
             aggregation plan (Section II; requires phrase-independent
             CTR factors); ``"shared-sort"`` runs the Section III
-            pipeline -- shared on-demand merge-sort of bids plus the
-            threshold algorithm per phrase -- honoring per-phrase CTR
-            factors (:attr:`Advertiser.phrase_ctr_factors`);
-            ``"unshared"`` scans each phrase's advertisers independently.
-        layout: ``"object"`` (default) runs the per-advertiser Python
-            hot paths; ``"columnar"`` transposes the population into a
-            :class:`repro.core.columnar.ColumnarStore` and swaps the
-            three hottest kernels for vectorized equivalents --
-            effective scoring over occurring rows, per-phrase top-k via
-            ``np.argpartition``
-            (:func:`repro.core.columnar.columnar_top_k`), and
-            shared-sort TA over presorted column indices
-            (:class:`repro.sharedsort.columnar.ColumnarThresholdKernel`).
-            Outcomes are byte-identical between layouts (the layout
-            differential suite asserts it over 50 seeds); only the work
-            counters move.  Composes with every mode, and is the layout
-            of the one cross-round cache, ``exec_cache``.  Requires
-            numpy.
+            pipeline -- one shared sort of bids plus the threshold
+            algorithm per phrase -- honoring per-phrase CTR factors
+            (:attr:`Advertiser.phrase_ctr_factors`); ``"unshared"``
+            scans each phrase's advertisers independently.  The mode's
+            mechanism runs only on ``layout="columnar"``.
+        layout: ``"columnar"`` (default) keeps the population in a
+            :class:`repro.core.columnar.ColumnarStore` and runs the
+            mode's mechanism as vectorized kernels; requires numpy.
+            ``"object"`` is the reference it is checked against: stage 2
+            solves Section IV exactly for every occurring advertiser,
+            and in every mode each phrase is ranked by one scan of
+            ``b̂_i * c`` (``c = c_i^q`` under ``"shared-sort"``, ``c_i``
+            otherwise) -- Sections II and III are exact top-(k+1)
+            mechanisms, so that scan is their auction.  It builds no
+            plan, sort network or store.  Outcomes are byte-identical
+            between layouts (the layout differential suite asserts it
+            over 50 seeds); only the work counters move.
         throttle: Apply Section IV bid throttling against outstanding
             ads: every occurring advertiser's exact ``b̂`` is computed
             before ranking.
@@ -236,23 +235,13 @@ class SharedAuctionEngine:
             advertisers by diffing every scored row against the score
             it last absorbed.  Outcomes are bit-identical with and
             without the cache; only the work counters move.
-        planner: Stage-2 engine for the shared plan's greedy completion:
-            ``"lazy"`` (default, CELF-style incremental rescoring) or
-            ``"naive"`` (full rescan each step).  Both build identical
-            plans; only planning-time work counters differ.
-        sort_planner: Shared-sort mode's analogue of ``planner``: the
-            engine completing the Section III merge-plan construction,
-            ``"lazy"`` (default, versioned pair heap) or ``"naive"``
-            (full same-size rescan each merge).  Both build
-            byte-identical plans; only builder work counters differ.
         decay: Click-decay model for outstanding ads.
         mean_click_delay_rounds: Mean click arrival delay.
         click_horizon_rounds: Rounds after which an unclicked ad expires.
         seed: Seed for phrase occurrence and click simulation.
         collector: Optional :class:`repro.instrument.Collector`.  When an
             enabled collector is supplied, the engine threads it through
-            the plan executor / shared-sort network / threshold algorithm
-            / per-phrase scans, times its four stages
+            the ranking kernels, times its four stages
             (``engine.stage.*``), flushes ``engine.*`` rollups, and attaches
             per-round counter deltas to :attr:`RoundReport.counters` and
             cumulative totals to :attr:`EngineReport.counters`.  ``None``
@@ -277,11 +266,9 @@ class SharedAuctionEngine:
         slot_factors: Sequence[float],
         search_rates: Mapping[str, float],
         mode: str = "shared",
-        layout: str = "object",
+        layout: str = "columnar",
         throttle: bool = True,
         exec_cache: bool = False,
-        planner: str = "lazy",
-        sort_planner: str = "lazy",
         decay: Optional[ClickDecayModel] = None,
         mean_click_delay_rounds: float = 2.0,
         click_horizon_rounds: int = 16,
@@ -360,8 +347,6 @@ class SharedAuctionEngine:
         self.click_model = DelayedClickModel(
             mean_click_delay_rounds, click_horizon_rounds, self._rng
         )
-        self._executor: Optional[PlanExecutor] = None
-        self._sort_plan = None
         self._columnar_exec = None
         self._columnar_sort = None
         self._store: Optional[ColumnarStore] = None
@@ -415,40 +400,26 @@ class SharedAuctionEngine:
             self._slot_factors = np.asarray(
                 self.ctr_model.slot_factors, dtype=np.float64
             )
-        if mode == "shared":
+        if mode == "shared" and layout == "columnar":
             instance = SharedAggregationInstance(
-                AggregateQuery(
-                    phrase, ids, self.search_rates[phrase]
-                )
+                AggregateQuery(phrase, ids, self.search_rates[phrase])
                 for phrase, ids in self.phrase_advertisers.items()
             )
-            if layout == "columnar":
-                # The greedy plan's sharing structure collapses to
-                # fragment row slices in array space; the plan DAG is
-                # never built.  With exec_cache the executor keeps the
-                # fragment top-k table and the answers alive across
-                # rounds and rescans only fragments touching a row whose
-                # score its own diff saw move -- the DAG-node ancestor
-                # cone becomes two CSR gathers.
-                from repro.plans.columnar_exec import ColumnarFragmentExecutor
+            # The greedy plan's sharing structure collapses to fragment
+            # row slices in array space; the plan DAG is never built.
+            # With exec_cache the executor keeps the fragment top-k table
+            # and the answers alive across rounds and rescans only
+            # fragments touching a row whose score its own diff saw move
+            # -- the DAG-node ancestor cone becomes two CSR gathers.
+            from repro.plans.columnar_exec import ColumnarFragmentExecutor
 
-                self._columnar_exec = ColumnarFragmentExecutor(
-                    instance,
-                    self._store,
-                    self.k + 1,
-                    self.collector,
-                    cross_round=exec_cache,
-                )
-            else:
-                strategy = "cover" if len(instance.variables) > 64 else "full"
-                plan = greedy_shared_plan(
-                    instance,
-                    pair_strategy=strategy,
-                    planner=planner,
-                    collector=self.collector,
-                )
-                # k + 1 so GSP can read the runner-up score.
-                self._executor = PlanExecutor(plan, self.k + 1, self.collector)
+            self._columnar_exec = ColumnarFragmentExecutor(
+                instance,
+                self._store,
+                self.k + 1,  # k + 1 so GSP can read the runner-up score.
+                self.collector,
+                cross_round=exec_cache,
+            )
             # Phrases with identical advertiser sets are A-equivalent and
             # deduplicate to one plan query; map each phrase to the
             # surviving query's name.
@@ -466,27 +437,6 @@ class SharedAuctionEngine:
             self._columnar_sort = ColumnarThresholdKernel(
                 self._store, self.k + 1, self.collector
             )
-        elif mode == "shared-sort":
-            from repro.sharedsort.plan import build_shared_sort_plan
-
-            self._sort_plan = build_shared_sort_plan(
-                self.phrase_advertisers,
-                self.search_rates,
-                planner=sort_planner,
-                collector=self.collector,
-            )
-            # Precomputed per-phrase descending c_i^q orders (Section III
-            # treats CTR factors as recalculated only occasionally).
-            self._ctr_orders: Dict[str, List[int]] = {
-                phrase: sorted(
-                    ids,
-                    key=lambda i: (
-                        -self._by_id[i].ctr_factor_for(phrase),
-                        i,
-                    ),
-                )
-                for phrase, ids in self.phrase_advertisers.items()
-            }
         self._round_index = 0
         if self.collector.enabled:
             # engine.stage.* timers: each stage method is rebound on
@@ -909,63 +859,54 @@ class SharedAuctionEngine:
         one and also carries the same rankings as flat arrays.
         """
         rankings: Dict[str, TopKList] = {}
-        if self.mode == "shared":
-            canonical = sorted({self._phrase_alias[p] for p in phrases})
-            if self._columnar_exec is not None:
-                # In cross-round mode the executor diffs the occurring
-                # rows' scores against the ones it last absorbed.
-                result = self._columnar_exec.run_round(
-                    self._score_by_row, canonical,
-                    rows=self._occurring_rows,
+        store = self._store
+        if store is None:
+            # The reference: one scan of b̂_i * c per phrase in every
+            # mode, c = c_i^q under shared-sort.  Sections II and III are
+            # exact top-(k+1) mechanisms, so this is their auction.
+            by_id = self._by_id
+            for phrase in phrases:
+                ids = self.phrase_advertisers[phrase]
+                report.scans += len(ids)
+                if self.mode == "shared-sort":
+                    # The Section III kernels' float ops: (b̂ / 100) * c_i^q.
+                    scored = (
+                        ScoredAdvertiser(
+                            effective_bid_cents[i] / 100.0
+                            * by_id[i].ctr_factor_for(phrase),
+                            i,
+                        )
+                        for i in ids
+                    )
+                else:
+                    scored = (ScoredAdvertiser(scores[i], i) for i in ids)
+                rankings[phrase] = top_k_scan(
+                    self.k + 1, scored, self.collector
                 )
-            else:
-                assert self._executor is not None
-                result = self._executor.run_round(scores, canonical)
+        elif self.mode == "shared":
+            # In cross-round mode the executor diffs the occurring rows'
+            # scores against the ones it last absorbed.
+            result = self._columnar_exec.run_round(
+                self._score_by_row,
+                sorted({self._phrase_alias[p] for p in phrases}),
+                rows=self._occurring_rows,
+            )
             rankings = {
                 phrase: result.answers[self._phrase_alias[phrase]]
                 for phrase in phrases
             }
             report.merges += result.merges_performed
             report.scans += result.advertisers_scanned
-        elif self.mode == "shared-sort" and self._columnar_sort is not None:
+        elif self.mode == "shared-sort":
             kernel = self._columnar_sort
             # The shared presort materializes every occurring row once;
-            # report it where the object path reports network pulls.
+            # it is reported as the round's merges.
             report.merges += kernel.begin_round(
                 self._eff_by_row, self._occurring_rows
             )
             rankings, sorted_accesses = kernel.rank_round(phrases)
             report.scans += int(sorted_accesses.sum())
-        elif self.mode == "shared-sort":
-            assert self._sort_plan is not None
-            from repro.sharedsort.threshold import threshold_top_k
-
-            # Section III: bids are shared across phrases; CTR factors
-            # may differ per phrase, so each phrase runs the threshold
-            # algorithm over the shared descending-bid streams.
-            bids = {
-                advertiser_id: value / 100.0
-                for advertiser_id, value in effective_bid_cents.items()
-            }
-            live = self._sort_plan.instantiate(bids, self.collector)
-            for phrase in phrases:
-                ids = self.phrase_advertisers[phrase]
-                factors = {
-                    i: self._by_id[i].ctr_factor_for(phrase) for i in ids
-                }
-                ta = threshold_top_k(
-                    self.k + 1,
-                    live.stream_for_phrase(phrase),
-                    self._ctr_orders[phrase],
-                    bids,
-                    factors,
-                    self.collector,
-                )
-                rankings[phrase] = ta.ranking
-                report.scans += ta.sorted_accesses
-            report.merges += live.total_pulls()
-        elif self._store is not None:
-            store = self._store
+        else:
             for phrase in phrases:
                 phrase_rows = store.phrase_rows(phrase)
                 report.scans += len(phrase_rows)
@@ -973,15 +914,6 @@ class SharedAuctionEngine:
                     self.k + 1,
                     self._score_by_row[phrase_rows],
                     store.ids[phrase_rows],
-                    self.collector,
-                )
-        else:
-            for phrase in phrases:
-                ids = self.phrase_advertisers[phrase]
-                report.scans += len(ids)
-                rankings[phrase] = top_k_scan(
-                    self.k + 1,
-                    (ScoredAdvertiser(scores[i], i) for i in ids),
                     self.collector,
                 )
         return rankings
@@ -1002,11 +934,12 @@ class SharedAuctionEngine:
         click model in one :meth:`DelayedClickModel.record_displays`
         call, in (phrase, slot) order -- its draws from the shared
         ``random.Random`` are the only part that has to stay sequential.
-        The slot arithmetic has two routes that agree bit for bit: :meth:`_allocate_phrase`, the scalar loop, which
-        the object layout always takes (it is the differential oracle),
-        and :meth:`_price_slots`, one array pass over the whole round,
-        which the columnar layout takes from
-        :data:`ARRAY_PRICING_MIN_SLOTS` slots up.
+        The slot arithmetic has two routes that agree bit for bit:
+        :meth:`_allocate_phrase`, the scalar loop, which the object
+        layout always takes (it is the reference), and
+        :meth:`_price_slots`, one array pass over the whole round, which
+        the columnar layout takes from :data:`ARRAY_PRICING_MIN_SLOTS`
+        slots up.
         """
         store = self._store
         if (

@@ -30,8 +30,8 @@ When sharding pays: workers are real processes, so the per-round cost
 is serialization of reports plus process scheduling.  Below a few
 hundred advertisers per shard the IPC overhead dominates; the scaled
 fig4 workloads (thousands of advertisers, hundreds of phrases, several
-components) are where the curve recorded in ``BENCH_columnar.json``
-turns upward.
+components) are where the scaling curve of EXPERIMENTS E20 turns
+upward.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ __all__ = [
     "format_table",
     "counter_table",
     "work_columns",
-    "planner_stats_line",
     "WORK_COLUMN_NAMES",
 ]
 
@@ -144,21 +143,3 @@ def work_columns(collector: "MetricsCollector") -> Tuple[int, ...]:
         collector.counter(names.PLAN_NODES_REUSED),
     )
 
-
-def planner_stats_line(collector: "MetricsCollector") -> str:
-    """One-line summary of the greedy planner's own work counters.
-
-    Reports the Section II-D planning effort (pair scorings and greedy
-    cover runs) separately from the execution work columns, plus how
-    much of it the lazy engine avoided (heap reuse and cover memo hits).
-    """
-    from repro.instrument import names
-
-    scored = collector.counter(names.PLAN_PAIRS_SCORED)
-    skipped = collector.counter(names.PLAN_PAIRS_SKIPPED_LAZY)
-    covers = collector.counter(names.PLAN_COVERS_COMPUTED)
-    memo_hits = collector.counter(names.PLAN_COVERS_MEMO_HITS)
-    return (
-        f"planner: pairs_scored={scored} pairs_skipped_lazy={skipped} "
-        f"covers_computed={covers} covers_memo_hits={memo_hits}"
-    )

@@ -7,6 +7,9 @@ import pytest
 from repro.core.advertiser import Advertiser, BidPhrase
 from repro.errors import InvalidAuctionError
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestBidPhrase:
     def test_basic_construction(self):
@@ -52,21 +55,25 @@ class TestAdvertiser:
         with pytest.raises(InvalidAuctionError):
             Advertiser(-1, bid=1.0)
 
-    def test_negative_bid_rejected(self):
+    @pytest.mark.parametrize("bid", [-0.5, NAN, INF])
+    def test_negative_bid_rejected(self, bid):
         with pytest.raises(InvalidAuctionError):
-            Advertiser(0, bid=-0.5)
+            Advertiser(0, bid=bid)
 
-    def test_negative_ctr_factor_rejected(self):
+    @pytest.mark.parametrize("factor", [-0.1, NAN, INF])
+    def test_negative_ctr_factor_rejected(self, factor):
         with pytest.raises(InvalidAuctionError):
-            Advertiser(0, bid=1.0, ctr_factor=-0.1)
+            Advertiser(0, bid=1.0, ctr_factor=factor)
 
-    def test_negative_budget_rejected(self):
+    @pytest.mark.parametrize("budget", [-1.0, NAN])
+    def test_negative_budget_rejected(self, budget):
         with pytest.raises(InvalidAuctionError):
-            Advertiser(0, bid=1.0, daily_budget=-1.0)
+            Advertiser(0, bid=1.0, daily_budget=budget)
 
-    def test_negative_phrase_factor_rejected(self):
+    @pytest.mark.parametrize("factor", [-0.2, NAN, INF])
+    def test_negative_phrase_factor_rejected(self, factor):
         with pytest.raises(InvalidAuctionError):
-            Advertiser(0, bid=1.0, phrase_ctr_factors={"music": -0.2})
+            Advertiser(0, bid=1.0, phrase_ctr_factors={"music": factor})
 
     def test_score_is_bid_times_factor(self):
         advertiser = Advertiser(0, bid=2.0, ctr_factor=1.3)

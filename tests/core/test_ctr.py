@@ -37,17 +37,21 @@ class TestSeparableCTRModel:
         with pytest.raises(InvalidAuctionError):
             SeparableCTRModel({0: 1.0}, [])
 
-    def test_slot_factors_must_be_probabilities(self):
+    @pytest.mark.parametrize(
+        "factors", [[1.5], [float("nan")], [0.3, float("nan")]]
+    )
+    def test_slot_factors_must_be_probabilities(self, factors):
         with pytest.raises(InvalidAuctionError):
-            SeparableCTRModel({0: 1.0}, [1.5])
+            SeparableCTRModel({0: 1.0}, factors)
 
     def test_slot_factors_must_be_non_increasing(self):
         with pytest.raises(InvalidAuctionError):
             SeparableCTRModel({0: 1.0}, [0.2, 0.3])
 
-    def test_negative_advertiser_factor_rejected(self):
+    @pytest.mark.parametrize("factor", [-1.0, float("nan"), float("inf")])
+    def test_negative_advertiser_factor_rejected(self, factor):
         with pytest.raises(InvalidAuctionError):
-            SeparableCTRModel({0: -1.0}, [0.3])
+            SeparableCTRModel({0: factor}, [0.3])
 
     def test_unknown_advertiser_raises(self):
         model = SeparableCTRModel({0: 1.0}, [0.3])
@@ -85,9 +89,10 @@ class TestMatrixCTRModel:
         with pytest.raises(InvalidAuctionError):
             MatrixCTRModel({0: [0.1, 0.2], 1: [0.1]})
 
-    def test_out_of_range_probability_rejected(self):
+    @pytest.mark.parametrize("row", [[1.2], [float("nan")]])
+    def test_out_of_range_probability_rejected(self, row):
         with pytest.raises(InvalidAuctionError):
-            MatrixCTRModel({0: [1.2]})
+            MatrixCTRModel({0: row})
 
     def test_unknown_row_raises(self):
         model = MatrixCTRModel({0: [0.1]})

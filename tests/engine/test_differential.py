@@ -4,10 +4,12 @@ The paper's central claim is that sharing changes the *work*, never the
 *auction*: a shared plan (Section II) or shared sort + threshold
 algorithm (Section III) must produce exactly the winners, prices, and
 budget trajectories of independent per-phrase scans.  These tests run
-the engine in both modes on randomized markets over many seeds, driving
-each round with the same occurring phrases, and assert the outcomes are
-identical round by round -- and, via the instrumentation counters, that
-sharing never scans more advertiser entries than the unshared baseline.
+each mechanism (on the columnar layout, where it runs) in lockstep with
+the object-layout reference on randomized markets over many seeds,
+driving each round with the same occurring phrases, and assert the
+outcomes are identical round by round -- and, via the instrumentation
+counters, that sharing never scans more advertiser entries than the
+unshared baseline.
 """
 
 from __future__ import annotations
@@ -35,62 +37,74 @@ def _small_market(seed: int):
     )
 
 
-def _build(market, mode, seed, collector=None, exec_cache=False):
+def _build(
+    market, mode, seed, collector=None, exec_cache=False, layout="object"
+):
     return SharedAuctionEngine(
         market.advertisers,
         slot_factors=[0.3, 0.2, 0.1],
         search_rates=market.search_rates,
         mode=mode,
-        # The exec cache lives in the columnar fragment executor.
-        layout="columnar" if exec_cache else "object",
+        layout=layout,
         seed=seed,
         collector=collector,
         exec_cache=exec_cache,
     )
 
 
-def _run_paired(
-    market, mode_a, mode_b, seed, rounds=8, cache_a=False, cache_b=False
-):
-    """Run two engines round-for-round on identical occurring phrases.
+REFERENCE = ("unshared", "object")
 
-    Each engine holds its own ``random.Random(seed)``; sampling phrases
-    from engine A and feeding them explicitly to both keeps B's RNG
+
+def _run_lockstep(market, seed, *specs, rounds=8):
+    """Run engines round-for-round on identical occurring phrases.
+
+    Each spec is ``(mode, layout)`` or ``(mode, layout, exec_cache)``;
+    the first engine is the one every other is compared with.  Each
+    engine holds its own ``random.Random(seed)``; sampling phrases from
+    the first and copying its state into the others keeps their RNGs
     untouched by sampling, so click draws stay aligned *because* the
     displayed ads are identical -- which is exactly what is asserted.
+
+    Returns:
+        One collector per spec.
     """
-    collector_a = MetricsCollector()
-    collector_b = MetricsCollector()
-    engine_a = _build(market, mode_a, seed, collector_a, exec_cache=cache_a)
-    engine_b = _build(market, mode_b, seed, collector_b, exec_cache=cache_b)
+    collectors = [MetricsCollector() for _ in specs]
+    engines = [
+        _build(market, spec[0], seed, collector, *spec[2:], layout=spec[1])
+        for spec, collector in zip(specs, collectors)
+    ]
+    first, others = engines[0], engines[1:]
     for round_index in range(rounds):
-        occurring = engine_a.sample_occurring_phrases()
-        engine_b._rng.setstate(engine_a._rng.getstate())
-        report_a = engine_a.run_round(occurring)
-        report_b = engine_b.run_round(occurring)
-        assert report_a.allocations == report_b.allocations, (
-            f"{mode_a} vs {mode_b} diverged in round {round_index} "
-            f"(seed {seed})"
-        )
-        assert report_a.revenue_cents == report_b.revenue_cents
-        assert report_a.forgiven_cents == report_b.forgiven_cents
-        assert report_a.displays == report_b.displays
-        assert report_a.clicks == report_b.clicks
-        for advertiser in market.advertisers:
-            assert engine_a.budget_manager.remaining_cents(
-                advertiser.advertiser_id
-            ) == engine_b.budget_manager.remaining_cents(
-                advertiser.advertiser_id
-            ), f"budget trajectory diverged in round {round_index}"
-        engine_a._rng.setstate(engine_b._rng.getstate())
-    return collector_a, collector_b
+        occurring = first.sample_occurring_phrases()
+        state = first._rng.getstate()
+        report_a = first.run_round(occurring)
+        for spec, engine in zip(specs[1:], others):
+            engine._rng.setstate(state)
+            report_b = engine.run_round(occurring)
+            assert report_a.allocations == report_b.allocations, (
+                f"{specs[0]} vs {spec} diverged in round {round_index} "
+                f"(seed {seed})"
+            )
+            assert report_a.revenue_cents == report_b.revenue_cents
+            assert report_a.forgiven_cents == report_b.forgiven_cents
+            assert report_a.displays == report_b.displays
+            assert report_a.clicks == report_b.clicks
+            for advertiser in market.advertisers:
+                assert first.budget_manager.remaining_cents(
+                    advertiser.advertiser_id
+                ) == engine.budget_manager.remaining_cents(
+                    advertiser.advertiser_id
+                ), f"budget trajectory diverged in round {round_index}"
+    return collectors
 
 
 class TestSharedMatchesUnshared:
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_identical_outcomes_and_fewer_scans(self, seed):
         market = _small_market(seed)
-        shared, unshared = _run_paired(market, "shared", "unshared", seed)
+        unshared, shared = _run_lockstep(
+            market, seed, REFERENCE, ("shared", "columnar")
+        )
         # Work comparison via the counters: leaf reads of the shared plan
         # vs full per-phrase scans of the baseline.
         shared_scans = shared.counter(names.PLAN_LEAF_SCANS)
@@ -100,13 +114,12 @@ class TestSharedMatchesUnshared:
 
 
 class TestSharedSortMatchesUnshared:
-    # A fresh network a round is the object layout's only shared-sort
-    # route, and the oracle the columnar kernel is held to: every seed.
+    # The columnar Section III kernel held to the reference: every seed.
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_identical_outcomes(self, seed):
         market = _small_market(seed)
-        shared_sort, unshared = _run_paired(
-            market, "shared-sort", "unshared", seed
+        _, shared_sort = _run_lockstep(
+            market, seed, REFERENCE, ("shared-sort", "columnar")
         )
         assert shared_sort.counter(names.TA_RUNS) > 0
         assert shared_sort.counter(names.TA_SORTED_ACCESSES) > 0
@@ -115,16 +128,21 @@ class TestSharedSortMatchesUnshared:
 class TestExecCacheMatchesShared:
     """Cross-round caching is invisible to the auction (the determinism
     contract): ``--exec-cache`` must replay the exact winners, prices,
-    budget trajectories, and per-round allocations of uncached shared
-    execution on the object layout, while reading no more leaves."""
+    budget trajectories, and per-round allocations of the reference, as
+    uncached shared execution does, while reading no more leaves than
+    uncached shared execution."""
+
+    SPECS = (
+        ("shared", "object"),
+        ("shared", "columnar", True),
+        ("shared", "columnar"),
+    )
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_identical_outcomes_and_no_more_leaf_scans(self, seed):
         market = _small_market(seed)
-        cached, plain = _run_paired(
-            market, "shared", "shared", seed, cache_a=True
-        )
-        # _run_paired already asserted allocations, revenue, and budget
+        _, cached, plain = _run_lockstep(market, seed, *self.SPECS)
+        # _run_lockstep already asserted allocations, revenue, and budget
         # trajectories round by round; here we check the work contract:
         # a cached round scans only fragments with a moved row.
         assert cached.counter(names.PLAN_LEAF_SCANS) <= plain.counter(
@@ -136,9 +154,7 @@ class TestExecCacheMatchesShared:
 
     def test_cache_actually_reuses_work(self):
         market = _small_market(11)
-        cached, plain = _run_paired(
-            market, "shared", "shared", 11, rounds=12, cache_a=True
-        )
+        _, cached, _ = _run_lockstep(market, 11, *self.SPECS, rounds=12)
         assert (
             cached.counter(names.PLAN_NODES_REUSED)
             + cached.counter(names.PLAN_REVALIDATIONS)

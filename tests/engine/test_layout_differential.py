@@ -1,13 +1,14 @@
-"""Layout differential: columnar kernels vs the object oracle.
+"""Layout differential: columnar mechanisms vs the object reference.
 
-``layout="columnar"`` swaps the engine's three hottest kernels --
-effective scoring, per-phrase top-k, and TA sorted access -- for
-vectorized numpy implementations.  The implementation promise is *byte
-identity*, not approximate agreement: the same winners, the same GSP
-prices, the same budget trajectories, round for round, under every mode
-and with the exec cache on.  The uncached object layout is the oracle;
-these tests run both layouts in lockstep on randomized markets across
-50 seeds.
+``layout="columnar"`` runs each mode's mechanism -- the Section II
+fragment executor, the Section III lockstep threshold kernel, the
+vectorized scans -- over standing score columns.  ``layout="object"`` is
+the reference: exact Section IV scoring and one scan of ``b̂ * c`` per
+phrase in every mode.  The implementation promise is *byte identity*,
+not approximate agreement: the same winners, the same GSP prices, the
+same budget trajectories, round for round, under every mode and with
+the exec cache on.  These tests run both layouts in lockstep on
+randomized markets across 50 seeds.
 
 The exec cache exists on the columnar layout only: it keeps fragment
 top-k lists alive behind a row-granular dirty mask drawn from its own
@@ -41,7 +42,7 @@ from repro.workloads.generator import MarketConfig, generate_market
 DIFFERENTIAL_SEEDS = range(50)
 
 # Every engine configuration the columnar layout supports.  The object
-# oracle runs each one uncached (see _build).
+# reference runs each one uncached (see _build).
 CONFIGS = {
     "unshared": dict(mode="unshared", throttle=False),
     "unshared+throttle": dict(mode="unshared", throttle=True),
@@ -97,7 +98,7 @@ def _with_overrides(advertisers, seed: int):
 
 def _build(advertisers, search_rates, layout, seed, collector=None, **kw):
     if layout == "object":
-        # The exec cache is columnar-only; the oracle is uncached.
+        # The exec cache is columnar-only; the reference is uncached.
         kw.pop("exec_cache", None)
     return SharedAuctionEngine(
         advertisers,
@@ -192,7 +193,7 @@ class TestColumnarMatchesObject:
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_shared_with_exec_cache(self, seed):
         # Fragments persist across rounds and only rows whose score
-        # moved force rescans; the uncached object engine is the oracle.
+        # moved force rescans; the object engine is the reference.
         market = _small_market(seed)
         _, columnar = _run_lockstep(
             market.advertisers, market.search_rates, seed,
@@ -203,7 +204,7 @@ class TestColumnarMatchesObject:
         # clean fragments straight from the cross-round cache.
         assert columnar.counter(names.PLAN_NODES_REUSED) > 0
 
-    @pytest.mark.parametrize("seed", range(0, 50, 5))
+    @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_shared_sort_with_overrides(self, seed):
         market = _small_market(seed)
         advertisers = _with_overrides(market.advertisers, seed)
@@ -311,8 +312,7 @@ class TestWideBudgetedMarketLockstep:
     whose throttled ``b̂`` moved again, below its bid.  The wide market
     (24 phrases, 3 slots) prices most rounds' slots through the columnar
     array pass, so this is the lockstep of that pass against the object
-    oracle under budgets; the object layout's greedy planner takes
-    seconds at that width, so the shared plan runs on a 9-phrase one.
+    reference under budgets; the shared plan runs on a 9-phrase market.
     """
 
     @pytest.mark.parametrize(
@@ -383,6 +383,7 @@ class TestLayoutValidation:
                 slot_factors=[0.3, 0.2, 0.1],
                 search_rates=market.search_rates,
                 mode="shared",
+                layout="object",
                 exec_cache=True,
             )
 
@@ -405,6 +406,48 @@ class TestLayoutValidation:
             == reports["columnar"].forgiven_cents
         )
         assert reports["object"].clicks == reports["columnar"].clicks
+
+
+class TestNonFiniteInputsAreRefused:
+    """NaN passed every ``< 0`` check, and the layouts then disagreed:
+    one NaN ``ctr_factor`` among four bidders gave the object layout two
+    winners and the columnar layout one; a NaN slot factor priced slot 2
+    at ``min(1.0, nan)`` on the object layout and raised mid-round on
+    the columnar one.  Both are now refused before any engine runs."""
+
+    def test_a_nan_ctr_factor_never_reaches_an_engine(self):
+        with pytest.raises(InvalidAuctionError, match="ctr_factor"):
+            SharedAuctionEngine(
+                [
+                    Advertiser(
+                        i, bid=bid, ctr_factor=factor,
+                        phrases=frozenset({"p"}),
+                    )
+                    for i, (bid, factor) in enumerate(
+                        [(1.0, 1.0), (1.2, float("nan")), (1.3, 1.0),
+                         (1.5, 1.0)]
+                    )
+                ],
+                slot_factors=[0.3, 0.2],
+                search_rates={"p": 1.0},
+                mode="shared-sort",
+            )
+
+    @pytest.mark.parametrize("layout", ("object", "columnar"))
+    def test_a_nan_slot_factor_is_refused_at_construction(self, layout):
+        phrases = [f"q{i}" for i in range(20)]  # 40 slots: array pricing
+        advertisers = [
+            Advertiser(i, bid=1.0 + i / 10, phrases=frozenset(phrases))
+            for i in range(4)
+        ]
+        with pytest.raises(InvalidAuctionError, match="slot factors"):
+            SharedAuctionEngine(
+                advertisers,
+                slot_factors=[0.3, float("nan")],
+                search_rates={p: 1.0 for p in phrases},
+                mode="unshared",
+                layout=layout,
+            )
 
 
 def _serve_trace(market, seed, **kw):
@@ -472,10 +515,11 @@ class TestCachedColumnarServing:
     def test_cached_equals_uncached_columnar_serving(self):
         # The cache changes the work, never the trace.
         market = _small_market(11)
-        baseline = _serve_trace(
+        reference = _serve_trace(market, 11, layout="object", mode="shared")
+        assert reference == _serve_trace(
             market, 11, layout="columnar", mode="shared"
         )
-        assert baseline == _serve_trace(
+        assert reference == _serve_trace(
             market, 11, layout="columnar", mode="shared", exec_cache=True
         )
 

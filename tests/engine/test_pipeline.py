@@ -64,7 +64,9 @@ class TestRoundResolution:
         """The core exactness guarantee: sharing changes work, never
         results."""
         shared = build_engine(population, mode="shared", seed=9)
-        unshared = build_engine(population, mode="unshared", seed=9)
+        unshared = build_engine(
+            population, mode="unshared", seed=9, layout="object"
+        )
         report_s = shared.run(40)
         report_u = unshared.run(40)
         assert report_s.revenue_cents == report_u.revenue_cents
@@ -81,8 +83,12 @@ class TestRoundResolution:
             Advertiser(100 + i, bid=1.0, phrases=frozenset({"boots"}))
             for i in range(4)
         ]
-        shared = build_engine(advertisers, mode="shared", seed=1)
-        unshared = build_engine(advertisers, mode="unshared", seed=1)
+        shared = build_engine(
+            advertisers, mode="shared", seed=1, layout="columnar"
+        )
+        unshared = build_engine(
+            advertisers, mode="unshared", seed=1, layout="object"
+        )
         rounds = 20
         report_s = shared.run(rounds)
         report_u = unshared.run(rounds)

@@ -29,13 +29,14 @@ def population(per_phrase_factors: bool):
     return advertisers, phrases
 
 
-def build(mode, per_phrase_factors=True, seed=5):
+def build(mode, per_phrase_factors=True, seed=5, layout="columnar"):
     advertisers, phrases = population(per_phrase_factors)
     return SharedAuctionEngine(
         advertisers,
         slot_factors=[0.3, 0.2],
         search_rates={p: 0.8 for p in phrases},
         mode=mode,
+        layout=layout,
         throttle=False,
         seed=seed,
     )
@@ -43,18 +44,23 @@ def build(mode, per_phrase_factors=True, seed=5):
 
 class TestSharedSortMode:
     def test_runs_and_counts_work(self):
-        engine = build("shared-sort")
+        engine = build("shared-sort", layout="columnar")
         report = engine.run(20)
         assert report.displays > 0
         assert report.scans > 0
         assert report.merges > 0
 
     def test_matches_unshared_when_factors_are_global(self):
-        """With phrase-independent factors all three modes agree on every
-        outcome (the exactness guarantee extends to Section III)."""
+        """With phrase-independent factors both mechanisms agree with the
+        reference on every outcome (the exactness guarantee extends to
+        Section III)."""
         reports = {}
-        for mode in ("shared", "unshared", "shared-sort"):
-            engine = build(mode, per_phrase_factors=False, seed=7)
+        for mode, layout in (
+            ("shared", "columnar"),
+            ("unshared", "object"),
+            ("shared-sort", "columnar"),
+        ):
+            engine = build(mode, per_phrase_factors=False, seed=7, layout=layout)
             reports[mode] = engine.run(30)
         assert (
             reports["shared"].revenue_cents
@@ -134,30 +140,24 @@ def build_full(seed=5, **kwargs):
     )
 
 
-class TestFreshNetworkEachRound:
-    def test_round_merges_are_the_round_networks_operator_pulls(self):
-        # Each round instantiates its own network, so the merges a round
-        # reports are exactly the operator pulls that round made.
+class TestRoundPresort:
+    def test_round_merges_are_the_rows_the_round_presorts(self):
+        # The columnar kernel sorts each round's occurring rows once: the
+        # merges a round reports are those rows, and its scans are the
+        # threshold algorithm's sorted accesses.
         collector = MetricsCollector()
-        engine = build_full(seed=3, collector=collector)
+        engine = build_full(seed=3, collector=collector, layout="columnar")
         report = engine.run(20)
         assert report.merges > 0
         for round_report in report.history:
-            assert round_report.merges == round_report.counters.get(
-                names.SORT_OPERATOR_PULLS, 0
+            members = set().union(
+                *(
+                    engine.phrase_advertisers[phrase]
+                    for phrase in round_report.occurring_phrases
+                )
             )
-        assert report.merges == collector.counter(names.SORT_OPERATOR_PULLS)
-
-
-class TestSortRebuildOptions:
-    """The shared-sort plan builder knob, ``sort_planner``."""
-
-    def test_sort_planner_does_not_change_outcomes(self):
-        lazy = build_full(seed=9, sort_planner="lazy").run(25)
-        naive = build_full(seed=9, sort_planner="naive").run(25)
-        assert lazy.revenue_cents == naive.revenue_cents
-        assert lazy.scans == naive.scans
-        assert lazy.merges == naive.merges
-        assert [r.allocations for r in lazy.history] == [
-            r.allocations for r in naive.history
-        ]
+            assert round_report.merges == len(members)
+            assert round_report.scans == round_report.counters.get(
+                names.TA_SORTED_ACCESSES, 0
+            )
+        assert report.scans == collector.counter(names.TA_SORTED_ACCESSES)

@@ -57,6 +57,8 @@ def make_engine(market, seed: int, **kwargs) -> SharedAuctionEngine:
         slot_factors=SLOT_FACTORS,
         search_rates=market.search_rates,
         mode=kwargs.pop("mode", "unshared"),
+        # The reference unless a test asks for the columnar layout.
+        layout=kwargs.pop("layout", "object"),
         throttle=kwargs.pop("throttle", True),
         mean_click_delay_rounds=CLICK_DELAY_ROUNDS,
         seed=seed,

@@ -12,7 +12,8 @@ real claim about the composition, not a tautology.
 
 This suite checks the theorem empirically over 50 seeded markets per
 engine configuration -- unshared, shared and shared-sort on both
-layouts, and the columnar layout's exec cache (its per-query score diff
+layouts (on the object reference all three are one scan per phrase),
+and the columnar layout's exec cache (its per-query score diff
 feeds the row-granular dirty mask, so serving is where the vectorized
 kernels and the incremental cache genuinely compose).
 """
@@ -40,9 +41,11 @@ needs_numpy = pytest.mark.skipif(
 )
 
 CONFIGS = [
-    pytest.param({"mode": "shared"}, id="shared-uncached"),
-    pytest.param({"mode": "unshared"}, id="unshared"),
-    pytest.param({"mode": "shared-sort"}, id="shared-sort-uncached"),
+    pytest.param({"mode": "shared", "layout": "object"}, id="shared-uncached"),
+    pytest.param({"mode": "unshared", "layout": "object"}, id="unshared"),
+    pytest.param(
+        {"mode": "shared-sort", "layout": "object"}, id="shared-sort-uncached"
+    ),
     pytest.param(
         {"mode": "shared", "layout": "columnar"},
         id="columnar-shared-uncached",
@@ -175,10 +178,10 @@ def test_serving_outcomes_agree_across_configs():
     the exec cache, and layouts change work, never outcomes."""
     market = small_market(7)
     arrivals = arrivals_for(market, 7)
-    baseline = serve_trace(market, arrivals, 7, mode="shared")
+    baseline = serve_trace(market, arrivals, 7, mode="shared", layout="object")
     configs = [
-        {"mode": "unshared"},
-        {"mode": "shared-sort"},
+        {"mode": "unshared", "layout": "object"},
+        {"mode": "shared-sort", "layout": "object"},
     ]
     if numpy is not None:
         configs += [

@@ -19,6 +19,9 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_engine_layout_defaults_to_columnar(self):
+        assert build_parser().parse_args(["engine"]).layout == "columnar"
+
     def test_engine_mode_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["engine", "--mode", "warp"])
@@ -107,7 +110,8 @@ class TestCommands:
         ]
         assert len(round_events) == 4
         if mode == "shared":
-            assert payload["counters"]["plan.nodes"] > 0
+            # The columnar fragment executor (the default layout).
+            assert payload["counters"]["plan.leaf_scans"] > 0
         elif mode == "unshared":
             assert payload["counters"]["topk.scans"] > 0
         else:
@@ -146,28 +150,12 @@ class TestCommands:
 
     def test_engine_exec_cache_requires_columnar_layout(self):
         with pytest.raises(InvalidAuctionError, match="layout='columnar'"):
-            main(["engine", "--rounds", "2", "--mode", "shared", "--exec-cache"])
-
-    def test_engine_sort_planner_naive(self, capsys, tmp_path):
-        trace = tmp_path / "trace.json"
-        assert (
             main(
                 [
-                    "engine",
-                    "--rounds",
-                    "8",
-                    "--mode",
-                    "shared-sort",
-                    "--sort-planner",
-                    "naive",
-                    "--trace-json",
-                    str(trace),
+                    "engine", "--rounds", "2", "--mode", "shared",
+                    "--layout", "object", "--exec-cache",
                 ]
             )
-            == 0
-        )
-        payload = json.loads(trace.read_text())
-        assert payload["counters"]["sort.pairs_scored"] > 0
 
     def test_engine_trace_capacity_bounds_ring(self, tmp_path):
         trace = tmp_path / "trace.json"

@@ -2,9 +2,10 @@
 
 These tie the layers together: algebraic axioms hold for the concrete
 top-k operator; A-equivalent expressions evaluate identically through
-the executor; plan cost models agree with engine counters; the shared
-sort feeds the threshold algorithm the same rankings the plan executor
-computes when CTR factors are phrase-independent.
+the executor; plan cost models agree with the plan's work over the
+engine's sampled rounds; the shared sort feeds the threshold algorithm
+the same rankings the plan executor computes when CTR factors are
+phrase-independent.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.engine import SharedAuctionEngine
 from repro.plans.cost import expected_plan_cost
 from repro.plans.executor import PlanExecutor
 from repro.plans.greedy_planner import greedy_shared_plan
-from repro.plans.instance import SharedAggregationInstance
+from repro.plans.instance import AggregateQuery, SharedAggregationInstance
 from repro.sharedsort import build_shared_sort_plan, threshold_top_k
 from repro.workloads.generator import MarketConfig, generate_market
 
@@ -78,8 +79,8 @@ class TestAlgebraMeetsTopK:
 
 class TestPlanMeetsEngine:
     def test_plan_cost_tracks_engine_merges(self):
-        """The engine's average merges per round converge to the plan's
-        expected materialization cost."""
+        """Executing the greedy plan over the engine's sampled rounds
+        averages out to the plan's expected materialization cost."""
         market = generate_market(
             MarketConfig(
                 num_categories=2,
@@ -97,11 +98,32 @@ class TestPlanMeetsEngine:
             throttle=False,
             seed=4,
         )
+        instance = SharedAggregationInstance(
+            AggregateQuery(phrase, ids, engine.search_rates[phrase])
+            for phrase, ids in engine.phrase_advertisers.items()
+        )
+        executor = PlanExecutor(greedy_shared_plan(instance), 3)
+        # A-equivalent phrases deduplicate to one plan query.
+        query_of = {
+            q.variables: q.name
+            for q in instance.queries + instance.trivial_queries
+        }
+        scores = {
+            a.advertiser_id: a.bid * a.ctr_factor for a in market.advertisers
+        }
         rounds = 400
-        report = engine.run(rounds)
-        assert engine._executor is not None
-        expected = expected_plan_cost(engine._executor.plan)
-        empirical = report.merges / rounds
+        merges = 0
+        for report in engine.run(rounds).history:
+            occurring = {
+                query_of[frozenset(engine.phrase_advertisers[phrase])]
+                for phrase in report.occurring_phrases
+            }
+            if occurring:
+                merges += executor.run_round(
+                    scores, sorted(occurring)
+                ).merges_performed
+        expected = expected_plan_cost(executor.plan)
+        empirical = merges / rounds
         assert abs(empirical - expected) < 0.2 * max(1.0, expected)
 
     def test_executor_matches_engine_phrase_rankings(self):
