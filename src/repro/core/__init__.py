@@ -17,7 +17,7 @@ from repro.core.columnar import (
     ArrayScoreMap,
     ColumnarStore,
     columnar_top_k,
-    segmented_top_k,
+    segmented_top_k_picks,
 )
 from repro.core.auction import Allocation, AuctionOutcome, AuctionSpec
 from repro.core.ctr import CTRModel, MatrixCTRModel, SeparableCTRModel
@@ -60,6 +60,6 @@ __all__ = [
     "determine_winners_separable",
     "dollars_to_cents",
     "hungarian_max_weight",
-    "segmented_top_k",
+    "segmented_top_k_picks",
     "top_k_merge",
 ]

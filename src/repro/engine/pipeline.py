@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from operator import attrgetter
 from typing import (
     Callable,
     Dict,
@@ -38,6 +37,7 @@ from repro.core.columnar import (
     ArrayScoreMap,
     ColumnarStore,
     columnar_top_k,
+    columnar_top_k_picks,
     require_numpy,
 )
 from repro.core.ctr import SeparableCTRModel
@@ -82,10 +82,6 @@ not): 16 MiB of arrays at 16 bytes a cell.  A constant, not a knob: the
 benchmark's heaviest market keeps about 0.09 M cells.  A problem that
 would not fit is scored and dropped, as every problem was before
 problems were kept, until evictions make room."""
-
-_SCORE_OF = attrgetter("score")
-_ID_OF = attrgetter("advertiser_id")
-
 
 def _timed(collector: Collector, timer_name: str, stage: Callable) -> Callable:
     """``stage`` with each call accumulated under ``timer_name``."""
@@ -422,13 +418,15 @@ class SharedAuctionEngine:
             )
             # Phrases with identical advertiser sets are A-equivalent and
             # deduplicate to one plan query; map each phrase to the
-            # surviving query's name.
+            # surviving query's index in the executor.
             by_varset = {
                 q.variables: q.name
                 for q in instance.queries + instance.trivial_queries
             }
-            self._phrase_alias: Dict[str, str] = {
-                phrase: by_varset[frozenset(ids)]
+            self._query_of: Dict[str, int] = {
+                phrase: self._columnar_exec.query_index(
+                    by_varset[frozenset(ids)]
+                )
                 for phrase, ids in self.phrase_advertisers.items()
             }
         elif mode == "shared-sort" and layout == "columnar":
@@ -854,16 +852,19 @@ class SharedAuctionEngine:
     ) -> Mapping[str, TopKList]:
         """Stage 3: rankings via shared plan, shared sort + TA, or scans.
 
-        A mapping from phrase to ``TopKList``; the columnar Section III
-        route returns its round kernel's :class:`RankedRound`, which is
-        one and also carries the same rankings as flat arrays.
+        A mapping from phrase to its top-(k+1) ``TopKList``: on the
+        columnar layout a :class:`RankedRound`, the flat arrays stage 4
+        prices, from the fragment executor, the Section III round kernel
+        and a scan of more than one phrase alike.  The reference and a
+        one-phrase scan (a served ``unshared`` tick) hand over lists.
         """
-        rankings: Dict[str, TopKList] = {}
+        k = self.k + 1
         store = self._store
         if store is None:
             # The reference: one scan of b̂_i * c per phrase in every
             # mode, c = c_i^q under shared-sort.  Sections II and III are
             # exact top-(k+1) mechanisms, so this is their auction.
+            rankings: Dict[str, TopKList] = {}
             by_id = self._by_id
             for phrase in phrases:
                 ids = self.phrase_advertisers[phrase]
@@ -880,43 +881,66 @@ class SharedAuctionEngine:
                     )
                 else:
                     scored = (ScoredAdvertiser(scores[i], i) for i in ids)
-                rankings[phrase] = top_k_scan(
-                    self.k + 1, scored, self.collector
-                )
-        elif self.mode == "shared":
+                rankings[phrase] = top_k_scan(k, scored, self.collector)
+            return rankings
+        if self.mode == "shared":
             # In cross-round mode the executor diffs the occurring rows'
             # scores against the ones it last absorbed.
-            result = self._columnar_exec.run_round(
+            result = self._columnar_exec.answer(
                 self._score_by_row,
-                sorted({self._phrase_alias[p] for p in phrases}),
+                np.fromiter(
+                    map(self._query_of.__getitem__, phrases),
+                    np.int64,
+                    len(phrases),
+                ),
                 rows=self._occurring_rows,
             )
-            rankings = {
-                phrase: result.answers[self._phrase_alias[phrase]]
-                for phrase in phrases
-            }
             report.merges += result.merges_performed
             report.scans += result.advertisers_scanned
-        elif self.mode == "shared-sort":
+            return self._ranked_round(
+                phrases, result.lens, result.scores, result.rows
+            )
+        if self.mode == "shared-sort":
             kernel = self._columnar_sort
             # The shared presort materializes every occurring row once;
             # it is reported as the round's merges.
             report.merges += kernel.begin_round(
                 self._eff_by_row, self._occurring_rows
             )
-            rankings, sorted_accesses = kernel.rank_round(phrases)
+            ranked, sorted_accesses = kernel.rank_round(phrases)
             report.scans += int(sorted_accesses.sum())
-        else:
-            for phrase in phrases:
-                phrase_rows = store.phrase_rows(phrase)
-                report.scans += len(phrase_rows)
-                rankings[phrase] = columnar_top_k(
-                    self.k + 1,
-                    self._score_by_row[phrase_rows],
-                    store.ids[phrase_rows],
-                    self.collector,
+            return ranked
+        by_row = self._score_by_row
+        if len(phrases) == 1:
+            rows = store.phrase_rows(phrases[0])
+            report.scans += len(rows)
+            return {
+                phrases[0]: columnar_top_k(
+                    k, by_row[rows], store.ids[rows], self.collector
                 )
-        return rankings
+            }
+        members = [store.phrase_rows(phrase) for phrase in phrases]
+        report.scans += sum(map(len, members))
+        # Rows ascend with the id, so they rank as the ids do.
+        picked = [
+            rows[columnar_top_k_picks(k, by_row[rows], rows, self.collector)]
+            for rows in members
+        ]
+        rows = np.concatenate(picked)
+        return self._ranked_round(
+            phrases,
+            np.fromiter(map(len, picked), np.int64, len(picked)),
+            by_row[rows],
+            rows,
+        )
+
+    def _ranked_round(self, phrases, lens, scores, rows) -> RankedRound:
+        """Stage 3's hand-off: ``c = c_i`` read off the store's column."""
+        store = self._store
+        return RankedRound(
+            phrases, self.k + 1, lens, scores, store.ids[rows], rows,
+            store.ctr_factors[rows],
+        )
 
     def _allocate_round(
         self,
@@ -935,15 +959,17 @@ class SharedAuctionEngine:
         call, in (phrase, slot) order -- its draws from the shared
         ``random.Random`` are the only part that has to stay sequential.
         The slot arithmetic has two routes that agree bit for bit:
-        :meth:`_allocate_phrase`, the scalar loop, which the object
-        layout always takes (it is the reference), and
-        :meth:`_price_slots`, one array pass over the whole round, which
-        the columnar layout takes from :data:`ARRAY_PRICING_MIN_SLOTS`
-        slots up.
+        :meth:`_price_slots`, one array pass over a
+        :class:`RankedRound`'s arrays, which a columnar round takes from
+        :data:`ARRAY_PRICING_MIN_SLOTS` slots up, and
+        :meth:`_allocate_phrase`, the scalar loop over one phrase's
+        ``TopKList``, which the object layout always takes (it is the
+        reference), as does a columnar round below the crossover -- a
+        served tick among them -- reading a ``RankedRound`` through its
+        ``Mapping`` face.
         """
-        store = self._store
         if (
-            store is not None
+            isinstance(rankings, RankedRound)
             and len(phrases) * self.k >= ARRAY_PRICING_MIN_SLOTS
         ):
             shown, slots, ids, prices, ctrs = self._price_slots(
@@ -952,7 +978,7 @@ class SharedAuctionEngine:
         else:
             bid_of = (
                 effective_bid_cents.__getitem__
-                if store is None
+                if self._store is None
                 else self._row_bid
             )
             per_phrase = [
@@ -1021,14 +1047,13 @@ class SharedAuctionEngine:
         return allocated
 
     def _price_slots(
-        self, phrases: Sequence[str], rankings: Mapping[str, TopKList]
+        self, phrases: Sequence[str], rankings: RankedRound
     ) -> Tuple[List[int], List[int], List[int], List[int], List[float]]:
         """Stage 4, array arithmetic: the whole round's displayed ads.
 
         Works on every phrase's ranked entries laid end to end with
-        their rows and CTR factors (:meth:`_ranked_arrays`): what
-        Section III's round kernel hands over as it is, and what is
-        built from ``TopKList`` rankings otherwise.  The
+        their rows and CTR factors, as stage 3's backends hand them
+        over (:attr:`RankedRound.arrays`).  The
         effective bids stage 2 left in row space are gathered and every
         slot is priced in :meth:`_allocate_phrase`'s exact operation
         order -- ``next / c * 100.0``, ``min``, then ``np.rint``, which
@@ -1041,7 +1066,10 @@ class SharedAuctionEngine:
             phrase, then one row per displayed ad in (phrase, slot)
             order.
         """
-        lens, scores, ids, rows, c = self._ranked_arrays(phrases, rankings)
+        # The arrays are in stage 3's phrase order; the caller books
+        # `shown` against its own.
+        assert rankings.phrases == tuple(phrases)
+        lens, scores, ids, rows, c = rankings.arrays
         ends = np.cumsum(lens)
         total = int(ends[-1])
         phrase_at = np.repeat(np.arange(len(lens)), lens)
@@ -1067,47 +1095,6 @@ class SharedAuctionEngine:
             price[at].astype(np.int64).tolist(),
             ctrs.tolist(),
         )
-
-    def _ranked_arrays(
-        self, phrases: Sequence[str], rankings: Mapping[str, TopKList]
-    ):
-        """The round's rankings in :class:`RankedRound`'s array format.
-
-        A ``RankedRound`` is handed over as it is.  From ``TopKList``
-        rankings, the ranked ``(score, id)`` entries of every phrase
-        are laid end to end; one ``rows_of`` takes the ids to row space,
-        where the CTR factors are gathered.
-
-        Returns:
-            ``(lens, scores, ids, rows, c)``, see :class:`RankedRound`.
-        """
-        if isinstance(rankings, RankedRound):
-            # The arrays are in the kernel's phrase order; the caller
-            # books `shown` against its own.
-            assert rankings.phrases == tuple(phrases)
-            return rankings.arrays
-        store = self._store
-        ranked = [rankings[phrase].entries for phrase in phrases]
-        lens = np.fromiter(map(len, ranked), np.int64, len(ranked))
-        entries = list(chain.from_iterable(ranked))
-        total = len(entries)
-        scores = np.fromiter(map(_SCORE_OF, entries), np.float64, total)
-        ids = np.fromiter(map(_ID_OF, entries), np.int64, total)
-        rows = store.rows_of(ids)
-        if self.mode == "shared-sort":
-            by_id = self._by_id
-            c = np.fromiter(
-                (
-                    by_id[entry.advertiser_id].ctr_factor_for(phrase)
-                    for phrase, phrase_entries in zip(phrases, ranked)
-                    for entry in phrase_entries
-                ),
-                np.float64,
-                total,
-            )
-        else:
-            c = store.ctr_factors[rows]
-        return lens, scores, ids, rows, c
 
     def settle_remaining_clicks(self) -> Tuple[int, int, int]:
         """Flush the click model and settle every still-pending click.

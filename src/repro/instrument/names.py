@@ -46,7 +46,7 @@ name                      meaning (paper reference)
                           cached answer is handed back).
 ``plan.candidates_gathered``  ``(score, id)`` candidates the columnar
                           fragment executor handed to
-                          :func:`repro.core.columnar.segmented_top_k`
+                          :func:`repro.core.columnar.segmented_top_k_picks`
                           (member rows of refreshed fragments plus
                           table cells of re-aggregated queries) -- the
                           kernel's unit of work; zero on a round that

@@ -5,16 +5,23 @@ round by walking the greedy plan DAG, one
 :class:`~repro.core.topk.TopKList` per operator node.  With the
 population in a :class:`repro.core.columnar.ColumnarStore` the sharing
 structure is held as arrays and a round is two calls of one kernel,
-:func:`repro.core.columnar.segmented_top_k` (DESIGN section 18):
+:func:`repro.core.columnar.segmented_top_k_picks` (DESIGN section 18):
 
 1. every needed dirty *fragment* (Section II-D.1 equivalence class of
    advertisers occurring in the same queries) is top-k'd **once**: the
    member rows of all of them form one ragged batch, segmented by
    fragment, and the kernel writes each fragment's k best
-   ``(score, id)`` into its row of one ``(F, k)`` table;
+   ``(score, row)`` into its row of one ``(F, k)`` table;
 2. every requested query whose answer is stale is the top-k of its
    fragments' table rows: those rows form a second ragged batch,
-   segmented by query, and the same kernel answers all of them at once.
+   segmented by query, and the same kernel writes all of their answers
+   at once into their rows of a ``(Q, k)`` answer table.
+
+The answers leave as one gather of the requested rows of that table
+(:meth:`ColumnarFragmentExecutor.answer`), which the engine prices as
+they are.  The tables hold store rows, not ids: rows ascend with the
+id, so ``(-score, row)`` ranks as ``(-score, id)``, and pricing needs
+the rows.
 
 Exact because fragments partition a query's variable set, the top-k of
 a union is the top-k of the parts' top-k lists (axioms A1-A4), and
@@ -33,26 +40,32 @@ invalidation (a dirty row dirties its fragments; a newly dirty fragment
 makes every query it covers stale).
 
 Cross-round caching (``exec_cache=True``, ``cross_round=True``) keeps
-the table, the ``dirty`` / ``stale`` bits and every query's last answer
-between rounds, plus a last-seen score column, a seen mask and per-row
-epochs.  Invalidation is the executor's own score diff: one vectorized
-compare of the round's scored rows against the snapshot, a row being
-dirty on first sight or when its score moved.  It needs no outside
+both tables and the ``dirty`` / ``stale`` bits between rounds, plus a
+last-seen score column, a seen mask and per-row epochs.  Invalidation
+is the executor's own score diff: one vectorized compare of the round's
+scored rows against the snapshot, a row being dirty on first sight or
+when its score moved.  It needs no outside
 notice of who moved -- every row a round reads is compared, so no
 declaration could add a row and none may remove one.  A query whose
-``stale`` bit is clear is handed its previous ``TopKList`` object; a
-round in which nothing requested is stale calls the kernel zero times.  Without
-``cross_round`` the same routine runs over a scratch table in which
-everything is dirty.
+``stale`` bit is clear is answered from its row of the answer table as
+it stands; a round in which nothing requested is stale calls the kernel
+zero times.  Without ``cross_round`` the same routine runs over scratch
+tables in which everything is dirty.  ``run_round``, the ``TopKList``
+face of the library and the tests, builds its lists from the same
+gather: the answer table is the only answer store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Dict, Sequence
 
-from repro.core.columnar import ColumnarStore, require_numpy, segmented_top_k
+from repro.core.columnar import (
+    ColumnarStore,
+    require_numpy,
+    segmented_top_k_picks,
+)
 from repro.core.topk import ScoredAdvertiser, TopKList
 # Not called here any more: benchmarks/e2e/spans.py::TARGETS patches both
 # names in this module's namespace (tests/engine/test_span_targets.py).
@@ -76,7 +89,13 @@ class ColumnarExecResult:
     """One round's answers and work, mirroring ``ExecutionResult``.
 
     Attributes:
-        answers: ``{query name: TopKList}`` for every requested query.
+        lens: int64 answer length of every requested query, in request
+            order (``min(k, members)``).
+        scores: float64 scores of the answers laid end to end, best
+            first within a query.
+        rows: int64 store rows, parallel to ``scores``.
+        answers: ``{query name: TopKList}``, built from the arrays by
+            ``run_round`` only.
         merges_performed: Fragment lists combined beyond the first,
             summed over the queries re-aggregated this round (what a
             binary merge chain would perform; from CSR cover lengths).
@@ -91,12 +110,15 @@ class ColumnarExecResult:
             because no fragment of the query changed since it was last
             answered, so its cached answer was handed back.
         candidates_gathered: ``(score, id)`` candidates handed to
-            :func:`~repro.core.columnar.segmented_top_k` -- rows of
+            :func:`~repro.core.columnar.segmented_top_k_picks` -- rows of
             refreshed fragments plus table cells of re-aggregated
             queries; zero on a round that replays every answer.
     """
 
-    answers: Dict[str, TopKList]
+    lens: "np.ndarray"
+    scores: "np.ndarray"
+    rows: "np.ndarray"
+    answers: Dict[str, TopKList] = field(default_factory=dict)
     merges_performed: int = 0
     advertisers_scanned: int = 0
     nodes_reused: int = 0
@@ -133,22 +155,24 @@ def _gather(csr, keys):
 
 
 class _Tables:
-    """Fragment top-k table and per-query answers: one aggregation state.
+    """Fragment top-k table and query answer table: one aggregation state.
 
-    ``scores`` / ``ids`` hold each fragment's best-first top-k in a row
-    (``lens`` cells live); ``dirty`` marks rows that no longer reflect
-    their members' scores; ``stale`` marks queries whose entry in
-    ``answers`` no longer reflects their fragments.  Invariant: a dirty
-    fragment's queries are all stale.
+    ``scores`` / ``rows`` hold each fragment's best-first top-k of
+    ``(score, store row)`` in a row (``lens`` cells live), the
+    ``answer_*`` arrays each query's answer; ``dirty`` marks fragments
+    and ``stale`` queries whose row no longer reflects their inputs.
+    Invariant: a dirty fragment's queries are all stale.
     """
 
     def __init__(self, fragments: int, queries: int, k: int) -> None:
         self.scores = np.zeros((fragments, k), dtype=np.float64)
-        self.ids = np.zeros((fragments, k), dtype=np.int64)
+        self.rows = np.zeros((fragments, k), dtype=np.int64)
         self.lens = np.zeros(fragments, dtype=np.int64)
         self.dirty = np.ones(fragments, dtype=bool)
+        self.answer_scores = np.zeros((queries, k), dtype=np.float64)
+        self.answer_rows = np.zeros((queries, k), dtype=np.int64)
+        self.answer_lens = np.zeros(queries, dtype=np.int64)
         self.stale = np.ones(queries, dtype=bool)
-        self.answers: list = [None] * queries
 
 
 class ColumnarFragmentExecutor:
@@ -162,14 +186,14 @@ class ColumnarFragmentExecutor:
         store: The columnar population; fragment member ids are
             translated to row indices once at construction, so the
             store's rows must not be renumbered afterwards
-            (:meth:`run_round` checks).
+            (:meth:`answer` checks).
         k: Result capacity (the engine passes ``slots + 1`` for GSP).
         collector: Counts ``plan.merges``, ``plan.leaf_scans`` per row
             read and ``plan.candidates_gathered``, so shared-mode work
             tables keep their meaning under the columnar layout.  In
             cross-round mode additionally ``plan.nodes_reused`` /
             ``plan.nodes_invalidated`` / ``plan.revalidations``.
-        cross_round: Keep the fragment table and the answers alive
+        cross_round: Keep the fragment and answer tables alive
             between rounds and rescan only fragments touching a dirty
             row (see the module docstring).  ``False`` (the default)
             answers each round from scratch, still scanning a fragment
@@ -233,6 +257,7 @@ class ColumnarFragmentExecutor:
         self._queries_of_frag = _csr(cover_frag, cover_query, count)
         self._cover_len = np.diff(self._frags_of_query[0])
         self._shape = (count, len(queries), k)
+        self._columns = np.arange(k)
         self.rounds = 0
         if cross_round:
             size = store.size
@@ -271,28 +296,35 @@ class ColumnarFragmentExecutor:
     # ------------------------------------------------------------------
     # round execution
     # ------------------------------------------------------------------
-    def run_round(
-        self,
-        score_by_row,
-        names: Sequence[str],
-        rows=None,
-    ) -> ColumnarExecResult:
-        """Answer the round's requested queries.
+    def query_index(self, name: str) -> int:
+        """The index :meth:`answer` takes for a query name (raises
+        :class:`InvalidPlanError` for a name the instance lacks)."""
+        index = self._query_index.get(name)
+        if index is None:
+            raise InvalidPlanError(f"unknown query {name!r}")
+        return index
+
+    def answer(self, score_by_row, queries, rows=None) -> ColumnarExecResult:
+        """Answer the round's requested queries, as arrays.
 
         Args:
             score_by_row: Full-length float64 array of effective scores;
                 only rows belonging to the requested queries are read
                 (the engine fills exactly the occurring rows).
-            names: The requested (canonical) query names.
+            queries: int64 :meth:`query_index` of each requested query;
+                a repeat (A-equivalent phrases) is answered once.
             rows: The round's scored row indices (ascending) -- the
                 union of the requested queries' member rows, which the
                 cross-round mode diffs against its snapshot.  The
                 engine passes its occurring-row array; ``None`` derives
-                it from ``names`` (one-off callers and tests).
+                it from ``queries`` (one-off callers and tests).
+
+        Returns:
+            The answers of ``queries`` laid end to end in request order
+            (``lens``, ``scores``, ``rows``) and the round's work.
 
         Raises:
-            InvalidPlanError: If a name matches no query of the
-                instance, or the store's rows were renumbered after
+            InvalidPlanError: If the store's rows were renumbered after
                 construction (advertisers added or removed).
         """
         size = len(self._ids)
@@ -302,15 +334,8 @@ class ColumnarFragmentExecutor:
                 f"{size} of them (store: {self.store.size}, "
                 f"score_by_row: {len(score_by_row)}); build a new executor"
             )
-        try:
-            queries = np.fromiter(
-                map(self._query_index.__getitem__, names), np.int64, len(names)
-            )
-        except KeyError as error:
-            unknown = error.args[0]
-            raise InvalidPlanError(f"unknown query {unknown!r}") from None
         if not self.cross_round:
-            return self._aggregate(score_by_row, names, queries, False)
+            return self._aggregate(score_by_row, queries, False)
         self.rounds += 1
         if rows is None:
             frags, _ = _gather(self._frags_of_query, queries)
@@ -319,9 +344,34 @@ class ColumnarFragmentExecutor:
         else:
             rows = np.asarray(rows, dtype=np.int64)
         invalidated = self._absorb_scores(score_by_row, rows)
-        result = self._aggregate(score_by_row, names, queries, True)
+        result = self._aggregate(score_by_row, queries, True)
         result.nodes_invalidated = invalidated
         self._count(metric_names.PLAN_NODES_INVALIDATED, invalidated)
+        return result
+
+    def run_round(
+        self,
+        score_by_row,
+        names: Sequence[str],
+        rows=None,
+    ) -> ColumnarExecResult:
+        """:meth:`answer` by (canonical) query name, with
+        :attr:`ColumnarExecResult.answers` built from its arrays.
+
+        Raises:
+            InvalidPlanError: As :meth:`query_index` and :meth:`answer`.
+        """
+        queries = np.fromiter(
+            map(self.query_index, names), np.int64, len(names)
+        )
+        result = self.answer(score_by_row, queries, rows)
+        ids = self._ids[result.rows].tolist()
+        entries = list(map(ScoredAdvertiser, result.scores.tolist(), ids))
+        lens = result.lens.tolist()
+        result.answers = {
+            name: TopKList.from_ranked(self.k, tuple(entries[end - n:end]))
+            for name, n, end in zip(names, lens, accumulate(lens))
+        }
         return result
 
     def _absorb_scores(self, score_by_row, rows) -> int:
@@ -354,7 +404,7 @@ class ColumnarFragmentExecutor:
         return int(np.count_nonzero(newly < self._regular))
 
     def _aggregate(
-        self, score_by_row, names, queries, cached: bool
+        self, score_by_row, queries, cached: bool
     ) -> ColumnarExecResult:
         """Refresh the needed dirty fragments, answer the stale queries.
 
@@ -364,11 +414,10 @@ class ColumnarFragmentExecutor:
         """
         k = self.k
         tables = self._tables if cached else _Tables(*self._shape)
-        result = ColumnarExecResult(answers={})
-        answers = tables.answers
-        touches = int(self._cover_len[queries].sum())
-        stale = queries[tables.stale[queries]]
-        refreshed = 0
+        wanted = np.unique(queries) if len(queries) > 1 else queries
+        touches = int(self._cover_len[wanted].sum())
+        stale = wanted[tables.stale[wanted]]
+        refreshed = scanned = gathered = merges = 0
         if len(stale):
             frags, seg = _gather(self._frags_of_query, stale)
             # Every dirty fragment of a requested query belongs to a
@@ -379,53 +428,49 @@ class ColumnarFragmentExecutor:
             refreshed = len(due)
             if refreshed:
                 rows, row_seg = _gather(self._rows_of_frag, due)
-                tables.scores[due], tables.ids[due], tables.lens[due] = (
-                    segmented_top_k(
-                        k, score_by_row[rows], self._ids[rows], row_seg,
-                        refreshed,
-                    )
+                scores = score_by_row[rows]
+                picked, at, rank, tables.lens[due] = segmented_top_k_picks(
+                    k, scores, rows, row_seg, refreshed
                 )
+                tables.scores[due[at], rank] = scores[picked]
+                tables.rows[due[at], rank] = rows[picked]
                 tables.dirty[due] = False
                 if cached:
                     self._frag_epoch[due] += 1
-                result.advertisers_scanned = len(rows)
-                result.candidates_gathered = len(rows)
+                scanned = gathered = len(rows)
             # The live cells of the covers' table rows, as flat
             # positions into the (F, k) tables.
-            lens = tables.lens[frags]
-            cells, cell_frag = _ranges(frags * k, lens)
-            top_scores, top_ids, counts = segmented_top_k(
-                k,
-                tables.scores.ravel()[cells],
-                tables.ids.ravel()[cells],
-                seg[cell_frag],
-                len(stale),
-            )
-            for query, n, scores, ids in zip(
-                *(a.tolist() for a in (stale, counts, top_scores, top_ids))
-            ):
-                answers[query] = TopKList.from_ranked(
-                    k, tuple(map(ScoredAdvertiser, scores[:n], ids[:n]))
+            cells, cell_frag = _ranges(frags * k, tables.lens[frags])
+            scores = tables.scores.ravel()[cells]
+            rows = tables.rows.ravel()[cells]
+            picked, at, rank, tables.answer_lens[stale] = (
+                segmented_top_k_picks(
+                    k, scores, rows, seg[cell_frag], len(stale)
                 )
-            tables.stale[stale] = False
-            result.merges_performed = int(
-                self._cover_len[stale].sum() - len(stale)
             )
-            result.candidates_gathered += len(cells)
-        result.answers = {
-            name: answers[query]
-            for name, query in zip(names, queries.tolist())
-        }
-        self._count(metric_names.PLAN_LEAF_SCANS, result.advertisers_scanned)
-        self._count(metric_names.PLAN_MERGES, result.merges_performed)
-        self._count(
-            metric_names.PLAN_CANDIDATES_GATHERED, result.candidates_gathered
+            tables.answer_scores[stale[at], rank] = scores[picked]
+            tables.answer_rows[stale[at], rank] = rows[picked]
+            tables.stale[stale] = False
+            merges = int(self._cover_len[stale].sum() - len(stale))
+            gathered += len(cells)
+        # Every requested answer, stale a moment ago or not, is the live
+        # prefix of its row of the answer table: one gather.
+        lens = tables.answer_lens[queries]
+        live = self._columns < lens[:, None]
+        result = ColumnarExecResult(
+            lens,
+            tables.answer_scores[queries][live],
+            tables.answer_rows[queries][live],
+            merges_performed=merges,
+            advertisers_scanned=scanned,
+            candidates_gathered=gathered,
         )
+        self._count(metric_names.PLAN_LEAF_SCANS, scanned)
+        self._count(metric_names.PLAN_MERGES, merges)
+        self._count(metric_names.PLAN_CANDIDATES_GATHERED, gathered)
         if cached:
             result.nodes_reused = touches - refreshed
-            result.nodes_revalidated = (
-                touches - len(queries) - result.merges_performed
-            )
+            result.nodes_revalidated = touches - len(wanted) - merges
             self._count(metric_names.PLAN_NODES_REUSED, result.nodes_reused)
             self._count(
                 metric_names.PLAN_REVALIDATIONS, result.nodes_revalidated

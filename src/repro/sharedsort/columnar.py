@@ -44,6 +44,7 @@ same stop depths, same accesses, same floats.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import accumulate
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.core.columnar import (
@@ -111,11 +112,11 @@ class RankedRound(Mapping):
 
     def __getitem__(self, phrase: str) -> TopKList:
         if self._spans is None:
-            ends = np.cumsum(self.lens).tolist()
+            lens = self.lens.tolist()
             self._spans = {
                 name: (end - count, end)
                 for name, count, end in zip(
-                    self.phrases, self.lens.tolist(), ends
+                    self.phrases, lens, accumulate(lens)
                 )
             }
         start, end = self._spans[phrase]

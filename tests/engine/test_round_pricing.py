@@ -5,10 +5,13 @@
 layout picks between them from the slot count alone
 (``ARRAY_PRICING_MIN_SLOTS``), so a round on either side of the
 crossover must come out the same to the last bit -- prices (half-even
-rounding on an exact half cent included), CTRs, skipped slots.  Under
-``shared-sort`` the array pass is handed the round kernel's flat arrays
-(``RankedRound``) instead of ``TopKList``s; that hand-off is held to the
-same oracle.
+rounding on an exact half cent included), CTRs, skipped slots.
+
+The array pass reads stage 3's flat arrays (``RankedRound``), which every
+columnar backend hands over for a round of more than one phrase: the
+fragment executor, the Section III round kernel and the scan.  That
+hand-off is held to the same oracle, to arrays built from the object
+reference's ``TopKList``s, and to building no ``TopKList`` at all.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.core.columnar import ArrayScoreMap
 from repro.core.topk import TopKList
 from repro.engine.pipeline import ARRAY_PRICING_MIN_SLOTS, SharedAuctionEngine
 from repro.sharedsort.columnar import RankedRound
+from repro.workloads.generator import MarketConfig, generate_market
 
 SLOT_FACTORS = (0.3, 0.2, 0.1)
 K = len(SLOT_FACTORS)
@@ -90,6 +94,36 @@ ranked = st.lists(
 )
 
 
+def _ranked_round(engine, phrases, rankings):
+    """``TopKList`` rankings laid end to end as stage 3 hands them over:
+    each entry's store row and its ``c`` (``c_i^q`` under shared-sort)."""
+    store = engine._store
+    ranked = [rankings[phrase].entries for phrase in phrases]
+    flat = [entry for entries in ranked for entry in entries]
+    ids = np.array([e.advertiser_id for e in flat], dtype=np.int64)
+    rows = store.rows_of(ids)
+    if engine.mode == "shared-sort":
+        c = np.array(
+            [
+                engine._by_id[entry.advertiser_id].ctr_factor_for(phrase)
+                for phrase, entries in zip(phrases, ranked)
+                for entry in entries
+            ],
+            dtype=np.float64,
+        )
+    else:
+        c = store.ctr_factors[rows]
+    return RankedRound(
+        phrases,
+        K + 1,
+        np.array([len(entries) for entries in ranked], dtype=np.int64),
+        np.array([e.score for e in flat], dtype=np.float64),
+        ids,
+        rows,
+        c,
+    )
+
+
 def _scalar(engine, phrases, rankings):
     shown, rows = [], []
     for phrase in phrases:
@@ -119,7 +153,9 @@ def test_array_pricing_equals_the_scalar_loop_bit_for_bit(mode, data):
         phrase: TopKList(K + 1, data.draw(ranked)) for phrase in phrases
     }
     expected = _scalar(engine, phrases, rankings)
-    shown, slots, ids, prices, ctrs = engine._price_slots(phrases, rankings)
+    shown, slots, ids, prices, ctrs = engine._price_slots(
+        phrases, _ranked_round(engine, phrases, rankings)
+    )
     assert (shown, slots, ids, prices) == expected[:4]
     # Bit for bit, not approximately: the floats feed the click draws.
     assert [ctr.hex() for ctr in ctrs] == [ctr.hex() for ctr in expected[4]]
@@ -148,7 +184,9 @@ def test_recorded_edges():
         "p06": TopKList(K + 1, []),
     }
     phrases = sorted(rankings)
-    shown, slots, ids, prices, _ = engine._price_slots(phrases, rankings)
+    shown, slots, ids, prices, _ = engine._price_slots(
+        phrases, _ranked_round(engine, phrases, rankings)
+    )
     assert (shown, slots, ids, prices) == _scalar(engine, phrases, rankings)[:4]
     allocated = iter(zip(slots, ids, prices))
     by_phrase = {
@@ -237,9 +275,13 @@ def test_pricing_from_the_round_kernels_arrays(data):
         for _ in range(entries):
             advertiser_id, factor = next(carried)
             assert factor == by_id[advertiser_id].ctr_factor_for(phrase)
-    # The scalar oracle reads the materialized TopKLists.
+    # The scalar oracle reads the materialized TopKLists, and arrays
+    # rebuilt from them price the same.
     expected = _scalar(engine, phrases, ranked)
-    for rankings in (ranked, {phrase: ranked[phrase] for phrase in phrases}):
+    rebuilt = _ranked_round(
+        engine, phrases, {phrase: ranked[phrase] for phrase in phrases}
+    )
+    for rankings in (ranked, rebuilt):
         shown, slots, shown_ids, prices, ctrs = engine._price_slots(
             phrases, rankings
         )
@@ -372,3 +414,182 @@ def test_columnar_rounds_and_ticks_never_binary_search_a_bid(
         displays += fresh.run_round(PHRASES[:3]).displays  # scalar route
         displays += fresh.serve_query(PHRASES[5]).displays
     assert displays
+
+
+# ----------------------------------------------------------------------
+# every multi-phrase columnar round hands stage 4 arrays
+# ----------------------------------------------------------------------
+BACKENDS = {
+    "shared+exec_cache": dict(mode="shared", exec_cache=True),
+    "shared": dict(mode="shared"),
+    "unshared": dict(mode="unshared"),
+    "shared-sort": dict(mode="shared-sort"),
+}
+CROSSOVER = -(-ARRAY_PRICING_MIN_SLOTS // K)  # phrases of k slots
+DIFFERENTIAL_SEEDS = range(50)
+
+
+def _wide_market(seed: int):
+    """16 phrases, so a round can sit on either side of the crossover,
+    of 2 to 7 bidders (fewer and more than the k + 1 ranked), sharing
+    fragments; two thirds of the bidders on budgets that bind within a
+    few rounds (so cached answers go stale), and per-phrase CTR factors
+    for shared-sort."""
+    market = generate_market(
+        MarketConfig(
+            num_categories=4,
+            phrases_per_category=4,
+            specialists_per_category=6,
+            generalists=3,
+            generalist_categories=2,
+            phrase_interest=0.6,
+            median_budget_cents=400,
+            seed=seed,
+        )
+    )
+    rng = random.Random(f"wide-{seed}")
+    advertisers = [
+        Advertiser(
+            a.advertiser_id,
+            bid=a.bid,
+            ctr_factor=a.ctr_factor,
+            daily_budget=(
+                a.daily_budget if rng.random() < 2 / 3 else float("inf")
+            ),
+            phrases=a.phrases,
+            phrase_ctr_factors={
+                phrase: round(rng.uniform(0.3, 1.8), 3)
+                for phrase in sorted(a.phrases)
+                if rng.random() < 0.3
+            },
+        )
+        for a in market.advertisers
+    ]
+    return advertisers, market.search_rates
+
+
+def _wide_engine(advertisers, rates, seed, **config):
+    return SharedAuctionEngine(
+        advertisers, SLOT_FACTORS, rates, seed=seed, **config
+    )
+
+
+def _recorded_rankings(engine):
+    """``(phrases, rankings)`` of every round stage 3 of ``engine`` ranks."""
+    recorded = []
+    rank = engine._rank_phrases
+
+    def recording(phrases, *args):
+        rankings = rank(phrases, *args)
+        recorded.append((phrases, rankings))
+        return rankings
+
+    engine._rank_phrases = recording
+    return recorded
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_a_multi_phrase_round_builds_no_topklist(monkeypatch, backend):
+    advertisers, rates = _wide_market(0)
+    phrases = sorted(rates)
+    assert len(phrases) > CROSSOVER
+    engine = _wide_engine(
+        advertisers, rates, 5, layout="columnar", **BACKENDS[backend]
+    )
+    built = []
+    inside = []
+    from_ranked = TopKList.__dict__["from_ranked"].__func__
+    init = TopKList.__init__
+
+    def counted_from_ranked(cls, *args):
+        if inside:
+            built.append("from_ranked")
+        return from_ranked(cls, *args)
+
+    def counted_init(self, *args, **kwargs):
+        if inside:
+            built.append("__init__")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(
+        TopKList, "from_ranked", classmethod(counted_from_ranked)
+    )
+    monkeypatch.setattr(TopKList, "__init__", counted_init)
+    for stage in ("_rank_phrases", "_allocate_round"):
+        method = getattr(engine, stage)
+
+        def staged(*args, method=method):
+            inside.append(True)
+            try:
+                return method(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(engine, stage, staged)
+    rankings = _recorded_rankings(engine)
+    displays = 0
+    for count in (CROSSOVER, len(phrases), CROSSOVER + 2) * 2:
+        displays += engine.run_round(phrases[:count]).displays
+    assert displays
+    assert all(isinstance(r, RankedRound) for _, r in rankings)
+    assert built == []
+    # The counting is live: a served tick through the scalar route reads
+    # the RankedRound's Mapping face (or the scan's TopKList).
+    engine.serve_query(phrases[0])
+    assert built
+
+
+def _assert_same_rankings(engine, phrases, columnar, reference):
+    if not isinstance(columnar, RankedRound):
+        # The one-phrase scan hands over its TopKList.
+        assert len(phrases) == 1 and engine.mode == "unshared"
+        assert dict(columnar) == dict(reference)
+        return
+    assert columnar.phrases == tuple(phrases)
+    expected = _ranked_round(engine, phrases, reference)
+    for got, want in zip(columnar.arrays, expected.arrays):
+        assert got.dtype == want.dtype
+        # Bit for bit: the floats are compared as their bytes.
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
+def test_every_backend_hands_over_the_reference_rankings(backend, seed):
+    # Lockstep, as the layout differential drives it: each round's
+    # rankings from the columnar backend against arrays built from the
+    # object reference's TopKLists, for rounds below, at and above the
+    # slot crossover, one-phrase rounds and a served tick included.
+    advertisers, rates = _wide_market(seed)
+    phrases = sorted(rates)
+    config = dict(BACKENDS[backend])
+    columnar = _wide_engine(
+        advertisers, rates, seed, layout="columnar", **config
+    )
+    config.pop("exec_cache", None)
+    reference = _wide_engine(
+        advertisers, rates, seed, layout="object", **config
+    )
+    got, want = _recorded_rankings(columnar), _recorded_rankings(reference)
+    rng = random.Random(seed)
+    rounds = [
+        phrases,
+        sorted(rng.sample(phrases, CROSSOVER - 1)),
+        sorted(rng.sample(phrases, CROSSOVER)),
+        phrases[:1],
+        None,
+        phrases,
+    ]
+    for occurring in rounds:
+        if occurring is None:
+            occurring = reference.sample_occurring_phrases()
+        columnar._rng.setstate(reference._rng.getstate())
+        report = columnar.run_round(occurring)
+        assert report.allocations == reference.run_round(occurring).allocations
+        reference._rng.setstate(columnar._rng.getstate())
+    tick = columnar.serve_query(phrases[3])
+    assert tick.allocations == reference.serve_query(phrases[3]).allocations
+    assert len(got) == len(want) >= len(rounds)
+    for (occurring, mine), (same, theirs) in zip(got, want):
+        assert occurring == same
+        _assert_same_rankings(columnar, occurring, mine, theirs)

@@ -5,6 +5,9 @@ behind a row-granular dirty mask drawn from the executor's own score
 diff.  These tests pin the cache's unit semantics (reuse, invalidation,
 revalidation, the diff); the engine differential and the hypothesis
 dirty-mask property live in ``tests/engine/test_layout_differential.py``.
+A hypothesis machine holds the executor's two faces -- ``answer``'s
+arrays and ``run_round``'s ``TopKList``s, interleaved -- to one answer
+table and to a fresh top-k.
 """
 
 from __future__ import annotations
@@ -15,8 +18,12 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
+
 from repro.core.advertiser import Advertiser
-from repro.core.columnar import ColumnarStore
+from repro.core.columnar import ColumnarStore, columnar_top_k
 from repro.errors import InvalidPlanError
 from repro.instrument import MetricsCollector, names
 from repro.plans.columnar_exec import ColumnarFragmentExecutor
@@ -251,14 +258,13 @@ class TestWhatAMoveRestales:
         assert result.answers["q1"].entries[0].advertiser_id == 3
         assert result.answers["q2"].entries[0].advertiser_id == 3
 
-    def test_a_clean_round_hands_back_the_same_answer_objects(self):
+    def test_a_clean_round_replays_the_same_answers(self):
         store = _store()
         executor = _executor(store)
         scores = _scores(store, {i: float(i) for i in IDS})
         first = executor.run_round(scores, ALL)
         second = executor.run_round(scores.copy(), ALL)
-        for name in ALL:
-            assert second.answers[name] is first.answers[name]
+        assert second.answers == first.answers
         assert second.candidates_gathered == 0
 
 
@@ -327,3 +333,137 @@ class TestRandomInstances:
                 moves[i] = moves.get(i, 0) + 1
         for i in store.ids.tolist():
             assert cached.row_epoch(store.row_of(i)) == moves.get(i, 0)
+
+
+# ----------------------------------------------------------------------
+# the two faces read one answer table
+# ----------------------------------------------------------------------
+FACE_IDS = (2, 3, 5, 8, 13, 21, 34)
+FACE_K = 3
+# A small pool, so ties are common; 0.0 and -0.0 compare equal and fall
+# to the id tie-break.
+FACE_SCORES = st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.5))
+
+
+class TwoFacesMachine(RuleBasedStateMachine):
+    """Scores move across rounds while ``answer`` (arrays) and
+    ``run_round`` (``TopKList``) take turns on one cross-round executor
+    and on an uncached one.  Whichever face asks, and whatever the other
+    face refreshed before it, every answer is ``columnar_top_k`` of the
+    query's members under the current scores.
+    """
+
+    @initialize(
+        members=st.lists(
+            st.sets(st.sampled_from(FACE_IDS), min_size=1, max_size=6),
+            min_size=1,
+            max_size=5,
+        ),
+        level=FACE_SCORES,
+    )
+    def build(self, members, level):
+        # Queries of one and two members: fewer than k entries.
+        members = [*members, set(FACE_IDS[:2]), {FACE_IDS[2]}]
+        instance = SharedAggregationInstance(
+            AggregateQuery(f"q{index}", variables)
+            for index, variables in enumerate(members)
+        )
+        self.store = ColumnarStore(
+            [Advertiser(i, 1.0, phrases=frozenset({"p"})) for i in FACE_IDS]
+        )
+        # A-equivalent queries deduplicate; the survivors are askable.
+        self.members = {
+            query.name: sorted(query.variables)
+            for query in instance.queries + instance.trivial_queries
+        }
+        self.names = sorted(self.members)
+        self.cached = ColumnarFragmentExecutor(
+            instance, self.store, FACE_K, cross_round=True
+        )
+        self.uncached = ColumnarFragmentExecutor(instance, self.store, FACE_K)
+        # Every score equal to start with.
+        self.scores = np.full(self.store.size, level)
+
+    def _expected(self, name):
+        rows = self.store.rows_of(self.members[name])
+        return columnar_top_k(
+            FACE_K, self.scores[rows], self.store.ids[rows]
+        ).entries
+
+    def _check(self, executor, name, scores, ids):
+        expected = self._expected(name)
+        assert [(e.score, e.advertiser_id) for e in expected] == list(
+            zip(scores, ids)
+        ), name
+        if executor is self.uncached:
+            # Nothing replayed: the stored sign of a zero is the score's.
+            assert [e.score.hex() for e in expected] == [
+                score.hex() for score in scores
+            ]
+
+    @rule(moved=st.dictionaries(st.sampled_from(FACE_IDS), FACE_SCORES))
+    def move(self, moved):
+        for advertiser_id, score in moved.items():
+            self.scores[self.store.row_of(advertiser_id)] = score
+
+    @rule(level=FACE_SCORES)
+    def level(self, level):
+        self.scores[:] = level
+
+    @rule(
+        data=st.data(),
+        scored=st.booleans(),
+    )
+    def ask_arrays(self, data, scored):
+        # Repeats allowed: A-equivalent phrases ask for one query twice.
+        requested = data.draw(
+            st.lists(st.sampled_from(self.names), max_size=6)
+        )
+        queries = np.array(
+            [self.cached.query_index(name) for name in requested],
+            dtype=np.int64,
+        )
+        rows = None
+        if scored:
+            # The engine's form: the union of the requested members.
+            rows = self.store.rows_of(
+                sorted({i for name in requested for i in self.members[name]})
+            )
+        for executor in (self.cached, self.uncached):
+            result = executor.answer(self.scores, queries, rows)
+            assert len(result.lens) == len(requested)
+            assert result.answers == {}
+            ids = self.store.ids[result.rows].tolist()
+            end = 0
+            for name, n in zip(requested, result.lens.tolist()):
+                self._check(
+                    executor,
+                    name,
+                    result.scores[end:end + n].tolist(),
+                    ids[end:end + n],
+                )
+                end += n
+            assert end == len(result.scores) == len(ids)
+
+    @rule(data=st.data())
+    def ask_lists(self, data):
+        requested = data.draw(
+            st.lists(st.sampled_from(self.names), unique=True, max_size=6)
+        )
+        for executor in (self.cached, self.uncached):
+            result = executor.run_round(self.scores, requested)
+            assert sorted(result.answers) == sorted(requested)
+            for name in requested:
+                entries = result.answers[name].entries
+                self._check(
+                    executor,
+                    name,
+                    [e.score for e in entries],
+                    [e.advertiser_id for e in entries],
+                )
+
+
+TestTwoFacesOneTable = TwoFacesMachine.TestCase
+TestTwoFacesOneTable.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)
