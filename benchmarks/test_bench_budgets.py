@@ -10,7 +10,7 @@ slots whose eventual clicks they cannot pay for; the forgiven fraction
 of delivered click value is the provider's loss.  Section IV throttling
 drives it to ~zero on the identical click fortunes -- the paper's
 Table-style result, recorded per policy.  Both policies run the engine's
-default exact scoring on ``layout="columnar"``.
+default exact scoring.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ def make_engine(throttle: bool) -> SharedAuctionEngine:
         slot_factors=SLOT_FACTORS,
         search_rates=MARKET.search_rates,
         mode="unshared",
-        layout="columnar",
         throttle=throttle,
         mean_click_delay_rounds=CLICK_DELAY_ROUNDS,
         seed=ENGINE_SEED,

@@ -4,9 +4,11 @@ Three claims, three gates, on the scaled Fig. 4 workload (eight tiled
 components, 2000 advertisers, 480 phrases -- large enough that the
 kernels measure real work):
 
-1. **Kernels**: ``layout="columnar"`` runs the per-round scoring +
-   top-k stage at least 3x faster than the object layout in wall clock,
-   while a 50-seed full-engine sweep stays byte-identical (allocations,
+1. **Kernels**: the engine runs the per-round scoring + top-k stages
+   at least 3x faster in wall clock than
+   :class:`repro.reference.ReferenceEngine`'s score and rank steps (the
+   same two algorithms written plainly), while a 50-seed full-engine
+   sweep against the reference stays byte-identical (allocations,
    revenue, budget trajectories) -- the vectorization buys work, never
    outcomes.
 2. **Single-shard identity**: ``ShardedEngine(shards=1)`` reproduces
@@ -36,8 +38,6 @@ import time
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.core.advertiser import Advertiser
 from repro.core.auction import AuctionSpec
 from repro.core.ctr import MatrixCTRModel
@@ -49,6 +49,7 @@ from repro.core.winner_determination import (
 from repro.engine.pipeline import RoundReport, SharedAuctionEngine
 from repro.engine.sharded import ShardedEngine
 from repro.metrics.tables import ExperimentTable
+from repro.reference import ReferenceEngine
 from repro.workloads.fig4 import fig4_market
 
 KERNEL_SPEEDUP_FLOOR = 3.0
@@ -68,32 +69,39 @@ def _scaled_market(seed=0):
     return fig4_market(seed=seed, **SCALED)
 
 
-def _engine(advertisers, rates, layout, **kw):
+def _engine(advertisers, rates, reference=False, **kw):
     kw.setdefault("mode", "unshared")
     kw.setdefault("seed", 7)
-    return SharedAuctionEngine(
-        tuple(advertisers), SLOTS, rates, layout=layout, **kw
+    return (ReferenceEngine if reference else SharedAuctionEngine)(
+        tuple(advertisers), SLOTS, rates, **kw
     )
 
 
-def _time_kernel(engine, occurring, repeats=3, rounds_per_repeat=3):
-    """Best-of-N wall clock of the scoring + ranking stages alone.
+def _score_and_rank(engine, occurring, round_index):
+    """One round's scoring and ranking steps, nothing else: the
+    reference's exact ``b̂`` then a scan per phrase, or the engine's
+    stages 2 and 3."""
+    report = RoundReport(round_index, tuple(occurring))
+    if isinstance(engine, ReferenceEngine):
+        bids = engine._throttled_bids(occurring, round_index, report)
+        return {
+            phrase: engine._rank(phrase, bids, report) for phrase in occurring
+        }
+    engine._effective_scores(occurring, round_index, report)
+    return engine._rank_phrases(occurring, report)
 
-    Drives the two round stages the columnar layout replaces --
-    effective scoring and per-phrase top-k -- without allocation or
-    click settlement, so the measurement isolates exactly the kernels
-    the gate is about.  The budget books never move, so every timed
-    iteration performs identical work.
+
+def _time_kernel(engine, occurring, repeats=3, rounds_per_repeat=3):
+    """Best-of-N wall clock of the scoring + ranking steps alone.
+
+    Drives the two round steps the engine vectorizes -- effective
+    scoring and per-phrase top-k -- without allocation or click
+    settlement, so the measurement isolates exactly the kernels the gate
+    is about.  The budget books never move, so every timed iteration
+    performs identical work.
     """
     def one_round(round_index):
-        report = RoundReport(round_index, tuple(occurring))
-        scores, effective = engine._effective_scores(
-            occurring, round_index, report
-        )
-        rankings = engine._rank_phrases(
-            occurring, scores, effective, report
-        )
-        return rankings
+        return _score_and_rank(engine, occurring, round_index)
 
     one_round(0)  # warm phrase-membership and presort caches
     best = float("inf")
@@ -113,9 +121,9 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
     assert len(rates) >= 480
 
     # ------------------------------------------------------------- 1.
-    # Kernel wall clock: object vs columnar on identical state.
-    object_engine = _engine(advertisers, rates, "object")
-    columnar_engine = _engine(advertisers, rates, "columnar")
+    # Kernel wall clock: reference vs engine on identical state.
+    object_engine = _engine(advertisers, rates, reference=True)
+    columnar_engine = _engine(advertisers, rates)
     object_seconds, object_rankings = _time_kernel(
         object_engine, occurring
     )
@@ -128,11 +136,11 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
     } == {
         phrase: ranking.entries
         for phrase, ranking in columnar_rankings.items()
-    }, "kernel rankings diverged between layouts"
+    }, "kernel rankings diverged between engine and reference"
     speedup = object_seconds / columnar_seconds
     assert speedup >= KERNEL_SPEEDUP_FLOOR, (
         f"columnar scoring+top-k only {speedup:.2f}x faster than the "
-        f"object layout (floor {KERNEL_SPEEDUP_FLOOR}x)"
+        f"reference (floor {KERNEL_SPEEDUP_FLOOR}x)"
     )
 
     # ------------------------------------------------------------- 2.
@@ -143,30 +151,31 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
             num_queries=10, num_advertisers=40, num_components=2,
             seed=seed,
         )
-        reports = {}
-        for layout in ("object", "columnar"):
-            engine = _engine(adv, sweep_rates, layout, seed=seed)
-            reports[layout] = engine.run(6)
+        reports = {
+            reference: _engine(
+                adv, sweep_rates, reference=reference, seed=seed
+            ).run(6)
+            for reference in (True, False)
+        }
         same = (
-            reports["object"].revenue_cents
-            == reports["columnar"].revenue_cents
-            and reports["object"].forgiven_cents
-            == reports["columnar"].forgiven_cents
+            reports[True].revenue_cents
+            == reports[False].revenue_cents
+            and reports[True].forgiven_cents
+            == reports[False].forgiven_cents
             and all(
                 a.allocations == b.allocations
                 for a, b in zip(
-                    reports["object"].history,
-                    reports["columnar"].history,
+                    reports[True].history,
+                    reports[False].history,
                 )
             )
         )
-        assert same, f"layouts diverged on sweep seed {seed}"
+        assert same, f"engine and reference diverged on sweep seed {seed}"
 
     # ------------------------------------------------------------- 3.
     # Single-shard identity + the worker scaling curve.
     sequential = SharedAuctionEngine(
-        tuple(advertisers), SLOTS, rates, mode="unshared",
-        layout="columnar", seed=7,
+        tuple(advertisers), SLOTS, rates, mode="unshared", seed=7,
     )
     start = time.perf_counter()
     sequential_report = sequential.run(4)
@@ -176,7 +185,7 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
     for workers in (1, 2, 4):
         with ShardedEngine(
             advertisers, SLOTS, rates, shards=workers, seed=7,
-            mode="unshared", layout="columnar",
+            mode="unshared",
         ) as sharded:
             start = time.perf_counter()
             report = sharded.run(4)
@@ -211,7 +220,7 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
         f"({len(advertisers)} advertisers, {len(rates)} phrases)",
         ["metric", "value"],
     )
-    table.add("object kernel (s/round)", round(object_seconds, 4))
+    table.add("reference kernel (s/round)", round(object_seconds, 4))
     table.add("columnar kernel (s/round)", round(columnar_seconds, 4))
     table.add("kernel speedup", round(speedup, 2))
     table.add("equality seeds", EQUALITY_SEEDS)
@@ -223,14 +232,7 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
     table.show()
 
     # Timed kernel for the benchmark harness: one columnar round.
-    def columnar_round():
-        report = RoundReport(99, tuple(occurring))
-        scores, effective = columnar_engine._effective_scores(
-            occurring, 99, report
-        )
-        columnar_engine._rank_phrases(occurring, scores, effective, report)
-
-    benchmark(columnar_round)
+    benchmark(lambda: _score_and_rank(columnar_engine, occurring, 99))
 
 
 def _nonseparable_spec(n: int, k: int, seed: int) -> AuctionSpec:

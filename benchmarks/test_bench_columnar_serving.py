@@ -1,10 +1,10 @@
-"""E21 -- columnar serving against the object reference.
+"""E21 -- columnar serving against the reference.
 
-``layout="columnar"`` serving queries one at a time through the
-Section III pipeline (``mode="shared-sort"``), no cross-round cache, is
-byte-identical over 50 seeds to the object reference serving the same
-arrival trace -- every query's winners and prices, click money, and the
-final budget books.  The timed kernel is one steady-state columnar
+The engine serving queries one at a time through the Section III
+pipeline (``mode="shared-sort"``), no cross-round cache, is
+byte-identical over 50 seeds to :class:`repro.reference.ReferenceEngine`
+serving the same arrival trace -- every query's winners and prices,
+click money, and the final budget books.  The timed kernel is one steady-state columnar
 serving tick on the scaled Fig. 4 market (2000 advertisers / 480
 phrases).
 """
@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.engine import SharedAuctionEngine
+from repro.reference import ReferenceEngine
 from repro.serving import ServingEngine, TrafficGenerator
 from repro.workloads.fig4 import fig4_market
 from repro.workloads.generator import MarketConfig, generate_market
@@ -41,13 +40,12 @@ def _small_market(seed: int):
     )
 
 
-def _loop(advertisers, rates, layout, seed):
-    engine = SharedAuctionEngine(
+def _loop(advertisers, rates, reference, seed):
+    engine = (ReferenceEngine if reference else SharedAuctionEngine)(
         advertisers,
         slot_factors=SLOTS,
         search_rates=rates,
         seed=seed,
-        layout=layout,
         mode=MODE,
     )
     traffic = TrafficGenerator.from_search_rates(
@@ -56,8 +54,8 @@ def _loop(advertisers, rates, layout, seed):
     return engine, ServingEngine(engine, traffic, keep_history=True)
 
 
-def _served_outcome(advertisers, rates, layout, seed):
-    engine, loop = _loop(advertisers, rates, layout, seed)
+def _served_outcome(advertisers, rates, reference, seed):
+    engine, loop = _loop(advertisers, rates, reference, seed)
     report = loop.run(IDENTITY_QUERIES)
     return (
         [(q.phrase, q.allocation) for q in report.history],
@@ -73,21 +71,21 @@ def test_columnar_serving_identity_and_speed(benchmark):
     # 50-seed trace identity.
     for seed in range(IDENTITY_SEEDS):
         market = _small_market(seed)
-        outcomes = {
-            layout: _served_outcome(
-                market.advertisers, market.search_rates, layout, seed
+        reference, engine = (
+            _served_outcome(
+                market.advertisers, market.search_rates, reference, seed
             )
-            for layout in ("object", "columnar")
-        }
-        assert outcomes["object"] == outcomes["columnar"], (
-            f"serving diverged across layouts (seed {seed})"
+            for reference in (True, False)
+        )
+        assert reference == engine, (
+            f"serving diverged from the reference (seed {seed})"
         )
 
     advertisers, rates = fig4_market(
         seed=4, median_budget_cents=20_000, **SCALED
     )
     # Timed kernel: one steady-state columnar serving tick.
-    _, loop = _loop(advertisers, rates, "columnar", 17)
+    _, loop = _loop(advertisers, rates, False, 17)
     loop.keep_history = False
     loop.run(WARMUP_QUERIES)
     arrivals = iter(loop.traffic)

@@ -3,9 +3,9 @@
 The paper's headline motivation: batching simultaneous auctions and
 sharing their top-k work cuts the per-round computation while leaving
 every outcome identical.  We run the full engine (throttling, budgets,
-delayed clicks) on a generated market in both modes -- the shared plan
-on the columnar layout, the unshared scans on the object reference --
-and compare work counters and timings.
+delayed clicks) on a generated market in both modes and compare work
+counters and timings; both must allocate as
+:class:`repro.reference.ReferenceEngine` does.
 """
 
 from __future__ import annotations
@@ -15,18 +15,23 @@ import pytest
 from repro.engine import SharedAuctionEngine
 from repro.instrument import MetricsCollector, names
 from repro.metrics.tables import WORK_COLUMN_NAMES, ExperimentTable, work_columns
+from repro.reference import ReferenceEngine
 from repro.workloads.generator import MarketConfig, generate_market
 
 ROUNDS = 30
 
 
-def build_engine(market, mode: str, collector=None) -> SharedAuctionEngine:
+def build_engine(market, mode: str, collector=None, reference=False):
+    if reference:
+        return ReferenceEngine(
+            market.advertisers, [0.3, 0.2, 0.1], market.search_rates,
+            mode=mode, seed=13,
+        )
     return SharedAuctionEngine(
         market.advertisers,
         slot_factors=[0.3, 0.2, 0.1],
         search_rates=market.search_rates,
         mode=mode,
-        layout="object" if mode == "unshared" else "columnar",
         throttle=True,
         seed=13,
         collector=collector,
@@ -65,9 +70,12 @@ def test_shared_vs_unshared_work(benchmark):
             engine = build_engine(market, mode, collector)
             reports[mode] = engine.run(ROUNDS)
             work[mode] = work_columns(collector)
-        identical = (
-            reports["shared"].revenue_cents == reports["unshared"].revenue_cents
-            and reports["shared"].displays == reports["unshared"].displays
+        oracle = build_engine(market, "unshared", reference=True).run(ROUNDS)
+        identical = all(
+            [r.allocations for r in report.history]
+            == [r.allocations for r in oracle.history]
+            and report.revenue_cents == oracle.revenue_cents
+            for report in reports.values()
         )
         for mode in ("shared", "unshared"):
             report = reports[mode]

@@ -1,9 +1,9 @@
 """E15 -- the three engine modes head to head.
 
-``shared`` (Section II plans), ``shared-sort`` (Section III shared sort
-+ threshold algorithm), both on the columnar layout, and ``unshared``
-(independent scans, the object reference) resolve the same generated
-market.  With phrase-independent CTR factors all three must produce
+``shared`` (Section II plans) and ``shared-sort`` (Section III shared
+sort + threshold algorithm) on the engine, and ``unshared`` (independent
+scans, :class:`repro.reference.ReferenceEngine`) resolve the same
+generated market.  With phrase-independent CTR factors all three must produce
 identical outcomes; the work profiles differ.
 
 ``test_uncached_shared_plan_within_reach_of_the_scan`` is ROADMAP item
@@ -66,6 +66,7 @@ import pytest
 from repro.engine import DelayedClickModel, SharedAuctionEngine, pipeline
 from repro.instrument import MetricsCollector, names
 from repro.metrics.tables import ExperimentTable
+from repro.reference import ReferenceEngine
 from repro.workloads.fig4 import fig4_market
 from repro.workloads.generator import MarketConfig, generate_market
 
@@ -75,15 +76,14 @@ SHARED_OVER_SCAN_CEILING = 1.5
 SORT_OVER_SCAN_CEILING = 1.0
 
 
-def build_engine(market, mode: str) -> SharedAuctionEngine:
-    return SharedAuctionEngine(
+def build_engine(market, mode: str):
+    # The sharing mechanisms run on the engine; the unshared scan is
+    # the reference they are held to.
+    return (ReferenceEngine if mode == "unshared" else SharedAuctionEngine)(
         market.advertisers,
         slot_factors=[0.3, 0.2],
         search_rates=market.search_rates,
         mode=mode,
-        # The sharing mechanisms run on the columnar layout; the
-        # unshared scan is held to the object reference.
-        layout="object" if mode == "unshared" else "columnar",
         throttle=True,
         seed=31,
     )
@@ -144,7 +144,7 @@ def _median_round_ms(advertisers, rates, mode, rounds, warm):
     every round's allocations (the outcome the modes must agree on)."""
     engine = SharedAuctionEngine(
         advertisers, [0.3, 0.2, 0.1], rates,
-        mode=mode, layout="columnar", seed=11,
+        mode=mode, seed=11,
     )
     samples = []
     allocations = []
@@ -159,7 +159,6 @@ def _median_round_ms(advertisers, rates, mode, rounds, warm):
 
 @pytest.mark.experiment("EngineModes")
 def test_uncached_shared_plan_within_reach_of_the_scan():
-    pytest.importorskip("numpy")
     # batch_rank's market: 8 Fig. 4 components (2000 advertisers, 480
     # phrases), unlimited budgets, each phrase occurring with
     # probability 0.5.  Both engines replay the same rounds in this
@@ -225,7 +224,6 @@ def _booked(advertisers):
 
 @pytest.mark.experiment("EngineModes")
 def test_book_rows_follow_movers():
-    pytest.importorskip("numpy")
     # batch_rank's configuration, but every budget a finite 10^11 cents
     # (an unbudgeted advertiser keeps no books, so moves none), through
     # the shared plan with the exec cache.  ~240 phrases a round display
@@ -243,7 +241,7 @@ def test_book_rows_follow_movers():
     collector = MetricsCollector()
     engine = SharedAuctionEngine(
         _booked(advertisers), [0.3, 0.2, 0.1], rates,
-        mode="shared", layout="columnar", exec_cache=True, seed=11,
+        mode="shared", exec_cache=True, seed=11,
         collector=collector,
     )
     rng = random.Random(16)
@@ -291,7 +289,6 @@ CACHED_SHARED_TICK_OVER_SCAN_CEILING = 2.45
 
 @pytest.mark.experiment("EngineModes")
 def test_cached_shared_tick_within_reach_of_the_scan():
-    pytest.importorskip("numpy")
     # serve_scan's market and trace shape: the 8-component market with
     # log-normal budgets, one Zipf-popular phrase a tick, 200 warm ticks
     # then 2000 timed.  The shared plan with the exec cache serves the
@@ -312,7 +309,7 @@ def test_cached_shared_tick_within_reach_of_the_scan():
     def median_tick_ms(config):
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
-            layout="columnar", seed=11, **config,
+            seed=11, **config,
         )
         samples = []
         allocations = []
@@ -354,7 +351,6 @@ SCORE_OVER_RANK_CEILING = 2.0
 
 @pytest.mark.experiment("EngineModes")
 def test_served_tick_scores_off_standing_columns():
-    pytest.importorskip("numpy")
     # serve_scan's configuration: the 8-component market with log-normal
     # budgets (so budgets bind and the exact DP runs: it is part of the
     # score stage on both sides of the gate), one Zipf-popular phrase a
@@ -370,7 +366,7 @@ def test_served_tick_scores_off_standing_columns():
         collector = MetricsCollector()
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
-            mode="unshared", layout="columnar", seed=11, collector=collector,
+            mode="unshared", seed=11, collector=collector,
         )
         throttled = 0
         for phrase in queries:
@@ -400,7 +396,6 @@ REBUILT_SHARE_CEILING = 0.5
 
 @pytest.mark.experiment("EngineModes")
 def test_debt_round_scores_off_standing_distributions(monkeypatch):
-    pytest.importorskip("numpy")
     # batch_debt's shape: one budgeted Fig. 4 component (250 advertisers,
     # 60 phrases, ~30 a round) through the shared plan with the exec
     # cache, 17 warm rounds (the click horizon + 1: the ledgers are
@@ -426,7 +421,7 @@ def test_debt_round_scores_off_standing_distributions(monkeypatch):
         collector = MetricsCollector()
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
-            mode="shared", layout="columnar", exec_cache=True, seed=11,
+            mode="shared", exec_cache=True, seed=11,
             collector=collector,
         )
         allocations = []
@@ -478,7 +473,6 @@ UNBUDGETED_OVER_BOOKED_CEILING = 0.8
 
 @pytest.mark.experiment("EngineModes")
 def test_unbudgeted_round_keeps_no_books():
-    pytest.importorskip("numpy")
     # batch_rank's configuration: the 8-component market with unlimited
     # budgets through the shared plan with the exec cache, 5 warm rounds
     # then 80 timed.  The same market with every budget a finite 10^11
@@ -506,7 +500,7 @@ def test_unbudgeted_round_keeps_no_books():
         collector = MetricsCollector()
         engine = SharedAuctionEngine(
             market, [0.3, 0.2, 0.1], rates,
-            mode="shared", layout="columnar", exec_cache=True, seed=11,
+            mode="shared", exec_cache=True, seed=11,
             collector=collector,
         )
         allocations = []
@@ -551,7 +545,6 @@ BATCHED_OVER_SINGLE_CLICKS_CEILING = 0.3
 
 @pytest.mark.experiment("EngineModes")
 def test_a_round_of_displays_is_one_click_model_call():
-    pytest.importorskip("numpy")
     # batch_rank's market: one sampled round through the shared plan;
     # its ~720 displays, as stage 4 hands them to the click model,
     # are captured.  Two models with one seed then take them -- one
@@ -566,7 +559,7 @@ def test_a_round_of_displays_is_one_click_model_call():
     )
     engine = SharedAuctionEngine(
         advertisers, [0.3, 0.2, 0.1], rates,
-        mode="shared", layout="columnar", exec_cache=True, seed=11,
+        mode="shared", exec_cache=True, seed=11,
     )
     captured = []
     record_displays = engine.click_model.record_displays

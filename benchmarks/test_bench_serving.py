@@ -4,8 +4,8 @@ A query-at-a-time tick on the Fig. 4-derived market resolves in well
 under a millisecond, measured as exact nearest-rank p50/p99 over a
 600-query session (no sketches -- the recorder keeps every sample).
 Every configuration serves the identical trace with the identical
-outcome as the object reference; the columnar exec cache must reuse
-fragment lists in steady state (``plan.nodes_reused`` > 0).
+outcome as :class:`repro.reference.ReferenceEngine`; the exec cache must
+reuse fragment lists in steady state (``plan.nodes_reused`` > 0).
 
 Latency sessions run with the null collector (metric bookkeeping would
 tax exactly the path being timed); work sessions re-run the identical
@@ -22,6 +22,7 @@ import pytest
 from repro.engine import SharedAuctionEngine
 from repro.instrument import MetricsCollector, names
 from repro.metrics.tables import ExperimentTable
+from repro.reference import ReferenceEngine
 from repro.serving import ServingEngine, TrafficGenerator
 from repro.workloads.fig4 import fig4_market
 
@@ -33,7 +34,7 @@ ENGINE_SEED = 17
 P50_CEILING_SECONDS = 0.050  # measured ~0.3 ms; 50 ms means pathology
 
 
-def make_loop(collector=None, **engine_kwargs):
+def make_loop(collector=None, reference=False, **engine_kwargs):
     # Budgets are loose enough that the Section IV exact-throttle DP
     # stays on its trivially-unthrottled fast path (tight budgets make
     # every tick pay O(outstanding x budget) per advertiser -- a real
@@ -42,14 +43,19 @@ def make_loop(collector=None, **engine_kwargs):
     advertisers, search_rates = fig4_market(
         seed=MARKET_SEED, median_budget_cents=20_000
     )
-    engine = SharedAuctionEngine(
-        advertisers,
-        slot_factors=[0.3, 0.2, 0.1],
-        search_rates=search_rates,
-        seed=ENGINE_SEED,
-        collector=collector,
-        **engine_kwargs,
-    )
+    if reference:
+        engine = ReferenceEngine(
+            advertisers, [0.3, 0.2, 0.1], search_rates, seed=ENGINE_SEED
+        )
+    else:
+        engine = SharedAuctionEngine(
+            advertisers,
+            slot_factors=[0.3, 0.2, 0.1],
+            search_rates=search_rates,
+            seed=ENGINE_SEED,
+            collector=collector,
+            **engine_kwargs,
+        )
     traffic = TrafficGenerator.from_search_rates(
         search_rates,
         rate_qps=ARRIVAL_RATE_QPS,
@@ -72,17 +78,17 @@ def work_session(**engine_kwargs):
     return report.counters, report
 
 
-EXEC_CACHE = {"mode": "shared", "layout": "columnar", "exec_cache": True}
+EXEC_CACHE = {"mode": "shared", "exec_cache": True}
 CONFIGS = [
-    ("object reference", {"mode": "unshared", "layout": "object"}),
-    ("shared columnar", {"mode": "shared", "layout": "columnar"}),
+    ("unshared columnar", {"mode": "unshared"}),
+    ("shared columnar", {"mode": "shared"}),
     ("shared columnar +exec-cache", EXEC_CACHE),
-    ("shared-sort columnar", {"mode": "shared-sort", "layout": "columnar"}),
+    ("shared-sort columnar", {"mode": "shared-sort"}),
 ]
 
 # The counter each configuration's ranking reports its reads under.
 WORK_COUNTER = {
-    "object": names.TOPK_SCAN_ENTRIES,
+    "unshared": names.TOPK_SCAN_ENTRIES,
     "shared": names.PLAN_LEAF_SCANS,
     "shared-sort": names.TA_SORTED_ACCESSES,
 }
@@ -100,12 +106,7 @@ def test_serving_qps_and_latency(benchmark):
         latency = latency_session(**config)
         counters, report = work_session(**config)
         counters_by_label[label] = counters
-        work = counters.get(
-            WORK_COUNTER[
-                "object" if config["layout"] == "object" else config["mode"]
-            ],
-            0,
-        )
+        work = counters.get(WORK_COUNTER[config["mode"]], 0)
         assert work > 0, label
         table.add(
             label,
@@ -118,6 +119,8 @@ def test_serving_qps_and_latency(benchmark):
         assert latency.p50_seconds <= P50_CEILING_SECONDS, label
         revenues.add((report.revenue_cents, report.clicks))
     table.show()
+    reference = make_loop(reference=True).run(QUERIES)
+    revenues.add((reference.revenue_cents, reference.clicks))
     assert len(revenues) == 1, f"configs disagree on outcomes: {revenues}"
 
     reused = counters_by_label["shared columnar +exec-cache"].get(

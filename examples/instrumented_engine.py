@@ -1,7 +1,7 @@
 """Work accounting with the instrumentation layer.
 
 Runs the same generated market through the engine in all three modes
-(on the default columnar layout) with an enabled
+with an enabled
 :class:`MetricsCollector`, then prints the measured work counters side
 by side -- the counter-derived version of the paper's
 shared-vs-unshared comparison -- plus a per-round trace excerpt and a

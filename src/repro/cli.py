@@ -89,17 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument("--seed", type=int, default=0)
     engine.add_argument(
-        "--layout",
-        choices=["object", "columnar"],
-        default="columnar",
-        help=(
-            "advertiser storage layout: 'columnar' (the default) keeps "
-            "id-sorted numpy columns and runs the mode's mechanism as "
-            "vectorized kernels; 'object' is the reference, one scan "
-            "per phrase in every mode (byte-identical outcomes)"
-        ),
-    )
-    engine.add_argument(
         "--workers",
         type=_positive_int,
         default=1,
@@ -116,8 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "keep fragment top-k lists alive across rounds and rescan "
-            "only fragments whose scores moved (shared mode, --layout "
-            "columnar only)"
+            "only fragments whose scores moved (shared mode only)"
         ),
     )
     engine.add_argument(
@@ -286,7 +274,6 @@ def _cmd_gaming_at_scale(
             slot_factors=[1.0, 0.6, 0.3],
             search_rates=market.search_rates,
             mode="unshared",
-            layout="columnar",
             throttle=throttle,
             mean_click_delay_rounds=float(delay),
             seed=seed,
@@ -371,7 +358,6 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     market = generate_market(MarketConfig(seed=args.seed))
     label = (
         f"mode={args.mode}"
-        + (" +columnar" if args.layout == "columnar" else "")
         + (f" +workers={args.workers}" if args.workers > 1 else "")
         + (" +exec-cache" if args.exec_cache else "")
     )
@@ -385,7 +371,6 @@ def _cmd_engine(args: argparse.Namespace) -> int:
             shards=args.workers,
             seed=args.seed,
             mode=args.mode,
-            layout=args.layout,
             exec_cache=args.exec_cache,
         ) as sharded:
             report = sharded.run(args.rounds)
@@ -412,7 +397,6 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         seed=args.seed,
         collector=collector,
         exec_cache=args.exec_cache,
-        layout=args.layout,
     )
     if args.serve:
         from repro.serving import ServingEngine, TrafficGenerator

@@ -14,7 +14,6 @@ list with its binary merge operator (:mod:`repro.core.topk`).
 from repro.core.advertiser import Advertiser, BidPhrase
 from repro.core.columnar import (
     AdvertiserView,
-    ArrayScoreMap,
     ColumnarStore,
     columnar_top_k,
     segmented_top_k_picks,
@@ -39,7 +38,6 @@ from repro.core.winner_determination import (
 __all__ = [
     "Advertiser",
     "AdvertiserView",
-    "ArrayScoreMap",
     "Allocation",
     "AuctionOutcome",
     "AuctionSpec",

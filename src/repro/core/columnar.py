@@ -11,8 +11,7 @@ kernels become whole-array operations:
 
 - effective scoring: the closed-form throttled bid and score of every
   row stand in row space beside these columns and a round gathers them
-  for its occurring rows (:meth:`repro.engine.pipeline.SharedAuctionEngine`
-  with ``layout="columnar"``);
+  for its occurring rows (:class:`repro.engine.pipeline.SharedAuctionEngine`);
 - per-phrase top-k: :func:`columnar_top_k` via ``np.argpartition`` with
   the exact ``(-score, advertiser_id)`` tie-break of the object path,
   and :func:`segmented_top_k_picks` for a whole round's ragged batch of
@@ -35,13 +34,9 @@ scores to the object path.  ``int64 / int64`` true division and Python
 ``int / int`` both produce the IEEE-754 correctly rounded float64 (all
 operands here are far below 2**53), and ``effective / 100.0 *
 ctr_factor`` is evaluated in the same operation order as the object
-path, so the 50-seed layout differential can assert byte-identical
+path, so the 50-seed differential against
+:class:`repro.reference.ReferenceEngine` can assert byte-identical
 winners, prices, and budget trajectories rather than approximate ones.
-
-numpy is an install-time dependency of the package, but the columnar
-layout is the only subsystem that *requires* it, so the import is
-guarded: object-layout runs work on a numpy-less interpreter and only
-``layout="columnar"`` raises.
 """
 
 from __future__ import annotations
@@ -58,24 +53,20 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.core.advertiser import Advertiser
 from repro.core.money import dollars_to_cents
 from repro.core.topk import ScoredAdvertiser, TopKList
 from repro.errors import InvalidAuctionError
 from repro.instrument import NULL, Collector, names as metric_names
 
-try:  # pragma: no cover - exercised implicitly on every import
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the package
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "AdvertiserView",
-    "ArrayScoreMap",
     "ColumnarStore",
     "columnar_top_k",
     "columnar_top_k_picks",
-    "require_numpy",
     "segmented_top_k_picks",
 ]
 
@@ -91,20 +82,6 @@ drops those below their segment's k-th best before its lexsort.
 Measured at k = 4: the filter costs about what it saves at 521
 candidates in 4 segments (48 vs 46 us), and 1.1 ms instead of 11 ms at
 40 000 in 264 (an uncached shared round's answer pass)."""
-
-
-def require_numpy() -> None:
-    """Raise a clear error when numpy is missing.
-
-    The columnar layout is opt-in; every entry point that needs the
-    arrays calls this first so a numpy-less interpreter fails with an
-    actionable message instead of an ``AttributeError`` deep in a kernel.
-    """
-    if np is None:  # pragma: no cover - numpy ships with the package
-        raise InvalidAuctionError(
-            "layout='columnar' requires numpy; install numpy or run with "
-            "layout='object'"
-        )
 
 
 class AdvertiserView:
@@ -212,64 +189,6 @@ class AdvertiserView:
         )
 
 
-class ArrayScoreMap(Mapping):
-    """Read-only ``Mapping[int, float]`` over parallel (ids, values) arrays.
-
-    The columnar scoring stage produces its results as two arrays -- the
-    occurring advertiser ids (ascending) and their values -- but the
-    object-path consumers (the plan executor, the shared merge-sort
-    network, GSP pricing) expect a mapping.  This adapter
-    serves them without materializing a dict: ``__getitem__`` is a
-    binary search, iteration and ``items()`` stream straight off the
-    arrays.
-
-    Args:
-        ids: Strictly ascending int64 advertiser ids.
-        values: Parallel float64 values.
-    """
-
-    __slots__ = ("_ids", "_values")
-
-    def __init__(self, ids, values) -> None:
-        require_numpy()
-        if len(ids) != len(values):
-            raise InvalidAuctionError("ids and values must be parallel")
-        self._ids = ids
-        self._values = values
-
-    def __getitem__(self, key: int) -> float:
-        position = int(np.searchsorted(self._ids, key))
-        if position == len(self._ids) or int(self._ids[position]) != key:
-            raise KeyError(key)
-        return float(self._values[position])
-
-    def get(self, key: int, default=None):
-        position = int(np.searchsorted(self._ids, key))
-        if position == len(self._ids) or int(self._ids[position]) != key:
-            return default
-        return float(self._values[position])
-
-    def __contains__(self, key: object) -> bool:
-        if not isinstance(key, int):
-            return False
-        position = int(np.searchsorted(self._ids, key))
-        return position < len(self._ids) and int(self._ids[position]) == key
-
-    def __iter__(self):
-        return (int(i) for i in self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def items(self):
-        return (
-            (int(i), float(v)) for i, v in zip(self._ids, self._values)
-        )
-
-    def __repr__(self) -> str:
-        return f"ArrayScoreMap({len(self._ids)} entries)"
-
-
 def columnar_top_k(
     k: int,
     scores,
@@ -289,7 +208,7 @@ def columnar_top_k(
             advertiser appears at most once per phrase).
         collector: Counts one ``topk.scans`` and ``len(scores)``
             ``topk.scan_entries``, mirroring the object scan's
-            accounting so work tables stay comparable across layouts.
+            accounting so work tables stay comparable with it.
     """
     selected = columnar_top_k_picks(k, scores, ids, collector)
     return TopKList.from_ranked(
@@ -313,7 +232,6 @@ def columnar_top_k_picks(k: int, scores, ids, collector: Collector = NULL):
     as the ids are (store rows ascend with the id); the rest is as
     :func:`columnar_top_k`.
     """
-    require_numpy()
     if k <= 0:
         raise InvalidAuctionError(f"k must be positive, got {k}")
     n = int(scores.shape[0])
@@ -363,7 +281,6 @@ def segmented_top_k_picks(k: int, scores, ids, seg, seg_count: int):
         rank, and the answer length ``min(k, segment size)`` of every
         segment.
     """
-    require_numpy()
     if k <= 0:
         raise InvalidAuctionError(f"k must be positive, got {k}")
     sizes = np.bincount(seg, minlength=seg_count)
@@ -408,8 +325,8 @@ class ColumnarStore:
     """The struct-of-arrays advertiser population.
 
     Rows are ordered by ascending advertiser id, so any row subset
-    selected by ascending row index carries ascending ids -- which is
-    what lets :class:`ArrayScoreMap` binary-search.
+    selected by ascending row index carries ascending ids, so rows rank
+    as their ids do.
 
     Attributes (all parallel, one row per advertiser):
         ids: int64 advertiser ids, ascending.
@@ -434,7 +351,6 @@ class ColumnarStore:
     """
 
     def __init__(self, advertisers: Sequence[Advertiser] = ()) -> None:
-        require_numpy()
         ordered = sorted(advertisers, key=lambda a: a.advertiser_id)
         seen: Set[int] = set()
         for advertiser in ordered:

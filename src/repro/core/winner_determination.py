@@ -36,18 +36,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.advertiser import Advertiser
 from repro.core.auction import Allocation, AuctionSpec
-from repro.core.columnar import columnar_top_k, require_numpy
+from repro.core.columnar import columnar_top_k
 from repro.core.ctr import CTRModel, MatrixCTRModel, SeparableCTRModel
 from repro.core.matching import hungarian_max_weight
 from repro.core.topk import ScoredAdvertiser, TopKList, top_k_scan
 from repro.errors import InvalidAuctionError
 
-try:  # pragma: no cover - numpy ships with the package
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "determine_winners",
@@ -185,7 +183,6 @@ def nonseparable_weight_matrix(
     :func:`determine_winners_nonseparable_columnar` -- that is what the
     Section V kernel benchmark measures.
     """
-    require_numpy()
     model = spec.ctr_model
     k = spec.num_slots
     ads = spec.advertisers
@@ -252,7 +249,6 @@ def determine_winners_nonseparable_columnar(
             repeated auctions over static bids/CTRs skip the matrix
             build.
     """
-    require_numpy()
     k = spec.num_slots
     if precomputed is not None:
         ids, weights = precomputed

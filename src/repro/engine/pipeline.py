@@ -16,33 +16,21 @@ the runner-up score without a second pass.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.budgets.outstanding import ClickDecayModel, NoDecay
 from repro.budgets.throttle import ThrottleProblem, exact_throttled_bid
 from repro.core.advertiser import Advertiser
-from repro.core.columnar import (
-    ArrayScoreMap,
-    ColumnarStore,
-    columnar_top_k,
-    columnar_top_k_picks,
-    require_numpy,
-)
+import numpy as np
+
+from repro.core.columnar import ColumnarStore, columnar_top_k, columnar_top_k_picks
 from repro.core.ctr import SeparableCTRModel
 from repro.core.money import dollars_to_cents
-from repro.core.topk import ScoredAdvertiser, TopKList, top_k_scan
+from repro.core.topk import TopKList
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.click_model import ClickRow, DelayedClickModel
 from repro.errors import InvalidAuctionError
@@ -50,16 +38,11 @@ from repro.instrument import NULL, Collector, names as metric_names
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
 from repro.sharedsort.columnar import ColumnarThresholdKernel, RankedRound
 
-try:  # pragma: no cover - numpy ships with the package
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
 __all__ = ["SharedAuctionEngine", "EngineReport", "RoundReport"]
 
 ARRAY_PRICING_MIN_SLOTS = 32
-"""Slots in a round (phrases x k) from which the columnar layout prices
-them as arrays.  Measured, not tuned per workload: the array pass costs
+"""Slots in a round (phrases x k) from which the engine prices them as
+arrays.  Measured, not tuned per workload: the array pass costs
 about 27 us whatever its size plus 0.3 us a slot, the scalar loop 3 us
 plus 1.1 us a slot, so they cross near 30 slots (near 38 with per-phrase
 CTR factors; EXPERIMENTS E25 has both tables).  A served query (k slots)
@@ -75,8 +58,8 @@ table).  A served tick (a median of 6 movers) is below, a batch round
 (25 to 190 movers on the benchmark's markets) above."""
 
 STANDING_THROTTLE_CELL_LIMIT = 1 << 20
-"""Cells of ``min(β, S_l)`` distribution the columnar layout's kept
-throttle problems may lay out between them (each counted as its
+"""Cells of ``min(β, S_l)`` distribution the engine's kept throttle
+problems may lay out between them (each counted as its
 :attr:`repro.budgets.throttle.ThrottleProblem.array_cells`, built or
 not): 16 MiB of arrays at 16 bytes a cell.  A constant, not a knob: the
 benchmark's heaviest market keeps about 0.09 M cells.  A problem that
@@ -101,10 +84,11 @@ class RoundReport:
         round_index: The round number.
         occurring_phrases: Phrases auctioned this round.
         merges: Top-k merge operations performed (shared mode), or
-            rows presorted (shared-sort); 0 on the object layout.
+            rows presorted (shared-sort); 0 unshared and in
+            :class:`repro.reference.ReferenceEngine`.
         scans: Advertiser entries scanned: leaf reads in shared mode,
             sorted accesses in shared-sort mode, full per-phrase scans
-            in unshared mode and in every mode on the object layout.
+            in unshared mode and in every mode of the reference.
         revenue_cents: Click payments settled this round.
         forgiven_cents: Click value forgiven this round.
         displays: Ads displayed this round.
@@ -114,11 +98,11 @@ class RoundReport:
         debt_carriers_scored: Occurring advertisers with outstanding
             ads that needed an exact ``b̂`` from the scoring stage
             (:func:`repro.budgets.throttle.exact_throttled_bid`).  The
-            columnar layout first asks the O(1) liability quick test and
-            counts only those it could not clear, whether their
+            engine first asks the O(1) liability quick test and counts
+            only those it could not clear, whether their
             :class:`repro.budgets.throttle.ThrottleProblem` was built
-            this round or kept from an earlier one; the object layout
-            builds one for every occurring debt carrier.  Stays 0 under
+            this round or kept from an earlier one; the reference builds
+            one for every occurring debt carrier.  Stays 0 under
             ``throttle=False``.
         allocations: Per occurring phrase, the displayed ads as
             ``(slot, advertiser_id, price_cents)`` triples in slot
@@ -197,35 +181,29 @@ class SharedAuctionEngine:
             factors are read from each advertiser.
         slot_factors: The separable slot factors ``d_j`` (non-increasing);
             their count is the number of slots ``k``.
-        search_rates: ``{phrase: sr_q}`` for every phrase that can occur.
-            Phrases mentioned by advertisers but absent here default to
-            rate 1.0.
+        search_rates: ``{phrase: sr_q}`` for every phrase that can occur,
+            each in ``[0, 1]`` (anything else, NaN included, raises
+            :class:`InvalidAuctionError`).  Phrases mentioned by
+            advertisers but absent here default to rate 1.0.
         mode: ``"shared"`` resolves rounds through a greedy shared
             aggregation plan (Section II; requires phrase-independent
             CTR factors); ``"shared-sort"`` runs the Section III
             pipeline -- one shared sort of bids plus the threshold
             algorithm per phrase -- honoring per-phrase CTR factors
             (:attr:`Advertiser.phrase_ctr_factors`); ``"unshared"``
-            scans each phrase's advertisers independently.  The mode's
-            mechanism runs only on ``layout="columnar"``.
-        layout: ``"columnar"`` (default) keeps the population in a
-            :class:`repro.core.columnar.ColumnarStore` and runs the
-            mode's mechanism as vectorized kernels; requires numpy.
-            ``"object"`` is the reference it is checked against: stage 2
-            solves Section IV exactly for every occurring advertiser,
-            and in every mode each phrase is ranked by one scan of
-            ``b̂_i * c`` (``c = c_i^q`` under ``"shared-sort"``, ``c_i``
-            otherwise) -- Sections II and III are exact top-(k+1)
-            mechanisms, so that scan is their auction.  It builds no
-            plan, sort network or store.  Outcomes are byte-identical
-            between layouts (the layout differential suite asserts it
-            over 50 seeds); only the work counters move.
+            scans each phrase's advertisers independently.  Every mode
+            keeps the population in a
+            :class:`repro.core.columnar.ColumnarStore` and runs its
+            mechanism as vectorized kernels over standing score columns.
+            Outcomes are byte-identical to
+            :class:`repro.reference.ReferenceEngine` in every mode (the
+            differential suites assert it over 50 seeds).
         throttle: Apply Section IV bid throttling against outstanding
             ads: every occurring advertiser's exact ``b̂`` is computed
             before ranking.
-        exec_cache: Shared mode on ``layout="columnar"`` only: keep
-            ranking work alive between rounds and recompute only what
-            advertisers whose effective score changed invalidate.  The
+        exec_cache: Shared mode only: keep ranking work alive between
+            rounds and recompute only what advertisers whose effective
+            score changed invalidate.  The
             :class:`repro.plans.columnar_exec.ColumnarFragmentExecutor`
             keeps fragment top-k rows and answers and finds the changed
             advertisers by diffing every scored row against the score
@@ -256,13 +234,43 @@ class SharedAuctionEngine:
     differential tests assert they always are.
     """
 
+    def __new__(cls, *args, layout: str = "columnar", **kwargs):
+        """The last seam of the retired ``layout`` keyword.
+
+        ``"columnar"`` (the default) is this engine.  ``"object"``
+        returns the reference, :class:`repro.reference.ReferenceEngine`,
+        built from the same arguments: it has no exec cache and counts
+        nothing, so ``exec_cache=True`` or an enabled collector is
+        refused and a disabled one dropped.  Anything else raises
+        :class:`InvalidAuctionError`.  The seam exists for the frozen
+        benchmark's verify pass, which still names its oracle
+        ``layout="object"``; ROADMAP 5c re-points that pass at the
+        reference and deletes the seam.
+        """
+        if layout == "columnar":
+            return super().__new__(cls)
+        if layout != "object":
+            raise InvalidAuctionError(f"unknown layout {layout!r}")
+        # Imported here: repro.reference imports this module's reports.
+        from repro.reference import ReferenceEngine
+
+        arguments = inspect.signature(cls.__init__).bind(
+            None, *args, **kwargs
+        ).arguments
+        del arguments["self"]
+        collector = arguments.pop("collector", None)
+        if collector is not None and collector.enabled:
+            raise InvalidAuctionError("the reference takes no collector")
+        if arguments.pop("exec_cache", False):
+            raise InvalidAuctionError("the reference has no exec_cache")
+        return ReferenceEngine(**arguments)
+
     def __init__(
         self,
         advertisers: Sequence[Advertiser],
         slot_factors: Sequence[float],
         search_rates: Mapping[str, float],
         mode: str = "shared",
-        layout: str = "columnar",
         throttle: bool = True,
         exec_cache: bool = False,
         decay: Optional[ClickDecayModel] = None,
@@ -270,26 +278,18 @@ class SharedAuctionEngine:
         click_horizon_rounds: int = 16,
         seed: int = 0,
         collector: Optional[Collector] = None,
+        *,
+        layout: str = "columnar",  # the seam: read by __new__ only
     ) -> None:
         if mode not in ("shared", "unshared", "shared-sort"):
             raise InvalidAuctionError(f"unknown engine mode {mode!r}")
-        if layout not in ("object", "columnar"):
-            raise InvalidAuctionError(f"unknown layout {layout!r}")
-        if layout == "columnar":
-            require_numpy()
         if exec_cache and mode != "shared":
             raise InvalidAuctionError(
                 "exec_cache requires mode='shared' (the cross-round cache "
                 "lives in the shared plan executor)"
             )
-        if exec_cache and layout != "columnar":
-            raise InvalidAuctionError(
-                "exec_cache requires layout='columnar' (the cross-round "
-                "cache is the columnar fragment executor's)"
-            )
         self.advertisers = tuple(advertisers)
         self.mode = mode
-        self.layout = layout
         self.throttle = throttle
         self.exec_cache = exec_cache
         self.collector: Collector = collector if collector is not None else NULL
@@ -320,6 +320,9 @@ class SharedAuctionEngine:
             phrase: float(search_rates.get(phrase, 1.0))
             for phrase in self.phrase_advertisers
         }
+        bad = {p: r for p, r in self.search_rates.items() if not 0.0 <= r <= 1.0}
+        if bad:
+            raise InvalidAuctionError(f"search rates must be in [0, 1]: {bad!r}")
         budgets = {
             a.advertiser_id: dollars_to_cents(a.daily_budget)
             for a in self.advertisers
@@ -345,58 +348,54 @@ class SharedAuctionEngine:
         )
         self._columnar_exec = None
         self._columnar_sort = None
-        self._store: Optional[ColumnarStore] = None
-        if layout == "columnar":
-            store = self._store = ColumnarStore.from_advertisers(
-                self.advertisers
-            )
-            # The engine indexes this store once (_by_id, the budget
-            # manager's budgets, the standing columns below): an edit
-            # under it must raise, not be half seen.  A renumbering
-            # replaces store.ids, which stage 2 checks.
-            for column in (
-                store.bids, store.bid_cents, store.ctr_factors,
-                store.budget_cents,
-            ):
-                column.flags.writeable = False
-            self._store_ids = store.ids
-            # Full-length scratch: the scoring stage scatters the round's
-            # effective bids / scores into row space so every downstream
-            # kernel indexes by row with no per-id lookups.  Rows outside
-            # the round's occurring set hold stale values by design --
-            # kernels only ever read occurring rows.
-            self._eff_by_row = np.zeros(store.size, dtype=np.float64)
-            self._score_by_row = np.zeros(store.size, dtype=np.float64)
-            self._occurring_rows = None
-            # m of a one-phrase round: a prefix of this.
-            self._ones = np.ones(store.size, dtype=np.int64)
-            self._ones.flags.writeable = False
-            # The standing score columns (DESIGN.md section 21), one
-            # cell per row whether it occurs or not: min(b, β), the quick
-            # test's slack β - Σ outstanding prices, whether the row holds
-            # ads, and the closed-form bid and score.  Nothing is spent
-            # or owed yet; _sync_book_columns re-derives the rows of
-            # whoever the budget manager's books moved.
-            self._cap_by_row = np.empty(store.size, dtype=np.int64)
-            self._slack_by_row = np.empty(store.size, dtype=np.int64)
-            self._carrying_by_row = np.empty(store.size, dtype=bool)
-            self._base_bid_by_row = np.empty(store.size, dtype=np.float64)
-            self._base_score_by_row = np.empty(store.size, dtype=np.float64)
-            self._derive_book_rows(slice(None), store.budget_cents, 0, False)
-            # The standing Section IV distributions (DESIGN.md section
-            # 22): the throttle problem of each debt carrier that failed
-            # the quick test, as built when its books last moved, and
-            # the cells they hold against STANDING_THROTTLE_CELL_LIMIT.
-            self._standing_problems: Dict[int, ThrottleProblem] = {}
-            self._standing_cells = 0
-            # m * cap stays an exact float64, so (m * cap) / m == cap bit
-            # for bit: the closed form may be stored instead of divided.
-            widest = len(self.phrase_advertisers)
-            assert int(store.bid_cents.max(initial=0)) * widest < 2**53
-            self._slot_factors = np.asarray(
-                self.ctr_model.slot_factors, dtype=np.float64
-            )
-        if mode == "shared" and layout == "columnar":
+        store = self._store = ColumnarStore.from_advertisers(self.advertisers)
+        # The engine indexes this store once (_by_id, the budget
+        # manager's budgets, the standing columns below): an edit
+        # under it must raise, not be half seen.  A renumbering
+        # replaces store.ids, which stage 2 checks.
+        for column in (
+            store.bids, store.bid_cents, store.ctr_factors,
+            store.budget_cents,
+        ):
+            column.flags.writeable = False
+        self._store_ids = store.ids
+        # Full-length scratch: the scoring stage scatters the round's
+        # effective bids / scores into row space so every downstream
+        # kernel indexes by row with no per-id lookups.  Rows outside
+        # the round's occurring set hold stale values by design --
+        # kernels only ever read occurring rows.
+        self._eff_by_row = np.zeros(store.size, dtype=np.float64)
+        self._score_by_row = np.zeros(store.size, dtype=np.float64)
+        self._occurring_rows = None
+        # m of a one-phrase round: a prefix of this.
+        self._ones = np.ones(store.size, dtype=np.int64)
+        self._ones.flags.writeable = False
+        # The standing score columns (DESIGN.md section 21), one
+        # cell per row whether it occurs or not: min(b, β), the quick
+        # test's slack β - Σ outstanding prices, whether the row holds
+        # ads, and the closed-form bid and score.  Nothing is spent
+        # or owed yet; _sync_book_columns re-derives the rows of
+        # whoever the budget manager's books moved.
+        self._cap_by_row = np.empty(store.size, dtype=np.int64)
+        self._slack_by_row = np.empty(store.size, dtype=np.int64)
+        self._carrying_by_row = np.empty(store.size, dtype=bool)
+        self._base_bid_by_row = np.empty(store.size, dtype=np.float64)
+        self._base_score_by_row = np.empty(store.size, dtype=np.float64)
+        self._derive_book_rows(slice(None), store.budget_cents, 0, False)
+        # The standing Section IV distributions (DESIGN.md section
+        # 22): the throttle problem of each debt carrier that failed
+        # the quick test, as built when its books last moved, and
+        # the cells they hold against STANDING_THROTTLE_CELL_LIMIT.
+        self._standing_problems: Dict[int, ThrottleProblem] = {}
+        self._standing_cells = 0
+        # m * cap stays an exact float64, so (m * cap) / m == cap bit
+        # for bit: the closed form may be stored instead of divided.
+        widest = len(self.phrase_advertisers)
+        assert int(store.bid_cents.max(initial=0)) * widest < 2**53
+        self._slot_factors = np.asarray(
+            self.ctr_model.slot_factors, dtype=np.float64
+        )
+        if mode == "shared":
             instance = SharedAggregationInstance(
                 AggregateQuery(phrase, ids, self.search_rates[phrase])
                 for phrase, ids in self.phrase_advertisers.items()
@@ -429,7 +428,7 @@ class SharedAuctionEngine:
                 )
                 for phrase, ids in self.phrase_advertisers.items()
             }
-        elif mode == "shared-sort" and layout == "columnar":
+        elif mode == "shared-sort":
             # One shared lexsort per round replaces the merge network;
             # per-phrase CTR presorts live in the store.
             self._columnar_sort = ColumnarThresholdKernel(
@@ -569,15 +568,9 @@ class SharedAuctionEngine:
         report = RoundReport(round_index, phrases)
         self._deliver_due_clicks(round_index, report)
         if phrases:
-            scores, effective_bid_cents = self._effective_scores(
-                phrases, round_index, report
-            )
-            rankings = self._rank_phrases(
-                phrases, scores, effective_bid_cents, report
-            )
-            self._allocate_round(
-                phrases, rankings, effective_bid_cents, round_index, report
-            )
+            self._effective_scores(phrases, round_index, report)
+            rankings = self._rank_phrases(phrases, report)
+            self._allocate_round(phrases, rankings, round_index, report)
         return report
 
     # ------------------------------------------------------------------
@@ -604,57 +597,6 @@ class SharedAuctionEngine:
             ``(revenue_cents, forgiven_cents, clicks)`` totals.
         """
         return (*self.budget_manager.settle_clicks(clicks), len(clicks))
-
-    def _effective_scores(
-        self, phrases: Sequence[str], round_index: int, report: RoundReport
-    ) -> Tuple[Mapping[int, float], Mapping[int, float]]:
-        """Stage 2: effective scores ``b̂_i * c_i`` for the occurring set.
-
-        Sets ``report.debt_carriers_scored``.
-
-        Returns:
-            ``(scores, effective_bid_cents)`` over exactly the
-            advertisers bidding on ``phrases`` (plain dicts under the
-            object layout, :class:`repro.core.columnar.ArrayScoreMap`
-            adapters under the columnar layout -- values are
-            bit-identical either way).
-        """
-        if self._store is not None:
-            return self._effective_scores_columnar(
-                phrases, round_index, report
-            )
-        auctions_of: Dict[int, int] = {}
-        for phrase in phrases:
-            for advertiser_id in self.phrase_advertisers[phrase]:
-                auctions_of[advertiser_id] = auctions_of.get(advertiser_id, 0) + 1
-        scores: Dict[int, float] = {}
-        effective_bid_cents: Dict[int, float] = {}
-        carriers = self.budget_manager.debt_carriers
-        for advertiser_id, m in auctions_of.items():
-            advertiser = self._by_id[advertiser_id]
-            bid_cents = dollars_to_cents(advertiser.bid)
-            if self.throttle:
-                if advertiser_id in carriers:
-                    report.debt_carriers_scored += 1
-                problem = self.budget_manager.throttle_problem(
-                    advertiser_id, bid_cents, m, round_index
-                )
-                if (
-                    self.collector.enabled
-                    and problem.bid_cents > 0
-                    and not problem.trivially_unthrottled()
-                ):
-                    # Real DP/enumeration runs: both layouts count them
-                    # through this one counter.
-                    self.collector.incr(metric_names.THROTTLE_EXACT_FALLBACKS)
-                effective = exact_throttled_bid(problem)
-            else:
-                effective = float(
-                    min(bid_cents, self.budget_manager.remaining_cents(advertiser_id))
-                )
-            effective_bid_cents[advertiser_id] = effective
-            scores[advertiser_id] = effective / 100.0 * advertiser.ctr_factor
-        return scores, effective_bid_cents
 
     def _sync_book_columns(self) -> int:
         """Bring the standing score columns up to the manager's books.
@@ -708,13 +650,16 @@ class SharedAuctionEngine:
         self._base_bid_by_row[rows] = cap
         self._base_score_by_row[rows] = cap / 100.0 * store.ctr_factors[rows]
 
-    def _effective_scores_columnar(
+    def _effective_scores(
         self, phrases: Sequence[str], round_index: int, report: RoundReport
-    ) -> Tuple[ArrayScoreMap, ArrayScoreMap]:
-        """Stage 2 on standing columns: gather, and compute the exceptions.
+    ) -> None:
+        """Stage 2: effective bids ``b̂_i`` and scores ``b̂_i * c_i`` of
+        the round's rows, left in row space (``_eff_by_row``,
+        ``_score_by_row``, ``_occurring_rows``) for stages 3 and 4, and
+        ``report.debt_carriers_scored``.
 
-        Bit-identical to the object stage.  Section IV's quick test
-        ``ω_l <= β - m·b`` says when the throttled bid is simply
+        Bit-identical to the reference's exact stage.  Section IV's
+        quick test ``ω_l <= β - m·b`` says when the throttled bid is simply
         ``float(min(b, β))`` -- what :func:`exact_throttled_bid` returns
         for a trivially unthrottled problem, and what the empty-ledger
         closed form ``min(m·cap, β) / m`` divides out to, exactly, when
@@ -726,7 +671,7 @@ class SharedAuctionEngine:
         that fail leave the closed form -- without outstanding ads
         ``min(m·cap, β) / m`` as array operations (``β`` is their
         ``slack``), with ads through :func:`exact_throttled_bid` one by
-        one, as the object path does; its array DP is per problem
+        one, as the reference does; its array DP is per problem
         because the problems are ragged (DESIGN.md section 16).  The
         problem is the budget manager's, built from the ledger, the
         first time and whenever the advertiser's books have moved since
@@ -738,7 +683,6 @@ class SharedAuctionEngine:
         the round's rows and multiplicities ``m`` are found.
         """
         store = self._store
-        assert store is not None
         if store.ids is not self._store_ids:
             raise InvalidAuctionError(
                 f"the store's rows were renumbered under a running engine "
@@ -758,7 +702,6 @@ class SharedAuctionEngine:
             )
             rows = np.flatnonzero(counts)
             m = counts[rows]
-        ids_sub = store.ids[rows]
         collector = self.collector
         effective_sub = self._base_bid_by_row[rows]
         score_sub = self._base_score_by_row[rows]
@@ -787,7 +730,7 @@ class SharedAuctionEngine:
                 rebuilt = 0
                 for at, advertiser_id, bid_cents, auctions in zip(
                     carrying.tolist(),
-                    ids_sub[failed[carrying]].tolist(),
+                    store.ids[failed_rows[carrying]].tolist(),
                     store.bid_cents[failed_rows[carrying]].tolist(),
                     m_failed[carrying].tolist(),
                 ):
@@ -838,51 +781,20 @@ class SharedAuctionEngine:
             collector.incr(metric_names.COLUMNAR_SCORE_BATCHES)
             collector.incr(metric_names.COLUMNAR_SCORE_ROWS, int(len(rows)))
             collector.incr(metric_names.COLUMNAR_BOOK_ROWS_SYNCED, synced)
-        return (
-            ArrayScoreMap(ids_sub, score_sub),
-            ArrayScoreMap(ids_sub, effective_sub),
-        )
 
     def _rank_phrases(
-        self,
-        phrases: Sequence[str],
-        scores: Mapping[int, float],
-        effective_bid_cents: Mapping[int, float],
-        report: RoundReport,
+        self, phrases: Sequence[str], report: RoundReport
     ) -> Mapping[str, TopKList]:
         """Stage 3: rankings via shared plan, shared sort + TA, or scans.
 
-        A mapping from phrase to its top-(k+1) ``TopKList``: on the
-        columnar layout a :class:`RankedRound`, the flat arrays stage 4
-        prices, from the fragment executor, the Section III round kernel
-        and a scan of more than one phrase alike.  The reference and a
-        one-phrase scan (a served ``unshared`` tick) hand over lists.
+        A mapping from phrase to its top-(k+1) ``TopKList``: a
+        :class:`RankedRound`, the flat arrays stage 4 prices, from the
+        fragment executor, the Section III round kernel and a scan of
+        more than one phrase alike; a one-phrase scan (a served
+        ``unshared`` tick) hands over a list.
         """
         k = self.k + 1
         store = self._store
-        if store is None:
-            # The reference: one scan of b̂_i * c per phrase in every
-            # mode, c = c_i^q under shared-sort.  Sections II and III are
-            # exact top-(k+1) mechanisms, so this is their auction.
-            rankings: Dict[str, TopKList] = {}
-            by_id = self._by_id
-            for phrase in phrases:
-                ids = self.phrase_advertisers[phrase]
-                report.scans += len(ids)
-                if self.mode == "shared-sort":
-                    # The Section III kernels' float ops: (b̂ / 100) * c_i^q.
-                    scored = (
-                        ScoredAdvertiser(
-                            effective_bid_cents[i] / 100.0
-                            * by_id[i].ctr_factor_for(phrase),
-                            i,
-                        )
-                        for i in ids
-                    )
-                else:
-                    scored = (ScoredAdvertiser(scores[i], i) for i in ids)
-                rankings[phrase] = top_k_scan(k, scored, self.collector)
-            return rankings
         if self.mode == "shared":
             # In cross-round mode the executor diffs the occurring rows'
             # scores against the ones it last absorbed.
@@ -946,7 +858,6 @@ class SharedAuctionEngine:
         self,
         phrases: Sequence[str],
         rankings: Mapping[str, TopKList],
-        effective_bid_cents: Mapping[int, float],
         round_index: int,
         report: RoundReport,
     ) -> None:
@@ -960,11 +871,10 @@ class SharedAuctionEngine:
         ``random.Random`` are the only part that has to stay sequential.
         The slot arithmetic has two routes that agree bit for bit:
         :meth:`_price_slots`, one array pass over a
-        :class:`RankedRound`'s arrays, which a columnar round takes from
+        :class:`RankedRound`'s arrays, which a round takes from
         :data:`ARRAY_PRICING_MIN_SLOTS` slots up, and
         :meth:`_allocate_phrase`, the scalar loop over one phrase's
-        ``TopKList``, which the object layout always takes (it is the
-        reference), as does a columnar round below the crossover -- a
+        ``TopKList``, which a round below the crossover takes -- a
         served tick among them -- reading a ``RankedRound`` through its
         ``Mapping`` face.
         """
@@ -976,13 +886,8 @@ class SharedAuctionEngine:
                 phrases, rankings
             )
         else:
-            bid_of = (
-                effective_bid_cents.__getitem__
-                if self._store is None
-                else self._row_bid
-            )
             per_phrase = [
-                self._allocate_phrase(phrase, rankings[phrase], bid_of)
+                self._allocate_phrase(phrase, rankings[phrase])
                 for phrase in phrases
             ]
             shown = [len(ads) for ads in per_phrase]
@@ -999,27 +904,18 @@ class SharedAuctionEngine:
             report.allocations[phrase] = tuple(islice(allocated, count))
         report.displays += len(ids)
 
-    def _row_bid(self, advertiser_id: int) -> float:
-        """The effective bid stage 2 left in row space (columnar layout);
-        ``effective_bid_cents`` would binary-search the same value."""
-        return float(self._eff_by_row[self._store.row_of(advertiser_id)])
-
     def _allocate_phrase(
-        self,
-        phrase: str,
-        ranking: TopKList,
-        bid_of: Callable[[int], float],
+        self, phrase: str, ranking: TopKList
     ) -> List[Tuple[int, int, int, float]]:
-        """Stage 4, scalar arithmetic: one phrase's displayed ads.
-
-        Args:
-            bid_of: The effective bid (cents) of a ranked advertiser.
+        """Stage 4, scalar arithmetic: one phrase's displayed ads, priced
+        off the effective bids stage 2 left in row space.
 
         Returns:
             ``(slot, advertiser_id, price_cents, ctr)`` per displayed
             ad, in slot order.
         """
         entries = ranking.entries
+        bid_by_row, row_of = self._eff_by_row, self._store.row_of
         allocated: List[Tuple[int, int, int, float]] = []
         for slot in range(min(self.k, len(entries))):
             entry = entries[slot]
@@ -1037,7 +933,8 @@ class SharedAuctionEngine:
             if c_i <= 0.0:
                 continue
             price_cents = min(
-                bid_of(entry.advertiser_id), next_score / c_i * 100.0
+                float(bid_by_row[row_of(entry.advertiser_id)]),
+                next_score / c_i * 100.0,
             )
             price = int(round(price_cents))
             if price <= 0:

@@ -248,8 +248,8 @@ class ShardedEngine:
             makes ``shards=1`` byte-identical to the sequential engine);
             shard ``s`` runs on ``seed + 7919 * s``.
         **engine_kwargs: Forwarded to every worker's
-            :class:`SharedAuctionEngine` (``mode``, ``layout``,
-            ``throttle``, cache switches, ...).  ``collector`` is
+            :class:`SharedAuctionEngine` (``mode``, ``throttle``,
+            cache switches, ...).  ``collector`` is
             rejected: collectors are in-process objects, and each worker
             already attaches per-round counter deltas to its reports,
             which the merge sums.

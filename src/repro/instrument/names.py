@@ -88,17 +88,17 @@ name                      meaning (paper reference)
                           ``ta.stop_depth`` holds the depth at which the
                           most recent run stopped.
 ``throttle.exact_fallbacks``  non-trivial exact b̂ computations in the
-                          scoring stage of either layout -- the Section
-                          IV problem was not trivially unthrottled, so
+                          engine's scoring stage -- the Section IV
+                          problem was not trivially unthrottled, so
                           the ``O(min(2^l, l·β))`` DP/enumeration ran
                           (or, for a kept columnar problem, its standing
                           ``min(β, S_l)`` array was asked again).
 ``columnar.score_batches``  vectorized scoring batches executed by the
                           columnar engine (one per round with occurring
-                          phrases under ``layout="columnar"``).
+                          phrases).
 ``columnar.score_rows``   occurring rows scored per vectorized batch --
-                          the columnar layout's unit of scoring work,
-                          comparable to one object-path advertiser loop
+                          the engine's unit of scoring work,
+                          comparable to one reference advertiser loop
                           iteration each.
 ``columnar.book_rows_synced``  rows of the standing score columns the
                           columnar engine re-derived before scoring: the
@@ -142,7 +142,7 @@ name                      meaning (paper reference)
 ``engine.debt_carriers_scored``  occurring debt carriers that needed
                           an exact ``b̂`` from the scoring stage
                           (``RoundReport.debt_carriers_scored``;
-                          under ``layout="columnar"`` those the O(1)
+                          on the engine those the O(1)
                           liability quick test could not clear).  With
                           ``engine.expired_ads`` it says whether a slow
                           tick was slow in the books.

@@ -61,9 +61,10 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Dict, Sequence
 
+import numpy as np
+
 from repro.core.columnar import (
     ColumnarStore,
-    require_numpy,
     segmented_top_k_picks,
 )
 from repro.core.topk import ScoredAdvertiser, TopKList
@@ -76,10 +77,6 @@ from repro.instrument import NULL, Collector, names as metric_names
 from repro.plans.fragments import identify_fragments
 from repro.plans.instance import SharedAggregationInstance
 
-try:  # pragma: no cover - numpy ships with the package
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = ["ColumnarExecResult", "ColumnarFragmentExecutor"]
 
@@ -190,7 +187,7 @@ class ColumnarFragmentExecutor:
         k: Result capacity (the engine passes ``slots + 1`` for GSP).
         collector: Counts ``plan.merges``, ``plan.leaf_scans`` per row
             read and ``plan.candidates_gathered``, so shared-mode work
-            tables keep their meaning under the columnar layout.  In
+            tables keep their meaning.  In
             cross-round mode additionally ``plan.nodes_reused`` /
             ``plan.nodes_invalidated`` / ``plan.revalidations``.
         cross_round: Keep the fragment and answer tables alive
@@ -213,7 +210,6 @@ class ColumnarFragmentExecutor:
     ) -> None:
         if k <= 0:
             raise InvalidPlanError(f"k must be positive, got {k}")
-        require_numpy()
         self.k = k
         self.store = store
         self.collector = collector

@@ -25,10 +25,10 @@ k-th best *strictly* exceeds the threshold ``last_bid * last_ctr``.  The
 strict stop makes the result provably the exact top-k with the full
 ``(-score, advertiser_id)`` tie-break: any unseen row's score is at most
 the threshold, hence strictly below every retained entry, so no tie
-against an unseen row can exist.  Outcomes are byte-identical to the
-object path (which the layout differential asserts); only the work
-counters -- ``ta.sorted_accesses`` et al. -- differ by strategy, exactly
-as they do between the batched and item-at-a-time object engines.
+against an unseen row can exist.  Outcomes are byte-identical to
+:class:`repro.reference.ReferenceEngine`'s per-phrase scan (which the
+differential suites assert); only the work counters --
+``ta.sorted_accesses`` et al. -- differ by strategy.
 
 The kernel runs that algorithm at two granularities (DESIGN section
 20).  :meth:`ColumnarThresholdKernel.rank_round`, the engine's route,
@@ -47,20 +47,17 @@ from collections.abc import Mapping
 from itertools import accumulate
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.columnar import (
     ColumnarStore,
     columnar_top_k,
-    require_numpy,
     segmented_top_k_picks,
 )
 from repro.core.topk import ScoredAdvertiser, TopKList
 from repro.errors import InvalidPlanError
 from repro.instrument import NULL, Collector, names as metric_names
 
-try:  # pragma: no cover - numpy ships with the package
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = ["ColumnarThresholdKernel", "RankedRound"]
 
@@ -74,9 +71,8 @@ class RankedRound(Mapping):
     held -- the advertiser's row and its ``c_i^q`` for that phrase.
     Read as a ``Mapping[str, TopKList]`` it builds a phrase's
     :class:`~repro.core.topk.TopKList` on demand, for the scalar
-    allocation route, the benches and the tests (the
-    :class:`repro.core.columnar.ArrayScoreMap` precedent: arrays for
-    array consumers, the object contract for the rest).
+    allocation route, the benches and the tests (arrays for array
+    consumers, the object contract for the rest).
 
     Attributes:
         phrases: The round's phrases, in the order they were ranked.
@@ -157,7 +153,7 @@ class ColumnarThresholdKernel:
         collector: Receives the ``ta.*`` counters (runs, sorted
             accesses, random accesses, stages, stop depth), so
             shared-sort work tables keep reporting through the same
-            names under either layout.
+            names.
     """
 
     def __init__(
@@ -166,7 +162,6 @@ class ColumnarThresholdKernel:
         k: int,
         collector: Collector = NULL,
     ) -> None:
-        require_numpy()
         if k <= 0:
             raise InvalidPlanError(f"k must be positive, got {k}")
         self.store = store

@@ -1,24 +1,23 @@
 """Unit tests for the struct-of-arrays advertiser store.
 
-The columnar layout's contract is *transparency*: every array-side read
+The store's contract is *transparency*: every array-side read
 must agree with the object it transposed, every kernel must reproduce
 the object algorithm byte for byte (tie-breaks included), and every
 mutation routed through the store must be instantly visible through the
 zero-copy views.  These tests pin each piece in isolation; the
-engine-level layout differential (``tests/engine``) pins the composite.
+engine-against-reference differential (``tests/engine``) pins the
+composite.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import (
     UNBUDGETED_CENTS,
     AdvertiserView,
-    ArrayScoreMap,
     ColumnarStore,
     columnar_top_k,
 )
@@ -274,29 +273,6 @@ class TestMutations:
         assert list(store.ids) == [0, 1, 4, 7]
         assert [int(store.ids[r])
                 for r in store.phrase_rows("boots")] == [0, 7]
-
-
-class TestArrayScoreMap:
-    def test_mapping_protocol_matches_dict(self):
-        ids = np.array([2, 5, 9], dtype=np.int64)
-        values = np.array([0.5, 1.5, 2.5], dtype=np.float64)
-        mapping = ArrayScoreMap(ids, values)
-        expected = {2: 0.5, 5: 1.5, 9: 2.5}
-        assert dict(mapping) == expected
-        assert dict(mapping.items()) == expected
-        assert len(mapping) == 3
-        assert mapping[5] == 1.5
-        assert mapping.get(5) == 1.5
-        assert mapping.get(6, -1.0) == -1.0
-        assert 9 in mapping and 10 not in mapping and "x" not in mapping
-        with pytest.raises(KeyError):
-            mapping[10]
-        with pytest.raises(KeyError):
-            mapping[1]  # below the smallest id
-
-    def test_parallel_length_enforced(self):
-        with pytest.raises(InvalidAuctionError, match="parallel"):
-            ArrayScoreMap(np.array([1]), np.array([1.0, 2.0]))
 
 
 class TestColumnarTopK:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.core.advertiser import Advertiser
 from repro.core.auction import Allocation, AuctionSpec

@@ -16,9 +16,8 @@ every step.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st

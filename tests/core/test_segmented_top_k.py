@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from functools import reduce
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from hypothesis import given, settings, strategies as st
 

@@ -11,8 +11,6 @@ from collections import Counter
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.budgets import throttle
 from repro.budgets.outstanding import NoDecay, OutstandingLedger
 from repro.budgets.throttle import exact_throttled_bid
@@ -20,9 +18,21 @@ from repro.engine import pipeline
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.pipeline import RoundReport, SharedAuctionEngine
 from repro.instrument import MetricsCollector, names
+from repro.reference import ReferenceEngine
 from repro.workloads.generator import MarketConfig, generate_market
 
 from .test_standing_columns_machine import COLUMNS, _row_from_the_books
+
+
+def _scored(engine, phrases, round_index, report=None):
+    """Run stage 2 and read the ``b̂`` it left in row space, by id."""
+    if report is None:
+        report = RoundReport(round_index, tuple(phrases))
+    engine._effective_scores(phrases, round_index, report)
+    rows = engine._occurring_rows
+    return dict(
+        zip(engine._store.ids[rows].tolist(), engine._eff_by_row[rows].tolist())
+    )
 
 LEDGER_METHODS = (
     "prune",
@@ -114,7 +124,7 @@ class TestExpiryCost:
         advertisers, rates = _market(seed=3, median_budget_cents=10**9)
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
-            mode="unshared", layout="columnar", seed=3,
+            mode="unshared", seed=3,
         )
         phrases = sorted(engine.phrase_advertisers)
         for tick in range(60):
@@ -160,7 +170,7 @@ class TestStandingColumns:
         advertisers, rates = _market(seed=11, median_budget_cents=600)
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
-            mode=mode, layout="columnar", seed=11,
+            mode=mode, seed=11,
         )
         moved = throttled = 0
         for _ in range(50):
@@ -220,7 +230,7 @@ class TestTickCostsMembersAndMovers:
         advertisers, rates = _market(seed=11, median_budget_cents=600)
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
-            mode="unshared", layout="columnar", seed=11, **kw,
+            mode="unshared", seed=11, **kw,
         )
         return engine, sorted(engine.phrase_advertisers)
 
@@ -316,7 +326,7 @@ class TestStandingThrottleProblems:
         advertisers, rates = _market(seed=5, median_budget_cents=600)
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
-            mode="unshared", layout="columnar", seed=5, **kw,
+            mode="unshared", seed=5, **kw,
         )
         return engine, sorted(engine.phrase_advertisers)
 
@@ -440,7 +450,7 @@ class TestStandingThrottleProblems:
         # Fewer phrases: every m falls or stays, nothing was booked.
         fewer = tuple(phrases[::2])
         report = RoundReport(12, fewer)
-        _, effective = engine._effective_scores(fewer, 12, report)
+        effective = _scored(engine, fewer, 12, report)
         assert 0 < report.debt_carriers_scored <= first.debt_carriers_scored
         assert books_read == {"built": [], "snapshot": [], "array": []}
         throttled = 0
@@ -466,9 +476,7 @@ class TestStandingThrottleProblems:
         assert len(kept) == report.debt_carriers_scored > 3
         later = r + manager._decay.horizon
         assert later >= manager.earliest_dead_round
-        _, effective = engine._effective_scores(
-            phrases, later, RoundReport(later, tuple(phrases))
-        )
+        effective = _scored(engine, phrases, later)
         moved = 0
         for advertiser_id, problem in kept.items():
             fresh = self._from_scratch(
@@ -481,9 +489,7 @@ class TestStandingThrottleProblems:
         # Nothing was booked: what is kept is still round r's, and round
         # r is still answered from it.
         assert engine._standing_problems == kept
-        _, again = engine._effective_scores(
-            phrases, r, RoundReport(r, tuple(phrases))
-        )
+        again = _scored(engine, phrases, r)
         for advertiser_id, problem in kept.items():
             assert again[advertiser_id] == exact_throttled_bid(problem)
             assert engine._standing_problems[advertiser_id] is not problem
@@ -521,18 +527,20 @@ class TestStandingThrottleProblems:
 
 
 class TestBooksObservability:
-    def _run(self, layout, **kw):
+    def _run(self, reference=False, **kw):
         advertisers, rates = _market(seed=5, median_budget_cents=600)
-        collector = MetricsCollector()
-        engine = SharedAuctionEngine(
+        # The reference counts nothing: only the engine gets a collector.
+        collector = None if reference else MetricsCollector()
+        if collector is not None:
+            kw["collector"] = collector
+        engine = (ReferenceEngine if reference else SharedAuctionEngine)(
             advertisers, [0.3, 0.2, 0.1], rates,
-            mode="unshared", layout=layout, seed=5, collector=collector,
-            click_horizon_rounds=4, **kw,
+            mode="unshared", seed=5, click_horizon_rounds=4, **kw,
         )
         return engine, engine.run(30), collector
 
     def test_report_fields_mirror_the_collector(self):
-        engine, report, collector = self._run("columnar")
+        engine, report, collector = self._run()
         assert report.expired_ads > 0
         assert report.debt_carriers_scored > 0
         assert report.expired_ads == sum(
@@ -558,7 +566,7 @@ class TestBooksObservability:
         )
 
     def test_quick_test_skips_are_still_counted_as_fallbacks(self):
-        _, report, collector = self._run("columnar")
+        _, report, collector = self._run()
         fallbacks = collector.counter(names.COLUMNAR_THROTTLE_FALLBACKS)
         # Every occurring debt carrier is a fallback; the quick test
         # cleared some of them before a problem was built.
@@ -576,9 +584,9 @@ class TestBooksObservability:
             report.debt_carriers_scored
         )
 
-    def test_object_layout_counts_every_occurring_debt_carrier(self):
-        _, columnar, collector = self._run("columnar")
-        _, reference, _ = self._run("object")
+    def test_the_reference_counts_every_occurring_debt_carrier(self):
+        _, columnar, collector = self._run()
+        _, reference, _ = self._run(reference=True)
         assert [r.allocations for r in columnar.history] == [
             r.allocations for r in reference.history
         ]
@@ -590,13 +598,13 @@ class TestBooksObservability:
         )
 
     def test_unthrottled_engine_scores_no_debt_carrier(self):
-        _, report, _ = self._run("columnar", throttle=False)
+        _, report, _ = self._run(throttle=False)
         assert report.expired_ads > 0
         assert report.debt_carriers_scored == 0
 
 
 class TestLiabilityQuickTest:
-    """The O(1) quick test agrees with the object layout's exact stage."""
+    """The O(1) quick test agrees with the reference's exact stage."""
 
     @pytest.mark.parametrize("dead_price", (1, 150, 10_000))
     def test_dead_unpruned_ads_only_loosen_the_bound(self, dead_price):
@@ -606,10 +614,11 @@ class TestLiabilityQuickTest:
         advertisers, rates = _market(seed=7, median_budget_cents=400)
         phrases = sorted(rates)
         scored = {}
-        for layout in ("object", "columnar"):
-            engine = SharedAuctionEngine(
-                advertisers, [0.3, 0.2, 0.1], rates,
-                mode="unshared", layout=layout, seed=7,
+        for layout, build in (
+            ("object", ReferenceEngine), ("columnar", SharedAuctionEngine)
+        ):
+            engine = build(
+                advertisers, [0.3, 0.2, 0.1], rates, mode="unshared", seed=7
             )
             for _ in range(6):
                 engine.run_round(phrases)
@@ -618,8 +627,11 @@ class TestLiabilityQuickTest:
                     advertiser.advertiser_id, dead_price, 0.0, 6
                 )
             report = RoundReport(6, tuple(phrases))
-            _, effective = engine._effective_scores(phrases, 6, report)
-            scored[layout] = (dict(effective.items()), report)
+            if build is ReferenceEngine:
+                effective = engine._throttled_bids(phrases, 6, report)
+            else:
+                effective = _scored(engine, phrases, 6, report)
+            scored[layout] = (effective, report)
         assert scored["object"][0] == scored["columnar"][0]
         assert (
             scored["columnar"][1].debt_carriers_scored

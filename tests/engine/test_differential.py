@@ -4,12 +4,12 @@ The paper's central claim is that sharing changes the *work*, never the
 *auction*: a shared plan (Section II) or shared sort + threshold
 algorithm (Section III) must produce exactly the winners, prices, and
 budget trajectories of independent per-phrase scans.  These tests run
-each mechanism (on the columnar layout, where it runs) in lockstep with
-the object-layout reference on randomized markets over many seeds,
-driving each round with the same occurring phrases, and assert the
-outcomes are identical round by round -- and, via the instrumentation
-counters, that sharing never scans more advertiser entries than the
-unshared baseline.
+each of the engine's mechanisms in lockstep with
+:class:`repro.reference.ReferenceEngine` (one scan per phrase) on
+randomized markets over many seeds, driving each round with the same
+occurring phrases, and assert the outcomes are identical round by round
+-- and, via the instrumentation counters, that sharing never scans more
+advertiser entries than the reference's scans.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.instrument import MetricsCollector, names
+from repro.reference import ReferenceEngine
 from repro.workloads.generator import MarketConfig, generate_market
 
 DIFFERENTIAL_SEEDS = range(50)
@@ -37,47 +38,53 @@ def _small_market(seed: int):
     )
 
 
-def _build(
-    market, mode, seed, collector=None, exec_cache=False, layout="object"
-):
+def _build(market, mode, seed, collector=None, exec_cache=False):
     return SharedAuctionEngine(
         market.advertisers,
         slot_factors=[0.3, 0.2, 0.1],
         search_rates=market.search_rates,
         mode=mode,
-        layout=layout,
         seed=seed,
         collector=collector,
         exec_cache=exec_cache,
     )
 
 
-REFERENCE = ("unshared", "object")
+def _run_lockstep(market, seed, reference_mode, *specs, rounds=8):
+    """Run the reference and engines round-for-round on identical
+    occurring phrases.
 
-
-def _run_lockstep(market, seed, *specs, rounds=8):
-    """Run engines round-for-round on identical occurring phrases.
-
-    Each spec is ``(mode, layout)`` or ``(mode, layout, exec_cache)``;
-    the first engine is the one every other is compared with.  Each
-    engine holds its own ``random.Random(seed)``; sampling phrases from
-    the first and copying its state into the others keeps their RNGs
-    untouched by sampling, so click draws stay aligned *because* the
-    displayed ads are identical -- which is exactly what is asserted.
+    The reference runs in ``reference_mode`` and is the one every engine
+    is compared with; each spec is ``(mode,)`` or ``(mode, exec_cache)``
+    of an engine.  Each holds its own ``random.Random(seed)``; sampling
+    phrases from the reference and copying its state into the engines
+    keeps their RNGs untouched by sampling, so click draws stay aligned
+    *because* the displayed ads are identical -- which is exactly what
+    is asserted.
 
     Returns:
-        One collector per spec.
+        ``(reference_scans, collectors)``: the advertiser entries the
+        reference scanned, and one collector per engine spec.
     """
     collectors = [MetricsCollector() for _ in specs]
-    engines = [
-        _build(market, spec[0], seed, collector, *spec[2:], layout=spec[1])
+    first = ReferenceEngine(
+        market.advertisers,
+        [0.3, 0.2, 0.1],
+        market.search_rates,
+        mode=reference_mode,
+        seed=seed,
+    )
+    others = [
+        _build(market, spec[0], seed, collector, *spec[1:])
         for spec, collector in zip(specs, collectors)
     ]
-    first, others = engines[0], engines[1:]
+    specs = (("reference", reference_mode),) + specs
+    reference_scans = 0
     for round_index in range(rounds):
         occurring = first.sample_occurring_phrases()
         state = first._rng.getstate()
         report_a = first.run_round(occurring)
+        reference_scans += report_a.scans
         for spec, engine in zip(specs[1:], others):
             engine._rng.setstate(state)
             report_b = engine.run_round(occurring)
@@ -95,22 +102,20 @@ def _run_lockstep(market, seed, *specs, rounds=8):
                 ) == engine.budget_manager.remaining_cents(
                     advertiser.advertiser_id
                 ), f"budget trajectory diverged in round {round_index}"
-    return collectors
+    return reference_scans, collectors
 
 
 class TestSharedMatchesUnshared:
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_identical_outcomes_and_fewer_scans(self, seed):
         market = _small_market(seed)
-        unshared, shared = _run_lockstep(
-            market, seed, REFERENCE, ("shared", "columnar")
+        unshared_scans, (shared,) = _run_lockstep(
+            market, seed, "unshared", ("shared",)
         )
-        # Work comparison via the counters: leaf reads of the shared plan
-        # vs full per-phrase scans of the baseline.
-        shared_scans = shared.counter(names.PLAN_LEAF_SCANS)
-        unshared_scans = unshared.counter(names.TOPK_SCAN_ENTRIES)
-        assert shared_scans <= unshared_scans
-        assert unshared.counter(names.ENGINE_ROUNDS) == 8
+        # Work comparison: leaf reads of the shared plan vs the full
+        # per-phrase scans of the reference.
+        assert shared.counter(names.PLAN_LEAF_SCANS) <= unshared_scans
+        assert shared.counter(names.ENGINE_ROUNDS) == 8
 
 
 class TestSharedSortMatchesUnshared:
@@ -118,8 +123,8 @@ class TestSharedSortMatchesUnshared:
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_identical_outcomes(self, seed):
         market = _small_market(seed)
-        _, shared_sort = _run_lockstep(
-            market, seed, REFERENCE, ("shared-sort", "columnar")
+        _, (shared_sort,) = _run_lockstep(
+            market, seed, "unshared", ("shared-sort",)
         )
         assert shared_sort.counter(names.TA_RUNS) > 0
         assert shared_sort.counter(names.TA_SORTED_ACCESSES) > 0
@@ -132,16 +137,12 @@ class TestExecCacheMatchesShared:
     uncached shared execution does, while reading no more leaves than
     uncached shared execution."""
 
-    SPECS = (
-        ("shared", "object"),
-        ("shared", "columnar", True),
-        ("shared", "columnar"),
-    )
+    SPECS = ("shared", ("shared", True), ("shared",))
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_identical_outcomes_and_no_more_leaf_scans(self, seed):
         market = _small_market(seed)
-        _, cached, plain = _run_lockstep(market, seed, *self.SPECS)
+        _, (cached, plain) = _run_lockstep(market, seed, *self.SPECS)
         # _run_lockstep already asserted allocations, revenue, and budget
         # trajectories round by round; here we check the work contract:
         # a cached round scans only fragments with a moved row.
@@ -154,7 +155,7 @@ class TestExecCacheMatchesShared:
 
     def test_cache_actually_reuses_work(self):
         market = _small_market(11)
-        _, cached, _ = _run_lockstep(market, 11, *self.SPECS, rounds=12)
+        _, (cached, _) = _run_lockstep(market, 11, *self.SPECS, rounds=12)
         assert (
             cached.counter(names.PLAN_NODES_REUSED)
             + cached.counter(names.PLAN_REVALIDATIONS)

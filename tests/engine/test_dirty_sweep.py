@@ -65,7 +65,7 @@ def run_sweep_point(fraction):
     Returns:
         ``(cached_collector, uncached_collector)``.
     """
-    np = pytest.importorskip("numpy")
+    import numpy as np
     from repro.core.advertiser import Advertiser
     from repro.core.columnar import ColumnarStore
     from repro.plans.columnar_exec import ColumnarFragmentExecutor
@@ -160,7 +160,6 @@ class TestExecCacheIsOutcomeInvisible:
 
     @pytest.mark.parametrize("seed", [0, 7, 21])
     def test_exec_cache_matches_uncached(self, seed):
-        pytest.importorskip("numpy")
         market = _small_market(seed)
 
         def build(collector, **kwargs):
@@ -169,7 +168,6 @@ class TestExecCacheIsOutcomeInvisible:
                 slot_factors=[0.3, 0.2, 0.1],
                 search_rates=market.search_rates,
                 mode="shared",
-                layout="columnar",
                 seed=seed,
                 collector=collector,
                 **kwargs,

@@ -1,30 +1,31 @@
-"""Layout differential: columnar mechanisms vs the object reference.
+"""The engine against the reference, round for round.
 
-``layout="columnar"`` runs each mode's mechanism -- the Section II
-fragment executor, the Section III lockstep threshold kernel, the
-vectorized scans -- over standing score columns.  ``layout="object"`` is
-the reference: exact Section IV scoring and one scan of ``b̂ * c`` per
-phrase in every mode.  The implementation promise is *byte identity*,
-not approximate agreement: the same winners, the same GSP prices, the
-same budget trajectories, round for round, under every mode and with
-the exec cache on.  These tests run both layouts in lockstep on
-randomized markets across 50 seeds.
+:class:`SharedAuctionEngine` runs each mode's mechanism -- the Section
+II fragment executor, the Section III lockstep threshold kernel, the
+vectorized scans -- over standing score columns.
+:class:`repro.reference.ReferenceEngine` is the paper's auction written
+plainly: exact Section IV scoring and one scan of ``b̂ * c`` per phrase
+in every mode.  The implementation promise is *byte identity*, not
+approximate agreement: the same winners, the same GSP prices, the same
+budget trajectories, round for round, under every mode and with the
+exec cache on.  These tests run the two in lockstep on randomized
+markets across 50 seeds.
 
-The exec cache exists on the columnar layout only: it keeps fragment
-top-k lists alive behind a row-granular dirty mask drawn from its own
-score diff.  It runs the full lockstep sweep against the uncached
-object engine, the serving loop's per-query trace is compared across
-layouts, and a hypothesis property pins the dirty mask to the score
-diff and every cached answer to a from-scratch top-k.
+The exec cache keeps fragment top-k lists alive behind a row-granular
+dirty mask drawn from its own score diff.  It runs the full lockstep
+sweep against the reference, the serving loop's per-query trace is
+compared with the reference's, and a hypothesis property pins the dirty
+mask to the score diff and every cached answer to a from-scratch top-k.
+The last tests pin the ``layout`` seam that still builds the reference
+through ``SharedAuctionEngine(..., layout="object")``.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,13 +37,14 @@ from repro.errors import InvalidAuctionError
 from repro.instrument import MetricsCollector, names
 from repro.plans.columnar_exec import ColumnarFragmentExecutor
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
+from repro.reference import ReferenceEngine
 from repro.serving import ServingEngine, TrafficGenerator
 from repro.workloads.generator import MarketConfig, generate_market
 
 DIFFERENTIAL_SEEDS = range(50)
 
-# Every engine configuration the columnar layout supports.  The object
-# reference runs each one uncached (see _build).
+# Every engine configuration.  The reference runs each one uncached (see
+# _build).
 CONFIGS = {
     "unshared": dict(mode="unshared", throttle=False),
     "unshared+throttle": dict(mode="unshared", throttle=True),
@@ -96,15 +98,17 @@ def _with_overrides(advertisers, seed: int):
     return result
 
 
-def _build(advertisers, search_rates, layout, seed, collector=None, **kw):
-    if layout == "object":
-        # The exec cache is columnar-only; the reference is uncached.
+def _build(advertisers, search_rates, reference, seed, collector=None, **kw):
+    """The engine, or with ``reference`` the (uncached) reference."""
+    if reference:
         kw.pop("exec_cache", None)
+        return ReferenceEngine(
+            advertisers, [0.3, 0.2, 0.1], search_rates, seed=seed, **kw
+        )
     return SharedAuctionEngine(
         advertisers,
         slot_factors=[0.3, 0.2, 0.1],
         search_rates=search_rates,
-        layout=layout,
         seed=seed,
         collector=collector,
         **kw,
@@ -112,22 +116,21 @@ def _build(advertisers, search_rates, layout, seed, collector=None, **kw):
 
 
 def _run_lockstep(advertisers, search_rates, seed, rounds=8, **kw):
-    """Drive object and columnar engines round-for-round in lockstep.
+    """Drive the reference and the engine round-for-round in lockstep.
 
-    The object engine samples the occurring phrases; both engines then
-    run the identical set with synchronized RNG states, and every
-    outcome surface -- allocations (winners *and* prices), revenue,
-    forgiven value, displays, clicks, and each advertiser's remaining
-    budget -- must match exactly.
+    The reference samples the occurring phrases; both then run the
+    identical set with synchronized RNG states, and every outcome
+    surface -- allocations (winners *and* prices), revenue, forgiven
+    value, displays, clicks, and each advertiser's remaining budget --
+    must match exactly.
+
+    Returns:
+        The engine's collector.
     """
-    collector_object = MetricsCollector()
     collector_columnar = MetricsCollector()
-    engine_object = _build(
-        advertisers, search_rates, "object", seed, collector_object, **kw
-    )
+    engine_object = _build(advertisers, search_rates, True, seed, **kw)
     engine_columnar = _build(
-        advertisers, search_rates, "columnar", seed, collector_columnar,
-        **kw,
+        advertisers, search_rates, False, seed, collector_columnar, **kw
     )
     for round_index in range(rounds):
         occurring = engine_object.sample_occurring_phrases()
@@ -135,7 +138,8 @@ def _run_lockstep(advertisers, search_rates, seed, rounds=8, **kw):
         report_object = engine_object.run_round(occurring)
         report_columnar = engine_columnar.run_round(occurring)
         assert report_object.allocations == report_columnar.allocations, (
-            f"layouts diverged in round {round_index} (seed {seed})"
+            f"engine and reference diverged in round {round_index} "
+            f"(seed {seed})"
         )
         assert report_object.revenue_cents == report_columnar.revenue_cents
         assert (
@@ -154,16 +158,16 @@ def _run_lockstep(advertisers, search_rates, seed, rounds=8, **kw):
         engine_object.budget_manager.spent_snapshot()
         == engine_columnar.budget_manager.spent_snapshot()
     )
-    return collector_object, collector_columnar
+    return collector_columnar
 
 
-class TestColumnarMatchesObject:
+class TestEngineMatchesReference:
     """The full 50-seed sweep on the cheap configurations."""
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_unshared_with_throttle(self, seed):
         market = _small_market(seed)
-        _, columnar = _run_lockstep(
+        columnar = _run_lockstep(
             market.advertisers, market.search_rates, seed,
             **CONFIGS["unshared+throttle"],
         )
@@ -183,7 +187,7 @@ class TestColumnarMatchesObject:
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_shared(self, seed):
         market = _small_market(seed)
-        _, columnar = _run_lockstep(
+        columnar = _run_lockstep(
             market.advertisers, market.search_rates, seed,
             **CONFIGS["shared"],
         )
@@ -193,9 +197,9 @@ class TestColumnarMatchesObject:
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
     def test_shared_with_exec_cache(self, seed):
         # Fragments persist across rounds and only rows whose score
-        # moved force rescans; the object engine is the reference.
+        # moved force rescans; the uncached reference is the oracle.
         market = _small_market(seed)
-        _, columnar = _run_lockstep(
+        columnar = _run_lockstep(
             market.advertisers, market.search_rates, seed,
             **CONFIGS["shared+exec_cache"],
         )
@@ -208,7 +212,7 @@ class TestColumnarMatchesObject:
     def test_shared_sort_with_overrides(self, seed):
         market = _small_market(seed)
         advertisers = _with_overrides(market.advertisers, seed)
-        _, columnar = _run_lockstep(
+        columnar = _run_lockstep(
             advertisers, market.search_rates, seed,
             **CONFIGS["shared-sort"],
         )
@@ -220,7 +224,7 @@ class TestColumnarMatchesObject:
         # The lockstep TA kernel on every seed, without the Section IV
         # throttle: effective bids are min(b, remaining budget).
         market = _small_market(seed)
-        _, columnar = _run_lockstep(
+        columnar = _run_lockstep(
             market.advertisers, market.search_rates, seed,
             **CONFIGS["shared-sort-unthrottled"],
         )
@@ -268,10 +272,10 @@ def _half_unbudgeted(advertisers):
     ], bidders
 
 
-class TestMixedBudgetsMatchObject:
+class TestMixedBudgetsMatchReference:
     """Unbudgeted advertisers keep no books (DESIGN section 17); the
-    budgeted ones beside them in the same auctions keep theirs.  Both
-    layouts, every configuration, round for round."""
+    budgeted ones beside them in the same auctions keep theirs.  Engine
+    and reference, every configuration, round for round."""
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
     @pytest.mark.parametrize("seed", range(20))
@@ -291,28 +295,44 @@ class TestMixedBudgetsMatchObject:
         )
 
 
-def _effective_bids_of_each_round(engine):
-    """Wrap stage 3 so every round hands it its stage-2 ``b̂`` map."""
+def stage_two_bids(engine):
+    """Record the ``b̂`` map of each round the engine (or reference) scores.
+
+    The reference's is what its scoring step returns; the engine's is
+    what its stage 2 left in row space, read as stage 3 starts.
+    """
     seen = []
+    if isinstance(engine, ReferenceEngine):
+        score = engine._throttled_bids
+
+        def recording_score(phrases, round_index, report):
+            seen.append(score(phrases, round_index, report))
+            return seen[-1]
+
+        engine._throttled_bids = recording_score
+        return seen
     rank = engine._rank_phrases
 
-    def recording_rank(phrases, scores, effective_bid_cents, report):
-        seen.append(dict(effective_bid_cents.items()))
-        return rank(phrases, scores, effective_bid_cents, report)
+    def recording_rank(phrases, report):
+        rows = engine._occurring_rows
+        ids = engine._store.ids[rows].tolist()
+        seen.append(dict(zip(ids, engine._eff_by_row[rows].tolist())))
+        return rank(phrases, report)
 
     engine._rank_phrases = recording_rank
     return seen
 
 
 class TestWideBudgetedMarketLockstep:
-    """Both layouts allocate alike on a wide market under budgets.
+    """Engine and reference allocate alike on a wide market under budgets.
 
-    Each round both layouts must also hand stage 3 the same ``b̂`` map,
-    and some budget must bind: an advertiser scored in an earlier round
-    whose throttled ``b̂`` moved again, below its bid.  The wide market
-    (24 phrases, 3 slots) prices most rounds' slots through the columnar
-    array pass, so this is the lockstep of that pass against the object
-    reference under budgets; the shared plan runs on a 9-phrase market.
+    Each round the engine's stage 2 must also leave the reference's
+    ``b̂`` map in row space, and some budget must bind: an advertiser
+    scored in an earlier round whose throttled ``b̂`` moved again, below
+    its bid.  The wide market (24 phrases, 3 slots) prices most rounds'
+    slots through the engine's array pass, so this is the lockstep of
+    that pass against the reference under budgets; the shared plan runs
+    on a 9-phrase market.
     """
 
     @pytest.mark.parametrize(
@@ -333,13 +353,12 @@ class TestWideBudgetedMarketLockstep:
             median_budget_cents=700, seed=seed,
         )
         engines = {
-            layout: _build(advertisers, rates, layout, seed, **CONFIGS[config])
-            for layout in ("object", "columnar")
+            "object": _build(advertisers, rates, True, seed, **CONFIGS[config]),
+            "columnar": _build(
+                advertisers, rates, False, seed, **CONFIGS[config]
+            ),
         }
-        seen = {
-            layout: _effective_bids_of_each_round(engine)
-            for layout, engine in engines.items()
-        }
+        seen = {name: stage_two_bids(engine) for name, engine in engines.items()}
         bid_cents = {a.advertiser_id: round(a.bid * 100) for a in advertisers}
         last_effective = {}
         repeated_throttle_moves = array_rounds = 0
@@ -347,8 +366,8 @@ class TestWideBudgetedMarketLockstep:
             occurring = engines["object"].sample_occurring_phrases()
             engines["columnar"]._rng.setstate(engines["object"]._rng.getstate())
             reports = {
-                layout: engine.run_round(occurring)
-                for layout, engine in engines.items()
+                name: engine.run_round(occurring)
+                for name, engine in engines.items()
             }
             engines["object"]._rng.setstate(engines["columnar"]._rng.getstate())
             assert reports["object"].allocations == reports["columnar"].allocations
@@ -369,34 +388,57 @@ class TestWideBudgetedMarketLockstep:
             assert array_rounds >= 15, "rounds too small for the array pass"
 
 
-class TestLayoutValidation:
+class TestTheLayoutSeam:
+    """``layout`` survives only as ``SharedAuctionEngine.__new__``'s seam
+    to the reference, for callers that still name it."""
+
+    def _engine(self, **kw):
+        market = _small_market(0)
+        return SharedAuctionEngine(
+            market.advertisers, [0.3, 0.2, 0.1], market.search_rates, **kw
+        )
+
+    def test_object_is_the_reference(self):
+        engine = self._engine(mode="shared-sort", layout="object", seed=4)
+        assert type(engine) is ReferenceEngine
+        assert engine.mode == "shared-sort"
+
+    def test_columnar_is_the_engine(self):
+        assert type(self._engine(layout="columnar")) is SharedAuctionEngine
+
     def test_unknown_layout_rejected(self):
-        market = _small_market(0)
         with pytest.raises(InvalidAuctionError, match="unknown layout"):
-            _build(market.advertisers, market.search_rates, "rowwise", 0)
+            self._engine(layout="rowwise")
 
-    def test_exec_cache_requires_columnar_layout(self):
+    def test_the_reference_takes_no_enabled_collector(self):
+        with pytest.raises(InvalidAuctionError, match="no collector"):
+            self._engine(layout="object", collector=MetricsCollector())
+        assert type(self._engine(layout="object", collector=None)) is (
+            ReferenceEngine
+        )
+
+    def test_the_reference_has_no_exec_cache(self):
+        with pytest.raises(InvalidAuctionError, match="no exec_cache"):
+            self._engine(mode="shared", layout="object", exec_cache=True)
+
+    def test_the_seam_runs_what_the_reference_runs(self):
         market = _small_market(0)
-        with pytest.raises(InvalidAuctionError, match="layout='columnar'"):
-            SharedAuctionEngine(
-                market.advertisers,
-                slot_factors=[0.3, 0.2, 0.1],
-                search_rates=market.search_rates,
-                mode="shared",
-                layout="object",
-                exec_cache=True,
-            )
+        through_seam = self._engine(layout="object", seed=3).run(10)
+        direct = _build(
+            market.advertisers, market.search_rates, True, 3
+        ).run(10)
+        assert through_seam.history == direct.history
 
-    def test_columnar_full_run_matches_object_end_to_end(self):
+    def test_engine_full_run_matches_reference_end_to_end(self):
         # A plain .run() (engine-sampled phrases, terminal click flush)
         # as the CLI drives it, compared on the final report.
         market = _small_market(3)
-        reports = {}
-        for layout in ("object", "columnar"):
-            engine = _build(
-                market.advertisers, market.search_rates, layout, 3
-            )
-            reports[layout] = engine.run(10)
+        reports = {
+            name: _build(
+                market.advertisers, market.search_rates, reference, 3
+            ).run(10)
+            for name, reference in (("object", True), ("columnar", False))
+        }
         assert (
             reports["object"].revenue_cents
             == reports["columnar"].revenue_cents
@@ -409,11 +451,11 @@ class TestLayoutValidation:
 
 
 class TestNonFiniteInputsAreRefused:
-    """NaN passed every ``< 0`` check, and the layouts then disagreed:
-    one NaN ``ctr_factor`` among four bidders gave the object layout two
-    winners and the columnar layout one; a NaN slot factor priced slot 2
-    at ``min(1.0, nan)`` on the object layout and raised mid-round on
-    the columnar one.  Both are now refused before any engine runs."""
+    """NaN passed every ``< 0`` check, and engine and reference then
+    disagreed: one NaN ``ctr_factor`` among four bidders gave the
+    reference two winners and the engine one; a NaN slot factor priced
+    slot 2 at ``min(1.0, nan)`` on the reference and raised mid-round on
+    the engine.  Both are now refused before either runs."""
 
     def test_a_nan_ctr_factor_never_reaches_an_engine(self):
         with pytest.raises(InvalidAuctionError, match="ctr_factor"):
@@ -433,24 +475,25 @@ class TestNonFiniteInputsAreRefused:
                 mode="shared-sort",
             )
 
-    @pytest.mark.parametrize("layout", ("object", "columnar"))
-    def test_a_nan_slot_factor_is_refused_at_construction(self, layout):
+    @pytest.mark.parametrize(
+        "build", (ReferenceEngine, SharedAuctionEngine), ids=("reference", "engine")
+    )
+    def test_a_nan_slot_factor_is_refused_at_construction(self, build):
         phrases = [f"q{i}" for i in range(20)]  # 40 slots: array pricing
         advertisers = [
             Advertiser(i, bid=1.0 + i / 10, phrases=frozenset(phrases))
             for i in range(4)
         ]
         with pytest.raises(InvalidAuctionError, match="slot factors"):
-            SharedAuctionEngine(
+            build(
                 advertisers,
                 slot_factors=[0.3, float("nan")],
                 search_rates={p: 1.0 for p in phrases},
                 mode="unshared",
-                layout=layout,
             )
 
 
-def _serve_trace(market, seed, **kw):
+def _serve_trace(market, seed, reference=False, **kw):
     """Serve a fixed arrival trace; return the per-query outcome tuple.
 
     The traffic generator is seeded identically for every engine
@@ -458,7 +501,7 @@ def _serve_trace(market, seed, **kw):
     and the returned tuples are directly comparable.
     """
     engine = _build(
-        market.advertisers, market.search_rates, kw.pop("layout"), seed, **kw
+        market.advertisers, market.search_rates, reference, seed, **kw
     )
     traffic = TrafficGenerator.from_search_rates(
         market.search_rates, rate_qps=80.0, seed=seed
@@ -478,13 +521,13 @@ def _serve_trace(market, seed, **kw):
 
 
 class TestCachedColumnarServing:
-    """Serving on the columnar layout, the exec cache on.
+    """Serving on the engine, the exec cache on.
 
     The exec cache diffs each query's scores, so the serving loop is
     where cross-round caching and the vectorized kernels genuinely
     compose.  The trace -- every query's phrase, winners, and prices,
     plus click money and final budgets -- must be byte-identical to the
-    uncached object layout serving the same arrivals.  The full 50-seed
+    reference serving the same arrivals.  The full 50-seed
     identity (and the speedup) is gated in
     ``benchmarks/test_bench_columnar_serving.py``; this sweep keeps a
     fast tier-1 guard on the same claim.
@@ -494,10 +537,10 @@ class TestCachedColumnarServing:
     def test_exec_cache_serving_trace_identical(self, seed):
         market = _small_market(seed)
         object_trace = _serve_trace(
-            market, seed, layout="object", mode="shared"
+            market, seed, reference=True, mode="shared"
         )
         columnar_trace = _serve_trace(
-            market, seed, layout="columnar", mode="shared", exec_cache=True
+            market, seed, mode="shared", exec_cache=True
         )
         assert object_trace == columnar_trace
 
@@ -505,22 +548,20 @@ class TestCachedColumnarServing:
     def test_shared_sort_serving_trace_identical(self, seed):
         market = _small_market(seed)
         object_trace = _serve_trace(
-            market, seed, layout="object", mode="shared-sort"
+            market, seed, reference=True, mode="shared-sort"
         )
         columnar_trace = _serve_trace(
-            market, seed, layout="columnar", mode="shared-sort"
+            market, seed, mode="shared-sort"
         )
         assert object_trace == columnar_trace
 
     def test_cached_equals_uncached_columnar_serving(self):
         # The cache changes the work, never the trace.
         market = _small_market(11)
-        reference = _serve_trace(market, 11, layout="object", mode="shared")
+        reference = _serve_trace(market, 11, reference=True, mode="shared")
+        assert reference == _serve_trace(market, 11, mode="shared")
         assert reference == _serve_trace(
-            market, 11, layout="columnar", mode="shared"
-        )
-        assert reference == _serve_trace(
-            market, 11, layout="columnar", mode="shared", exec_cache=True
+            market, 11, mode="shared", exec_cache=True
         )
 
 

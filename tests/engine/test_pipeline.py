@@ -8,11 +8,14 @@ from repro.core.advertiser import Advertiser
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidAuctionError
 from repro.instrument import NULL, MetricsCollector, names
+from repro.reference import ReferenceEngine
 
 
-def build_engine(advertisers, mode="shared", seed=5, **kwargs):
+def build_engine(advertisers, mode="shared", seed=5, reference=False, **kwargs):
+    """The engine, or with ``reference`` the reference, over
+    ``advertisers``."""
     phrases = sorted({p for a in advertisers for p in a.phrases})
-    return SharedAuctionEngine(
+    return (ReferenceEngine if reference else SharedAuctionEngine)(
         advertisers,
         slot_factors=[0.3, 0.2],
         search_rates={p: 0.8 for p in phrases},
@@ -42,6 +45,32 @@ class TestConstruction:
         assert set(engine.phrase_advertisers) == {"boots", "heels", "sandals"}
         assert 0 in engine.phrase_advertisers["boots"]
 
+    @pytest.mark.parametrize("rate", (float("nan"), -1.0, 7.0, float("inf")))
+    @pytest.mark.parametrize(
+        "mode,reference",
+        [
+            ("unshared", False),
+            ("shared", False),
+            ("shared-sort", False),
+            ("shared", True),
+        ],
+        ids=("unshared", "shared", "shared-sort", "reference"),
+    )
+    def test_a_search_rate_outside_zero_one_is_rejected(
+        self, mode, reference, rate
+    ):
+        # Every mode refuses it alike, before any mechanism is built (the
+        # shared plan used to be the only one to notice).
+        advertisers = [
+            Advertiser(0, bid=1.0, phrases=frozenset({"a", "b"})),
+            Advertiser(1, bid=2.0, phrases=frozenset({"a"})),
+        ]
+        build = ReferenceEngine if reference else SharedAuctionEngine
+        with pytest.raises(InvalidAuctionError, match="search rates"):
+            build(advertisers, [0.3, 0.2], {"a": rate, "b": 0.5}, mode=mode)
+        # The bounds themselves are rates.
+        build(advertisers, [0.3, 0.2], {"a": 0.0, "b": 1.0}, mode=mode)
+
 
 class TestRoundResolution:
     def test_unknown_phrase_rejected(self, population):
@@ -65,7 +94,7 @@ class TestRoundResolution:
         results."""
         shared = build_engine(population, mode="shared", seed=9)
         unshared = build_engine(
-            population, mode="unshared", seed=9, layout="object"
+            population, mode="unshared", seed=9, reference=True
         )
         report_s = shared.run(40)
         report_u = unshared.run(40)
@@ -83,11 +112,9 @@ class TestRoundResolution:
             Advertiser(100 + i, bid=1.0, phrases=frozenset({"boots"}))
             for i in range(4)
         ]
-        shared = build_engine(
-            advertisers, mode="shared", seed=1, layout="columnar"
-        )
+        shared = build_engine(advertisers, mode="shared", seed=1)
         unshared = build_engine(
-            advertisers, mode="unshared", seed=1, layout="object"
+            advertisers, mode="unshared", seed=1, reference=True
         )
         rounds = 20
         report_s = shared.run(rounds)
@@ -123,14 +150,14 @@ class TestTheRoundClock:
     """Batch rounds, served queries and ``run`` share one tick counter:
     each takes the next index and reports only its own phrases."""
 
-    @pytest.mark.parametrize("layout", ("object", "columnar"))
+    @pytest.mark.parametrize(
+        "reference", (True, False), ids=("reference", "engine")
+    )
     @pytest.mark.parametrize("mode", ("unshared", "shared", "shared-sort"))
     def test_every_round_and_query_takes_the_next_tick(
-        self, population, mode, layout
+        self, population, mode, reference
     ):
-        if layout == "columnar":
-            pytest.importorskip("numpy")
-        engine = build_engine(population, mode=mode, layout=layout)
+        engine = build_engine(population, mode=mode, reference=reference)
         reports = [
             engine.run_round(["boots", "heels"]),
             engine.serve_query("sandals"),
@@ -225,8 +252,7 @@ class TestStoreUnderARunningEngine:
 
     @pytest.fixture(params=MODES)
     def engine(self, request, population):
-        pytest.importorskip("numpy")
-        engine = build_engine(population, mode=request.param, layout="columnar")
+        engine = build_engine(population, mode=request.param)
         engine.run_round(["boots", "heels"])
         return engine
 
@@ -263,10 +289,9 @@ class TestStoreUnderARunningEngine:
             engine.serve_query("heels")
 
     def test_a_store_of_ones_own_stays_writable(self, population):
-        pytest.importorskip("numpy")
         from repro.core.columnar import ColumnarStore
 
-        build_engine(population, mode="unshared", layout="columnar")
+        build_engine(population, mode="unshared")
         store = ColumnarStore.from_advertisers(population)
         store.set_bid(0, 9.0)
         assert store.bid_cents[store.row_of(0)] == 900
@@ -282,14 +307,9 @@ class TestStageTimers:
         names.ENGINE_STAGE_ALLOCATE_TIMER,
     )
 
-    @pytest.mark.parametrize("layout", ("object", "columnar"))
-    def test_one_span_per_stage_per_round_and_tick(self, population, layout):
-        if layout == "columnar":
-            pytest.importorskip("numpy")
+    def test_one_span_per_stage_per_round_and_tick(self, population):
         collector = MetricsCollector()
-        engine = build_engine(
-            population, mode="unshared", layout=layout, collector=collector
-        )
+        engine = build_engine(population, mode="unshared", collector=collector)
         phrases = sorted(engine.phrase_advertisers)
         for _ in range(5):
             engine.run_round(phrases)
@@ -304,17 +324,10 @@ class TestStageTimers:
             set(self.STAGES)
         )
 
-    @pytest.mark.parametrize("layout", ("object", "columnar"))
     @pytest.mark.parametrize("mode", ("unshared", "shared", "shared-sort"))
-    def test_every_mode_scores_then_ranks_each_round(
-        self, population, mode, layout
-    ):
-        if layout == "columnar":
-            pytest.importorskip("numpy")
+    def test_every_mode_scores_then_ranks_each_round(self, population, mode):
         collector = MetricsCollector()
-        engine = build_engine(
-            population, mode=mode, layout=layout, collector=collector
-        )
+        engine = build_engine(population, mode=mode, collector=collector)
         phrases = sorted(engine.phrase_advertisers)
         for _ in range(3):
             engine.run_round(phrases)

@@ -13,10 +13,10 @@ import pytest
 
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidAuctionError
+from repro.reference import ReferenceEngine
 from repro.workloads.fig4 import fig4_market
 
 MODES = ("shared", "shared-sort", "unshared")
-LAYOUTS = ("object", "columnar")
 SLOTS = [0.3, 0.2, 0.1]
 
 
@@ -38,17 +38,15 @@ def _summary(report):
     )
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize(
+    "build", (ReferenceEngine, SharedAuctionEngine), ids=("reference", "engine")
+)
 @pytest.mark.parametrize("mode", MODES)
-def test_a_repeated_phrase_is_rejected_before_the_round(mode, layout):
-    if layout == "columnar":
-        pytest.importorskip("numpy")
+def test_a_repeated_phrase_is_rejected_before_the_round(mode, build):
     advertisers, rates = _market()
 
     def engine():
-        return SharedAuctionEngine(
-            advertisers, SLOTS, rates, mode=mode, layout=layout, seed=7
-        )
+        return build(advertisers, SLOTS, rates, mode=mode, seed=7)
 
     phrases = sorted(rates)
     rejected = engine()
@@ -69,7 +67,6 @@ def test_a_repeated_phrase_is_rejected_before_the_round(mode, layout):
 
 
 def test_the_sharded_engine_rejects_it_before_any_shard_runs():
-    pytest.importorskip("numpy")
     from repro.engine.sharded import ShardedEngine
 
     advertisers, rates = _market(num_components=2)

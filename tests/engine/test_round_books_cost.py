@@ -19,15 +19,14 @@ from repro.engine import budget_manager
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.click_model import DelayedClickModel
 from repro.engine.pipeline import SharedAuctionEngine
+from repro.reference import ReferenceEngine
 from repro.workloads.fig4 import fig4_market
 
-LAYOUTS = ("object", "columnar")
+from .test_layout_differential import stage_two_bids
 
-
-def _layout(layout):
-    if layout == "columnar":
-        pytest.importorskip("numpy")
-    return layout
+EITHER_ENGINE = pytest.mark.parametrize(
+    "build", (ReferenceEngine, SharedAuctionEngine), ids=("reference", "engine")
+)
 
 
 def _displays(count, num_advertisers, seed=3):
@@ -171,13 +170,12 @@ class TestUnbudgetedRoundBooksNothing:
         assert sorted(_movers(manager)) == list(range(60))
 
     def test_an_unbudgeted_engine_round_moves_no_row(self):
-        pytest.importorskip("numpy")
         advertisers, rates = fig4_market(
             num_queries=12, num_advertisers=30, median_budget_cents=0, seed=2
         )
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
-            mode="unshared", layout="columnar", seed=2,
+            mode="unshared", seed=2,
         )
         displays = clicks = 0
         for _ in range(20):
@@ -216,7 +214,6 @@ class TestOneClickModelCallPerStage:
     def test_batch_rank_rounds_and_served_ticks(
         self, calls, median_budget_cents
     ):
-        pytest.importorskip("numpy")
         # batch_rank's market (unlimited budgets), and the same shape
         # budgeted: each round is every phrase, ~720 displays.
         advertisers, rates = fig4_market(
@@ -225,7 +222,7 @@ class TestOneClickModelCallPerStage:
         )
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
-            mode="shared", layout="columnar", exec_cache=True, seed=11,
+            mode="shared", exec_cache=True, seed=11,
         )
         phrases = sorted(rates)
         displays = clicks = 0
@@ -253,36 +250,20 @@ def _varying_rounds(phrases, rounds, seed):
     ]
 
 
-def _effective_bids_of_each_round(engine):
-    """Wrap stage 3 so every round hands it its stage-2 ``b̂`` map."""
-    seen = []
-    rank = engine._rank_phrases
-
-    def recording_rank(phrases, scores, effective_bid_cents, report):
-        seen.append(dict(effective_bid_cents.items()))
-        return rank(phrases, scores, effective_bid_cents, report)
-
-    engine._rank_phrases = recording_rank
-    return seen
-
-
 class TestEffectiveBidFollowsTheBooks:
     """A multiplicity that moves moves ``b̂`` only where a budget binds."""
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_unlimited_budgets_bid_their_bid_whatever_m_does(self, layout):
+    @EITHER_ENGINE
+    def test_unlimited_budgets_bid_their_bid_whatever_m_does(self, build):
         # Every round draws other phrases, so most multiplicities move
         # every round -- and with unlimited budgets move no bid, and
         # leave no books to drain.
         advertisers, rates = fig4_market(
             num_queries=12, num_advertisers=30, median_budget_cents=0, seed=2
         )
-        engine = SharedAuctionEngine(
-            advertisers, [0.3, 0.2, 0.1], rates,
-            mode="shared", layout=_layout(layout), seed=2,
-        )
+        engine = build(advertisers, [0.3, 0.2, 0.1], rates, mode="shared", seed=2)
         bid_cents = {a.advertiser_id: round(a.bid * 100) for a in advertisers}
-        seen = _effective_bids_of_each_round(engine)
+        seen = stage_two_bids(engine)
         moved_multiplicity = 0
         last_m = {}
         for occurring in _varying_rounds(sorted(rates), 15, seed=9):
@@ -302,8 +283,8 @@ class TestEffectiveBidFollowsTheBooks:
             last_m.update(m)
         assert moved_multiplicity > 100, "the rounds never moved an m_i"
 
-    @pytest.mark.parametrize("layout", LAYOUTS)
-    def test_a_budget_bound_bid_moves_with_its_multiplicity(self, layout):
+    @EITHER_ENGINE
+    def test_a_budget_bound_bid_moves_with_its_multiplicity(self, build):
         # b = 100, beta = 200: m = 1 -> 3 makes m*b > beta, so b-hat
         # drops from b to about beta/3 (a little less: it owes on its
         # outstanding ads, and owes more after each round); back at
@@ -312,7 +293,7 @@ class TestEffectiveBidFollowsTheBooks:
         # click is ever drawn, so the budget itself stays put.
         phrases = ("p1", "p2", "p3")
         everywhere = frozenset(phrases)
-        engine = SharedAuctionEngine(
+        engine = build(
             [
                 Advertiser(1, bid=1.0, ctr_factor=0.5, daily_budget=2.0,
                            phrases=everywhere),
@@ -320,9 +301,9 @@ class TestEffectiveBidFollowsTheBooks:
                 Advertiser(3, bid=0.01, ctr_factor=0.5, phrases=everywhere),
             ],
             [1e-9, 1e-10], {phrase: 1.0 for phrase in phrases},
-            mode="shared", layout=_layout(layout), seed=5,
+            mode="shared", seed=5,
         )
-        seen = _effective_bids_of_each_round(engine)
+        seen = stage_two_bids(engine)
 
         def bids(occurring):
             report = engine.run_round(occurring)

@@ -1,8 +1,8 @@
 """Stage 4's two slot arithmetics agree bit for bit (DESIGN sections 19, 20).
 
 ``_allocate_phrase`` prices one phrase's slots with Python floats;
-``_price_slots`` prices a whole round's slots as arrays.  The columnar
-layout picks between them from the slot count alone
+``_price_slots`` prices a whole round's slots as arrays.  The engine
+picks between them from the slot count alone
 (``ARRAY_PRICING_MIN_SLOTS``), so a round on either side of the
 crossover must come out the same to the last bit -- prices (half-even
 rounding on an exact half cent included), CTRs, skipped slots.
@@ -10,25 +10,25 @@ rounding on an exact half cent included), CTRs, skipped slots.
 The array pass reads stage 3's flat arrays (``RankedRound``), which every
 columnar backend hands over for a round of more than one phrase: the
 fragment executor, the Section III round kernel and the scan.  That
-hand-off is held to the same oracle, to arrays built from the object
-reference's ``TopKList``s, and to building no ``TopKList`` at all.
+hand-off is held to the same oracle, to arrays built from
+:class:`repro.reference.ReferenceEngine`'s ``TopKList``s, and to
+building no ``TopKList`` at all.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.advertiser import Advertiser
-from repro.core.columnar import ArrayScoreMap
 from repro.core.topk import TopKList
 from repro.engine.pipeline import ARRAY_PRICING_MIN_SLOTS, SharedAuctionEngine
+from repro.reference import ReferenceEngine
 from repro.sharedsort.columnar import RankedRound
 from repro.workloads.generator import MarketConfig, generate_market
 
@@ -64,7 +64,6 @@ def _engine(mode: str) -> SharedAuctionEngine:
         SLOT_FACTORS,
         {phrase: 1.0 for phrase in PHRASES},
         mode=mode,
-        layout="columnar",
         seed=0,
     )
 
@@ -127,7 +126,7 @@ def _ranked_round(engine, phrases, rankings):
 def _scalar(engine, phrases, rankings):
     shown, rows = [], []
     for phrase in phrases:
-        ads = engine._allocate_phrase(phrase, rankings[phrase], engine._row_bid)
+        ads = engine._allocate_phrase(phrase, rankings[phrase])
         shown.append(len(ads))
         rows.extend(ads)
     columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
@@ -210,7 +209,7 @@ def test_recorded_edges():
 SORT_SIZES = (1, 2, 3, 4, 5, 12)
 
 
-def _sort_engine(layout: str) -> SharedAuctionEngine:
+def _sort_engine(reference: bool = False):
     """A shared-sort market whose phrases have 1, 2, 3 (fewer entries
     than the k + 1 asked for), 4 and more members, most of them with a
     per-phrase factor that differs from the advertiser's own."""
@@ -237,13 +236,13 @@ def _sort_engine(layout: str) -> SharedAuctionEngine:
                 },
             )
         )
-    return SharedAuctionEngine(
+    return (ReferenceEngine if reference else SharedAuctionEngine)(
         advertisers, SLOT_FACTORS, {phrase: 1.0 for phrase in PHRASES},
-        mode="shared-sort", layout=layout, seed=3,
+        mode="shared-sort", seed=3,
     )
 
 
-SORT_ENGINE = _sort_engine("columnar")
+SORT_ENGINE = _sort_engine()
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,9 +303,9 @@ def test_the_sort_market_has_the_cases_it_claims():
 
 def test_shared_sort_rounds_across_the_pricing_crossover(monkeypatch):
     # Rounds sized around ARRAY_PRICING_MIN_SLOTS allocate exactly as
-    # the object layout's scalar stages do, whether stage 4 prices the
-    # round kernel's arrays or the TopKLists it materializes from them.
-    columnar, oracle = _sort_engine("columnar"), _sort_engine("object")
+    # the reference does, whether stage 4 prices the round kernel's
+    # arrays or the TopKLists it materializes from them.
+    columnar, oracle = _sort_engine(), _sort_engine(reference=True)
     routes = []
 
     def recorded(name, original):
@@ -337,15 +336,15 @@ def test_shared_sort_rounds_across_the_pricing_crossover(monkeypatch):
 class TestDispatch:
     """The route is chosen from the slot count alone."""
 
-    def _routes(self, monkeypatch, layout, phrases):
-        advertisers = [
-            Advertiser(i, bid=1.0 + i / 10, ctr_factor=0.5,
-                       phrases=frozenset(PHRASES))
-            for i in range(1, 9)
-        ]
+    ADVERTISERS = [
+        Advertiser(i, bid=1.0 + i / 10, ctr_factor=0.5, phrases=frozenset(PHRASES))
+        for i in range(1, 9)
+    ]
+
+    def _routes(self, monkeypatch, phrases):
         engine = SharedAuctionEngine(
-            advertisers, SLOT_FACTORS, {p: 1.0 for p in PHRASES},
-            mode="unshared", layout=layout, seed=1,
+            self.ADVERTISERS, SLOT_FACTORS, {p: 1.0 for p in PHRASES},
+            mode="unshared", seed=1,
         )
         calls = {"scalar": 0, "array": 0}
 
@@ -366,11 +365,11 @@ class TestDispatch:
 
     def test_crossover_is_the_module_constant(self, monkeypatch):
         below = (ARRAY_PRICING_MIN_SLOTS - 1) // K
-        report, calls = self._routes(monkeypatch, "columnar", PHRASES[:below])
+        report, calls = self._routes(monkeypatch, PHRASES[:below])
         assert calls == {"scalar": below, "array": 0}
         above = below + 1
         assert above * K >= ARRAY_PRICING_MIN_SLOTS
-        other, calls = self._routes(monkeypatch, "columnar", PHRASES[:above])
+        other, calls = self._routes(monkeypatch, PHRASES[:above])
         assert calls == {"scalar": 0, "array": 1}
         # Same session start, so the shared prefix of phrases allocates
         # identically through either route.
@@ -378,42 +377,18 @@ class TestDispatch:
             assert report.allocations[phrase] == other.allocations[phrase]
         assert report.displays and other.displays > report.displays
 
-    def test_the_object_layout_is_always_the_scalar_oracle(self, monkeypatch):
-        report, calls = self._routes(monkeypatch, "object", PHRASES)
-        assert calls == {"scalar": len(PHRASES), "array": 0}
-        columnar, _ = self._routes(monkeypatch, "columnar", PHRASES)
-        assert report.allocations == columnar.allocations
-
-
-@pytest.mark.parametrize(
-    "mode,cache",
-    [
-        ("unshared", {}),
-        ("shared", {"exec_cache": True}),
-        ("shared", {}),
-        ("shared-sort", {}),
-    ],
-)
-def test_columnar_rounds_and_ticks_never_binary_search_a_bid(
-    monkeypatch, mode, cache
-):
-    # ArrayScoreMap stays the mapping handed to mapping consumers; the
-    # columnar stage 4 reads the row-space bids instead, on both routes.
-    def unreachable(self, key):
-        raise AssertionError(f"ArrayScoreMap.__getitem__({key}) reached")
-
-    monkeypatch.setattr(ArrayScoreMap, "__getitem__", unreachable)
-    engine = ENGINES["unshared"]
-    fresh = SharedAuctionEngine(
-        engine.advertisers, SLOT_FACTORS, {p: 1.0 for p in PHRASES},
-        mode=mode, layout="columnar", seed=2, **cache,
-    )
-    displays = 0
-    for _ in range(4):
-        displays += fresh.run_round().displays  # 24 phrases: array route
-        displays += fresh.run_round(PHRASES[:3]).displays  # scalar route
-        displays += fresh.serve_query(PHRASES[5]).displays
-    assert displays
+    def test_both_routes_allocate_as_the_reference(self, monkeypatch):
+        below = (ARRAY_PRICING_MIN_SLOTS - 1) // K
+        routes = set()
+        for phrases in (PHRASES[:below], PHRASES):
+            report, calls = self._routes(monkeypatch, phrases)
+            routes.add(max(calls, key=calls.get))
+            reference = ReferenceEngine(
+                self.ADVERTISERS, SLOT_FACTORS, {p: 1.0 for p in PHRASES},
+                mode="unshared", seed=1,
+            )
+            assert reference.run_round(phrases).allocations == report.allocations
+        assert routes == {"scalar", "array"}
 
 
 # ----------------------------------------------------------------------
@@ -493,9 +468,7 @@ def test_a_multi_phrase_round_builds_no_topklist(monkeypatch, backend):
     advertisers, rates = _wide_market(0)
     phrases = sorted(rates)
     assert len(phrases) > CROSSOVER
-    engine = _wide_engine(
-        advertisers, rates, 5, layout="columnar", **BACKENDS[backend]
-    )
+    engine = _wide_engine(advertisers, rates, 5, **BACKENDS[backend])
     built = []
     inside = []
     from_ranked = TopKList.__dict__["from_ranked"].__func__
@@ -553,24 +526,36 @@ def _assert_same_rankings(engine, phrases, columnar, reference):
         assert got.tobytes() == want.tobytes()
 
 
+def _reference_rankings(reference):
+    """Each phrase's ``TopKList`` as the reference ranks it, collected
+    until the caller clears them."""
+    ranked = {}
+    rank = reference._rank
+
+    def recording(phrase, *args):
+        ranked[phrase] = rank(phrase, *args)
+        return ranked[phrase]
+
+    reference._rank = recording
+    return ranked
+
+
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
 def test_every_backend_hands_over_the_reference_rankings(backend, seed):
-    # Lockstep, as the layout differential drives it: each round's
-    # rankings from the columnar backend against arrays built from the
-    # object reference's TopKLists, for rounds below, at and above the
-    # slot crossover, one-phrase rounds and a served tick included.
+    # Lockstep, as the reference differential drives it: each round's
+    # rankings from the engine's backend against arrays built from the
+    # reference's TopKLists, for rounds below, at and above the slot
+    # crossover, one-phrase rounds and a served tick included.
     advertisers, rates = _wide_market(seed)
     phrases = sorted(rates)
     config = dict(BACKENDS[backend])
-    columnar = _wide_engine(
-        advertisers, rates, seed, layout="columnar", **config
-    )
+    columnar = _wide_engine(advertisers, rates, seed, **config)
     config.pop("exec_cache", None)
-    reference = _wide_engine(
-        advertisers, rates, seed, layout="object", **config
+    reference = ReferenceEngine(
+        advertisers, SLOT_FACTORS, rates, seed=seed, **config
     )
-    got, want = _recorded_rankings(columnar), _recorded_rankings(reference)
+    got, want = _recorded_rankings(columnar), _reference_rankings(reference)
     rng = random.Random(seed)
     rounds = [
         phrases,
@@ -580,6 +565,20 @@ def test_every_backend_hands_over_the_reference_rankings(backend, seed):
         None,
         phrases,
     ]
+    compared = 0
+
+    def compare(occurring):
+        nonlocal compared
+        if not occurring:
+            assert not got and not want
+            return
+        ((same, mine),) = got
+        assert same == tuple(occurring) and list(want) == list(occurring)
+        _assert_same_rankings(columnar, same, mine, want)
+        got.clear()
+        want.clear()
+        compared += 1
+
     for occurring in rounds:
         if occurring is None:
             occurring = reference.sample_occurring_phrases()
@@ -587,9 +586,8 @@ def test_every_backend_hands_over_the_reference_rankings(backend, seed):
         report = columnar.run_round(occurring)
         assert report.allocations == reference.run_round(occurring).allocations
         reference._rng.setstate(columnar._rng.getstate())
+        compare(occurring)
     tick = columnar.serve_query(phrases[3])
     assert tick.allocations == reference.serve_query(phrases[3]).allocations
-    assert len(got) == len(want) >= len(rounds)
-    for (occurring, mine), (same, theirs) in zip(got, want):
-        assert occurring == same
-        _assert_same_rankings(columnar, occurring, mine, theirs)
+    compare(phrases[3:4])
+    assert compared >= len(rounds)

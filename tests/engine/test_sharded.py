@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.engine.pipeline import EngineReport, RoundReport, SharedAuctionEngine
 from repro.engine.sharded import (
     ShardedEngine,
@@ -185,7 +183,6 @@ class TestShardedEngine:
         for _ in range(2):
             with ShardedEngine(
                 advertisers, SLOTS, rates, shards=3, seed=7,
-                layout="columnar",
             ) as sharded:
                 assert sharded.shards == 3
                 reports.append(sharded.run(6))

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.core.advertiser import Advertiser
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.instrument import MetricsCollector, names
+from repro.reference import ReferenceEngine
 
 
 def population(per_phrase_factors: bool):
@@ -29,14 +30,13 @@ def population(per_phrase_factors: bool):
     return advertisers, phrases
 
 
-def build(mode, per_phrase_factors=True, seed=5, layout="columnar"):
+def build(mode, per_phrase_factors=True, seed=5, reference=False):
     advertisers, phrases = population(per_phrase_factors)
-    return SharedAuctionEngine(
+    return (ReferenceEngine if reference else SharedAuctionEngine)(
         advertisers,
         slot_factors=[0.3, 0.2],
         search_rates={p: 0.8 for p in phrases},
         mode=mode,
-        layout=layout,
         throttle=False,
         seed=seed,
     )
@@ -44,7 +44,7 @@ def build(mode, per_phrase_factors=True, seed=5, layout="columnar"):
 
 class TestSharedSortMode:
     def test_runs_and_counts_work(self):
-        engine = build("shared-sort", layout="columnar")
+        engine = build("shared-sort")
         report = engine.run(20)
         assert report.displays > 0
         assert report.scans > 0
@@ -55,12 +55,14 @@ class TestSharedSortMode:
         reference on every outcome (the exactness guarantee extends to
         Section III)."""
         reports = {}
-        for mode, layout in (
-            ("shared", "columnar"),
-            ("unshared", "object"),
-            ("shared-sort", "columnar"),
+        for mode, reference in (
+            ("shared", False),
+            ("unshared", True),
+            ("shared-sort", False),
         ):
-            engine = build(mode, per_phrase_factors=False, seed=7, layout=layout)
+            engine = build(
+                mode, per_phrase_factors=False, seed=7, reference=reference
+            )
             reports[mode] = engine.run(30)
         assert (
             reports["shared"].revenue_cents
@@ -146,7 +148,7 @@ class TestRoundPresort:
         # merges a round reports are those rows, and its scans are the
         # threshold algorithm's sorted accesses.
         collector = MetricsCollector()
-        engine = build_full(seed=3, collector=collector, layout="columnar")
+        engine = build_full(seed=3, collector=collector)
         report = engine.run(20)
         assert report.merges > 0
         for round_report in report.history:

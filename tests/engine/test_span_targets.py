@@ -14,8 +14,6 @@ import pathlib
 
 import pytest
 
-pytest.importorskip("numpy")
-
 SPANS_PATH = (
     pathlib.Path(__file__).resolve().parents[2]
     / "benchmarks"

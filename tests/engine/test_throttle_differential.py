@@ -1,16 +1,17 @@
 """Tight-budget differential battery for Section IV scoring.
 
 Budgets small enough that throttling moves rankings, and clicks that
-arrive two rounds late, keep most bidders in debt: the columnar
-layout's standing score columns and kept throttle problems (DESIGN.md
-sections 21-22) then answer for nearly every exact ``b̂``.  Over 50
-seeded markets, the columnar layout in every mode must produce
-bit-identical winners, prices, clicks, and budget trajectories to the
-object layout's unshared scan with its per-round exact throttle -- the
-oracle -- on both the batch path (``run_round``) and the serving path
-(``serve_query``).  Decaying debt, which no kept problem may answer
-for, faces the same oracle; ``throttle.exact_fallbacks`` must count
-alike on both layouts.
+arrive two rounds late, keep most bidders in debt: the engine's
+standing score columns and kept throttle problems (DESIGN.md sections
+21-22) then answer for nearly every exact ``b̂``.  Over 50 seeded
+markets, the engine in every mode must produce bit-identical winners,
+prices, clicks, and budget trajectories to
+:class:`repro.reference.ReferenceEngine`'s unshared scan with its
+per-round exact throttle -- the oracle -- on both the batch path
+(``run_round``) and the serving path (``serve_query``).  Decaying debt,
+which no kept problem may answer for, faces the same oracle; the
+engine's ``throttle.exact_fallbacks`` must count the reference's exact
+``b̂`` whose DP really ran.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.budgets.outstanding import ExponentialDecay, GeometricDecay
 from repro.engine import SharedAuctionEngine
 from repro.engine.budget_manager import BudgetManager
 from repro.instrument import MetricsCollector, names
+from repro import reference as reference_module
+from repro.reference import ReferenceEngine
 from repro.serving import ServingEngine, TrafficGenerator
 from repro.workloads.generator import MarketConfig, generate_market
 
@@ -32,7 +35,7 @@ CLICK_DELAY_ROUNDS = 2.0  # in-flight clicks keep the ledgers non-empty
 
 MODES = ["unshared", "shared", "shared-sort"]
 COLUMNAR_VARIANTS = [
-    (f"columnar {mode}", {"layout": "columnar", "mode": mode})
+    (f"columnar {mode}", {"reference": False, "mode": mode})
     for mode in MODES
 ]
 
@@ -51,14 +54,13 @@ def tight_market(seed: int):
     )
 
 
-def make_engine(market, seed: int, **kwargs) -> SharedAuctionEngine:
-    return SharedAuctionEngine(
+def make_engine(market, seed: int, reference: bool = True, **kwargs):
+    """The reference, unless a test asks for the engine."""
+    return (ReferenceEngine if reference else SharedAuctionEngine)(
         market.advertisers,
         slot_factors=SLOT_FACTORS,
         search_rates=market.search_rates,
         mode=kwargs.pop("mode", "unshared"),
-        # The reference unless a test asks for the columnar layout.
-        layout=kwargs.pop("layout", "object"),
         throttle=kwargs.pop("throttle", True),
         mean_click_delay_rounds=CLICK_DELAY_ROUNDS,
         seed=seed,
@@ -113,7 +115,7 @@ class TestBatchThrottleDifferential:
         assert baseline[3], f"seed {seed} produced no spend at all"
         for label, config in COLUMNAR_VARIANTS:
             assert batch_outcome(market, seed, **config) == baseline, (
-                f"{label} diverged from the object oracle (seed {seed})"
+                f"{label} diverged from the reference (seed {seed})"
             )
 
 
@@ -129,20 +131,20 @@ class TestServingThrottleDifferential:
         for label, config in COLUMNAR_VARIANTS:
             assert serving_outcome(market, arrivals, seed, **config) == (
                 baseline
-            ), f"{label} diverged from the object oracle (seed {seed})"
+            ), f"{label} diverged from the reference (seed {seed})"
 
 
 class TestColumnarAcrossModes:
     """Each mode wires CTR factors into ranking its own way (shared-sort
-    scales by ``ctr_factor_for``), so the columnar layout must also agree
-    with the object layout *of the same mode* under heavy debt."""
+    scales by ``ctr_factor_for``), so the engine must also agree with
+    the reference *of the same mode* under heavy debt."""
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("mode", MODES)
     def test_columnar_matches_object(self, mode, seed):
         market = tight_market(seed)
         exact = batch_outcome(market, seed, mode=mode)
-        columnar = batch_outcome(market, seed, mode=mode, layout="columnar")
+        columnar = batch_outcome(market, seed, mode=mode, reference=False)
         assert columnar == exact
 
 
@@ -154,8 +156,8 @@ DECAYS = {
 
 class TestDecayingDebtDifferential:
     """Under a decaying model every carrier's debt re-weighs each round,
-    so no kept problem may answer for a later round: the columnar
-    layout must still match the object oracle while it rebuilds."""
+    so no kept problem may answer for a later round: the engine must
+    still match the reference while it rebuilds."""
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("decay", sorted(DECAYS))
@@ -170,7 +172,7 @@ class TestDecayingDebtDifferential:
         for label, config in COLUMNAR_VARIANTS:
             assert batch_outcome(market, seed, decay=model, **config) == (
                 baseline
-            ), f"{label} diverged from the object oracle ({decay}, seed {seed})"
+            ), f"{label} diverged from the reference ({decay}, seed {seed})"
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("decay", sorted(DECAYS))
@@ -186,34 +188,54 @@ class TestDecayingDebtDifferential:
             assert serving_outcome(
                 market, arrivals, seed, decay=model, **config
             ) == baseline, (
-                f"{label} diverged from the object oracle ({decay}, seed {seed})"
+                f"{label} diverged from the reference ({decay}, seed {seed})"
             )
 
 
-def exact_fallbacks(market, seed: int, **kwargs):
-    """``throttle.exact_fallbacks`` and the report of a batch run."""
-    collector = MetricsCollector()
-    engine = make_engine(market, seed, collector=collector, **kwargs)
-    report = engine.run(BATCH_ROUNDS)
-    return collector.counter(names.THROTTLE_EXACT_FALLBACKS), report
+def exact_fallbacks(market, seed: int, reference: bool = False, **kwargs):
+    """Exact ``b̂`` whose DP ran, and the report of a batch run.
+
+    The engine's are its ``throttle.exact_fallbacks``.  The reference
+    counts nothing, so its are counted at its calls of
+    :func:`repro.budgets.throttle.exact_throttled_bid`, by the
+    predicate the engine counts with: a problem with a bid that is not
+    trivially unthrottled.
+    """
+    if not reference:
+        collector = MetricsCollector()
+        engine = make_engine(
+            market, seed, reference=False, collector=collector, **kwargs
+        )
+        report = engine.run(BATCH_ROUNDS)
+        return collector.counter(names.THROTTLE_EXACT_FALLBACKS), report
+    ran = []
+    solve = reference_module.exact_throttled_bid
+
+    def counting(problem):
+        ran.append(problem.bid_cents > 0 and not problem.trivially_unthrottled())
+        return solve(problem)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reference_module, "exact_throttled_bid", counting)
+        report = make_engine(market, seed, **kwargs).run(BATCH_ROUNDS)
+    return sum(ran), report
 
 
 class TestExactFallbackAccounting:
-    """Both layouts' stage 2 feed ``throttle.exact_fallbacks`` through
-    one predicate: a problem counts only when its DP really runs."""
+    """The engine's stage 2 counts ``throttle.exact_fallbacks`` by one
+    predicate: a problem counts only when its DP really runs."""
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_layouts_count_the_same_fallbacks(self, mode):
+    def test_engine_counts_the_references_fallbacks(self, mode):
         market = tight_market(3)
-        counted = {
-            layout: exact_fallbacks(market, 3, mode=mode, layout=layout)[0]
-            for layout in ("object", "columnar")
-        }
-        assert counted["object"] > 0
-        assert counted["columnar"] == counted["object"]
+        reference, _ = exact_fallbacks(market, 3, reference=True, mode=mode)
+        assert reference > 0
+        assert exact_fallbacks(market, 3, mode=mode)[0] == reference
 
-    @pytest.mark.parametrize("layout", ("object", "columnar"))
-    def test_deep_budgets_never_run_the_dp(self, layout):
+    @pytest.mark.parametrize(
+        "reference", (True, False), ids=("reference", "engine")
+    )
+    def test_deep_budgets_never_run_the_dp(self, reference):
         market = generate_market(
             MarketConfig(
                 num_categories=2,
@@ -224,16 +246,18 @@ class TestExactFallbackAccounting:
                 seed=3,
             )
         )
-        counted, report = exact_fallbacks(market, 3, layout=layout)
+        counted, report = exact_fallbacks(market, 3, reference=reference)
         # Debt was outstanding, but every quick test cleared it.
         assert report.displays > report.clicks
         assert counted == 0
 
-    @pytest.mark.parametrize("layout", ("object", "columnar"))
-    def test_unthrottled_engine_counts_none(self, layout):
+    @pytest.mark.parametrize(
+        "reference", (True, False), ids=("reference", "engine")
+    )
+    def test_unthrottled_engine_counts_none(self, reference):
         market = tight_market(3)
         counted, report = exact_fallbacks(
-            market, 3, layout=layout, throttle=False
+            market, 3, reference=reference, throttle=False
         )
         assert report.displays > 0
         assert counted == 0
@@ -252,7 +276,7 @@ class TestDecayVariesIsReadFromTheManager:
 
     def _columnar_engine(self):
         market = tight_market(3)
-        engine = make_engine(market, 3, layout="columnar")
+        engine = make_engine(market, 3, reference=False)
         return engine, engine.run(BATCH_ROUNDS)
 
     def test_no_decay_keeps_problems(self):

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from hypothesis import settings
 from hypothesis import strategies as st

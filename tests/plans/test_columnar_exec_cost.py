@@ -10,9 +10,8 @@ the kernel replaced.  These tests count calls, never time.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 import repro.core.topk as topk_module
 import repro.plans.columnar_exec as columnar_exec

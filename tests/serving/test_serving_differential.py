@@ -11,11 +11,14 @@ work happens (per query instead of per round), so the equivalence is a
 real claim about the composition, not a tautology.
 
 This suite checks the theorem empirically over 50 seeded markets per
-engine configuration -- unshared, shared and shared-sort on both
-layouts (on the object reference all three are one scan per phrase),
-and the columnar layout's exec cache (its per-query score diff
+engine configuration -- unshared, shared and shared-sort on the engine
+and on :class:`repro.reference.ReferenceEngine` (where all three are one
+scan per phrase), and the engine's exec cache (its per-query score diff
 feeds the row-granular dirty mask, so serving is where the vectorized
-kernels and the incremental cache genuinely compose).
+kernels and the incremental cache genuinely compose).  The reference
+prices a served tick with its own arithmetic, so
+:func:`test_serving_outcomes_agree_across_configs` also checks the
+engine's scalar pricer against an independent one.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import pytest
 
 from repro.engine import SharedAuctionEngine
 from repro.engine.rounds import TimestampedQuery, singleton_rounds
+from repro.reference import ReferenceEngine
 from repro.serving import ServingEngine, TrafficGenerator
 from repro.workloads.generator import MarketConfig, generate_market
 
@@ -31,36 +35,20 @@ SEEDS = range(50)
 QUERIES_PER_SEED = 30
 SLOT_FACTORS = [0.3, 0.2]
 
-try:
-    import numpy
-except ImportError:  # pragma: no cover - numpy ships with the package
-    numpy = None
-
-needs_numpy = pytest.mark.skipif(
-    numpy is None, reason="columnar layout requires numpy"
-)
-
 CONFIGS = [
-    pytest.param({"mode": "shared", "layout": "object"}, id="shared-uncached"),
-    pytest.param({"mode": "unshared", "layout": "object"}, id="unshared"),
+    pytest.param({"reference": True, "mode": "shared"}, id="reference-shared"),
     pytest.param(
-        {"mode": "shared-sort", "layout": "object"}, id="shared-sort-uncached"
+        {"reference": True, "mode": "unshared"}, id="reference-unshared"
     ),
     pytest.param(
-        {"mode": "shared", "layout": "columnar"},
-        id="columnar-shared-uncached",
-        marks=needs_numpy,
+        {"reference": True, "mode": "shared-sort"}, id="reference-shared-sort"
     ),
+    pytest.param({"mode": "shared"}, id="columnar-shared-uncached"),
     pytest.param(
-        {"mode": "shared", "exec_cache": True, "layout": "columnar"},
-        id="columnar-exec-cache",
-        marks=needs_numpy,
+        {"mode": "shared", "exec_cache": True}, id="columnar-exec-cache"
     ),
-    pytest.param(
-        {"mode": "shared-sort", "layout": "columnar"},
-        id="columnar-shared-sort",
-        marks=needs_numpy,
-    ),
+    pytest.param({"mode": "shared-sort"}, id="columnar-shared-sort"),
+    pytest.param({"mode": "unshared"}, id="columnar-unshared"),
 ]
 
 
@@ -79,8 +67,9 @@ def small_market(seed: int):
     )
 
 
-def make_engine(market, seed: int, **kwargs) -> SharedAuctionEngine:
-    return SharedAuctionEngine(
+def make_engine(market, seed: int, reference=False, **kwargs):
+    """The engine, or with ``reference`` the reference, over ``market``."""
+    return (ReferenceEngine if reference else SharedAuctionEngine)(
         market.advertisers,
         slot_factors=SLOT_FACTORS,
         search_rates=market.search_rates,
@@ -175,19 +164,19 @@ def test_trajectories_actually_move():
 
 def test_serving_outcomes_agree_across_configs():
     """Every configuration serves the same trace identically -- modes,
-    the exec cache, and layouts change work, never outcomes."""
+    and the exec cache change work, never outcomes, and the engine serves
+    what the reference serves."""
     market = small_market(7)
     arrivals = arrivals_for(market, 7)
-    baseline = serve_trace(market, arrivals, 7, mode="shared", layout="object")
+    baseline = serve_trace(
+        market, arrivals, 7, reference=True, mode="shared"
+    )
     configs = [
-        {"mode": "unshared", "layout": "object"},
-        {"mode": "shared-sort", "layout": "object"},
+        {"reference": True, "mode": "unshared"},
+        {"reference": True, "mode": "shared-sort"},
+        {"mode": "shared", "exec_cache": True},
+        {"mode": "shared-sort"},
+        {"mode": "unshared"},
     ]
-    if numpy is not None:
-        configs += [
-            {"mode": "shared", "layout": "columnar", "exec_cache": True},
-            {"mode": "shared-sort", "layout": "columnar"},
-            {"mode": "unshared", "layout": "columnar"},
-        ]
     for config in configs:
         assert serve_trace(market, arrivals, 7, **config) == baseline

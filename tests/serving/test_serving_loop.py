@@ -169,9 +169,8 @@ class TestPerQueryDiff:
         return set(engine._columnar_exec.dirty_rows_last_round().tolist())
 
     def test_a_served_query_diffs_only_its_phrase_rows(self):
-        pytest.importorskip("numpy")
         market = small_market()
-        engine = make_engine(market, layout="columnar", exec_cache=True)
+        engine = make_engine(market, exec_cache=True)
         loop = ServingEngine(engine, make_traffic(market))
         seen = set()
         for arrival in make_traffic(market).take(40):
@@ -184,9 +183,8 @@ class TestPerQueryDiff:
             seen |= rows
 
     def test_the_first_query_of_a_phrase_sees_its_new_rows_first(self):
-        pytest.importorskip("numpy")
         market = small_market()
-        engine = make_engine(market, layout="columnar", exec_cache=True)
+        engine = make_engine(market, exec_cache=True)
         loop = ServingEngine(engine, make_traffic(market))
         phrase_a, phrase_b = next(
             (a, b)

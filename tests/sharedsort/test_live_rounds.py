@@ -1,6 +1,6 @@
 """Shared-sort networks across rounds: one plan, a fresh network a round.
 
-The object-layout shared-sort route instantiates the round's operator
+The library's object shared-sort route instantiates the round's operator
 network from the standing plan with that round's bids, drains it through
 the threshold algorithm, and drops it.  These tests hold that route to
 its contract over many rounds of moving bids: every phrase's stream is a

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -516,7 +515,7 @@ def test_no_round_reaches_the_per_phrase_top_k(monkeypatch):
     ]
     engine = SharedAuctionEngine(
         advertisers, (0.3, 0.2, 0.1), {p: 1.0 for p in phrases},
-        mode="shared-sort", layout="columnar", seed=5,
+        mode="shared-sort", seed=5,
     )
 
     def reached(*args, **kwargs):

@@ -19,8 +19,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_engine_layout_defaults_to_columnar(self):
-        assert build_parser().parse_args(["engine"]).layout == "columnar"
+    def test_engine_has_no_layout_flag(self):
+        # One engine; the reference is a library class, not a flag.
+        assert not hasattr(build_parser().parse_args(["engine"]), "layout")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["engine", "--layout", "object"])
 
     def test_engine_mode_choices(self):
         with pytest.raises(SystemExit):
@@ -110,7 +113,7 @@ class TestCommands:
         ]
         assert len(round_events) == 4
         if mode == "shared":
-            # The columnar fragment executor (the default layout).
+            # The columnar fragment executor.
             assert payload["counters"]["plan.leaf_scans"] > 0
         elif mode == "unshared":
             assert payload["counters"]["topk.scans"] > 0
@@ -128,8 +131,6 @@ class TestCommands:
                     "8",
                     "--mode",
                     "shared",
-                    "--layout",
-                    "columnar",
                     "--exec-cache",
                     "--trace-json",
                     str(trace),
@@ -147,15 +148,6 @@ class TestCommands:
     def test_engine_exec_cache_requires_shared_mode(self):
         with pytest.raises(InvalidAuctionError, match="exec_cache"):
             main(["engine", "--rounds", "2", "--mode", "unshared", "--exec-cache"])
-
-    def test_engine_exec_cache_requires_columnar_layout(self):
-        with pytest.raises(InvalidAuctionError, match="layout='columnar'"):
-            main(
-                [
-                    "engine", "--rounds", "2", "--mode", "shared",
-                    "--layout", "object", "--exec-cache",
-                ]
-            )
 
     def test_engine_trace_capacity_bounds_ring(self, tmp_path):
         trace = tmp_path / "trace.json"
@@ -255,42 +247,24 @@ class TestGamingAtScale:
             build_parser().parse_args(["gaming", "--at-scale", "0"])
 
 
-class TestLayoutAndWorkerFlags:
-    def test_engine_columnar_layout(self, capsys):
-        pytest.importorskip("numpy")
-        assert (
-            main(["engine", "--rounds", "4", "--layout", "columnar"]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "+columnar" in out
+class TestEngineFlags:
+    def test_engine_revenue_matches_the_reference(self, capsys):
+        from repro.reference import ReferenceEngine
+        from repro.workloads.generator import MarketConfig, generate_market
 
-    def test_engine_columnar_matches_object_revenue(self, capsys):
-        pytest.importorskip("numpy")
-        outputs = {}
-        for layout in ("object", "columnar"):
-            assert (
-                main(
-                    [
-                        "engine", "--rounds", "5", "--seed", "3",
-                        "--layout", layout,
-                    ]
-                )
-                == 0
-            )
-            outputs[layout] = capsys.readouterr().out
-        revenue = {
-            layout: out.splitlines()[-1].split()[-2]
-            for layout, out in outputs.items()
-        }
-        assert revenue["object"] == revenue["columnar"]
+        assert main(["engine", "--rounds", "5", "--seed", "3"]) == 0
+        revenue = capsys.readouterr().out.splitlines()[-1].split()[-2]
+        market = generate_market(MarketConfig(seed=3))
+        reference = ReferenceEngine(
+            market.advertisers, [0.3, 0.2, 0.1], market.search_rates, seed=3
+        ).run(5)
+        assert revenue == f"{reference.revenue_cents / 100:.4f}"
 
     def test_engine_workers_runs_sharded(self, capsys):
-        pytest.importorskip("numpy")
         assert (
             main(
                 [
                     "engine", "--rounds", "4", "--workers", "2",
-                    "--layout", "columnar",
                 ]
             )
             == 0
@@ -300,55 +274,38 @@ class TestLayoutAndWorkerFlags:
         assert "+workers=2" in out
 
     def test_engine_columnar_serve(self, capsys):
-        # The serving loop runs natively on the columnar layout.
-        pytest.importorskip("numpy")
-        assert (
-            main(
-                [
-                    "engine", "--serve", "--queries", "40",
-                    "--layout", "columnar",
-                ]
-            )
-            == 0
-        )
+        assert main(["engine", "--serve", "--queries", "40"]) == 0
         out = capsys.readouterr().out
         assert "Serving run" in out
-        assert "+columnar" in out
 
     def test_engine_columnar_exec_cache(self, capsys):
         # exec_cache is columnar-native: the fragment executor keeps
         # its lists across rounds instead of falling back to objects.
-        pytest.importorskip("numpy")
         assert (
             main(
                 [
-                    "engine", "--rounds", "5", "--layout", "columnar",
+                    "engine", "--rounds", "5", "--mode", "shared",
                     "--exec-cache",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "+columnar" in out and "+exec-cache" in out
+        assert "+exec-cache" in out
 
     def test_engine_columnar_shared_sort_serving(self, capsys):
         # Per-query serving through the lockstep Section III kernel.
-        pytest.importorskip("numpy")
         assert (
             main(
                 [
                     "engine", "--serve", "--queries", "40",
-                    "--mode", "shared-sort", "--layout", "columnar",
+                    "--mode", "shared-sort",
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "Serving run" in out and "+columnar" in out
-
-    def test_layout_choices_enforced(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["engine", "--layout", "rowwise"])
+        assert "Serving run" in out and "mode=shared-sort" in out
 
     def test_workers_must_be_positive(self):
         with pytest.raises(SystemExit):
