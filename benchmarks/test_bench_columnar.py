@@ -1,38 +1,24 @@
-"""E20 -- columnar kernels and sharded execution (ISSUE 9 gates).
+"""E20 -- columnar kernels.
 
-Three claims, three gates, on the scaled Fig. 4 workload (eight tiled
+The kernel gate runs on the scaled Fig. 4 workload (eight tiled
 components, 2000 advertisers, 480 phrases -- large enough that the
-kernels measure real work):
+kernels measure real work): the engine runs the per-round scoring +
+top-k stages at least 3x faster in wall clock than
+:class:`repro.reference.ReferenceEngine`'s score and rank steps (the
+same two algorithms written plainly), while a 50-seed full-engine sweep
+against the reference stays byte-identical (allocations, revenue,
+budget trajectories) -- the vectorization buys work, never outcomes.
 
-1. **Kernels**: the engine runs the per-round scoring + top-k stages
-   at least 3x faster in wall clock than
-   :class:`repro.reference.ReferenceEngine`'s score and rank steps (the
-   same two algorithms written plainly), while a 50-seed full-engine
-   sweep against the reference stays byte-identical (allocations,
-   revenue, budget trajectories) -- the vectorization buys work, never
-   outcomes.
-2. **Single-shard identity**: ``ShardedEngine(shards=1)`` reproduces
-   the sequential engine's run byte for byte; sharding is a
-   conservative extension, not a second auction.
-3. **Scaling curve**: wall clock of the sharded engine at 1, 2, and 4
-   workers is printed.  The >= 1.8x speedup floor at 4 workers is
-   asserted only when the host actually has 4 cores
-   (``os.cpu_count() >= 4``); the curve itself is printed
-   unconditionally, with the core count alongside, so a single-core CI
-   run shows an honest flat curve instead of a vacuous pass.
-
-A fourth claim rides with this file (ISSUE 10): the Section V
-**non-separable matching** path has a columnar kernel --
-``ctr_ij * b_i`` as one broadcast product, the per-slot top-k prune as
-``argpartition`` columns -- that is at least 3x faster than the object
-path at the scaled advertiser count while returning the *same*
-allocation, bit for bit, across a seeded sweep
-(``test_columnar_pruned_matching_gate``).
+A second claim rides with this file: the Section V **non-separable
+matching** path has a columnar kernel -- ``ctr_ij * b_i`` as one
+broadcast product, the per-slot top-k prune as ``argpartition`` columns
+-- that is at least 3x faster than the object path at the scaled
+advertiser count while returning the *same* allocation, bit for bit,
+across a seeded sweep (``test_columnar_pruned_matching_gate``).
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 
@@ -47,14 +33,12 @@ from repro.core.winner_determination import (
     nonseparable_weight_matrix,
 )
 from repro.engine.pipeline import RoundReport, SharedAuctionEngine
-from repro.engine.sharded import ShardedEngine
 from repro.metrics.tables import ExperimentTable
 from repro.reference import ReferenceEngine
 from repro.workloads.fig4 import fig4_market
 
 KERNEL_SPEEDUP_FLOOR = 3.0
 MATCHING_SPEEDUP_FLOOR = 3.0
-SHARDED_SPEEDUP_FLOOR = 1.8
 EQUALITY_SEEDS = 50
 MATCHING_EQUALITY_SEEDS = 50
 SLOTS = [0.3, 0.2, 0.1]
@@ -114,7 +98,7 @@ def _time_kernel(engine, occurring, repeats=3, rounds_per_repeat=3):
 
 
 @pytest.mark.experiment("E20")
-def test_columnar_kernel_and_sharded_gates(benchmark):
+def test_columnar_kernel_gate(benchmark):
     advertisers, rates = _scaled_market()
     occurring = sorted(rates)
     assert len(advertisers) >= 2_000
@@ -172,51 +156,8 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
         )
         assert same, f"engine and reference diverged on sweep seed {seed}"
 
-    # ------------------------------------------------------------- 3.
-    # Single-shard identity + the worker scaling curve.
-    sequential = SharedAuctionEngine(
-        tuple(advertisers), SLOTS, rates, mode="unshared", seed=7,
-    )
-    start = time.perf_counter()
-    sequential_report = sequential.run(4)
-    sequential_seconds = time.perf_counter() - start
-    curve = {}
-    single_shard_identical = None
-    for workers in (1, 2, 4):
-        with ShardedEngine(
-            advertisers, SLOTS, rates, shards=workers, seed=7,
-            mode="unshared",
-        ) as sharded:
-            start = time.perf_counter()
-            report = sharded.run(4)
-            curve[str(workers)] = round(time.perf_counter() - start, 4)
-        if workers == 1:
-            single_shard_identical = (
-                report.revenue_cents == sequential_report.revenue_cents
-                and report.forgiven_cents
-                == sequential_report.forgiven_cents
-                and report.clicks == sequential_report.clicks
-                and all(
-                    a.allocations == b.allocations
-                    for a, b in zip(
-                        report.history, sequential_report.history
-                    )
-                )
-            )
-    assert single_shard_identical, (
-        "ShardedEngine(shards=1) diverged from the sequential engine"
-    )
-    speedup_at_4 = curve["1"] / curve["4"]
-    gate_enforced = (os.cpu_count() or 1) >= 4
-    if gate_enforced:
-        assert speedup_at_4 >= SHARDED_SPEEDUP_FLOOR, (
-            f"4-worker sharded run only {speedup_at_4:.2f}x faster "
-            f"(floor {SHARDED_SPEEDUP_FLOOR}x on a "
-            f"{os.cpu_count()}-core host)"
-        )
-
     table = ExperimentTable(
-        "E20: columnar kernels + sharded scaling "
+        "E20: columnar kernels "
         f"({len(advertisers)} advertisers, {len(rates)} phrases)",
         ["metric", "value"],
     )
@@ -224,11 +165,6 @@ def test_columnar_kernel_and_sharded_gates(benchmark):
     table.add("columnar kernel (s/round)", round(columnar_seconds, 4))
     table.add("kernel speedup", round(speedup, 2))
     table.add("equality seeds", EQUALITY_SEEDS)
-    table.add("sequential 4 rounds (s)", round(sequential_seconds, 4))
-    for workers, seconds in curve.items():
-        table.add(f"sharded {workers}w (s)", seconds)
-    table.add("speedup at 4 workers", round(speedup_at_4, 2))
-    table.add("cores", os.cpu_count())
     table.show()
 
     # Timed kernel for the benchmark harness: one columnar round.

@@ -264,7 +264,7 @@ def gaming_market_at_scale(
         num_honest: Deep-budget competitors.
         num_phrases: Distinct always-occurring phrases.  Raising this
             (hundreds of phrases over thousands of advertisers) is the
-            size knob the columnar/sharded benchmarks turn: per-phrase
+            size knob the columnar benchmarks turn: per-phrase
             member counts stay ``~(attackers + honest) *
             phrases_per_advertiser / num_phrases``.
         phrases_per_advertiser: Phrases each advertiser bids on (2 in

@@ -89,18 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument("--seed", type=int, default=0)
     engine.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help=(
-            "partition the market's phrase-advertiser connected "
-            "components across N worker processes (shared-nothing "
-            "caches and budget books, top-k merged at the "
-            "boundary); 1 runs the sequential engine in-process"
-        ),
-    )
-    engine.add_argument(
         "--exec-cache",
         action="store_true",
         help=(
@@ -325,20 +313,6 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     from repro.engine import SharedAuctionEngine
     from repro.workloads.generator import MarketConfig, generate_market
 
-    if args.workers > 1 and args.serve:
-        print(
-            "--workers shards synchronous batch rounds; the serving "
-            "loop (--serve) runs single-process",
-            file=sys.stderr,
-        )
-        return 1
-    if args.workers > 1 and args.trace_json is not None:
-        print(
-            "--trace-json needs an in-process collector; worker shards "
-            "run shared-nothing (drop --workers or --trace-json)",
-            file=sys.stderr,
-        )
-        return 1
     collector = None
     if args.trace_json is not None:
         from repro.instrument import MetricsCollector, TraceRing
@@ -356,39 +330,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
             return 1
         collector = MetricsCollector(trace=TraceRing(args.trace_capacity))
     market = generate_market(MarketConfig(seed=args.seed))
-    label = (
-        f"mode={args.mode}"
-        + (f" +workers={args.workers}" if args.workers > 1 else "")
-        + (" +exec-cache" if args.exec_cache else "")
-    )
-    if args.workers > 1:
-        from repro.engine import ShardedEngine
-
-        with ShardedEngine(
-            market.advertisers,
-            slot_factors=[0.3, 0.2, 0.1],
-            search_rates=market.search_rates,
-            shards=args.workers,
-            seed=args.seed,
-            mode=args.mode,
-            exec_cache=args.exec_cache,
-        ) as sharded:
-            report = sharded.run(args.rounds)
-            effective = sharded.shards
-        table = ExperimentTable(
-            f"Sharded run: {label} ({effective} shard"
-            f"{'s' if effective != 1 else ''}), {args.rounds} rounds",
-            ["auctions", "merges", "scans", "revenue ($)", "forgiven ($)"],
-        )
-        table.add(
-            report.auctions,
-            report.merges,
-            report.scans,
-            report.revenue_cents / 100,
-            report.forgiven_cents / 100,
-        )
-        table.show()
-        return 0
+    label = f"mode={args.mode}" + (" +exec-cache" if args.exec_cache else "")
     engine = SharedAuctionEngine(
         market.advertisers,
         slot_factors=[0.3, 0.2, 0.1],

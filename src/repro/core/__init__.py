@@ -13,7 +13,6 @@ list with its binary merge operator (:mod:`repro.core.topk`).
 
 from repro.core.advertiser import Advertiser, BidPhrase
 from repro.core.columnar import (
-    AdvertiserView,
     ColumnarStore,
     columnar_top_k,
     segmented_top_k_picks,
@@ -37,7 +36,6 @@ from repro.core.winner_determination import (
 
 __all__ = [
     "Advertiser",
-    "AdvertiserView",
     "Allocation",
     "AuctionOutcome",
     "AuctionSpec",

@@ -1,4 +1,4 @@
-"""Struct-of-arrays advertiser store with a zero-copy object view.
+"""Struct-of-arrays advertiser store.
 
 Per-object Python loops over :class:`repro.core.advertiser.Advertiser`
 instances are the dominant cost under the cached hot paths (ROADMAP
@@ -20,14 +20,12 @@ kernels become whole-array operations:
 - TA sorted access: presorted column indices
   (:class:`repro.sharedsort.columnar.ColumnarThresholdKernel`).
 
-The object API is preserved as a *view*: :meth:`ColumnarStore.advertiser`
-returns an :class:`AdvertiserView` that duck-types ``Advertiser`` --
-every attribute read goes straight to the arrays, so a mutation through
-the store (:meth:`ColumnarStore.set_bid`, phrase churn) is immediately
-visible through the view, and a mutation expressed as an object
-(``advertiser.with_bid(...)``) round-trips into the arrays through
-:meth:`ColumnarStore.absorb`.  The round-trip property suite
-(``tests/core/test_columnar_roundtrip.py``) locks both directions.
+The population is fixed for the store's life (the paper plans offline
+over a fixed market, Section II-B): a new market is a new store.  Only
+a row's bid and budget move (:meth:`ColumnarStore.set_bid`,
+:meth:`ColumnarStore.set_budget`).  The round-trip property suite
+(``tests/core/test_columnar_roundtrip.py``) locks the population ->
+columns transpose.
 
 Float-determinism contract: the columnar kernels produce *bit-identical*
 scores to the object path.  ``int64 / int64`` true division and Python
@@ -41,17 +39,7 @@ winners, prices, and budget trajectories rather than approximate ones.
 
 from __future__ import annotations
 
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -63,7 +51,6 @@ from repro.instrument import NULL, Collector, names as metric_names
 
 
 __all__ = [
-    "AdvertiserView",
     "ColumnarStore",
     "columnar_top_k",
     "columnar_top_k_picks",
@@ -82,111 +69,6 @@ drops those below their segment's k-th best before its lexsort.
 Measured at k = 4: the filter costs about what it saves at 521
 candidates in 4 segments (48 vs 46 us), and 1.1 ms instead of 11 ms at
 40 000 in 264 (an uncached shared round's answer pass)."""
-
-
-class AdvertiserView:
-    """Zero-copy, read-through view of one store row.
-
-    Duck-types :class:`repro.core.advertiser.Advertiser`: same
-    attributes, same methods, same id-based equality and hashing -- so
-    existing callers (CTR models, auction specs, tests) keep working
-    when handed a view.  Reads resolve against the store's arrays at
-    access time, which is what makes store-side mutations immediately
-    visible: ``store.set_bid(3, 2.5)`` changes ``view.bid`` with no
-    copy and no notification.
-
-    The view is keyed by advertiser id, not row index, so it survives
-    churn that renumbers rows; reading a view whose advertiser left the
-    market raises :class:`repro.errors.InvalidAuctionError`.
-
-    ``with_bid`` / ``with_phrases`` return plain frozen ``Advertiser``
-    copies (the object API's contract is value semantics); feed them
-    back through :meth:`ColumnarStore.absorb` to make the mutation
-    visible in the arrays -- the round-trip the property suite checks.
-    """
-
-    __slots__ = ("_store", "advertiser_id")
-
-    def __init__(self, store: "ColumnarStore", advertiser_id: int) -> None:
-        self._store = store
-        self.advertiser_id = advertiser_id
-
-    @property
-    def _row(self) -> int:
-        row = self._store._row_of.get(self.advertiser_id)
-        if row is None:
-            raise InvalidAuctionError(
-                f"advertiser {self.advertiser_id} left the market"
-            )
-        return row
-
-    @property
-    def bid(self) -> float:
-        return float(self._store.bids[self._row])
-
-    @property
-    def ctr_factor(self) -> float:
-        return float(self._store.ctr_factors[self._row])
-
-    @property
-    def daily_budget(self) -> float:
-        cents = int(self._store.budget_cents[self._row])
-        if cents == UNBUDGETED_CENTS:
-            return float("inf")
-        return cents / 100.0
-
-    @property
-    def phrases(self) -> FrozenSet[str]:
-        return frozenset(self._store._phrases_of[self.advertiser_id])
-
-    @property
-    def phrase_ctr_factors(self) -> Mapping[str, float]:
-        return dict(self._store._overrides_of[self.advertiser_id])
-
-    def ctr_factor_for(self, phrase: str) -> float:
-        return self._store._overrides_of[self.advertiser_id].get(
-            phrase, self.ctr_factor
-        )
-
-    def score(self, phrase: Optional[str] = None) -> float:
-        factor = (
-            self.ctr_factor if phrase is None else self.ctr_factor_for(phrase)
-        )
-        return self.bid * factor
-
-    def interested_in(self, phrase: str) -> bool:
-        return phrase in self._store._phrases_of[self.advertiser_id]
-
-    def with_bid(self, bid: float) -> Advertiser:
-        return self.materialize().with_bid(bid)
-
-    def with_phrases(self, phrases: Iterable[str]) -> Advertiser:
-        return self.materialize().with_phrases(phrases)
-
-    def materialize(self) -> Advertiser:
-        """An independent plain :class:`Advertiser` snapshot of this row."""
-        return Advertiser(
-            advertiser_id=self.advertiser_id,
-            bid=self.bid,
-            ctr_factor=self.ctr_factor,
-            daily_budget=self.daily_budget,
-            phrases=self.phrases,
-            phrase_ctr_factors=dict(self.phrase_ctr_factors),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (AdvertiserView, Advertiser)):
-            return self.advertiser_id == other.advertiser_id
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.advertiser_id)
-
-    def __repr__(self) -> str:
-        return (
-            f"AdvertiserView(id={self.advertiser_id}, bid={self.bid:g}, "
-            f"ctr={self.ctr_factor:g})"
-        )
 
 
 def columnar_top_k(
@@ -340,14 +222,12 @@ class ColumnarStore:
     Phrase membership is kept two ways: per-phrase *row-index arrays*
     (ascending; the form every kernel consumes) and packed *bitmaps*
     (:meth:`membership_bits`; 1 bit per row, the compact interchange
-    form).  Both are derived caches over the authoritative
-    ``{advertiser: phrases}`` sets and are invalidated on churn.
+    form).  Both are derived caches over the ``{advertiser: phrases}``
+    sets, built on first use; membership never changes after
+    construction.
 
-    Mutations go through the store (:meth:`set_bid`, :meth:`set_budget`,
-    :meth:`add_interest`, :meth:`remove_interest`, :meth:`absorb`,
-    :meth:`add_advertiser`, :meth:`remove_advertiser`); views observe
-    them instantly.  Structural churn (advertisers entering/leaving)
-    renumbers rows and drops every derived cache.
+    The only mutations are :meth:`set_bid` and :meth:`set_budget`;
+    under an engine the columns are read-only and both raise.
     """
 
     def __init__(self, advertisers: Sequence[Advertiser] = ()) -> None:
@@ -365,11 +245,16 @@ class ColumnarStore:
         self._overrides_of: Dict[int, Dict[str, float]] = {
             a.advertiser_id: dict(a.phrase_ctr_factors) for a in ordered
         }
-        self._rebuild_columns(ordered)
-        self._drop_derived()
+        self._build_columns(ordered)
+        self._phrase_members: Optional[Dict[str, List[int]]] = None
+        self._phrase_rows: Dict[str, "np.ndarray"] = {}
+        self._phrase_masks: Dict[str, "np.ndarray"] = {}
+        self._phrase_bits: Dict[str, "np.ndarray"] = {}
+        self._phrase_ctrs: Dict[str, "np.ndarray"] = {}
+        self._phrase_ctr_orders: Dict[str, "np.ndarray"] = {}
 
     # ------------------------------------------------------------------
-    # construction / column maintenance
+    # construction
     # ------------------------------------------------------------------
     @classmethod
     def from_advertisers(
@@ -378,8 +263,8 @@ class ColumnarStore:
         """Transpose an advertiser population into columns."""
         return cls(advertisers)
 
-    def _rebuild_columns(self, ordered: Sequence[Advertiser]) -> None:
-        """(Re)build the numeric columns from object-shaped rows."""
+    def _build_columns(self, ordered: Sequence[Advertiser]) -> None:
+        """Build the numeric columns from object-shaped rows."""
         n = len(ordered)
         self.ids = np.fromiter(
             (a.advertiser_id for a in ordered), dtype=np.int64, count=n
@@ -409,39 +294,6 @@ class ColumnarStore:
             int(advertiser_id): row
             for row, advertiser_id in enumerate(self.ids)
         }
-
-    def _rebuild_from_objects(self) -> None:
-        """Renumber rows after structural churn (add/remove advertiser)."""
-        ordered = [
-            self._materialize_id(advertiser_id)
-            for advertiser_id in sorted(self._phrases_of)
-        ]
-        self._rebuild_columns(ordered)
-        self._drop_derived()
-
-    def _materialize_id(self, advertiser_id: int) -> Advertiser:
-        row = self._row_of.get(advertiser_id)
-        if row is None:
-            raise InvalidAuctionError(f"unknown advertiser {advertiser_id}")
-        return self.advertiser(advertiser_id).materialize()
-
-    def _drop_derived(self) -> None:
-        self._phrase_members: Optional[Dict[str, List[int]]] = None
-        self._phrase_rows: Dict[str, "np.ndarray"] = {}
-        self._phrase_masks: Dict[str, "np.ndarray"] = {}
-        self._phrase_bits: Dict[str, "np.ndarray"] = {}
-        self._phrase_ctrs: Dict[str, "np.ndarray"] = {}
-        self._phrase_ctr_orders: Dict[str, "np.ndarray"] = {}
-
-    def _invalidate_phrase(self, phrase: str) -> None:
-        """Drop one phrase's derived arrays (membership or CTRs moved)."""
-        if self._phrase_members is not None:
-            self._phrase_members.pop(phrase, None)
-        self._phrase_rows.pop(phrase, None)
-        self._phrase_masks.pop(phrase, None)
-        self._phrase_bits.pop(phrase, None)
-        self._phrase_ctrs.pop(phrase, None)
-        self._phrase_ctr_orders.pop(phrase, None)
 
     # ------------------------------------------------------------------
     # reads
@@ -484,19 +336,6 @@ class ColumnarStore:
             raise InvalidAuctionError(f"unknown advertisers {missing!r}")
         return rows
 
-    def advertiser(self, advertiser_id: int) -> AdvertiserView:
-        """The zero-copy object view of one advertiser."""
-        if advertiser_id not in self._row_of:
-            raise InvalidAuctionError(f"unknown advertiser {advertiser_id}")
-        return AdvertiserView(self, advertiser_id)
-
-    def views(self) -> Tuple[AdvertiserView, ...]:
-        """Views of every advertiser, ascending id order."""
-        return tuple(
-            AdvertiserView(self, int(advertiser_id))
-            for advertiser_id in self.ids
-        )
-
     def phrases(self) -> List[str]:
         """Every phrase with at least one interested advertiser, sorted."""
         alive: Set[str] = set()
@@ -518,9 +357,8 @@ class ColumnarStore:
         Read off a phrase -> members inverted index, built in one pass
         over every advertiser's phrase set the first time any phrase is
         asked for, so a phrase seen for the first time costs its members
-        and not the population.  Churn drops the entry of a phrase it
-        touches (:meth:`_invalidate_phrase`); that phrase alone is
-        re-read from the phrase sets.
+        and not the population.  A phrase missing from the index has no
+        members.
         """
         index = self._phrase_members
         if index is None:
@@ -528,14 +366,7 @@ class ColumnarStore:
             for advertiser_id in sorted(self._phrases_of):
                 for member_phrase in self._phrases_of[advertiser_id]:
                     index.setdefault(member_phrase, []).append(advertiser_id)
-        members = index.get(phrase)
-        if members is None:
-            members = index[phrase] = sorted(
-                advertiser_id
-                for advertiser_id, phrases in self._phrases_of.items()
-                if phrase in phrases
-            )
-        return members
+        return index.get(phrase, [])
 
     def membership(self, phrase: str) -> "np.ndarray":
         """Boolean membership mask over all rows."""
@@ -596,104 +427,26 @@ class ColumnarStore:
     # mutations
     # ------------------------------------------------------------------
     def set_bid(self, advertiser_id: int, bid: float) -> None:
-        """Change one advertiser's bid in place (views see it instantly)."""
+        """Change one advertiser's bid in place.
+
+        The cents are converted before either column is written, so a
+        rejected bid leaves both as they were.
+        """
         if bid < 0.0:
             raise InvalidAuctionError(f"bid must be non-negative, got {bid!r}")
         row = self.row_of(advertiser_id)
+        cents = dollars_to_cents(bid)
         self.bids[row] = bid
-        self.bid_cents[row] = dollars_to_cents(bid)
+        self.bid_cents[row] = cents
 
     def set_budget(self, advertiser_id: int, daily_budget: float) -> None:
         """Change one advertiser's daily budget in place."""
         if daily_budget < 0.0:
             raise InvalidAuctionError("daily_budget must be non-negative")
         row = self.row_of(advertiser_id)
-        self.budget_cents[row] = (
+        cents = (
             UNBUDGETED_CENTS
             if daily_budget == float("inf")
             else dollars_to_cents(daily_budget)
         )
-
-    def add_interest(self, advertiser_id: int, phrase: str) -> None:
-        """Add ``advertiser_id`` to a phrase's membership."""
-        self.row_of(advertiser_id)
-        self._phrases_of[advertiser_id].add(phrase)
-        self._invalidate_phrase(phrase)
-
-    def remove_interest(self, advertiser_id: int, phrase: str) -> None:
-        """Remove ``advertiser_id`` from a phrase's membership."""
-        self.row_of(advertiser_id)
-        self._phrases_of[advertiser_id].discard(phrase)
-        self._overrides_of[advertiser_id].pop(phrase, None)
-        self._invalidate_phrase(phrase)
-
-    def absorb(self, advertiser: Advertiser) -> None:
-        """Adopt an object-side mutation into the arrays.
-
-        The inverse direction of the view: callers that produced a new
-        value through the frozen object API (``with_bid``,
-        ``with_phrases``, a rebuilt ``Advertiser``) push it back here.
-        An unknown advertiser is added; a known one has its columns,
-        phrase memberships, and per-phrase overrides synchronized.
-        """
-        advertiser_id = advertiser.advertiser_id
-        if advertiser_id not in self._row_of:
-            self.add_advertiser(advertiser)
-            return
-        row = self._row_of[advertiser_id]
-        self.bids[row] = advertiser.bid
-        self.bid_cents[row] = dollars_to_cents(advertiser.bid)
-        self.ctr_factors[row] = advertiser.ctr_factor
-        self.budget_cents[row] = (
-            UNBUDGETED_CENTS
-            if advertiser.daily_budget == float("inf")
-            else dollars_to_cents(advertiser.daily_budget)
-        )
-        before = self._phrases_of[advertiser_id]
-        after = set(advertiser.phrases)
-        for phrase in before ^ after:
-            self._invalidate_phrase(phrase)
-        # CTR factor / override changes move the cached per-phrase CTR
-        # arrays of every phrase the advertiser stays in.
-        for phrase in before & after:
-            self._invalidate_phrase(phrase)
-        self._phrases_of[advertiser_id] = after
-        self._overrides_of[advertiser_id] = dict(
-            advertiser.phrase_ctr_factors
-        )
-
-    def add_advertiser(self, advertiser: Advertiser) -> None:
-        """Add a new row (renumbers rows; derived caches drop)."""
-        if advertiser.advertiser_id in self._row_of:
-            raise InvalidAuctionError(
-                f"duplicate advertiser id {advertiser.advertiser_id}"
-            )
-        self._phrases_of[advertiser.advertiser_id] = set(advertiser.phrases)
-        self._overrides_of[advertiser.advertiser_id] = dict(
-            advertiser.phrase_ctr_factors
-        )
-        ordered = sorted(
-            [
-                *(
-                    self.advertiser(int(i)).materialize()
-                    for i in self.ids
-                ),
-                advertiser,
-            ],
-            key=lambda a: a.advertiser_id,
-        )
-        self._rebuild_columns(ordered)
-        self._drop_derived()
-
-    def remove_advertiser(self, advertiser_id: int) -> None:
-        """Drop a row (renumbers rows; derived caches drop)."""
-        self.row_of(advertiser_id)
-        ordered = [
-            self.advertiser(int(i)).materialize()
-            for i in self.ids
-            if int(i) != advertiser_id
-        ]
-        del self._phrases_of[advertiser_id]
-        del self._overrides_of[advertiser_id]
-        self._rebuild_columns(ordered)
-        self._drop_derived()
+        self.budget_cents[row] = cents

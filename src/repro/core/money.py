@@ -27,6 +27,9 @@ from repro.errors import InvalidAuctionError
 
 __all__ = ["dollars_to_cents"]
 
+INT64_MAX = 2**63 - 1
+"""The largest cent amount a store column (int64) holds."""
+
 
 def dollars_to_cents(dollars: float) -> int:
     """Convert a non-negative dollar amount to integer cents, half-up.
@@ -40,7 +43,8 @@ def dollars_to_cents(dollars: float) -> int:
     Raises:
         InvalidAuctionError: If ``dollars`` is negative, NaN, or infinite
             (infinite budgets are modeled by *omitting* the budget, not
-            by converting infinity).
+            by converting infinity), or if its cents do not fit the
+            int64 columns they are stored in.
     """
     if math.isnan(dollars) or math.isinf(dollars):
         raise InvalidAuctionError(
@@ -57,4 +61,9 @@ def dollars_to_cents(dollars: float) -> int:
     # without the nudge it would round down instead of up.  No bid or
     # budget is ever specified to a precision where a true value within
     # 1e-11 dollars of a half-cent boundary means anything different.
-    return int(math.floor(dollars * 100.0 + 0.5 + 1e-9))
+    cents = int(math.floor(dollars * 100.0 + 0.5 + 1e-9))
+    if cents > INT64_MAX:
+        raise InvalidAuctionError(
+            f"{dollars!r} dollars does not fit int64 cents"
+        )
+    return cents

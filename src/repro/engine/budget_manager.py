@@ -411,11 +411,10 @@ class BudgetManager:
 
         A frozen copy of the books at this instant, ordered by
         advertiser id -- a sort over every advertiser ever charged, for
-        reports and :class:`repro.engine.sharded.ShardedEngine`, not for
-        the per-tick path.  The serving differential suite records one
-        snapshot per served query and asserts the whole *trajectory* --
-        not just the final balance -- is identical between
-        query-at-a-time serving and single-phrase batch replay.
+        reports, not for the per-tick path.  The serving differential
+        suite records one snapshot per served query and asserts the
+        whole *trajectory* -- not just the final balance -- is identical
+        between query-at-a-time serving and single-phrase batch replay.
         """
         return {
             advertiser_id: spent

@@ -351,14 +351,12 @@ class SharedAuctionEngine:
         store = self._store = ColumnarStore.from_advertisers(self.advertisers)
         # The engine indexes this store once (_by_id, the budget
         # manager's budgets, the standing columns below): an edit
-        # under it must raise, not be half seen.  A renumbering
-        # replaces store.ids, which stage 2 checks.
+        # under it must raise, not be half seen.
         for column in (
             store.bids, store.bid_cents, store.ctr_factors,
             store.budget_cents,
         ):
             column.flags.writeable = False
-        self._store_ids = store.ids
         # Full-length scratch: the scoring stage scatters the round's
         # effective bids / scores into row space so every downstream
         # kernel indexes by row with no per-id lookups.  Rows outside
@@ -683,12 +681,6 @@ class SharedAuctionEngine:
         the round's rows and multiplicities ``m`` are found.
         """
         store = self._store
-        if store.ids is not self._store_ids:
-            raise InvalidAuctionError(
-                f"the store's rows were renumbered under a running engine "
-                f"(it indexed {len(self._store_ids)}, the store holds "
-                f"{store.size}); build a new engine"
-            )
         synced = self._sync_book_columns()
         # The round's rows and each one's auction multiplicity m_i: in
         # how many occurring phrases it is a member.

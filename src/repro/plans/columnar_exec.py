@@ -181,9 +181,7 @@ class ColumnarFragmentExecutor:
             :func:`repro.plans.fragments.identify_fragments` -- the
             fragment partition).
         store: The columnar population; fragment member ids are
-            translated to row indices once at construction, so the
-            store's rows must not be renumbered afterwards
-            (:meth:`answer` checks).
+            translated to row indices once at construction.
         k: Result capacity (the engine passes ``slots + 1`` for GSP).
         collector: Counts ``plan.merges``, ``plan.leaf_scans`` per row
             read and ``plan.candidates_gathered``, so shared-mode work
@@ -214,8 +212,6 @@ class ColumnarFragmentExecutor:
         self.store = store
         self.collector = collector
         self.cross_round = cross_round
-        # The row numbering every index below is expressed in.
-        self._ids = store.ids
         fragments = identify_fragments(instance)
         trivial = instance.trivial_queries
         queries = instance.queries + trivial
@@ -320,15 +316,13 @@ class ColumnarFragmentExecutor:
             (``lens``, ``scores``, ``rows``) and the round's work.
 
         Raises:
-            InvalidPlanError: If the store's rows were renumbered after
-                construction (advertisers added or removed).
+            InvalidPlanError: If ``score_by_row`` is not one score per
+                store row.
         """
-        size = len(self._ids)
-        if self.store.ids is not self._ids or len(score_by_row) != size:
+        if len(score_by_row) != self.store.size:
             raise InvalidPlanError(
-                f"store rows were renumbered since the executor indexed "
-                f"{size} of them (store: {self.store.size}, "
-                f"score_by_row: {len(score_by_row)}); build a new executor"
+                f"score_by_row has {len(score_by_row)} entries for "
+                f"{self.store.size} store rows"
             )
         if not self.cross_round:
             return self._aggregate(score_by_row, queries, False)
@@ -361,7 +355,7 @@ class ColumnarFragmentExecutor:
             map(self.query_index, names), np.int64, len(names)
         )
         result = self.answer(score_by_row, queries, rows)
-        ids = self._ids[result.rows].tolist()
+        ids = self.store.ids[result.rows].tolist()
         entries = list(map(ScoredAdvertiser, result.scores.tolist(), ids))
         lens = result.lens.tolist()
         result.answers = {

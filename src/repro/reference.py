@@ -97,6 +97,9 @@ class ReferenceEngine:
         self._by_id = {a.advertiser_id: a for a in self.advertisers}
         if len(self._by_id) != len(self.advertisers):
             raise InvalidAuctionError("duplicate advertiser ids")
+        self._bid_cents = {
+            a.advertiser_id: dollars_to_cents(a.bid) for a in self.advertisers
+        }
         # Validates the factors: in [0, 1], non-increasing.
         self.slot_factors = SeparableCTRModel(
             {a.advertiser_id: a.ctr_factor for a in self.advertisers},
@@ -245,7 +248,7 @@ class ReferenceEngine:
         books = self.budget_manager
         bids: Dict[int, float] = {}
         for advertiser_id, m in multiplicity.items():
-            bid_cents = dollars_to_cents(self._by_id[advertiser_id].bid)
+            bid_cents = self._bid_cents[advertiser_id]
             if self.throttle:
                 report.debt_carriers_scored += advertiser_id in books.debt_carriers
                 problem = books.throttle_problem(

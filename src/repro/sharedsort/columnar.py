@@ -170,8 +170,8 @@ class ColumnarThresholdKernel:
         self._order: Optional["np.ndarray"] = None
         self._effective_by_row: Optional["np.ndarray"] = None
         # rank_phrase's scratch, row -> position within the current
-        # phrase's row list; sized from the store when a round begins.
-        self._position_of_row = np.zeros(0, dtype=np.int64)
+        # phrase's row list.
+        self._position_of_row = np.zeros(store.size, dtype=np.int64)
 
     def begin_round(self, effective_by_row, rows) -> int:
         """Compute the round's shared descending-bid order.
@@ -190,9 +190,6 @@ class ColumnarThresholdKernel:
             the engine reports it as the round's shared-sort work.
         """
         self._effective_by_row = effective_by_row
-        if len(self._position_of_row) != self.store.size:
-            # Structural churn renumbers and resizes row space.
-            self._position_of_row = np.zeros(self.store.size, dtype=np.int64)
         order = np.lexsort(
             (self.store.ids[rows], -effective_by_row[rows])
         )

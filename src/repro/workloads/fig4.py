@@ -114,7 +114,7 @@ def fig4_market(
             membership keeps each sub-market internally connected with
             overwhelming probability, so the tiled market has ``c``
             phrase-advertiser connected components -- the scaled shape
-            the sharded engine partitions across workers.  Per-component
+            of the benchmarks' batch market.  Per-component
             query/advertiser counts are the other knobs unchanged, so
             ``num_queries=60, num_advertisers=250, num_components=8``
             yields a 2000-advertiser, 480-phrase market.

@@ -2,9 +2,9 @@
 
 The store's contract is *transparency*: every array-side read
 must agree with the object it transposed, every kernel must reproduce
-the object algorithm byte for byte (tie-breaks included), and every
-mutation routed through the store must be instantly visible through the
-zero-copy views.  These tests pin each piece in isolation; the
+the object algorithm byte for byte (tie-breaks included), and a
+rejected bid or budget edit must leave every column as it was.  These
+tests pin each piece in isolation; the
 engine-against-reference differential (``tests/engine``) pins the
 composite.
 """
@@ -17,7 +17,6 @@ import pytest
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import (
     UNBUDGETED_CENTS,
-    AdvertiserView,
     ColumnarStore,
     columnar_top_k,
 )
@@ -147,75 +146,38 @@ class TestPhraseIndexCost:
         assert store._phrases_of.reads == 0
         assert store._phrase_members is None
 
-    def test_churn_rereads_the_touched_phrase_only(self):
+    def test_a_phrase_nobody_bids_on_has_no_rows(self):
         store = self._store()
         store.phrase_rows("shoes")
-        store.add_interest(7, "shoes")
-        store.remove_interest(3, "boots")
         built = store._phrases_of.reads
-        # Untouched: still off the index.
-        assert store.ids[store.phrase_rows("sandals")].tolist() == [4]
-        assert store._phrases_of.reads == built
-        # Touched: one scan of the phrase sets each, then cached again.
-        assert store.ids[store.phrase_rows("shoes")].tolist() == [1, 3, 4, 7]
-        assert store.ids[store.phrase_rows("boots")].tolist() == [7]
-        assert store._phrases_of.reads == built + 2 * store.size
-        store.phrase_rows("shoes")
-        assert store._phrases_of.reads == built + 2 * store.size
-
-    def test_renumbering_drops_the_index(self):
-        store = ColumnarStore(_population())
-        store.phrase_rows("shoes")
-        store.add_advertiser(
-            Advertiser(2, bid=1.0, ctr_factor=1.0, phrases=frozenset({"boots"}))
-        )
-        assert store._phrase_members is None
-        assert store.ids[store.phrase_rows("boots")].tolist() == [2, 3, 7]
         assert store.phrase_rows("nobody's phrase").tolist() == []
+        assert store._phrases_of.reads == built
 
 
-class TestAdvertiserView:
-    def test_view_duck_types_the_object(self):
-        advertisers = _population()
-        store = ColumnarStore(advertisers)
-        for source in advertisers:
-            view = store.advertiser(source.advertiser_id)
-            assert view.bid == source.bid
-            assert view.ctr_factor == source.ctr_factor
-            assert view.daily_budget == source.daily_budget
-            assert view.phrases == source.phrases
-            assert view.score() == source.score()
-            for phrase in source.phrases:
-                assert view.ctr_factor_for(phrase) == (
-                    source.ctr_factor_for(phrase)
-                )
-                assert view.score(phrase) == source.score(phrase)
-                assert view.interested_in(phrase)
-            assert view == source and hash(view) == hash(source)
-            assert view.materialize() == source
+class TestUnindexedPhrase:
+    """A phrase missing from the index has no members, whichever read
+    asks first (membership never changes after construction)."""
 
-    def test_view_sees_store_mutations_instantly(self):
+    @pytest.mark.parametrize(
+        "read",
+        [
+            "phrase_rows",
+            "membership",
+            "membership_bits",
+            "phrase_ctr",
+            "phrase_ctr_rank_positions",
+        ],
+    )
+    def test_every_read_of_it_is_empty(self, read):
         store = ColumnarStore(_population())
-        view = store.advertiser(3)
-        store.set_bid(3, 9.99)
-        assert view.bid == 9.99
-        store.set_budget(3, 1.0)
-        assert view.daily_budget == 1.0
-        store.set_budget(3, float("inf"))
-        assert view.daily_budget == float("inf")
-
-    def test_view_of_departed_advertiser_raises(self):
-        store = ColumnarStore(_population())
-        view = store.advertiser(7)
-        store.remove_advertiser(7)
-        with pytest.raises(InvalidAuctionError, match="left the market"):
-            _ = view.bid
-
-    def test_views_are_ascending_and_zero_copy(self):
-        store = ColumnarStore(_population())
-        views = store.views()
-        assert [v.advertiser_id for v in views] == [1, 3, 4, 7]
-        assert all(isinstance(v, AdvertiserView) for v in views)
+        answer = getattr(store, read)("nobody's phrase")
+        if read == "membership":
+            assert answer.shape == (store.size,) and not answer.any()
+        elif read == "membership_bits":
+            assert answer.tolist() == [0] * ((store.size + 7) // 8)
+        else:
+            assert answer.tolist() == []
+        assert store.phrase_rows("shoes").tolist() == [0, 1, 2]
 
 
 class TestMutations:
@@ -228,51 +190,91 @@ class TestMutations:
         with pytest.raises(InvalidAuctionError):
             store.set_bid(4, -1.0)
 
-    def test_interest_churn_invalidates_phrase_caches(self):
+    def test_set_budget_updates_the_column(self):
         store = ColumnarStore(_population())
-        before = [int(store.ids[r]) for r in store.phrase_rows("sandals")]
-        assert before == [4]
-        store.add_interest(1, "sandals")
-        assert [int(store.ids[r])
-                for r in store.phrase_rows("sandals")] == [1, 4]
-        store.remove_interest(4, "sandals")
-        assert [int(store.ids[r])
-                for r in store.phrase_rows("sandals")] == [1]
+        row = store.row_of(3)
+        store.set_budget(3, 1.0)
+        assert store.budget_cents[row] == 100
+        store.set_budget(3, float("inf"))
+        assert store.budget_cents[row] == UNBUDGETED_CENTS
 
-    def test_absorb_syncs_columns_memberships_and_overrides(self):
+    @pytest.mark.parametrize("value", [float("nan"), 1e300, -1.0])
+    @pytest.mark.parametrize("setter", ["set_bid", "set_budget"])
+    def test_a_rejected_edit_leaves_every_column(self, setter, value):
         store = ColumnarStore(_population())
-        mutated = store.advertiser(7).materialize().with_bid(5.0)
-        store.absorb(mutated)
-        assert store.bids[store.row_of(7)] == 5.0
-        replacement = Advertiser(
-            7, bid=5.0, ctr_factor=0.6, daily_budget=3.5,
-            phrases=frozenset({"shoes"}),
-        )
-        store.absorb(replacement)
-        assert 7 in [int(store.ids[r]) for r in store.phrase_rows("shoes")]
-        assert 7 not in [
-            int(store.ids[r]) for r in store.phrase_rows("boots")
-        ]
-        # The boots override died with the membership.
-        assert store.advertiser(7).phrase_ctr_factors == {}
+        before = [c.copy() for c in _columns(store)]
+        with pytest.raises(InvalidAuctionError):
+            getattr(store, setter)(3, value)
+        for kept, column in zip(before, _columns(store)):
+            assert np.array_equal(kept, column)
 
-    def test_absorb_of_unknown_advertiser_adds_a_row(self):
-        store = ColumnarStore(_population())
-        store.absorb(Advertiser(2, bid=1.0, phrases=frozenset({"shoes"})))
-        assert list(store.ids) == [1, 2, 3, 4, 7]
-        assert 2 in [int(store.ids[r]) for r in store.phrase_rows("shoes")]
 
-    def test_add_remove_advertiser_renumbers(self):
+    @pytest.mark.parametrize(
+        "method",
+        [
+            "add_advertiser",
+            "remove_advertiser",
+            "add_interest",
+            "remove_interest",
+            "absorb",
+            "advertiser",
+            "views",
+        ],
+    )
+    def test_membership_has_no_editor(self, method):
+        # set_bid / set_budget are the only edits: rows are never added,
+        # removed or renumbered, so nothing indexed by row goes stale.
+        assert not hasattr(ColumnarStore, method)
+
+    @pytest.mark.parametrize("setter", ["set_bid", "set_budget"])
+    def test_an_edit_of_an_unknown_advertiser_leaves_every_column(
+        self, setter
+    ):
         store = ColumnarStore(_population())
-        store.add_advertiser(Advertiser(0, bid=0.5,
-                                        phrases=frozenset({"boots"})))
-        assert list(store.ids) == [0, 1, 3, 4, 7]
-        with pytest.raises(InvalidAuctionError, match="duplicate"):
-            store.add_advertiser(Advertiser(0, bid=0.5))
-        store.remove_advertiser(3)
-        assert list(store.ids) == [0, 1, 4, 7]
-        assert [int(store.ids[r])
-                for r in store.phrase_rows("boots")] == [0, 7]
+        before = [c.copy() for c in _columns(store)]
+        with pytest.raises(InvalidAuctionError, match="unknown advertiser"):
+            getattr(store, setter)(99, 1.0)
+        for kept, column in zip(before, _columns(store)):
+            assert np.array_equal(kept, column)
+
+    @pytest.mark.parametrize(
+        "setter,value,column,cents",
+        [
+            ("set_bid", 0.0, "bid_cents", 0),
+            ("set_bid", 0.125, "bid_cents", 13),
+            ("set_bid", 9.2e16, "bid_cents", 9_200_000_000_000_000_000),
+            ("set_budget", 0.0, "budget_cents", 0),
+            ("set_budget", 0.145, "budget_cents", 15),
+            ("set_budget", float("inf"), "budget_cents", UNBUDGETED_CENTS),
+        ],
+    )
+    def test_an_accepted_edit_moves_only_its_row(
+        self, setter, value, column, cents
+    ):
+        store = ColumnarStore(_population())
+        shoes = (store.phrase_rows("shoes").copy(), store.phrase_ctr("shoes"))
+        before = {
+            name: getattr(store, name).copy()
+            for name in ("bids", "bid_cents", "ctr_factors", "budget_cents")
+        }
+        getattr(store, setter)(3, value)
+        row = store.row_of(3)
+        expected = dict(before)
+        expected[column] = before[column].copy()
+        expected[column][row] = cents
+        if setter == "set_bid":
+            expected["bids"] = before["bids"].copy()
+            expected["bids"][row] = value
+        for name, want in expected.items():
+            assert np.array_equal(getattr(store, name), want), name
+        assert np.array_equal(store.phrase_rows("shoes"), shoes[0])
+        assert np.array_equal(store.phrase_ctr("shoes"), shoes[1])
+
+
+def _columns(store):
+    return (
+        store.bids, store.bid_cents, store.ctr_factors, store.budget_cents,
+    )
 
 
 class TestColumnarTopK:

@@ -1,16 +1,14 @@
-"""Hypothesis round-trip properties for the columnar <-> object view.
+"""Hypothesis properties for the population -> columns transpose.
 
-The columnar store's whole value rests on one invariant: the arrays and
-the object API are two views of the *same* population.  Any mutation
-expressed through the object API (``with_bid`` copies absorbed back,
-phrase churn driven through the engine's maintenance layer) must be
-visible in the arrays, and any array-side mutation must
-be visible through the views -- including the derived per-phrase caches,
-which are invalidated rather than recomputed eagerly and are therefore
-the easiest place for staleness to hide.
+The columnar store's whole value rests on one invariant: its columns
+and per-phrase arrays describe the *same* population as the
+``Advertiser`` objects it was built from, and keep doing so as
+``set_bid`` / ``set_budget`` move bids and budgets -- including the
+derived per-phrase caches, which are built on first use and are
+therefore the easiest place for staleness to hide.
 
-The suite drives randomized mutation programs against both the store and
-a plain dict-of-``Advertiser`` model, checking full equivalence after
+The suite drives randomized edit programs against both the store and a
+plain dict-of-``Advertiser`` model, checking full equivalence after
 every step.
 """
 
@@ -23,7 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.advertiser import Advertiser
-from repro.core.columnar import ColumnarStore
+from repro.core.columnar import UNBUDGETED_CENTS, ColumnarStore
+from repro.core.money import dollars_to_cents
 
 PHRASES = ["p0", "p1", "p2", "p3"]
 
@@ -74,16 +73,16 @@ def populations(draw, min_size=1, max_size=6):
 
 def assert_equivalent(store: ColumnarStore, model: dict) -> None:
     """The store and the dict-of-objects model describe one population."""
-    assert sorted(int(i) for i in store.ids) == sorted(model)
+    assert store.ids.tolist() == sorted(model)
     for advertiser_id, source in model.items():
-        view = store.advertiser(advertiser_id)
-        assert view.materialize() == source
-        assert view.bid == source.bid
-        assert view.ctr_factor == source.ctr_factor
-        assert view.daily_budget == source.daily_budget
-        assert view.phrases == source.phrases
-        assert dict(view.phrase_ctr_factors) == dict(
-            source.phrase_ctr_factors
+        row = store.row_of(advertiser_id)
+        assert store.bids[row] == source.bid
+        assert store.bid_cents[row] == dollars_to_cents(source.bid)
+        assert store.ctr_factors[row] == source.ctr_factor
+        assert store.budget_cents[row] == (
+            UNBUDGETED_CENTS
+            if source.daily_budget == float("inf")
+            else dollars_to_cents(source.daily_budget)
         )
     # Derived per-phrase caches agree with a brute-force recomputation
     # from the model -- the staleness-prone part of the store.
@@ -95,9 +94,12 @@ def assert_equivalent(store: ColumnarStore, model: dict) -> None:
             for a in model.values()
             if a.interested_in(phrase)
         )
-        assert [
-            int(store.ids[r]) for r in store.phrase_rows(phrase)
-        ] == members
+        assert store.ids[store.phrase_rows(phrase)].tolist() == members
+        assert store.ids[
+            np.flatnonzero(
+                np.unpackbits(store.membership_bits(phrase), count=store.size)
+            )
+        ].tolist() == members
         expected_ctrs = [
             model[m].ctr_factor_for(phrase) for m in members
         ]
@@ -112,46 +114,18 @@ def assert_equivalent(store: ColumnarStore, model: dict) -> None:
         assert store.ids[ranked_rows].tolist() == ranked
 
 
-class TestObjectToColumnar:
-    """Mutations born on the object side land in the arrays."""
+class TestTranspose:
+    """The columns are the population they were built from."""
 
     @settings(max_examples=60, deadline=None)
-    @given(population=populations(), new_bid=bids)
-    def test_with_bid_absorb_roundtrip(self, population, new_bid):
-        store = ColumnarStore(population)
-        model = {a.advertiser_id: a for a in population}
-        target = population[0].advertiser_id
-        # Express the mutation through the *view*'s object API, absorb
-        # the frozen copy, and require the arrays to have moved.
-        mutated = store.advertiser(target).with_bid(new_bid)
-        store.absorb(mutated)
-        model[target] = model[target].with_bid(new_bid)
-        assert_equivalent(store, model)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        population=populations(),
-        phrase=st.sampled_from(PHRASES),
-        data=st.data(),
-    )
-    def test_phrase_churn_roundtrip(self, population, phrase, data):
-        store = ColumnarStore(population)
-        model = {a.advertiser_id: a for a in population}
-        target = data.draw(st.sampled_from(sorted(model)))
-        current = model[target].phrases
-        new_phrases = (
-            current - {phrase} if phrase in current else current | {phrase}
-        )
-        if not new_phrases:
-            new_phrases = {phrase}
-        mutated = model[target].with_phrases(new_phrases)
-        store.absorb(mutated)
-        model[target] = mutated
-        assert_equivalent(store, model)
+    @given(population=populations())
+    def test_population_transposes_into_columns(self, population):
+        store = ColumnarStore(list(reversed(population)))
+        assert_equivalent(store, {a.advertiser_id: a for a in population})
 
 
-class TestColumnarToObject:
-    """Array-side mutations are visible through the object views."""
+class TestEdits:
+    """``set_bid`` / ``set_budget`` move exactly their row's columns."""
 
     @settings(max_examples=50, deadline=None)
     @given(population=populations(), data=st.data())
@@ -163,24 +137,13 @@ class TestColumnarToObject:
             store.phrase_ctr_rank_positions(phrase)
             store.membership_bits(phrase)
         for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
-            action = data.draw(
-                st.sampled_from(
-                    ["set_bid", "set_budget", "add_interest",
-                     "remove_interest", "remove", "add"]
-                )
-            )
-            if action == "add":
-                fresh_id = max(model, default=0) + 1
-                advertiser = data.draw(advertisers(fresh_id))
-                store.add_advertiser(advertiser)
-                model[fresh_id] = advertiser
-                continue
+            action = data.draw(st.sampled_from(["set_bid", "set_budget"]))
             target = data.draw(st.sampled_from(sorted(model)))
             if action == "set_bid":
                 bid = data.draw(bids)
                 store.set_bid(target, bid)
                 model[target] = model[target].with_bid(bid)
-            elif action == "set_budget":
+            else:
                 budget = data.draw(budgets)
                 store.set_budget(target, budget)
                 model[target] = Advertiser(
@@ -191,32 +154,4 @@ class TestColumnarToObject:
                     phrases=model[target].phrases,
                     phrase_ctr_factors=model[target].phrase_ctr_factors,
                 )
-            elif action == "add_interest":
-                phrase = data.draw(st.sampled_from(PHRASES))
-                store.add_interest(target, phrase)
-                model[target] = model[target].with_phrases(
-                    model[target].phrases | {phrase}
-                )
-            elif action == "remove_interest":
-                phrase = data.draw(st.sampled_from(PHRASES))
-                store.remove_interest(target, phrase)
-                remaining = model[target].phrases - {phrase}
-                model[target] = Advertiser(
-                    target,
-                    bid=model[target].bid,
-                    ctr_factor=model[target].ctr_factor,
-                    daily_budget=model[target].daily_budget,
-                    phrases=frozenset(remaining),
-                    phrase_ctr_factors={
-                        p: c
-                        for p, c in model[
-                            target
-                        ].phrase_ctr_factors.items()
-                        if p != phrase
-                    },
-                )
-            elif action == "remove" and len(model) > 1:
-                store.remove_advertiser(target)
-                del model[target]
             assert_equivalent(store, model)
-

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.money import dollars_to_cents
@@ -50,3 +52,20 @@ class TestDollarsToCents:
             dollars_to_cents(float("nan"))
         with pytest.raises(InvalidAuctionError):
             dollars_to_cents(float("inf"))
+
+    def test_rejects_cents_beyond_int64(self):
+        # Cents that still fit the int64 columns, then two that do not.
+        assert dollars_to_cents(9.2e16) == 9_200_000_000_000_000_000
+        for dollars in (9.3e16, 1e300):
+            with pytest.raises(InvalidAuctionError, match="int64"):
+                dollars_to_cents(dollars)
+
+    def test_the_last_dollar_amount_below_the_int64_edge_fits(self):
+        # 2**63 cents is one past the column's range; the float just
+        # below 2**63 / 100 dollars converts to cents that still fit.
+        edge = 2**63 / 100
+        below = math.nextafter(edge, 0.0)
+        cents = dollars_to_cents(below)
+        assert 0 < 2**63 - 1 - cents < 2**11
+        with pytest.raises(InvalidAuctionError, match="int64"):
+            dollars_to_cents(edge)

@@ -492,6 +492,22 @@ class TestNonFiniteInputsAreRefused:
                 mode="unshared",
             )
 
+    @pytest.mark.parametrize("field", ("bid", "daily_budget"))
+    @pytest.mark.parametrize(
+        "build", (ReferenceEngine, SharedAuctionEngine), ids=("reference", "engine")
+    )
+    def test_money_beyond_int64_cents_is_refused_at_construction(
+        self, build, field
+    ):
+        # 1e300 dollars passes every finiteness check; the reference used
+        # to run it (revenue 0) while the engine raised OverflowError.
+        advertisers = [
+            Advertiser(1, phrases=frozenset({"p"}), **{"bid": 1.0, field: 1e300}),
+            Advertiser(2, bid=1.2, phrases=frozenset({"p"})),
+        ]
+        with pytest.raises(InvalidAuctionError, match="int64"):
+            build(advertisers, slot_factors=[0.3], search_rates={"p": 1.0})
+
 
 def _serve_trace(market, seed, reference=False, **kw):
     """Serve a fixed arrival trace; return the per-query outcome tuple.

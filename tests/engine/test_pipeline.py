@@ -256,7 +256,7 @@ class TestStoreUnderARunningEngine:
         engine.run_round(["boots", "heels"])
         return engine
 
-    def test_column_edits_raise(self, engine, population):
+    def test_column_edits_raise(self, engine):
         store = engine._store
         before = [
             column.copy()
@@ -269,8 +269,6 @@ class TestStoreUnderARunningEngine:
             store.set_bid(0, 9.0)
         with pytest.raises(ValueError, match="read-only"):
             store.set_budget(0, 1.0)
-        with pytest.raises(ValueError, match="read-only"):
-            store.absorb(population[0].with_bid(9.0))
         for column, was in zip(
             (store.bids, store.bid_cents, store.ctr_factors, store.budget_cents),
             before,
@@ -279,14 +277,17 @@ class TestStoreUnderARunningEngine:
         # Nothing moved: the engine carries on.
         assert engine.run_round(["boots"]).occurring_phrases == ("boots",)
 
-    def test_a_renumbered_store_stops_the_engine(self, engine):
-        engine._store.add_advertiser(
-            Advertiser(9, bid=1.0, ctr_factor=1.0, phrases=frozenset({"boots"}))
-        )
-        with pytest.raises(InvalidAuctionError, match="renumbered"):
-            engine.run_round(["boots"])
-        with pytest.raises(InvalidAuctionError, match="renumbered"):
-            engine.serve_query("heels")
+    def test_a_refused_edit_leaves_the_run_unchanged(self, engine, population):
+        # The same engine never poked: every later round is identical.
+        untouched = build_engine(population, mode=engine.mode)
+        untouched.run_round(["boots", "heels"])
+        with pytest.raises(ValueError, match="read-only"):
+            engine._store.set_bid(0, 9.0)
+        with pytest.raises(ValueError, match="read-only"):
+            engine._store.set_budget(0, 1.0)
+        for phrases in (["boots"], ["boots", "heels", "sandals"], ["heels"]):
+            assert engine.run_round(phrases) == untouched.run_round(phrases)
+        assert engine.run(3) == untouched.run(3)
 
     def test_a_store_of_ones_own_stays_writable(self, population):
         from repro.core.columnar import ColumnarStore

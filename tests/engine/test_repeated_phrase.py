@@ -20,12 +20,9 @@ MODES = ("shared", "shared-sort", "unshared")
 SLOTS = [0.3, 0.2, 0.1]
 
 
-def _market(num_components=1):
+def _market():
     # Budgeted, so a double booking would show in the outstanding ledgers.
-    return fig4_market(
-        num_queries=6, num_advertisers=16, num_components=num_components,
-        seed=3,
-    )
+    return fig4_market(num_queries=6, num_advertisers=16, seed=3)
 
 
 def _summary(report):
@@ -64,17 +61,3 @@ def test_a_repeated_phrase_is_rejected_before_the_round(mode, build):
     assert replayed == [_summary(fresh.run_round(r)) for r in rounds]
     assert replayed[0][0] == 0
     assert sum(clicks for _, _, _, clicks, _ in replayed) > 0
-
-
-def test_the_sharded_engine_rejects_it_before_any_shard_runs():
-    from repro.engine.sharded import ShardedEngine
-
-    advertisers, rates = _market(num_components=2)
-    phrases = sorted(rates)
-    with ShardedEngine(advertisers, SLOTS, rates, shards=2, seed=7) as engine:
-        with pytest.raises(InvalidAuctionError, match="repeats"):
-            engine.run_round([phrases[0], phrases[0]])
-        # No shard ran the round: every one is still at round 0, and
-        # the pipes are in step for the next command.
-        assert [stats["rounds"] for stats in engine.stats()] == [0, 0]
-        assert engine.run_round(phrases).round_index == 0

@@ -187,42 +187,31 @@ class TestScoreDiff:
         assert result.answers["q2"].entries[0].advertiser_id == 6
 
 
-class TestRenumberedStore:
-    """The executor's row indices are frozen at construction; store
-    churn renumbers rows."""
+class TestScoreLength:
+    """The executor's row indices are the store's; ``score_by_row`` must
+    hold one score per store row."""
 
-    def test_added_advertiser_raises_instead_of_misreading_rows(self):
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_scores_of_another_length_raise(self, delta):
+        store = _store()
+        executor = ColumnarFragmentExecutor(_instance(), store, 3)
+        with pytest.raises(InvalidPlanError, match="store rows"):
+            executor.run_round(np.zeros(store.size + delta), ALL)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_the_array_face_checks_before_touching_its_cache(self, delta):
         store = _store()
         executor = _executor(store)
-        by_id = {i: float(i) for i in IDS}
-        executor.run_round(_scores(store, by_id), ALL)
-        # Id 0 sorts first: every indexed row now holds its neighbour.
-        store.add_advertiser(Advertiser(0, 1.0, phrases=frozenset({"p"})))
-        by_id[0] = 100.0
-        with pytest.raises(InvalidPlanError, match="renumbered"):
-            executor.run_round(_scores(store, by_id), ALL)
-
-    def test_removed_advertiser_raises(self):
-        store = _store()
-        executor = _executor(store)
-        by_id = {i: float(i) for i in IDS}
-        executor.run_round(_scores(store, by_id), ALL)
-        store.remove_advertiser(7)
-        del by_id[7]
-        with pytest.raises(InvalidPlanError, match="renumbered"):
-            executor.run_round(_scores(store, by_id), ["q1", "q2"])
-
-    def test_same_size_renumbering_and_short_scores_raise(self):
-        store = _store()
-        fresh = ColumnarFragmentExecutor(_instance(), store, 3)
-        with pytest.raises(InvalidPlanError, match="renumbered"):
-            fresh.run_round(np.zeros(store.size - 1), ALL)
-        # Swap one advertiser for another: the row count is unchanged
-        # but the ids column is a different array.
-        store.remove_advertiser(1)
-        store.add_advertiser(Advertiser(9, 1.0, phrases=frozenset({"p"})))
-        with pytest.raises(InvalidPlanError, match="renumbered"):
-            fresh.run_round(np.zeros(store.size), ALL)
+        scores = _scores(store, {i: float(i) for i in IDS})
+        first = executor.run_round(scores, ALL)
+        queries = np.array(
+            [executor.query_index(name) for name in ALL], dtype=np.int64
+        )
+        with pytest.raises(InvalidPlanError, match="store rows"):
+            executor.answer(np.zeros(store.size + delta), queries)
+        again = executor.run_round(scores.copy(), ALL)
+        assert again.answers == first.answers
+        assert again.candidates_gathered == 0
 
 
 class TestWhatAMoveRestales:

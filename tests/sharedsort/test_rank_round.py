@@ -97,8 +97,8 @@ def _assert_identical(store, k, effective, phrases, rows=None):
         for advertiser_id, factor in zip(
             ids[at:at + count].tolist(), c[at:at + count].tolist()
         ):
-            assert factor == store.advertiser(advertiser_id).ctr_factor_for(
-                phrase
+            assert factor == store._overrides_of[advertiser_id].get(
+                phrase, store.ctr_factors[store.row_of(advertiser_id)]
             )
         at += count
     return ranked
@@ -309,9 +309,9 @@ class TestPinned:
 
 
 # ----------------------------------------------------------------------
-# the store may change between rounds; the kernel keeps nothing of it
+# the kernel keeps nothing of a round but its shared order
 # ----------------------------------------------------------------------
-def _churn_store():
+def _small_store():
     return ColumnarStore(
         [
             Advertiser(
@@ -330,21 +330,21 @@ def _effective(store):
     )
 
 
-CHURN = {
-    "add_advertiser": lambda store: store.add_advertiser(
-        Advertiser(
-            40, 1.0, ctr_factor=9.0, phrases=frozenset({"a", "b"}),
-            phrase_ctr_factors={"b": 7.0},
-        )
-    ),
-    "remove_advertiser": lambda store: store.remove_advertiser(5),
-    "add_interest": lambda store: store.add_interest(2, "b"),
-    "remove_interest": lambda store: store.remove_interest(3, "a"),
-    "ctr_override": lambda store: store.absorb(
-        Advertiser(
-            4, 1.0, ctr_factor=1.0, phrases=frozenset({"a", "c"}),
-            phrase_ctr_factors={"a": 50.0},
-        )
+def _moved(store, effective, ids, value):
+    moved = effective.copy()
+    moved[store.rows_of(ids)] = value
+    return moved
+
+
+# The store is fixed for the kernel's life; what moves between rounds
+# is the effective-bid column the engine hands ``begin_round``.
+MOVES = {
+    "raise_a_loser": lambda store, e: _moved(store, e, [5], 10_000.0),
+    "lower_the_winners": lambda store, e: _moved(store, e, [4, 9], 50.0),
+    "tie_everyone": lambda store, e: np.full_like(e, 300.0),
+    "reverse": lambda store, e: e.max() + e.min() - e,
+    "move_phrase_c_only": lambda store, e: _moved(
+        store, e, [2, 6, 10], 900.0
     ),
 }
 
@@ -358,16 +358,18 @@ def _round_rows(store, phrases, order):
 
 @pytest.mark.parametrize("order", ["members", "everyone"])
 @pytest.mark.parametrize("route", ["rank_round", "rank_phrase"])
-@pytest.mark.parametrize("change", sorted(CHURN))
-def test_a_changed_store_ranks_like_a_fresh_kernel(change, route, order):
+@pytest.mark.parametrize("move", sorted(MOVES))
+def test_a_reused_kernel_ranks_moved_scores_like_a_fresh_kernel(
+    move, route, order
+):
+    # The kernel sized its row scratch once, at construction; a second
+    # round over moved scores must read none of the first round's ranks.
     phrases = ["a", "b", "c"]
+    store = _small_store()
 
-    def kernel_on(store):
-        return ColumnarThresholdKernel(store, 3)
-
-    def answers(kernel, store):
+    def answers(kernel, effective):
         kernel.begin_round(
-            _effective(store), _round_rows(store, phrases, order)
+            effective.copy(), _round_rows(store, phrases, order)
         )
         if route == "rank_round":
             ranked, accesses = kernel.rank_round(phrases)
@@ -375,42 +377,15 @@ def test_a_changed_store_ranks_like_a_fresh_kernel(change, route, order):
         results = [kernel.rank_phrase(p) for p in phrases]
         return [_entries(r) for r, _ in results], [a for _, a in results]
 
-    store = _churn_store()
-    kernel = kernel_on(store)
-    before = answers(kernel, store)
-    CHURN[change](store)
-    after = answers(kernel, store)
-    assert after == answers(kernel_on(store), store)
-    assert after != before
-
-
-@pytest.mark.parametrize("route", ["rank_round", "rank_phrase"])
-def test_a_renumbered_store_ranks_like_a_fresh_kernel(route):
-    # Advertiser 5 leaves and 40 enters: the store is the size it was,
-    # so the kernel's row scratch is not resized, and every row from
-    # 5's on names another advertiser.  Nothing held by row may leak.
-    phrases = ["a", "b", "c"]
-    store = _churn_store()
     kernel = ColumnarThresholdKernel(store, 3)
-    kernel.begin_round(_effective(store), _occurring_rows(store, phrases))
-    for phrase in phrases:
-        kernel.rank_phrase(phrase)
-    size = store.size
-    CHURN["remove_advertiser"](store)
-    CHURN["add_advertiser"](store)
-    assert store.size == size
-
-    def answers(kernel):
-        kernel.begin_round(_effective(store), _occurring_rows(store, phrases))
-        if route == "rank_round":
-            ranked, accesses = kernel.rank_round(phrases)
-            return [_entries(ranked[p]) for p in phrases], accesses.tolist()
-        results = [kernel.rank_phrase(p) for p in phrases]
-        return [_entries(r) for r, _ in results], [a for _, a in results]
-
-    assert answers(kernel) == answers(ColumnarThresholdKernel(store, 3))
-    ranked_ids = {e[1] for entries in answers(kernel)[0] for e in entries}
-    assert 40 in ranked_ids and 5 not in ranked_ids
+    effective = _effective(store)
+    before = answers(kernel, effective)
+    effective = MOVES[move](store, effective)
+    after = answers(kernel, effective)
+    assert after == answers(ColumnarThresholdKernel(store, 3), effective)
+    assert after[0] != before[0]
+    for phrase, entries in zip(phrases, after[0]):
+        assert entries == _brute_force(store, effective, phrase, 3)
 
 
 def _brute_force(store, effective, phrase, k):
@@ -467,7 +442,7 @@ def test_a_reused_kernel_ranks_partial_rounds_from_scratch(seed):
 def test_a_member_outside_the_shared_order_is_refused():
     # begin_round was given only phrase b's rows; phrase a has members
     # the round's order never ranked.
-    store = _churn_store()
+    store = _small_store()
     kernel = ColumnarThresholdKernel(store, 3)
     kernel.begin_round(_effective(store), _occurring_rows(store, ["b"]))
     with pytest.raises(InvalidPlanError, match="not in the round's shared"):
@@ -476,8 +451,7 @@ def test_a_member_outside_the_shared_order_is_refused():
 
 @pytest.mark.parametrize("phrases", [["nobody"], ["a", "nobody", "b"]])
 def test_a_phrase_without_members_ranks_empty(phrases):
-    store = _churn_store()
-    store.remove_interest(1, "b")
+    store = _small_store()
     collector = MetricsCollector()
     kernel = ColumnarThresholdKernel(store, 3, collector)
     kernel.begin_round(_effective(store), _occurring_rows(store, phrases))
@@ -493,7 +467,7 @@ def test_a_phrase_without_members_ranks_empty(phrases):
 
 def test_rank_round_before_begin_round():
     with pytest.raises(InvalidPlanError):
-        ColumnarThresholdKernel(_churn_store(), 3).rank_round(["a"])
+        ColumnarThresholdKernel(_small_store(), 3).rank_round(["a"])
 
 
 # ----------------------------------------------------------------------

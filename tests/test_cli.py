@@ -25,6 +25,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["engine", "--layout", "object"])
 
+    def test_engine_has_no_workers_flag(self):
+        # One process: there is no sharded engine.
+        assert not hasattr(build_parser().parse_args(["engine"]), "workers")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["engine", "--workers", "2"])
+
+    @pytest.mark.parametrize(
+        "flag", ["--shards", "--replan-after", "--planner", "--sort-planner"]
+    )
+    def test_engine_has_no_removed_knob(self, flag, capsys):
+        # The engine subcommand takes no sharding, maintenance or
+        # planner knob; only `plan` chooses a planner.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["engine", flag, "1"])
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_engine_mode_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["engine", "--mode", "warp"])
@@ -260,19 +276,6 @@ class TestEngineFlags:
         ).run(5)
         assert revenue == f"{reference.revenue_cents / 100:.4f}"
 
-    def test_engine_workers_runs_sharded(self, capsys):
-        assert (
-            main(
-                [
-                    "engine", "--rounds", "4", "--workers", "2",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "Sharded run" in out
-        assert "+workers=2" in out
-
     def test_engine_columnar_serve(self, capsys):
         assert main(["engine", "--serve", "--queries", "40"]) == 0
         out = capsys.readouterr().out
@@ -306,18 +309,3 @@ class TestEngineFlags:
         )
         out = capsys.readouterr().out
         assert "Serving run" in out and "mode=shared-sort" in out
-
-    def test_workers_must_be_positive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["engine", "--workers", "0"])
-
-    def test_workers_reject_serve(self, capsys):
-        assert main(["engine", "--workers", "2", "--serve"]) == 1
-        assert "--serve" in capsys.readouterr().err
-
-    def test_workers_reject_trace_json(self, capsys, tmp_path):
-        trace = str(tmp_path / "trace.json")
-        assert (
-            main(["engine", "--workers", "2", "--trace-json", trace]) == 1
-        )
-        assert "--trace-json" in capsys.readouterr().err

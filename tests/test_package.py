@@ -58,6 +58,32 @@ class TestExports:
         assert repro.__version__ == "0.1.0"
 
 
+class TestRemovedSurface:
+    """A market is fixed for an engine's life (DESIGN.md section 14):
+    there is no sharded engine, no plan maintainer and no per-advertiser
+    view of the store to import."""
+
+    @pytest.mark.parametrize(
+        "module_name", ["repro.engine.sharded", "repro.plans.maintenance"]
+    )
+    def test_the_module_is_gone(self, module_name):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module_name)
+
+    @pytest.mark.parametrize(
+        "package_name,name",
+        [
+            ("repro.engine", "ShardedEngine"),
+            ("repro.plans", "PlanMaintainer"),
+            ("repro.core", "AdvertiserView"),
+        ],
+    )
+    def test_the_name_is_not_exported(self, package_name, name):
+        package = importlib.import_module(package_name)
+        assert name not in getattr(package, "__all__", [])
+        assert not hasattr(package, name)
+
+
 class TestErrors:
     def test_hierarchy(self):
         for name in errors.__all__:

@@ -1,35 +1,41 @@
 """Model-based (stateful) property tests.
 
-Hypothesis drives random operation sequences against the two most
-state-heavy components and checks invariants after every step:
+Hypothesis drives random operation sequences against two stateful
+components and checks invariants after every step:
 
 - :class:`BudgetMachine` -- the budget manager's books must always
   balance: ``spent + remaining == budget``, spend never exceeds budget,
   forgiven amounts are exactly the uncovered parts of charges.
-- :class:`MaintainerMachine` -- the plan maintainer must keep a valid,
-  exact plan through arbitrary interleavings of interest changes,
-  phrase additions, and drops.
-- :class:`MaintainedExecutionMachine` -- an executor rebuilt from every
-  plan a drifting maintainer announces must answer every round exactly
-  like a fresh single-scan oracle, no matter how repairs, replans,
-  score perturbations, and rounds interleave.
+- :class:`MovingBidsMachine` -- over a plan built once, bids move
+  through ``ColumnarStore.set_bid`` (rejected edits included) between
+  rounds, and every round the object :class:`PlanExecutor` and a
+  cross-round columnar executor answer exactly like a fresh single-scan
+  oracle over the bids a dict model holds.
 """
 
 from __future__ import annotations
 
+import math
+
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
-    initialize,
     invariant,
     rule,
 )
 from hypothesis import strategies as st
 
+from repro.core.advertiser import Advertiser
+from repro.core.columnar import ColumnarStore
+from repro.core.money import dollars_to_cents
 from repro.core.topk import top_k_scan
 from repro.engine.budget_manager import BudgetManager
+from repro.errors import InvalidAuctionError
+from repro.plans.columnar_exec import ColumnarFragmentExecutor
 from repro.plans.executor import PlanExecutor
-from repro.plans.maintenance import PlanMaintainer
+from repro.plans.greedy_planner import greedy_shared_plan
+from repro.plans.instance import SharedAggregationInstance
 
 
 class BudgetMachine(RuleBasedStateMachine):
@@ -88,154 +94,75 @@ BudgetMachine.TestCase.settings = settings(
 TestBudgetMachine = BudgetMachine.TestCase
 
 
-class MaintainerMachine(RuleBasedStateMachine):
-    """Random market drift against the plan maintainer."""
+class MovingBidsMachine(RuleBasedStateMachine):
+    """Bids move between rounds over a fixed plan."""
 
-    PHRASES = ("p", "q", "r")
-    ADVERTISERS = tuple(range(8))
-
-    @initialize()
-    def setup(self) -> None:
-        self.maintainer = PlanMaintainer(
-            {"p": {0, 1, 2}, "q": {2, 3, 4}, "r": {4, 5, 0}},
-            replan_after=4,
-        )
-        self.extra_phrases = 0
-
-    @rule(
-        phrase=st.sampled_from(PHRASES),
-        advertiser=st.sampled_from(ADVERTISERS),
-    )
-    def toggle_interest(self, phrase: str, advertiser: int) -> None:
-        if phrase not in self.maintainer.interests():
-            return
-        interests = self.maintainer.interests()[phrase]
-        if advertiser in interests:
-            if len(interests) > 2:
-                self.maintainer.remove_interest(phrase, advertiser)
-        else:
-            self.maintainer.add_interest(phrase, advertiser)
-
-    @rule(advertisers=st.sets(st.sampled_from(ADVERTISERS), min_size=2, max_size=5))
-    def add_phrase(self, advertisers: set) -> None:
-        if self.extra_phrases >= 3:
-            return
-        self.extra_phrases += 1
-        self.maintainer.add_phrase(
-            f"extra{self.extra_phrases}", advertisers, 0.5
-        )
-
-    @invariant()
-    def plan_is_valid_and_exact(self) -> None:
-        plan = self.maintainer.plan
-        plan.validate()
-        interests = self.maintainer.interests()
-        variables = {v for ids in interests.values() for v in ids}
-        scores = {v: float((v * 37) % 23) for v in variables}
-        executor = PlanExecutor(plan, 2)
-        result = executor.run_round(scores)
-        for query in plan.instance.queries:
-            expected = sorted(
-                query.variables, key=lambda v: (-scores[v], v)
-            )[:2]
-            assert (
-                list(result.answers[query.name].advertiser_ids()) == expected
-            )
-
-
-MaintainerMachine.TestCase.settings = settings(
-    max_examples=15, stateful_step_count=20, deadline=None
-)
-TestMaintainerMachine = MaintainerMachine.TestCase
-
-
-class MaintainedExecutionMachine(RuleBasedStateMachine):
-    """Plan maintenance interleaved with execution.
-
-    The executor is rebuilt from each plan the maintainer announces
-    through its plan-change subscription, and must stay exact through
-    arbitrary interleavings of structural repairs, score perturbations
-    and executed rounds.  After every step, running a round must
-    reproduce a fresh ``top_k_scan`` over the live interests.
-    """
-
+    INTERESTS = {"p": {0, 1, 2}, "q": {2, 3, 4}, "r": {4, 5, 0}, "s": {6}}
     K = 2
-    PHRASES = ("p", "q", "r")
-    ADVERTISERS = tuple(range(8))
 
-    @initialize()
-    def setup(self) -> None:
-        self.maintainer = PlanMaintainer(
-            {"p": {0, 1, 2}, "q": {2, 3, 4}, "r": {4, 5, 0}},
-            replan_after=4,
+    def __init__(self) -> None:
+        super().__init__()
+        self.bids = {a: float(a % 3 + 1) for a in range(7)}
+        instance = SharedAggregationInstance.from_sets(self.INTERESTS)
+        self.store = ColumnarStore(
+            [
+                Advertiser(
+                    a, bid, ctr_factor=0.5 + 0.25 * (a % 4),
+                    phrases=frozenset(
+                        p for p, ids in self.INTERESTS.items() if a in ids
+                    ),
+                )
+                for a, bid in self.bids.items()
+            ]
         )
-        self.executor = PlanExecutor(self.maintainer.plan, self.K)
-        self.maintainer.subscribe(self._rebuild)
-        self.scores = {a: float((a * 37) % 23 + 1) for a in self.ADVERTISERS}
-        self.extra_phrases = 0
-
-    def _rebuild(self, plan) -> None:
-        self.executor = PlanExecutor(plan, self.K)
+        self.executor = PlanExecutor(greedy_shared_plan(instance), self.K)
+        self.cached = ColumnarFragmentExecutor(
+            instance, self.store, self.K, cross_round=True
+        )
+        self.names = sorted(
+            q.name for q in instance.queries + instance.trivial_queries
+        )
 
     @rule(
-        phrase=st.sampled_from(PHRASES),
-        advertiser=st.sampled_from(ADVERTISERS),
+        advertiser=st.integers(0, 6),
+        bid=st.sampled_from(
+            (0.0, 0.5, 1.0, 1.005, 2.0, 3.0, -1.0, math.nan, 1e300)
+        ),
     )
-    def toggle_interest(self, phrase: str, advertiser: int) -> None:
-        if phrase not in self.maintainer.interests():
-            return
-        interests = self.maintainer.interests()[phrase]
-        if advertiser in interests:
-            if len(interests) > 2:
-                self.maintainer.remove_interest(phrase, advertiser)
+    def move_bid(self, advertiser: int, bid: float) -> None:
+        if bid < 0.0 or math.isnan(bid) or bid > 1e17:
+            with pytest.raises(InvalidAuctionError):
+                self.store.set_bid(advertiser, bid)
         else:
-            self.maintainer.add_interest(phrase, advertiser)
+            self.store.set_bid(advertiser, bid)
+            self.bids[advertiser] = bid
 
-    @rule(
-        advertisers=st.sets(
-            st.sampled_from(ADVERTISERS), min_size=2, max_size=5
+    @rule(data=st.data())
+    def run_round(self, data) -> None:
+        names = data.draw(
+            st.lists(
+                st.sampled_from(self.names), min_size=1, unique=True
+            )
         )
-    )
-    def add_phrase(self, advertisers: set) -> None:
-        if self.extra_phrases >= 3:
-            return
-        self.extra_phrases += 1
-        self.maintainer.add_phrase(
-            f"extra{self.extra_phrases}", advertisers, 0.5
-        )
-
-    @rule(
-        advertiser=st.sampled_from(ADVERTISERS),
-        score=st.integers(min_value=1, max_value=40),
-    )
-    def perturb_score(self, advertiser: int, score: int) -> None:
-        self.scores[advertiser] = float(score)
-
-    @rule()
-    def run_round(self) -> None:
-        self._run_and_check()
+        by_row = self.store.bid_cents * self.store.ctr_factors
+        scores = dict(zip(self.store.ids.tolist(), by_row.tolist()))
+        result = self.executor.run_round(scores, occurring=names)
+        cached = self.cached.run_round(by_row, names)
+        for name in names:
+            members = sorted(self.INTERESTS[name])
+            expected = top_k_scan(self.K, [(scores[v], v) for v in members])
+            assert result.answers[name] == expected, name
+            assert cached.answers[name] == expected, name
 
     @invariant()
-    def answers_match_fresh_scan(self) -> None:
-        self._run_and_check()
-
-    def _run_and_check(self) -> None:
-        plan = self.executor.plan
-        assert plan is self.maintainer.plan
-        result = self.executor.run_round(dict(self.scores))
-        # Oracle: an independent single-scan top-k per live query.
-        for query in plan.instance.queries:
-            expected = top_k_scan(
-                self.K,
-                [(self.scores[v], v) for v in sorted(query.variables)],
-            )
-            assert result.answers[query.name] == expected, (
-                f"answer diverged from fresh scan for {query.name!r}"
-            )
-        assert result.merges_performed == result.nodes_materialized
+    def columns_follow_the_model(self) -> None:
+        for advertiser, bid in self.bids.items():
+            row = self.store.row_of(advertiser)
+            assert self.store.bids[row] == bid
+            assert self.store.bid_cents[row] == dollars_to_cents(bid)
 
 
-MaintainedExecutionMachine.TestCase.settings = settings(
-    max_examples=20, stateful_step_count=25, deadline=None
+MovingBidsMachine.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=25, deadline=None
 )
-TestMaintainedExecutionMachine = MaintainedExecutionMachine.TestCase
+TestMovingBidsMachine = MovingBidsMachine.TestCase
