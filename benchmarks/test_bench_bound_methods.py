@@ -3,7 +3,7 @@
 The paper uses Hoeffding's inequality for the unexpanded remainder of
 ``S_l``.  Bernstein's inequality uses the variance ``Σ π² ctr(1-ctr)``
 and is tighter when click probabilities are small -- precisely the
-regime of decayed outstanding ads.  We measure interval widths at depth
+regime of outstanding ads with low CTRs.  We measure interval widths at depth
 0 and the expansions a comparison workload needs under each method.
 """
 

@@ -4,8 +4,9 @@ Advertisers pay per click, and clicks arrive after the ad is shown, so an
 advertiser's remaining budget is uncertain whenever ads are outstanding.
 This package implements the paper's principled treatment:
 
-- :mod:`repro.budgets.outstanding` -- outstanding ads, click-probability
-  decay models, and the per-advertiser ledger.
+- :mod:`repro.budgets.outstanding` -- outstanding ads and the
+  per-advertiser ledger; an ad owes its price with its display CTR
+  until a horizon, and nothing after.
 - :mod:`repro.budgets.throttle` -- the throttled bid
   ``b̂_i = E[min(b_i, max(0, β_i - S_l) / m_i)]``: exact computation by
   dynamic programming over currency units (``O(l·β)``) or enumeration
@@ -32,9 +33,6 @@ from repro.budgets.hoeffding import (
     throttled_bid_bounds,
 )
 from repro.budgets.outstanding import (
-    ExponentialDecay,
-    GeometricDecay,
-    NoDecay,
     OutstandingAd,
     OutstandingLedger,
 )
@@ -46,10 +44,7 @@ from repro.budgets.throttle import (
 
 __all__ = [
     "BoundedBid",
-    "ExponentialDecay",
-    "GeometricDecay",
     "Interval",
-    "NoDecay",
     "OutstandingAd",
     "OutstandingLedger",
     "ThrottleProblem",

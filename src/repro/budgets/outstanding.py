@@ -1,11 +1,11 @@
-"""Outstanding ads and click-probability decay.
+"""Outstanding ads and the ledger that books them.
 
 An *outstanding ad* has been displayed but neither clicked nor expired:
 the advertiser may still owe its price ``π_j`` with probability
 ``ctr_j``.  The paper makes no assumption about ``ctr_j`` but notes it is
-reasonable to model it as decreasing with the time since display and
-reaching zero after a limit, which lets old outstanding ads be discarded.
-Three decay models are provided; all satisfy that contract.
+reasonable to let it reach zero after a limit, which lets old
+outstanding ads be discarded.  One model meets that: an ad keeps its
+display CTR for ``horizon`` rounds and is dead from then on.
 
 Money is handled in integer *cents* throughout this package: the paper's
 exact algorithm is ``O(min(2^l, β))`` "assuming that β is written in the
@@ -15,89 +15,16 @@ exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Protocol, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import BudgetError
 
 __all__ = [
-    "ClickDecayModel",
-    "NoDecay",
-    "GeometricDecay",
-    "ExponentialDecay",
     "OutstandingAd",
     "OutstandingLedger",
     "check_displays",
-    "dead_elapsed",
 ]
-
-
-class ClickDecayModel(Protocol):
-    """Maps a base click probability and elapsed time to current ``ctr_j``."""
-
-    def probability(self, base_ctr: float, elapsed_rounds: int) -> float:
-        """Current probability the outstanding ad still gets clicked."""
-        ...
-
-    @property
-    def horizon(self) -> int:
-        """Rounds after which the probability is exactly zero.
-
-        A horizon lets the ledger discard ads that have received no
-        click in a long time, as the paper suggests.
-        """
-        ...
-
-
-@dataclass(frozen=True)
-class NoDecay:
-    """Click probability stays at the base CTR until the horizon."""
-
-    horizon: int = 1_000_000
-
-    def probability(self, base_ctr: float, elapsed_rounds: int) -> float:
-        if elapsed_rounds >= self.horizon:
-            return 0.0
-        return base_ctr
-
-
-@dataclass(frozen=True)
-class GeometricDecay:
-    """Each elapsed round multiplies the click probability by ``ratio``."""
-
-    ratio: float = 0.5
-    horizon: int = 32
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.ratio <= 1.0:
-            raise BudgetError(f"decay ratio must be in [0, 1], got {self.ratio}")
-        if self.horizon <= 0:
-            raise BudgetError("decay horizon must be positive")
-
-    def probability(self, base_ctr: float, elapsed_rounds: int) -> float:
-        if elapsed_rounds >= self.horizon:
-            return 0.0
-        return base_ctr * self.ratio**elapsed_rounds
-
-
-@dataclass(frozen=True)
-class ExponentialDecay:
-    """Continuous-rate decay ``exp(-rate * elapsed)`` with a hard horizon."""
-
-    rate: float = 0.3
-    horizon: int = 32
-
-    def __post_init__(self) -> None:
-        if self.rate < 0.0:
-            raise BudgetError(f"decay rate must be non-negative, got {self.rate}")
-        if self.horizon <= 0:
-            raise BudgetError("decay horizon must be positive")
-
-    def probability(self, base_ctr: float, elapsed_rounds: int) -> float:
-        if elapsed_rounds >= self.horizon:
-            return 0.0
-        return base_ctr * math.exp(-self.rate * elapsed_rounds)
 
 
 @dataclass(frozen=True)
@@ -126,50 +53,6 @@ class OutstandingAd:
             raise BudgetError(f"price must be non-negative, got {self.price_cents}")
         if not 0.0 <= self.base_ctr <= 1.0:
             raise BudgetError(f"CTR must be in [0, 1], got {self.base_ctr}")
-
-    def current_ctr(self, decay: ClickDecayModel, current_round: int) -> float:
-        """``ctr_j`` given the time elapsed since display."""
-        elapsed = max(0, current_round - self.displayed_round)
-        return decay.probability(self.base_ctr, elapsed)
-
-    def dead_round(self, decay: ClickDecayModel) -> float:
-        """First round ``r`` with ``current_ctr(decay, r) <= 0.0``.
-
-        Known at display time (see :func:`dead_elapsed`), so an expiry
-        queue can be keyed on this value once.  Normally
-        ``displayed_round + decay.horizon``; ``-inf`` for an ad that is
-        dead on display.
-        """
-        return self.displayed_round + dead_elapsed(decay, self.base_ctr)
-
-
-def dead_elapsed(decay: ClickDecayModel, base_ctr: float) -> float:
-    """Rounds after display at which an ad of ``base_ctr`` is first dead.
-
-    The first ``elapsed`` with ``decay.probability(base_ctr, elapsed)
-    <= 0.0``.  A decay model's probability never rises with elapsed
-    time, so the ad is dead at every later round too, and the value
-    does not depend on when the ad was shown: it is ``decay.horizon``
-    normally, earlier when the probability reaches zero before the
-    horizon (``ratio == 0``, float underflow; found by bisection).  An
-    ad that is dead on display (``base_ctr == 0``) is dead at *every*
-    round -- :meth:`OutstandingAd.current_ctr` clamps elapsed time at
-    zero -- and returns ``-inf``.
-    """
-    horizon = decay.horizon
-    if decay.probability(base_ctr, horizon - 1) > 0.0:
-        elapsed = horizon
-    else:
-        low, elapsed = 0, horizon - 1
-        while low < elapsed:
-            middle = (low + elapsed) // 2
-            if decay.probability(base_ctr, middle) <= 0.0:
-                elapsed = middle
-            else:
-                low = middle + 1
-    if elapsed <= 0:
-        return -math.inf
-    return elapsed
 
 
 def check_displays(prices_cents: Sequence[int], ctrs: Sequence[float]) -> None:
@@ -218,12 +101,21 @@ class OutstandingLedger:
     of the live ads' prices, adjusted by every add and removal -- so the
     Section IV quick test can be asked in O(1) without a walk.
 
+    An ad displayed at round ``d`` with base CTR ``c`` is *alive* at
+    round ``r`` -- it still owes ``π_j`` with ``ctr_j = c`` -- iff
+    ``c > 0`` and ``r - d < horizon``; a CTR-0 ad is dead on display.
+
     Attributes:
-        decay: The click-decay model applied to all ads in the ledger.
+        horizon: Rounds an ad stays alive after its display.
+
+    Raises:
+        BudgetError: On a horizon below 1.
     """
 
-    def __init__(self, decay: ClickDecayModel | None = None) -> None:
-        self.decay: ClickDecayModel = decay if decay is not None else NoDecay()
+    def __init__(self, horizon: int = 1_000_000) -> None:
+        if horizon < 1:
+            raise BudgetError(f"horizon must be at least 1, got {horizon}")
+        self.horizon = horizon
         self._ads: Dict[int, Tuple[int, float, int]] = {}
         self._next_handle = 0
         self._liability_cents = 0
@@ -233,9 +125,9 @@ class OutstandingLedger:
         """Sum of the prices of every ad still in the ledger.
 
         An upper bound on ``ω_l`` (:meth:`max_liability_cents`), which
-        leaves out ads whose click probability already decayed to zero
-        but that no expiry has removed yet: ``liability_cents <= x``
-        implies ``ω_l <= x``, never the reverse.
+        leaves out ads that are already dead but that no expiry has
+        removed yet: ``liability_cents <= x`` implies ``ω_l <= x``,
+        never the reverse.
         """
         return self._liability_cents
 
@@ -329,20 +221,20 @@ class OutstandingLedger:
         raise BudgetError("ad is not outstanding in this ledger")
 
     def prune(self, current_round: int) -> int:
-        """Drop ads whose click probability has decayed to zero.
+        """Drop the ads that are dead at ``current_round``.
 
         A walk over every ad.  The engine's budget manager expires from
-        a queue keyed on :meth:`OutstandingAd.dead_round` instead; this
-        is the oracle that queue is tested against, and the way to
-        expire a ledger used on its own.
+        a queue keyed on each ad's first dead round instead; this is the
+        oracle that queue is tested against, and the way to expire a
+        ledger used on its own.
 
         Returns the number of ads discarded.
         """
-        probability = self.decay.probability
+        horizon = self.horizon
         dead = [
             handle
             for handle, (_, base_ctr, shown) in self._ads.items()
-            if probability(base_ctr, max(0, current_round - shown)) <= 0.0
+            if base_ctr <= 0.0 or current_round - shown >= horizon
         ]
         for handle in dead:
             self.discard_handles(handle)
@@ -351,16 +243,14 @@ class OutstandingLedger:
     def snapshot(self, current_round: int) -> List[Tuple[int, float]]:
         """The ``(π_j, ctr_j)`` pairs for the throttling computation.
 
-        ``ctr_j`` is :meth:`OutstandingAd.current_ctr`; ads with zero
-        current probability are omitted (they contribute nothing to
-        ``S_l``).
+        ``ctr_j`` is the ad's base CTR; dead ads are omitted (they
+        contribute nothing to ``S_l``).
         """
-        probability = self.decay.probability
+        horizon = self.horizon
         return [
-            (price, ctr)
+            (price, base_ctr)
             for price, base_ctr, shown in self._ads.values()
-            if (ctr := probability(base_ctr, max(0, current_round - shown)))
-            > 0.0
+            if base_ctr > 0.0 and current_round - shown < horizon
         ]
 
     def max_liability_cents(self, current_round: int) -> int:

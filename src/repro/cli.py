@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -30,6 +31,31 @@ def _positive_int(value: str) -> int:
     number = int(value)
     if number <= 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {number}")
+    return number
+
+
+def _non_negative_int(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {number}")
+    return number
+
+
+def _positive_float(value: str) -> float:
+    number = float(value)
+    if not 0.0 < number < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {value}"
+        )
+    return number
+
+
+def _non_negative_float(value: str) -> float:
+    number = float(value)
+    if not 0.0 <= number < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {value}"
+        )
     return number
 
 
@@ -47,17 +73,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("example", help="the Figures 1-3 worked auction")
 
     fig4 = sub.add_parser("fig4", help="Fig. 4 cost-vs-probability sweep")
-    fig4.add_argument("--seeds", type=int, default=3, help="instances per point")
+    fig4.add_argument(
+        "--seeds", type=_positive_int, default=3, help="instances per point"
+    )
 
     shoes = sub.add_parser("shoes", help="Section II-B shoe-store example")
-    shoes.add_argument("--general", type=int, default=200)
-    shoes.add_argument("--sports", type=int, default=40)
-    shoes.add_argument("--fashion", type=int, default=30)
+    shoes.add_argument("--general", type=_non_negative_int, default=200)
+    shoes.add_argument("--sports", type=_non_negative_int, default=40)
+    shoes.add_argument("--fashion", type=_non_negative_int, default=30)
     shoes.add_argument("--seed", type=int, default=0, help="score-draw seed")
 
     gaming = sub.add_parser("gaming", help="Section IV gaming attack")
-    gaming.add_argument("--rounds", type=int, default=120)
-    gaming.add_argument("--delay", type=int, default=3)
+    gaming.add_argument("--rounds", type=_positive_int, default=120)
+    gaming.add_argument("--delay", type=_non_negative_int, default=3)
     gaming.add_argument(
         "--at-scale",
         type=_positive_int,
@@ -114,13 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument(
         "--arrival-rate",
-        type=float,
+        type=_positive_float,
         default=200.0,
         help="traffic arrival rate in queries/second (--serve mode)",
     )
     engine.add_argument(
         "--zipf-exponent",
-        type=float,
+        type=_non_negative_float,
         default=1.0,
         help=(
             "Zipf popularity skew across phrases, ranked by search "
@@ -424,12 +452,18 @@ def _cmd_plan(spec_path: str, output: Optional[str], planner: str = "lazy") -> i
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "example":
         return _cmd_example()
     if args.command == "fig4":
         return _cmd_fig4(args.seeds)
     if args.command == "shoes":
+        if not (args.general + args.sports and args.general + args.fashion):
+            parser.error(
+                "shoes: both queries need a store (--general plus "
+                "--sports, and --general plus --fashion, must be positive)"
+            )
         return _cmd_shoes(args.general, args.sports, args.fashion, args.seed)
     if args.command == "gaming":
         if args.at_scale is not None:

@@ -21,22 +21,11 @@ from heapq import heappop, heappush
 from itertools import chain
 from typing import AbstractSet, Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.budgets.outstanding import (
-    ClickDecayModel,
-    NoDecay,
-    OutstandingLedger,
-    check_displays,
-    dead_elapsed,
-)
+from repro.budgets.outstanding import OutstandingLedger, check_displays
 from repro.budgets.throttle import ThrottleProblem
 from repro.errors import BudgetError
 
 __all__ = ["BudgetManager", "ChargeResult"]
-
-_DEAD_AFTER_MEMO = 4096
-"""Base CTRs whose :func:`dead_elapsed` a manager remembers before it
-starts over: a market has a few thousand ``c_i * d_j`` values, and the
-memo must stay bounded when every display carries a new one."""
 
 
 @dataclass(frozen=True)
@@ -57,11 +46,11 @@ class BudgetManager:
 
     The manager is the only writer of its ledgers.  Every display goes
     through :meth:`record_displays`, which queues the ads on one
-    min-heap keyed by the first round their click probability is zero
-    (:meth:`repro.budgets.outstanding.OutstandingAd.dead_round`) -- one
-    entry per run of an advertiser's consecutive handles that die
-    together -- and keeps :attr:`debt_carriers` -- the advertisers
-    whose ledger is not empty -- current; expiry pops what is due.  An
+    min-heap keyed by the first round each is dead -- ``round_index +
+    horizon``, or ``-inf`` for a CTR-0 ad -- one entry per run of an
+    advertiser's consecutive handles that die together -- and keeps
+    :attr:`debt_carriers` -- the advertisers whose ledger is not empty
+    -- current; expiry pops what is due.  An
     ad recorded directly on a ledger is never queued for expiry and
     never indexed.
 
@@ -74,7 +63,11 @@ class BudgetManager:
     Args:
         budgets_cents: Daily budget per advertiser id.  Advertisers not
             present are unbudgeted (infinite budget).
-        decay: Click-decay model for outstanding ads.
+        horizon: Rounds an outstanding ad stays alive after its
+            display (:class:`repro.budgets.OutstandingLedger`).
+
+    Raises:
+        BudgetError: On a negative budget or a horizon below 1.
     """
 
     UNBUDGETED_CENTS = 10**12
@@ -83,7 +76,7 @@ class BudgetManager:
     def __init__(
         self,
         budgets_cents: Dict[int, int],
-        decay: ClickDecayModel | None = None,
+        horizon: int = 1_000_000,
     ) -> None:
         for advertiser_id, budget in budgets_cents.items():
             if budget < 0:
@@ -92,7 +85,9 @@ class BudgetManager:
                 )
         self._budgets = dict(budgets_cents)
         self._spent: Dict[int, int] = {}
-        self._decay = decay if decay is not None else NoDecay()
+        if horizon < 1:
+            raise BudgetError(f"horizon must be at least 1, got {horizon}")
+        self._horizon = horizon
         self._ledgers: Dict[int, OutstandingLedger] = {}
         # (dead_round, advertiser_id, first_handle, count): a run of
         # consecutive handles displayed and not yet due; ads of the run
@@ -101,22 +96,6 @@ class BudgetManager:
         self._carriers: Set[int] = set()
         # Whose books moved since drain_book_changes last handed them out.
         self._moved: Set[int] = set()
-        # dead_elapsed by base CTR (it does not depend on the round).
-        self._dead_after: Dict[float, float] = {}
-
-    @property
-    def decay_varies(self) -> bool:
-        """Whether outstanding debt re-weighs as rounds pass.
-
-        Under :class:`repro.budgets.outstanding.NoDecay` an ad's
-        ``ctr_j`` is constant until the horizon prunes it (and pruning
-        moves the books), so a throttle problem built for one round
-        stays valid in later rounds until its books move.  Any other
-        decay model moves every debt-carrying advertiser's b̂ each
-        round, so a problem is valid only within the round it was
-        built.
-        """
-        return not isinstance(self._decay, NoDecay)
 
     def budget_cents(self, advertiser_id: int) -> int:
         """The advertiser's daily budget (huge sentinel if unbudgeted)."""
@@ -164,8 +143,8 @@ class BudgetManager:
         a bad row leaves them as they were.  Each budgeted advertiser's
         ads are appended to its ledger in display order and queued for
         expiry as one entry per run of consecutive handles sharing a dead
-        round (normally one run: the dead round depends on the CTR only
-        where the decay model reaches zero early).
+        round (normally one run: only a CTR-0 ad, dead on display, breaks
+        it).
 
         Returns:
             The ledger handle of each ad, parallel to the columns
@@ -185,7 +164,7 @@ class BudgetManager:
             )
         budgets = self._budgets
         ledgers = self._ledgers
-        dead_after = self._dead_after
+        alive_until = round_index + self._horizon
         handles: List[int] = []
         # [dead_round, advertiser_id, first_handle, count]: the run each
         # advertiser's latest ad belongs to, and the runs a change of
@@ -200,22 +179,20 @@ class BudgetManager:
                 continue
             ledger = ledgers.get(advertiser_id)
             if ledger is None:
-                ledger = ledgers[advertiser_id] = OutstandingLedger(self._decay)
+                ledger = ledgers[advertiser_id] = OutstandingLedger(
+                    self._horizon
+                )
             handle = ledger.add(price_cents, ctr, round_index)
             handles.append(handle)
-            elapsed = dead_after.get(ctr)
-            if elapsed is None:
-                if len(dead_after) >= _DEAD_AFTER_MEMO:
-                    dead_after.clear()
-                elapsed = dead_after[ctr] = dead_elapsed(self._decay, ctr)
+            dead_round = alive_until if ctr > 0.0 else -math.inf
             run = open_runs.get(advertiser_id)
-            if run is not None and run[0] == round_index + elapsed:
+            if run is not None and run[0] == dead_round:
                 run[3] += 1
             else:
                 if run is not None:
                     closed_runs.append(run)
                 open_runs[advertiser_id] = [
-                    round_index + elapsed, advertiser_id, handle, 1
+                    dead_round, advertiser_id, handle, 1
                 ]
         for run in chain(closed_runs, open_runs.values()):
             heappush(self._expiry, tuple(run))
@@ -276,7 +253,7 @@ class BudgetManager:
         return total_charged, total_forgiven
 
     def expire_outstanding(self, round_index: int) -> int:
-        """Drop outstanding ads whose click probability decayed to zero.
+        """Drop the outstanding ads that are dead at ``round_index``.
 
         Costs the ads that are due, however many ledgers are idle.
         """
@@ -317,10 +294,9 @@ class BudgetManager:
 
         ``inf`` with nothing queued.  Before that round every ledger's
         :meth:`repro.budgets.outstanding.OutstandingLedger.snapshot`
-        keeps all its ads, so under a constant ``ctr_j``
-        (:attr:`decay_varies` false) a :meth:`throttle_problem` built
-        for one such round is the problem of every other until the
-        advertiser's books move.  An expiry leaves it past the round it
+        keeps all its ads at their display CTR, so a
+        :meth:`throttle_problem` built for one such round is the problem
+        of every other until the advertiser's books move.  An expiry leaves it past the round it
         ran for; a caller that scores a later round without expiring
         first finds it at or below that round.
         """

@@ -5,12 +5,13 @@ is displayed.  :class:`DelayedClickModel` samples, for each displayed ad,
 whether the user eventually clicks (Bernoulli with the ad's
 click-through rate) and when the click arrives (a geometric number of
 rounds, capped at a horizon after which the click is abandoned --
-matching the decay-to-zero assumption of Section IV).
+which is what lets Section IV drop an outstanding ad one round later).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from heapq import heappop, heappush
 from operator import itemgetter
@@ -43,6 +44,10 @@ class DelayedClickModel:
         horizon_rounds: Clicks that would arrive later than this many
             rounds after display are dropped (never happen).
         rng: Seeded random source.
+
+    Raises:
+        InvalidAuctionError: On a mean delay that is negative or not
+            finite, or a horizon that is not a positive int.
     """
 
     def __init__(
@@ -51,8 +56,18 @@ class DelayedClickModel:
         horizon_rounds: int,
         rng: random.Random,
     ) -> None:
-        if mean_delay_rounds < 0.0:
-            raise InvalidAuctionError("mean delay must be non-negative")
+        if not (math.isfinite(mean_delay_rounds) and mean_delay_rounds >= 0.0):
+            raise InvalidAuctionError(
+                f"mean delay must be finite and non-negative, got "
+                f"{mean_delay_rounds!r}"
+            )
+        if (
+            isinstance(horizon_rounds, bool)
+            or not isinstance(horizon_rounds, numbers.Integral)
+        ):
+            raise InvalidAuctionError(
+                f"click horizon must be an int, got {horizon_rounds!r}"
+            )
         if horizon_rounds <= 0:
             raise InvalidAuctionError("click horizon must be positive")
         self.mean_delay_rounds = mean_delay_rounds

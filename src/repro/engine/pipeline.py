@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.budgets.outstanding import ClickDecayModel, NoDecay
 from repro.budgets.throttle import ThrottleProblem, exact_throttled_bid
 from repro.core.advertiser import Advertiser
 import numpy as np
@@ -209,7 +208,6 @@ class SharedAuctionEngine:
             advertisers by diffing every scored row against the score
             it last absorbed.  Outcomes are bit-identical with and
             without the cache; only the work counters move.
-        decay: Click-decay model for outstanding ads.
         mean_click_delay_rounds: Mean click arrival delay.
         click_horizon_rounds: Rounds after which an unclicked ad expires.
         seed: Seed for phrase occurrence and click simulation.
@@ -223,7 +221,7 @@ class SharedAuctionEngine:
             then does no metric bookkeeping beyond the report fields.
 
     Determinism contract: a fixed ``(advertisers, slot_factors,
-    search_rates, mode, throttle, decay, click delays, seed)`` tuple
+    search_rates, mode, throttle, click delays, seed)`` tuple
     yields a bit-identical run -- same occurring phrases, allocations,
     prices, clicks, and work counters -- independent of process, platform,
     and ``PYTHONHASHSEED`` (all set/dict iteration feeding planning or
@@ -273,7 +271,6 @@ class SharedAuctionEngine:
         mode: str = "shared",
         throttle: bool = True,
         exec_cache: bool = False,
-        decay: Optional[ClickDecayModel] = None,
         mean_click_delay_rounds: float = 2.0,
         click_horizon_rounds: int = 16,
         seed: int = 0,
@@ -328,24 +325,19 @@ class SharedAuctionEngine:
             for a in self.advertisers
             if a.daily_budget != float("inf")
         }
-        # A click arriving more than click_horizon_rounds after display
-        # is never scheduled (DelayedClickModel drops it), so an
-        # outstanding ad older than that can never be clicked and may
-        # be discarded; +1 keeps an ad alive through the last round its
-        # click can still arrive.  An unbounded default ledger makes the
-        # Section IV exact throttle -- O(min(2^l, l*beta)) in the
-        # outstanding count l -- grow per tick, turning long serving
-        # sessions quadratic.
-        decay_model = (
-            decay
-            if decay is not None
-            else NoDecay(horizon=click_horizon_rounds + 1)
-        )
-        self.budget_manager = BudgetManager(budgets, decay_model)
         self._rng = random.Random(seed)
         self.click_model = DelayedClickModel(
             mean_click_delay_rounds, click_horizon_rounds, self._rng
         )
+        # A click arriving more than click_horizon_rounds after display
+        # is never scheduled (DelayedClickModel drops it), so an
+        # outstanding ad older than that can never be clicked and may
+        # be discarded; +1 keeps an ad alive through the last round its
+        # click can still arrive.  An unbounded ledger makes the
+        # Section IV exact throttle -- O(min(2^l, l*beta)) in the
+        # outstanding count l -- grow per tick, turning long serving
+        # sessions quadratic.
+        self.budget_manager = BudgetManager(budgets, click_horizon_rounds + 1)
         self._columnar_exec = None
         self._columnar_sort = None
         store = self._store = ColumnarStore.from_advertisers(self.advertisers)
@@ -714,11 +706,8 @@ class SharedAuctionEngine:
                 standing = self._standing_problems
                 # A problem answers for, and is kept from, only a round
                 # whose ledger snapshots are those of every other such
-                # round: ctr_j constant and no queued ad dead yet.
-                keeping = (
-                    not manager.decay_varies
-                    and round_index < manager.earliest_dead_round
-                )
+                # round: no queued ad dead yet.
+                keeping = round_index < manager.earliest_dead_round
                 rebuilt = 0
                 for at, advertiser_id, bid_cents, auctions in zip(
                     carrying.tolist(),

@@ -117,7 +117,7 @@ name                      meaning (paper reference)
                           throttle problem the columnar scorer built
                           from the ledger -- a first sight, or books
                           that moved since the advertiser was last
-                          scored (every one under a decaying model).
+                          scored.
                           The rest were answered off the kept problem
                           and its standing ``min(β, S_l)`` array:
                           ``1 - rebuilt / debt_carriers_scored`` is the

@@ -9,7 +9,9 @@ the same rounds as the paper describes them and nothing more:
   ``ctr_ij = c_i * d_j``.
 - Section IV: an advertiser in ``m`` of the round's auctions bids its
   throttled bid ``b̂ = E[min(b, max(0, β - S_l) / m)]`` against the ads
-  it has outstanding, computed exactly.
+  it has outstanding, computed exactly.  An outstanding ad owes its
+  price with its display CTR for ``click_horizon_rounds + 1`` rounds
+  and nothing after.
 - Sections II and III: winner determination is the top-(k+1) of
   ``b̂ * c`` per phrase (``c = c_i^q`` under ``"shared-sort"``, which
   honours per-phrase CTR factors; ``c = c_i`` otherwise).  Shared plans
@@ -36,7 +38,6 @@ import math
 import random
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.budgets.outstanding import ClickDecayModel, NoDecay
 from repro.budgets.throttle import exact_throttled_bid
 from repro.core.advertiser import Advertiser
 from repro.core.ctr import SeparableCTRModel
@@ -66,8 +67,6 @@ class ReferenceEngine:
             ``"shared-sort"`` changes the auction (``c = c_i^q``).
         throttle: Bid the Section IV throttled bid; otherwise
             ``min(b, β)``.
-        decay: Click-decay model of outstanding ads (default: none, with
-            ads expiring one round after the click horizon).
         mean_click_delay_rounds: Mean click arrival delay.
         click_horizon_rounds: Rounds after which an unclicked ad expires.
         seed: Seed of the one random stream behind phrase sampling and
@@ -84,7 +83,6 @@ class ReferenceEngine:
         search_rates: Mapping[str, float],
         mode: str = "shared",
         throttle: bool = True,
-        decay: Optional[ClickDecayModel] = None,
         mean_click_delay_rounds: float = 2.0,
         click_horizon_rounds: int = 16,
         seed: int = 0,
@@ -125,16 +123,13 @@ class ReferenceEngine:
             for a in self.advertisers
             if a.daily_budget != math.inf
         }
-        # An ad whose click can no longer arrive is dropped one round
-        # after the click horizon.
-        self.budget_manager = BudgetManager(
-            budgets,
-            decay if decay is not None else NoDecay(click_horizon_rounds + 1),
-        )
         self._rng = random.Random(seed)
         self.click_model = DelayedClickModel(
             mean_click_delay_rounds, click_horizon_rounds, self._rng
         )
+        # An ad whose click can no longer arrive is dropped one round
+        # after the click horizon.
+        self.budget_manager = BudgetManager(budgets, click_horizon_rounds + 1)
         self._round_index = 0
 
     # ------------------------------------------------------------------

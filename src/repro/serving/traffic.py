@@ -21,6 +21,7 @@ phrase frequencies and the mean-consistency of the gaps.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Sequence
@@ -61,9 +62,9 @@ class TrafficGenerator:
             first phrase gets Zipf rank 1 (most traffic).  Must be
             non-empty.
         rate_qps: Mean arrival rate of the Poisson process, queries per
-            second.  Must be positive.
+            second.  Must be finite and positive.
         zipf_exponent: Popularity skew; 0 makes every phrase equally
-            likely.  Must be >= 0 (validated by
+            likely.  Must be finite and >= 0 (validated by
             :func:`repro.workloads.distributions.zipf_weights`).
         seed: Seed of the single ``random.Random`` behind the trace.
 
@@ -86,9 +87,9 @@ class TrafficGenerator:
             raise WorkloadError("traffic needs at least one phrase")
         if len(set(self.phrases)) != len(self.phrases):
             raise WorkloadError("traffic phrases must be distinct")
-        if rate_qps <= 0.0:
+        if not 0.0 < rate_qps < math.inf:
             raise WorkloadError(
-                f"arrival rate must be positive, got {rate_qps}"
+                f"arrival rate must be finite and positive, got {rate_qps}"
             )
         self.rate_qps = float(rate_qps)
         self.zipf_exponent = float(zipf_exponent)

@@ -29,8 +29,10 @@ def zipf_weights(n: int, exponent: float = 1.0) -> List[float]:
     """Normalized Zipf weights ``w_r ∝ 1 / r^exponent`` for ranks 1..n."""
     if n <= 0:
         raise WorkloadError(f"need a positive count, got {n}")
-    if exponent < 0.0:
-        raise WorkloadError(f"Zipf exponent must be >= 0, got {exponent}")
+    if not 0.0 <= exponent < math.inf:
+        raise WorkloadError(
+            f"Zipf exponent must be finite and >= 0, got {exponent}"
+        )
     raw = [1.0 / (rank**exponent) for rank in range(1, n + 1)]
     total = sum(raw)
     return [w / total for w in raw]
@@ -114,6 +116,8 @@ def exponential_interarrival(rng: random.Random, rate: float) -> float:
     call -- keeping traffic traces draw-for-draw reproducible even if
     the stdlib's internal sampling changes across versions.
     """
-    if rate <= 0.0:
-        raise WorkloadError(f"arrival rate must be positive, got {rate}")
+    if not 0.0 < rate < math.inf:
+        raise WorkloadError(
+            f"arrival rate must be finite and positive, got {rate}"
+        )
     return -math.log(1.0 - rng.random()) / rate

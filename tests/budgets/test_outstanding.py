@@ -1,49 +1,57 @@
-"""Tests for outstanding ads, decay models, and the ledger."""
+"""Tests for outstanding ads and the ledger."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.budgets.outstanding import (
-    ExponentialDecay,
-    GeometricDecay,
-    NoDecay,
-    OutstandingAd,
-    OutstandingLedger,
-)
+from repro.budgets.outstanding import OutstandingAd, OutstandingLedger
 from repro.errors import BudgetError
 
 
-class TestDecayModels:
-    def test_no_decay_constant_until_horizon(self):
-        decay = NoDecay(horizon=5)
-        assert decay.probability(0.4, 0) == 0.4
-        assert decay.probability(0.4, 4) == 0.4
-        assert decay.probability(0.4, 5) == 0.0
+class TestHorizon:
+    """An ad owes its price with its display CTR for ``horizon`` rounds."""
 
-    def test_geometric_halves(self):
-        decay = GeometricDecay(ratio=0.5, horizon=10)
-        assert decay.probability(0.8, 0) == pytest.approx(0.8)
-        assert decay.probability(0.8, 2) == pytest.approx(0.2)
-        assert decay.probability(0.8, 10) == 0.0
+    def test_ctr_constant_until_horizon(self):
+        ledger = OutstandingLedger(horizon=5)
+        ledger.record_display(100, 0.4, 0)
+        for current_round in range(5):
+            assert ledger.snapshot(current_round) == [(100, 0.4)]
+        assert ledger.snapshot(5) == []
 
-    def test_geometric_validation(self):
-        with pytest.raises(BudgetError):
-            GeometricDecay(ratio=1.5)
-        with pytest.raises(BudgetError):
-            GeometricDecay(horizon=0)
+    def test_default_horizon(self):
+        ledger = OutstandingLedger()
+        assert ledger.horizon == 1_000_000
+        ledger.record_display(100, 0.4, 0)
+        assert ledger.snapshot(999_999) == [(100, 0.4)]
+        assert ledger.snapshot(1_000_000) == []
 
-    def test_exponential_decreases(self):
-        decay = ExponentialDecay(rate=0.5, horizon=8)
-        values = [decay.probability(1.0, t) for t in range(8)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-        assert decay.probability(1.0, 8) == 0.0
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_rejected(self, horizon):
+        with pytest.raises(BudgetError, match="horizon"):
+            OutstandingLedger(horizon)
 
-    def test_exponential_validation(self):
-        with pytest.raises(BudgetError):
-            ExponentialDecay(rate=-1.0)
-        with pytest.raises(BudgetError):
-            ExponentialDecay(horizon=-1)
+    def test_horizon_one_lives_only_in_its_display_round(self):
+        ledger = OutstandingLedger(horizon=1)
+        ledger.record_display(100, 0.4, 3)
+        assert ledger.snapshot(3) == [(100, 0.4)]
+        assert ledger.snapshot(4) == []
+        assert ledger.prune(3) == 0
+        assert ledger.prune(4) == 1
+
+    def test_ctr_zero_ad_is_dead_on_display(self):
+        ledger = OutstandingLedger(horizon=5)
+        ledger.record_display(100, 0.0, 2)
+        ledger.record_display(50, 0.5, 2)
+        assert ledger.snapshot(2) == [(50, 0.5)]
+        assert ledger.max_liability_cents(2) == 50
+        assert ledger.prune(2) == 1
+        assert len(ledger) == 1
+
+    def test_an_ad_shown_after_the_round_asked_is_alive(self):
+        ledger = OutstandingLedger(horizon=2)
+        ledger.record_display(100, 0.6, 5)
+        assert ledger.snapshot(3) == [(100, 0.6)]
+        assert ledger.prune(3) == 0
 
 
 class TestOutstandingAd:
@@ -52,16 +60,6 @@ class TestOutstandingAd:
             OutstandingAd(-1, 0.5)
         with pytest.raises(BudgetError):
             OutstandingAd(10, 1.5)
-
-    def test_current_ctr_applies_decay(self):
-        ad = OutstandingAd(100, 0.6, displayed_round=2)
-        decay = GeometricDecay(ratio=0.5, horizon=10)
-        assert ad.current_ctr(decay, 2) == pytest.approx(0.6)
-        assert ad.current_ctr(decay, 4) == pytest.approx(0.15)
-
-    def test_current_ctr_clamps_negative_elapsed(self):
-        ad = OutstandingAd(100, 0.6, displayed_round=5)
-        assert ad.current_ctr(NoDecay(), 3) == pytest.approx(0.6)
 
 
 class TestLedger:
@@ -85,7 +83,7 @@ class TestLedger:
             ledger.resolve(ad)
 
     def test_prune_drops_expired(self):
-        ledger = OutstandingLedger(decay=GeometricDecay(ratio=0.5, horizon=3))
+        ledger = OutstandingLedger(horizon=3)
         ledger.record_display(100, 0.5, 0)
         ledger.record_display(100, 0.5, 5)
         dropped = ledger.prune(6)
@@ -93,7 +91,7 @@ class TestLedger:
         assert len(ledger) == 1
 
     def test_snapshot_omits_zero_probability(self):
-        ledger = OutstandingLedger(decay=NoDecay(horizon=2))
+        ledger = OutstandingLedger(horizon=2)
         ledger.record_display(100, 0.5, 0)
         assert ledger.snapshot(0) == [(100, 0.5)]
         assert ledger.snapshot(2) == []
@@ -106,7 +104,7 @@ class TestLedger:
         assert ledger.expected_liability_cents(0) == pytest.approx(65.0)
 
     def test_running_liability_follows_every_add_and_removal(self):
-        ledger = OutstandingLedger(decay=NoDecay(horizon=2))
+        ledger = OutstandingLedger(horizon=2)
         first = ledger.record_display(100, 0.5, 0)
         second = ledger.record_display(60, 0.25, 0)
         ledger.record_display(30, 0.5, 1)
@@ -126,7 +124,7 @@ class TestLedger:
     def test_running_liability_bounds_the_exact_worst_case(self):
         # Dead but not yet pruned: counted by the running sum, left out
         # of omega_l -- so the running sum is the (sound) upper bound.
-        ledger = OutstandingLedger(decay=NoDecay(horizon=2))
+        ledger = OutstandingLedger(horizon=2)
         ledger.record_display(100, 0.5, 0)
         ledger.record_display(60, 0.0, 0)
         assert ledger.max_liability_cents(0) == 100

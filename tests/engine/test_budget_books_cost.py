@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from repro.budgets import throttle
-from repro.budgets.outstanding import NoDecay, OutstandingLedger
+from repro.budgets.outstanding import OutstandingLedger
 from repro.budgets.throttle import exact_throttled_bid
 from repro.engine import pipeline
 from repro.engine.budget_manager import BudgetManager
@@ -74,7 +74,7 @@ def _books(idle_ledgers: int) -> BudgetManager:
     unbudgeted one keeps no ledger at all.
     """
     ids = [*range(5), *range(100, 100 + idle_ledgers)]
-    manager = BudgetManager(dict.fromkeys(ids, 10**6), NoDecay(horizon=3))
+    manager = BudgetManager(dict.fromkeys(ids, 10**6), 3)
     for advertiser_id in range(5):
         manager.record_display(advertiser_id, 10, 0.5, 0)
         manager.record_display(advertiser_id, 20, 0.5, 0)
@@ -474,7 +474,7 @@ class TestStandingThrottleProblems:
         engine._effective_scores(phrases, r, report)
         kept = dict(engine._standing_problems)
         assert len(kept) == report.debt_carriers_scored > 3
-        later = r + manager._decay.horizon
+        later = r + manager._horizon
         assert later >= manager.earliest_dead_round
         effective = _scored(engine, phrases, later)
         moved = 0

@@ -8,9 +8,9 @@ oracle here is what the manager did before: one
 every ledger per expiry call, and full recounts.  A hypothesis machine
 drives both with the same random traffic -- displays (``base_ctr = 0``
 included), settlements by live handle and by a handle that is already
-gone, expiries at repeated and non-monotone rounds -- under every
-shipped decay model, including the ones whose probability reaches zero
-before the horizon.  The market mixes budgeted advertisers with an
+gone, expiries at repeated and non-monotone rounds -- at a horizon of
+three rounds, at a horizon of one (every ad dies the round after its
+display) and with most displays at CTR 0 (dead on display).  The market mixes budgeted advertisers with an
 unbudgeted one, which keeps no books at all: handle ``-1``, every click
 charged in full, never a mover (DESIGN section 17).  The batch
 calls (``record_displays`` / ``settle_clicks``, DESIGN section 19) run
@@ -28,31 +28,15 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.budgets.outstanding import (
-    ExponentialDecay,
-    GeometricDecay,
-    NoDecay,
-    OutstandingAd,
-    OutstandingLedger,
-)
+from repro.budgets.outstanding import OutstandingLedger
 from repro.engine.budget_manager import BudgetManager
 from repro.errors import BudgetError
 
 ADVERTISERS = (1, 2, 3, 7)
 BUDGETS = {1: 400, 2: 150, 3: 0}  # 7 is unbudgeted
 MAX_ROUND = 12
-
-DECAYS = {
-    "no_decay": NoDecay(horizon=3),
-    "geometric": GeometricDecay(ratio=0.5, horizon=4),
-    # ratio**1 == 0: dead one round after display, horizon or not.
-    "geometric_ratio_zero": GeometricDecay(ratio=0.0, horizon=4),
-    # 0.5 * (1e-200)**2 underflows to 0.0 four rounds before the horizon.
-    "geometric_underflow": GeometricDecay(ratio=1e-200, horizon=6),
-    "exponential": ExponentialDecay(rate=0.3, horizon=5),
-    # exp(-800) == 0.0 while exp(-400) > 0: dead at elapsed 2 of 5.
-    "exponential_underflow": ExponentialDecay(rate=400.0, horizon=5),
-}
+CTRS = (0.0, 0.05, 0.5, 1.0)
+"""The display CTRs a machine draws from, by index."""
 
 
 def _budgeted(advertisers: Iterable[int]) -> List[int]:
@@ -65,15 +49,15 @@ class WalkingBooks:
     """The parent commit's bookkeeping: walk every ledger, every time --
     for the budgeted advertisers; an unbudgeted one only spends."""
 
-    def __init__(self, budgets: Dict[int, int], decay) -> None:
+    def __init__(self, budgets: Dict[int, int], horizon: int) -> None:
         self.budgets = budgets
-        self.decay = decay
+        self.horizon = horizon
         self.ledgers: Dict[int, OutstandingLedger] = {}
         self.spent: Dict[int, int] = {}
 
     def _ledger(self, advertiser_id: int) -> OutstandingLedger:
         return self.ledgers.setdefault(
-            advertiser_id, OutstandingLedger(decay=self.decay)
+            advertiser_id, OutstandingLedger(self.horizon)
         )
 
     def record_display(self, advertiser_id, price, ctr, round_index) -> int:
@@ -115,28 +99,31 @@ class WalkingBooks:
         }
 
 
-def _ctr_runs(ads) -> int:
-    """Upper bound on a batch's expiry-queue entries: per advertiser,
-    the runs of consecutive ads with one CTR (same CTR, same dead
-    round; different CTRs may still die together)."""
+def _expiry_runs(ads) -> int:
+    """A batch's expiry-queue entries: per budgeted advertiser, the runs
+    of consecutive ads that die together -- alive ones at the horizon,
+    CTR-0 ones on display."""
     runs = 0
-    last: Dict[int, float] = {}
+    last: Dict[int, bool] = {}
     for advertiser, _, ctr in ads:
-        if last.get(advertiser) != ctr:
+        if advertiser not in BUDGETS:
+            continue
+        if last.get(advertiser) != (ctr > 0.0):
             runs += 1
-        last[advertiser] = ctr
+        last[advertiser] = ctr > 0.0
     return runs
 
 
 class BudgetBooksMachine(RuleBasedStateMachine):
     """Event-driven manager and walking oracle, in lockstep."""
 
-    decay = NoDecay(horizon=3)
+    horizon = 3
+    ctrs = CTRS
 
     def __init__(self) -> None:
         super().__init__()
-        self.manager = BudgetManager(BUDGETS, decay=self.decay)
-        self.oracle = WalkingBooks(BUDGETS, self.decay)
+        self.manager = BudgetManager(BUDGETS, self.horizon)
+        self.oracle = WalkingBooks(BUDGETS, self.horizon)
         # Every handle ever issued, settled and expired ones included.
         self.issued: List[Tuple[int, int, int, int]] = []
         # (remaining, liability, carries debt) as last drained.
@@ -157,10 +144,11 @@ class BudgetBooksMachine(RuleBasedStateMachine):
     @rule(
         advertiser=st.sampled_from(ADVERTISERS),
         price=st.integers(min_value=0, max_value=120),
-        ctr=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+        ctr_at=st.integers(min_value=0, max_value=len(CTRS) - 1),
         round_index=st.integers(min_value=0, max_value=MAX_ROUND),
     )
-    def display(self, advertiser, price, ctr, round_index) -> None:
+    def display(self, advertiser, price, ctr_at, round_index) -> None:
+        ctr = self.ctrs[ctr_at]
         handle = self.manager.record_display(
             advertiser, price, ctr, round_index
         )
@@ -175,7 +163,7 @@ class BudgetBooksMachine(RuleBasedStateMachine):
             st.tuples(
                 st.sampled_from(ADVERTISERS),
                 st.integers(min_value=0, max_value=120),
-                st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+                st.integers(min_value=0, max_value=len(CTRS) - 1),
             ),
             max_size=9,
         ),
@@ -185,6 +173,9 @@ class BudgetBooksMachine(RuleBasedStateMachine):
         # One call for a stage's ads == the same ads one call each:
         # same handles now, same counts / liability / expiry rounds by
         # the invariants and the expire rules that follow.
+        ads = [
+            (advertiser, price, self.ctrs[at]) for advertiser, price, at in ads
+        ]
         advertisers, prices, ctrs = (
             [ad[column] for ad in ads] for column in range(3)
         )
@@ -204,7 +195,7 @@ class BudgetBooksMachine(RuleBasedStateMachine):
         # once each.
         assert self._movers() == _budgeted(advertisers)
         # One queue entry per run of an advertiser's ads dying together.
-        assert len(self.manager._expiry) - queued <= _ctr_runs(ads)
+        assert len(self.manager._expiry) - queued == _expiry_runs(ads)
 
     @rule(
         data=st.data(),
@@ -381,8 +372,8 @@ class BudgetBooksMachine(RuleBasedStateMachine):
         }
 
 
-def _machine_case(decay):
-    machine = type("Machine", (BudgetBooksMachine,), {"decay": decay})
+def _machine_case(**attributes):
+    machine = type("Machine", (BudgetBooksMachine,), attributes)
     case = machine.TestCase
     case.settings = settings(
         max_examples=30, stateful_step_count=40, deadline=None
@@ -390,50 +381,46 @@ def _machine_case(decay):
     return case
 
 
-TestNoDecayBooks = _machine_case(DECAYS["no_decay"])
-TestGeometricBooks = _machine_case(DECAYS["geometric"])
-TestGeometricRatioZeroBooks = _machine_case(DECAYS["geometric_ratio_zero"])
-TestGeometricUnderflowBooks = _machine_case(DECAYS["geometric_underflow"])
-TestExponentialBooks = _machine_case(DECAYS["exponential"])
-TestExponentialUnderflowBooks = _machine_case(DECAYS["exponential_underflow"])
+TestNoDecayBooks = _machine_case(horizon=3)
+# Every live ad dies the round after its display.
+TestHorizonOneBooks = _machine_case(horizon=1)
+# Three displays in four are dead on display.
+TestCtrZeroDisplayBooks = _machine_case(horizon=3, ctrs=(0.0, 0.0, 0.0, 0.5))
 
 
 class TestDeadRound:
-    """``dead_round`` is the first round ``current_ctr`` is zero."""
+    """The round the manager queues an ad to die at is the first round
+    the ledger's snapshot leaves it out."""
 
-    @pytest.mark.parametrize("name", sorted(DECAYS))
-    @pytest.mark.parametrize("base_ctr", (0.0, 0.05, 0.5, 1.0))
+    @pytest.mark.parametrize("horizon", (1, 3, 17))
+    @pytest.mark.parametrize("base_ctr", CTRS)
     @pytest.mark.parametrize("displayed", (0, 5))
-    def test_matches_a_scan_over_rounds(self, name, base_ctr, displayed):
-        decay = DECAYS[name]
-        ad = OutstandingAd(40, base_ctr, displayed)
-        dead = ad.dead_round(decay)
-        for round_index in range(-3, displayed + decay.horizon + 3):
-            assert (ad.current_ctr(decay, round_index) <= 0.0) == (
+    def test_matches_a_scan_over_rounds(self, horizon, base_ctr, displayed):
+        manager = BudgetManager({1: 100}, horizon)
+        manager.record_display(1, 40, base_ctr, displayed)
+        dead = manager.earliest_dead_round
+        ledger = manager._ledgers[1]
+        for round_index in range(-3, displayed + horizon + 3):
+            assert (ledger.snapshot(round_index) == []) == (
                 round_index >= dead
             )
 
     def test_normally_the_horizon(self):
-        assert OutstandingAd(40, 0.5, 7).dead_round(NoDecay(horizon=17)) == 24
-
-    def test_early_deaths(self):
-        ad = OutstandingAd(40, 0.5, 7)
-        assert ad.dead_round(DECAYS["geometric_ratio_zero"]) == 8
-        assert ad.dead_round(DECAYS["geometric_underflow"]) == 9
-        assert ad.dead_round(DECAYS["exponential_underflow"]) == 9
+        manager = BudgetManager({1: 100}, 17)
+        manager.record_display(1, 40, 0.5, 7)
+        assert manager.earliest_dead_round == 24
 
     def test_dead_on_display_is_dead_at_every_round(self):
-        ad = OutstandingAd(40, 0.0, 7)
-        assert ad.dead_round(NoDecay(horizon=17)) == float("-inf")
-        assert OutstandingAd(40, 0.5, 7).dead_round(
-            NoDecay(horizon=0)
-        ) == float("-inf")
+        manager = BudgetManager({1: 100}, 17)
+        manager.record_display(1, 40, 0.0, 7)
+        assert manager.earliest_dead_round == float("-inf")
+        assert manager.expire_outstanding(-5) == 1
 
 
 class TestLedgerOwnership:
     def test_ads_recorded_on_a_ledger_directly_are_never_queued(self):
         # The documented limit of the manager being the only writer.
-        manager = BudgetManager({1: 100}, NoDecay(horizon=2))
+        manager = BudgetManager({1: 100}, 2)
         manager.record_display(1, 10, 0.5, 0)
         manager._ledgers[1].record_display(20, 0.5, 0)
         assert manager.expire_outstanding(5) == 1
@@ -441,7 +428,7 @@ class TestLedgerOwnership:
         assert manager._ledgers[1].prune(5) == 1
 
     def test_settled_ads_are_skipped_when_they_come_due(self):
-        manager = BudgetManager({1: 100}, NoDecay(horizon=2))
+        manager = BudgetManager({1: 100}, 2)
         first = manager.record_display(1, 10, 0.5, 0)
         manager.record_display(1, 20, 0.5, 0)
         manager.settle_click(1, 10, 0, handle=first)

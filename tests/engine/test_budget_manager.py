@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.budgets.outstanding import ExponentialDecay, GeometricDecay, NoDecay
 from repro.budgets.throttle import exact_throttled_bid
 from repro.engine.budget_manager import BudgetManager
 from repro.errors import BudgetError
@@ -92,38 +91,43 @@ class TestUnbudgetedKeepsNoBooks:
         assert manager.drain_book_changes()[0] == []
 
 
-class TestDecayVaries:
-    """``decay_varies`` is the engine's one answer to "may a problem
-    built in one round answer for a later one?"."""
+class TestHorizon:
+    """The one debt model: an ad owes its price with its display CTR
+    for ``horizon`` rounds, and a CTR-0 ad is dead on display."""
 
-    @pytest.mark.parametrize(
-        ("decay", "varies"),
-        [
-            (NoDecay(horizon=3), False),
-            (GeometricDecay(ratio=0.5, horizon=4), True),
-            (ExponentialDecay(rate=0.3, horizon=5), True),
-        ],
-    )
-    def test_only_a_non_decaying_model_holds_still(self, decay, varies):
-        assert BudgetManager({1: 300}, decay).decay_varies is varies
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_horizon_below_one_rejected(self, horizon):
+        with pytest.raises(BudgetError, match="horizon"):
+            BudgetManager({1: 300}, horizon)
 
-    def test_no_decay_problem_holds_across_rounds(self):
-        manager = BudgetManager({1: 300})
+    def test_problem_holds_across_rounds_until_the_horizon(self):
+        manager = BudgetManager({1: 300}, 6)
         manager.record_display(1, 90, 0.7, round_index=0)
-        assert not manager.decay_varies
         early = manager.throttle_problem(1, 120, 3, round_index=0)
         late = manager.throttle_problem(1, 120, 3, round_index=5)
         assert late == early
         assert exact_throttled_bid(late) == exact_throttled_bid(early)
+        assert manager.earliest_dead_round == 6
+        # At the horizon the ad owes nothing, expired or not.
+        assert manager.throttle_problem(1, 120, 3, 6).outstanding == ()
 
-    def test_varying_decay_moves_the_bid_across_rounds(self):
-        manager = BudgetManager({1: 200}, GeometricDecay(ratio=0.5, horizon=32))
-        manager.record_display(1, 90, 0.8, round_index=0)
-        assert manager.decay_varies
-        # The same books, no event between: only the round differs.
-        early = manager.throttle_problem(1, 120, 3, round_index=0)
-        late = manager.throttle_problem(1, 120, 3, round_index=3)
-        assert exact_throttled_bid(early) != exact_throttled_bid(late)
+    def test_ctr_zero_display_is_dead_on_display(self):
+        manager = BudgetManager({1: 300}, 4)
+        handles = manager.record_displays(
+            [1, 1, 1], [50, 60, 70], [0.5, 0.0, 0.5], round_index=2
+        )
+        assert handles == [0, 1, 2]
+        # The dead ad splits the advertiser's batch into three runs.
+        assert len(manager._expiry) == 3
+        assert manager.earliest_dead_round == float("-inf")
+        assert manager.throttle_problem(1, 100, 1, 2).outstanding == (
+            (50, 0.5), (70, 0.5),
+        )
+        assert manager.expire_outstanding_by_advertiser(2) == {1: 1}
+        assert manager.liability_cents(1) == 120
+        assert manager.earliest_dead_round == 6
+        assert manager.expire_outstanding(6) == 2
+        assert manager.debt_carriers == set()
 
 
 class TestOutstanding:
@@ -134,8 +138,8 @@ class TestOutstanding:
         manager.settle_click(1, 40, display_round=3, handle=handle)
         assert manager.outstanding_counts() == {}
 
-    def test_expire_outstanding_uses_decay(self):
-        manager = BudgetManager({1: 100}, GeometricDecay(ratio=0.5, horizon=2))
+    def test_expire_outstanding_at_the_horizon(self):
+        manager = BudgetManager({1: 100}, 2)
         manager.record_display(1, 40, 0.5, round_index=0)
         assert manager.expire_outstanding(1) == 0
         assert manager.expire_outstanding(2) == 1

@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.advertiser import Advertiser
 from repro.engine.click_model import DelayedClickModel
+from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidAuctionError
+from repro.reference import ReferenceEngine
+
+EITHER_ENGINE = pytest.mark.parametrize(
+    "build", (ReferenceEngine, SharedAuctionEngine), ids=("reference", "engine")
+)
 
 
 def model(mean=1.0, horizon=8, seed=0):
@@ -28,6 +35,48 @@ class TestValidation:
     def test_bad_ctr_rejected(self):
         with pytest.raises(InvalidAuctionError):
             model().record_display(1, 10, 1.5, 0)
+
+    @pytest.mark.parametrize("mean", (float("nan"), float("inf")))
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(InvalidAuctionError, match="finite"):
+            model(mean=mean)
+
+    @pytest.mark.parametrize("horizon", (2.5, 4.0, True, "4"))
+    def test_non_int_horizon_rejected(self, horizon):
+        with pytest.raises(InvalidAuctionError, match="must be an int"):
+            model(horizon=horizon)
+
+
+def _engine(build, **kwargs):
+    advertisers = [
+        Advertiser(1, 1.0, 0.5, 5.0, {"shoes"}),
+        Advertiser(2, 0.8, 0.6, 5.0, {"shoes"}),
+    ]
+    return build(advertisers, [0.5], {"shoes": 1.0}, seed=1, **kwargs)
+
+
+class TestEnginesRefuseBadClickParameters:
+    """Both engines hand their click parameters to the click model at
+    construction: a bad one stops the engine before any round."""
+
+    @EITHER_ENGINE
+    @pytest.mark.parametrize("mean", (float("nan"), float("inf"), -1.0))
+    def test_bad_mean_delay(self, build, mean):
+        with pytest.raises(InvalidAuctionError, match="mean delay"):
+            _engine(build, mean_click_delay_rounds=mean)
+
+    @EITHER_ENGINE
+    @pytest.mark.parametrize("horizon", (2.5, 16.0, True, 0))
+    def test_bad_click_horizon(self, build, horizon):
+        with pytest.raises(InvalidAuctionError, match="click horizon"):
+            _engine(build, click_horizon_rounds=horizon)
+
+    @EITHER_ENGINE
+    def test_good_parameters_run(self, build):
+        engine = _engine(
+            build, mean_click_delay_rounds=0.0, click_horizon_rounds=1
+        )
+        assert engine.run(5).displays == 5
 
 
 class TestSampling:

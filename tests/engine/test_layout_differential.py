@@ -22,6 +22,7 @@ through ``SharedAuctionEngine(..., layout="object")``.
 
 from __future__ import annotations
 
+import inspect
 import random
 
 import numpy as np
@@ -402,6 +403,18 @@ class TestTheLayoutSeam:
         engine = self._engine(mode="shared-sort", layout="object", seed=4)
         assert type(engine) is ReferenceEngine
         assert engine.mode == "shared-sort"
+
+    def test_both_constructors_take_the_same_parameters(self):
+        # The seam binds the engine's signature and hands every argument
+        # on by name: a parameter only one class takes would fail there.
+        def parameters(cls):
+            return [
+                (p.name, p.kind, p.default)
+                for p in inspect.signature(cls.__init__).parameters.values()
+                if p.name not in ("exec_cache", "collector", "layout")
+            ]
+
+        assert parameters(SharedAuctionEngine) == parameters(ReferenceEngine)
 
     def test_columnar_is_the_engine(self):
         assert type(self._engine(layout="columnar")) is SharedAuctionEngine

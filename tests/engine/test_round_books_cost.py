@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from repro.budgets.outstanding import NoDecay, OutstandingLedger
+from repro.budgets.outstanding import OutstandingLedger
 from repro.core.advertiser import Advertiser
 from repro.engine import budget_manager
 from repro.engine.budget_manager import BudgetManager
@@ -57,7 +57,7 @@ class TestOneRoundOneBooking:
         return _displays(200, 20)
 
     def test_200_displays_over_20_advertisers(self):
-        manager = BudgetManager(_budgeted(20), NoDecay(horizon=17))
+        manager = BudgetManager(_budgeted(20), 17)
         advertisers, prices, ctrs = self._round()
         handles = manager.record_displays(advertisers, prices, ctrs, 4)
         assert len(handles) == 200
@@ -74,7 +74,7 @@ class TestOneRoundOneBooking:
         assert not manager._expiry and not manager.debt_carriers
 
     def test_handles_name_the_ads_of_the_batch_in_order(self):
-        manager = BudgetManager(_budgeted(20), NoDecay(horizon=17))
+        manager = BudgetManager(_budgeted(20), 17)
         advertisers, prices, ctrs = self._round()
         handles = manager.record_displays(advertisers, prices, ctrs, 4)
         for advertiser in range(20):
@@ -91,7 +91,7 @@ class TestOneRoundOneBooking:
             ] == mine
 
     def test_a_tick_of_clicks_is_one_mover_per_payer(self):
-        manager = BudgetManager({1: 150, 2: 1_000}, NoDecay(horizon=17))
+        manager = BudgetManager({1: 150, 2: 1_000}, 17)
         handles = manager.record_displays(
             [1, 2, 1, 1], [100, 40, 100, 100], [0.5] * 4, 0
         )
@@ -137,7 +137,7 @@ class TestUnbudgetedRoundBooksNothing:
         return calls, pushed
 
     def _session(self, budgets):
-        manager = BudgetManager(budgets, NoDecay(horizon=17))
+        manager = BudgetManager(budgets, 17)
         advertisers, prices, ctrs = _displays(720, 60)
         handles = manager.record_displays(advertisers, prices, ctrs, 4)
         clicks = list(zip(advertisers, prices, [4] * 720, handles))[::3]

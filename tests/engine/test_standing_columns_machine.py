@@ -10,8 +10,11 @@ time.  A hypothesis machine drives one engine through arbitrary
 interleavings of multi-phrase rounds (so ``m > 1``, and ``m·cap > β``
 with an empty ledger, occur), served queries and out-of-round flushes,
 on a market of tight, exhausted, ample and unlimited budgets -- the
-unlimited ones keep no books at all (DESIGN section 17) -- under the six
-decay configurations of ``test_budget_books_machine.py``.  The check
+unlimited ones keep no books at all (DESIGN section 17) -- at the
+engine's own ledger horizon, at horizons shorter than the click horizon
+(ads die while their clicks are still on the way; at a horizon of one,
+the round after their display) and with a CTR-0 second slot (its ads are
+dead on display).  The check
 runs where it is exact -- between stage 2 and stage 3, when the books
 are as scoring saw them -- and compares every row of every column with
 a from-scratch recomputation and the stage's output with the old
@@ -20,7 +23,7 @@ formula, bit for bit.
 The same checkpoint holds the kept Section IV throttle problems (DESIGN
 section 22) to the books: each equals the problem the budget manager
 would build now, a standing ``min(β, S_l)`` array is the array of that
-fresh problem, and under a decaying model nothing is kept at all.
+fresh problem.
 """
 
 from __future__ import annotations
@@ -36,15 +39,13 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.budgets.outstanding import NoDecay
 from repro.budgets import throttle as throttle_kernel
 from repro.budgets.throttle import exact_throttled_bid, min_beta_s_array
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import UNBUDGETED_CENTS
 from repro.engine import pipeline
+from repro.engine.budget_manager import BudgetManager
 from repro.engine.pipeline import SharedAuctionEngine
-
-from .test_budget_books_machine import DECAYS
 
 PHRASES = ("p0", "p1", "p2", "p3")
 EVERYWHERE = frozenset(PHRASES)
@@ -128,7 +129,10 @@ def _score_as_stage_two_used_to(engine, advertiser_id, row, m, round_index):
 class StandingColumnsMachine(RuleBasedStateMachine):
     """One engine, checked against the books at every scoring stage."""
 
-    decay = NoDecay(horizon=3)
+    horizon = None
+    """The ledger horizon; ``None`` keeps the engine's own,
+    ``click_horizon_rounds + 1``."""
+    slot_factors = (0.9, 0.6)
 
     @initialize(
         mode=st.sampled_from(("unshared", "shared", "shared-sort")),
@@ -164,16 +168,21 @@ class StandingColumnsMachine(RuleBasedStateMachine):
         throttle_kernel._ARRAY_AD_OVERHEAD = array_ad_overhead
         self.engine = engine = SharedAuctionEngine(
             ADVERTISERS,
-            [0.9, 0.6],
+            self.slot_factors,
             {phrase: 0.5 for phrase in PHRASES},
             mode=mode,
             throttle=throttle,
             exec_cache=exec_cache and mode == "shared",
-            decay=self.decay,
             mean_click_delay_rounds=1.0,
             click_horizon_rounds=4,
             seed=seed,
         )
+        if self.horizon is not None:
+            # Fresh books, nothing booked yet: the standing columns
+            # built from the store are theirs too.
+            engine.budget_manager = BudgetManager(
+                engine.budget_manager._budgets, self.horizon
+            )
         self.stages_checked = 0
         # Exact scorings stage 2 answered off a kept problem: those it
         # reported less the problems it had the manager build.
@@ -232,8 +241,6 @@ class StandingColumnsMachine(RuleBasedStateMachine):
         manager = engine.budget_manager
         store = engine._store
         kept = engine._standing_problems
-        if manager.decay_varies:
-            assert not kept
         for advertiser_id, problem in kept.items():
             row = store.row_of(advertiser_id)
             # Kept problems fail the O(1) quick test when they occur, so
@@ -323,8 +330,8 @@ class StandingColumnsMachine(RuleBasedStateMachine):
             throttle_kernel._ARRAY_AD_OVERHEAD = self.array_ad_overhead
 
 
-def _machine_case(decay):
-    machine = type("Machine", (StandingColumnsMachine,), {"decay": decay})
+def _machine_case(**attributes):
+    machine = type("Machine", (StandingColumnsMachine,), attributes)
     case = machine.TestCase
     case.settings = settings(
         max_examples=25, stateful_step_count=30, deadline=None
@@ -332,14 +339,12 @@ def _machine_case(decay):
     return case
 
 
-TestNoDecayColumns = _machine_case(DECAYS["no_decay"])
-TestGeometricColumns = _machine_case(DECAYS["geometric"])
-TestGeometricRatioZeroColumns = _machine_case(DECAYS["geometric_ratio_zero"])
-TestGeometricUnderflowColumns = _machine_case(DECAYS["geometric_underflow"])
-TestExponentialColumns = _machine_case(DECAYS["exponential"])
-TestExponentialUnderflowColumns = _machine_case(
-    DECAYS["exponential_underflow"]
-)
+TestNoDecayColumns = _machine_case()
+# Ads die before their clicks can arrive: settlements meet expired ones.
+TestShortHorizonColumns = _machine_case(horizon=3)
+TestHorizonOneColumns = _machine_case(horizon=1)
+# Every ad shown in the second slot is dead on display.
+TestCtrZeroSlotColumns = _machine_case(slot_factors=(0.9, 0.0))
 
 
 class TestTheMarketIsHard:
@@ -377,7 +382,7 @@ class TestTheMarketIsHard:
     def test_a_no_decay_run_answers_carriers_from_kept_problems(self):
         # The machine's own checks, driven by hand: without this the
         # kept-problem assertions could pass on an always-empty dict.
-        machine = StandingColumnsMachine()  # decay = NoDecay(horizon=3)
+        machine = StandingColumnsMachine()  # the engine's own horizon
         machine.build(
             mode="unshared", throttle=True, exec_cache=False,
             array_sync_from=pipeline.BOOK_SYNC_ARRAY_MIN_MOVERS,
@@ -391,6 +396,53 @@ class TestTheMarketIsHard:
             assert machine.stages_checked == 48
             assert machine.answered_from_kept >= 1
             assert machine.kept_arrays_checked >= 1
+        finally:
+            machine.teardown()
+
+    @pytest.mark.parametrize(
+        "attributes",
+        ({"horizon": 3}, {"horizon": 1}, {"slot_factors": (0.9, 0.0)}),
+        ids=("short_horizon", "horizon_one", "ctr_zero_slot"),
+    )
+    def test_each_case_reaches_an_early_death(self, attributes):
+        # Without this the short-horizon and CTR-0 cases could run the
+        # books of the engine's own horizon and pass.
+        machine = type("Machine", (StandingColumnsMachine,), attributes)()
+        machine.build(
+            mode="unshared", throttle=True, exec_cache=False,
+            array_sync_from=pipeline.BOOK_SYNC_ARRAY_MIN_MOVERS,
+            array_ad_overhead=0, seed=5,
+        )
+        manager = machine.engine.budget_manager
+        settle, book = manager.settle_clicks, manager.record_displays
+        early = []
+
+        def spying_settle(clicks):
+            clicks = list(clicks)
+            early.extend(
+                handle
+                for advertiser_id, _, _, handle in clicks
+                if advertiser_id in manager._ledgers
+                and not manager._ledgers[advertiser_id].has_handle(handle)
+            )
+            return settle(clicks)
+
+        def spying_book(ids, prices, ctrs, round_index):
+            early.extend(
+                ctr for i, ctr in zip(ids, ctrs)
+                if ctr == 0.0 and i in manager._budgets
+            )
+            return book(ids, prices, ctrs, round_index)
+
+        manager.settle_clicks, manager.record_displays = (
+            spying_settle, spying_book,
+        )
+        try:
+            for step in range(12):
+                machine.run_round({PHRASES[step % 4], PHRASES[(step + 1) % 4]})
+                machine.serve_query(PHRASES[(step + 2) % 4])
+            assert machine.stages_checked == 24
+            assert early
         finally:
             machine.teardown()
 

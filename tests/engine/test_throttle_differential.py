@@ -8,17 +8,16 @@ markets, the engine in every mode must produce bit-identical winners,
 prices, clicks, and budget trajectories to
 :class:`repro.reference.ReferenceEngine`'s unshared scan with its
 per-round exact throttle -- the oracle -- on both the batch path
-(``run_round``) and the serving path (``serve_query``).  Decaying debt,
-which no kept problem may answer for, faces the same oracle; the
-engine's ``throttle.exact_fallbacks`` must count the reference's exact
-``b̂`` whose DP really ran.
+(``run_round``) and the serving path (``serve_query``).  Short click
+horizons, whose expiries take kept problems away every round or two,
+face the same oracle; the engine's ``throttle.exact_fallbacks`` must
+count the reference's exact ``b̂`` whose DP really ran.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.budgets.outstanding import ExponentialDecay, GeometricDecay
 from repro.engine import SharedAuctionEngine
 from repro.engine.budget_manager import BudgetManager
 from repro.instrument import MetricsCollector, names
@@ -148,47 +147,52 @@ class TestColumnarAcrossModes:
         assert columnar == exact
 
 
-DECAYS = {
-    "geometric": GeometricDecay(ratio=0.7, horizon=8),
-    "exponential": ExponentialDecay(rate=0.3, horizon=8),
-}
+SHORT_HORIZONS = {"horizon_two": 1, "horizon_four": 3}
+"""Click horizons whose ledgers (horizon + 1 rounds) expire ads while
+the six rounds run."""
 
 
-class TestDecayingDebtDifferential:
-    """Under a decaying model every carrier's debt re-weighs each round,
-    so no kept problem may answer for a later round: the engine must
-    still match the reference while it rebuilds."""
+class TestShortHorizonDebtDifferential:
+    """Ads that die within a round or three of their display take each
+    carrier's kept problem away as they expire: the engine must still
+    match the reference while it rebuilds."""
 
     @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("decay", sorted(DECAYS))
-    def test_columnar_modes_match_object_oracle(self, decay, seed):
+    @pytest.mark.parametrize("horizon", sorted(SHORT_HORIZONS))
+    def test_columnar_modes_match_object_oracle(self, horizon, seed):
         market = tight_market(seed)
-        model = DECAYS[decay]
-        oracle = make_engine(market, seed, decay=model)
+        rounds = SHORT_HORIZONS[horizon]
+        oracle = make_engine(market, seed, click_horizon_rounds=rounds)
         report = oracle.run(BATCH_ROUNDS)
-        # Not vacuous: debt was on the books when bids were scored.
+        # Not vacuous: debt was on the books when bids were scored, and
+        # ads expired under it.
         assert report.debt_carriers_scored > 0
-        baseline = batch_outcome(market, seed, decay=model)
+        assert report.expired_ads > 0
+        baseline = batch_outcome(market, seed, click_horizon_rounds=rounds)
         for label, config in COLUMNAR_VARIANTS:
-            assert batch_outcome(market, seed, decay=model, **config) == (
-                baseline
-            ), f"{label} diverged from the reference ({decay}, seed {seed})"
+            assert batch_outcome(
+                market, seed, click_horizon_rounds=rounds, **config
+            ) == baseline, (
+                f"{label} diverged from the reference ({horizon}, seed {seed})"
+            )
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("decay", sorted(DECAYS))
-    def test_columnar_modes_match_object_oracle_per_query(self, decay, seed):
+    @pytest.mark.parametrize("horizon", sorted(SHORT_HORIZONS))
+    def test_columnar_modes_match_object_oracle_per_query(self, horizon, seed):
         market = tight_market(seed)
-        model = DECAYS[decay]
+        rounds = SHORT_HORIZONS[horizon]
         traffic = TrafficGenerator.from_search_rates(
             market.search_rates, rate_qps=100.0, zipf_exponent=1.2, seed=seed
         )
         arrivals = traffic.take(SERVING_QUERIES)
-        baseline = serving_outcome(market, arrivals, seed, decay=model)
+        baseline = serving_outcome(
+            market, arrivals, seed, click_horizon_rounds=rounds
+        )
         for label, config in COLUMNAR_VARIANTS:
             assert serving_outcome(
-                market, arrivals, seed, decay=model, **config
+                market, arrivals, seed, click_horizon_rounds=rounds, **config
             ) == baseline, (
-                f"{label} diverged from the reference ({decay}, seed {seed})"
+                f"{label} diverged from the reference ({horizon}, seed {seed})"
             )
 
 
@@ -264,14 +268,17 @@ class TestExactFallbackAccounting:
         assert report.debt_carriers_scored == 0
 
 
-class TestDecayVariesIsReadFromTheManager:
-    """Stage 2 asks ``BudgetManager.decay_varies``; the engine keeps no
-    copy of its own."""
+class TestKeepingIsReadFromTheManager:
+    """Stage 2 keeps a throttle problem only for a round before
+    ``BudgetManager.earliest_dead_round``; the engine keeps no copy of
+    its own."""
 
     @pytest.fixture
-    def decay_varies(self, monkeypatch):
+    def an_ad_is_always_due(self, monkeypatch):
         monkeypatch.setattr(
-            BudgetManager, "decay_varies", property(lambda self: True)
+            BudgetManager,
+            "earliest_dead_round",
+            property(lambda self: float("-inf")),
         )
 
     def _columnar_engine(self):
@@ -279,13 +286,22 @@ class TestDecayVariesIsReadFromTheManager:
         engine = make_engine(market, 3, reference=False)
         return engine, engine.run(BATCH_ROUNDS)
 
-    def test_no_decay_keeps_problems(self):
+    def test_nothing_due_keeps_problems(self):
         engine, _ = self._columnar_engine()
         assert engine._standing_problems
 
-    def test_stage_two_keeps_nothing_when_the_manager_says_decay_varies(
-        self, decay_varies
+    def test_stage_two_keeps_nothing_while_an_ad_is_due(
+        self, an_ad_is_always_due
     ):
         engine, report = self._columnar_engine()
         assert report.debt_carriers_scored > 0
         assert not engine._standing_problems
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_keeping_nothing_changes_no_outcome(
+        self, seed, an_ad_is_always_due
+    ):
+        market = tight_market(seed)
+        assert batch_outcome(market, seed, reference=False) == (
+            batch_outcome(market, seed)
+        )

@@ -141,6 +141,16 @@ class TestValidation:
         with pytest.raises(WorkloadError, match="exponent"):
             TrafficGenerator(PHRASES, 1.0, zipf_exponent=-0.5)
 
+    @pytest.mark.parametrize("rate", (float("nan"), float("inf")))
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(WorkloadError, match="finite"):
+            TrafficGenerator(PHRASES, rate)
+
+    @pytest.mark.parametrize("exponent", (float("nan"), float("inf")))
+    def test_rejects_non_finite_exponent(self, exponent):
+        with pytest.raises(WorkloadError, match="finite"):
+            TrafficGenerator(PHRASES, 1.0, zipf_exponent=exponent)
+
     def test_rejects_negative_take(self):
         with pytest.raises(WorkloadError, match="count"):
             TrafficGenerator(PHRASES, 1.0).take(-1)

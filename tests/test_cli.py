@@ -56,6 +56,39 @@ class TestParser:
         assert raised.value.code == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fig4", "--seeds", "0"], "must be positive"),
+            (["fig4", "--seeds", "-1"], "must be positive"),
+            (["gaming", "--rounds", "-3"], "must be positive"),
+            (["gaming", "--rounds", "0"], "must be positive"),
+            (["gaming", "--delay", "-2"], "must be >= 0"),
+            (["shoes", "--general", "-1"], "must be >= 0"),
+            (["shoes", "--sports", "-1"], "must be >= 0"),
+            (["shoes", "--fashion", "-1"], "must be >= 0"),
+            (
+                ["shoes", "--general", "0", "--fashion", "0"],
+                "both queries need a store",
+            ),
+            (["engine", "--serve", "--arrival-rate", "nan"], "finite"),
+            (["engine", "--serve", "--arrival-rate", "inf"], "finite"),
+            (["engine", "--serve", "--arrival-rate", "0"], "finite"),
+            (["engine", "--serve", "--zipf-exponent", "nan"], "finite"),
+            (["engine", "--serve", "--zipf-exponent", "-1"], "finite"),
+        ],
+    )
+    def test_bad_count_or_rate_is_a_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_is_a_count_where_it_means_something(self, capsys):
+        assert main(["gaming", "--rounds", "5", "--delay", "0"]) == 0
+        assert main(["shoes", "--general", "0"]) == 0
+        assert "scans" in capsys.readouterr().out
+
 
 class TestCommands:
     def test_example(self, capsys):

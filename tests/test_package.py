@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
 
 import repro
 from repro import errors
+from repro.engine import SharedAuctionEngine
+from repro.reference import ReferenceEngine
 
 PACKAGES = [
     "repro",
@@ -82,6 +85,54 @@ class TestRemovedSurface:
         package = importlib.import_module(package_name)
         assert name not in getattr(package, "__all__", [])
         assert not hasattr(package, name)
+
+
+class TestNoDecayFamily:
+    """One debt model (DESIGN.md section 17): an outstanding ad keeps
+    its display CTR until the horizon.  The pluggable click-decay
+    family, its per-ad accessors and the engines' ``decay`` knob are
+    gone."""
+
+    @pytest.mark.parametrize(
+        "module_name", ["repro.budgets", "repro.budgets.outstanding"]
+    )
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "ClickDecayModel",
+            "NoDecay",
+            "GeometricDecay",
+            "ExponentialDecay",
+            "dead_elapsed",
+        ],
+    )
+    def test_the_name_is_gone(self, module_name, name):
+        module = importlib.import_module(module_name)
+        assert name not in getattr(module, "__all__", [])
+        assert not hasattr(module, name)
+
+    @pytest.mark.parametrize(
+        "module_name,owner,name",
+        [
+            ("repro.budgets.outstanding", "OutstandingAd", "current_ctr"),
+            ("repro.budgets.outstanding", "OutstandingAd", "dead_round"),
+            ("repro.budgets.outstanding", "OutstandingLedger", "decay"),
+            ("repro.engine.budget_manager", "BudgetManager", "decay_varies"),
+            ("repro.engine.budget_manager", "", "_DEAD_AFTER_MEMO"),
+        ],
+    )
+    def test_the_attribute_is_gone(self, module_name, owner, name):
+        target = importlib.import_module(module_name)
+        if owner:
+            target = getattr(target, owner)
+        assert not hasattr(target, name)
+
+    @pytest.mark.parametrize(
+        "engine", [SharedAuctionEngine, ReferenceEngine],
+        ids=["engine", "reference"],
+    )
+    def test_no_engine_takes_decay(self, engine):
+        assert "decay" not in inspect.signature(engine.__init__).parameters
 
 
 class TestErrors:
