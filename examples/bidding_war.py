@@ -4,8 +4,10 @@ Section II-C motivates per-round plan re-evaluation with advertisers who
 "are constantly updating their bids using ... automated bidding
 programs" -- staying in a slot, staying above a competitor, pacing a
 budget.  This example runs those strategies against each other on one
-phrase: the shared plan is built once, and every round re-binds the
-fresh bids.
+phrase of a :class:`repro.engine.SharedAuctionEngine`: the shared plan
+is built once, every round the strategies post fresh bids through
+``set_bids``, and spend is what the engine settled for clicks under
+generalized second pricing.
 
 Run:  python examples/bidding_war.py
 """

@@ -1,27 +1,27 @@
 """Running bidding strategies against the shared auction engine.
 
 :class:`BiddingWar` wires strategies to advertisers on a single phrase
-and replays rounds: each round the engine resolves the auction on the
-*current* bids through a shared plan (bids change, the plan does not --
-exactly the paper's setting), then every strategy observes the outcome
-and posts its next bid.
+and replays rounds through :class:`repro.engine.SharedAuctionEngine`
+(shared plan, exec cache): each round the engine resolves the auction
+on the *current* bids -- bids change, the plan does not, exactly the
+paper's setting -- then every strategy observes the outcome and posts
+its next bid through :meth:`SharedAuctionEngine.set_bids`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.bidding.strategies import BiddingStrategy, RoundObservation
 from repro.core.advertiser import Advertiser
-from repro.core.ctr import SeparableCTRModel
-from repro.core.topk import ScoredAdvertiser, top_k_scan
+from repro.core.money import dollars_to_cents
+from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidAuctionError
-from repro.plans.executor import PlanExecutor
-from repro.plans.greedy_planner import greedy_shared_plan
-from repro.plans.instance import AggregateQuery, SharedAggregationInstance
 
 __all__ = ["BidTrace", "BiddingWar"]
+
+PHRASE = "war"
 
 
 @dataclass
@@ -29,9 +29,9 @@ class BidTrace:
     """Per-advertiser time series collected by a bidding war.
 
     Attributes:
-        bids: Bid used each round.
-        slots: Slot won each round (``None`` when losing).
-        spend: Cumulative expected spend (price x CTR accrual).
+        bids: Bid the engine ran each round (whole cents, in dollars).
+        slots: Slot won each round (``None`` when not shown).
+        spend: Cumulative settled spend in dollars after each round.
     """
 
     bids: List[float] = field(default_factory=list)
@@ -44,15 +44,19 @@ class BiddingWar:
 
     Args:
         strategies: ``{advertiser_id: strategy}``.
-        initial_bids: Starting bid per advertiser.
+        initial_bids: Starting bid per advertiser, in dollars.
         ctr_factors: ``c_i`` per advertiser.
         slot_factors: The page's slot factors (defines ``k``).
         rounds: Number of rounds the war will run (strategies use it for
             pacing).
 
-    The war charges *expected* first-price spend (``bid x ctr`` per win)
-    rather than simulating clicks: bid dynamics are the object of study
-    here and click noise would only obscure them.
+    The auction is the engine's: generalized second pricing and a click
+    drawn per shown ad.  No advertiser has a budget in the engine --
+    pacing is a strategy here -- and a round's clicks settle before the
+    strategies re-bid.  Every bid, the opening ones too, goes through
+    :func:`repro.core.money.dollars_to_cents` and ``set_bids``, so a
+    negative, NaN, infinite or too large one raises
+    :class:`InvalidAuctionError`.
     """
 
     def __init__(
@@ -73,67 +77,54 @@ class BiddingWar:
         if rounds <= 0:
             raise InvalidAuctionError("a bidding war needs at least one round")
         self.strategies = dict(strategies)
-        self.bids: Dict[int, float] = {
-            advertiser_id: float(bid) for advertiser_id, bid in initial_bids.items()
-        }
-        self.model = SeparableCTRModel(dict(ctr_factors), slot_factors)
         self.rounds = rounds
-        self.traces: Dict[int, BidTrace] = {
-            advertiser_id: BidTrace() for advertiser_id in strategies
-        }
-        self._spend: Dict[int, float] = {a: 0.0 for a in strategies}
-        # One-phrase instance so the war exercises the shared machinery
-        # end to end (plan built once, bids re-bound every round).
-        instance = SharedAggregationInstance(
-            [AggregateQuery("war", list(strategies), 1.0)]
+        self.traces = {advertiser_id: BidTrace() for advertiser_id in strategies}
+        # Built at bid 0: the opening bids are posted like every later one.
+        self.engine = SharedAuctionEngine(
+            [
+                Advertiser(i, 0.0, ctr_factors[i], phrases=frozenset({PHRASE}))
+                for i in sorted(strategies)
+            ],
+            slot_factors,
+            {PHRASE: 1.0},
+            exec_cache=True,
+            mean_click_delay_rounds=0.0,
         )
-        self._executor = PlanExecutor(
-            greedy_shared_plan(instance), self.model.num_slots
-        )
+        self._post(initial_bids)
+
+    def _post(self, bids: Mapping[int, float]) -> None:
+        """Hand every advertiser's next bid to the engine; ``self.bids``
+        keeps the bids it holds (whole cents)."""
+        ids = sorted(bids)
+        cents = [dollars_to_cents(bids[i]) for i in ids]
+        self.engine.set_bids(ids, cents)
+        self.bids = {i: bid / 100.0 for i, bid in zip(ids, cents)}
 
     def run(self) -> Dict[int, BidTrace]:
         """Run all rounds; returns the per-advertiser traces."""
-        k = self.model.num_slots
+        books = self.engine.budget_manager
         for round_index in range(self.rounds):
-            scores = {
-                advertiser_id: bid
-                * self.model.advertiser_factor(advertiser_id)
-                for advertiser_id, bid in self.bids.items()
-            }
-            ranking = self._executor.run_round(scores).answers["war"]
-            slot_of: Dict[int, int] = {
-                entry.advertiser_id: slot
-                for slot, entry in enumerate(ranking.entries[:k])
-            }
-            for advertiser_id, strategy in self.strategies.items():
-                slot = slot_of.get(advertiser_id)
-                if slot is not None:
-                    ctr = self.model.ctr(advertiser_id, slot)
-                    self._spend[advertiser_id] += (
-                        self.bids[advertiser_id] * ctr
-                    )
-                trace = self.traces[advertiser_id]
-                trace.bids.append(self.bids[advertiser_id])
-                trace.slots.append(slot)
-                trace.spend.append(self._spend[advertiser_id])
+            shown = self.engine.run_round([PHRASE]).allocations[PHRASE]
+            self.engine.settle_remaining_clicks()
+            ranking = tuple(advertiser_id for _, advertiser_id, _ in shown)
+            slot_of = {advertiser_id: slot for slot, advertiser_id, _ in shown}
             # Strategies observe and re-bid (the "rapidly changing
             # variables" of Section II-C).
             new_bids: Dict[int, float] = {}
             for advertiser_id, strategy in self.strategies.items():
-                observation = RoundObservation(
-                    round_index=round_index,
-                    my_slot=slot_of.get(advertiser_id),
-                    ranking=ranking.advertiser_ids(),
-                    my_bid=self.bids[advertiser_id],
-                    my_spend=self._spend[advertiser_id],
-                    rounds_remaining=self.rounds - round_index - 1,
-                )
-                bid = strategy.next_bid(observation)
-                if bid < 0.0:
-                    raise InvalidAuctionError(
-                        f"strategy for advertiser {advertiser_id} returned a "
-                        f"negative bid {bid}"
+                trace = self.traces[advertiser_id]
+                trace.bids.append(self.bids[advertiser_id])
+                trace.slots.append(slot_of.get(advertiser_id))
+                trace.spend.append(books.spent_cents(advertiser_id) / 100.0)
+                new_bids[advertiser_id] = strategy.next_bid(
+                    RoundObservation(
+                        round_index=round_index,
+                        my_slot=trace.slots[-1],
+                        ranking=ranking,
+                        my_bid=trace.bids[-1],
+                        my_spend=trace.spend[-1],
+                        rounds_remaining=self.rounds - round_index - 1,
                     )
-                new_bids[advertiser_id] = bid
-            self.bids = new_bids
+                )
+            self._post(new_bids)
         return self.traces

@@ -31,8 +31,8 @@ class RoundObservation:
     Attributes:
         round_index: The round just resolved.
         my_slot: Slot the advertiser won (0-indexed), or ``None``.
-        ranking: The public ranking for the phrase: advertiser ids in
-            score order (may be truncated to what the page shows).
+        ranking: The public ranking for the phrase: the ids of the ads
+            the page showed, in slot order.
         my_bid: The bid the advertiser used this round.
         my_spend: Cumulative settled spend.
         rounds_remaining: Rounds left in the day, for pacing.

@@ -15,6 +15,7 @@ exact.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -24,6 +25,7 @@ __all__ = [
     "OutstandingAd",
     "OutstandingLedger",
     "check_displays",
+    "check_horizon",
 ]
 
 
@@ -53,6 +55,15 @@ class OutstandingAd:
             raise BudgetError(f"price must be non-negative, got {self.price_cents}")
         if not 0.0 <= self.base_ctr <= 1.0:
             raise BudgetError(f"CTR must be in [0, 1], got {self.base_ctr}")
+
+
+def check_horizon(horizon: int) -> None:
+    """Raise :class:`BudgetError` unless ``horizon`` is an int (not a
+    ``bool``) of at least 1."""
+    if isinstance(horizon, bool) or not isinstance(horizon, numbers.Integral):
+        raise BudgetError(f"horizon must be an int, got {horizon!r}")
+    if horizon < 1:
+        raise BudgetError(f"horizon must be at least 1, got {horizon}")
 
 
 def check_displays(prices_cents: Sequence[int], ctrs: Sequence[float]) -> None:
@@ -109,12 +120,11 @@ class OutstandingLedger:
         horizon: Rounds an ad stays alive after its display.
 
     Raises:
-        BudgetError: On a horizon below 1.
+        BudgetError: On a horizon that is not an int of at least 1.
     """
 
     def __init__(self, horizon: int = 1_000_000) -> None:
-        if horizon < 1:
-            raise BudgetError(f"horizon must be at least 1, got {horizon}")
+        check_horizon(horizon)
         self.horizon = horizon
         self._ads: Dict[int, Tuple[int, float, int]] = {}
         self._next_handle = 0

@@ -182,12 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     plan.add_argument("--output", help="write the plan JSON here")
-    plan.add_argument(
-        "--planner",
-        choices=["lazy", "naive"],
-        default="lazy",
-        help="greedy completion engine (both produce identical plans)",
-    )
     return parser
 
 
@@ -421,7 +415,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan(spec_path: str, output: Optional[str], planner: str = "lazy") -> int:
+def _cmd_plan(spec_path: str, output: Optional[str]) -> int:
     from repro.plans.greedy_planner import greedy_shared_plan
     from repro.plans.cost import expected_plan_cost
     from repro.plans.instance import SharedAggregationInstance
@@ -436,7 +430,7 @@ def _cmd_plan(spec_path: str, output: Optional[str], planner: str = "lazy") -> i
     instance = SharedAggregationInstance.from_sets(
         spec["queries"], spec.get("search_rates", 1.0)
     )
-    plan = greedy_shared_plan(instance, planner=planner)
+    plan = greedy_shared_plan(instance)
     serialized = dumps(plan)
     if output:
         with open(output, "w") as handle:
@@ -474,5 +468,5 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "engine":
         return _cmd_engine(args)
     if args.command == "plan":
-        return _cmd_plan(args.spec, args.output, args.planner)
+        return _cmd_plan(args.spec, args.output)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -5,7 +5,7 @@ instances are the dominant cost under the cached hot paths (ROADMAP
 item 2): every round the engine re-reads ``bid`` / ``ctr_factor`` /
 ``daily_budget`` attribute-by-attribute, advertiser-by-advertiser.
 :class:`ColumnarStore` transposes the population once into numpy columns
--- advertiser ids, bid cents, bids, CTR factors, budget cents -- plus
+-- advertiser ids, bid cents, CTR factors, budget cents -- plus
 per-phrase membership (row-index arrays and packed bitmaps), so the hot
 kernels become whole-array operations:
 
@@ -22,10 +22,10 @@ kernels become whole-array operations:
 
 The population is fixed for the store's life (the paper plans offline
 over a fixed market, Section II-B): a new market is a new store.  Only
-a row's bid and budget move (:meth:`ColumnarStore.set_bid`,
-:meth:`ColumnarStore.set_budget`).  The round-trip property suite
-(``tests/core/test_columnar_roundtrip.py``) locks the population ->
-columns transpose.
+bids move, through the engine that owns the store
+(:meth:`repro.engine.pipeline.SharedAuctionEngine.set_bids`).  The
+round-trip property suite (``tests/core/test_columnar_roundtrip.py``)
+locks the population -> columns transpose.
 
 Float-determinism contract: the columnar kernels produce *bit-identical*
 scores to the object path.  ``int64 / int64`` true division and Python
@@ -214,7 +214,6 @@ class ColumnarStore:
         ids: int64 advertiser ids, ascending.
         bid_cents: int64 bids in cents
             (:func:`repro.core.money.dollars_to_cents` of ``bid``).
-        bids: float64 bids in dollars.
         ctr_factors: float64 phrase-independent CTR factors ``c_i``.
         budget_cents: int64 daily budgets in cents;
             :data:`UNBUDGETED_CENTS` for unlimited.
@@ -226,8 +225,8 @@ class ColumnarStore:
     sets, built on first use; membership never changes after
     construction.
 
-    The only mutations are :meth:`set_bid` and :meth:`set_budget`;
-    under an engine the columns are read-only and both raise.
+    The store has no setters; under an engine its columns are read-only
+    but to :meth:`repro.engine.pipeline.SharedAuctionEngine.set_bids`.
     """
 
     def __init__(self, advertisers: Sequence[Advertiser] = ()) -> None:
@@ -268,9 +267,6 @@ class ColumnarStore:
         n = len(ordered)
         self.ids = np.fromiter(
             (a.advertiser_id for a in ordered), dtype=np.int64, count=n
-        )
-        self.bids = np.fromiter(
-            (a.bid for a in ordered), dtype=np.float64, count=n
         )
         self.bid_cents = np.fromiter(
             (dollars_to_cents(a.bid) for a in ordered),
@@ -422,31 +418,3 @@ class ColumnarStore:
             positions = np.lexsort((self.ids[rows], -self.phrase_ctr(phrase)))
             self._phrase_ctr_orders[phrase] = positions
         return positions
-
-    # ------------------------------------------------------------------
-    # mutations
-    # ------------------------------------------------------------------
-    def set_bid(self, advertiser_id: int, bid: float) -> None:
-        """Change one advertiser's bid in place.
-
-        The cents are converted before either column is written, so a
-        rejected bid leaves both as they were.
-        """
-        if bid < 0.0:
-            raise InvalidAuctionError(f"bid must be non-negative, got {bid!r}")
-        row = self.row_of(advertiser_id)
-        cents = dollars_to_cents(bid)
-        self.bids[row] = bid
-        self.bid_cents[row] = cents
-
-    def set_budget(self, advertiser_id: int, daily_budget: float) -> None:
-        """Change one advertiser's daily budget in place."""
-        if daily_budget < 0.0:
-            raise InvalidAuctionError("daily_budget must be non-negative")
-        row = self.row_of(advertiser_id)
-        cents = (
-            UNBUDGETED_CENTS
-            if daily_budget == float("inf")
-            else dollars_to_cents(daily_budget)
-        )
-        self.budget_cents[row] = cents

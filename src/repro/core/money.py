@@ -22,10 +22,12 @@ lower cent amount.
 from __future__ import annotations
 
 import math
+import numbers
+from typing import Container, Iterable, List, Tuple
 
 from repro.errors import InvalidAuctionError
 
-__all__ = ["dollars_to_cents"]
+__all__ = ["check_bid_cents", "checked_bid_update", "dollars_to_cents"]
 
 INT64_MAX = 2**63 - 1
 """The largest cent amount a store column (int64) holds."""
@@ -67,3 +69,33 @@ def dollars_to_cents(dollars: float) -> int:
             f"{dollars!r} dollars does not fit int64 cents"
         )
     return cents
+
+
+def check_bid_cents(cents: int, widest: int) -> None:
+    """Refuse a bid that is not ``int`` cents (``bool`` is not) with
+    ``0 <= cents * widest < 2**53``, ``widest`` the number of phrases:
+    the engine's ``m·cap`` must stay an exact float64."""
+    widest = max(1, widest)
+    if (
+        isinstance(cents, bool)
+        or not isinstance(cents, numbers.Integral)
+        or not 0 <= int(cents) * widest < 2**53
+    ):
+        raise InvalidAuctionError(
+            f"bid {cents!r} is not int cents in [0, 2**53 / {widest})"
+        )
+
+
+def checked_bid_update(
+    ids: Iterable[int], bid_cents: Iterable[int], known: Container[int], widest: int
+) -> Tuple[List[int], List[int]]:
+    """Check a whole ``set_bids`` batch -- known ids, each named once, bids
+    passing :func:`check_bid_cents` -- before any of it is written."""
+    ids, bid_cents = list(ids), list(bid_cents)
+    if len(ids) != len(bid_cents) or len(set(ids)) != len(ids):
+        raise InvalidAuctionError(f"bad bid update {ids!r} -> {bid_cents!r}")
+    for advertiser_id, cents in zip(ids, bid_cents):
+        if advertiser_id not in known:
+            raise InvalidAuctionError(f"unknown advertiser {advertiser_id!r}")
+        check_bid_cents(cents, widest)
+    return ids, [int(cents) for cents in bid_cents]

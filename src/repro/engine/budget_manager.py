@@ -21,7 +21,7 @@ from heapq import heappop, heappush
 from itertools import chain
 from typing import AbstractSet, Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.budgets.outstanding import OutstandingLedger, check_displays
+from repro.budgets.outstanding import OutstandingLedger, check_displays, check_horizon
 from repro.budgets.throttle import ThrottleProblem
 from repro.errors import BudgetError
 
@@ -67,7 +67,7 @@ class BudgetManager:
             display (:class:`repro.budgets.OutstandingLedger`).
 
     Raises:
-        BudgetError: On a negative budget or a horizon below 1.
+        BudgetError: On a negative budget or a bad horizon.
     """
 
     UNBUDGETED_CENTS = 10**12
@@ -85,8 +85,7 @@ class BudgetManager:
                 )
         self._budgets = dict(budgets_cents)
         self._spent: Dict[int, int] = {}
-        if horizon < 1:
-            raise BudgetError(f"horizon must be at least 1, got {horizon}")
+        check_horizon(horizon)
         self._horizon = horizon
         self._ledgers: Dict[int, OutstandingLedger] = {}
         # (dead_round, advertiser_id, first_handle, count): a run of

@@ -28,7 +28,9 @@ import numpy as np
 
 from repro.core.columnar import ColumnarStore, columnar_top_k, columnar_top_k_picks
 from repro.core.ctr import SeparableCTRModel
-from repro.core.money import dollars_to_cents
+from repro.core.money import (
+    check_bid_cents, checked_bid_update, dollars_to_cents,
+)
 from repro.core.topk import TopKList
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.click_model import ClickRow, DelayedClickModel
@@ -343,11 +345,8 @@ class SharedAuctionEngine:
         store = self._store = ColumnarStore.from_advertisers(self.advertisers)
         # The engine indexes this store once (_by_id, the budget
         # manager's budgets, the standing columns below): an edit
-        # under it must raise, not be half seen.
-        for column in (
-            store.bids, store.bid_cents, store.ctr_factors,
-            store.budget_cents,
-        ):
+        # under it must raise, not be half seen (set_bids excepted).
+        for column in (store.bid_cents, store.ctr_factors, store.budget_cents):
             column.flags.writeable = False
         # Full-length scratch: the scoring stage scatters the round's
         # effective bids / scores into row space so every downstream
@@ -378,10 +377,10 @@ class SharedAuctionEngine:
         # the cells they hold against STANDING_THROTTLE_CELL_LIMIT.
         self._standing_problems: Dict[int, ThrottleProblem] = {}
         self._standing_cells = 0
-        # m * cap stays an exact float64, so (m * cap) / m == cap bit
-        # for bit: the closed form may be stored instead of divided.
-        widest = len(self.phrase_advertisers)
-        assert int(store.bid_cents.max(initial=0)) * widest < 2**53
+        # (m * cap) / m == cap bit for bit: the closed form is stored.
+        check_bid_cents(
+            store.bid_cents.max(initial=0), len(self.phrase_advertisers)
+        )
         self._slot_factors = np.asarray(
             self.ctr_model.slot_factors, dtype=np.float64
         )
@@ -639,6 +638,25 @@ class SharedAuctionEngine:
         self._carrying_by_row[rows] = carrying
         self._base_bid_by_row[rows] = cap
         self._base_score_by_row[rows] = cap / 100.0 * store.ctr_factors[rows]
+
+    def set_bids(self, ids: Sequence[int], bid_cents: Sequence[int]) -> None:
+        """Move bids (integer cents) between rounds or served ticks: the
+        batch is checked whole (:func:`repro.core.money.checked_bid_update`)
+        before the moved rows and their standing cells are rewritten."""
+        ids, bid_cents = checked_bid_update(
+            ids, bid_cents, self._by_id, len(self.phrase_advertisers)
+        )
+        rows = self._store.rows_of(ids)
+        column = self._store.bid_cents
+        column.flags.writeable = True
+        column[rows] = bid_cents
+        column.flags.writeable = False
+        books = self.budget_manager
+        self._derive_book_rows(rows, *np.array([
+            [books.remaining_cents(i) for i in ids],
+            [books.liability_cents(i) for i in ids],
+            [i in books.debt_carriers for i in ids],
+        ], dtype=np.int64))
 
     def _effective_scores(
         self, phrases: Sequence[str], round_index: int, report: RoundReport

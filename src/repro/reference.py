@@ -41,7 +41,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.budgets.throttle import exact_throttled_bid
 from repro.core.advertiser import Advertiser
 from repro.core.ctr import SeparableCTRModel
-from repro.core.money import dollars_to_cents
+from repro.core.money import (
+    check_bid_cents, checked_bid_update, dollars_to_cents,
+)
 from repro.core.topk import ScoredAdvertiser, TopKList, top_k_scan
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.click_model import DelayedClickModel
@@ -111,6 +113,10 @@ class ReferenceEngine:
         self.phrase_advertisers: Dict[str, Tuple[int, ...]] = {
             phrase: tuple(sorted(ids)) for phrase, ids in sorted(bidders.items())
         }
+        check_bid_cents(
+            max(self._bid_cents.values(), default=0),
+            len(self.phrase_advertisers),
+        )
         self.search_rates = {
             phrase: float(search_rates.get(phrase, 1.0))
             for phrase in self.phrase_advertisers
@@ -163,6 +169,14 @@ class ReferenceEngine:
         if phrase not in self.phrase_advertisers:
             raise InvalidAuctionError(f"no advertisers bid on {[phrase]!r}")
         return self._resolve((phrase,))
+
+    def set_bids(self, ids: Sequence[int], bid_cents: Sequence[int]) -> None:
+        """Move bids (integer cents) before the next round or query,
+        checked like the engine's before any write."""
+        ids, bid_cents = checked_bid_update(
+            ids, bid_cents, self._bid_cents, len(self.phrase_advertisers)
+        )
+        self._bid_cents.update(zip(ids, bid_cents))
 
     def settle_remaining_clicks(self) -> Tuple[int, int, int]:
         """Deliver every pending click now.

@@ -33,9 +33,17 @@ def zipf_weights(n: int, exponent: float = 1.0) -> List[float]:
         raise WorkloadError(
             f"Zipf exponent must be finite and >= 0, got {exponent}"
         )
-    raw = [1.0 / (rank**exponent) for rank in range(1, n + 1)]
+    raw = [_inverse_power(rank, exponent) for rank in range(1, n + 1)]
     total = sum(raw)
     return [w / total for w in raw]
+
+
+def _inverse_power(rank: int, exponent: float) -> float:
+    """``1 / rank^exponent``; 0.0 once ``rank^exponent`` overflows a float."""
+    try:
+        return 1.0 / (rank**exponent)
+    except OverflowError:
+        return 0.0
 
 
 def zipf_search_rates(

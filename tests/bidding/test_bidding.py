@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.bidding.runner import BiddingWar
@@ -12,6 +14,8 @@ from repro.bidding.strategies import (
     StaticBid,
     TargetSlot,
 )
+from repro.core.money import dollars_to_cents
+from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidAuctionError
 
 
@@ -152,8 +156,10 @@ class TestBiddingWar:
             rounds=60,
         )
         traces = war.run()
+        # Bids are whole cents: the climber reaches the static's $2.00
+        # and takes slot 0 on the lower-id tie-break, then holds.
         assert traces[1].slots[-1] == 0
-        assert traces[1].bids[-1] > 2.0
+        assert traces[1].bids[-1] == 2.0
 
     def test_outbid_duel_escalates(self):
         """Two mutual outbidders ratchet each other upward."""
@@ -187,3 +193,97 @@ class TestBiddingWar:
             assert all(
                 a <= b + 1e-12 for a, b in zip(trace.spend, trace.spend[1:])
             )
+
+
+class TestTheWarRunsOnTheEngine:
+    def test_one_shared_engine_with_the_exec_cache(self):
+        war = BiddingWar(
+            {1: StaticBid(2.0), 2: TargetSlot(slot=0, step=0.1)},
+            {1: 2.0, 2: 1.0},
+            {1: 1.0, 2: 1.0},
+            [0.3],
+            rounds=15,
+        )
+        assert isinstance(war.engine, SharedAuctionEngine)
+        assert (war.engine.mode, war.engine.exec_cache) == ("shared", True)
+        war.run()
+        store = war.engine._store
+        assert [
+            store.bid_cents[store.row_of(i)] for i in (1, 2)
+        ] == [dollars_to_cents(war.bids[i]) for i in (1, 2)]
+
+    def test_a_click_costs_the_runner_up_not_the_bid(self):
+        # Generalized second pricing: the top slot pays the second
+        # score, the second slot the third; spend moves in those steps.
+        war = BiddingWar(
+            {1: StaticBid(3.0), 2: StaticBid(2.0), 3: StaticBid(1.0)},
+            {1: 3.0, 2: 2.0, 3: 1.0},
+            {1: 1.0, 2: 1.0, 3: 1.0},
+            [0.3, 0.2],
+            rounds=60,
+        )
+        traces = war.run()
+        for advertiser_id, price in ((1, 200), (2, 100)):
+            cents = round(traces[advertiser_id].spend[-1] * 100)
+            assert cents > 0 and cents % price == 0
+        assert traces[3].spend[-1] == 0.0
+
+    def test_the_trace_shows_the_bid_the_engine_ran(self):
+        # A 0.99 shave of $0.01 is 0.99 cents and $0.0149 is 1.49 cents;
+        # the engine runs both as 1 cent, and the trace (and so the next
+        # observation) shows $0.01.
+        war = BiddingWar(
+            {0: TargetSlot(slot=1, shave=0.99), 1: StaticBid(0.0149)},
+            {0: 0.01, 1: 0.01},
+            {0: 1.0, 1: 0.9},
+            [0.3, 0.2],
+            rounds=4,
+        )
+        traces = war.run()
+        assert traces[0].slots == [0, 0, 0, 0]
+        assert traces[0].bids == traces[1].bids == [0.01] * 4
+
+    def test_bidding_imports_nothing_from_the_plans(self):
+        import repro.bidding.runner
+        import repro.bidding.strategies
+
+        for module in (repro.bidding.runner, repro.bidding.strategies):
+            assert "repro.plans" not in inspect.getsource(module)
+
+
+class TestBadBids:
+    @pytest.mark.parametrize("bid", [float("nan"), float("inf"), -float("inf")])
+    def test_a_non_finite_strategy_bid_is_refused(self, bid):
+        war = BiddingWar(
+            {0: StaticBid(bid), 1: StaticBid(1.0)},
+            {0: 1.0, 1: 1.0},
+            {0: 1.0, 1: 1.0},
+            [0.3],
+            3,
+        )
+        with pytest.raises(InvalidAuctionError):
+            war.run()
+        assert war.traces[0].bids == [1.0]
+
+    @pytest.mark.parametrize("bid", [float("nan"), float("inf"), -1.0, 1e14])
+    def test_a_bad_opening_bid_is_refused(self, bid):
+        with pytest.raises(InvalidAuctionError):
+            BiddingWar(
+                {0: StaticBid(1.0), 1: StaticBid(1.0)},
+                {0: bid, 1: 1.0},
+                {0: 1.0, 1: 1.0},
+                [0.3],
+                3,
+            )
+
+    def test_a_bid_past_the_engines_exact_bound_is_refused(self):
+        # $10^14 fits int64 cents but not 2**53: set_bids refuses it.
+        war = BiddingWar(
+            {0: StaticBid(1e14), 1: StaticBid(1.0)},
+            {0: 1.0, 1: 1.0},
+            {0: 1.0, 1: 1.0},
+            [0.3],
+            3,
+        )
+        with pytest.raises(InvalidAuctionError, match="2\\*\\*53"):
+            war.run()

@@ -30,6 +30,11 @@ class TestHorizon:
         with pytest.raises(BudgetError, match="horizon"):
             OutstandingLedger(horizon)
 
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, True, "4"])
+    def test_a_horizon_that_is_not_an_int_is_refused(self, horizon):
+        with pytest.raises(BudgetError, match="must be an int"):
+            OutstandingLedger(horizon)
+
     def test_horizon_one_lives_only_in_its_display_round(self):
         ledger = OutstandingLedger(horizon=1)
         ledger.record_display(100, 0.4, 3)

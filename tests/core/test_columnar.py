@@ -2,9 +2,10 @@
 
 The store's contract is *transparency*: every array-side read
 must agree with the object it transposed, every kernel must reproduce
-the object algorithm byte for byte (tie-breaks included), and a
-rejected bid or budget edit must leave every column as it was.  These
-tests pin each piece in isolation; the
+the object algorithm byte for byte (tie-breaks included), and the
+store itself has no editor (bids move only through the engine's
+``set_bids``, ``tests/engine/test_pipeline.py``).  These tests pin each
+piece in isolation; the
 engine-against-reference differential (``tests/engine``) pins the
 composite.
 """
@@ -48,7 +49,6 @@ class TestColumns:
         by_id = {a.advertiser_id: a for a in advertisers}
         for row, advertiser_id in enumerate(store.ids):
             source = by_id[int(advertiser_id)]
-            assert store.bids[row] == source.bid
             assert store.bid_cents[row] == dollars_to_cents(source.bid)
             assert store.ctr_factors[row] == source.ctr_factor
         assert store.budget_cents[store.row_of(1)] == UNBUDGETED_CENTS
@@ -180,38 +180,12 @@ class TestUnindexedPhrase:
         assert store.phrase_rows("shoes").tolist() == [0, 1, 2]
 
 
-class TestMutations:
-    def test_set_bid_updates_both_columns(self):
-        store = ColumnarStore(_population())
-        store.set_bid(4, 3.33)
-        row = store.row_of(4)
-        assert store.bids[row] == 3.33
-        assert store.bid_cents[row] == 333
-        with pytest.raises(InvalidAuctionError):
-            store.set_bid(4, -1.0)
-
-    def test_set_budget_updates_the_column(self):
-        store = ColumnarStore(_population())
-        row = store.row_of(3)
-        store.set_budget(3, 1.0)
-        assert store.budget_cents[row] == 100
-        store.set_budget(3, float("inf"))
-        assert store.budget_cents[row] == UNBUDGETED_CENTS
-
-    @pytest.mark.parametrize("value", [float("nan"), 1e300, -1.0])
-    @pytest.mark.parametrize("setter", ["set_bid", "set_budget"])
-    def test_a_rejected_edit_leaves_every_column(self, setter, value):
-        store = ColumnarStore(_population())
-        before = [c.copy() for c in _columns(store)]
-        with pytest.raises(InvalidAuctionError):
-            getattr(store, setter)(3, value)
-        for kept, column in zip(before, _columns(store)):
-            assert np.array_equal(kept, column)
-
-
+class TestNoEditor:
     @pytest.mark.parametrize(
         "method",
         [
+            "set_bid",
+            "set_budget",
             "add_advertiser",
             "remove_advertiser",
             "add_interest",
@@ -221,60 +195,14 @@ class TestMutations:
             "views",
         ],
     )
-    def test_membership_has_no_editor(self, method):
-        # set_bid / set_budget are the only edits: rows are never added,
-        # removed or renumbered, so nothing indexed by row goes stale.
+    def test_the_store_has_no_editor(self, method):
+        # Rows are never added, removed or renumbered, and only the
+        # engine that owns a store writes its bids (set_bids), so nothing
+        # indexed by row goes stale.
         assert not hasattr(ColumnarStore, method)
 
-    @pytest.mark.parametrize("setter", ["set_bid", "set_budget"])
-    def test_an_edit_of_an_unknown_advertiser_leaves_every_column(
-        self, setter
-    ):
-        store = ColumnarStore(_population())
-        before = [c.copy() for c in _columns(store)]
-        with pytest.raises(InvalidAuctionError, match="unknown advertiser"):
-            getattr(store, setter)(99, 1.0)
-        for kept, column in zip(before, _columns(store)):
-            assert np.array_equal(kept, column)
-
-    @pytest.mark.parametrize(
-        "setter,value,column,cents",
-        [
-            ("set_bid", 0.0, "bid_cents", 0),
-            ("set_bid", 0.125, "bid_cents", 13),
-            ("set_bid", 9.2e16, "bid_cents", 9_200_000_000_000_000_000),
-            ("set_budget", 0.0, "budget_cents", 0),
-            ("set_budget", 0.145, "budget_cents", 15),
-            ("set_budget", float("inf"), "budget_cents", UNBUDGETED_CENTS),
-        ],
-    )
-    def test_an_accepted_edit_moves_only_its_row(
-        self, setter, value, column, cents
-    ):
-        store = ColumnarStore(_population())
-        shoes = (store.phrase_rows("shoes").copy(), store.phrase_ctr("shoes"))
-        before = {
-            name: getattr(store, name).copy()
-            for name in ("bids", "bid_cents", "ctr_factors", "budget_cents")
-        }
-        getattr(store, setter)(3, value)
-        row = store.row_of(3)
-        expected = dict(before)
-        expected[column] = before[column].copy()
-        expected[column][row] = cents
-        if setter == "set_bid":
-            expected["bids"] = before["bids"].copy()
-            expected["bids"][row] = value
-        for name, want in expected.items():
-            assert np.array_equal(getattr(store, name), want), name
-        assert np.array_equal(store.phrase_rows("shoes"), shoes[0])
-        assert np.array_equal(store.phrase_ctr("shoes"), shoes[1])
-
-
-def _columns(store):
-    return (
-        store.bids, store.bid_cents, store.ctr_factors, store.budget_cents,
-    )
+    def test_there_is_no_dollar_bid_column(self):
+        assert not hasattr(ColumnarStore(_population()), "bids")
 
 
 class TestColumnarTopK:

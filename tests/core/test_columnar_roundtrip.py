@@ -2,14 +2,14 @@
 
 The columnar store's whole value rests on one invariant: its columns
 and per-phrase arrays describe the *same* population as the
-``Advertiser`` objects it was built from, and keep doing so as
-``set_bid`` / ``set_budget`` move bids and budgets -- including the
-derived per-phrase caches, which are built on first use and are
-therefore the easiest place for staleness to hide.
+``Advertiser`` objects it was built from, and keep doing so as the
+engine that owns it moves bids (``SharedAuctionEngine.set_bids``) --
+including the derived per-phrase caches, which are built on first use
+and are therefore the easiest place for staleness to hide.
 
-The suite drives randomized edit programs against both the store and a
-plain dict-of-``Advertiser`` model, checking full equivalence after
-every step.
+The suite drives randomized bid programs against both an engine's store
+and a plain dict-of-``Advertiser`` model, checking full equivalence
+after every step.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import UNBUDGETED_CENTS, ColumnarStore
 from repro.core.money import dollars_to_cents
+from repro.engine.pipeline import SharedAuctionEngine
 
 PHRASES = ["p0", "p1", "p2", "p3"]
 
@@ -76,7 +77,6 @@ def assert_equivalent(store: ColumnarStore, model: dict) -> None:
     assert store.ids.tolist() == sorted(model)
     for advertiser_id, source in model.items():
         row = store.row_of(advertiser_id)
-        assert store.bids[row] == source.bid
         assert store.bid_cents[row] == dollars_to_cents(source.bid)
         assert store.ctr_factors[row] == source.ctr_factor
         assert store.budget_cents[row] == (
@@ -125,33 +125,24 @@ class TestTranspose:
 
 
 class TestEdits:
-    """``set_bid`` / ``set_budget`` move exactly their row's columns."""
+    """``set_bids`` moves exactly its rows' bids in the engine's store."""
 
     @settings(max_examples=50, deadline=None)
     @given(population=populations(), data=st.data())
-    def test_mutation_program(self, population, data):
-        store = ColumnarStore(population)
+    def test_bid_program(self, population, data):
+        engine = SharedAuctionEngine(population, [0.3], {}, mode="unshared")
+        store = engine._store
         model = {a.advertiser_id: a for a in population}
         # Warm every derived cache so staleness (not absence) is tested.
         for phrase in store.phrases():
             store.phrase_ctr_rank_positions(phrase)
             store.membership_bits(phrase)
         for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
-            action = data.draw(st.sampled_from(["set_bid", "set_budget"]))
-            target = data.draw(st.sampled_from(sorted(model)))
-            if action == "set_bid":
-                bid = data.draw(bids)
-                store.set_bid(target, bid)
+            targets = data.draw(
+                st.lists(st.sampled_from(sorted(model)), min_size=1, unique=True)
+            )
+            moved = [data.draw(bids) for _ in targets]
+            engine.set_bids(targets, [dollars_to_cents(bid) for bid in moved])
+            for target, bid in zip(targets, moved):
                 model[target] = model[target].with_bid(bid)
-            else:
-                budget = data.draw(budgets)
-                store.set_budget(target, budget)
-                model[target] = Advertiser(
-                    target,
-                    bid=model[target].bid,
-                    ctr_factor=model[target].ctr_factor,
-                    daily_budget=budget,
-                    phrases=model[target].phrases,
-                    phrase_ctr_factors=model[target].phrase_ctr_factors,
-                )
             assert_equivalent(store, model)

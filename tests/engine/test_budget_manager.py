@@ -100,6 +100,11 @@ class TestHorizon:
         with pytest.raises(BudgetError, match="horizon"):
             BudgetManager({1: 300}, horizon)
 
+    @pytest.mark.parametrize("horizon", [2.5, 3.0, True, "4"])
+    def test_a_horizon_that_is_not_an_int_is_refused(self, horizon):
+        with pytest.raises(BudgetError, match="must be an int"):
+            BudgetManager({}, horizon)
+
     def test_problem_holds_across_rounds_until_the_horizon(self):
         manager = BudgetManager({1: 300}, 6)
         manager.record_display(1, 90, 0.7, round_index=0)

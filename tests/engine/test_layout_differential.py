@@ -521,6 +521,19 @@ class TestNonFiniteInputsAreRefused:
         with pytest.raises(InvalidAuctionError, match="int64"):
             build(advertisers, slot_factors=[0.3], search_rates={"p": 1.0})
 
+    @pytest.mark.parametrize(
+        "build", (ReferenceEngine, SharedAuctionEngine), ids=("reference", "engine")
+    )
+    def test_a_bid_past_the_exact_bound_is_refused_at_construction(self, build):
+        # 10^16 cents fits int64 but not 2**53: the engine used to fail a
+        # bare assert (nothing under python -O) while the reference ran.
+        advertisers = [
+            Advertiser(1, bid=1e14, phrases=frozenset({"p"})),
+            Advertiser(2, bid=1.2, phrases=frozenset({"p"})),
+        ]
+        with pytest.raises(InvalidAuctionError, match="2\\*\\*53"):
+            build(advertisers, slot_factors=[0.3], search_rates={"p": 1.0})
+
 
 def _serve_trace(market, seed, reference=False, **kw):
     """Serve a fixed arrival trace; return the per-query outcome tuple.

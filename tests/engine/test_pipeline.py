@@ -245,8 +245,9 @@ class TestBudgets:
 
 
 class TestStoreUnderARunningEngine:
-    """The engine indexed its store once; an edit under it fails loudly
-    instead of being half seen (DESIGN.md section 21)."""
+    """The engine indexed its store once; a write under it fails loudly
+    instead of being half seen (DESIGN.md section 21), and bids move
+    only through ``set_bids``."""
 
     MODES = ("unshared", "shared", "shared-sort")
 
@@ -256,35 +257,30 @@ class TestStoreUnderARunningEngine:
         engine.run_round(["boots", "heels"])
         return engine
 
-    def test_column_edits_raise(self, engine):
+    @staticmethod
+    def _columns(store):
+        return (store.bid_cents, store.ctr_factors, store.budget_cents)
+
+    def test_column_writes_raise(self, engine):
         store = engine._store
-        before = [
-            column.copy()
-            for column in (
-                store.bids, store.bid_cents, store.ctr_factors,
-                store.budget_cents,
-            )
-        ]
-        with pytest.raises(ValueError, match="read-only"):
-            store.set_bid(0, 9.0)
-        with pytest.raises(ValueError, match="read-only"):
-            store.set_budget(0, 1.0)
-        for column, was in zip(
-            (store.bids, store.bid_cents, store.ctr_factors, store.budget_cents),
-            before,
-        ):
+        before = [column.copy() for column in self._columns(store)]
+        engine.set_bids([0], [900])
+        before[0][store.row_of(0)] = 900
+        for column, was in zip(self._columns(store), before):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
             assert (column == was).all()
-        # Nothing moved: the engine carries on.
+        # Nothing else moved: the engine carries on.
         assert engine.run_round(["boots"]).occurring_phrases == ("boots",)
 
-    def test_a_refused_edit_leaves_the_run_unchanged(self, engine, population):
+    def test_a_refused_write_leaves_the_run_unchanged(self, engine, population):
         # The same engine never poked: every later round is identical.
         untouched = build_engine(population, mode=engine.mode)
         untouched.run_round(["boots", "heels"])
         with pytest.raises(ValueError, match="read-only"):
-            engine._store.set_bid(0, 9.0)
-        with pytest.raises(ValueError, match="read-only"):
-            engine._store.set_budget(0, 1.0)
+            engine._store.bid_cents[0] = 900
+        with pytest.raises(InvalidAuctionError):
+            engine.set_bids([0], [-900])
         for phrases in (["boots"], ["boots", "heels", "sandals"], ["heels"]):
             assert engine.run_round(phrases) == untouched.run_round(phrases)
         assert engine.run(3) == untouched.run(3)
@@ -294,8 +290,75 @@ class TestStoreUnderARunningEngine:
 
         build_engine(population, mode="unshared")
         store = ColumnarStore.from_advertisers(population)
-        store.set_bid(0, 9.0)
+        store.bid_cents[store.row_of(0)] = 900
         assert store.bid_cents[store.row_of(0)] == 900
+
+
+class TestSetBids:
+    """The one write path: ``set_bids`` on the engine and the reference."""
+
+    @pytest.mark.parametrize("reference", (False, True))
+    @pytest.mark.parametrize("cents", (0, 13, 333, 9_000_000))
+    def test_an_accepted_bid_moves_its_own_row(self, population, reference, cents):
+        engine = build_engine(population, reference=reference)
+        engine.set_bids([3], [cents])
+        if reference:
+            assert engine._bid_cents[3] == cents
+            return
+        store = engine._store
+        fresh = build_engine(population)._store
+        row = store.row_of(3)
+        expected = fresh.bid_cents.copy()
+        expected[row] = cents
+        assert (store.bid_cents == expected).all()
+        assert (store.ctr_factors == fresh.ctr_factors).all()
+        assert (store.budget_cents == fresh.budget_cents).all()
+        assert engine._cap_by_row[row] == min(cents, store.budget_cents[row])
+        assert engine._base_score_by_row[row] == (
+            engine._cap_by_row[row] / 100.0 * store.ctr_factors[row]
+        )
+
+    @pytest.mark.parametrize("reference", (False, True))
+    @pytest.mark.parametrize(
+        "ids,cents",
+        [
+            ([99], [100]),
+            ([3, 3], [100, 200]),
+            ([3], [-1]),
+            ([3], [1.5]),
+            ([3], [float("nan")]),
+            ([3], [True]),
+            ([3], [2**53]),
+            ([3, 0], [100]),
+            ([0, 3], [100, -1]),
+        ],
+    )
+    def test_a_refused_bid_writes_nothing(self, population, reference, ids, cents):
+        engine = build_engine(population, reference=reference)
+        if reference:
+            before = dict(engine._bid_cents)
+        else:
+            columns = (engine._store.bid_cents, engine._cap_by_row)
+            before = [column.copy() for column in columns]
+        with pytest.raises(InvalidAuctionError):
+            engine.set_bids(ids, cents)
+        if reference:
+            assert engine._bid_cents == before
+        else:
+            for column, was in zip(columns, before):
+                assert (column == was).all()
+
+    @pytest.mark.parametrize("mode", ("unshared", "shared", "shared-sort"))
+    def test_a_raised_bid_wins_the_next_round(self, population, mode):
+        engine = build_engine(population, mode=mode, exec_cache=mode == "shared")
+        reference = build_engine(population, mode=mode, reference=True)
+        loser = engine.phrase_advertisers["boots"][-1]
+        for target in (engine, reference):
+            target.run_round(["boots"])
+            target.set_bids([loser], [10_000])
+        ours = engine.run_round(["boots"])
+        assert ours.allocations == reference.run_round(["boots"]).allocations
+        assert ours.allocations["boots"][0][1] == loser
 
 
 class TestStageTimers:

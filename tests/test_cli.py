@@ -32,14 +32,23 @@ class TestParser:
             build_parser().parse_args(["engine", "--workers", "2"])
 
     @pytest.mark.parametrize(
-        "flag", ["--shards", "--replan-after", "--planner", "--sort-planner"]
+        "argv",
+        [
+            ["engine", "--shards", "1"],
+            ["engine", "--replan-after", "1"],
+            ["engine", "--planner", "1"],
+            ["engine", "--sort-planner", "1"],
+            ["plan", "spec.json", "--planner", "naive"],
+        ],
+        ids=lambda argv: f"{argv[0]} {argv[-2]}",
     )
-    def test_engine_has_no_removed_knob(self, flag, capsys):
-        # The engine subcommand takes no sharding, maintenance or
-        # planner knob; only `plan` chooses a planner.
+    def test_no_removed_knob(self, argv, capsys):
+        # No sharding, maintenance or planner knob: the lazy and naive
+        # planners build byte-identical plans, and the naive one is the
+        # library's differential oracle, not a flag.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["engine", flag, "1"])
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            build_parser().parse_args(argv)
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_engine_mode_choices(self):
         with pytest.raises(SystemExit):
@@ -83,6 +92,12 @@ class TestParser:
             main(argv)
         assert raised.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_a_zipf_exponent_past_float_range_serves(self, capsys):
+        # Ranks whose rank ** exponent overflows draw weight 0.0.
+        argv = ["engine", "--serve", "--queries", "20", "--zipf-exponent", "2000"]
+        assert main(argv) == 0
+        assert "queries" in capsys.readouterr().out
 
     def test_zero_is_a_count_where_it_means_something(self, capsys):
         assert main(["gaming", "--rounds", "5", "--delay", "0"]) == 0

@@ -7,10 +7,11 @@ components and checks invariants after every step:
   balance: ``spent + remaining == budget``, spend never exceeds budget,
   forgiven amounts are exactly the uncovered parts of charges.
 - :class:`MovingBidsMachine` -- over a plan built once, bids move
-  through ``ColumnarStore.set_bid`` (rejected edits included) between
-  rounds, and every round the object :class:`PlanExecutor` and a
-  cross-round columnar executor answer exactly like a fresh single-scan
-  oracle over the bids a dict model holds.
+  through ``set_bids`` (refused updates included) between rounds and
+  served ticks, and every round the object :class:`PlanExecutor`
+  answers like a fresh single-scan oracle over the bids a dict model
+  holds, while the engine (shared plan, exec cache) and the reference
+  agree outcome for outcome.
 """
 
 from __future__ import annotations
@@ -27,15 +28,14 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.core.advertiser import Advertiser
-from repro.core.columnar import ColumnarStore
-from repro.core.money import dollars_to_cents
 from repro.core.topk import top_k_scan
 from repro.engine.budget_manager import BudgetManager
+from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidAuctionError
-from repro.plans.columnar_exec import ColumnarFragmentExecutor
 from repro.plans.executor import PlanExecutor
 from repro.plans.greedy_planner import greedy_shared_plan
 from repro.plans.instance import SharedAggregationInstance
+from repro.reference import ReferenceEngine
 
 
 class BudgetMachine(RuleBasedStateMachine):
@@ -95,47 +95,46 @@ TestBudgetMachine = BudgetMachine.TestCase
 
 
 class MovingBidsMachine(RuleBasedStateMachine):
-    """Bids move between rounds over a fixed plan."""
+    """Bids move between rounds and ticks over a fixed plan."""
 
     INTERESTS = {"p": {0, 1, 2}, "q": {2, 3, 4}, "r": {4, 5, 0}, "s": {6}}
     K = 2
 
     def __init__(self) -> None:
         super().__init__()
-        self.bids = {a: float(a % 3 + 1) for a in range(7)}
+        self.bids = {a: (a % 3 + 1) * 100 for a in range(7)}
+        advertisers = [
+            Advertiser(
+                a, cents / 100.0, ctr_factor=0.5 + 0.25 * (a % 4),
+                daily_budget=float("inf") if a % 2 else 6.0,
+                phrases=frozenset(
+                    p for p, ids in self.INTERESTS.items() if a in ids
+                ),
+            )
+            for a, cents in self.bids.items()
+        ]
+        slots = [0.3, 0.2][: self.K]
+        self.engine = SharedAuctionEngine(
+            advertisers, slots, {}, mode="shared", exec_cache=True
+        )
+        self.reference = ReferenceEngine(advertisers, slots, {})
         instance = SharedAggregationInstance.from_sets(self.INTERESTS)
-        self.store = ColumnarStore(
-            [
-                Advertiser(
-                    a, bid, ctr_factor=0.5 + 0.25 * (a % 4),
-                    phrases=frozenset(
-                        p for p, ids in self.INTERESTS.items() if a in ids
-                    ),
-                )
-                for a, bid in self.bids.items()
-            ]
-        )
         self.executor = PlanExecutor(greedy_shared_plan(instance), self.K)
-        self.cached = ColumnarFragmentExecutor(
-            instance, self.store, self.K, cross_round=True
-        )
-        self.names = sorted(
-            q.name for q in instance.queries + instance.trivial_queries
-        )
+        self.names = sorted(self.INTERESTS)
 
     @rule(
-        advertiser=st.integers(0, 6),
-        bid=st.sampled_from(
-            (0.0, 0.5, 1.0, 1.005, 2.0, 3.0, -1.0, math.nan, 1e300)
-        ),
+        advertiser=st.integers(0, 7),
+        cents=st.sampled_from((0, 50, 100, 101, 200, 300, -1, 1.5, math.nan, 2**60)),
     )
-    def move_bid(self, advertiser: int, bid: float) -> None:
-        if bid < 0.0 or math.isnan(bid) or bid > 1e17:
-            with pytest.raises(InvalidAuctionError):
-                self.store.set_bid(advertiser, bid)
+    def move_bid(self, advertiser: int, cents) -> None:
+        if advertiser == 7 or not isinstance(cents, int) or not 0 <= cents < 2**50:
+            for engine in (self.engine, self.reference):
+                with pytest.raises(InvalidAuctionError):
+                    engine.set_bids([advertiser], [cents])
         else:
-            self.store.set_bid(advertiser, bid)
-            self.bids[advertiser] = bid
+            for engine in (self.engine, self.reference):
+                engine.set_bids([advertiser], [cents])
+            self.bids[advertiser] = cents
 
     @rule(data=st.data())
     def run_round(self, data) -> None:
@@ -144,22 +143,28 @@ class MovingBidsMachine(RuleBasedStateMachine):
                 st.sampled_from(self.names), min_size=1, unique=True
             )
         )
-        by_row = self.store.bid_cents * self.store.ctr_factors
-        scores = dict(zip(self.store.ids.tolist(), by_row.tolist()))
+        scores = {a: cents * (0.5 + 0.25 * (a % 4)) for a, cents in self.bids.items()}
         result = self.executor.run_round(scores, occurring=names)
-        cached = self.cached.run_round(by_row, names)
         for name in names:
             members = sorted(self.INTERESTS[name])
             expected = top_k_scan(self.K, [(scores[v], v) for v in members])
             assert result.answers[name] == expected, name
-            assert cached.answers[name] == expected, name
+        ours, theirs = self.engine.run_round(names), self.reference.run_round(names)
+        assert ours.allocations == theirs.allocations
+        assert ours.revenue_cents == theirs.revenue_cents
+
+    @rule(phrase=st.sampled_from(sorted(INTERESTS)))
+    def serve(self, phrase: str) -> None:
+        ours = self.engine.serve_query(phrase)
+        theirs = self.reference.serve_query(phrase)
+        assert ours.allocations == theirs.allocations
+        assert ours.revenue_cents == theirs.revenue_cents
 
     @invariant()
-    def columns_follow_the_model(self) -> None:
-        for advertiser, bid in self.bids.items():
-            row = self.store.row_of(advertiser)
-            assert self.store.bids[row] == bid
-            assert self.store.bid_cents[row] == dollars_to_cents(bid)
+    def the_bid_column_follows_the_model(self) -> None:
+        store = self.engine._store
+        for advertiser, cents in self.bids.items():
+            assert store.bid_cents[store.row_of(advertiser)] == cents
 
 
 MovingBidsMachine.TestCase.settings = settings(

@@ -31,6 +31,18 @@ class TestDistributions:
         with pytest.raises(WorkloadError):
             zipf_weights(5, -1.0)
 
+    def test_a_rank_whose_power_overflows_weighs_nothing(self):
+        assert zipf_weights(5, 2000.0) == [1.0, 0.0, 0.0, 0.0, 0.0]
+        # Ranks 1..3 still compute (3 ** 600 < 1.8e308), 4 and 5 overflow.
+        weights = zipf_weights(5, 600)
+        assert weights[0] == 1.0 / (1.0 + 2.0**-600 + 3.0**-600)
+        assert weights[3:] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("exponent", (0.0, 0.5, 1.0, 1.1, 2.0, 30.0))
+    def test_weights_that_compute_are_unchanged(self, exponent):
+        raw = [1.0 / (rank**exponent) for rank in range(1, 41)]
+        assert zipf_weights(40, exponent) == [w / sum(raw) for w in raw]
+
     @pytest.mark.parametrize("exponent", (float("nan"), float("inf")))
     def test_zipf_weights_reject_non_finite_exponent(self, exponent):
         with pytest.raises(WorkloadError, match="finite"):
