@@ -13,7 +13,7 @@ shared plan, with no cache to replay answers from, must stay within
 was a ~125-deep Python merge chain); and Section III's shared sort +
 threshold algorithm, which also caches nothing, must not be slower than
 the scans at all (it was 1.8x while TA ran phrase by phrase; the
-lockstep round kernel of DESIGN section 20 measured 0.7x).
+lockstep round kernel of DESIGN section 7 measured 0.7x).
 
 ``test_book_rows_follow_movers`` gates the budget books' traffic on
 the same market by count: a round's scoring stage re-derives one
@@ -31,18 +31,18 @@ served tick by the engine's own stage timers: through the unshared scan
 on the budgeted market, scoring a query (Section IV throttling
 included) may cost at most twice ranking it.  It was 3.3x while stage 2
 re-derived every member of the phrase each tick; reading the standing
-score columns of DESIGN section 21 it measures 1.75x.
+score columns of DESIGN section 6 it measures 1.75x.
 
 ``test_debt_round_scores_off_standing_distributions`` gates the batch
 round under debt the same way: on ``batch_debt``'s shape the score stage
 of a session that keeps each carrier's throttle problem until its books
-move (DESIGN section 22) may cost at most 0.8x the stage of the same
+move (DESIGN section 6) may cost at most 0.8x the stage of the same
 session given no room to keep any -- the per-round rebuild it replaced
 (measured 0.52-0.72x) -- and, by count, at most half of the exact
 scorings of the timed rounds may rebuild their problem (measured 0.37).
 
 ``test_unbudgeted_round_keeps_no_books`` gates the books of an
-unbudgeted advertiser (DESIGN section 17): on ``batch_rank``'s market,
+unbudgeted advertiser (DESIGN section 5): on ``batch_rank``'s market,
 the deliver + allocate stages of a session with no budgets may cost at
 most 0.8x those of the same session with every budget finite but never
 binding, which books every display and click (measured 0.54-0.68x).

@@ -8,9 +8,9 @@ determination (Section IV-A).
 
 The books are event-driven: a tick costs the ads that expired and the
 clicks that settled, not one walk over every ledger (DESIGN.md section
-17).  Their unit of work is a stage's *batch* -- every ad a round
+5).  Their unit of work is a stage's *batch* -- every ad a round
 displayed, every click a tick delivered -- booked in one call that
-notes each advertiser it moved once (DESIGN.md section 19).
+notes each advertiser it moved once (DESIGN.md section 8).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class BudgetManager:
     no books: ``β = ∞`` never throttles its bid and always charges a
     click in full, so its displays take handle ``-1`` and no ledger,
     its clicks only add to the spend, and its ``remaining_cents`` is the
-    constant :attr:`UNBUDGETED_CENTS` (DESIGN.md section 17).
+    constant :attr:`UNBUDGETED_CENTS` (DESIGN.md section 5).
 
     Args:
         budgets_cents: Daily budget per advertiser id.  Advertisers not
@@ -355,7 +355,7 @@ class BudgetManager:
         Whoever a :meth:`record_displays`, :meth:`settle_clicks` or
         expiry touched, with what the Section IV quick test reads of
         each.  One consumer: the engine's standing score columns
-        (DESIGN.md section 21), which re-derive these advertisers' rows
+        (DESIGN.md section 6), which re-derive these advertisers' rows
         and nobody else's.
 
         Returns:

@@ -359,7 +359,7 @@ class SharedAuctionEngine:
         # m of a one-phrase round: a prefix of this.
         self._ones = np.ones(store.size, dtype=np.int64)
         self._ones.flags.writeable = False
-        # The standing score columns (DESIGN.md section 21), one
+        # The standing score columns (DESIGN.md section 6), one
         # cell per row whether it occurs or not: min(b, β), the quick
         # test's slack β - Σ outstanding prices, whether the row holds
         # ads, and the closed-form bid and score.  Nothing is spent
@@ -372,7 +372,7 @@ class SharedAuctionEngine:
         self._base_score_by_row = np.empty(store.size, dtype=np.float64)
         self._derive_book_rows(slice(None), store.budget_cents, 0, False)
         # The standing Section IV distributions (DESIGN.md section
-        # 22): the throttle problem of each debt carrier that failed
+        # 6): the throttle problem of each debt carrier that failed
         # the quick test, as built when its books last moved, and
         # the cells they hold against STANDING_THROTTLE_CELL_LIMIT.
         self._standing_problems: Dict[int, ThrottleProblem] = {}
@@ -384,7 +384,9 @@ class SharedAuctionEngine:
         self._slot_factors = np.asarray(
             self.ctr_model.slot_factors, dtype=np.float64
         )
-        if mode == "shared":
+        # A market with no bid phrases never reaches stages 2-4, so it
+        # needs no plan (the planner refuses an empty instance).
+        if mode == "shared" and self.phrase_advertisers:
             instance = SharedAggregationInstance(
                 AggregateQuery(phrase, ids, self.search_rates[phrase])
                 for phrase, ids in self.phrase_advertisers.items()
@@ -680,12 +682,12 @@ class SharedAuctionEngine:
         ``min(m·cap, β) / m`` as array operations (``β`` is their
         ``slack``), with ads through :func:`exact_throttled_bid` one by
         one, as the reference does; its array DP is per problem
-        because the problems are ragged (DESIGN.md section 16).  The
+        because the problems are ragged (DESIGN.md section 6).  The
         problem is the budget manager's, built from the ledger, the
         first time and whenever the advertiser's books have moved since
         (:meth:`_sync_book_columns` evicts); in between it is the kept
         one asked again for this round's ``(bid, m)``, its ``min(β,
-        S_l)`` array standing (DESIGN.md section 22).
+        S_l)`` array standing (DESIGN.md section 6).
         ``throttle=False`` is the same gathers with the test never
         asked.  One phrase (a served tick) and many differ only in how
         the round's rows and multiplicities ``m`` are found.

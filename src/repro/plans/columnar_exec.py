@@ -5,7 +5,7 @@ round by walking the greedy plan DAG, one
 :class:`~repro.core.topk.TopKList` per operator node.  With the
 population in a :class:`repro.core.columnar.ColumnarStore` the sharing
 structure is held as arrays and a round is two calls of one kernel,
-:func:`repro.core.columnar.segmented_top_k_picks` (DESIGN section 18):
+:func:`repro.core.columnar.segmented_top_k_picks` (DESIGN section 7):
 
 1. every needed dirty *fragment* (Section II-D.1 equivalence class of
    advertisers occurring in the same queries) is top-k'd **once**: the

@@ -31,7 +31,7 @@ differential suites assert); only the work counters --
 ``ta.sorted_accesses`` et al. -- differ by strategy.
 
 The kernel runs that algorithm at two granularities (DESIGN section
-20).  :meth:`ColumnarThresholdKernel.rank_round`, the engine's route,
+7).  :meth:`ColumnarThresholdKernel.rank_round`, the engine's route,
 takes every phrase of the round through the stages together -- stage
 ``s`` is a handful of array operations over the ``(active phrases,
 k * 2**s)`` prefix tables -- and returns the round's rankings as flat

@@ -12,8 +12,8 @@ gone, expiries at repeated and non-monotone rounds -- at a horizon of
 three rounds, at a horizon of one (every ad dies the round after its
 display) and with most displays at CTR 0 (dead on display).  The market mixes budgeted advertisers with an
 unbudgeted one, which keeps no books at all: handle ``-1``, every click
-charged in full, never a mover (DESIGN section 17).  The batch
-calls (``record_displays`` / ``settle_clicks``, DESIGN section 19) run
+charged in full, never a mover (DESIGN section 5).  The batch
+calls (``record_displays`` / ``settle_clicks``, DESIGN section 8) run
 against the same oracle fed one ad at a time: same handles, books and
 expiries, one mover per distinct advertiser, and a bad row anywhere
 refuses the whole batch.

@@ -274,7 +274,7 @@ def _half_unbudgeted(advertisers):
 
 
 class TestMixedBudgetsMatchReference:
-    """Unbudgeted advertisers keep no books (DESIGN section 17); the
+    """Unbudgeted advertisers keep no books (DESIGN section 5); the
     budgeted ones beside them in the same auctions keep theirs.  Engine
     and reference, every configuration, round for round."""
 

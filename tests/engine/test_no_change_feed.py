@@ -1,4 +1,4 @@
-"""The change feed is retired (DESIGN §11): churn reaches its consumers
+"""The change feed is retired (DESIGN §13): churn reaches its consumers
 by plain method calls.
 
 ``repro/engine/changefeed.py`` survives only as two inert classes that

@@ -71,6 +71,25 @@ class TestConstruction:
         # The bounds themselves are rates.
         build(advertisers, [0.3, 0.2], {"a": 0.0, "b": 1.0}, mode=mode)
 
+    @pytest.mark.parametrize(
+        "advertisers",
+        [[], [Advertiser(0, bid=1.0), Advertiser(1, bid=2.0, daily_budget=5.0)]],
+        ids=("no-advertisers", "no-phrases"),
+    )
+    def test_a_market_with_no_bid_phrases_runs_empty_rounds(self, advertisers):
+        # Every mode accepts it alike: the shared plan used to be built
+        # anyway, and the planner refuses an instance with no query.
+        def report(build, mode):
+            engine = build(advertisers, [0.3], {}, mode=mode, seed=3)
+            assert engine.phrase_advertisers == {}
+            return engine.run(3)
+
+        expected = report(ReferenceEngine, "unshared")
+        assert expected.rounds == 3 and expected.auctions == 0
+        for mode in ("shared", "shared-sort", "unshared"):
+            assert report(SharedAuctionEngine, mode) == expected
+            assert report(ReferenceEngine, mode) == expected
+
 
 class TestRoundResolution:
     def test_unknown_phrase_rejected(self, population):
@@ -246,7 +265,7 @@ class TestBudgets:
 
 class TestStoreUnderARunningEngine:
     """The engine indexed its store once; a write under it fails loudly
-    instead of being half seen (DESIGN.md section 21), and bids move
+    instead of being half seen (DESIGN.md section 6), and bids move
     only through ``set_bids``."""
 
     MODES = ("unshared", "shared", "shared-sort")

@@ -1,4 +1,4 @@
-"""The books cost *who* moved, not how often (DESIGN 19).
+"""The books cost *who* moved, not how often (DESIGN §8).
 
 Beside ``test_budget_books_cost.py`` (a tick costs what changed): a
 round's displays are one booking call that notes each advertiser once
@@ -112,7 +112,7 @@ class TestOneRoundOneBooking:
 
 
 class TestUnbudgetedRoundBooksNothing:
-    """An advertiser without a budget keeps no books (DESIGN 17)."""
+    """An advertiser without a budget keeps no books (DESIGN §5)."""
 
     @pytest.fixture
     def booked(self, monkeypatch):

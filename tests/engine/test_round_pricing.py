@@ -1,4 +1,4 @@
-"""Stage 4's two slot arithmetics agree bit for bit (DESIGN sections 19, 20).
+"""Stage 4's two slot arithmetics agree bit for bit (DESIGN sections 7 and 8).
 
 ``_allocate_phrase`` prices one phrase's slots with Python floats;
 ``_price_slots`` prices a whole round's slots as arrays.  The engine

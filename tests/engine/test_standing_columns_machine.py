@@ -3,14 +3,14 @@
 Stage 2 of the columnar engine gathers ``min(b, β)``, the quick test's
 slack and the closed-form bid and score from columns that stand in row
 space, kept current from :meth:`BudgetManager.drain_book_changes`
-(DESIGN section 21).  The oracle here is what the stage did before:
+(DESIGN section 6).  The oracle here is what the stage did before:
 re-derive remaining budget, capped bid, closed form, quick test and
 score for every occurring advertiser from the manager's books, each
 time.  A hypothesis machine drives one engine through arbitrary
 interleavings of multi-phrase rounds (so ``m > 1``, and ``m·cap > β``
 with an empty ledger, occur), served queries and out-of-round flushes,
 on a market of tight, exhausted, ample and unlimited budgets -- the
-unlimited ones keep no books at all (DESIGN section 17) -- at the
+unlimited ones keep no books at all (DESIGN section 5) -- at the
 engine's own ledger horizon, at horizons shorter than the click horizon
 (ads die while their clicks are still on the way; at a horizon of one,
 the round after their display) and with a CTR-0 second slot (its ads are
@@ -21,7 +21,7 @@ a from-scratch recomputation and the stage's output with the old
 formula, bit for bit.
 
 The same checkpoint holds the kept Section IV throttle problems (DESIGN
-section 22) to the books: each equals the problem the budget manager
+section 6) to the books: each equals the problem the budget manager
 would build now, a standing ``min(β, S_l)`` array is the array of that
 fresh problem.
 """

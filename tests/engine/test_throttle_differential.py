@@ -2,8 +2,8 @@
 
 Budgets small enough that throttling moves rankings, and clicks that
 arrive two rounds late, keep most bidders in debt: the engine's
-standing score columns and kept throttle problems (DESIGN.md sections
-21-22) then answer for nearly every exact ``b̂``.  Over 50 seeded
+standing score columns and kept throttle problems (DESIGN.md section
+6) then answer for nearly every exact ``b̂``.  Over 50 seeded
 markets, the engine in every mode must produce bit-identical winners,
 prices, clicks, and budget trajectories to
 :class:`repro.reference.ReferenceEngine`'s unshared scan with its

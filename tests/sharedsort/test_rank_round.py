@@ -1,7 +1,7 @@
 """Lockstep TA (``rank_round``) equals per-phrase TA (``rank_phrase``).
 
 ``ColumnarThresholdKernel`` can answer a round two ways (DESIGN section
-20): every phrase advanced through the threshold algorithm's doubling
+7): every phrase advanced through the threshold algorithm's doubling
 stages together, which is what the engine runs, or phrase by phrase,
 the older route kept as the oracle.  The two must agree on everything an
 observer can see -- the ranked entries to the last bit and in order, and

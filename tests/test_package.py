@@ -13,31 +13,9 @@ from repro import errors
 from repro.engine import SharedAuctionEngine
 from repro.reference import ReferenceEngine
 
-PACKAGES = [
-    "repro",
-    "repro.aggregates",
-    "repro.algebra",
-    "repro.bidding",
-    "repro.budgets",
-    "repro.core",
-    "repro.engine",
-    "repro.matching",
-    "repro.metrics",
-    "repro.plans",
-    "repro.sharedsort",
-    "repro.workloads",
-]
-
-
-def all_modules():
-    names = []
-    for package_name in PACKAGES:
-        package = importlib.import_module(package_name)
-        names.append(package_name)
-        if hasattr(package, "__path__"):
-            for info in pkgutil.iter_modules(package.__path__):
-                names.append(f"{package_name}.{info.name}")
-    return sorted(set(names))
+_WALK = list(pkgutil.walk_packages(repro.__path__, "repro."))
+MODULES = ["repro"] + sorted(info.name for info in _WALK)
+PACKAGES = ["repro"] + sorted(info.name for info in _WALK if info.ispkg)
 
 
 class TestExports:
@@ -48,11 +26,11 @@ class TestExports:
         for name in exported:
             assert hasattr(package, name), f"{package_name}.{name} missing"
 
-    @pytest.mark.parametrize("module_name", all_modules())
+    @pytest.mark.parametrize("module_name", MODULES)
     def test_every_module_imports(self, module_name):
         importlib.import_module(module_name)
 
-    @pytest.mark.parametrize("module_name", all_modules())
+    @pytest.mark.parametrize("module_name", MODULES)
     def test_every_module_documented(self, module_name):
         module = importlib.import_module(module_name)
         assert module.__doc__, f"{module_name} lacks a module docstring"
@@ -62,12 +40,14 @@ class TestExports:
 
 
 class TestRemovedSurface:
-    """A market is fixed for an engine's life (DESIGN.md section 14):
+    """A market is fixed for an engine's life (DESIGN.md section 13):
     there is no sharded engine, no plan maintainer and no per-advertiser
-    view of the store to import."""
+    view of the store to import.  Nor is there a query-to-phrase
+    rewriter: the paper assumes one, and the engine takes phrases."""
 
     @pytest.mark.parametrize(
-        "module_name", ["repro.engine.sharded", "repro.plans.maintenance"]
+        "module_name",
+        ["repro.engine.sharded", "repro.plans.maintenance", "repro.matching"],
     )
     def test_the_module_is_gone(self, module_name):
         with pytest.raises(ModuleNotFoundError):
@@ -88,7 +68,7 @@ class TestRemovedSurface:
 
 
 class TestNoDecayFamily:
-    """One debt model (DESIGN.md section 17): an outstanding ad keeps
+    """One debt model (DESIGN.md section 5): an outstanding ad keeps
     its display CTR until the horizon.  The pluggable click-decay
     family, its per-ad accessors and the engines' ``decay`` knob are
     gone."""
