@@ -71,8 +71,8 @@ def _score_and_rank(engine, occurring, round_index):
         return {
             phrase: engine._rank(phrase, bids, report) for phrase in occurring
         }
-    engine._effective_scores(occurring, round_index, report)
-    return engine._rank_phrases(occurring, report)
+    scored = engine._effective_scores(occurring, round_index, report)
+    return engine._rank_phrases(occurring, scored, report)
 
 
 def _time_kernel(engine, occurring, repeats=3, rounds_per_repeat=3):
@@ -114,12 +114,19 @@ def test_columnar_kernel_gate(benchmark):
     columnar_seconds, columnar_rankings = _time_kernel(
         columnar_engine, occurring
     )
+    # The engine hands over flat arrays (RankedRound), the reference a
+    # TopKList per phrase.
+    pairs = iter(
+        zip(columnar_rankings.scores.tolist(), columnar_rankings.ids.tolist())
+    )
     assert {
-        phrase: ranking.entries
+        phrase: [(e.score, e.advertiser_id) for e in ranking.entries]
         for phrase, ranking in object_rankings.items()
     } == {
-        phrase: ranking.entries
-        for phrase, ranking in columnar_rankings.items()
+        phrase: [next(pairs) for _ in range(count)]
+        for phrase, count in zip(
+            columnar_rankings.phrases, columnar_rankings.lens.tolist()
+        )
     }, "kernel rankings diverged between engine and reference"
     speedup = object_seconds / columnar_seconds
     assert speedup >= KERNEL_SPEEDUP_FLOOR, (

@@ -120,8 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--exec-cache",
         action="store_true",
         help=(
-            "keep fragment top-k lists alive across rounds and rescan "
-            "only fragments whose scores moved (shared mode only)"
+            "keep fragment top-k lists alive across rounds of several "
+            "phrases and rescan only fragments whose scores moved "
+            "(shared mode only)"
         ),
     )
     engine.add_argument(
@@ -131,7 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
             "serve queries one at a time from a seeded Poisson/Zipf "
             "traffic generator instead of running synchronous batch "
             "rounds; prints sustained QPS and exact p50/p99 latency "
-            "(--rounds is ignored; see --queries/--arrival-rate)"
+            "(--rounds is ignored; see --queries/--arrival-rate).  A "
+            "query is a round of one phrase, ranked by one scan in "
+            "every --mode; the mode and --exec-cache apply to rounds of "
+            "several phrases"
         ),
     )
     engine.add_argument(

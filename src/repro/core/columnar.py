@@ -39,7 +39,7 @@ winners, prices, and budget trajectories rather than approximate ones.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
@@ -221,8 +221,8 @@ class ColumnarStore:
     Phrase membership is kept two ways: per-phrase *row-index arrays*
     (ascending; the form every kernel consumes) and packed *bitmaps*
     (:meth:`membership_bits`; 1 bit per row, the compact interchange
-    form).  Both are derived caches over the ``{advertiser: phrases}``
-    sets, built on first use; membership never changes after
+    form).  Both are caches built on first use over the phrase -> rows
+    index the constructor builds; membership never changes after
     construction.
 
     The store has no setters; under an engine its columns are read-only
@@ -238,14 +238,16 @@ class ColumnarStore:
                     f"duplicate advertiser id {advertiser.advertiser_id}"
                 )
             seen.add(advertiser.advertiser_id)
-        self._phrases_of: Dict[int, Set[str]] = {
-            a.advertiser_id: set(a.phrases) for a in ordered
-        }
+        # The phrase -> member rows index, in one pass: rows ascend with
+        # the id, so each list is ascending.
+        self._phrase_members: Dict[str, List[int]] = {}
+        for row, advertiser in enumerate(ordered):
+            for phrase in advertiser.phrases:
+                self._phrase_members.setdefault(phrase, []).append(row)
         self._overrides_of: Dict[int, Dict[str, float]] = {
             a.advertiser_id: dict(a.phrase_ctr_factors) for a in ordered
         }
         self._build_columns(ordered)
-        self._phrase_members: Optional[Dict[str, List[int]]] = None
         self._phrase_rows: Dict[str, "np.ndarray"] = {}
         self._phrase_masks: Dict[str, "np.ndarray"] = {}
         self._phrase_bits: Dict[str, "np.ndarray"] = {}
@@ -334,35 +336,18 @@ class ColumnarStore:
 
     def phrases(self) -> List[str]:
         """Every phrase with at least one interested advertiser, sorted."""
-        alive: Set[str] = set()
-        for phrases in self._phrases_of.values():
-            alive |= phrases
-        return sorted(alive)
+        return sorted(self._phrase_members)
 
     def phrase_rows(self, phrase: str) -> "np.ndarray":
-        """Ascending row indices of the phrase's interested advertisers."""
+        """Ascending row indices of the phrase's interested advertisers
+        (none for a phrase nobody bids on), read off the index the
+        constructor built: a phrase seen for the first time costs its
+        members, not the population."""
         rows = self._phrase_rows.get(phrase)
         if rows is None:
-            rows = self.rows_of(self._members_of(phrase))
+            rows = np.array(self._phrase_members.get(phrase, ()), np.int64)
             self._phrase_rows[phrase] = rows
         return rows
-
-    def _members_of(self, phrase: str) -> List[int]:
-        """Ascending ids of the phrase's interested advertisers.
-
-        Read off a phrase -> members inverted index, built in one pass
-        over every advertiser's phrase set the first time any phrase is
-        asked for, so a phrase seen for the first time costs its members
-        and not the population.  A phrase missing from the index has no
-        members.
-        """
-        index = self._phrase_members
-        if index is None:
-            index = self._phrase_members = {}
-            for advertiser_id in sorted(self._phrases_of):
-                for member_phrase in self._phrases_of[advertiser_id]:
-                    index.setdefault(member_phrase, []).append(advertiser_id)
-        return index.get(phrase, [])
 
     def membership(self, phrase: str) -> "np.ndarray":
         """Boolean membership mask over all rows."""
@@ -391,10 +376,10 @@ class ColumnarStore:
         factors = self._phrase_ctrs.get(phrase)
         if factors is None:
             rows = self.phrase_rows(phrase)
-            factors = self.ctr_factors[rows].copy()
-            for position, row in enumerate(rows):
-                advertiser_id = int(self.ids[row])
-                override = self._overrides_of[advertiser_id].get(phrase)
+            factors = self.ctr_factors[rows]
+            overrides_of = self._overrides_of
+            for position, advertiser_id in enumerate(self.ids[rows].tolist()):
+                override = overrides_of[advertiser_id].get(phrase)
                 if override is not None:
                     factors[position] = override
             self._phrase_ctrs[phrase] = factors

@@ -19,21 +19,23 @@ from __future__ import annotations
 import inspect
 import random
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.budgets.throttle import ThrottleProblem, exact_throttled_bid
 from repro.core.advertiser import Advertiser
 import numpy as np
 
+# columnar_top_k is not called here: it stays a name of this module that
+# benchmarks/e2e/spans.py patches.
 from repro.core.columnar import ColumnarStore, columnar_top_k, columnar_top_k_picks
 from repro.core.ctr import SeparableCTRModel
 from repro.core.money import (
     check_bid_cents, checked_bid_update, dollars_to_cents,
 )
-from repro.core.topk import TopKList
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.click_model import ClickRow, DelayedClickModel
+from repro.engine.rounds import check_count
 from repro.errors import InvalidAuctionError
 from repro.instrument import NULL, Collector, names as metric_names
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
@@ -186,13 +188,16 @@ class SharedAuctionEngine:
             each in ``[0, 1]`` (anything else, NaN included, raises
             :class:`InvalidAuctionError`).  Phrases mentioned by
             advertisers but absent here default to rate 1.0.
-        mode: ``"shared"`` resolves rounds through a greedy shared
-            aggregation plan (Section II; requires phrase-independent
-            CTR factors); ``"shared-sort"`` runs the Section III
-            pipeline -- one shared sort of bids plus the threshold
-            algorithm per phrase -- honoring per-phrase CTR factors
-            (:attr:`Advertiser.phrase_ctr_factors`); ``"unshared"``
-            scans each phrase's advertisers independently.  Every mode
+        mode: How a round of several phrases is ranked: ``"shared"``
+            through a greedy shared aggregation plan (Section II;
+            requires phrase-independent CTR factors); ``"shared-sort"``
+            through the Section III pipeline -- one shared sort of bids
+            plus the threshold algorithm per phrase -- honoring
+            per-phrase CTR factors
+            (:attr:`Advertiser.phrase_ctr_factors`); ``"unshared"`` by
+            a scan of each phrase's advertisers.  A round of one phrase
+            (a served query) has nothing to share and is one scan in
+            every mode, with ``c_i^q`` under ``"shared-sort"``.  Every mode
             keeps the population in a
             :class:`repro.core.columnar.ColumnarStore` and runs its
             mechanism as vectorized kernels over standing score columns.
@@ -203,8 +208,9 @@ class SharedAuctionEngine:
             ads: every occurring advertiser's exact ``b̂`` is computed
             before ranking.
         exec_cache: Shared mode only: keep ranking work alive between
-            rounds and recompute only what advertisers whose effective
-            score changed invalidate.  The
+            rounds of several phrases and recompute only what
+            advertisers whose effective score changed invalidate (a
+            round of one phrase never reaches it).  The
             :class:`repro.plans.columnar_exec.ColumnarFragmentExecutor`
             keeps fragment top-k rows and answers and finds the changed
             advertisers by diffing every scored row against the score
@@ -300,20 +306,13 @@ class SharedAuctionEngine:
             slot_factors,
         )
         self.k = len(tuple(slot_factors))
-        phrase_map: Dict[str, List[int]] = {}
-        for advertiser in self.advertisers:
-            # Iterate phrases sorted: frozenset order depends on string
-            # hashing, and letting it leak into dict build order would
-            # make plan tie-breaking (hence work counters) vary with
-            # PYTHONHASHSEED.  Outcomes were never affected; the plan
-            # *shape* was.
-            for phrase in sorted(advertiser.phrases):
-                phrase_map.setdefault(phrase, []).append(
-                    advertiser.advertiser_id
-                )
+        store = self._store = ColumnarStore.from_advertisers(self.advertisers)
+        # Read off the store's phrase index: phrases sorted, ids
+        # ascending, whatever the string hashing (the plan's
+        # tie-breaking, hence its work counters, reads this order).
         self.phrase_advertisers: Dict[str, Tuple[int, ...]] = {
-            phrase: tuple(sorted(ids))
-            for phrase, ids in sorted(phrase_map.items())
+            phrase: tuple(store.ids[store.phrase_rows(phrase)].tolist())
+            for phrase in store.phrases()
         }
         self.search_rates: Dict[str, float] = {
             phrase: float(search_rates.get(phrase, 1.0))
@@ -342,33 +341,30 @@ class SharedAuctionEngine:
         self.budget_manager = BudgetManager(budgets, click_horizon_rounds + 1)
         self._columnar_exec = None
         self._columnar_sort = None
-        store = self._store = ColumnarStore.from_advertisers(self.advertisers)
         # The engine indexes this store once (_by_id, the budget
         # manager's budgets, the standing columns below): an edit
         # under it must raise, not be half seen (set_bids excepted).
         for column in (store.bid_cents, store.ctr_factors, store.budget_cents):
             column.flags.writeable = False
-        # Full-length scratch: the scoring stage scatters the round's
-        # effective bids / scores into row space so every downstream
-        # kernel indexes by row with no per-id lookups.  Rows outside
-        # the round's occurring set hold stale values by design --
-        # kernels only ever read occurring rows.
+        # Full-length scratch: the ranking stage scatters a round of
+        # several phrases' effective bids / scores into row space, where
+        # its backends index by row with no per-id lookups.  Rows
+        # outside the round hold stale values by design -- kernels only
+        # ever read the round's rows.
         self._eff_by_row = np.zeros(store.size, dtype=np.float64)
         self._score_by_row = np.zeros(store.size, dtype=np.float64)
-        self._occurring_rows = None
         # m of a one-phrase round: a prefix of this.
         self._ones = np.ones(store.size, dtype=np.int64)
         self._ones.flags.writeable = False
         # The standing score columns (DESIGN.md section 6), one
         # cell per row whether it occurs or not: min(b, β), the quick
         # test's slack β - Σ outstanding prices, whether the row holds
-        # ads, and the closed-form bid and score.  Nothing is spent
-        # or owed yet; _sync_book_columns re-derives the rows of
-        # whoever the budget manager's books moved.
+        # ads, and the closed-form score (the closed-form bid is the
+        # cap).  Nothing is spent or owed yet; _sync_book_columns
+        # re-derives the rows of whoever the budget manager's books moved.
         self._cap_by_row = np.empty(store.size, dtype=np.int64)
         self._slack_by_row = np.empty(store.size, dtype=np.int64)
         self._carrying_by_row = np.empty(store.size, dtype=bool)
-        self._base_bid_by_row = np.empty(store.size, dtype=np.float64)
         self._base_score_by_row = np.empty(store.size, dtype=np.float64)
         self._derive_book_rows(slice(None), store.budget_cents, 0, False)
         # The standing Section IV distributions (DESIGN.md section
@@ -377,7 +373,7 @@ class SharedAuctionEngine:
         # the cells they hold against STANDING_THROTTLE_CELL_LIMIT.
         self._standing_problems: Dict[int, ThrottleProblem] = {}
         self._standing_cells = 0
-        # (m * cap) / m == cap bit for bit: the closed form is stored.
+        # (m * cap) / m == cap bit for bit: the closed-form bid is cap.
         check_bid_cents(
             store.bid_cents.max(initial=0), len(self.phrase_advertisers)
         )
@@ -474,8 +470,8 @@ class SharedAuctionEngine:
 
         Serving collapses the round to a single query: the tick delivers
         whatever clicks came due, scores only ``phrase``'s advertisers
-        (auction multiplicity is always 1), ranks the one phrase through
-        the configured machinery, and allocates.  The serving
+        (auction multiplicity is always 1), ranks them by one scan of
+        stage 2's arrays whatever the mode, and allocates.  The serving
         differential suite asserts this path is outcome-identical to
         ``run_round([phrase])``, which is what makes the query-at-a-time
         engine provably equivalent to the batch engine it grew out of.
@@ -559,8 +555,8 @@ class SharedAuctionEngine:
         report = RoundReport(round_index, phrases)
         self._deliver_due_clicks(round_index, report)
         if phrases:
-            self._effective_scores(phrases, round_index, report)
-            rankings = self._rank_phrases(phrases, report)
+            scored = self._effective_scores(phrases, round_index, report)
+            rankings = self._rank_phrases(phrases, scored, report)
             self._allocate_round(phrases, rankings, round_index, report)
         return report
 
@@ -617,14 +613,19 @@ class SharedAuctionEngine:
             row_of = store.row_of
             bid_cents = store.bid_cents.item
             ctr_factor = store.ctr_factors.item
+            # Bound once: the columns' attribute reads were a third of a
+            # served tick's sync.
+            cap_by_row, slack_by_row, carrying_by_row, score_by_row = (
+                self._cap_by_row, self._slack_by_row, self._carrying_by_row,
+                self._base_score_by_row,
+            )
             for advertiser_id, beta, owed, carrying in zip(*changes):
                 row = row_of(advertiser_id)
                 cap = min(bid_cents(row), beta)
-                self._cap_by_row[row] = cap
-                self._slack_by_row[row] = beta - owed
-                self._carrying_by_row[row] = carrying
-                self._base_bid_by_row[row] = cap
-                self._base_score_by_row[row] = cap / 100.0 * ctr_factor(row)
+                cap_by_row[row] = cap
+                slack_by_row[row] = beta - owed
+                carrying_by_row[row] = carrying
+                score_by_row[row] = cap / 100.0 * ctr_factor(row)
         else:
             ids, beta, owed, carrying = np.array(changes, dtype=np.int64)
             self._derive_book_rows(store.rows_of(ids), beta, owed, carrying)
@@ -638,7 +639,6 @@ class SharedAuctionEngine:
         self._cap_by_row[rows] = cap
         self._slack_by_row[rows] = beta - owed
         self._carrying_by_row[rows] = carrying
-        self._base_bid_by_row[rows] = cap
         self._base_score_by_row[rows] = cap / 100.0 * store.ctr_factors[rows]
 
     def set_bids(self, ids: Sequence[int], bid_cents: Sequence[int]) -> None:
@@ -662,11 +662,10 @@ class SharedAuctionEngine:
 
     def _effective_scores(
         self, phrases: Sequence[str], round_index: int, report: RoundReport
-    ) -> None:
-        """Stage 2: effective bids ``b̂_i`` and scores ``b̂_i * c_i`` of
-        the round's rows, left in row space (``_eff_by_row``,
-        ``_score_by_row``, ``_occurring_rows``) for stages 3 and 4, and
-        ``report.debt_carriers_scored``.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stage 2: ``(rows, b̂, score)``, the round's rows (ascending)
+        with each one's effective bid ``b̂_i`` and score ``b̂_i * c_i``,
+        and ``report.debt_carriers_scored``.
 
         Bit-identical to the reference's exact stage.  Section IV's
         quick test ``ω_l <= β - m·b`` says when the throttled bid is simply
@@ -707,10 +706,10 @@ class SharedAuctionEngine:
             rows = np.flatnonzero(counts)
             m = counts[rows]
         collector = self.collector
-        effective_sub = self._base_bid_by_row[rows]
+        cap = self._cap_by_row[rows]
+        effective_sub = cap.astype(np.float64)
         score_sub = self._base_score_by_row[rows]
         if self.throttle:
-            cap = self._cap_by_row[rows]
             slack = self._slack_by_row[rows]
             failed = (m * cap > slack).nonzero()[0]
             if len(failed):
@@ -775,27 +774,50 @@ class SharedAuctionEngine:
                     collector.incr(
                         metric_names.COLUMNAR_THROTTLE_FALLBACKS, carriers
                     )
-        self._eff_by_row[rows] = effective_sub
-        self._score_by_row[rows] = score_sub
-        self._occurring_rows = rows
         if collector.enabled:
             collector.incr(metric_names.COLUMNAR_SCORE_BATCHES)
             collector.incr(metric_names.COLUMNAR_SCORE_ROWS, int(len(rows)))
             collector.incr(metric_names.COLUMNAR_BOOK_ROWS_SYNCED, synced)
+        return rows, effective_sub, score_sub
 
     def _rank_phrases(
-        self, phrases: Sequence[str], report: RoundReport
-    ) -> Mapping[str, TopKList]:
-        """Stage 3: rankings via shared plan, shared sort + TA, or scans.
+        self,
+        phrases: Sequence[str],
+        scored: Tuple[np.ndarray, np.ndarray, np.ndarray],
+        report: RoundReport,
+    ) -> RankedRound:
+        """Stage 3: every phrase's top-(k+1), as the flat arrays stage 4
+        prices (:class:`RankedRound`).
 
-        A mapping from phrase to its top-(k+1) ``TopKList``: a
-        :class:`RankedRound`, the flat arrays stage 4 prices, from the
-        fragment executor, the Section III round kernel and a scan of
-        more than one phrase alike; a one-phrase scan (a served
-        ``unshared`` tick) hands over a list.
+        The backend is chosen by the phrase count.  A round of one phrase
+        -- a served tick, or ``run_round([p])`` -- has nothing to share
+        and in every mode is one scan of stage 2's arrays, with
+        ``c = c_i^q`` under ``"shared-sort"``: the fragment executor and
+        the Section III kernel neither run nor see it.  A round of more
+        phrases is scattered into row space and ranked by the mode's
+        backend: the shared plan's fragment executor, the Section III
+        round kernel, or a scan per phrase.
         """
         k = self.k + 1
         store = self._store
+        rows, bids, scores = scored
+        if len(phrases) == 1:
+            if self.mode == "shared-sort":
+                c = store.phrase_ctr(phrases[0])
+                # Same operation order as rank_round: (cents / 100.0) * c.
+                scores = bids / 100.0 * c
+            else:
+                c = store.ctr_factors[rows]
+            report.scans += len(rows)
+            # Rows ascend with the id, so they rank as the ids do.
+            picks = columnar_top_k_picks(k, scores, rows, self.collector)
+            picked = rows[picks]
+            return RankedRound(
+                phrases, k, np.array([len(picks)], np.int64), scores[picks],
+                store.ids[picked], picked, c[picks], bids[picks],
+            )
+        self._eff_by_row[rows] = bids
+        self._score_by_row[rows] = scores
         if self.mode == "shared":
             # In cross-round mode the executor diffs the occurring rows'
             # scores against the ones it last absorbed.
@@ -806,7 +828,7 @@ class SharedAuctionEngine:
                     np.int64,
                     len(phrases),
                 ),
-                rows=self._occurring_rows,
+                rows=rows,
             )
             report.merges += result.merges_performed
             report.scans += result.advertisers_scanned
@@ -817,21 +839,11 @@ class SharedAuctionEngine:
             kernel = self._columnar_sort
             # The shared presort materializes every occurring row once;
             # it is reported as the round's merges.
-            report.merges += kernel.begin_round(
-                self._eff_by_row, self._occurring_rows
-            )
+            report.merges += kernel.begin_round(self._eff_by_row, rows)
             ranked, sorted_accesses = kernel.rank_round(phrases)
             report.scans += int(sorted_accesses.sum())
             return ranked
         by_row = self._score_by_row
-        if len(phrases) == 1:
-            rows = store.phrase_rows(phrases[0])
-            report.scans += len(rows)
-            return {
-                phrases[0]: columnar_top_k(
-                    k, by_row[rows], store.ids[rows], self.collector
-                )
-            }
         members = [store.phrase_rows(phrase) for phrase in phrases]
         report.scans += sum(map(len, members))
         # Rows ascend with the id, so they rank as the ids do.
@@ -848,17 +860,18 @@ class SharedAuctionEngine:
         )
 
     def _ranked_round(self, phrases, lens, scores, rows) -> RankedRound:
-        """Stage 3's hand-off: ``c = c_i`` read off the store's column."""
+        """Stage 3's hand-off from row space: ``c = c_i`` read off the
+        store's column, ``b̂`` off the round's scatter."""
         store = self._store
         return RankedRound(
             phrases, self.k + 1, lens, scores, store.ids[rows], rows,
-            store.ctr_factors[rows],
+            store.ctr_factors[rows], self._eff_by_row[rows],
         )
 
     def _allocate_round(
         self,
         phrases: Sequence[str],
-        rankings: Mapping[str, TopKList],
+        rankings: RankedRound,
         round_index: int,
         report: RoundReport,
     ) -> None:
@@ -870,26 +883,31 @@ class SharedAuctionEngine:
         click model in one :meth:`DelayedClickModel.record_displays`
         call, in (phrase, slot) order -- its draws from the shared
         ``random.Random`` are the only part that has to stay sequential.
-        The slot arithmetic has two routes that agree bit for bit:
-        :meth:`_price_slots`, one array pass over a
-        :class:`RankedRound`'s arrays, which a round takes from
-        :data:`ARRAY_PRICING_MIN_SLOTS` slots up, and
-        :meth:`_allocate_phrase`, the scalar loop over one phrase's
-        ``TopKList``, which a round below the crossover takes -- a
-        served tick among them -- reading a ``RankedRound`` through its
-        ``Mapping`` face.
+        The slot arithmetic has two routes over the same
+        :class:`RankedRound` arrays that agree bit for bit:
+        :meth:`_price_slots`, one array pass over the round, which a
+        round takes from :data:`ARRAY_PRICING_MIN_SLOTS` slots up, and
+        :meth:`_allocate_phrase`, the scalar loop over one phrase's span
+        of them, which a round below the crossover takes -- a served
+        tick among them.
         """
-        if (
-            isinstance(rankings, RankedRound)
-            and len(phrases) * self.k >= ARRAY_PRICING_MIN_SLOTS
-        ):
+        if len(phrases) * self.k >= ARRAY_PRICING_MIN_SLOTS:
             shown, slots, ids, prices, ctrs = self._price_slots(
                 phrases, rankings
             )
         else:
+            columns = [
+                column.tolist()
+                for column in (
+                    rankings.ids, rankings.bids, rankings.scores, rankings.c
+                )
+            ]
+            ends = list(accumulate(rankings.lens.tolist()))
             per_phrase = [
-                self._allocate_phrase(phrase, rankings[phrase])
-                for phrase in phrases
+                self._allocate_phrase(
+                    *(column[start:end] for column in columns)
+                )
+                for start, end in zip([0] + ends, ends)
             ]
             shown = [len(ads) for ads in per_phrase]
             flat = list(chain.from_iterable(per_phrase))
@@ -906,42 +924,32 @@ class SharedAuctionEngine:
         report.displays += len(ids)
 
     def _allocate_phrase(
-        self, phrase: str, ranking: TopKList
+        self,
+        ids: List[int],
+        bids: List[float],
+        scores: List[float],
+        c: List[float],
     ) -> List[Tuple[int, int, int, float]]:
-        """Stage 4, scalar arithmetic: one phrase's displayed ads, priced
-        off the effective bids stage 2 left in row space.
+        """Stage 4, scalar arithmetic: one phrase's displayed ads, from
+        the advertiser ids, effective bids ``b̂``, scores and ``c`` of its
+        ranked entries, best first.
 
         Returns:
             ``(slot, advertiser_id, price_cents, ctr)`` per displayed
             ad, in slot order.
         """
-        entries = ranking.entries
-        bid_by_row, row_of = self._eff_by_row, self._store.row_of
+        slot_factors = self.ctr_model.slot_factors
         allocated: List[Tuple[int, int, int, float]] = []
-        for slot in range(min(self.k, len(entries))):
-            entry = entries[slot]
-            advertiser = self._by_id[entry.advertiser_id]
-            if entry.score <= 0.0:
+        for slot in range(min(self.k, len(ids))):
+            c_i = c[slot]
+            if scores[slot] <= 0.0 or c_i <= 0.0:
                 continue
-            next_score = (
-                entries[slot + 1].score if slot + 1 < len(entries) else 0.0
-            )
-            c_i = (
-                advertiser.ctr_factor_for(phrase)
-                if self.mode == "shared-sort"
-                else advertiser.ctr_factor
-            )
-            if c_i <= 0.0:
-                continue
-            price_cents = min(
-                float(bid_by_row[row_of(entry.advertiser_id)]),
-                next_score / c_i * 100.0,
-            )
-            price = int(round(price_cents))
+            next_score = scores[slot + 1] if slot + 1 < len(scores) else 0.0
+            price = int(round(min(bids[slot], next_score / c_i * 100.0)))
             if price <= 0:
                 continue
-            ctr = min(1.0, c_i * self.ctr_model.slot_factors[slot])
-            allocated.append((slot, entry.advertiser_id, price, ctr))
+            ctr = min(1.0, c_i * slot_factors[slot])
+            allocated.append((slot, ids[slot], price, ctr))
         return allocated
 
     def _price_slots(
@@ -950,14 +958,13 @@ class SharedAuctionEngine:
         """Stage 4, array arithmetic: the whole round's displayed ads.
 
         Works on every phrase's ranked entries laid end to end with
-        their rows and CTR factors, as stage 3's backends hand them
-        over (:attr:`RankedRound.arrays`).  The
-        effective bids stage 2 left in row space are gathered and every
-        slot is priced in :meth:`_allocate_phrase`'s exact operation
-        order -- ``next / c * 100.0``, ``min``, then ``np.rint``, which
-        rounds half to even as Python's ``round`` does -- so the prices
-        agree bit for bit.  What the scalar loop skips (``score <= 0``,
-        ``c <= 0``, ``price <= 0``) is masked.
+        their ``b̂`` and CTR factors, as stage 3's backends hand them
+        over (:attr:`RankedRound.arrays`).  Every slot is priced in
+        :meth:`_allocate_phrase`'s exact operation order -- ``next / c *
+        100.0``, ``min``, then ``np.rint``, which rounds half to even as
+        Python's ``round`` does -- so the prices agree bit for bit.  What
+        the scalar loop skips (``score <= 0``, ``c <= 0``, ``price <=
+        0``) is masked.
 
         Returns:
             ``(shown, slots, ids, prices, ctrs)``: displayed ads per
@@ -967,7 +974,7 @@ class SharedAuctionEngine:
         # The arrays are in stage 3's phrase order; the caller books
         # `shown` against its own.
         assert rankings.phrases == tuple(phrases)
-        lens, scores, ids, rows, c = rankings.arrays
+        lens, scores, ids, _, c, bids = rankings.arrays
         ends = np.cumsum(lens)
         total = int(ends[-1])
         phrase_at = np.repeat(np.arange(len(lens)), lens)
@@ -978,9 +985,7 @@ class SharedAuctionEngine:
         next_score[:-1] = scores[1:]
         next_score[ends[lens > 0] - 1] = 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            price = np.rint(
-                np.minimum(self._eff_by_row[rows], next_score / c * 100.0)
-            )
+            price = np.rint(np.minimum(bids, next_score / c * 100.0))
         at = np.flatnonzero(
             (slot < self.k) & (scores > 0.0) & (c > 0.0) & (price > 0.0)
         )
@@ -1008,8 +1013,7 @@ class SharedAuctionEngine:
 
     def run(self, rounds: int) -> EngineReport:
         """Run several rounds, then flush and settle remaining clicks."""
-        if rounds < 0:
-            raise InvalidAuctionError(f"rounds must be >= 0, got {rounds}")
+        check_count("rounds", rounds)
         report = EngineReport()
         for _ in range(rounds):
             report.absorb(self.run_round())

@@ -13,6 +13,7 @@ sharing).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -22,8 +23,18 @@ __all__ = [
     "TimestampedQuery",
     "RoundBatch",
     "RoundBatcher",
+    "check_count",
     "singleton_rounds",
 ]
+
+
+def check_count(name: str, count: int) -> None:
+    """Raise :class:`InvalidAuctionError` unless ``count`` -- rounds or
+    queries to run -- is an int (not a ``bool``) of at least 0."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise InvalidAuctionError(f"{name} must be an int, got {count!r}")
+    if count < 0:
+        raise InvalidAuctionError(f"{name} must be >= 0, got {count}")
 
 
 @dataclass(frozen=True, order=True)

@@ -48,6 +48,7 @@ from repro.core.topk import ScoredAdvertiser, TopKList, top_k_scan
 from repro.engine.budget_manager import BudgetManager
 from repro.engine.click_model import DelayedClickModel
 from repro.engine.pipeline import EngineReport, RoundReport
+from repro.engine.rounds import check_count
 from repro.errors import InvalidAuctionError
 from repro.instrument import NULL
 
@@ -189,8 +190,7 @@ class ReferenceEngine:
 
     def run(self, rounds: int) -> EngineReport:
         """Run ``rounds`` sampled rounds, then settle every pending click."""
-        if rounds < 0:
-            raise InvalidAuctionError(f"rounds must be >= 0, got {rounds}")
+        check_count("rounds", rounds)
         report = EngineReport()
         for _ in range(rounds):
             report.absorb(self.run_round())

@@ -3,8 +3,8 @@
 The batch engine (:mod:`repro.engine`) amortizes winner determination
 across co-occurring phrases in synchronous rounds; this package serves
 the same auctions the way live traffic asks for them -- one query at a
-time, with clicks settling against the budget books asynchronously and
-the columnar exec cache acting as a steady-state serving cache:
+time, with clicks settling against the budget books asynchronously; a
+query is a round of one phrase, ranked by the same scan in every mode:
 
 - :mod:`repro.serving.traffic` -- seeded Poisson/Zipf query traffic
   (the paper's ``sr_q`` search rates made concrete);

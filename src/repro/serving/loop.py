@@ -6,11 +6,10 @@ seeded :class:`repro.serving.traffic.TrafficGenerator`, each query
 triggers winner determination for *just its phrase* through
 :meth:`SharedAuctionEngine.serve_query`, and clicks settle against the
 budget books asynchronously relative to query processing -- a click
-settles some ticks after the display that earned it.  With
-``exec_cache`` the batch engine's cross-round cache (the columnar
-fragment executor) is the serving engine's *steady-state* cache: between
-consecutive queries almost nothing moves, so the rows its score diff
-finds dirty per query are few and reuse dominates.
+settles some ticks after the display that earned it.  A query is a
+round of one phrase, which the engine ranks by one scan in every mode:
+there is nothing to share, so neither the shared plan (with its exec
+cache) nor the shared sort runs for it.
 
 Equivalence contract: serving a trace is outcome-identical -- winners,
 prices, clicks, and the full budget trajectory -- to replaying the same
@@ -35,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.pipeline import RoundReport, SharedAuctionEngine
+from repro.engine.rounds import check_count
 from repro.errors import InvalidAuctionError
 from repro.instrument import Collector, names as metric_names
 from repro.serving.latency import LatencyRecorder, LatencySummary
@@ -115,10 +115,9 @@ class ServingEngine:
     """Serves seeded query traffic through a shared auction engine.
 
     Args:
-        engine: The auction engine to drive.  Any mode and cache
-            configuration works; with ``exec_cache`` the columnar
-            fragment executor becomes the steady-state serving cache
-            (it diffs each query's scores).
+        engine: The auction engine to drive, in any mode and cache
+            configuration (they apply to its rounds of several phrases;
+            every query is ranked by the same scan).
         traffic: The arrival source.  Its phrase universe must be a
             subset of the engine's bid phrases (checked up front --
             a serving session must not die mid-trace on a typo).
@@ -201,10 +200,7 @@ class ServingEngine:
             and -- with an enabled collector -- the session's cumulative
             counter deltas.
         """
-        if num_queries < 0:
-            raise InvalidAuctionError(
-                f"num_queries must be >= 0, got {num_queries}"
-            )
+        check_count("num_queries", num_queries)
         collector = self.collector
         snapshot = collector.snapshot() if collector.enabled else None
         report = ServingReport()

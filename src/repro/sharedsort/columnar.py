@@ -31,21 +31,19 @@ differential suites assert); only the work counters --
 ``ta.sorted_accesses`` et al. -- differ by strategy.
 
 The kernel runs that algorithm at two granularities (DESIGN section
-7).  :meth:`ColumnarThresholdKernel.rank_round`, the engine's route,
-takes every phrase of the round through the stages together -- stage
-``s`` is a handful of array operations over the ``(active phrases,
-k * 2**s)`` prefix tables -- and returns the round's rankings as flat
-arrays (:class:`RankedRound`) that stage 4 prices without rebuilding a
-``TopKList`` per phrase.  :meth:`ColumnarThresholdKernel.rank_phrase`
+7).  :meth:`ColumnarThresholdKernel.rank_round`, the engine's route
+for a round of several phrases, takes every phrase of the round through
+the stages together -- stage ``s`` is a handful of array operations
+over the ``(active phrases, k * 2**s)`` prefix tables -- and returns the
+round's rankings as flat arrays (:class:`RankedRound`) that stage 4
+prices without building a ``TopKList`` per phrase.  :meth:`ColumnarThresholdKernel.rank_phrase`
 takes one phrase through them and is kept as its differential oracle:
 same stop depths, same accesses, same floats.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from itertools import accumulate
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,7 +52,7 @@ from repro.core.columnar import (
     columnar_top_k,
     segmented_top_k_picks,
 )
-from repro.core.topk import ScoredAdvertiser, TopKList
+from repro.core.topk import TopKList
 from repro.errors import InvalidPlanError
 from repro.instrument import NULL, Collector, names as metric_names
 
@@ -62,17 +60,16 @@ from repro.instrument import NULL, Collector, names as metric_names
 __all__ = ["ColumnarThresholdKernel", "RankedRound"]
 
 
-class RankedRound(Mapping):
-    """A round's Section III rankings, as flat arrays.
+class RankedRound:
+    """A round's rankings, as flat arrays.
 
-    What :meth:`ColumnarThresholdKernel.rank_round` hands stage 4: every
+    What every ranking backend hands stage 4 of
+    :class:`repro.engine.pipeline.SharedAuctionEngine` (this kernel's
+    :meth:`ColumnarThresholdKernel.rank_round` among them): every
     phrase's ranked entries laid end to end in (phrase, rank) order,
-    with the two per-entry values pricing needs and the kernel already
-    held -- the advertiser's row and its ``c_i^q`` for that phrase.
-    Read as a ``Mapping[str, TopKList]`` it builds a phrase's
-    :class:`~repro.core.topk.TopKList` on demand, for the scalar
-    allocation route, the benches and the tests (arrays for array
-    consumers, the object contract for the rest).
+    with each one's row and the two values pricing needs -- its
+    ``c_i^q`` for that phrase and its effective bid ``b̂``.  No
+    :class:`~repro.core.topk.TopKList` is built from it.
 
     Attributes:
         phrases: The round's phrases, in the order they were ranked.
@@ -83,14 +80,14 @@ class RankedRound(Mapping):
         rows: int64 store rows of ``ids``.
         c: float64 ``c_i^q`` of each entry for its phrase
             (:meth:`Advertiser.ctr_factor_for`).
+        bids: float64 effective bid ``b̂`` (cents) of each entry.
     """
 
-    __slots__ = (
-        "phrases", "k", "lens", "scores", "ids", "rows", "c", "_spans"
-    )
+    __slots__ = ("phrases", "k", "lens", "scores", "ids", "rows", "c", "bids")
 
     def __init__(
-        self, phrases: Sequence[str], k: int, lens, scores, ids, rows, c
+        self, phrases: Sequence[str], k: int, lens, scores, ids, rows, c,
+        bids,
     ) -> None:
         self.phrases = tuple(phrases)
         self.k = k
@@ -99,47 +96,20 @@ class RankedRound(Mapping):
         self.ids = ids
         self.rows = rows
         self.c = c
-        self._spans: Optional[Dict[str, Tuple[int, int]]] = None
+        self.bids = bids
 
     @property
     def arrays(self):
-        """``(lens, scores, ids, rows, c)``."""
-        return self.lens, self.scores, self.ids, self.rows, self.c
-
-    def __getitem__(self, phrase: str) -> TopKList:
-        if self._spans is None:
-            lens = self.lens.tolist()
-            self._spans = {
-                name: (end - count, end)
-                for name, count, end in zip(
-                    self.phrases, lens, accumulate(lens)
-                )
-            }
-        start, end = self._spans[phrase]
-        return TopKList.from_ranked(
-            self.k,
-            tuple(
-                map(
-                    ScoredAdvertiser,
-                    self.scores[start:end].tolist(),
-                    self.ids[start:end].tolist(),
-                )
-            ),
-        )
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.phrases)
-
-    def __len__(self) -> int:
-        return len(self.phrases)
+        """``(lens, scores, ids, rows, c, bids)``."""
+        return self.lens, self.scores, self.ids, self.rows, self.c, self.bids
 
 
 class ColumnarThresholdKernel:
     """Per-round shared bid presort + vectorized TA.
 
     :meth:`rank_round` runs TA for every phrase of a round in lockstep
-    array stages and is what the engine calls, whatever the round's
-    size.  :meth:`rank_phrase` runs it for one phrase -- the same
+    array stages and is what the engine calls for a round of two or
+    more phrases (a round of one is a plain scan).  :meth:`rank_phrase` runs it for one phrase -- the same
     rankings, accesses and ``ta.*`` counts -- and stays as the
     differential oracle the tests hold ``rank_round`` to.
 
@@ -325,7 +295,8 @@ class ColumnarThresholdKernel:
             no_floats = np.zeros(0, dtype=np.float64)
             return (
                 RankedRound(
-                    phrases, k, sizes, no_floats, no_ints, no_ints, no_floats
+                    phrases, k, sizes, no_floats, no_ints, no_ints,
+                    no_floats, no_floats,
                 ),
                 depth,
             )
@@ -430,6 +401,7 @@ class ColumnarThresholdKernel:
                 candidate_ids[picked],
                 candidate_rows[picked],
                 cell_c[candidates[picked]],
+                effective[candidate_rows[picked]],
             ),
             sorted_accesses,
         )

@@ -103,55 +103,49 @@ class TestPhraseMembership:
         assert store.phrases() == ["boots", "sandals", "shoes"]
 
 
-class _CountingPhraseSets(dict):
-    """``{advertiser: phrases}`` that counts the advertisers read."""
+class _CountingAdvertiser:
+    """An advertiser that records each read of its ``phrases``."""
 
-    reads = 0
+    def __init__(self, advertiser, reads):
+        self._advertiser = advertiser
+        self._reads = reads
 
-    def __getitem__(self, advertiser_id):
-        self.reads += 1
-        return super().__getitem__(advertiser_id)
-
-    def __iter__(self):
-        for advertiser_id in super().__iter__():
-            self.reads += 1
-            yield advertiser_id
-
-    def items(self):
-        for item in super().items():
-            self.reads += 1
-            yield item
+    def __getattr__(self, name):
+        if name == "phrases":
+            self._reads.append(self._advertiser.advertiser_id)
+        return getattr(self._advertiser, name)
 
 
 class TestPhraseIndexCost:
-    """A phrase seen for the first time costs its members, not the
-    population: one pass builds the phrase -> members index."""
+    """One pass at construction builds the phrase -> member rows index:
+    a phrase seen for the first time costs its members, not the
+    population, and no round pays for the index."""
 
     def _store(self):
-        store = ColumnarStore(_population())
-        store._phrases_of = _CountingPhraseSets(store._phrases_of)
-        return store
+        reads = []
+        population = _population()
+        store = ColumnarStore(
+            [_CountingAdvertiser(a, reads) for a in population]
+        )
+        return store, reads, sorted(a.advertiser_id for a in population)
 
-    def test_a_second_new_phrase_reads_no_advertiser(self):
-        store = self._store()
-        store.phrase_rows("shoes")
-        built = store._phrases_of.reads
-        assert built >= store.size
+    def test_construction_reads_each_phrase_set_once(self):
+        _, reads, ids = self._store()
+        assert sorted(reads) == ids
+
+    def test_a_new_phrase_reads_no_advertiser(self):
+        store, reads, _ = self._store()
+        del reads[:]
         for phrase, members in (("boots", [3, 7]), ("sandals", [4])):
             assert store.ids[store.phrase_rows(phrase)].tolist() == members
-        assert store._phrases_of.reads == built
-
-    def test_nothing_is_built_before_the_first_call(self):
-        store = self._store()
-        assert store._phrases_of.reads == 0
-        assert store._phrase_members is None
+        assert store.phrases() == ["boots", "sandals", "shoes"]
+        assert reads == []
 
     def test_a_phrase_nobody_bids_on_has_no_rows(self):
-        store = self._store()
-        store.phrase_rows("shoes")
-        built = store._phrases_of.reads
+        store, reads, _ = self._store()
+        del reads[:]
         assert store.phrase_rows("nobody's phrase").tolist() == []
-        assert store._phrases_of.reads == built
+        assert reads == []
 
 
 class TestUnindexedPhrase:

@@ -25,14 +25,11 @@ from .test_standing_columns_machine import COLUMNS, _row_from_the_books
 
 
 def _scored(engine, phrases, round_index, report=None):
-    """Run stage 2 and read the ``b̂`` it left in row space, by id."""
+    """Run stage 2 and read the ``b̂`` it returns, by id."""
     if report is None:
         report = RoundReport(round_index, tuple(phrases))
-    engine._effective_scores(phrases, round_index, report)
-    rows = engine._occurring_rows
-    return dict(
-        zip(engine._store.ids[rows].tolist(), engine._eff_by_row[rows].tolist())
-    )
+    rows, bids, _ = engine._effective_scores(phrases, round_index, report)
+    return dict(zip(engine._store.ids[rows].tolist(), bids.tolist()))
 
 LEDGER_METHODS = (
     "prune",
@@ -181,7 +178,7 @@ class TestStandingColumns:
                 # is current; the round's displays are still to sync.
                 expected = _columns_from_the_books(engine)
                 found = _columns(engine)
-                for name in ("_cap_by_row", "_base_bid_by_row", "_base_score_by_row"):
+                for name in ("_cap_by_row", "_base_score_by_row"):
                     assert found[name] == expected[name]
             moved += report.clicks
             throttled += report.debt_carriers_scored

@@ -300,7 +300,7 @@ def stage_two_bids(engine):
     """Record the ``b̂`` map of each round the engine (or reference) scores.
 
     The reference's is what its scoring step returns; the engine's is
-    what its stage 2 left in row space, read as stage 3 starts.
+    what its stage 2 hands stage 3.
     """
     seen = []
     if isinstance(engine, ReferenceEngine):
@@ -314,11 +314,11 @@ def stage_two_bids(engine):
         return seen
     rank = engine._rank_phrases
 
-    def recording_rank(phrases, report):
-        rows = engine._occurring_rows
+    def recording_rank(phrases, scored, report):
+        rows, bids, _ = scored
         ids = engine._store.ids[rows].tolist()
-        seen.append(dict(zip(ids, engine._eff_by_row[rows].tolist())))
-        return rank(phrases, report)
+        seen.append(dict(zip(ids, bids.tolist())))
+        return rank(phrases, scored, report)
 
     engine._rank_phrases = recording_rank
     return seen
@@ -327,8 +327,8 @@ def stage_two_bids(engine):
 class TestWideBudgetedMarketLockstep:
     """Engine and reference allocate alike on a wide market under budgets.
 
-    Each round the engine's stage 2 must also leave the reference's
-    ``b̂`` map in row space, and some budget must bind: an advertiser
+    Each round the engine's stage 2 must also hand stage 3 the
+    reference's ``b̂`` map, and some budget must bind: an advertiser
     scored in an earlier round whose throttled ``b̂`` moved again, below
     its bid.  The wide market (24 phrases, 3 slots) prices most rounds'
     slots through the engine's array pass, so this is the lockstep of

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.advertiser import Advertiser
@@ -156,6 +157,22 @@ class TestRoundResolution:
         assert (
             report.revenue_cents, report.forgiven_cents, report.clicks
         ) == twin.settle_remaining_clicks()
+
+    @pytest.mark.parametrize(
+        "count", [True, False, 2.5, float("nan"), "3", None]
+    )
+    @pytest.mark.parametrize("reference", [False, True])
+    def test_a_round_count_that_is_not_an_int_is_refused(
+        self, population, count, reference
+    ):
+        # run(True) used to run one round, run(2.5) to die in range().
+        engine = build_engine(population, reference=reference)
+        rng_state = engine._rng.getstate()
+        with pytest.raises(InvalidAuctionError, match="rounds must be an int"):
+            engine.run(count)
+        assert engine._round_index == 0
+        assert engine._rng.getstate() == rng_state
+        assert engine.run(np.int64(2)).rounds == 2
 
     def test_work_counters_populate(self, population):
         engine = build_engine(population)

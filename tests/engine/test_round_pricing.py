@@ -7,12 +7,12 @@ picks between them from the slot count alone
 crossover must come out the same to the last bit -- prices (half-even
 rounding on an exact half cent included), CTRs, skipped slots.
 
-The array pass reads stage 3's flat arrays (``RankedRound``), which every
-columnar backend hands over for a round of more than one phrase: the
-fragment executor, the Section III round kernel and the scan.  That
-hand-off is held to the same oracle, to arrays built from
-:class:`repro.reference.ReferenceEngine`'s ``TopKList``s, and to
-building no ``TopKList`` at all.
+Both read stage 3's flat arrays (``RankedRound``), which every ranking
+backend hands over: the fragment executor, the Section III round kernel
+and the scan for a round of several phrases, and the one-phrase scan for
+a round of one (a served tick).  That hand-off is held to the same
+oracle, to arrays built from :class:`repro.reference.ReferenceEngine`'s
+``TopKList``s and ``b̂``, and to building no ``TopKList`` at all.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from repro.engine.pipeline import ARRAY_PRICING_MIN_SLOTS, SharedAuctionEngine
 from repro.reference import ReferenceEngine
 from repro.sharedsort.columnar import RankedRound
 from repro.workloads.generator import MarketConfig, generate_market
+
+from ..sharedsort.test_rank_round import ranked_lists
 
 SLOT_FACTORS = (0.3, 0.2, 0.1)
 K = len(SLOT_FACTORS)
@@ -93,9 +95,10 @@ ranked = st.lists(
 )
 
 
-def _ranked_round(engine, phrases, rankings):
+def _ranked_round(engine, phrases, rankings, bid_by_row):
     """``TopKList`` rankings laid end to end as stage 3 hands them over:
-    each entry's store row and its ``c`` (``c_i^q`` under shared-sort)."""
+    each entry's store row, its ``c`` (``c_i^q`` under shared-sort) and
+    its ``b̂`` off ``bid_by_row``."""
     store = engine._store
     ranked = [rankings[phrase].entries for phrase in phrases]
     flat = [entry for entries in ranked for entry in entries]
@@ -120,13 +123,29 @@ def _ranked_round(engine, phrases, rankings):
         ids,
         rows,
         c,
+        np.asarray(bid_by_row, dtype=np.float64)[rows],
     )
 
 
-def _scalar(engine, phrases, rankings):
+def _scalar(engine, phrases, rankings, bid_by_row):
+    """The scalar pricer over each phrase's ``TopKList``, with ``c`` and
+    ``b̂`` looked up by id off the advertisers and ``bid_by_row``."""
+    row_of = engine._store.row_of
     shown, rows = [], []
     for phrase in phrases:
-        ads = engine._allocate_phrase(phrase, rankings[phrase])
+        entries = rankings[phrase].entries
+        ids = [entry.advertiser_id for entry in entries]
+        ads = engine._allocate_phrase(
+            ids,
+            [float(bid_by_row[row_of(i)]) for i in ids],
+            [entry.score for entry in entries],
+            [
+                engine._by_id[i].ctr_factor_for(phrase)
+                if engine.mode == "shared-sort"
+                else engine._by_id[i].ctr_factor
+                for i in ids
+            ],
+        )
         shown.append(len(ads))
         rows.extend(ads)
     columns = [list(column) for column in zip(*rows)] or [[], [], [], []]
@@ -143,7 +162,7 @@ def test_array_pricing_equals_the_scalar_loop_bit_for_bit(mode, data):
         st.integers(min_value=1, max_value=2 * ARRAY_PRICING_MIN_SLOTS // K)
     )
     phrases = PHRASES[:count]
-    engine._eff_by_row[:] = data.draw(
+    bid_by_row = data.draw(
         st.lists(
             bids, min_size=len(ADVERTISER_IDS), max_size=len(ADVERTISER_IDS)
         )
@@ -151,9 +170,9 @@ def test_array_pricing_equals_the_scalar_loop_bit_for_bit(mode, data):
     rankings = {
         phrase: TopKList(K + 1, data.draw(ranked)) for phrase in phrases
     }
-    expected = _scalar(engine, phrases, rankings)
+    expected = _scalar(engine, phrases, rankings, bid_by_row)
     shown, slots, ids, prices, ctrs = engine._price_slots(
-        phrases, _ranked_round(engine, phrases, rankings)
+        phrases, _ranked_round(engine, phrases, rankings, bid_by_row)
     )
     assert (shown, slots, ids, prices) == expected[:4]
     # Bit for bit, not approximately: the floats feed the click draws.
@@ -166,8 +185,8 @@ def test_recorded_edges():
     # capped by b-hat, score == 0, c == 0, no runner-up, one entry.
     engine = ENGINES["unshared"]
     a, b, c, zero_ctr = 5, 7, 9, 3  # factors 0.25, 0.5, 1.0, 0.0
-    engine._eff_by_row[:] = 1000.0
-    engine._eff_by_row[engine._store.row_of(c)] = 40.5
+    bid_by_row = np.full(engine._store.size, 1000.0)
+    bid_by_row[engine._store.row_of(c)] = 40.5
     rankings = {
         # 0.125 / 1.0 * 100 = 12.5 -> 12; 0.375 -> 37.5 -> 38.
         "p00": TopKList(K + 1, [(3.0, c), (0.125, a)]),
@@ -184,9 +203,11 @@ def test_recorded_edges():
     }
     phrases = sorted(rankings)
     shown, slots, ids, prices, _ = engine._price_slots(
-        phrases, _ranked_round(engine, phrases, rankings)
+        phrases, _ranked_round(engine, phrases, rankings, bid_by_row)
     )
-    assert (shown, slots, ids, prices) == _scalar(engine, phrases, rankings)[:4]
+    assert (shown, slots, ids, prices) == _scalar(
+        engine, phrases, rankings, bid_by_row
+    )[:4]
     allocated = iter(zip(slots, ids, prices))
     by_phrase = {
         phrase: [next(allocated) for _ in range(count)]
@@ -254,18 +275,23 @@ def test_pricing_from_the_round_kernels_arrays(data):
     # From one phrase up, through the slot-count crossover.
     count = data.draw(st.integers(min_value=1, max_value=len(PHRASES)))
     phrases = PHRASES[:count]
-    engine._eff_by_row[:] = data.draw(
-        st.lists(
-            bids, min_size=len(ADVERTISER_IDS), max_size=len(ADVERTISER_IDS)
+    bid_by_row = np.array(
+        data.draw(
+            st.lists(
+                bids,
+                min_size=len(ADVERTISER_IDS),
+                max_size=len(ADVERTISER_IDS),
+            )
         )
     )
     member = np.zeros(store.size, dtype=bool)
     for phrase in phrases:
         member[store.phrase_rows(phrase)] = True
-    kernel.begin_round(engine._eff_by_row, np.flatnonzero(member))
+    kernel.begin_round(bid_by_row, np.flatnonzero(member))
     ranked, _ = kernel.rank_round(phrases)
     assert isinstance(ranked, RankedRound)
-    lens, _, ids, rows, c = ranked.arrays
+    lens, _, ids, rows, c, carried_bids = ranked.arrays
+    assert carried_bids.tobytes() == bid_by_row[rows].tobytes()
     # What the kernel carries is c_i^q, not c_i.
     by_id = engine._by_id
     carried = iter(zip(ids.tolist(), c.tolist()))
@@ -274,12 +300,11 @@ def test_pricing_from_the_round_kernels_arrays(data):
         for _ in range(entries):
             advertiser_id, factor = next(carried)
             assert factor == by_id[advertiser_id].ctr_factor_for(phrase)
-    # The scalar oracle reads the materialized TopKLists, and arrays
-    # rebuilt from them price the same.
-    expected = _scalar(engine, phrases, ranked)
-    rebuilt = _ranked_round(
-        engine, phrases, {phrase: ranked[phrase] for phrase in phrases}
-    )
+    # The scalar oracle reads TopKLists built from the arrays, and
+    # arrays rebuilt from those price the same.
+    lists = ranked_lists(ranked)
+    expected = _scalar(engine, phrases, lists, bid_by_row)
+    rebuilt = _ranked_round(engine, phrases, lists, bid_by_row)
     for rankings in (ranked, rebuilt):
         shown, slots, shown_ids, prices, ctrs = engine._price_slots(
             phrases, rankings
@@ -392,7 +417,7 @@ class TestDispatch:
 
 
 # ----------------------------------------------------------------------
-# every multi-phrase columnar round hands stage 4 arrays
+# every round and every served tick hands stage 4 arrays
 # ----------------------------------------------------------------------
 BACKENDS = {
     "shared+exec_cache": dict(mode="shared", exec_cache=True),
@@ -464,7 +489,7 @@ def _recorded_rankings(engine):
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_a_multi_phrase_round_builds_no_topklist(monkeypatch, backend):
+def test_no_round_or_tick_builds_a_topklist(monkeypatch, backend):
     advertisers, rates = _wide_market(0)
     phrases = sorted(rates)
     assert len(phrases) > CROSSOVER
@@ -501,25 +526,28 @@ def test_a_multi_phrase_round_builds_no_topklist(monkeypatch, backend):
         monkeypatch.setattr(engine, stage, staged)
     rankings = _recorded_rankings(engine)
     displays = 0
-    for count in (CROSSOVER, len(phrases), CROSSOVER + 2) * 2:
+    for count in (1, CROSSOVER, len(phrases), 2, CROSSOVER + 2) * 2:
         displays += engine.run_round(phrases[:count]).displays
+        displays += engine.serve_query(phrases[count % len(phrases)]).displays
     assert displays
     assert all(isinstance(r, RankedRound) for _, r in rankings)
     assert built == []
-    # The counting is live: a served tick through the scalar route reads
-    # the RankedRound's Mapping face (or the scan's TopKList).
-    engine.serve_query(phrases[0])
-    assert built
+    # The counting is live: a list built inside a stage is counted.
+    inside.append(True)
+    ranked_lists(rankings[0][1])
+    TopKList(K + 1)
+    inside.pop()
+    assert {"from_ranked", "__init__"} <= set(built)
 
 
-def _assert_same_rankings(engine, phrases, columnar, reference):
-    if not isinstance(columnar, RankedRound):
-        # The one-phrase scan hands over its TopKList.
-        assert len(phrases) == 1 and engine.mode == "unshared"
-        assert dict(columnar) == dict(reference)
-        return
+def _assert_same_rankings(engine, phrases, columnar, reference, bids):
+    # Every backend, the one-phrase scan included, hands over arrays.
+    assert isinstance(columnar, RankedRound)
     assert columnar.phrases == tuple(phrases)
-    expected = _ranked_round(engine, phrases, reference)
+    store = engine._store
+    bid_by_row = np.zeros(store.size)
+    bid_by_row[store.rows_of(list(bids))] = list(bids.values())
+    expected = _ranked_round(engine, phrases, reference, bid_by_row)
     for got, want in zip(columnar.arrays, expected.arrays):
         assert got.dtype == want.dtype
         # Bit for bit: the floats are compared as their bytes.
@@ -528,16 +556,18 @@ def _assert_same_rankings(engine, phrases, columnar, reference):
 
 def _reference_rankings(reference):
     """Each phrase's ``TopKList`` as the reference ranks it, collected
-    until the caller clears them."""
+    until the caller clears them, and the ``b̂`` map it ranked by."""
     ranked = {}
+    bids = {}
     rank = reference._rank
 
-    def recording(phrase, *args):
-        ranked[phrase] = rank(phrase, *args)
+    def recording(phrase, bid_of, *args):
+        ranked[phrase] = rank(phrase, bid_of, *args)
+        bids.update(bid_of)
         return ranked[phrase]
 
     reference._rank = recording
-    return ranked
+    return ranked, bids
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -555,7 +585,8 @@ def test_every_backend_hands_over_the_reference_rankings(backend, seed):
     reference = ReferenceEngine(
         advertisers, SLOT_FACTORS, rates, seed=seed, **config
     )
-    got, want = _recorded_rankings(columnar), _reference_rankings(reference)
+    got = _recorded_rankings(columnar)
+    want, want_bids = _reference_rankings(reference)
     rng = random.Random(seed)
     rounds = [
         phrases,
@@ -574,9 +605,10 @@ def test_every_backend_hands_over_the_reference_rankings(backend, seed):
             return
         ((same, mine),) = got
         assert same == tuple(occurring) and list(want) == list(occurring)
-        _assert_same_rankings(columnar, same, mine, want)
+        _assert_same_rankings(columnar, same, mine, want, want_bids)
         got.clear()
         want.clear()
+        want_bids.clear()
         compared += 1
 
     for occurring in rounds:

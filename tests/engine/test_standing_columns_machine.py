@@ -79,7 +79,6 @@ COLUMNS = (
     "_cap_by_row",
     "_slack_by_row",
     "_carrying_by_row",
-    "_base_bid_by_row",
     "_base_score_by_row",
 )
 
@@ -94,7 +93,6 @@ def _row_from_the_books(engine, advertiser_id: int, row: int) -> tuple:
         cap,
         remaining - manager.liability_cents(advertiser_id),
         advertiser_id in manager.debt_carriers,
-        float(cap),
         cap / 100.0 * float(store.ctr_factors[row]),
     )
 
@@ -199,13 +197,13 @@ class StandingColumnsMachine(RuleBasedStateMachine):
         manager.throttle_problem = counted_build
         rank = engine._rank_phrases
 
-        def checked_rank(phrases, report):
-            self._check_scoring(phrases, report)
-            return rank(phrases, report)
+        def checked_rank(phrases, scored, report):
+            self._check_scoring(phrases, scored, report)
+            return rank(phrases, scored, report)
 
         engine._rank_phrases = checked_rank
 
-    def _check_scoring(self, phrases, report):
+    def _check_scoring(self, phrases, scored, report):
         """Between stages 2 and 3: nothing has moved since the sync."""
         engine = self.engine
         store = engine._store
@@ -219,16 +217,19 @@ class StandingColumnsMachine(RuleBasedStateMachine):
                     multiplicity.get(advertiser_id, 0) + 1
                 )
         problems = 0
-        for advertiser_id, m in sorted(multiplicity.items()):
-            row = store.row_of(advertiser_id)
+        # What stage 2 hands stages 3 and 4.
+        rows, bids, scores = scored
+        assert store.ids[rows].tolist() == sorted(multiplicity)
+        for advertiser_id, row, got_bid, got_score in zip(
+            sorted(multiplicity), rows.tolist(), bids.tolist(), scores.tolist()
+        ):
             bid, score, built = _score_as_stage_two_used_to(
-                engine, advertiser_id, row, m, report.round_index
+                engine, advertiser_id, row, multiplicity[advertiser_id],
+                report.round_index,
             )
             problems += built
-            # What stages 3 and 4 read.
-            assert engine._eff_by_row[row] == bid
-            assert engine._score_by_row[row] == score
-        assert store.ids[engine._occurring_rows].tolist() == sorted(multiplicity)
+            assert got_bid == bid
+            assert got_score == score
         assert report.debt_carriers_scored == problems
         self.answered_from_kept += problems - built
         self._check_kept_problems(multiplicity, report.round_index)
@@ -360,8 +361,7 @@ class TestTheMarketIsHard:
         score = engine._effective_scores
 
         def spying_score(phrases, round_index, report):
-            score(phrases, round_index, report)
-            rows = engine._occurring_rows
+            rows, _, _ = scored = score(phrases, round_index, report)
             m = len(phrases)  # everyone below bids on every phrase
             for row in rows[:5].tolist():
                 failed = (
@@ -371,6 +371,7 @@ class TestTheMarketIsHard:
             unbudgeted = engine._store.row_of(3)
             assert not engine._carrying_by_row[unbudgeted]
             assert engine._slack_by_row[unbudgeted] == UNBUDGETED_CENTS
+            return scored
 
         engine._effective_scores = spying_score
         for _ in range(30):

@@ -2,8 +2,8 @@
 
 Covers the pieces the differential battery treats as a black box: the
 phrase-universe validation, per-query latency capture through an
-injected clock, the columnar exec cache's per-query score diff, report
-totals, and the ``serve.*`` gauge flush.
+injected clock, a tick's bypass of the exec cache and the Section III
+kernel, report totals, and the ``serve.*`` gauge flush.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import pytest
 from repro.engine import SharedAuctionEngine
 from repro.errors import InvalidAuctionError
 from repro.instrument import MetricsCollector, names
+from repro.reference import ReferenceEngine
 from repro.serving import QueryArrival, ServingEngine, TrafficGenerator
 from repro.workloads.generator import MarketConfig, generate_market
 
@@ -153,53 +154,72 @@ class TestRejectedOperationKeepsTheTickClock:
         assert sum(clicks for _, _, clicks, _ in served) > 0
 
 
-class TestPerQueryDiff:
-    """A served query diffs only its own phrase's rows.
+class TestATickLeavesTheRoundBackendsAlone:
+    """A served query is a round of one phrase: a scan of stage 2's
+    arrays in every mode.  It absorbs no score into the exec cache,
+    bumps no epoch and begins no Section III round; the next round of
+    several phrases finds whatever the ticks moved by its own diff."""
 
-    The columnar exec cache takes no events: a tick absorbs the scores
-    of the rows it scores, so a row off the served phrase is neither
-    read nor marked until a query of its phrase arrives.
-    """
+    def _cache_state(self, executor):
+        tables = executor._tables
+        return [
+            executor.rounds,
+            *(
+                array.tobytes()
+                for array in (
+                    executor._last_scores, executor._seen,
+                    executor._row_epoch, executor._frag_epoch,
+                    tables.dirty, tables.stale,
+                )
+            ),
+        ]
 
-    def _rows_of(self, engine, phrase):
-        store = engine._store
-        return {store.row_of(i) for i in engine.phrase_advertisers[phrase]}
-
-    def _dirty(self, engine):
-        return set(engine._columnar_exec.dirty_rows_last_round().tolist())
-
-    def test_a_served_query_diffs_only_its_phrase_rows(self):
+    @pytest.mark.parametrize("config", [
+        dict(mode="shared", exec_cache=True),
+        dict(mode="shared"),
+        dict(mode="shared-sort"),
+        dict(mode="unshared"),
+    ], ids=["shared+exec_cache", "shared", "shared-sort", "unshared"])
+    def test_ticks_touch_neither_executor_nor_kernel(self, config):
         market = small_market()
-        engine = make_engine(market, exec_cache=True)
+        engine = make_engine(market, **config)
+        engine.run_round(phrases_of(market))
+        executor, kernel = engine._columnar_exec, engine._columnar_sort
+        before = self._cache_state(executor) if engine.exec_cache else None
+        order = kernel._order if kernel is not None else None
         loop = ServingEngine(engine, make_traffic(market))
-        seen = set()
-        for arrival in make_traffic(market).take(40):
-            loop.serve_one(arrival)
-            rows = self._rows_of(engine, arrival.phrase)
-            dirty = self._dirty(engine)
-            assert dirty <= rows
-            # A row never scored before is always dirty.
-            assert rows - seen <= dirty
-            seen |= rows
+        report = loop.run(40)
+        assert report.displays
+        if before is not None:
+            assert self._cache_state(executor) == before
+        if kernel is not None:
+            assert kernel._order is order
+        assert not [
+            name for name in report.counters
+            if name.startswith(("plan.", "ta."))
+        ]
+        assert report.counters[names.COLUMNAR_SCORE_BATCHES] == 40
 
-    def test_the_first_query_of_a_phrase_sees_its_new_rows_first(self):
+    def test_every_mode_serves_the_reference_ticks(self):
         market = small_market()
-        engine = make_engine(market, exec_cache=True)
-        loop = ServingEngine(engine, make_traffic(market))
-        phrase_a, phrase_b = next(
-            (a, b)
-            for a in phrases_of(market)
-            for b in phrases_of(market)
-            if self._rows_of(engine, b) - self._rows_of(engine, a)
-        )
-        loop.serve_one(QueryArrival(0, 0.0, phrase_a))
-        rows_a = self._rows_of(engine, phrase_a)
-        assert self._dirty(engine) == rows_a
-        loop.serve_one(QueryArrival(1, 0.1, phrase_b))
-        fresh = self._rows_of(engine, phrase_b) - rows_a
-        assert fresh <= self._dirty(engine)
-        for row in fresh:
-            assert engine._columnar_exec.row_epoch(row) == 1
+        trace = [a.phrase for a in make_traffic(market).take(60)]
+        for mode, exec_cache in (
+            ("shared", True), ("shared", False),
+            ("shared-sort", False), ("unshared", False),
+        ):
+            engine = make_engine(
+                market, mode=mode, exec_cache=exec_cache, collector=None
+            )
+            reference = ReferenceEngine(
+                market.advertisers, [0.3, 0.2], market.search_rates,
+                mode=mode, seed=5,
+            )
+            for phrase in trace:
+                ours = engine.serve_query(phrase)
+                theirs = reference.serve_query(phrase)
+                assert ours.allocations == theirs.allocations
+                assert ours.revenue_cents == theirs.revenue_cents
+                assert (ours.merges, ours.scans) == (0, theirs.scans)
 
 
 class TestRun:
@@ -235,6 +255,16 @@ class TestRun:
         loop = ServingEngine(make_engine(market), make_traffic(market))
         with pytest.raises(InvalidAuctionError, match="num_queries"):
             loop.run(-1)
+
+    @pytest.mark.parametrize("count", [True, 2.5, float("nan"), "3"])
+    def test_rejects_a_query_count_that_is_not_an_int(self, count):
+        # run(True) used to serve one query, run(2.5) to die in take().
+        market = small_market()
+        loop = ServingEngine(make_engine(market), make_traffic(market))
+        with pytest.raises(InvalidAuctionError, match="num_queries must be"):
+            loop.run(count)
+        assert loop.queries_served == 0
+        assert loop.engine._round_index == 0
 
     def test_zero_queries_is_a_clean_empty_session(self):
         market = small_market()

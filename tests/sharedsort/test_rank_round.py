@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import repro.sharedsort.columnar as sharedsort_columnar
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import ColumnarStore
-from repro.core.topk import TopKList
+from repro.core.topk import ScoredAdvertiser, TopKList
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidPlanError
 from repro.instrument import MetricsCollector, names
@@ -69,6 +69,19 @@ def _both_routes(store, k, effective, phrases, rows=None):
     return ranked, per_phrase, lockstep_collector, loop_collector
 
 
+def ranked_lists(ranked: RankedRound):
+    """``{phrase: TopKList}`` read off a round's flat arrays."""
+    lists, end = {}, 0
+    scores, ids = ranked.scores.tolist(), ranked.ids.tolist()
+    for phrase, count in zip(ranked.phrases, ranked.lens.tolist()):
+        start, end = end, end + count
+        lists[phrase] = TopKList.from_ranked(
+            ranked.k,
+            tuple(map(ScoredAdvertiser, scores[start:end], ids[start:end])),
+        )
+    return lists
+
+
 def _entries(ranking: TopKList):
     # repr keeps the sign of a zero and every last bit.
     return [(repr(e.score), e.advertiser_id) for e in ranking.entries]
@@ -79,19 +92,21 @@ def _assert_identical(store, k, effective, phrases, rows=None):
         store, k, effective, phrases, rows
     )
     assert isinstance(ranked, RankedRound)
-    assert list(ranked) == list(phrases)
+    assert ranked.phrases == tuple(phrases)
+    lists = ranked_lists(ranked)
     for phrase in phrases:
-        assert _entries(ranked[phrase]) == _entries(per_phrase[phrase][0])
-        assert ranked[phrase].k == k
+        assert _entries(lists[phrase]) == _entries(per_phrase[phrase][0])
+        assert lists[phrase].k == k
     for counter in TA_COUNTERS:
         assert lockstep.counter(counter) == loop.counter(counter), counter
     assert lockstep.gauges.get(names.TA_STOP_DEPTH) == loop.gauges.get(
         names.TA_STOP_DEPTH
     )
-    # The flat hand-off: rows and c are those of the ranked ids.
-    lens, scores, ids, rows, c = ranked.arrays
-    assert lens.tolist() == [len(ranked[p].entries) for p in phrases]
+    # The flat hand-off: rows, c and b̂ are those of the ranked ids.
+    lens, scores, ids, rows, c, bids = ranked.arrays
+    assert lens.tolist() == [len(lists[p].entries) for p in phrases]
     assert store.ids[rows].tolist() == ids.tolist()
+    assert bids.tobytes() == effective[rows].tobytes()
     at = 0
     for phrase, count in zip(phrases, lens.tolist()):
         for advertiser_id, factor in zip(
@@ -101,7 +116,7 @@ def _assert_identical(store, k, effective, phrases, rows=None):
                 phrase, store.ctr_factors[store.row_of(advertiser_id)]
             )
         at += count
-    return ranked
+    return lists
 
 
 # ----------------------------------------------------------------------
@@ -373,7 +388,8 @@ def test_a_reused_kernel_ranks_moved_scores_like_a_fresh_kernel(
         )
         if route == "rank_round":
             ranked, accesses = kernel.rank_round(phrases)
-            return [_entries(ranked[p]) for p in phrases], accesses.tolist()
+            lists = ranked_lists(ranked)
+            return [_entries(lists[p]) for p in phrases], accesses.tolist()
         results = [kernel.rank_phrase(p) for p in phrases]
         return [_entries(r) for r, _ in results], [a for _, a in results]
 
@@ -433,8 +449,9 @@ def test_a_reused_kernel_ranks_partial_rounds_from_scratch(seed):
         rows = _occurring_rows(store, occurring)
         assert kernel.begin_round(effective.copy(), rows) == len(rows)
         ranked, _ = kernel.rank_round(occurring)
+        lists = ranked_lists(ranked)
         for phrase in occurring:
-            assert _entries(ranked[phrase]) == _brute_force(
+            assert _entries(lists[phrase]) == _brute_force(
                 store, effective, phrase, k
             )
 
@@ -457,8 +474,8 @@ def test_a_phrase_without_members_ranks_empty(phrases):
     kernel.begin_round(_effective(store), _occurring_rows(store, phrases))
     ranked, accesses = kernel.rank_round(phrases)
     at = phrases.index("nobody")
-    assert ranked["nobody"].entries == ()
-    assert ranked["nobody"].k == 3
+    assert ranked_lists(ranked)["nobody"].entries == ()
+    assert ranked.k == 3
     assert accesses[at] == 0
     assert collector.counter(names.TA_RUNS) == len(phrases) - 1
     lens = ranked.arrays[0]
