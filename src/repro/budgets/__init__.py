@@ -32,10 +32,7 @@ from repro.budgets.hoeffding import (
     prob_sum_less_than,
     throttled_bid_bounds,
 )
-from repro.budgets.outstanding import (
-    OutstandingAd,
-    OutstandingLedger,
-)
+from repro.budgets.outstanding import OutstandingLedger
 from repro.budgets.throttle import (
     ThrottleProblem,
     exact_throttled_bid,
@@ -45,7 +42,6 @@ from repro.budgets.throttle import (
 __all__ = [
     "BoundedBid",
     "Interval",
-    "OutstandingAd",
     "OutstandingLedger",
     "ThrottleProblem",
     "compare_throttled_bids",

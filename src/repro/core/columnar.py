@@ -44,7 +44,7 @@ from typing import Dict, List, Sequence, Set
 import numpy as np
 
 from repro.core.advertiser import Advertiser
-from repro.core.money import dollars_to_cents
+from repro.core.money import UNBUDGETED_CENTS, dollars_to_cents
 from repro.core.topk import ScoredAdvertiser, TopKList
 from repro.errors import InvalidAuctionError
 from repro.instrument import NULL, Collector, names as metric_names
@@ -56,12 +56,6 @@ __all__ = [
     "columnar_top_k_picks",
     "segmented_top_k_picks",
 ]
-
-UNBUDGETED_CENTS = 10**12
-"""Sentinel for an unlimited budget; mirrors
-:attr:`repro.engine.budget_manager.BudgetManager.UNBUDGETED_CENTS`, the
-constant ``remaining_cents`` of an advertiser without a budget."""
-
 
 SEGMENT_FILTER_MIN_CANDIDATES = 512
 """Candidates in a :func:`segmented_top_k_picks` batch from which it

@@ -23,14 +23,24 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Container, Iterable, List, Tuple
+from typing import Collection, Container, Iterable, List, Tuple
 
-from repro.errors import InvalidAuctionError
+from repro.errors import BudgetError, InvalidAuctionError
 
-__all__ = ["check_bid_cents", "checked_bid_update", "dollars_to_cents"]
+__all__ = [
+    "UNBUDGETED_CENTS",
+    "check_bid_cents",
+    "check_cents",
+    "checked_bid_update",
+    "dollars_to_cents",
+]
 
 INT64_MAX = 2**63 - 1
 """The largest cent amount a store column (int64) holds."""
+
+UNBUDGETED_CENTS = 10**12
+"""The constant remaining budget of an advertiser without one (its
+``β = ∞`` never throttles a bid and always charges a click in full)."""
 
 
 def dollars_to_cents(dollars: float) -> int:
@@ -84,6 +94,26 @@ def check_bid_cents(cents: int, widest: int) -> None:
         raise InvalidAuctionError(
             f"bid {cents!r} is not int cents in [0, 2**53 / {widest})"
         )
+
+
+def check_cents(amounts: Collection[int], what: str) -> None:
+    """Refuse a batch of budgets or prices unless every amount is
+    ``int`` cents (``bool`` is not) and ``>= 0``, before any is booked.
+
+    One pass over the batch's types (normally just ``int``) and one
+    ``min``.
+
+    Raises:
+        BudgetError: On a float (NaN and infinity included), a ``bool``
+            or a negative amount.
+    """
+    for kind in set(map(type, amounts)):
+        if kind is not int and (
+            kind is bool or not issubclass(kind, numbers.Integral)
+        ):
+            raise BudgetError(f"{what} must be int cents, got a {kind.__name__}")
+    if amounts and min(amounts) < 0:
+        raise BudgetError(f"{what} must be >= 0, got {min(amounts)}")
 
 
 def checked_bid_update(

@@ -3,7 +3,7 @@
 ``benchmarks/e2e/spans.py`` alone imports these classes and patches
 ``ChangeFeed.publish`` / ``Subscription.drain`` for its ``engine.feed_*``
 rows.  Nothing in ``src/`` imports this module, and nothing calls either
-method.  It is deleted with those rows (ROADMAP item 5a).
+method.  It is deleted with those rows (ROADMAP item 1a).
 """
 
 

@@ -31,10 +31,9 @@ class DelayedClickModel:
     A scheduled click is the row ``(advertiser_id, price_cents,
     display_round, ledger_handle)`` --
     :meth:`repro.engine.budget_manager.BudgetManager.settle_clicks`'
-    input.  The handle names the outstanding-ledger entry recorded for
+    input.  The handle names the outstanding ad the books recorded for
     the display, so settlement resolves exactly the clicked ad; ``-1``
-    when the display was not recorded against a ledger, as an
-    unbudgeted advertiser's never is.  Rows wait in one bucket per
+    when the books recorded none, as for an unbudgeted advertiser's.  Rows wait in one bucket per
     arrival round, so a tick pops what is due and never walks the
     clicks that are not.
 

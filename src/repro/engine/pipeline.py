@@ -250,7 +250,7 @@ class SharedAuctionEngine:
         refused and a disabled one dropped.  Anything else raises
         :class:`InvalidAuctionError`.  The seam exists for the frozen
         benchmark's verify pass, which still names its oracle
-        ``layout="object"``; ROADMAP 5c re-points that pass at the
+        ``layout="object"``; ROADMAP item 1a re-points that pass at the
         reference and deletes the seam.
         """
         if layout == "columnar":
@@ -334,7 +334,7 @@ class SharedAuctionEngine:
         # is never scheduled (DelayedClickModel drops it), so an
         # outstanding ad older than that can never be clicked and may
         # be discarded; +1 keeps an ad alive through the last round its
-        # click can still arrive.  An unbounded ledger makes the
+        # click can still arrive.  Unbounded books make the
         # Section IV exact throttle -- O(min(2^l, l*beta)) in the
         # outstanding count l -- grow per tick, turning long serving
         # sessions quadratic.
@@ -592,7 +592,7 @@ class SharedAuctionEngine:
         manager (stages 1 and 4, :meth:`settle_remaining_clicks` and a
         caller booking on ``engine.budget_manager`` alike), which
         remembers whom it moved; only their rows are re-derived, from
-        ``β`` and the ledger's running liability.  A served tick moves
+        ``β`` and the running liability.  A served tick moves
         a handful of advertisers, written cell by cell; from
         :data:`BOOK_SYNC_ARRAY_MIN_MOVERS` up the same arithmetic runs
         as array operations behind one ``rows_of``.
@@ -670,19 +670,19 @@ class SharedAuctionEngine:
         Bit-identical to the reference's exact stage.  Section IV's
         quick test ``ω_l <= β - m·b`` says when the throttled bid is simply
         ``float(min(b, β))`` -- what :func:`exact_throttled_bid` returns
-        for a trivially unthrottled problem, and what the empty-ledger
+        for a trivially unthrottled problem, and what the no-debt
         closed form ``min(m·cap, β) / m`` divides out to, exactly, when
         ``m·cap <= β`` (``m·cap < 2**53``).  That bid and its score
         stand in row space (:meth:`_sync_book_columns`), so a round
         gathers them for its rows and asks the test as ``m·cap >
-        slack``, with the ledgers' running liability (an upper bound on
-        ``ω_l``) inside ``slack``: no ledger is read for it.  Only rows
+        slack``, with the books' running liability (an upper bound on
+        ``ω_l``) inside ``slack``: no block is read for it.  Only rows
         that fail leave the closed form -- without outstanding ads
         ``min(m·cap, β) / m`` as array operations (``β`` is their
         ``slack``), with ads through :func:`exact_throttled_bid` one by
         one, as the reference does; its array DP is per problem
         because the problems are ragged (DESIGN.md section 6).  The
-        problem is the budget manager's, built from the ledger, the
+        problem is the budget manager's, built from its blocks, the
         first time and whenever the advertiser's books have moved since
         (:meth:`_sync_book_columns` evicts); in between it is the kept
         one asked again for this round's ``(bid, m)``, its ``min(β,
@@ -724,8 +724,8 @@ class SharedAuctionEngine:
                 manager = self.budget_manager
                 standing = self._standing_problems
                 # A problem answers for, and is kept from, only a round
-                # whose ledger snapshots are those of every other such
-                # round: no queued ad dead yet.
+                # whose outstanding ads are those of every other such
+                # round: no block dead yet.
                 keeping = round_index < manager.earliest_dead_round
                 rebuilt = 0
                 for at, advertiser_id, bid_cents, auctions in zip(
@@ -811,10 +811,9 @@ class SharedAuctionEngine:
             report.scans += len(rows)
             # Rows ascend with the id, so they rank as the ids do.
             picks = columnar_top_k_picks(k, scores, rows, self.collector)
-            picked = rows[picks]
             return RankedRound(
                 phrases, k, np.array([len(picks)], np.int64), scores[picks],
-                store.ids[picked], picked, c[picks], bids[picks],
+                store.ids[rows[picks]], c[picks], bids[picks],
             )
         self._eff_by_row[rows] = bids
         self._score_by_row[rows] = scores
@@ -864,7 +863,7 @@ class SharedAuctionEngine:
         store's column, ``b̂`` off the round's scatter."""
         store = self._store
         return RankedRound(
-            phrases, self.k + 1, lens, scores, store.ids[rows], rows,
+            phrases, self.k + 1, lens, scores, store.ids[rows],
             store.ctr_factors[rows], self._eff_by_row[rows],
         )
 
@@ -974,7 +973,7 @@ class SharedAuctionEngine:
         # The arrays are in stage 3's phrase order; the caller books
         # `shown` against its own.
         assert rankings.phrases == tuple(phrases)
-        lens, scores, ids, _, c, bids = rankings.arrays
+        lens, scores, ids, c, bids = rankings.arrays
         ends = np.cumsum(lens)
         total = int(ends[-1])
         phrase_at = np.repeat(np.arange(len(lens)), lens)

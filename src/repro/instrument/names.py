@@ -115,7 +115,7 @@ name                      meaning (paper reference)
 ``columnar.throttle_problems_rebuilt``  of
                           ``engine.debt_carriers_scored``, those whose
                           throttle problem the columnar scorer built
-                          from the ledger -- a first sight, or books
+                          from the books -- a first sight, or books
                           that moved since the advertiser was last
                           scored.
                           The rest were answered off the kept problem

@@ -21,15 +21,16 @@ the same rounds as the paper describes them and nothing more:
   ``min(b̂, next / c)``, where ``next`` is the score one place down.
 
 It shares with the engine only what both must share for their outcomes
-to be comparable draw for draw: the budget books
-(:class:`repro.engine.budget_manager.BudgetManager`), the click
-simulator (:class:`repro.engine.click_model.DelayedClickModel`) fed by
-the same ``random.Random(seed)`` as phrase sampling, the exact Section
-IV solver (:func:`repro.budgets.throttle.exact_throttled_bid`), the
-single-pass top-k (:func:`repro.core.topk.top_k_scan`) and the report
-types.  It has no store, plan, sort network, cache or collector, and its
-arithmetic is the engine's float operation for float operation, so the
-two agree byte for byte (``tests/engine/test_layout_differential.py``).
+to be comparable draw for draw: the click simulator
+(:class:`repro.engine.click_model.DelayedClickModel`) fed by the same
+``random.Random(seed)`` as phrase sampling, the exact Section IV solver
+(:func:`repro.budgets.throttle.exact_throttled_bid`), the single-pass
+top-k (:func:`repro.core.topk.top_k_scan`) and the report types.  Its
+budget books are its own (:class:`WalkingBooks`: a list ledger per
+advertiser, walked every round), and it has no store, plan, sort
+network, cache or collector.  Its arithmetic is the engine's float
+operation for float operation, so the two agree byte for byte
+(``tests/engine/test_layout_differential.py``).
 """
 
 from __future__ import annotations
@@ -38,21 +39,93 @@ import math
 import random
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.budgets.throttle import exact_throttled_bid
+from repro.budgets.outstanding import (
+    OutstandingLedger, check_displays, check_horizon,
+)
+from repro.budgets.throttle import ThrottleProblem, exact_throttled_bid
 from repro.core.advertiser import Advertiser
 from repro.core.ctr import SeparableCTRModel
 from repro.core.money import (
-    check_bid_cents, checked_bid_update, dollars_to_cents,
+    UNBUDGETED_CENTS, check_bid_cents, check_cents, checked_bid_update,
+    dollars_to_cents,
 )
 from repro.core.topk import ScoredAdvertiser, TopKList, top_k_scan
-from repro.engine.budget_manager import BudgetManager
 from repro.engine.click_model import DelayedClickModel
 from repro.engine.pipeline import EngineReport, RoundReport
 from repro.engine.rounds import check_count
-from repro.errors import InvalidAuctionError
+from repro.errors import BudgetError, InvalidAuctionError
 from repro.instrument import NULL
 
-__all__ = ["ReferenceEngine"]
+__all__ = ["ReferenceEngine", "WalkingBooks"]
+
+
+class WalkingBooks:
+    """The reference's budget books: one
+    :class:`~repro.budgets.outstanding.OutstandingLedger` per budgeted
+    advertiser, and a :meth:`expire` that prunes every ledger.
+
+    A handle is the ad's handle in its advertiser's ledger.  An
+    advertiser absent from ``budgets_cents`` keeps no ledger: its
+    displays take handle ``-1``, its clicks are charged in full, and
+    its remaining budget is ``UNBUDGETED_CENTS``.  Budgets and prices
+    must be int cents ``>= 0``, checked whole before anything is booked.
+    """
+
+    def __init__(self, budgets_cents: Mapping[int, int], horizon: int) -> None:
+        check_cents(budgets_cents.values(), "a budget")
+        check_horizon(horizon)
+        self.budgets = dict(budgets_cents)
+        self.horizon = horizon
+        self.ledgers: Dict[int, OutstandingLedger] = {}
+        self.spent: Dict[int, int] = {}
+
+    def remaining_cents(self, advertiser_id: int) -> int:
+        budget = self.budgets.get(advertiser_id)
+        if budget is None:
+            return UNBUDGETED_CENTS
+        return max(0, budget - self.spent.get(advertiser_id, 0))
+
+    def record_displays(self, ids, prices, ctrs, round_index) -> List[int]:
+        check_displays(prices, ctrs)
+        if len(ids) != len(ctrs):
+            raise BudgetError(f"{len(ids)} advertisers for {len(ctrs)} ads")
+        return [
+            self.ledgers.setdefault(
+                advertiser_id, OutstandingLedger(self.horizon)
+            ).add(price, ctr, round_index)
+            if advertiser_id in self.budgets else -1
+            for advertiser_id, price, ctr in zip(ids, prices, ctrs)
+        ]
+
+    def settle_clicks(self, clicks) -> Tuple[int, int]:
+        """Charge ``(advertiser_id, price, display_round, handle)`` clicks
+        in order; returns ``(charged, forgiven)`` totals."""
+        clicks = list(clicks)
+        check_cents([click[1] for click in clicks], "a price")
+        total_charged = 0
+        for advertiser_id, price, _, handle in clicks:
+            charged = price
+            if advertiser_id in self.budgets:
+                charged = min(price, self.remaining_cents(advertiser_id))
+                if advertiser_id in self.ledgers:
+                    self.ledgers[advertiser_id].discard(handle)
+            self.spent[advertiser_id] = self.spent.get(advertiser_id, 0) + charged
+            total_charged += charged
+        return total_charged, sum(click[1] for click in clicks) - total_charged
+
+    def expire(self, round_index: int) -> Dict[int, int]:
+        """Prune every ledger; the ads each lost, in ascending id order."""
+        pruned = {
+            advertiser_id: ledger.prune(round_index)
+            for advertiser_id, ledger in sorted(self.ledgers.items())
+        }
+        return {advertiser_id: n for advertiser_id, n in pruned.items() if n}
+
+    def outstanding_counts(self) -> Dict[int, int]:
+        return {i: len(ledger) for i, ledger in self.ledgers.items() if ledger}
+
+    def spent_snapshot(self) -> Dict[int, int]:
+        return {i: spent for i, spent in sorted(self.spent.items()) if spent}
 
 
 class ReferenceEngine:
@@ -136,7 +209,7 @@ class ReferenceEngine:
         )
         # An ad whose click can no longer arrive is dropped one round
         # after the click horizon.
-        self.budget_manager = BudgetManager(budgets, click_horizon_rounds + 1)
+        self.budget_manager = WalkingBooks(budgets, click_horizon_rounds + 1)
         self._round_index = 0
 
     # ------------------------------------------------------------------
@@ -218,7 +291,7 @@ class ReferenceEngine:
             self.budget_manager.settle_clicks(clicks)
         )
         report.clicks = len(clicks)
-        report.expired_ads = self.budget_manager.expire_outstanding(round_index)
+        report.expired_ads = sum(self.budget_manager.expire(round_index).values())
         if not phrases:
             return report
 
@@ -234,9 +307,7 @@ class ReferenceEngine:
         # Book: every displayed ad becomes outstanding debt and may be
         # clicked later, in (phrase, slot) order.
         _, ids, prices, ctrs = zip(*displays) if displays else ((),) * 4
-        handles = self.budget_manager.record_displays(
-            ids, prices, ctrs, round_index
-        )
+        handles = self.budget_manager.record_displays(ids, prices, ctrs, round_index)
         self.click_model.record_displays(round_index, ids, prices, ctrs, handles)
         report.displays = len(ids)
         return report
@@ -254,20 +325,19 @@ class ReferenceEngine:
         for phrase in phrases:
             for advertiser_id in self.phrase_advertisers[phrase]:
                 multiplicity[advertiser_id] = multiplicity.get(advertiser_id, 0) + 1
-        books = self.budget_manager
         bids: Dict[int, float] = {}
         for advertiser_id, m in multiplicity.items():
-            bid_cents = self._bid_cents[advertiser_id]
+            remaining = self.budget_manager.remaining_cents(advertiser_id)
+            bid_cents = min(self._bid_cents[advertiser_id], remaining)
+            ledger = self.budget_manager.ledgers.get(advertiser_id)
             if self.throttle:
-                report.debt_carriers_scored += advertiser_id in books.debt_carriers
-                problem = books.throttle_problem(
-                    advertiser_id, bid_cents, m, round_index
-                )
-                bids[advertiser_id] = exact_throttled_bid(problem)
+                report.debt_carriers_scored += bool(ledger)
+                bids[advertiser_id] = exact_throttled_bid(ThrottleProblem(
+                    bid_cents, remaining, m,
+                    ledger.snapshot(round_index) if ledger else (),
+                ))
             else:
-                bids[advertiser_id] = float(
-                    min(bid_cents, books.remaining_cents(advertiser_id))
-                )
+                bids[advertiser_id] = float(bid_cents)
         return bids
 
     def _ctr_factor(self, advertiser_id: int, phrase: str) -> float:

@@ -67,7 +67,7 @@ class RankedRound:
     :class:`repro.engine.pipeline.SharedAuctionEngine` (this kernel's
     :meth:`ColumnarThresholdKernel.rank_round` among them): every
     phrase's ranked entries laid end to end in (phrase, rank) order,
-    with each one's row and the two values pricing needs -- its
+    with the two values pricing needs -- its
     ``c_i^q`` for that phrase and its effective bid ``b̂``.  No
     :class:`~repro.core.topk.TopKList` is built from it.
 
@@ -77,31 +77,28 @@ class RankedRound:
         lens: int64 entries per phrase (``min(k, members)``).
         scores: float64 scores, best first within a phrase.
         ids: int64 advertiser ids, parallel to ``scores``.
-        rows: int64 store rows of ``ids``.
         c: float64 ``c_i^q`` of each entry for its phrase
             (:meth:`Advertiser.ctr_factor_for`).
         bids: float64 effective bid ``b̂`` (cents) of each entry.
     """
 
-    __slots__ = ("phrases", "k", "lens", "scores", "ids", "rows", "c", "bids")
+    __slots__ = ("phrases", "k", "lens", "scores", "ids", "c", "bids")
 
     def __init__(
-        self, phrases: Sequence[str], k: int, lens, scores, ids, rows, c,
-        bids,
+        self, phrases: Sequence[str], k: int, lens, scores, ids, c, bids,
     ) -> None:
         self.phrases = tuple(phrases)
         self.k = k
         self.lens = lens
         self.scores = scores
         self.ids = ids
-        self.rows = rows
         self.c = c
         self.bids = bids
 
     @property
     def arrays(self):
-        """``(lens, scores, ids, rows, c, bids)``."""
-        return self.lens, self.scores, self.ids, self.rows, self.c, self.bids
+        """``(lens, scores, ids, c, bids)``."""
+        return self.lens, self.scores, self.ids, self.c, self.bids
 
 
 class ColumnarThresholdKernel:
@@ -295,8 +292,8 @@ class ColumnarThresholdKernel:
             no_floats = np.zeros(0, dtype=np.float64)
             return (
                 RankedRound(
-                    phrases, k, sizes, no_floats, no_ints, no_ints,
-                    no_floats, no_floats,
+                    phrases, k, sizes, no_floats, no_ints, no_floats,
+                    no_floats,
                 ),
                 depth,
             )
@@ -399,7 +396,6 @@ class ColumnarThresholdKernel:
                 lens,
                 candidate_scores[picked],
                 candidate_ids[picked],
-                candidate_rows[picked],
                 cell_c[candidates[picked]],
                 effective[candidate_rows[picked]],
             ),

@@ -1,10 +1,11 @@
-"""Tests for outstanding ads and the ledger."""
+"""Tests for the list ledger (the reference's books) and the display
+batch check."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.budgets.outstanding import OutstandingAd, OutstandingLedger
+from repro.budgets.outstanding import OutstandingLedger, check_displays
 from repro.errors import BudgetError
 
 
@@ -13,7 +14,7 @@ class TestHorizon:
 
     def test_ctr_constant_until_horizon(self):
         ledger = OutstandingLedger(horizon=5)
-        ledger.record_display(100, 0.4, 0)
+        ledger.add(100, 0.4, 0)
         for current_round in range(5):
             assert ledger.snapshot(current_round) == [(100, 0.4)]
         assert ledger.snapshot(5) == []
@@ -21,7 +22,7 @@ class TestHorizon:
     def test_default_horizon(self):
         ledger = OutstandingLedger()
         assert ledger.horizon == 1_000_000
-        ledger.record_display(100, 0.4, 0)
+        ledger.add(100, 0.4, 0)
         assert ledger.snapshot(999_999) == [(100, 0.4)]
         assert ledger.snapshot(1_000_000) == []
 
@@ -37,7 +38,7 @@ class TestHorizon:
 
     def test_horizon_one_lives_only_in_its_display_round(self):
         ledger = OutstandingLedger(horizon=1)
-        ledger.record_display(100, 0.4, 3)
+        ledger.add(100, 0.4, 3)
         assert ledger.snapshot(3) == [(100, 0.4)]
         assert ledger.snapshot(4) == []
         assert ledger.prune(3) == 0
@@ -45,93 +46,83 @@ class TestHorizon:
 
     def test_ctr_zero_ad_is_dead_on_display(self):
         ledger = OutstandingLedger(horizon=5)
-        ledger.record_display(100, 0.0, 2)
-        ledger.record_display(50, 0.5, 2)
+        ledger.add(100, 0.0, 2)
+        ledger.add(50, 0.5, 2)
         assert ledger.snapshot(2) == [(50, 0.5)]
-        assert ledger.max_liability_cents(2) == 50
         assert ledger.prune(2) == 1
         assert len(ledger) == 1
 
     def test_an_ad_shown_after_the_round_asked_is_alive(self):
         ledger = OutstandingLedger(horizon=2)
-        ledger.record_display(100, 0.6, 5)
+        ledger.add(100, 0.6, 5)
         assert ledger.snapshot(3) == [(100, 0.6)]
         assert ledger.prune(3) == 0
 
 
-class TestOutstandingAd:
-    def test_validation(self):
-        with pytest.raises(BudgetError):
-            OutstandingAd(-1, 0.5)
-        with pytest.raises(BudgetError):
-            OutstandingAd(10, 1.5)
-
-
 class TestLedger:
-    def test_record_and_snapshot(self):
+    def test_add_and_snapshot_in_display_order(self):
         ledger = OutstandingLedger()
-        ledger.record_display(100, 0.5, 0)
-        ledger.record_display(50, 0.2, 1)
+        assert ledger.add(100, 0.5, 0) == 0
+        assert ledger.add(50, 0.2, 1) == 1
         assert len(ledger) == 2
         assert ledger.snapshot(1) == [(100, 0.5), (50, 0.2)]
 
-    def test_resolve_removes_ad(self):
+    def test_discard_removes_exactly_the_handle(self):
         ledger = OutstandingLedger()
-        ad = ledger.record_display(100, 0.5, 0)
-        ledger.resolve(ad)
+        high = ledger.add(100, 0.9, 0)
+        low = ledger.add(100, 0.1, 0)
+        assert ledger.discard(low)
+        assert ledger.snapshot(0) == [(100, 0.9)]
+        # Gone already, or never issued: nothing happens.
+        assert not ledger.discard(low)
+        assert not ledger.discard(7)
+        assert ledger.discard(high)
         assert len(ledger) == 0
-
-    def test_resolve_unknown_raises(self):
-        ledger = OutstandingLedger()
-        ad = OutstandingAd(10, 0.1)
-        with pytest.raises(BudgetError):
-            ledger.resolve(ad)
 
     def test_prune_drops_expired(self):
         ledger = OutstandingLedger(horizon=3)
-        ledger.record_display(100, 0.5, 0)
-        ledger.record_display(100, 0.5, 5)
-        dropped = ledger.prune(6)
-        assert dropped == 1
+        ledger.add(100, 0.5, 0)
+        ledger.add(100, 0.5, 5)
+        assert ledger.prune(6) == 1
         assert len(ledger) == 1
-
-    def test_snapshot_omits_zero_probability(self):
-        ledger = OutstandingLedger(horizon=2)
-        ledger.record_display(100, 0.5, 0)
-        assert ledger.snapshot(0) == [(100, 0.5)]
-        assert ledger.snapshot(2) == []
-
-    def test_liability_accessors(self):
-        ledger = OutstandingLedger()
-        ledger.record_display(100, 0.5, 0)
-        ledger.record_display(60, 0.25, 0)
-        assert ledger.max_liability_cents(0) == 160
-        assert ledger.expected_liability_cents(0) == pytest.approx(65.0)
 
     def test_running_liability_follows_every_add_and_removal(self):
         ledger = OutstandingLedger(horizon=2)
-        first = ledger.record_display(100, 0.5, 0)
-        second = ledger.record_display(60, 0.25, 0)
-        ledger.record_display(30, 0.5, 1)
+        first = ledger.add(100, 0.5, 0)
+        ledger.add(60, 0.25, 0)
+        ledger.add(30, 0.5, 1)
         assert ledger.liability_cents == 190
-        ledger.resolve(first)
+        ledger.discard(first)
         assert ledger.liability_cents == 90
-        # A hand-made value-equal ad resolves the live one it matches.
-        ledger.resolve(OutstandingAd(60, 0.25, 0))
-        assert not ledger.has_handle(second.handle)
-        assert ledger.liability_cents == 30
-        ledger.record_display(45, 0.5, 0)
-        assert ledger.prune(2) == 1
+        ledger.add(45, 0.0, 1)
+        # Dead but not yet pruned: counted, though it owes nothing.
+        assert ledger.liability_cents == 135
+        assert ledger.prune(2) == 2
         assert ledger.liability_cents == 30
         assert ledger.prune(3) == 1
         assert ledger.liability_cents == 0
 
-    def test_running_liability_bounds_the_exact_worst_case(self):
-        # Dead but not yet pruned: counted by the running sum, left out
-        # of omega_l -- so the running sum is the (sound) upper bound.
-        ledger = OutstandingLedger(horizon=2)
-        ledger.record_display(100, 0.5, 0)
-        ledger.record_display(60, 0.0, 0)
-        assert ledger.max_liability_cents(0) == 100
-        assert ledger.max_liability_cents(2) == 0
-        assert ledger.liability_cents == 160
+
+class TestCheckDisplays:
+    """One check over a whole batch: int cents >= 0, CTRs in [0, 1]."""
+
+    @pytest.mark.parametrize(
+        "prices, ctrs",
+        [
+            ([10, -1], [0.5, 0.5]),
+            ([10, 2.5], [0.5, 0.5]),
+            ([True], [0.5]),
+            ([float("nan")], [0.5]),
+            ([10], [-0.01]),
+            ([10], [1.5]),
+            ([10, 10], [0.5, float("nan")]),
+            ([10], [0.5, 0.5]),
+        ],
+    )
+    def test_a_bad_row_refuses_the_batch(self, prices, ctrs):
+        with pytest.raises(BudgetError):
+            check_displays(prices, ctrs)
+
+    def test_good_batches_pass(self):
+        check_displays([], [])
+        check_displays([0, 10**12], [0.0, 1.0])

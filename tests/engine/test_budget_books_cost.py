@@ -1,8 +1,8 @@
-"""Cost bounds of the event-driven books (ROADMAP item 5e).
+"""Cost bounds of the budget books' display blocks (ROADMAP item 10).
 
-The per-tick bookkeeping must cost what changed -- ads that expired,
+The per-tick bookkeeping must cost what changed -- blocks that expired,
 clicks that settled, debt carriers that occur -- not the number of
-ledgers on file.  These tests count calls, never time.
+advertisers on file.  These tests count calls and reads, never time.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from collections import Counter
 import pytest
 
 from repro.budgets import throttle
-from repro.budgets.outstanding import OutstandingLedger
 from repro.budgets.throttle import exact_throttled_bid
 from repro.engine import pipeline
 from repro.engine.budget_manager import BudgetManager
@@ -31,93 +30,106 @@ def _scored(engine, phrases, round_index, report=None):
     rows, bids, _ = engine._effective_scores(phrases, round_index, report)
     return dict(zip(engine._store.ids[rows].tolist(), bids.tolist()))
 
-LEDGER_METHODS = (
-    "prune",
-    "snapshot",
-    "has_handle",
-    "resolve_handle",
-    "discard_handles",
-    "resolve",
-    "__len__",
-)
+class _Unread:
+    """Stands in for a block that must not be read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read {name} of a block that was not due")
 
 
-@pytest.fixture
-def ledger_calls(monkeypatch):
-    """Counts every call of an ``OutstandingLedger`` method, by name."""
-    calls: Counter = Counter()
+def _books(idle_advertisers: int) -> BudgetManager:
+    """Five advertisers with two ads each in round 0's block, plus idle
+    advertisers in round 3's.
 
-    def counted(name, original):
-        def wrapper(self, *args, **kwargs):
-            calls[name] += 1
-            return original(self, *args, **kwargs)
-
-        return wrapper
-
-    for name in LEDGER_METHODS:
-        monkeypatch.setattr(
-            OutstandingLedger,
-            name,
-            counted(name, vars(OutstandingLedger)[name]),
-        )
-    return calls
-
-
-def _books(idle_ledgers: int) -> BudgetManager:
-    """Five advertisers with two ads due at round 3, plus idle ledgers.
-
-    Half of the idle ledgers hold a live ad (displayed at round 3), half
-    were emptied by a settlement.  Every advertiser is budgeted: an
-    unbudgeted one keeps no ledger at all.
+    Half of the idle advertisers hold a live ad, half were emptied by a
+    settlement.  Every advertiser is budgeted: an unbudgeted one writes
+    no cell at all.
     """
-    ids = [*range(5), *range(100, 100 + idle_ledgers)]
+    ids = [*range(5), *range(100, 100 + idle_advertisers)]
     manager = BudgetManager(dict.fromkeys(ids, 10**6), 3)
     for advertiser_id in range(5):
         manager.record_display(advertiser_id, 10, 0.5, 0)
         manager.record_display(advertiser_id, 20, 0.5, 0)
-    for advertiser_id in range(100, 100 + idle_ledgers):
+    for advertiser_id in range(100, 100 + idle_advertisers):
         handle = manager.record_display(advertiser_id, 30, 0.5, 3)
         if advertiser_id % 2:
             manager.settle_click(advertiser_id, 30, 3, handle=handle)
     return manager
 
 
-class TestExpiryCost:
-    def test_idle_ledgers_are_never_touched(self, ledger_calls):
-        touched = {}
-        for idle_ledgers in (10, 100):
-            manager = _books(idle_ledgers)
-            ledger_calls.clear()
-            assert manager.expire_outstanding(2) == 0
-            assert not ledger_calls
-            assert manager.expire_outstanding(3) == 10
-            touched[idle_ledgers] = dict(ledger_calls)
-            ledger_calls.clear()
-            # Nothing left that is due: the next tick is free.
-            assert manager.expire_outstanding(3) == 0
-            assert manager.expire_outstanding(4) == 0
-            assert not ledger_calls
-        assert touched[10] == touched[100]
-        # Ten single displays are ten queue entries: one removal each.
-        assert touched[10]["discard_handles"] == 10
-        assert "prune" not in touched[10]
+class TestBlockCosts:
+    @pytest.mark.parametrize("idle_advertisers", (10, 100))
+    def test_an_expiry_drops_whole_blocks_and_reads_no_other(
+        self, idle_advertisers
+    ):
+        manager = _books(idle_advertisers)
+        assert list(manager._blocks) == [0, 3]
+        live = manager._blocks[3]
+        manager._blocks[3] = _Unread()
+        assert manager.expire_outstanding(2) == 0
+        # Round 0's block is due: every unsettled cell of it, one mover
+        # per advertiser, whatever the idle advertisers hold.
+        assert manager.expire_outstanding_by_advertiser(3) == dict.fromkeys(
+            range(5), 2
+        )
+        assert list(manager._blocks) == [3]
+        # Nothing left that is due: the next tick is free.
+        assert manager.expire_outstanding(3) == 0
+        assert manager.expire_outstanding(5) == 0
+        manager._blocks[3] = live
+        assert manager.expire_outstanding(6) == idle_advertisers // 2
+        assert not manager._blocks
 
-    def test_counts_cost_the_debt_carriers(self, ledger_calls):
-        for idle_ledgers in (10, 100):
-            manager = _books(idle_ledgers)
-            manager.expire_outstanding(3)
-            ledger_calls.clear()
-            counts = manager.outstanding_counts()
-            # The idle ledgers that still hold their ad; nobody else.
-            assert len(counts) == idle_ledgers // 2
-            assert ledger_calls == {"__len__": idle_ledgers // 2}
+    def test_counts_and_drains_read_the_running_values_only(self):
+        manager = _books(100)
+        manager.expire_outstanding(3)
+        manager.drain_book_changes()
+        manager._blocks = {3: _Unread()}
+        counts = manager.outstanding_counts()
+        # The idle advertisers that still hold their ad; nobody else.
+        assert counts == dict.fromkeys(range(100, 200, 2), 1)
+        assert set(manager.debt_carriers) == set(counts)
+        assert manager.liability_cents(100) == 30
+        assert manager.liability_cents(101) == 0
 
-    def test_a_serving_tick_prunes_and_snapshots_nothing_idle(
-        self, ledger_calls
+    def test_a_throttle_problem_reads_only_live_blocks(self):
+        manager = BudgetManager({1: 1_000}, 3)
+        for round_index in range(6):
+            manager.record_displays(
+                [1, 1], [10 + round_index, 20], [0.5, 0.25], round_index
+            )
+        # Rounds 0-2 are dead at round 5 but not yet expired.
+        for dead in (0, 1, 2):
+            manager._blocks[dead] = _Unread()
+        assert manager.throttle_problem(1, 100, 1, 5).outstanding == (
+            (13, 0.5), (20, 0.25), (14, 0.5), (20, 0.25), (15, 0.5),
+            (20, 0.25),
+        )
+
+    def test_an_unbudgeted_display_writes_no_cell(self):
+        manager = BudgetManager({1: 1_000}, 3)
+        assert manager.record_displays([7, 8], [10, 20], [0.5, 0.5], 0) == [
+            -1, -1,
+        ]
+        assert not manager._blocks
+        assert manager.record_displays(
+            [7, 1, 8, 1], [10, 20, 30, 40], [0.5, 0.4, 0.3, 0.2], 1
+        ) == [-1, 0, -1, 1]
+        (block,) = manager._blocks.values()
+        assert block == {1: {0: (20, 0.4), 1: (40, 0.2)}}
+        assert block.size == 2
+
+    def test_a_serving_tick_reads_no_block_when_no_budget_binds(
+        self, monkeypatch
     ):
         # One phrase per tick on a market whose budgets never bind:
-        # every quick test clears, so no ledger is walked or snapshotted
-        # at all.
+        # every quick test clears, so no throttle problem is built.
+        built = []
+        build = BudgetManager.throttle_problem
+        monkeypatch.setattr(
+            BudgetManager, "throttle_problem",
+            lambda *args: built.append(args) or build(*args),
+        )
         advertisers, rates = _market(seed=3, median_budget_cents=10**9)
         engine = SharedAuctionEngine(
             advertisers, [0.3, 0.2, 0.1], rates,
@@ -126,9 +138,11 @@ class TestExpiryCost:
         phrases = sorted(engine.phrase_advertisers)
         for tick in range(60):
             engine.serve_query(phrases[tick % len(phrases)])
-        assert engine.budget_manager.debt_carriers
-        assert ledger_calls["prune"] == 0
-        assert ledger_calls["snapshot"] == 0
+        manager = engine.budget_manager
+        assert manager.debt_carriers
+        assert not built
+        # One block per tick that displayed, the horizon's worth of them.
+        assert len(manager._blocks) <= manager._horizon + 1
 
 
 def _market(seed: int, median_budget_cents: int):
@@ -316,7 +330,7 @@ class TestTickCostsMembersAndMovers:
 
 
 class TestStandingThrottleProblems:
-    """Stage 2 walks a ledger and runs the Section IV DP for a carrier
+    """Stage 2 gathers a carrier's cells and runs the Section IV DP for one
     whose books moved since it was last scored, and for nobody else."""
 
     def _engine(self, **kw):
@@ -350,11 +364,10 @@ class TestStandingThrottleProblems:
     @pytest.fixture
     def books_read(self, monkeypatch):
         """What a stretch of calls read of the books: ``(advertiser_id,
-        problem)`` per problem built, the ledgers snapshotted, and the
-        problems the array DP was run over."""
-        read = {"built": [], "snapshot": [], "array": []}
+        problem)`` per problem built, and the problems the array DP was
+        run over."""
+        read = {"built": [], "array": []}
         build = BudgetManager.throttle_problem
-        snapshot = OutstandingLedger.snapshot
         kernel = throttle.min_beta_s_array
 
         def counted_build(manager, advertiser_id, *args):
@@ -362,16 +375,11 @@ class TestStandingThrottleProblems:
             read["built"].append((advertiser_id, problem))
             return problem
 
-        def counted_snapshot(ledger, current_round):
-            read["snapshot"].append(ledger)
-            return snapshot(ledger, current_round)
-
         def counted_kernel(problem):
             read["array"].append(problem)
             return kernel(problem)
 
         monkeypatch.setattr(BudgetManager, "throttle_problem", counted_build)
-        monkeypatch.setattr(OutstandingLedger, "snapshot", counted_snapshot)
         monkeypatch.setattr(throttle, "min_beta_s_array", counted_kernel)
         return read
 
@@ -418,7 +426,6 @@ class TestStandingThrottleProblems:
             assert sorted(advertiser_id for advertiser_id, _ in built) == (
                 sorted(rebuilt)
             )
-            assert len(books_read["snapshot"]) == len(rebuilt)
             assert (report.counters or {}).get(
                 names.COLUMNAR_THROTTLE_PROBLEMS_REBUILT, 0
             ) == len(rebuilt)
@@ -449,7 +456,7 @@ class TestStandingThrottleProblems:
         report = RoundReport(12, fewer)
         effective = _scored(engine, fewer, 12, report)
         assert 0 < report.debt_carriers_scored <= first.debt_carriers_scored
-        assert books_read == {"built": [], "snapshot": [], "array": []}
+        assert books_read == {"built": [], "array": []}
         throttled = 0
         for advertiser_id, m in self._multiplicity(engine, fewer).items():
             fresh = self._from_scratch(engine, advertiser_id, m, 12)
@@ -458,9 +465,9 @@ class TestStandingThrottleProblems:
         assert throttled
 
     def test_a_round_past_an_unexpired_ad_is_scored_from_scratch(self):
-        # Nobody ran expiry for round r + horizon: the ledgers' snapshots
-        # drop the ads that died, and so must the bids, kept problem or
-        # not.
+        # Nobody ran expiry for round r + horizon: the problems built
+        # then drop the ads that died, and so must the bids, kept
+        # problem or not.
         engine, phrases = self._engine(click_horizon_rounds=4)
         for _ in range(8):
             engine.run_round(phrases)
@@ -619,10 +626,10 @@ class TestLiabilityQuickTest:
             )
             for _ in range(6):
                 engine.run_round(phrases)
-            for advertiser in advertisers[::2]:
-                engine.budget_manager.record_display(
-                    advertiser.advertiser_id, dead_price, 0.0, 6
-                )
+            dead = [advertiser.advertiser_id for advertiser in advertisers[::2]]
+            engine.budget_manager.record_displays(
+                dead, [dead_price] * len(dead), [0.0] * len(dead), 6
+            )
             report = RoundReport(6, tuple(phrases))
             if build is ReferenceEngine:
                 effective = engine._throttled_bids(phrases, 6, report)

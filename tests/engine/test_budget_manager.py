@@ -7,6 +7,7 @@ import pytest
 from repro.budgets.throttle import exact_throttled_bid
 from repro.engine.budget_manager import BudgetManager
 from repro.errors import BudgetError
+from repro.reference import WalkingBooks
 
 
 class TestBudgets:
@@ -122,17 +123,86 @@ class TestHorizon:
             [1, 1, 1], [50, 60, 70], [0.5, 0.0, 0.5], round_index=2
         )
         assert handles == [0, 1, 2]
-        # The dead ad splits the advertiser's batch into three runs.
-        assert len(manager._expiry) == 3
-        assert manager.earliest_dead_round == float("-inf")
+        # Owed until an expiry counts it, but never part of a problem.
+        assert manager.liability_cents(1) == 180
+        assert manager.earliest_dead_round == 6
         assert manager.throttle_problem(1, 100, 1, 2).outstanding == (
             (50, 0.5), (70, 0.5),
         )
-        assert manager.expire_outstanding_by_advertiser(2) == {1: 1}
+        # The next expiry counts it, whatever its round.
+        assert manager.expire_outstanding_by_advertiser(-5) == {1: 1}
+        assert manager.expire_outstanding_by_advertiser(2) == {}
         assert manager.liability_cents(1) == 120
-        assert manager.earliest_dead_round == 6
         assert manager.expire_outstanding(6) == 2
         assert manager.debt_carriers == set()
+        assert manager.earliest_dead_round == float("inf")
+
+
+class TestBlocks:
+    """One block per round that displayed budgeted ads, in round order."""
+
+    def test_a_display_below_the_newest_or_a_dropped_block_is_refused(self):
+        manager = BudgetManager({1: 300}, 4)
+        manager.record_displays([1], [50], [0.5], 5)
+        manager.record_displays([1], [60], [0.5], 5)
+        with pytest.raises(BudgetError, match="round 4"):
+            manager.record_displays([1], [70], [0.5], 4)
+        assert manager.outstanding_counts() == {1: 2}
+        assert manager.liability_cents(1) == 110
+        # A dropped block's round is closed too: its handles are spent.
+        manager.expire_outstanding(9)
+        with pytest.raises(BudgetError, match="round 5"):
+            manager.record_display(1, 70, 0.5, 5)
+        assert manager.record_display(1, 70, 0.5, 6) == 0
+
+    def test_a_round_writes_one_block_and_an_expiry_drops_whole_blocks(self):
+        manager = BudgetManager({1: 300, 2: 300}, 2)
+        for round_index in range(4):
+            manager.record_displays(
+                [1, 7, 2], [10, 20, 30], [0.5, 0.5, 0.5], round_index
+            )
+            manager.record_display(2, 40, 0.5, round_index)
+        assert list(manager._blocks) == [0, 1, 2, 3]
+        assert [
+            {advertiser: list(cells) for advertiser, cells in block.items()}
+            for block in manager._blocks.values()
+        ] == [{1: [0], 2: [1, 2]}] * 4
+        assert manager.expire_outstanding_by_advertiser(3) == {1: 2, 2: 4}
+        assert list(manager._blocks) == [2, 3]
+        assert manager.earliest_dead_round == 4
+
+
+class TestMoneyIsIntCents:
+    """A budget or a price must be an int (not a bool) and >= 0, checked
+    whole before the books move, on the engine's books and the
+    reference's."""
+
+    BAD = (float("nan"), 2.5, True, float("inf"), -50, 30.7)
+
+    @pytest.mark.parametrize("books", (BudgetManager, WalkingBooks))
+    @pytest.mark.parametrize("bad", BAD)
+    def test_budgets(self, books, bad):
+        with pytest.raises(BudgetError):
+            books({1: 100, 2: bad}, 3)
+
+    @pytest.mark.parametrize("books", (BudgetManager, WalkingBooks))
+    @pytest.mark.parametrize("bad", BAD)
+    def test_display_prices(self, books, bad):
+        books = books({1: 100}, 3)
+        with pytest.raises(BudgetError):
+            books.record_displays([1, 1], [30, bad], [0.5, 0.5], 0)
+        assert books.outstanding_counts() == {}
+
+    @pytest.mark.parametrize("books", (BudgetManager, WalkingBooks))
+    @pytest.mark.parametrize("bad", BAD)
+    def test_click_prices(self, books, bad):
+        books = books({1: 100}, 3)
+        (handle,) = books.record_displays([1], [30], [0.5], 0)
+        with pytest.raises(BudgetError):
+            books.settle_clicks([(1, 30, 0, handle), (1, bad, 0, handle)])
+        assert books.remaining_cents(1) == 100
+        assert books.outstanding_counts() == {1: 1}
+        assert books.spent_snapshot() == {}
 
 
 class TestOutstanding:

@@ -1,9 +1,9 @@
 """The books cost *who* moved, not how often (DESIGN §8).
 
 Beside ``test_budget_books_cost.py`` (a tick costs what changed): a
-round's displays are one booking call that notes each advertiser once
-for ``drain_book_changes`` and queues one expiry entry per run.  Counts
-of movers and queue entries, never time.
+round's displays are one booking call that writes one block and notes
+each advertiser once for ``drain_book_changes``.  Counts of movers and
+cells, never time.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from collections import Counter
 
 import pytest
 
-from repro.budgets.outstanding import OutstandingLedger
 from repro.core.advertiser import Advertiser
 from repro.engine import budget_manager
 from repro.engine.budget_manager import BudgetManager
@@ -63,32 +62,39 @@ class TestOneRoundOneBooking:
         assert len(handles) == 200
         # One id per distinct advertiser, not one per display.
         assert sorted(_movers(manager)) == list(range(20))
-        # Every CTR is positive, so an advertiser's ads die together:
-        # one expiry entry each, not one per ad.
-        assert len(manager._expiry) <= 20
+        # One block, which dies whole.
+        assert list(manager._blocks) == [4]
         assert manager.debt_carriers == set(range(20))
         assert manager.expire_outstanding(4 + 16) == 0
         assert _movers(manager) == []
         assert manager.expire_outstanding(4 + 17) == 200
         assert sorted(_movers(manager)) == list(range(20))
-        assert not manager._expiry and not manager.debt_carriers
+        assert not manager._blocks and not manager.debt_carriers
 
-    def test_handles_name_the_ads_of_the_batch_in_order(self):
+    def test_handles_name_the_cells_of_the_batch_in_order(self):
         manager = BudgetManager(_budgeted(20), 17)
         advertisers, prices, ctrs = self._round()
         handles = manager.record_displays(advertisers, prices, ctrs, 4)
+        assert handles == list(range(200))
+        block = manager._blocks[4]
+        assert block.size == 200
+        assert sorted(
+            (cell, advertiser, price, ctr)
+            for advertiser, cells in block.items()
+            for cell, (price, ctr) in cells.items()
+        ) == list(zip(range(200), advertisers, prices, ctrs))
         for advertiser in range(20):
             mine = [
-                (handle, price, ctr)
-                for who, handle, price, ctr in zip(
-                    advertisers, handles, prices, ctrs
-                )
+                (price, ctr)
+                for who, price, ctr in zip(advertisers, prices, ctrs)
                 if who == advertiser
             ]
-            assert [
-                (ad.handle, ad.price_cents, ad.base_ctr)
-                for ad in manager._ledgers[advertiser].ads
-            ] == mine
+            assert list(
+                manager.throttle_problem(advertiser, 100, 1, 4).outstanding
+            ) == mine
+            assert manager.liability_cents(advertiser) == sum(
+                price for price, _ in mine
+            )
 
     def test_a_tick_of_clicks_is_one_mover_per_payer(self):
         manager = BudgetManager({1: 150, 2: 1_000}, 17)
@@ -114,43 +120,23 @@ class TestOneRoundOneBooking:
 class TestUnbudgetedRoundBooksNothing:
     """An advertiser without a budget keeps no books (DESIGN §5)."""
 
-    @pytest.fixture
-    def booked(self, monkeypatch):
-        """Counts every ``OutstandingLedger`` call, by name, and every
-        expiry-heap push of the budget manager."""
-        calls = Counter()
-        for name, method in list(vars(OutstandingLedger).items()):
-            if callable(method):
-
-                def counted(*args, name=name, method=method, **kwargs):
-                    calls[name] += 1
-                    return method(*args, **kwargs)
-
-                monkeypatch.setattr(OutstandingLedger, name, counted)
-        pushed = []
-        push = budget_manager.heappush
-        monkeypatch.setattr(
-            budget_manager,
-            "heappush",
-            lambda heap, item: pushed.append(item) or push(heap, item),
-        )
-        return calls, pushed
-
     def _session(self, budgets):
         manager = BudgetManager(budgets, 17)
         advertisers, prices, ctrs = _displays(720, 60)
         handles = manager.record_displays(advertisers, prices, ctrs, 4)
+        blocks = {
+            display_round: block.size
+            for display_round, block in manager._blocks.items()
+        }
         clicks = list(zip(advertisers, prices, [4] * 720, handles))[::3]
         totals = manager.settle_clicks(clicks)
         manager.expire_outstanding(4 + 17)
-        return manager, handles, clicks, totals
+        return manager, handles, blocks, clicks, totals
 
-    def test_a_720_display_round_touches_no_ledger(self, booked):
-        calls, pushed = booked
-        manager, handles, clicks, totals = self._session({})
+    def test_a_720_display_round_writes_no_cell(self):
+        manager, handles, blocks, clicks, totals = self._session({})
         assert handles == [-1] * 720
-        assert not calls
-        assert not pushed
+        assert blocks == {}
         assert manager.drain_book_changes() == ([], [], [], [])
         assert not manager.debt_carriers
         assert manager.earliest_dead_round == float("inf")
@@ -161,12 +147,10 @@ class TestUnbudgetedRoundBooksNothing:
         assert totals == (sum(spent.values()), 0)
         assert manager.spent_snapshot() == dict(sorted(spent.items()))
 
-    def test_the_same_round_budgeted_books_every_ad(self, booked):
-        calls, pushed = booked
-        manager, handles, _, _ = self._session(_budgeted(60))
-        assert -1 not in handles
-        assert calls["add"] == 720
-        assert 60 <= len(pushed) <= 2 * 60
+    def test_the_same_round_budgeted_books_every_ad_in_one_block(self):
+        manager, handles, blocks, _, _ = self._session(_budgeted(60))
+        assert handles == list(range(720))
+        assert blocks == {4: 720}
         assert sorted(_movers(manager)) == list(range(60))
 
     def test_an_unbudgeted_engine_round_moves_no_row(self):
@@ -274,9 +258,11 @@ class TestEffectiveBidFollowsTheBooks:
                 for advertiser_id in engine.phrase_advertisers[phrase]
             )
             assert seen.pop() == {i: float(bid_cents[i]) for i in m}
-            assert engine.budget_manager.drain_book_changes() == (
-                [], [], [], []
-            )
+            assert engine.budget_manager.outstanding_counts() == {}
+            if build is SharedAuctionEngine:
+                assert engine.budget_manager.drain_book_changes() == (
+                    [], [], [], []
+                )
             moved_multiplicity += sum(
                 1 for i in m if i in last_m and last_m[i] != m[i]
             )

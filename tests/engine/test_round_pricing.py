@@ -121,7 +121,6 @@ def _ranked_round(engine, phrases, rankings, bid_by_row):
         np.array([len(entries) for entries in ranked], dtype=np.int64),
         np.array([e.score for e in flat], dtype=np.float64),
         ids,
-        rows,
         c,
         np.asarray(bid_by_row, dtype=np.float64)[rows],
     )
@@ -290,8 +289,8 @@ def test_pricing_from_the_round_kernels_arrays(data):
     kernel.begin_round(bid_by_row, np.flatnonzero(member))
     ranked, _ = kernel.rank_round(phrases)
     assert isinstance(ranked, RankedRound)
-    lens, _, ids, rows, c, carried_bids = ranked.arrays
-    assert carried_bids.tobytes() == bid_by_row[rows].tobytes()
+    lens, _, ids, c, carried_bids = ranked.arrays
+    assert carried_bids.tobytes() == bid_by_row[store.rows_of(ids)].tobytes()
     # What the kernel carries is c_i^q, not c_i.
     by_id = engine._by_id
     carried = iter(zip(ids.tolist(), c.tolist()))

@@ -6,53 +6,52 @@ advertiser wins two same-price slots in one round with *different* CTRs
 (different slot factors do exactly that), the first value-match was
 cleared regardless of which ad was actually clicked -- leaving the wrong
 CTR in the ledger and skewing every later throttled bid built from it.
-``record_display`` now returns an identity handle, and settlement names
-the clicked ad by that handle, resolving exactly it in O(1).
+``record_displays`` now returns an identity handle, and settlement names
+the clicked ad by that handle and its display round, settling exactly
+it in O(1).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.budgets.outstanding import OutstandingLedger
 from repro.engine.budget_manager import BudgetManager
-from repro.errors import BudgetError
+from repro.reference import WalkingBooks
 
 
-class TestLedgerHandles:
-    def test_record_display_assigns_distinct_handles(self):
-        ledger = OutstandingLedger()
-        first = ledger.record_display(100, 0.9, 0)
-        second = ledger.record_display(100, 0.1, 0)
-        assert first.handle != second.handle
-        assert ledger.has_handle(first.handle)
-        assert ledger.has_handle(second.handle)
+class TestHandles:
+    """Both books name an ad by its handle: a cell of its round's block
+    in the manager, an entry of the advertiser's ledger in the
+    reference's books."""
 
-    def test_resolve_handle_pops_exactly_that_ad(self):
-        ledger = OutstandingLedger()
-        high = ledger.record_display(100, 0.9, 0)
-        low = ledger.record_display(100, 0.1, 0)
-        resolved = ledger.resolve_handle(low.handle)
-        assert resolved.base_ctr == pytest.approx(0.1)
-        assert not ledger.has_handle(low.handle)
-        assert ledger.has_handle(high.handle)
-        assert [ad.base_ctr for ad in ledger.ads] == [pytest.approx(0.9)]
-
-    def test_resolve_handle_missing_raises(self):
-        ledger = OutstandingLedger()
-        with pytest.raises(BudgetError):
-            ledger.resolve_handle(7)
-
-    def test_value_equal_ads_stay_distinct(self):
+    @pytest.mark.parametrize("books", (BudgetManager, WalkingBooks))
+    def test_value_equal_ads_stay_distinct(self, books):
         # Two displays with identical (price, ctr, round) are equal as
-        # values but distinct as debts; resolving one must leave the
+        # values but distinct as debts; settling one must leave the
         # other outstanding.
-        ledger = OutstandingLedger()
-        a = ledger.record_display(50, 0.5, 3)
-        b = ledger.record_display(50, 0.5, 3)
-        ledger.resolve_handle(a.handle)
-        assert len(ledger) == 1
-        assert ledger.has_handle(b.handle)
+        books = books({1: 1_000}, 5)
+        first, second = books.record_displays([1, 1], [50, 50], [0.5, 0.5], 3)
+        assert first != second
+        assert books.settle_clicks([(1, 50, 3, first)]) == (50, 0)
+        assert books.outstanding_counts() == {1: 1}
+        assert books.settle_clicks([(1, 50, 3, first)]) == (50, 0)
+        assert books.outstanding_counts() == {1: 1}
+        books.settle_clicks([(1, 50, 3, second)])
+        assert books.outstanding_counts() == {}
+
+    def test_a_handle_names_a_cell_of_its_round_only(self):
+        manager = BudgetManager({1: 1_000, 2: 1_000}, 5)
+        assert manager.record_displays([1, 2], [10, 20], [0.5, 0.5], 3) == [0, 1]
+        assert manager.record_display(1, 30, 0.5, 3) == 2
+        assert manager.record_display(1, 40, 0.5, 4) == 0
+        # Another round's cell 0, or another advertiser's cell, is not
+        # this ad: the charge settles and the books keep every ad.
+        manager.settle_clicks([(1, 10, 5, 0), (2, 20, 3, 0), (1, 10, 3, 1)])
+        assert manager.outstanding_counts() == {1: 3, 2: 1}
+        manager.settle_clicks([(1, 10, 3, 0)])
+        assert manager.throttle_problem(1, 50, 1, 4).outstanding == (
+            (30, 0.5), (40, 0.5),
+        )
 
 
 class TestSettlementIdentity:

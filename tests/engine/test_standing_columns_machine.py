@@ -420,11 +420,14 @@ class TestTheMarketIsHard:
 
         def spying_settle(clicks):
             clicks = list(clicks)
+            # A budgeted click whose ad is off the books already: its
+            # block is gone, or its cell was settled.
+            blocks = manager._blocks
             early.extend(
                 handle
-                for advertiser_id, _, _, handle in clicks
-                if advertiser_id in manager._ledgers
-                and not manager._ledgers[advertiser_id].has_handle(handle)
+                for advertiser_id, _, shown, handle in clicks
+                if advertiser_id in manager._budgets
+                and handle not in blocks.get(shown, {}).get(advertiser_id, {})
             )
             return settle(clicks)
 

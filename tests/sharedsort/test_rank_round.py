@@ -102,11 +102,10 @@ def _assert_identical(store, k, effective, phrases, rows=None):
     assert lockstep.gauges.get(names.TA_STOP_DEPTH) == loop.gauges.get(
         names.TA_STOP_DEPTH
     )
-    # The flat hand-off: rows, c and b̂ are those of the ranked ids.
-    lens, scores, ids, rows, c, bids = ranked.arrays
+    # The flat hand-off: c and b̂ are those of the ranked ids.
+    lens, scores, ids, c, bids = ranked.arrays
     assert lens.tolist() == [len(lists[p].entries) for p in phrases]
-    assert store.ids[rows].tolist() == ids.tolist()
-    assert bids.tobytes() == effective[rows].tobytes()
+    assert bids.tobytes() == effective[store.rows_of(ids)].tobytes()
     at = 0
     for phrase, count in zip(phrases, lens.tolist()):
         for advertiser_id, factor in zip(

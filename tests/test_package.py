@@ -94,8 +94,7 @@ class TestNoDecayFamily:
     @pytest.mark.parametrize(
         "module_name,owner,name",
         [
-            ("repro.budgets.outstanding", "OutstandingAd", "current_ctr"),
-            ("repro.budgets.outstanding", "OutstandingAd", "dead_round"),
+            ("repro.budgets.outstanding", "", "OutstandingAd"),
             ("repro.budgets.outstanding", "OutstandingLedger", "decay"),
             ("repro.engine.budget_manager", "BudgetManager", "decay_varies"),
             ("repro.engine.budget_manager", "", "_DEAD_AFTER_MEMO"),

@@ -1,9 +1,11 @@
 """The reference stands apart from the engine it checks.
 
-:mod:`repro.reference` may share the books, the click model, the exact
-Section IV solver and the single-pass top-k with the engine -- the two
-must draw the same random stream to be compared at all -- but none of
-the machinery it is the oracle for: the columnar store and kernels
+:mod:`repro.reference` may share the click model, the exact Section IV
+solver and the single-pass top-k with the engine -- the two must draw
+the same random stream to be compared at all -- but none of the
+machinery it is the oracle for: the engine's budget books
+(:mod:`repro.engine.budget_manager`; the reference keeps its own, on the
+list ledger), the columnar store and kernels
 (:mod:`repro.core.columnar`), the shared plans (:mod:`repro.plans`), the
 shared sort (:mod:`repro.sharedsort`), and of the engine's own module
 nothing but the report types.
@@ -16,7 +18,12 @@ import inspect
 
 import repro.reference
 
-FORBIDDEN = ("repro.core.columnar", "repro.plans", "repro.sharedsort")
+FORBIDDEN = (
+    "repro.core.columnar",
+    "repro.engine.budget_manager",
+    "repro.plans",
+    "repro.sharedsort",
+)
 FROM_THE_ENGINE = {"RoundReport", "EngineReport"}
 
 
@@ -47,7 +54,11 @@ def test_the_reference_imports_none_of_what_it_checks():
 
 def test_the_import_walk_sees_the_imports():
     modules = {module for module, _ in _imports()}
-    assert {"repro.engine.pipeline", "repro.budgets.throttle"} <= modules
+    assert {
+        "repro.engine.pipeline",
+        "repro.budgets.throttle",
+        "repro.budgets.outstanding",
+    } <= modules
 
 
 def test_the_reference_is_small_enough_to_read_in_one_sitting():
