@@ -22,7 +22,10 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.money import check_cents
 from repro.errors import BudgetError
 
-__all__ = ["OutstandingLedger", "check_displays", "check_horizon"]
+__all__ = [
+    "OutstandingLedger", "check_display_arrays", "check_displays",
+    "check_horizon",
+]
 
 
 def check_horizon(horizon: int) -> None:
@@ -54,6 +57,23 @@ def check_displays(prices_cents: Sequence[int], ctrs: Sequence[float]) -> None:
     ):
         bad = next(ctr for ctr in ctrs if not 0.0 <= ctr <= 1.0)
         raise BudgetError(f"CTR must be in [0, 1], got {bad}")
+
+
+def check_display_arrays(prices_cents, ctrs) -> None:
+    """:func:`check_displays` on a numpy price column and CTR column, in
+    whole-array operations, before they become lists.
+
+    A batch it refuses is handed to :func:`check_displays` as lists, so
+    it raises that function's error.
+    """
+    if (
+        len(prices_cents) != len(ctrs)
+        or prices_cents.dtype.kind != "i"
+        or len(ctrs) and not (
+            prices_cents.min() >= 0 and 0.0 <= ctrs.min() and ctrs.max() <= 1.0
+        )
+    ):
+        check_displays(prices_cents.tolist(), ctrs.tolist())
 
 
 class OutstandingLedger:

@@ -6,8 +6,8 @@ item 2): every round the engine re-reads ``bid`` / ``ctr_factor`` /
 ``daily_budget`` attribute-by-attribute, advertiser-by-advertiser.
 :class:`ColumnarStore` transposes the population once into numpy columns
 -- advertiser ids, bid cents, CTR factors, budget cents -- plus
-per-phrase membership (row-index arrays and packed bitmaps), so the hot
-kernels become whole-array operations:
+phrase membership as one CSR of member rows, so the hot kernels become
+whole-array operations:
 
 - effective scoring: the closed-form throttled bid and score of every
   row stand in row space beside these columns and a round gathers them
@@ -39,7 +39,8 @@ winners, prices, and budget trajectories rather than approximate ones.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from itertools import chain, repeat
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -212,12 +213,18 @@ class ColumnarStore:
         budget_cents: int64 daily budgets in cents;
             :data:`UNBUDGETED_CENTS` for unlimited.
 
-    Phrase membership is kept two ways: per-phrase *row-index arrays*
-    (ascending; the form every kernel consumes) and packed *bitmaps*
-    (:meth:`membership_bits`; 1 bit per row, the compact interchange
-    form).  Both are caches built on first use over the phrase -> rows
-    index the constructor builds; membership never changes after
-    construction.
+    Phrase membership is one CSR over the phrases, sorted
+    (:meth:`phrases`): phrase ``p`` owns the *cells* ``phrase_starts[p]``
+    to ``phrase_starts[p] + phrase_lens[p]`` of :attr:`cell_rows`, its
+    member rows ascending.  :meth:`phrase_rows` is a read-only view of
+    those cells, and a round's cells are one boolean compress of
+    :attr:`cell_rows` (:meth:`phrase_cells`).  ``c_i^q``
+    (:meth:`phrase_ctr`) and the CTR-sorted positions
+    (:meth:`phrase_ctr_rank_positions`) are two more cell-aligned
+    columns, each filled for a phrase the first time a read asks for it,
+    so construction does not pay for them.  Membership never changes
+    after construction; the packed bitmaps (:meth:`membership_bits`,
+    the compact interchange form) are cached per phrase on first use.
 
     The store has no setters; under an engine its columns are read-only
     but to :meth:`repro.engine.pipeline.SharedAuctionEngine.set_bids`.
@@ -234,19 +241,47 @@ class ColumnarStore:
             seen.add(advertiser.advertiser_id)
         # The phrase -> member rows index, in one pass: rows ascend with
         # the id, so each list is ascending.
-        self._phrase_members: Dict[str, List[int]] = {}
+        members: Dict[str, List[int]] = {}
         for row, advertiser in enumerate(ordered):
             for phrase in advertiser.phrases:
-                self._phrase_members.setdefault(phrase, []).append(row)
+                members.setdefault(phrase, []).append(row)
+        self._phrase_names = sorted(members)
+        self._phrase_at: Dict[str, int] = {
+            phrase: at for at, phrase in enumerate(self._phrase_names)
+        }
+        count = len(self._phrase_names)
+        self.phrase_lens = np.fromiter(
+            (len(members[phrase]) for phrase in self._phrase_names),
+            np.int64,
+            count,
+        )
+        ends = np.cumsum(self.phrase_lens)
+        self.phrase_starts = ends - self.phrase_lens
+        self._bounds = list(zip(self.phrase_starts.tolist(), ends.tolist()))
+        cells = int(ends[-1]) if count else 0
+        self.cell_rows = np.fromiter(
+            chain.from_iterable(map(members.__getitem__, self._phrase_names)),
+            np.int64,
+            cells,
+        )
         self._overrides_of: Dict[int, Dict[str, float]] = {
             a.advertiser_id: dict(a.phrase_ctr_factors) for a in ordered
         }
+        self._overridden = np.fromiter(
+            (bool(a.phrase_ctr_factors) for a in ordered), bool, len(ordered)
+        )
+        self._cell_ctrs = np.zeros(cells, dtype=np.float64)
+        self._cell_ctr_ranks = np.zeros(cells, dtype=np.int64)
+        self._ctrs_filled = np.zeros(count, dtype=bool)
+        self._ranks_filled = np.zeros(count, dtype=bool)
+        for column in (
+            self.phrase_lens, self.phrase_starts, self.cell_rows,
+            self._cell_ctrs, self._cell_ctr_ranks,
+        ):
+            column.flags.writeable = False
         self._build_columns(ordered)
-        self._phrase_rows: Dict[str, "np.ndarray"] = {}
         self._phrase_masks: Dict[str, "np.ndarray"] = {}
         self._phrase_bits: Dict[str, "np.ndarray"] = {}
-        self._phrase_ctrs: Dict[str, "np.ndarray"] = {}
-        self._phrase_ctr_orders: Dict[str, "np.ndarray"] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -329,19 +364,42 @@ class ColumnarStore:
         return rows
 
     def phrases(self) -> List[str]:
-        """Every phrase with at least one interested advertiser, sorted."""
-        return sorted(self._phrase_members)
+        """Every phrase with at least one interested advertiser, sorted:
+        the phrase order of the CSR."""
+        return list(self._phrase_names)
+
+    def phrase_positions(self, phrases: Sequence[str]) -> "np.ndarray":
+        """Each phrase's index into :meth:`phrases` (``-1`` for a phrase
+        nobody bids on)."""
+        return np.fromiter(
+            map(self._phrase_at.get, phrases, repeat(-1)),
+            np.int64,
+            len(phrases),
+        )
+
+    def phrase_cells(self, positions) -> Tuple["np.ndarray", "np.ndarray"]:
+        """The phrases at ``positions`` (indices into :meth:`phrases`) as
+        ``(occurring, cells)``: a mask over the phrases, and the mask
+        ``np.repeat(occurring, phrase_lens)`` over :attr:`cell_rows`.
+
+        ``cell_rows[cells]`` is every such phrase's rows laid end to end
+        in phrase order, one boolean compress; the cell-aligned columns
+        (:meth:`cell_ctrs`, :meth:`cell_ctr_rank_positions`) compress by
+        the same mask.
+        """
+        occurring = np.zeros(len(self._phrase_names), dtype=bool)
+        occurring[positions] = True
+        return occurring, np.repeat(occurring, self.phrase_lens)
 
     def phrase_rows(self, phrase: str) -> "np.ndarray":
         """Ascending row indices of the phrase's interested advertisers
-        (none for a phrase nobody bids on), read off the index the
-        constructor built: a phrase seen for the first time costs its
-        members, not the population."""
-        rows = self._phrase_rows.get(phrase)
-        if rows is None:
-            rows = np.array(self._phrase_members.get(phrase, ()), np.int64)
-            self._phrase_rows[phrase] = rows
-        return rows
+        (none for a phrase nobody bids on): a read-only view of its
+        cells."""
+        at = self._phrase_at.get(phrase)
+        if at is None:
+            return _NO_ROWS
+        start, end = self._bounds[at]
+        return self.cell_rows[start:end]
 
     def membership(self, phrase: str) -> "np.ndarray":
         """Boolean membership mask over all rows."""
@@ -361,39 +419,102 @@ class ColumnarStore:
         return bits
 
     def phrase_ctr(self, phrase: str) -> "np.ndarray":
-        """``c_i^q`` for the phrase's rows (parallel to ``phrase_rows``).
+        """``c_i^q`` for the phrase's rows (parallel to ``phrase_rows``):
+        a read-only view of :meth:`cell_ctrs`.
 
         The phrase-independent factor column with the advertiser's
         per-phrase override applied where present -- exactly
         :meth:`Advertiser.ctr_factor_for`, vectorized.
         """
-        factors = self._phrase_ctrs.get(phrase)
-        if factors is None:
-            rows = self.phrase_rows(phrase)
-            factors = self.ctr_factors[rows]
-            overrides_of = self._overrides_of
-            for position, advertiser_id in enumerate(self.ids[rows].tolist()):
-                override = overrides_of[advertiser_id].get(phrase)
-                if override is not None:
-                    factors[position] = override
-            self._phrase_ctrs[phrase] = factors
-        return factors
+        at = self._phrase_at.get(phrase)
+        if at is None:
+            return _NO_FACTORS
+        if not self._ctrs_filled[at]:
+            self.cell_ctrs(self.phrase_cells([at])[0])
+        start, end = self._bounds[at]
+        return self._cell_ctrs[start:end]
 
     def phrase_ctr_rank_positions(self, phrase: str) -> "np.ndarray":
         """The phrase's CTR-sorted list, as positions into ``phrase_rows``.
 
-        Descending ``c_i^q``, ties by ascending id.  This is the
-        columnar replacement for the engine's per-phrase ``_ctr_orders``
-        lists: the TA kernel walks it as its CTR-sorted list (Section
-        III treats CTR factors as recalculated only occasionally, so the
-        presort is cached).  Positions rather than rows, because every
-        per-phrase array -- ``phrase_rows``, ``phrase_ctr`` -- is
-        indexed by them, for one phrase or for a round's phrases laid
-        end to end.
+        Descending ``c_i^q``, ties by ascending id: the TA kernel walks
+        it as its CTR-sorted list (Section III treats CTR factors as
+        recalculated only occasionally, so the presort is kept).
+        Positions rather than rows, because every per-phrase array --
+        ``phrase_rows``, ``phrase_ctr`` -- is indexed by them, for one
+        phrase or for a round's phrases laid end to end.  A read-only
+        view of :meth:`cell_ctr_rank_positions`.
         """
-        positions = self._phrase_ctr_orders.get(phrase)
-        if positions is None:
-            rows = self.phrase_rows(phrase)
-            positions = np.lexsort((self.ids[rows], -self.phrase_ctr(phrase)))
-            self._phrase_ctr_orders[phrase] = positions
-        return positions
+        at = self._phrase_at.get(phrase)
+        if at is None:
+            return _NO_ROWS
+        if not self._ranks_filled[at]:
+            self.cell_ctr_rank_positions(self.phrase_cells([at])[0])
+        start, end = self._bounds[at]
+        return self._cell_ctr_ranks[start:end]
+
+    def cell_ctrs(self, occurring) -> "np.ndarray":
+        """The ``c_i^q`` column over every cell, filled for (at least)
+        the phrases ``occurring`` marks; read-only.
+
+        A phrase is filled the first time a read asks for it: a gather
+        of ``ctr_factors``, then an override lookup for each member
+        that has any overrides (none on a market without them).
+        """
+        fresh = occurring & ~self._ctrs_filled
+        if fresh.any():
+            cells = np.repeat(fresh, self.phrase_lens)
+            rows = self.cell_rows[cells]
+            factors = self.ctr_factors[rows]
+            odd = np.flatnonzero(self._overridden[rows])
+            if len(odd):
+                lens = self.phrase_lens[fresh]
+                phrase_of = np.repeat(np.flatnonzero(fresh), lens)[odd]
+                names, overrides_of = self._phrase_names, self._overrides_of
+                for position, advertiser_id, at in zip(
+                    odd.tolist(),
+                    self.ids[rows[odd]].tolist(),
+                    phrase_of.tolist(),
+                ):
+                    override = overrides_of[advertiser_id].get(names[at])
+                    if override is not None:
+                        factors[position] = override
+            _fill(self._cell_ctrs, cells, factors)
+            self._ctrs_filled |= fresh
+        return self._cell_ctrs
+
+    def cell_ctr_rank_positions(self, occurring) -> "np.ndarray":
+        """The CTR-sorted positions column over every cell (cell
+        ``phrase_starts[p] + j`` holds the position within phrase ``p``
+        of its ``j``-th entry), filled for (at least) the phrases
+        ``occurring`` marks -- every fresh phrase in one lexsort;
+        read-only."""
+        fresh = occurring & ~self._ranks_filled
+        if fresh.any():
+            factors = self.cell_ctrs(fresh)
+            cells = np.flatnonzero(np.repeat(fresh, self.phrase_lens))
+            lens = self.phrase_lens[fresh]
+            segment = np.repeat(np.arange(len(lens)), lens)
+            order = np.lexsort(
+                (self.ids[self.cell_rows[cells]], -factors[cells], segment)
+            )
+            _fill(
+                self._cell_ctr_ranks,
+                cells,
+                order - np.repeat(np.cumsum(lens) - lens, lens),
+            )
+            self._ranks_filled |= fresh
+        return self._cell_ctr_ranks
+
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+_NO_FACTORS = np.zeros(0, dtype=np.float64)
+_NO_ROWS.flags.writeable = False
+_NO_FACTORS.flags.writeable = False
+
+
+def _fill(column, where, values) -> None:
+    """Write ``values`` into read-only ``column`` at ``where``."""
+    column.flags.writeable = True
+    column[where] = values
+    column.flags.writeable = False

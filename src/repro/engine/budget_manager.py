@@ -114,10 +114,6 @@ class BudgetManager:
         # Whose books moved since drain_book_changes last handed them out.
         self._moved: Set[int] = set()
 
-    def budget_cents(self, advertiser_id: int) -> int:
-        """The advertiser's daily budget (huge sentinel if unbudgeted)."""
-        return self._budgets.get(advertiser_id, self.UNBUDGETED_CENTS)
-
     def remaining_cents(self, advertiser_id: int) -> int:
         """``β_i`` -- budget minus settled charges (never negative);
         :attr:`UNBUDGETED_CENTS` whatever an unbudgeted advertiser spent."""
@@ -178,6 +174,21 @@ class BudgetManager:
             raise BudgetError(
                 f"{len(advertiser_ids)} advertisers for {len(ctrs)} ads"
             )
+        return self._record_displays(
+            advertiser_ids, prices_cents, ctrs, round_index
+        )
+
+    def _record_displays(
+        self,
+        advertiser_ids: Sequence[int],
+        prices_cents: Sequence[int],
+        ctrs: Sequence[float],
+        round_index: int,
+    ) -> List[int]:
+        """:meth:`record_displays` of a batch its caller has checked
+        (:func:`repro.budgets.outstanding.check_displays`, parallel
+        columns): the engines check a round's displays once for the
+        books and the click model together."""
         if round_index < self._open_round:
             raise BudgetError(
                 f"a display at round {round_index}: the books are at round "

@@ -125,6 +125,20 @@ class DelayedClickModel:
         for ctr in ctrs:
             if not 0.0 <= ctr <= 1.0:
                 raise InvalidAuctionError(f"CTR must be in [0, 1], got {ctr}")
+        return self._record_displays(
+            display_round, advertiser_ids, prices_cents, ctrs, ledger_handles
+        )
+
+    def _record_displays(
+        self,
+        display_round: int,
+        advertiser_ids: Sequence[int],
+        prices_cents: Sequence[int],
+        ctrs: Sequence[float],
+        ledger_handles: Sequence[int],
+    ) -> int:
+        """:meth:`record_displays` of a batch its caller has checked
+        (parallel columns, every CTR in ``[0, 1]``)."""
         draw = self._rng.random
         horizon = self.horizon_rounds
         # A zero mean delays every click one round and draws no delay.

@@ -19,9 +19,10 @@ from __future__ import annotations
 import inspect
 import random
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.budgets.outstanding import check_display_arrays, check_displays
 from repro.budgets.throttle import ThrottleProblem, exact_throttled_bid
 from repro.core.advertiser import Advertiser
 import numpy as np
@@ -693,18 +694,7 @@ class SharedAuctionEngine:
         """
         store = self._store
         synced = self._sync_book_columns()
-        # The round's rows and each one's auction multiplicity m_i: in
-        # how many occurring phrases it is a member.
-        if len(phrases) == 1:
-            rows = store.phrase_rows(phrases[0])
-            m = self._ones[: len(rows)]
-        else:
-            counts = np.bincount(
-                np.concatenate([store.phrase_rows(p) for p in phrases]),
-                minlength=store.size,
-            )
-            rows = np.flatnonzero(counts)
-            m = counts[rows]
+        rows, m = self._round_rows(phrases)
         collector = self.collector
         cap = self._cap_by_row[rows]
         effective_sub = cap.astype(np.float64)
@@ -779,6 +769,25 @@ class SharedAuctionEngine:
             collector.incr(metric_names.COLUMNAR_SCORE_ROWS, int(len(rows)))
             collector.incr(metric_names.COLUMNAR_BOOK_ROWS_SYNCED, synced)
         return rows, effective_sub, score_sub
+
+    def _round_rows(
+        self, phrases: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The round's rows (ascending) and each one's auction
+        multiplicity ``m_i``: in how many of ``phrases`` it is a member.
+
+        One phrase is its view of the store's phrase CSR, each ``m_i``
+        1; more are one compress of the CSR's cells
+        (:meth:`ColumnarStore.phrase_cells`) counted by row.
+        """
+        store = self._store
+        if len(phrases) == 1:
+            rows = store.phrase_rows(phrases[0])
+            return rows, self._ones[: len(rows)]
+        _, cells = store.phrase_cells(store.phrase_positions(phrases))
+        counts = np.bincount(store.cell_rows[cells], minlength=store.size)
+        rows = np.flatnonzero(counts)
+        return rows, counts[rows]
 
     def _rank_phrases(
         self,
@@ -877,11 +886,14 @@ class SharedAuctionEngine:
         """Stage 4: allocate slots, price clicks (GSP), book the displays.
 
         The round is the unit: every occurring phrase's slots are priced
-        first, then the displayed ads are booked as outstanding debt in
-        one :meth:`BudgetManager.record_displays` call and handed to the
-        click model in one :meth:`DelayedClickModel.record_displays`
-        call, in (phrase, slot) order -- its draws from the shared
-        ``random.Random`` are the only part that has to stay sequential.
+        first, and the batch is checked once
+        (:func:`repro.budgets.outstanding.check_displays`, as arrays on
+        the array route); then the displayed ads are booked as
+        outstanding debt in one call to the budget manager and handed to
+        the click model in one call (each the unchecked internal of its
+        ``record_displays``), in (phrase, slot) order -- the click
+        model's draws from the shared ``random.Random`` are the only
+        part that has to stay sequential.
         The slot arithmetic has two routes over the same
         :class:`RankedRound` arrays that agree bit for bit:
         :meth:`_price_slots`, one array pass over the round, which a
@@ -911,15 +923,19 @@ class SharedAuctionEngine:
             shown = [len(ads) for ads in per_phrase]
             flat = list(chain.from_iterable(per_phrase))
             slots, ids, prices, ctrs = zip(*flat) if flat else ((), (), (), ())
-        handles = self.budget_manager.record_displays(
+            check_displays(prices, ctrs)
+        # Checked once above, for the books and the click model alike.
+        handles = self.budget_manager._record_displays(
             ids, prices, ctrs, round_index
         )
-        self.click_model.record_displays(
+        self.click_model._record_displays(
             round_index, ids, prices, ctrs, handles
         )
-        allocated = zip(slots, ids, prices)
-        for phrase, count in zip(phrases, shown):
-            report.allocations[phrase] = tuple(islice(allocated, count))
+        allocated = list(zip(slots, ids, prices))
+        start = 0
+        for phrase, end in zip(phrases, accumulate(shown)):
+            report.allocations[phrase] = tuple(allocated[start:end])
+            start = end
         report.displays += len(ids)
 
     def _allocate_phrase(
@@ -989,12 +1005,14 @@ class SharedAuctionEngine:
             (slot < self.k) & (scores > 0.0) & (c > 0.0) & (price > 0.0)
         )
         slots = slot[at]
+        prices = price[at].astype(np.int64)
         ctrs = np.minimum(1.0, c[at] * self._slot_factors[slots])
+        check_display_arrays(prices, ctrs)
         return (
             np.bincount(phrase_at[at], minlength=len(lens)).tolist(),
             slots.tolist(),
             ids[at].tolist(),
-            price[at].astype(np.int64).tolist(),
+            prices.tolist(),
             ctrs.tolist(),
         )
 

@@ -10,7 +10,7 @@ because no fragment is computed twice.
 
 Although there are ``2^m`` possible bit strings for ``m`` queries, at
 most ``n`` fragments are non-empty for ``n`` variables; grouping is a
-hash of bit strings, ``O(m * n)``.
+hash of bit strings, each kept sparse as its set bits' query indices.
 """
 
 from __future__ import annotations
@@ -52,37 +52,37 @@ def identify_fragments(instance: SharedAggregationInstance) -> List[Fragment]:
     Variables that occur in *no* non-trivial query (they appear only in
     trivial single-variable queries) are excluded: they need no
     aggregation.  Fragments are returned sorted by signature (as a bool
-    tuple) for determinism.
+    tuple), descending, for determinism.
 
-    Internally signatures are int bitmasks built in one pass over the
-    query memberships (``O(sum_q |X_q|)`` instead of ``O(m * n)`` set
-    probes); bit ``i`` of a query is placed at position ``m - 1 - i`` so
-    plain integer order equals the lexicographic bool-tuple order and
-    the public sort is unchanged.  The bool-tuple :attr:`Fragment.signature`
-    remains the boundary type.
+    Each variable is keyed by the ascending tuple of the query indices it
+    occurs in, built in one pass over the query memberships (``O(sum_q
+    |X_q|)`` instead of ``O(m * n)`` set probes).  Sorting the keys by
+    ``indices + (m,)`` ascending is the descending bool-tuple order: at
+    the first index where two keys differ, the smaller index is the
+    query only the first key's signature holds, and the sentinel ``m``
+    puts a key after every key it is a proper prefix of.  The bool-tuple
+    :attr:`Fragment.signature` remains the boundary type.
     """
     queries = instance.queries
     num_queries = len(queries)
-    signature_of: Dict[Variable, int] = {}
+    indices_of: Dict[Variable, List[int]] = {}
     for index, query in enumerate(queries):
-        bit = 1 << (num_queries - 1 - index)
         for variable in query.variables:
-            signature_of[variable] = signature_of.get(variable, 0) | bit
-    groups: Dict[int, set[Variable]] = {}
-    for variable, signature in signature_of.items():
-        groups.setdefault(signature, set()).add(variable)
-    names = [q.name for q in queries]
+            indices_of.setdefault(variable, []).append(index)
+    groups: Dict[Tuple[int, ...], List[Variable]] = {}
+    for variable, indices in indices_of.items():
+        groups.setdefault(tuple(indices), []).append(variable)
+    name_of = [q.name for q in queries].__getitem__
     fragments = []
-    for signature in sorted(groups, reverse=True):
-        bits = tuple(
-            bool(signature >> (num_queries - 1 - index) & 1)
-            for index in range(num_queries)
-        )
+    for indices in sorted(groups, key=lambda key: key + (num_queries,)):
+        bits = [False] * num_queries
+        for index in indices:
+            bits[index] = True
         fragments.append(
             Fragment(
-                bits,
-                frozenset(groups[signature]),
-                tuple(n for n, bit in zip(names, bits) if bit),
+                tuple(bits),
+                frozenset(groups[indices]),
+                tuple(map(name_of, indices)),
             )
         )
     return fragments

@@ -89,6 +89,9 @@ class WalkingBooks:
         check_displays(prices, ctrs)
         if len(ids) != len(ctrs):
             raise BudgetError(f"{len(ids)} advertisers for {len(ctrs)} ads")
+        return self._record_displays(ids, prices, ctrs, round_index)
+
+    def _record_displays(self, ids, prices, ctrs, round_index) -> List[int]:
         return [
             self.ledgers.setdefault(
                 advertiser_id, OutstandingLedger(self.horizon)
@@ -253,11 +256,8 @@ class ReferenceEngine:
         self._bid_cents.update(zip(ids, bid_cents))
 
     def settle_remaining_clicks(self) -> Tuple[int, int, int]:
-        """Deliver every pending click now.
-
-        Returns:
-            ``(revenue_cents, forgiven_cents, clicks)``.
-        """
+        """Deliver every pending click now; returns ``(revenue_cents,
+        forgiven_cents, clicks)``."""
         clicks = self.click_model.flush()
         return (*self.budget_manager.settle_clicks(clicks), len(clicks))
 
@@ -305,10 +305,11 @@ class ReferenceEngine:
             displays.extend(ads)
 
         # Book: every displayed ad becomes outstanding debt and may be
-        # clicked later, in (phrase, slot) order.
+        # clicked later, in (phrase, slot) order, checked once for both.
         _, ids, prices, ctrs = zip(*displays) if displays else ((),) * 4
-        handles = self.budget_manager.record_displays(ids, prices, ctrs, round_index)
-        self.click_model.record_displays(round_index, ids, prices, ctrs, handles)
+        check_displays(prices, ctrs)
+        handles = self.budget_manager._record_displays(ids, prices, ctrs, round_index)
+        self.click_model._record_displays(round_index, ids, prices, ctrs, handles)
         report.displays = len(ids)
         return report
 
@@ -350,11 +351,9 @@ class ReferenceEngine:
     def _rank(
         self, phrase: str, bids: Mapping[int, float], report: RoundReport
     ) -> TopKList:
-        """Sections II-III: the top-(k+1) of ``b̂ * c`` by one scan.
-
-        The ``k+1``-th entry is the last slot's runner-up, which
-        generalized second pricing reads.
-        """
+        """Sections II-III: the top-(k+1) of ``b̂ * c`` by one scan; the
+        ``k+1``-th entry is the last slot's runner-up, which generalized
+        second pricing reads."""
         bidders = self.phrase_advertisers[phrase]
         report.scans += len(bidders)
         return top_k_scan(

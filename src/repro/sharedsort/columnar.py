@@ -111,8 +111,7 @@ class ColumnarThresholdKernel:
     differential oracle the tests hold ``rank_round`` to.
 
     The kernel holds no copy of phrase membership or CTR order: both
-    methods read the store's cached per-phrase arrays every round, so the
-    store's invalidation is the only invalidation rule.
+    methods read the store's cell-aligned columns every round.
 
     Args:
         store: The columnar population.
@@ -241,11 +240,15 @@ class ColumnarThresholdKernel:
     ) -> Tuple[RankedRound, "np.ndarray"]:
         """TA for every phrase of the round, in lockstep array stages.
 
-        The round's (phrase, member) *cells* are the store's per-phrase
-        arrays laid end to end.  One ``argsort`` of ``segment * size +
-        shared_rank[row]`` yields every phrase's bid list at once (the
-        batched form of :meth:`rank_phrase`'s ``order[membership[
-        order]]``; ranks of rows outside the round are never read).
+        The round's (phrase, member) *cells* are one boolean compress of
+        the store's phrase CSR (:meth:`ColumnarStore.phrase_cells`), and
+        their ``c_i^q`` and CTR lists compress by the same mask; the
+        phrases run as segments in the store's phrase order and every
+        per-phrase output comes back in the caller's.  One ``argsort``
+        of ``segment * size + shared_rank[row]`` yields every phrase's
+        bid list at once (the batched form of :meth:`rank_phrase`'s
+        ``order[membership[order]]``; ranks of rows outside the round
+        are never read).
         Stage ``s`` reads depth ``d = k * 2**s`` of both lists of the
         still-active phrases as two ``(active, d)`` tables of cells and
         scores only those: a CTR-prefix cell that sorts at or before the
@@ -273,9 +276,9 @@ class ColumnarThresholdKernel:
             arrays and the sorted accesses charged to each phrase.
 
         Raises:
-            InvalidPlanError: If called before :meth:`begin_round`, or
-                a phrase has a member row the round's shared order does
-                not hold.
+            InvalidPlanError: If called before :meth:`begin_round`, if
+                a phrase repeats, or if a phrase has a member row the
+                round's shared order does not hold.
         """
         if self._order is None or self._effective_by_row is None:
             raise InvalidPlanError("rank_round before begin_round")
@@ -284,28 +287,35 @@ class ColumnarThresholdKernel:
         order = self._order
         effective = self._effective_by_row
         count = len(phrases)
-        member_rows = [store.phrase_rows(phrase) for phrase in phrases]
-        sizes = np.fromiter(map(len, member_rows), np.int64, count)
+        positions = store.phrase_positions(phrases)
+        # The TA stages run over segments, one per phrase with members,
+        # in the store's phrase order; `phrase_at` names each segment's
+        # phrase in the caller's order, which every per-phrase output
+        # (lens, accesses) follows.
+        listed = np.flatnonzero(positions >= 0)
+        occurring, in_round = store.phrase_cells(positions[listed])
+        if occurring.sum() != len(listed):
+            raise InvalidPlanError(f"a phrase repeats in {list(phrases)!r}")
+        phrase_at = listed[np.argsort(positions[listed])]
+        sizes = store.phrase_lens[occurring]
         depth = np.zeros(count, dtype=np.int64)
-        if not sizes.any():
+        if not len(listed):
             no_ints = np.zeros(0, dtype=np.int64)
             no_floats = np.zeros(0, dtype=np.float64)
             return (
                 RankedRound(
-                    phrases, k, sizes, no_floats, no_ints, no_floats,
-                    no_floats,
+                    phrases, k, np.zeros(count, dtype=np.int64), no_floats,
+                    no_ints, no_floats, no_floats,
                 ),
                 depth,
             )
         starts = np.cumsum(sizes) - sizes
-        cell_rows = np.concatenate(member_rows)
-        cell_c = np.concatenate([store.phrase_ctr(p) for p in phrases])
-        # Both sorted lists of every phrase, laid end to end like the
-        # cells: entry starts[p] + j is the j-th of phrase p's list.  The
-        # CTR list holds positions within the phrase, the bid list cells.
-        ctr_list = np.concatenate(
-            [store.phrase_ctr_rank_positions(p) for p in phrases]
-        )
+        # One compress of each cell-aligned column: entry starts[s] + j
+        # is the j-th of segment s's members, c_i^q and CTR list (which
+        # holds positions within the phrase).
+        cell_rows = store.cell_rows[in_round]
+        cell_c = store.cell_ctrs(occurring)[in_round]
+        ctr_list = store.cell_ctr_rank_positions(occurring)[in_round]
         shared_rank = np.full(store.size, -1, dtype=np.int64)
         shared_rank[order] = np.arange(len(order))
         cell_rank = shared_rank[cell_rows]
@@ -316,7 +326,8 @@ class ColumnarThresholdKernel:
                 "ranked phrase but not in the round's shared order "
                 "(begin_round takes every member row of every phrase)"
             )
-        bid_key = np.repeat(np.arange(count) * len(order), sizes) + cell_rank
+        segments = len(sizes)
+        bid_key = np.repeat(np.arange(segments) * len(order), sizes) + cell_rank
         bid_list = np.argsort(bid_key)
 
         stages = np.zeros(count, dtype=np.int64)
@@ -324,8 +335,7 @@ class ColumnarThresholdKernel:
         kept_cells = []
         kept_scores = []
         kept_phrases = []
-        ran = np.flatnonzero(sizes)
-        active = ran
+        active = np.arange(segments)
         d = k
         stage = 0
         while len(active):
@@ -361,6 +371,7 @@ class ColumnarThresholdKernel:
             keep = seen_cells & (final_scores >= kth[done, None])
             kept_cells.append(cells[done][keep])
             kept_scores.append(final_scores[keep])
+            leaving = phrase_at[leaving]
             kept_phrases.append(np.repeat(leaving, keep.sum(axis=1)))
             depth[leaving] = np.minimum(n[done], d)
             stages[leaving] = stage
@@ -382,13 +393,13 @@ class ColumnarThresholdKernel:
         sorted_accesses = 2 * depth
         collector = self.collector
         if collector.enabled:
-            collector.incr(metric_names.TA_RUNS, int(len(ran)))
+            collector.incr(metric_names.TA_RUNS, segments)
             collector.incr(
                 metric_names.TA_SORTED_ACCESSES, int(sorted_accesses.sum())
             )
             collector.incr(metric_names.TA_RANDOM_ACCESSES, int(seen.sum()))
             collector.incr(metric_names.TA_STAGES, int(stages.sum()))
-            collector.gauge(metric_names.TA_STOP_DEPTH, int(depth[ran[-1]]))
+            collector.gauge(metric_names.TA_STOP_DEPTH, int(depth[listed[-1]]))
         return (
             RankedRound(
                 phrases,

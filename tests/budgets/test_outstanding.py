@@ -3,9 +3,14 @@ batch check."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.budgets.outstanding import OutstandingLedger, check_displays
+from repro.budgets.outstanding import (
+    OutstandingLedger, check_display_arrays, check_displays,
+)
 from repro.errors import BudgetError
 
 
@@ -126,3 +131,46 @@ class TestCheckDisplays:
     def test_good_batches_pass(self):
         check_displays([], [])
         check_displays([0, 10**12], [0.0, 1.0])
+
+
+def _refusal(check, *columns):
+    """The error ``check`` raises on the columns, or ``None``."""
+    try:
+        check(*columns)
+    except BudgetError as error:
+        return str(error)
+    return None
+
+
+class TestCheckDisplayArrays:
+    """The array form refuses exactly the batches the list form does,
+    with its error: the engine checks a priced round as arrays."""
+
+    @pytest.mark.parametrize(
+        "prices, ctrs",
+        [
+            (np.array([10, -1]), np.array([0.5, 0.5])),
+            (np.array([10, 2.5]), np.array([0.5, 0.5])),
+            (np.array([True]), np.array([0.5])),
+            (np.array([10]), np.array([-0.01])),
+            (np.array([10]), np.array([1.5])),
+            (np.array([10, 10]), np.array([0.5, np.nan])),
+            (np.array([10]), np.array([0.5, 0.5])),
+        ],
+    )
+    def test_a_bad_row_refuses_the_batch(self, prices, ctrs):
+        expected = _refusal(check_displays, prices.tolist(), ctrs.tolist())
+        assert expected is not None
+        assert _refusal(check_display_arrays, prices, ctrs) == expected
+
+    @given(
+        prices=st.lists(st.integers(-3, 10**12), max_size=8),
+        ctrs=st.lists(
+            st.floats(-0.5, 1.5) | st.just(float("nan")), max_size=8
+        ),
+    )
+    def test_same_verdict_as_the_list_check(self, prices, ctrs):
+        columns = np.array(prices, dtype=np.int64), np.array(ctrs)
+        assert _refusal(check_display_arrays, *columns) == _refusal(
+            check_displays, prices, ctrs
+        )

@@ -178,11 +178,12 @@ class TestOneClickModelCallPerStage:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts the click model's two entry points and every
-        ``ChargeResult`` the budget manager constructs."""
+        """Counts the click model's batch (its unchecked internal, which
+        ``record_displays`` also reaches) and one-ad entry points, and
+        every ``ChargeResult`` the budget manager constructs."""
         calls = Counter()
         for owner, name in (
-            (DelayedClickModel, "record_displays"),
+            (DelayedClickModel, "_record_displays"),
             (DelayedClickModel, "record_display"),
             (budget_manager, "ChargeResult"),
         ):
@@ -213,14 +214,14 @@ class TestOneClickModelCallPerStage:
         for _ in range(6):
             calls.clear()
             report = engine.run_round(phrases)
-            assert calls == {"record_displays": 1}
+            assert calls == {"_record_displays": 1}
             displays += report.displays
             clicks += report.clicks
         assert displays > 6 * 300 and clicks
         for phrase in phrases[:10]:
             calls.clear()
             engine.serve_query(phrase)
-            assert calls == {"record_displays": 1}
+            assert calls == {"_record_displays": 1}
         calls.clear()
         assert engine.settle_remaining_clicks()[2]
         assert not calls

@@ -415,7 +415,8 @@ class TestTheMarketIsHard:
             array_ad_overhead=0, seed=5,
         )
         manager = machine.engine.budget_manager
-        settle, book = manager.settle_clicks, manager.record_displays
+        # The engine books a round through the unchecked internal.
+        settle, book = manager.settle_clicks, manager._record_displays
         early = []
 
         def spying_settle(clicks):
@@ -438,7 +439,7 @@ class TestTheMarketIsHard:
             )
             return book(ids, prices, ctrs, round_index)
 
-        manager.settle_clicks, manager.record_displays = (
+        manager.settle_clicks, manager._record_displays = (
             spying_settle, spying_book,
         )
         try:

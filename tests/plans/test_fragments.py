@@ -125,3 +125,64 @@ class TestFragmentProperties:
         )
         fragments = identify_fragments(instance)
         assert len(fragments) <= len(instance.variables)
+
+
+class TestFragmentOrder:
+    """Fragments come strictly descending by bool signature, which the
+    one-pass grouping gets by sorting each fragment's query indices with
+    the sentinel ``m`` appended."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(query_families(max_queries=7))
+    def test_strictly_descending_by_signature(self, family):
+        sets, rates = family
+        instance = SharedAggregationInstance.from_sets(sets, rates)
+        if not instance.queries:
+            return
+        signatures = [f.signature for f in identify_fragments(instance)]
+        assert all(a > b for a, b in zip(signatures, signatures[1:]))
+
+    @settings(deadline=None, max_examples=60)
+    @given(query_families(max_queries=7))
+    def test_equals_grouping_by_bool_signature(self, family):
+        # The definition of Section II-D.1, walked variable by variable.
+        sets, rates = family
+        instance = SharedAggregationInstance.from_sets(sets, rates)
+        if not instance.queries:
+            return
+        groups = {}
+        for variable in instance.variables:
+            signature = instance.membership_signature(variable)
+            if any(signature):
+                groups.setdefault(signature, set()).add(variable)
+        names = [q.name for q in instance.queries]
+        assert [
+            (f.signature, f.variables, f.query_names)
+            for f in identify_fragments(instance)
+        ] == [
+            (
+                signature,
+                frozenset(groups[signature]),
+                tuple(n for n, bit in zip(names, signature) if bit),
+            )
+            for signature in sorted(groups, reverse=True)
+        ]
+
+    def test_a_prefix_key_sorts_after_its_extensions(self):
+        # a is in q0 alone, b and c in q0 and q3: the index key (0,) is a
+        # prefix of (0, 3), but the signature 1000 is below 1001.
+        instance = SharedAggregationInstance.from_sets(
+            {
+                "q0": ["a", "b", "c"],
+                "q1": ["x", "y"],
+                "q2": ["u", "v"],
+                "q3": ["b", "c"],
+            }
+        )
+        fragments = identify_fragments(instance)
+        assert [f.query_names for f in fragments] == [
+            ("q0", "q3"), ("q0",), ("q1",), ("q2",),
+        ]
+        assert fragments[0].signature == (True, False, False, True)
+        assert fragments[1].signature == (True, False, False, False)
+        assert fragments[1].variables == frozenset({"a"})
