@@ -11,7 +11,9 @@ import random
 
 import pytest
 
-from repro.core import Advertiser, AuctionSpec, MatrixCTRModel
+from repro.core.advertiser import Advertiser
+from repro.core.auction import AuctionSpec
+from repro.core.ctr import MatrixCTRModel
 from repro.core.winner_determination import (
     determine_winners_nonseparable,
     prune_candidates,

@@ -15,11 +15,9 @@ import random
 import pytest
 
 from repro.metrics.tables import ExperimentTable
-from repro.sharedsort import (
-    build_shared_sort_plan,
-    independent_sort_cost,
-    threshold_top_k,
-)
+from repro.sharedsort.cost import independent_sort_cost
+from repro.sharedsort.plan import build_shared_sort_plan
+from repro.sharedsort.threshold import threshold_top_k
 
 NUM_PHRASES = 3
 ADS_PER_PHRASE = 32

@@ -12,14 +12,11 @@ import random
 
 import pytest
 
-from repro.core import (
-    Advertiser,
-    AuctionSpec,
-    GeneralizedSecondPrice,
-    LadderedVCG,
-    SeparableCTRModel,
-    determine_winners_separable,
-)
+from repro.core.advertiser import Advertiser
+from repro.core.auction import AuctionSpec
+from repro.core.ctr import SeparableCTRModel
+from repro.core.pricing import GeneralizedSecondPrice, LadderedVCG
+from repro.core.winner_determination import determine_winners_separable
 from repro.metrics.tables import ExperimentTable
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import random
 
-from repro.core import Advertiser, AuctionSpec, MatrixCTRModel
+from repro.core.advertiser import Advertiser
+from repro.core.auction import AuctionSpec
+from repro.core.ctr import MatrixCTRModel
 from repro.core.winner_determination import (
     brute_force_winner_determination,
     determine_winners_nonseparable,

@@ -5,12 +5,9 @@ Run:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.core import (
-    Advertiser,
-    GeneralizedSecondPrice,
-    LadderedVCG,
-    determine_winners,
-)
+from repro.core.advertiser import Advertiser
+from repro.core.pricing import GeneralizedSecondPrice, LadderedVCG
+from repro.core.winner_determination import determine_winners
 from repro.engine import SharedAuctionEngine
 from repro.workloads.scenarios import paper_example_auction
 

@@ -13,11 +13,9 @@ from __future__ import annotations
 import random
 
 from repro.metrics.tables import ExperimentTable
-from repro.sharedsort import (
-    build_shared_sort_plan,
-    independent_sort_cost,
-    threshold_top_k,
-)
+from repro.sharedsort.cost import independent_sort_cost
+from repro.sharedsort.plan import build_shared_sort_plan
+from repro.sharedsort.threshold import threshold_top_k
 
 
 def main() -> None:

@@ -41,39 +41,4 @@ runs each module.  It provides:
   commands.
 """
 
-from repro.core.advertiser import Advertiser, BidPhrase
-from repro.core.auction import Allocation, AuctionOutcome, AuctionSpec
-from repro.core.ctr import MatrixCTRModel, SeparableCTRModel
-from repro.core.pricing import (
-    FirstPrice,
-    GeneralizedSecondPrice,
-    LadderedVCG,
-    PricingRule,
-)
-from repro.core.topk import TopKList, top_k_merge
-from repro.core.winner_determination import (
-    determine_winners,
-    determine_winners_nonseparable,
-    determine_winners_separable,
-)
-
-__all__ = [
-    "Advertiser",
-    "Allocation",
-    "AuctionOutcome",
-    "AuctionSpec",
-    "BidPhrase",
-    "FirstPrice",
-    "GeneralizedSecondPrice",
-    "LadderedVCG",
-    "MatrixCTRModel",
-    "PricingRule",
-    "SeparableCTRModel",
-    "TopKList",
-    "determine_winners",
-    "determine_winners_nonseparable",
-    "determine_winners_separable",
-    "top_k_merge",
-]
-
 __version__ = "0.1.0"

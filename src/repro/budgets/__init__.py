@@ -20,35 +20,3 @@ This package implements the paper's principled treatment:
   nearly-exhausted advertiser gains when the system ignores budget
   uncertainty, and how throttling removes the exploit.
 """
-
-from repro.budgets.comparison import (
-    BoundedBid,
-    compare_throttled_bids,
-    top_k_throttled,
-)
-from repro.budgets.hoeffding import (
-    Interval,
-    expected_masked_sum_bounds,
-    prob_sum_less_than,
-    throttled_bid_bounds,
-)
-from repro.budgets.outstanding import OutstandingLedger
-from repro.budgets.throttle import (
-    ThrottleProblem,
-    exact_throttled_bid,
-    monte_carlo_throttled_bid,
-)
-
-__all__ = [
-    "BoundedBid",
-    "Interval",
-    "OutstandingLedger",
-    "ThrottleProblem",
-    "compare_throttled_bids",
-    "exact_throttled_bid",
-    "expected_masked_sum_bounds",
-    "monte_carlo_throttled_bid",
-    "prob_sum_less_than",
-    "throttled_bid_bounds",
-    "top_k_throttled",
-]

@@ -190,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_example() -> int:
-    from repro.core import GeneralizedSecondPrice, determine_winners
+    from repro.core.pricing import GeneralizedSecondPrice
+    from repro.core.winner_determination import determine_winners
     from repro.workloads.scenarios import paper_example_auction
 
     spec = paper_example_auction()

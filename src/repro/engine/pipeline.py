@@ -39,6 +39,7 @@ from repro.engine.click_model import ClickRow, DelayedClickModel
 from repro.engine.rounds import check_count
 from repro.errors import InvalidAuctionError
 from repro.instrument import NULL, Collector, names as metric_names
+from repro.plans.columnar_exec import ColumnarFragmentExecutor
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
 from repro.sharedsort.columnar import ColumnarThresholdKernel, RankedRound
 
@@ -394,8 +395,6 @@ class SharedAuctionEngine:
             # and the answers alive across rounds and rescans only
             # fragments touching a row whose score its own diff saw move
             # -- the DAG-node ancestor cone becomes two CSR gathers.
-            from repro.plans.columnar_exec import ColumnarFragmentExecutor
-
             self._columnar_exec = ColumnarFragmentExecutor(
                 instance,
                 self._store,

@@ -23,42 +23,3 @@ Modules:
 - :mod:`repro.plans.columnar_exec` -- vectorized fragment-level
   execution over a columnar store (no plan DAG).
 """
-
-from repro.plans.baselines import fragment_only_plan, no_sharing_plan
-from repro.plans.columnar_exec import (
-    ColumnarExecResult,
-    ColumnarFragmentExecutor,
-)
-from repro.plans.cost import expected_plan_cost, node_materialization_probability
-from repro.plans.dag import Plan, PlanNode
-from repro.plans.executor import ExecutionResult, PlanExecutor
-from repro.plans.fragments import Fragment, identify_fragments
-from repro.plans.greedy_planner import GreedyPlannerStats, greedy_shared_plan
-from repro.plans.instance import AggregateQuery, SharedAggregationInstance
-from repro.plans.optimal import optimal_plan
-from repro.plans.set_cover import exact_min_set_cover, greedy_set_cover
-from repro.plans.varsets import SubsetIndex, VarSetInterner
-
-__all__ = [
-    "AggregateQuery",
-    "ColumnarExecResult",
-    "ColumnarFragmentExecutor",
-    "ExecutionResult",
-    "Fragment",
-    "GreedyPlannerStats",
-    "Plan",
-    "PlanExecutor",
-    "PlanNode",
-    "SharedAggregationInstance",
-    "SubsetIndex",
-    "VarSetInterner",
-    "exact_min_set_cover",
-    "expected_plan_cost",
-    "fragment_only_plan",
-    "greedy_set_cover",
-    "greedy_shared_plan",
-    "identify_fragments",
-    "no_sharing_plan",
-    "node_materialization_probability",
-    "optimal_plan",
-]

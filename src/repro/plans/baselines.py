@@ -17,7 +17,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from repro.plans.dag import Plan
 from repro.plans.fragments import identify_fragments
@@ -61,22 +61,18 @@ def fragment_only_plan(instance: SharedAggregationInstance) -> Plan:
     """
     plan = Plan(instance)
     interner = plan.interner
-    fragments = identify_fragments(instance)
-    fragment_root: Dict[Tuple[bool, ...], int] = {}
-    for fragment in fragments:
+    roots_of: Dict[str, List[int]] = {q.name: [] for q in instance.queries}
+    for fragment in identify_fragments(instance):
         ordered = interner.members(interner.mask_of(fragment.variables))
         leaves = [plan.leaf_of(v) for v in ordered]
         acc = leaves[0]
         for leaf in leaves[1:]:
             acc = plan.add_internal(acc, leaf)
-        fragment_root[fragment.signature] = acc
+        for name in fragment.query_names:
+            roots_of[name].append(acc)
 
-    for index, query in enumerate(instance.queries):
-        roots = [
-            fragment_root[f.signature]
-            for f in fragments
-            if f.signature[index]
-        ]
+    for query in instance.queries:
+        roots = roots_of[query.name]
         if len(roots) == 1:
             plan.assign_query(query.name, roots[0])
             continue

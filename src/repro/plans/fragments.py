@@ -30,15 +30,12 @@ class Fragment:
     """An equivalence class of variables occurring in the same queries.
 
     Attributes:
-        signature: The membership bit string -- entry ``i`` is ``True``
-            iff the fragment's variables occur in the ``i``-th
-            (name-sorted) query of the instance.
         variables: The variables in the class.
         query_names: Names of the queries the fragment belongs to, in the
-            instance's query order.
+            instance's query order: the set bits of the Section II-D.1
+            membership bit string.
     """
 
-    signature: Tuple[bool, ...]
     variables: FrozenSet[Variable]
     query_names: Tuple[str, ...]
 
@@ -51,17 +48,16 @@ def identify_fragments(instance: SharedAggregationInstance) -> List[Fragment]:
 
     Variables that occur in *no* non-trivial query (they appear only in
     trivial single-variable queries) are excluded: they need no
-    aggregation.  Fragments are returned sorted by signature (as a bool
-    tuple), descending, for determinism.
+    aggregation.  Fragments are returned sorted by membership bit string
+    (as a bool tuple), descending, for determinism.
 
     Each variable is keyed by the ascending tuple of the query indices it
     occurs in, built in one pass over the query memberships (``O(sum_q
     |X_q|)`` instead of ``O(m * n)`` set probes).  Sorting the keys by
     ``indices + (m,)`` ascending is the descending bool-tuple order: at
     the first index where two keys differ, the smaller index is the
-    query only the first key's signature holds, and the sentinel ``m``
-    puts a key after every key it is a proper prefix of.  The bool-tuple
-    :attr:`Fragment.signature` remains the boundary type.
+    query only the first key's bit string holds, and the sentinel ``m``
+    puts a key after every key it is a proper prefix of.
     """
     queries = instance.queries
     num_queries = len(queries)
@@ -73,19 +69,10 @@ def identify_fragments(instance: SharedAggregationInstance) -> List[Fragment]:
     for variable, indices in indices_of.items():
         groups.setdefault(tuple(indices), []).append(variable)
     name_of = [q.name for q in queries].__getitem__
-    fragments = []
-    for indices in sorted(groups, key=lambda key: key + (num_queries,)):
-        bits = [False] * num_queries
-        for index in indices:
-            bits[index] = True
-        fragments.append(
-            Fragment(
-                tuple(bits),
-                frozenset(groups[indices]),
-                tuple(map(name_of, indices)),
-            )
-        )
-    return fragments
+    return [
+        Fragment(frozenset(groups[indices]), tuple(map(name_of, indices)))
+        for indices in sorted(groups, key=lambda key: key + (num_queries,))
+    ]
 
 
 def fragment_cover_counts(
@@ -94,10 +81,10 @@ def fragment_cover_counts(
     """Number of fragments making up each query's variable set.
 
     Because fragments partition each query's variables exactly, query
-    ``q`` is the disjoint union of the fragments whose signature has
-    ``q``'s bit set; the count is the size of the (unique) exact cover of
-    ``X_q`` by fragments.  This is the starting value of ``|C_q|`` for
-    the greedy completion stage.
+    ``q`` is the disjoint union of the fragments whose
+    :attr:`Fragment.query_names` hold ``q``; the count is the size of
+    the (unique) exact cover of ``X_q`` by fragments.  This is the
+    starting value of ``|C_q|`` for the greedy completion stage.
     """
     counts = {q.name: 0 for q in instance.queries}
     for fragment in fragments:

@@ -16,37 +16,3 @@ only the bids ``b_i`` are shared.  Section III's architecture:
   plan builder** (:mod:`repro.sharedsort.plan`) maximizing expected
   savings under the full-sort cost model (:mod:`repro.sharedsort.cost`).
 """
-
-from repro.sharedsort.columnar import ColumnarThresholdKernel
-from repro.sharedsort.cost import (
-    expected_full_sort_cost,
-    expected_savings_of_merge,
-    independent_sort_cost,
-)
-from repro.sharedsort.operators import LeafSource, MergeOperator, SortStream
-from repro.sharedsort.plan import (
-    LiveSharedSort,
-    SharedSortPlan,
-    SortBuilderStats,
-    build_shared_sort_plan,
-)
-from repro.sharedsort.serialize import plan_to_dict, serialize_plan
-from repro.sharedsort.threshold import ThresholdResult, threshold_top_k
-
-__all__ = [
-    "ColumnarThresholdKernel",
-    "LeafSource",
-    "LiveSharedSort",
-    "MergeOperator",
-    "SharedSortPlan",
-    "SortBuilderStats",
-    "SortStream",
-    "ThresholdResult",
-    "build_shared_sort_plan",
-    "expected_full_sort_cost",
-    "expected_savings_of_merge",
-    "independent_sort_cost",
-    "plan_to_dict",
-    "serialize_plan",
-    "threshold_top_k",
-]

@@ -14,31 +14,3 @@ all the sharing machinery observes.
 - :mod:`repro.workloads.scenarios` -- the worked examples from the text
   (Figures 1-3 and the shoe-store example of Section II-B).
 """
-
-from repro.workloads.distributions import (
-    cumulative_weights,
-    exponential_interarrival,
-    lognormal_cents,
-    sample_rank,
-    zipf_weights,
-)
-from repro.workloads.fig4 import fig4_instance, fig4_market
-from repro.workloads.generator import MarketConfig, generate_market
-from repro.workloads.scenarios import (
-    paper_example_auction,
-    shoe_store_instance,
-)
-
-__all__ = [
-    "MarketConfig",
-    "cumulative_weights",
-    "exponential_interarrival",
-    "fig4_instance",
-    "fig4_market",
-    "generate_market",
-    "lognormal_cents",
-    "paper_example_auction",
-    "sample_rank",
-    "shoe_store_instance",
-    "zipf_weights",
-]

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import determine_winners, GeneralizedSecondPrice
+from repro.core.pricing import GeneralizedSecondPrice
+from repro.core.winner_determination import determine_winners
 from repro.core.ctr import is_separable, separable_factors
 from repro.workloads.scenarios import paper_example_auction
 

@@ -14,6 +14,12 @@ from repro.plans.instance import AggregateQuery, SharedAggregationInstance
 from tests.conftest import query_families
 
 
+def bit_string(instance, fragment):
+    """The Section II-D.1 membership bit string of ``fragment``: entry
+    ``i`` says whether it lies in the instance's ``i``-th query."""
+    return tuple(q.name in fragment.query_names for q in instance.queries)
+
+
 class TestShoeStoreFragments:
     """The Section II-B example: general, sports, fashion stores."""
 
@@ -99,7 +105,7 @@ class TestFragmentProperties:
                 instance.membership_signature(v) for v in fragment.variables
             }
             assert len(signatures) == 1
-            assert signatures.pop() == fragment.signature
+            assert signatures.pop() == bit_string(instance, fragment)
 
     @settings(deadline=None, max_examples=40)
     @given(query_families())
@@ -109,8 +115,10 @@ class TestFragmentProperties:
         if not instance.queries:
             return
         fragments = identify_fragments(instance)
-        for index, query in enumerate(instance.queries):
-            pieces = [f.variables for f in fragments if f.signature[index]]
+        for query in instance.queries:
+            pieces = [
+                f.variables for f in fragments if query.name in f.query_names
+            ]
             union = set().union(*pieces) if pieces else set()
             assert union == set(query.variables)
             assert sum(len(p) for p in pieces) == len(query.variables)
@@ -139,7 +147,9 @@ class TestFragmentOrder:
         instance = SharedAggregationInstance.from_sets(sets, rates)
         if not instance.queries:
             return
-        signatures = [f.signature for f in identify_fragments(instance)]
+        signatures = [
+            bit_string(instance, f) for f in identify_fragments(instance)
+        ]
         assert all(a > b for a, b in zip(signatures, signatures[1:]))
 
     @settings(deadline=None, max_examples=60)
@@ -157,7 +167,7 @@ class TestFragmentOrder:
                 groups.setdefault(signature, set()).add(variable)
         names = [q.name for q in instance.queries]
         assert [
-            (f.signature, f.variables, f.query_names)
+            (bit_string(instance, f), f.variables, f.query_names)
             for f in identify_fragments(instance)
         ] == [
             (
@@ -183,6 +193,6 @@ class TestFragmentOrder:
         assert [f.query_names for f in fragments] == [
             ("q0", "q3"), ("q0",), ("q1",), ("q2",),
         ]
-        assert fragments[0].signature == (True, False, False, True)
-        assert fragments[1].signature == (True, False, False, False)
+        assert bit_string(instance, fragments[0]) == (True, False, False, True)
+        assert bit_string(instance, fragments[1]) == (True, False, False, False)
         assert fragments[1].variables == frozenset({"a"})

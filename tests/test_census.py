@@ -9,16 +9,25 @@ way ``tests/test_reference.py`` does, from the source's AST:
 ``X`` otherwise, a package ``__init__`` reached that way is walked too,
 and importing ``a.b`` does not implicitly walk ``a``.
 
+The engine's own closure is pinned by name (:data:`ENGINE_CLOSURE`),
+walked the way Python imports: ``a.b`` loads ``a``'s ``__init__`` too,
+so a package that re-exports its library drags it into every engine
+user's process.
+
 The same file keeps the docs' cross-references honest: every
 ``DESIGN §N`` and ``EXPERIMENTS EN`` citation names a heading that
-exists.
+exists, and every import in README's python blocks resolves.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,6 +207,159 @@ class TestTheCensusBites:
     def test_a_module_without_a_row_is_unreached(self):
         rows = [row for row in ROWS if row[0] != ["repro.aggregates"]]
         assert "repro.aggregates.operators" in unreached(rows)
+
+
+# --------------------------------------------------------------------
+# the engine's import closure, pinned by name
+# --------------------------------------------------------------------
+def with_parents(module):
+    """``module`` and the packages above it: ``a.b.c`` -> a, a.b, a.b.c."""
+    parts = module.split(".")
+    return [".".join(parts[:i]) for i in range(1, len(parts) + 1)]
+
+
+def import_closure(names):
+    """What importing the modules ``names`` may load, walked the way
+    Python imports: every module also loads its parent packages'
+    ``__init__``s, and their imports in turn."""
+    seen = set()
+    stack = [module for name in names for module in with_parents(name)]
+    while stack:
+        module = stack.pop()
+        if module not in seen:
+            seen.add(module)
+            for imported in imported_modules(MODULES[module]):
+                stack.extend(with_parents(imported))
+    return seen
+
+
+ENGINE_ENTRY_POINTS = ("repro.engine.pipeline", "repro.serving.loop")
+
+ENGINE_CLOSURE = {
+    "repro": "the top package; holds __version__",
+    "repro.errors": "the exception hierarchy every stage raises",
+    "repro.core": "parent package of the store and the data model",
+    "repro.core.advertiser": "the Advertiser the engine is built from",
+    "repro.core.columnar": "the struct-of-arrays store and its top-k kernels",
+    "repro.core.ctr": "the separable CTR model of the slots",
+    "repro.core.money": "integer-cent bids and budgets",
+    "repro.core.topk": "the TopKList a ranked phrase is reported as",
+    "repro.budgets": "parent package of the ledgers and throttling",
+    "repro.budgets.outstanding": "display-batch checks of the books",
+    "repro.budgets.throttle": "the Section IV exact throttled bid",
+    "repro.plans": "parent package of the fragment executor",
+    "repro.plans.instance": "the aggregate queries the shared mode plans",
+    "repro.plans.fragments": "Section II-D.1 fragments the executor ranks",
+    "repro.plans.columnar_exec": "the shared mode's fragment executor",
+    "repro.sharedsort": "parent package of the threshold kernel",
+    "repro.sharedsort.columnar": "the shared-sort mode's lockstep TA kernel",
+    "repro.engine": "re-exports the engine's classes",
+    "repro.engine.pipeline": "SharedAuctionEngine: the entry point",
+    "repro.engine.budget_manager": "the budget books",
+    "repro.engine.click_model": "delayed clicks",
+    "repro.engine.rounds": "round batching and its count checks",
+    "repro.reference": "the layout='object' seam's ReferenceEngine",
+    "repro.instrument": "re-exports the collector the stages report to",
+    "repro.instrument.names": "the metric vocabulary",
+    "repro.instrument.registry": "the collectors, NULL by default",
+    "repro.instrument.trace": "the trace ring an enabled collector keeps",
+    "repro.serving": "re-exports the serving loop and its traffic",
+    "repro.serving.loop": "ServingEngine: the query-at-a-time entry point",
+    "repro.serving.latency": "the served queries' latency summaries",
+    "repro.serving.traffic": "seeded Poisson/Zipf query arrivals",
+    "repro.workloads": "parent package of the traffic's distributions",
+    "repro.workloads.distributions": "the Zipf and exponential draws",
+}
+"""The modules importing the engine and the serving loop may load, each
+with why.  A module that joins this list is loaded by every user of the
+engine; name it here, with its reason, or import it where it is run."""
+
+LAZY_IN_ENGINE = {"repro.reference"}
+"""Imported inside a function: only ``layout="object"`` loads it."""
+
+# Only repro.engine, repro.serving and repro.instrument re-export; every
+# name they import is in the pinned closure.
+LIBRARY_PACKAGES = (
+    "repro",
+    "repro.core",
+    "repro.plans",
+    "repro.sharedsort",
+    "repro.budgets",
+    "repro.workloads",
+)
+
+
+class TestEngineClosure:
+    def test_the_closure_is_the_pinned_list(self):
+        assert import_closure(ENGINE_ENTRY_POINTS) == set(ENGINE_CLOSURE)
+
+    def test_the_walk_loads_parent_packages(self):
+        assert import_closure(["repro.plans.fragments"]) == {
+            "repro",
+            "repro.errors",
+            "repro.plans",
+            "repro.plans.fragments",
+            "repro.plans.instance",
+        }
+
+    def test_a_fresh_interpreter_loads_the_list_but_the_lazy_seam(self):
+        code = (
+            "import sys, repro.engine.pipeline, repro.serving.loop\n"
+            "print(*sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'repro'))"
+        )
+        path = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), path])),
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout.split()
+        assert set(loaded) == set(ENGINE_CLOSURE) - LAZY_IN_ENGINE
+
+    @pytest.mark.parametrize("package", LIBRARY_PACKAGES)
+    def test_a_library_package_re_exports_nothing(self, package):
+        tree = ast.parse(MODULES[package].read_text(encoding="utf-8"))
+        imports = [
+            node.lineno
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert imports == [], f"{package} imports at lines {imports}"
+
+
+# --------------------------------------------------------------------
+# README's code
+# --------------------------------------------------------------------
+def readme_imports():
+    """``(module, names)`` of every import in README's python blocks."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    found = []
+    for block in re.findall(r"^```python\n(.*?)^```", text, re.S | re.M):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.Import):
+                found += [(alias.name, ()) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = tuple(alias.name for alias in node.names)
+                found.append((node.module, names))
+    return found
+
+
+README_IMPORTS = readme_imports()
+
+
+def test_readme_has_imports():
+    assert len(README_IMPORTS) >= 10
+
+
+@pytest.mark.parametrize(
+    "module, names", README_IMPORTS, ids=[m for m, _ in README_IMPORTS]
+)
+def test_a_readme_import_resolves(module, names):
+    imported = importlib.import_module(module)
+    assert [n for n in names if not hasattr(imported, n)] == []
 
 
 # --------------------------------------------------------------------

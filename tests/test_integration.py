@@ -23,7 +23,8 @@ from repro.plans.cost import expected_plan_cost
 from repro.plans.executor import PlanExecutor
 from repro.plans.greedy_planner import greedy_shared_plan
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
-from repro.sharedsort import build_shared_sort_plan, threshold_top_k
+from repro.sharedsort.plan import build_shared_sort_plan
+from repro.sharedsort.threshold import threshold_top_k
 from repro.workloads.generator import MarketConfig, generate_market
 
 SEMILATTICE = AxiomProfile({Axiom.A1, Axiom.A2, Axiom.A3, Axiom.A4})
