@@ -34,9 +34,9 @@ ranks by the same scan of stage 2's arrays (EXPERIMENTS E37); the
 cached shared tick read 2.6-2.9x while the cache drained the change
 feed every tick and 2.2-2.4x while it ran the fragment executor.
 
-``test_served_tick_scores_off_standing_columns`` gates ROADMAP item 5's
-served tick by the engine's own stage timers: through the unshared scan
-on the budgeted market, scoring a query (Section IV throttling
+``test_served_tick_scores_off_standing_columns`` gates the served tick
+of EXPERIMENTS E27 by the engine's own stage timers: through the
+unshared scan on the budgeted market, scoring a query (Section IV throttling
 included) may cost at most twice ranking it.  It was 3.3x while stage 2
 re-derived every member of the phrase each tick; reading the standing
 score columns of DESIGN section 6 it measures 1.75x.

@@ -20,7 +20,8 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from time import perf_counter_ns
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.budgets.outstanding import check_display_arrays, check_displays
 from repro.budgets.throttle import ThrottleProblem, exact_throttled_bid
@@ -71,14 +72,13 @@ benchmark's heaviest market keeps about 0.09 M cells.  A problem that
 would not fit is scored and dropped, as every problem was before
 problems were kept, until evictions make room."""
 
-def _timed(collector: Collector, timer_name: str, stage: Callable) -> Callable:
-    """``stage`` with each call accumulated under ``timer_name``."""
-
-    def timed_stage(*args):
-        with collector.timer(timer_name):
-            return stage(*args)
-
-    return timed_stage
+_STAGE_TIMERS = (
+    metric_names.ENGINE_STAGE_DELIVER_TIMER,
+    metric_names.ENGINE_STAGE_SCORE_TIMER,
+    metric_names.ENGINE_STAGE_RANK_TIMER,
+    metric_names.ENGINE_STAGE_ALLOCATE_TIMER,
+)
+"""The collector's timers for :attr:`RoundReport.stage_ns`, in order."""
 
 
 @dataclass
@@ -114,9 +114,20 @@ class RoundReport:
             order -- the round's full auction outcome, used by the
             differential tests to assert shared and unshared modes agree
             winner by winner.
+        rows_scored, book_rows_synced: The rows stage 2 scored, and the
+            standing-column rows it re-derived (books moved since).
+        problems_rebuilt, rebuilt_cells, exact_bids: Of
+            ``debt_carriers_scored``, the throttle problems stage 2
+            built from the books and their ``array_cells`` summed, and
+            those whose ``b̂`` the DP computed (a positive bid, not
+            trivially unthrottled).  These five read 0 in the reference.
         counters: When the engine runs with an enabled collector, the
             collector's counter increments attributable to this round
             (zero deltas omitted); ``None`` otherwise.
+        stage_ns: Wall nanoseconds of the four stages (deliver, score,
+            rank, allocate), on every round; stages 2-4 read 0 without
+            phrases, all four in the reference.  Not compared: equal
+            runs never take equal time.
     """
 
     round_index: int
@@ -132,7 +143,15 @@ class RoundReport:
     allocations: Dict[str, Tuple[Tuple[int, int, int], ...]] = field(
         default_factory=dict
     )
+    rows_scored: int = 0
+    book_rows_synced: int = 0
+    problems_rebuilt: int = 0
+    rebuilt_cells: int = 0
+    exact_bids: int = 0
     counters: Optional[Dict[str, int]] = None
+    stage_ns: Tuple[int, int, int, int] = field(
+        default=(0, 0, 0, 0), compare=False
+    )
 
 
 @dataclass
@@ -223,12 +242,14 @@ class SharedAuctionEngine:
         seed: Seed for phrase occurrence and click simulation.
         collector: Optional :class:`repro.instrument.Collector`.  When an
             enabled collector is supplied, the engine threads it through
-            the ranking kernels, times its four stages
-            (``engine.stage.*``), flushes ``engine.*`` rollups, and attaches
-            per-round counter deltas to :attr:`RoundReport.counters` and
-            cumulative totals to :attr:`EngineReport.counters`.  ``None``
-            (the default) uses the shared no-op collector; the engine
-            then does no metric bookkeeping beyond the report fields.
+            the ranking kernels, folds each round's report into it
+            (``engine.*``, ``engine.stage.*`` from
+            :attr:`RoundReport.stage_ns`, stage 2's ``columnar.*``), and
+            attaches per-round counter deltas to
+            :attr:`RoundReport.counters` and cumulative totals to
+            :attr:`EngineReport.counters`.  ``None`` (the default) uses
+            the shared no-op collector; the engine then does no metric
+            bookkeeping beyond the report fields.
 
     Determinism contract: a fixed ``(advertisers, slot_factors,
     search_rates, mode, throttle, click delays, seed)`` tuple
@@ -422,21 +443,6 @@ class SharedAuctionEngine:
                 self._store, self.k + 1, self.collector
             )
         self._round_index = 0
-        if self.collector.enabled:
-            # engine.stage.* timers: each stage method is rebound on
-            # this instance to a timed wrapper, so the null collector's
-            # path stays the plain method calls of _resolve.
-            for stage, timer_name in (
-                ("_deliver_due_clicks", metric_names.ENGINE_STAGE_DELIVER_TIMER),
-                ("_effective_scores", metric_names.ENGINE_STAGE_SCORE_TIMER),
-                ("_rank_phrases", metric_names.ENGINE_STAGE_RANK_TIMER),
-                ("_allocate_round", metric_names.ENGINE_STAGE_ALLOCATE_TIMER),
-            ):
-                setattr(
-                    self,
-                    stage,
-                    _timed(self.collector, timer_name, getattr(self, stage)),
-                )
 
     # ------------------------------------------------------------------
     # round resolution
@@ -485,29 +491,51 @@ class SharedAuctionEngine:
         return self._rollup(lambda: self._serve_query(phrase))
 
     def _rollup(self, resolve) -> RoundReport:
-        """Run ``resolve`` with the engine-level counter rollup.
+        """Run ``resolve`` and fold its report into the collector.
 
         Shared by the batch and serving entry points: with the null
         collector it is a single call, with an enabled collector it
-        times the resolution and attaches the counter delta.
+        times the resolution, adds the report's fields to the counters
+        and its ``stage_ns`` to the stage timers, and attaches the
+        counter delta.
         """
         collector = self.collector
         if not collector.enabled:
             return resolve()
         snapshot = collector.snapshot()
-        with collector.timer(metric_names.ENGINE_ROUND_TIMER):
-            report = resolve()
-        collector.incr(metric_names.ENGINE_ROUNDS)
-        collector.incr(metric_names.ENGINE_PHRASES, len(report.occurring_phrases))
-        collector.incr(metric_names.ENGINE_DISPLAYS, report.displays)
-        collector.incr(metric_names.ENGINE_CLICKS, report.clicks)
-        collector.incr(metric_names.ENGINE_REVENUE_CENTS, report.revenue_cents)
-        collector.incr(metric_names.ENGINE_FORGIVEN_CENTS, report.forgiven_cents)
-        collector.incr(metric_names.ENGINE_EXPIRED_ADS, report.expired_ads)
-        collector.incr(
-            metric_names.ENGINE_DEBT_CARRIERS_SCORED,
-            report.debt_carriers_scored,
+        started = perf_counter_ns()
+        report = resolve()
+        collector.add_time(
+            metric_names.ENGINE_ROUND_TIMER, (perf_counter_ns() - started) / 1e9
         )
+        counts = [
+            (metric_names.ENGINE_ROUNDS, 1),
+            (metric_names.ENGINE_PHRASES, len(report.occurring_phrases)),
+            (metric_names.ENGINE_DISPLAYS, report.displays),
+            (metric_names.ENGINE_CLICKS, report.clicks),
+            (metric_names.ENGINE_REVENUE_CENTS, report.revenue_cents),
+            (metric_names.ENGINE_FORGIVEN_CENTS, report.forgiven_cents),
+            (metric_names.ENGINE_EXPIRED_ADS, report.expired_ads),
+            (metric_names.ENGINE_DEBT_CARRIERS_SCORED, report.debt_carriers_scored),
+        ]
+        stages = _STAGE_TIMERS[:1]
+        if report.occurring_phrases:  # stages 2-4 ran
+            stages = _STAGE_TIMERS
+            counts += [
+                (metric_names.COLUMNAR_SCORE_BATCHES, 1),
+                (metric_names.COLUMNAR_SCORE_ROWS, report.rows_scored),
+                (metric_names.COLUMNAR_BOOK_ROWS_SYNCED, report.book_rows_synced),
+            ]
+        for name, value in counts:
+            collector.incr(name, value)
+        for name, value in (
+            (metric_names.COLUMNAR_THROTTLE_PROBLEMS_REBUILT, report.problems_rebuilt),
+            (metric_names.THROTTLE_EXACT_FALLBACKS, report.exact_bids),
+        ):
+            if value:  # these two exist once they count something
+                collector.incr(name, value)
+        for name, nanoseconds in zip(stages, report.stage_ns):
+            collector.add_time(name, nanoseconds / 1e9)
         report.counters = collector.delta_since(snapshot)
         collector.event(
             "engine.round",
@@ -522,7 +550,7 @@ class SharedAuctionEngine:
     def _resolve_round(
         self, occurring: Optional[Iterable[str]] = None
     ) -> RoundReport:
-        """The uninstrumented round resolution (see :meth:`run_round`)."""
+        """The round resolution without the rollup (see :meth:`run_round`)."""
         phrases = (
             sorted(occurring)
             if occurring is not None
@@ -540,7 +568,7 @@ class SharedAuctionEngine:
         return self._resolve(tuple(phrases), round_index)
 
     def _serve_query(self, phrase: str) -> RoundReport:
-        """The uninstrumented single-query tick (see :meth:`serve_query`)."""
+        """The single-query tick without the rollup (see :meth:`serve_query`)."""
         if phrase not in self.phrase_advertisers:
             raise InvalidAuctionError(f"no advertisers bid on {[phrase]!r}")
         round_index = self._round_index
@@ -553,11 +581,23 @@ class SharedAuctionEngine:
         """The four stages over ``phrases`` (sorted): one sequence for a
         batch round and a served query."""
         report = RoundReport(round_index, phrases)
+        start = perf_counter_ns()
         self._deliver_due_clicks(round_index, report)
-        if phrases:
-            scored = self._effective_scores(phrases, round_index, report)
-            rankings = self._rank_phrases(phrases, scored, report)
-            self._allocate_round(phrases, rankings, round_index, report)
+        delivered = perf_counter_ns()
+        if not phrases:
+            report.stage_ns = (delivered - start, 0, 0, 0)
+            return report
+        scored = self._effective_scores(phrases, round_index, report)
+        ranking = perf_counter_ns()
+        rankings = self._rank_phrases(phrases, scored, report)
+        allocating = perf_counter_ns()
+        self._allocate_round(phrases, rankings, round_index, report)
+        report.stage_ns = (
+            delivered - start,
+            ranking - delivered,
+            allocating - ranking,
+            perf_counter_ns() - allocating,
+        )
         return report
 
     # ------------------------------------------------------------------
@@ -665,7 +705,8 @@ class SharedAuctionEngine:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Stage 2: ``(rows, b̂, score)``, the round's rows (ascending)
         with each one's effective bid ``b̂_i`` and score ``b̂_i * c_i``,
-        and ``report.debt_carriers_scored``.
+        and the report's sizes of the stage (``rows_scored`` to
+        ``exact_bids``, ``debt_carriers_scored``).
 
         Bit-identical to the reference's exact stage.  Section IV's
         quick test ``ω_l <= β - m·b`` says when the throttled bid is simply
@@ -692,9 +733,9 @@ class SharedAuctionEngine:
         the round's rows and multiplicities ``m`` are found.
         """
         store = self._store
-        synced = self._sync_book_columns()
+        report.book_rows_synced = self._sync_book_columns()
         rows, m = self._round_rows(phrases)
-        collector = self.collector
+        report.rows_scored = len(rows)
         cap = self._cap_by_row[rows]
         effective_sub = cap.astype(np.float64)
         score_sub = self._base_score_by_row[rows]
@@ -716,7 +757,6 @@ class SharedAuctionEngine:
                 # whose outstanding ads are those of every other such
                 # round: no block dead yet.
                 keeping = round_index < manager.earliest_dead_round
-                rebuilt = 0
                 for at, advertiser_id, bid_cents, auctions in zip(
                     carrying.tolist(),
                     store.ids[failed_rows[carrying]].tolist(),
@@ -734,39 +774,21 @@ class SharedAuctionEngine:
                         problem = manager.throttle_problem(
                             advertiser_id, bid_cents, auctions, round_index
                         )
-                        rebuilt += 1
-                        cells = self._standing_cells + problem.array_cells
+                        cells = problem.array_cells
+                        report.problems_rebuilt += 1
+                        report.rebuilt_cells += cells
+                        cells += self._standing_cells
                         if keeping and cells <= STANDING_THROTTLE_CELL_LIMIT:
                             standing[advertiser_id] = problem
                             self._standing_cells = cells
-                    if (
-                        collector.enabled
-                        and problem.bid_cents > 0
-                        and not problem.trivially_unthrottled()
-                    ):
-                        collector.incr(metric_names.THROTTLE_EXACT_FALLBACKS)
+                    if problem.bid_cents > 0 and not problem.trivially_unthrottled():
+                        report.exact_bids += 1
                     effective_failed[at] = exact_throttled_bid(problem)
                 effective_sub[failed] = effective_failed
                 score_sub[failed] = (
                     effective_failed / 100.0 * store.ctr_factors[failed_rows]
                 )
                 report.debt_carriers_scored = len(carrying)
-                if collector.enabled and rebuilt:
-                    collector.incr(
-                        metric_names.COLUMNAR_THROTTLE_PROBLEMS_REBUILT, rebuilt
-                    )
-            if collector.enabled:
-                # Every occurring debt carrier counts: those the quick
-                # test cleared were fallbacks that were trivial.
-                carriers = int(np.count_nonzero(self._carrying_by_row[rows]))
-                if carriers:
-                    collector.incr(
-                        metric_names.COLUMNAR_THROTTLE_FALLBACKS, carriers
-                    )
-        if collector.enabled:
-            collector.incr(metric_names.COLUMNAR_SCORE_BATCHES)
-            collector.incr(metric_names.COLUMNAR_SCORE_ROWS, int(len(rows)))
-            collector.incr(metric_names.COLUMNAR_BOOK_ROWS_SYNCED, synced)
         return rows, effective_sub, score_sub
 
     def _round_rows(

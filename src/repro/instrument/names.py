@@ -106,12 +106,6 @@ name                      meaning (paper reference)
                           or expiry moved since the previous batch (the
                           tick's dirty rows; every other occurring row
                           is read, not computed).
-``columnar.throttle_fallbacks``  occurring advertisers holding
-                          outstanding ads, which the columnar scorer
-                          asks the Section IV quick test about; those
-                          that fail it go to the exact per-advertiser
-                          DP/enumeration and are reported as
-                          ``engine.debt_carriers_scored``.
 ``columnar.throttle_problems_rebuilt``  of
                           ``engine.debt_carriers_scored``, those whose
                           throttle problem the columnar scorer built
@@ -158,16 +152,18 @@ name                      meaning (paper reference)
 ``engine.stage.allocate`` *timer*: stage 4 -- slots priced for the
                           whole round, displays booked in one
                           ``record_displays`` call, clicks drawn.  The
-                          four add up to ``engine.round_seconds`` less
-                          the rollup itself; they exist only on an
-                          enabled collector (the null collector's path
-                          makes no timer call).
+                          four are the rollup of
+                          ``RoundReport.stage_ns``, which the engine
+                          measures on every round, collector or not;
+                          they add up to ``engine.round_seconds`` less
+                          the phrase checks.
 ``serve.queries``         queries resolved by the serving loop
                           (:class:`repro.serving.ServingEngine`) -- one
                           per query-at-a-time tick.
-``serve.query_seconds``   *timer*: wall time inside
-                          :meth:`SharedAuctionEngine.serve_query`, per
-                          query.
+``serve.query_seconds``   *timer*: each query's
+                          ``QueryReport.latency_seconds`` (the serving
+                          loop's clock around
+                          :meth:`SharedAuctionEngine.serve_query`).
 ``serve.p50_ms``          *gauge*: exact nearest-rank median query
                           latency of the most recent serving session,
                           milliseconds.
@@ -219,7 +215,6 @@ __all__ = [
     "COLUMNAR_SCORE_BATCHES",
     "COLUMNAR_SCORE_ROWS",
     "COLUMNAR_BOOK_ROWS_SYNCED",
-    "COLUMNAR_THROTTLE_FALLBACKS",
     "COLUMNAR_THROTTLE_PROBLEMS_REBUILT",
     "ENGINE_ROUNDS",
     "ENGINE_PHRASES",
@@ -292,7 +287,6 @@ THROTTLE_EXACT_FALLBACKS = "throttle.exact_fallbacks"
 COLUMNAR_SCORE_BATCHES = "columnar.score_batches"
 COLUMNAR_SCORE_ROWS = "columnar.score_rows"
 COLUMNAR_BOOK_ROWS_SYNCED = "columnar.book_rows_synced"
-COLUMNAR_THROTTLE_FALLBACKS = "columnar.throttle_fallbacks"
 COLUMNAR_THROTTLE_PROBLEMS_REBUILT = "columnar.throttle_problems_rebuilt"
 
 # Engine rollups.

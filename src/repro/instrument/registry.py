@@ -16,7 +16,8 @@ formatting:
 
 :class:`MetricsCollector` records counters (monotone ints), keyed
 counters (``name -> key -> int``), gauges (last-written floats), and
-timers (count + total seconds via :meth:`Collector.timer`), and can
+timers (count + total seconds, one :meth:`Collector.add_time` span at
+a time -- the caller measures), and can
 carry a :class:`repro.instrument.trace.TraceRing` for structured events.
 :meth:`MetricsCollector.snapshot` / :meth:`MetricsCollector.delta_since`
 support per-round rollups: snapshot before the round, diff after.
@@ -25,7 +26,6 @@ support per-round rollups: snapshot before the round, diff after.
 from __future__ import annotations
 
 import json
-import time
 from typing import Any, Dict, Hashable, Mapping, Optional
 
 from repro.instrument.trace import TraceRing
@@ -37,21 +37,6 @@ __all__ = [
     "TimerStats",
     "NULL",
 ]
-
-
-class _NullTimer:
-    """Context manager that measures nothing."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
 
 
 class Collector:
@@ -74,9 +59,8 @@ class Collector:
     def gauge(self, name: str, value: float) -> None:
         """Set gauge ``name`` to ``value`` (last write wins)."""
 
-    def timer(self, name: str) -> Any:
-        """A context manager accumulating wall time under ``name``."""
-        return _NULL_TIMER
+    def add_time(self, name: str, seconds: float) -> None:
+        """Add one span of ``seconds`` to timer ``name``."""
 
     def event(self, name: str, **fields: Any) -> None:
         """Record a structured trace event (dropped without a trace ring)."""
@@ -118,24 +102,6 @@ class TimerStats:
         return {"count": self.count, "total_s": self.total_s}
 
 
-class _RunningTimer:
-    """Context manager feeding one timed span into a TimerStats."""
-
-    __slots__ = ("_stats", "_start")
-
-    def __init__(self, stats: TimerStats) -> None:
-        self._stats = stats
-        self._start = 0.0
-
-    def __enter__(self) -> "_RunningTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._stats.count += 1
-        self._stats.total_s += time.perf_counter() - self._start
-
-
 class MetricsCollector(Collector):
     """A recording collector.
 
@@ -163,11 +129,12 @@ class MetricsCollector(Collector):
     def gauge(self, name: str, value: float) -> None:
         self.gauges[name] = float(value)
 
-    def timer(self, name: str) -> _RunningTimer:
+    def add_time(self, name: str, seconds: float) -> None:
         stats = self.timers.get(name)
         if stats is None:
             stats = self.timers[name] = TimerStats()
-        return _RunningTimer(stats)
+        stats.count += 1
+        stats.total_s += seconds
 
     def event(self, name: str, **fields: Any) -> None:
         if self.trace is not None:

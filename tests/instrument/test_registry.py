@@ -28,8 +28,7 @@ class TestNullCollector:
         NULL.incr_keyed("b", 1)
         NULL.gauge("g", 3.0)
         NULL.event("e", x=1)
-        with NULL.timer("t"):
-            pass
+        NULL.add_time("t", 0.5)
         assert NULL.counter("a") == 0
         assert NULL.snapshot() == {}
         assert NULL.delta_since({"a": 3}) == {}
@@ -65,12 +64,11 @@ class TestMetricsCollector:
 
     def test_timer_accumulates_spans(self):
         collector = MetricsCollector()
-        for _ in range(3):
-            with collector.timer("engine.round_seconds"):
-                pass
+        for seconds in (0.25, 0.5, 0.125):
+            collector.add_time("engine.round_seconds", seconds)
         stats = collector.timers["engine.round_seconds"]
         assert stats.count == 3
-        assert stats.total_s >= 0.0
+        assert stats.total_s == 0.875
 
     def test_snapshot_delta(self):
         collector = MetricsCollector()
@@ -89,8 +87,7 @@ class TestMetricsCollector:
         collector.incr("a")
         collector.incr_keyed("k", 1)
         collector.gauge("g", 1.0)
-        with collector.timer("t"):
-            pass
+        collector.add_time("t", 1.0)
         collector.event("e")
         collector.reset()
         assert collector.counters == {}
@@ -116,14 +113,15 @@ class TestMetricsCollector:
         collector.incr("plan.nodes", 7)
         collector.incr_keyed("plan.node_merges", 3, 2)
         collector.gauge("ta.stop_depth", 5)
-        with collector.timer("engine.round_seconds"):
-            pass
+        collector.add_time("engine.round_seconds", 0.5)
         collector.event("engine.round", round_index=0, displays=2)
         payload = json.loads(collector.to_json())
         assert payload["counters"]["plan.nodes"] == 7
         assert payload["keyed_counters"]["plan.node_merges"] == {"3": 2}
         assert payload["gauges"]["ta.stop_depth"] == 5.0
-        assert payload["timers"]["engine.round_seconds"]["count"] == 1
+        assert payload["timers"]["engine.round_seconds"] == {
+            "count": 1, "total_s": 0.5,
+        }
         assert payload["trace"]["events"][0]["name"] == "engine.round"
 
     def test_dump_writes_file(self, tmp_path):

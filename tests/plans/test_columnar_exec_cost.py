@@ -1,4 +1,4 @@
-"""Cost bounds of the columnar fragment executor (ROADMAP item 1).
+"""Cost bounds of the columnar fragment executor (DESIGN §7, EXPERIMENTS E29).
 
 A round must cost what moved: a round in which nothing requested is
 stale calls the kernel zero times and hands back, from its answer

@@ -108,6 +108,27 @@ class TestServeOne:
         assert report.displays == len(report.allocation)
         assert all(len(triple) == 3 for triple in report.allocation)
 
+    def test_every_query_carries_its_stage_profile_without_a_collector(self):
+        market = small_market()
+        engine = make_engine(market, collector=None)
+        # The default clock is perf_counter, stage_ns's clock.
+        report = ServingEngine(engine, make_traffic(market)).run(40)
+        assert len(report.history) == 40
+        for query in report.history:
+            assert len(query.stage_ns) == 4 and min(query.stage_ns) >= 0
+            assert 0 < sum(query.stage_ns) <= query.latency_seconds * 1e9
+
+    def test_query_seconds_is_the_recorded_latency(self):
+        market = small_market()
+        engine = make_engine(market)
+        loop = ServingEngine(
+            engine, make_traffic(market), clock=FakeClock(step=0.002)
+        )
+        loop.run(3)
+        timer = engine.collector.timers[names.SERVE_QUERY_TIMER]
+        assert timer.count == 3
+        assert timer.total_s == pytest.approx(0.006)
+
     def test_serve_queries_counter_increments(self):
         market = small_market()
         engine = make_engine(market)

@@ -1,6 +1,6 @@
 """The module census: every module in ``src/repro`` is run by something.
 
-A module earns its place in one of two ways (ROADMAP item 9).  Either
+A module earns its place in one of two ways (DESIGN §12).  Either
 the engine reaches it -- it lies in the import closure of the entry
 points below -- or a benchmark or example named in README's "What's
 inside" table drives it to a paper result.  The walk reads imports the
