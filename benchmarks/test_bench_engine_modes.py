@@ -1,19 +1,25 @@
 """E15 -- the three engine modes head to head.
 
-``shared`` (Section II plans) and ``shared-sort`` (Section III shared
-sort + threshold algorithm) on the engine, and ``unshared`` (independent
+``shared`` (Section II plans) and ``shared-sort`` (the round scan
+scored with ``c_i^q``) on the engine, and ``unshared`` (independent
 scans, :class:`repro.reference.ReferenceEngine`) resolve the same
 generated market.  With phrase-independent CTR factors all three must produce
 identical outcomes; the work profiles differ.
 
-``test_uncached_shared_plan_within_reach_of_the_scan`` is ROADMAP item
-1's threshold by the clock: on the scaled Fig. 4 market the Section II
-shared plan, with no cache to replay answers from, must stay within
-1.5x of independent vectorized scans (it was ~9x while every phrase
-was a ~125-deep Python merge chain); and Section III's shared sort +
-threshold algorithm, which also caches nothing, must not be slower than
-the scans at all (it was 1.8x while TA ran phrase by phrase; the
-lockstep round kernel of DESIGN section 7 measured 0.7x).
+``test_uncached_shared_plan_within_reach_of_the_scan`` holds the
+uncached mechanisms to the round scan of DESIGN section 7 by the clock
+on the scaled Fig. 4 market (EXPERIMENTS E42).  The Section II shared
+plan, with no cache to replay answers from, must stay within 2.5x
+(measured 1.77-1.86x, one disturbed run 2.54x; it read 0.54-0.86x
+against a scan per phrase, ~9x while every phrase was a ~125-deep
+Python merge chain).  ``shared-sort``, the same scan plus the ``c_i^q``
+compress, within 1.3x (measured 1.02-1.08x, the disturbed run 1.47x;
+the lockstep threshold algorithm it replaced read 0.55-0.67x against a
+scan per phrase).
+
+``test_the_round_scan_beats_a_scan_per_phrase`` gates the round scan
+itself: stage 3 of an unshared ``batch_rank`` round picks exactly what
+one ``columnar_top_k_picks`` per phrase picks, in at most 0.5x its time.
 
 ``test_shared_construction_within_reach_of_the_scan`` gates building
 the shared plan's engine (exec cache on) against building the scan's on
@@ -69,9 +75,12 @@ import random
 import statistics
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.columnar import columnar_top_k_picks
 from repro.engine import DelayedClickModel, SharedAuctionEngine, pipeline
+from repro.engine.pipeline import RoundReport
 from repro.instrument import MetricsCollector, names
 from repro.metrics.tables import ExperimentTable
 from repro.reference import ReferenceEngine
@@ -80,8 +89,8 @@ from repro.workloads.generator import MarketConfig, generate_market
 
 ROUNDS = 25
 MODES = ("shared", "shared-sort", "unshared")
-SHARED_OVER_SCAN_CEILING = 1.5
-SORT_OVER_SCAN_CEILING = 1.0
+SHARED_OVER_SCAN_CEILING = 2.5
+SORT_OVER_SCAN_CEILING = 1.3
 
 
 def build_engine(market, mode: str):
@@ -138,10 +147,11 @@ def test_three_modes_agree_and_differ_in_work(benchmark):
         == reports["unshared"].displays
     )
     # Work: the Section II plan scans fewer advertisers than independent
-    # resolution; the Section III pipeline touches fewer entries still
-    # through early termination (sorted accesses).
+    # resolution; the engine's shared-sort ranks by the same scan as
+    # unshared, with c_i^q (Section III's saving in sorted accesses is
+    # asserted at library level, test_bench_shared_sort.py).
     assert reports["shared"].scans < reports["unshared"].scans
-    assert reports["shared-sort"].scans < reports["unshared"].scans
+    assert reports["shared-sort"].scans == reports["unshared"].scans
 
     engine = build_engine(market, "shared-sort")
     benchmark(lambda: engine.run_round())
@@ -205,7 +215,7 @@ def test_uncached_shared_plan_within_reach_of_the_scan():
         table.add(mode, best[mode], best[mode] / best["unshared"], ceiling)
     table.show()
     for mode, ceiling in ceilings.items():
-        # No per-phrase CTR factors on this market, so Section III must
+        # No per-phrase CTR factors on this market, so shared-sort must
         # find the scan's winners too.
         assert outcomes[mode] == outcomes["unshared"]
         ratio = best[mode] / best["unshared"]
@@ -213,6 +223,81 @@ def test_uncached_shared_plan_within_reach_of_the_scan():
             f"uncached {mode} is {ratio:.2f}x the unshared scan "
             f"(ceiling {ceiling}x)"
         )
+
+
+SCAN_OVER_LOOP_CEILING = 0.5
+
+
+@pytest.mark.experiment("EngineModes")
+def test_the_round_scan_beats_a_scan_per_phrase():
+    # batch_rank's market through the unshared scan: stage 3 of a round
+    # of ~240 phrases is one segmented top-k over the round's cells.
+    # The route it replaced, one columnar_top_k_picks per phrase over
+    # the same scores, ranks the same stage 2 output here, in this
+    # process, so the gate is a ratio of summed stage-3 times; the
+    # better of three laps is kept.  Measured 0.19-0.25x.
+    advertisers, rates = fig4_market(
+        num_queries=60, num_advertisers=250, num_components=8,
+        median_budget_cents=0, seed=0,
+    )
+    engine = SharedAuctionEngine(
+        advertisers, [0.3, 0.2, 0.1], rates, mode="unshared", seed=11,
+    )
+    store = engine._store
+    k = engine.k + 1
+    by_row = np.zeros(store.size)
+    rng = random.Random(16)
+    phrases = sorted(rates)
+    rounds = [
+        [phrase for phrase in phrases if rng.random() < 0.5]
+        for _ in range(20)
+    ]
+
+    def per_phrase(occurring, scored):
+        rows, _, scores = scored
+        by_row[rows] = scores
+        picked = [
+            rows[columnar_top_k_picks(k, by_row[rows], rows)]
+            for rows in map(store.phrase_rows, occurring)
+        ]
+        return np.fromiter(map(len, picked), np.int64), np.concatenate(picked)
+
+    best = {}
+    for _lap in range(3):
+        spent = {"round scan": 0.0, "scan per phrase": 0.0}
+        for index, occurring in enumerate(rounds):
+            report = RoundReport(index, tuple(occurring))
+            scored = engine._effective_scores(occurring, index, report)
+            start = time.perf_counter()
+            ranked = engine._rank_phrases(occurring, scored, report)
+            spent["round scan"] += time.perf_counter() - start
+            start = time.perf_counter()
+            lens, rows = per_phrase(occurring, scored)
+            spent["scan per phrase"] += time.perf_counter() - start
+            assert ranked.lens.tolist() == lens.tolist()
+            assert ranked.ids.tolist() == store.ids[rows].tolist()
+        for name, seconds in spent.items():
+            best[name] = min(best.get(name, seconds), seconds)
+    ratio = best["round scan"] / best["scan per phrase"]
+    table = ExperimentTable(
+        f"Stage 3 of {len(rounds)} unshared batch_rank rounds, "
+        f"{statistics.mean(map(len, rounds)):.0f} phrases/round "
+        "(best of 3 laps)",
+        ["ranking", "ms/round", "x per phrase", "ceiling"],
+    )
+    table.add(
+        "round scan", best["round scan"] / len(rounds) * 1e3, ratio,
+        SCAN_OVER_LOOP_CEILING,
+    )
+    table.add(
+        "scan per phrase", best["scan per phrase"] / len(rounds) * 1e3, 1.0,
+        "",
+    )
+    table.show()
+    assert ratio <= SCAN_OVER_LOOP_CEILING, (
+        f"the round scan costs {ratio:.2f}x a scan per phrase "
+        f"(ceiling {SCAN_OVER_LOOP_CEILING}x)"
+    )
 
 
 SHARED_BUILD_OVER_SCAN_CEILING = 7.0

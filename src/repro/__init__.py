@@ -19,8 +19,8 @@ runs each module.  It provides:
   baselines, the engine's columnar fragment executor, and for Fig. 5 an
   exhaustive optimal planner, the Theorem 2/3 reductions and hash-consed
   plans for non-associative operators.
-- :mod:`repro.sharedsort` -- shared sorting (Section III): the engine's
-  lockstep threshold-algorithm kernel, the threshold algorithm, on-demand
+- :mod:`repro.sharedsort` -- shared sorting (Section III): the round
+  rankings the engine prices, the threshold algorithm, on-demand
   merge operators with caching, the greedy shared merge-sort plan builder,
   and shared pruning of non-separable auctions (Section V).
 - :mod:`repro.budgets` -- budget uncertainty (Section IV): outstanding-ad

@@ -15,10 +15,9 @@ whole-array operations:
 - per-phrase top-k: :func:`columnar_top_k` via ``np.argpartition`` with
   the exact ``(-score, advertiser_id)`` tie-break of the object path,
   and :func:`segmented_top_k_picks` for a whole round's ragged batch of
-  segments in one lexsort (the shared plan's fragment and phrase
-  aggregation, :mod:`repro.plans.columnar_exec`);
-- TA sorted access: presorted column indices
-  (:class:`repro.sharedsort.columnar.ColumnarThresholdKernel`).
+  segments at once (the engine's scan of a round's cells, and the
+  shared plan's fragment and phrase aggregation,
+  :mod:`repro.plans.columnar_exec`).
 
 The population is fixed for the store's life (the paper plans offline
 over a fixed market, Section II-B): a new market is a new store.  Only
@@ -60,7 +59,8 @@ __all__ = [
 
 SEGMENT_FILTER_MIN_CANDIDATES = 512
 """Candidates in a :func:`segmented_top_k_picks` batch from which it
-drops those below their segment's k-th best before its lexsort.
+drops those below their segment's k-th best and orders the rest by
+row-wise sorts instead of one lexsort.
 Measured at k = 4: the filter costs about what it saves at 521
 candidates in 4 segments (48 vs 46 us), and 1.1 ms instead of 11 ms at
 40 000 in 264 (an uncached shared round's answer pass)."""
@@ -126,21 +126,23 @@ def columnar_top_k_picks(k: int, scores, ids, collector: Collector = NULL):
 
 
 def segmented_top_k_picks(k: int, scores, ids, seg, seg_count: int):
-    """Exact top-k of every segment of a ragged batch, in one sort.
+    """Exact top-k of every segment of a ragged batch, in one pass.
 
     The batched form of :func:`columnar_top_k_picks`: ``seg[i]`` names
     the segment candidate ``i`` belongs to, and one
-    ``np.lexsort((ids, -scores, seg))`` ranks every segment at once
-    (over the candidates that can still rank, in a large batch); the
-    first ``k`` positions of each segment's run are its answer.
+    ``np.lexsort((ids, -scores, seg))`` ranks every segment at once; the
+    first ``k`` positions of each segment's run are its answer.  A large
+    batch grouped by segment first drops the candidates below their
+    segment's k-th best and ranks the few left as rows of a small
+    table (:func:`_contenders`, :func:`_ranked_contenders`).
     ``(-score, id)`` is a strict total order on distinct ids, so the
-    answer has no dependence on input order and equals -- entry for
-    entry -- both ``columnar_top_k`` on each segment and any fold of
-    :func:`repro.core.topk.top_k_merge` over the segment's entries
-    (``0.0`` and ``-0.0`` compare equal in both and fall to the id
-    tie-break).  Callers gather whichever per-candidate columns they
-    carry (the fragment executor its tables' rows, the Section III
-    round kernel each candidate's row and ``c_i^q``).
+    answer has no dependence on input order or route and equals --
+    entry for entry -- both ``columnar_top_k`` on each segment and any
+    fold of :func:`repro.core.topk.top_k_merge` over the segment's
+    entries (``0.0`` and ``-0.0`` compare equal in both and fall to the
+    id tie-break).  Callers gather whichever per-candidate columns they
+    carry (the fragment executor its tables' rows, the engine's round
+    scan each cell's row and ``c``).
 
     Args:
         k: Result capacity (positive).
@@ -161,26 +163,26 @@ def segmented_top_k_picks(k: int, scores, ids, seg, seg_count: int):
     if k <= 0:
         raise InvalidAuctionError(f"k must be positive, got {k}")
     sizes = np.bincount(seg, minlength=seg_count)
+    counts = np.minimum(sizes, k)
     kept = _contenders(k, scores, seg, sizes)
     if kept is not None:
-        scores, ids, seg = scores[kept], ids[kept], seg[kept]
-        sizes = np.bincount(seg, minlength=seg_count)
+        return (*_ranked_contenders(k, kept, scores, ids, seg, counts), counts)
     order = np.lexsort((ids, -scores, seg))
     ranked_seg = seg[order]
     rank = np.arange(len(order)) - (np.cumsum(sizes) - sizes)[ranked_seg]
     head = rank < k
-    picked = order[head] if kept is None else kept[order[head]]
-    return picked, ranked_seg[head], rank[head], np.minimum(sizes, k)
+    return order[head], ranked_seg[head], rank[head], counts
 
 
 def _contenders(k: int, scores, seg, sizes):
     """Positions of the candidates scoring at least their segment's k-th
     best, the only ones that can rank below ``k``; ``None`` to sort all.
 
-    Found for a batch grouped by segment (the fragment executor's are)
-    of :data:`SEGMENT_FILTER_MIN_CANDIDATES` or more: one partition per
-    row of a ``(segments, widest)`` table padded with ``-inf`` -- unless
-    that table would be over four times the batch.
+    Found for a batch grouped by segment (the fragment executor's and
+    the round scan's are) of :data:`SEGMENT_FILTER_MIN_CANDIDATES` or
+    more: one partition per row of a ``(segments, widest)`` table padded
+    with ``-inf`` and filled by one flat scatter -- unless that table
+    would be over four times the batch.
     """
     n = len(seg)
     if n < SEGMENT_FILTER_MIN_CANDIDATES:
@@ -192,10 +194,49 @@ def _contenders(k: int, scores, seg, sizes):
         or (seg[1:] < seg[:-1]).any()
     ):
         return None
-    table = np.full((len(sizes), widest), -np.inf)
-    table[seg, np.arange(n) - (np.cumsum(sizes) - sizes)[seg]] = scores
+    table = np.full(len(sizes) * widest, -np.inf)
+    table[_table_cells(sizes, widest)] = scores
+    table = table.reshape(len(sizes), widest)
     kth = np.partition(table, widest - k, axis=1)[:, widest - k]
     return np.flatnonzero(scores >= kth[seg])
+
+
+def _ranked_contenders(k: int, kept, scores, ids, seg, counts):
+    """:func:`segmented_top_k_picks`'s ``(picked, picked_seg,
+    picked_rank)`` from the contenders ``kept`` (ascending positions of
+    a batch grouped by segment).
+
+    The contenders are laid out as a ``(segments, widest)`` table, a
+    few columns wide, and each row is put in ``(-score, id)`` order by
+    two stable row-wise sorts, by id and then by ``-score``.  Padding
+    sorts last: its ``-score`` is ``+inf`` and its id the largest.
+    """
+    per_seg = np.bincount(seg[kept], minlength=len(counts))
+    widest = int(per_seg.max())
+    flat = _table_cells(per_seg, widest)
+    keys = np.full(len(per_seg) * widest, np.inf)
+    keys[flat] = -scores[kept]
+    tie = np.full(len(per_seg) * widest, np.iinfo(np.int64).max)
+    tie[flat] = ids[kept]
+    keys, tie = keys.reshape(-1, widest), tie.reshape(-1, widest)
+    by_id = np.argsort(tie, axis=1, kind="stable")
+    by_score = np.argsort(
+        np.take_along_axis(keys, by_id, axis=1), axis=1, kind="stable"
+    )
+    picked_seg, rank = np.nonzero(np.arange(min(k, widest)) < counts[:, None])
+    column = by_id[picked_seg, by_score[picked_seg, rank]]
+    start = (np.cumsum(per_seg) - per_seg)[picked_seg]
+    return kept[start + column], picked_seg, rank
+
+
+def _table_cells(sizes, widest: int):
+    """Flat positions in a ``(len(sizes), widest)`` table of a batch
+    grouped by segment: entry ``j`` of segment ``s`` goes to row ``s``,
+    column ``j``."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(
+        np.arange(len(sizes)) * widest - (ends - sizes), sizes
+    )
 
 
 class ColumnarStore:
@@ -437,9 +478,10 @@ class ColumnarStore:
     def phrase_ctr_rank_positions(self, phrase: str) -> "np.ndarray":
         """The phrase's CTR-sorted list, as positions into ``phrase_rows``.
 
-        Descending ``c_i^q``, ties by ascending id: the TA kernel walks
-        it as its CTR-sorted list (Section III treats CTR factors as
-        recalculated only occasionally, so the presort is kept).
+        Descending ``c_i^q``, ties by ascending id: the columnar TA
+        kernel walks it as its CTR-sorted list (Section III treats CTR
+        factors as recalculated only occasionally, so the presort is
+        kept).
         Positions rather than rows, because every per-phrase array --
         ``phrase_rows``, ``phrase_ctr`` -- is indexed by them, for one
         phrase or for a round's phrases laid end to end.  A read-only

@@ -4,11 +4,11 @@
 are batched into rounds; per round, advertiser scores ``b̂_i * c_i`` are
 formed (with Section IV throttling against outstanding ads), the
 occurring phrases' top-(k+1) rankings are computed (through a shared
-aggregation plan built offline by the Section II heuristic, the Section
-III shared sort with the threshold algorithm, or independent per-phrase
-scans), slots are allocated, clicks are priced with generalized second
-pricing, displayed ads become outstanding debt, and simulated clicks
-arrive with delay and are settled against budgets.
+aggregation plan built offline by the Section II heuristic, or one scan
+of the round's phrase cells, scored with per-phrase CTR factors under
+``mode="shared-sort"``), slots are allocated, clicks are priced with
+generalized second pricing, displayed ads become outstanding debt, and
+simulated clicks arrive with delay and are settled against budgets.
 
 The engine ranks *k + 1* entries so generalized second pricing can see
 the runner-up score without a second pass.
@@ -30,7 +30,9 @@ import numpy as np
 
 # columnar_top_k is not called here: it stays a name of this module that
 # benchmarks/e2e/spans.py patches.
-from repro.core.columnar import ColumnarStore, columnar_top_k, columnar_top_k_picks
+from repro.core.columnar import (
+    ColumnarStore, columnar_top_k, columnar_top_k_picks, segmented_top_k_picks,
+)
 from repro.core.ctr import SeparableCTRModel
 from repro.core.money import (
     check_bid_cents, checked_bid_update, dollars_to_cents,
@@ -42,7 +44,7 @@ from repro.errors import InvalidAuctionError
 from repro.instrument import NULL, Collector, names as metric_names
 from repro.plans.columnar_exec import ColumnarFragmentExecutor
 from repro.plans.instance import AggregateQuery, SharedAggregationInstance
-from repro.sharedsort.columnar import ColumnarThresholdKernel, RankedRound
+from repro.sharedsort.columnar import RankedRound
 
 __all__ = ["SharedAuctionEngine", "EngineReport", "RoundReport"]
 
@@ -88,12 +90,12 @@ class RoundReport:
     Attributes:
         round_index: The round number.
         occurring_phrases: Phrases auctioned this round.
-        merges: Top-k merge operations performed (shared mode), or
-            rows presorted (shared-sort); 0 unshared and in
+        merges: Top-k merge operations performed (shared mode); 0 in
+            the other modes and in
             :class:`repro.reference.ReferenceEngine`.
         scans: Advertiser entries scanned: leaf reads in shared mode,
-            sorted accesses in shared-sort mode, full per-phrase scans
-            in unshared mode and in every mode of the reference.
+            every (phrase, member) cell of the round in the other modes
+            and in every mode of the reference.
         revenue_cents: Click payments settled this round.
         forgiven_cents: Click value forgiven this round.
         displays: Ads displayed this round.
@@ -211,14 +213,17 @@ class SharedAuctionEngine:
             advertisers but absent here default to rate 1.0.
         mode: How a round of several phrases is ranked: ``"shared"``
             through a greedy shared aggregation plan (Section II;
-            requires phrase-independent CTR factors); ``"shared-sort"``
-            through the Section III pipeline -- one shared sort of bids
-            plus the threshold algorithm per phrase -- honoring
-            per-phrase CTR factors
-            (:attr:`Advertiser.phrase_ctr_factors`); ``"unshared"`` by
-            a scan of each phrase's advertisers.  A round of one phrase
-            (a served query) has nothing to share and is one scan in
-            every mode, with ``c_i^q`` under ``"shared-sort"``.  Every mode
+            requires phrase-independent CTR factors); ``"unshared"`` by
+            one scan of the round's (phrase, advertiser) cells, every
+            phrase a segment; ``"shared-sort"`` by the same scan scored
+            with per-phrase CTR factors ``c_i^q``
+            (:attr:`Advertiser.phrase_ctr_factors`), the ranking
+            Section III computes with a shared sort and the threshold
+            algorithm, which lost to the scan by the clock
+            (:mod:`repro.sharedsort.threshold` keeps it as a paper
+            result).  A round of one phrase (a served query) has
+            nothing to share and is one scan in every mode, with
+            ``c_i^q`` under ``"shared-sort"``.  Every mode
             keeps the population in a
             :class:`repro.core.columnar.ColumnarStore` and runs its
             mechanism as vectorized kernels over standing score columns.
@@ -363,7 +368,9 @@ class SharedAuctionEngine:
         # sessions quadratic.
         self.budget_manager = BudgetManager(budgets, click_horizon_rounds + 1)
         self._columnar_exec = None
-        self._columnar_sort = None
+        # Stage 2's compress of a round of several phrases' cells
+        # (_round_rows), which stage 3 scans.
+        self._round_cells = None
         # The engine indexes this store once (_by_id, the budget
         # manager's budgets, the standing columns below): an edit
         # under it must raise, not be half seen (set_bids excepted).
@@ -436,12 +443,6 @@ class SharedAuctionEngine:
                 )
                 for phrase, ids in self.phrase_advertisers.items()
             }
-        elif mode == "shared-sort":
-            # One shared lexsort per round replaces the merge network;
-            # per-phrase CTR presorts live in the store.
-            self._columnar_sort = ColumnarThresholdKernel(
-                self._store, self.k + 1, self.collector
-            )
         self._round_index = 0
 
     # ------------------------------------------------------------------
@@ -799,14 +800,18 @@ class SharedAuctionEngine:
 
         One phrase is its view of the store's phrase CSR, each ``m_i``
         1; more are one compress of the CSR's cells
-        (:meth:`ColumnarStore.phrase_cells`) counted by row.
+        (:meth:`ColumnarStore.phrase_cells`) counted by row, and the
+        compress is kept for stage 3's scan as ``(occurring, in_round,
+        cell_rows)``.
         """
         store = self._store
         if len(phrases) == 1:
             rows = store.phrase_rows(phrases[0])
             return rows, self._ones[: len(rows)]
-        _, cells = store.phrase_cells(store.phrase_positions(phrases))
-        counts = np.bincount(store.cell_rows[cells], minlength=store.size)
+        occurring, in_round = store.phrase_cells(store.phrase_positions(phrases))
+        cell_rows = store.cell_rows[in_round]
+        self._round_cells = occurring, in_round, cell_rows
+        counts = np.bincount(cell_rows, minlength=store.size)
         rows = np.flatnonzero(counts)
         return rows, counts[rows]
 
@@ -822,11 +827,14 @@ class SharedAuctionEngine:
         The backend is chosen by the phrase count.  A round of one phrase
         -- a served tick, or ``run_round([p])`` -- has nothing to share
         and in every mode is one scan of stage 2's arrays, with
-        ``c = c_i^q`` under ``"shared-sort"``: the fragment executor and
-        the Section III kernel neither run nor see it.  A round of more
-        phrases is scattered into row space and ranked by the mode's
-        backend: the shared plan's fragment executor, the Section III
-        round kernel, or a scan per phrase.
+        ``c = c_i^q`` under ``"shared-sort"``: the fragment executor
+        neither runs nor sees it.  A round of more phrases is scattered
+        into row space and ranked by the shared plan's fragment executor
+        under ``"shared"``; in the other two modes it is one scan of the
+        round's cells as stage 2 compressed them, every phrase a segment
+        of one :func:`segmented_top_k_picks`, scored ``b̂ / 100.0 *
+        c_i^q`` off :meth:`ColumnarStore.cell_ctrs` under
+        ``"shared-sort"`` and off the standing score column otherwise.
         """
         k = self.k + 1
         store = self._store
@@ -834,7 +842,7 @@ class SharedAuctionEngine:
         if len(phrases) == 1:
             if self.mode == "shared-sort":
                 c = store.phrase_ctr(phrases[0])
-                # Same operation order as rank_round: (cents / 100.0) * c.
+                # Same operation order as the reference: (cents / 100.0) * c.
                 scores = bids / 100.0 * c
             else:
                 c = store.ctr_factors[rows]
@@ -864,37 +872,38 @@ class SharedAuctionEngine:
             return self._ranked_round(
                 phrases, result.lens, result.scores, result.rows
             )
+        # The phrases are sorted, as the store's are, so segment s of
+        # the cells is phrase s.
+        occurring, in_round, cell_rows = self._round_cells
+        lens = store.phrase_lens[occurring]
         if self.mode == "shared-sort":
-            kernel = self._columnar_sort
-            # The shared presort materializes every occurring row once;
-            # it is reported as the round's merges.
-            report.merges += kernel.begin_round(self._eff_by_row, rows)
-            ranked, sorted_accesses = kernel.rank_round(phrases)
-            report.scans += int(sorted_accesses.sum())
-            return ranked
-        by_row = self._score_by_row
-        members = [store.phrase_rows(phrase) for phrase in phrases]
-        report.scans += sum(map(len, members))
+            c = store.cell_ctrs(occurring)[in_round]
+            # Same operation order as the reference: (cents / 100.0) * c.
+            cell_scores = self._eff_by_row[cell_rows] / 100.0 * c
+        else:
+            cell_scores = self._score_by_row[cell_rows]
+        report.scans += len(cell_rows)
+        if self.collector.enabled:
+            self.collector.incr(metric_names.TOPK_SCANS, len(phrases))
+            self.collector.incr(metric_names.TOPK_SCAN_ENTRIES, len(cell_rows))
         # Rows ascend with the id, so they rank as the ids do.
-        picked = [
-            rows[columnar_top_k_picks(k, by_row[rows], rows, self.collector)]
-            for rows in members
-        ]
-        rows = np.concatenate(picked)
+        picked, _, _, lens = segmented_top_k_picks(
+            k, cell_scores, cell_rows,
+            np.repeat(np.arange(len(lens)), lens), len(lens),
+        )
         return self._ranked_round(
-            phrases,
-            np.fromiter(map(len, picked), np.int64, len(picked)),
-            by_row[rows],
-            rows,
+            phrases, lens, cell_scores[picked], cell_rows[picked],
+            c[picked] if self.mode == "shared-sort" else None,
         )
 
-    def _ranked_round(self, phrases, lens, scores, rows) -> RankedRound:
-        """Stage 3's hand-off from row space: ``c = c_i`` read off the
-        store's column, ``b̂`` off the round's scatter."""
+    def _ranked_round(self, phrases, lens, scores, rows, c=None) -> RankedRound:
+        """Stage 3's hand-off from row space: ``c`` (``c_i`` off the
+        store's column unless given), ``b̂`` off the round's scatter."""
         store = self._store
         return RankedRound(
             phrases, self.k + 1, lens, scores, store.ids[rows],
-            store.ctr_factors[rows], self._eff_by_row[rows],
+            store.ctr_factors[rows] if c is None else c,
+            self._eff_by_row[rows],
         )
 
     def _allocate_round(

@@ -51,9 +51,10 @@ name                      meaning (paper reference)
                           table cells of re-aggregated queries) -- the
                           kernel's unit of work; zero on a round that
                           replays every answer.
-``topk.scans``            :func:`repro.core.topk.top_k_scan` invocations
-                          (one per unshared per-phrase ranking).
-``topk.scan_entries``     entries consumed by ``top_k_scan`` -- the
+``topk.scans``            phrases ranked by a scan: one per
+                          ``top_k_scan`` call, per served tick and per
+                          phrase of the engine's round scan.
+``topk.scan_entries``     entries those scans consumed -- the
                           Section II-A unshared baseline's work.
 ``topk.merges``           :func:`repro.core.topk.top_k_merge` calls made
                           with an enabled collector.
@@ -80,8 +81,9 @@ name                      meaning (paper reference)
 ``sort.savings_memo_hits``  savings requests the lazy builder served from
                           its ``(size, phrase-mask)`` memo instead of
                           recomputing.
-``ta.runs``               threshold-algorithm invocations (one per
-                          occurring phrase in shared-sort mode).
+``ta.runs``               threshold-algorithm invocations
+                          (:mod:`repro.sharedsort.threshold` and the
+                          columnar kernel; no engine mode runs TA).
 ``ta.sorted_accesses``    Section III sorted accesses across both lists.
 ``ta.random_accesses``    random-access score resolutions.
 ``ta.stages``             total stages executed; the gauge

@@ -25,20 +25,16 @@ k-th best *strictly* exceeds the threshold ``last_bid * last_ctr``.  The
 strict stop makes the result provably the exact top-k with the full
 ``(-score, advertiser_id)`` tie-break: any unseen row's score is at most
 the threshold, hence strictly below every retained entry, so no tie
-against an unseen row can exist.  Outcomes are byte-identical to
-:class:`repro.reference.ReferenceEngine`'s per-phrase scan (which the
-differential suites assert); only the work counters --
-``ta.sorted_accesses`` et al. -- differ by strategy.
+against an unseen row can exist.  Rankings are byte-identical to a
+scan of the phrase (its tests hold it to one); only the work counters
+-- ``ta.sorted_accesses`` et al. -- differ by strategy.
 
-The kernel runs that algorithm at two granularities (DESIGN section
-7).  :meth:`ColumnarThresholdKernel.rank_round`, the engine's route
-for a round of several phrases, takes every phrase of the round through
-the stages together -- stage ``s`` is a handful of array operations
-over the ``(active phrases, k * 2**s)`` prefix tables -- and returns the
-round's rankings as flat arrays (:class:`RankedRound`) that stage 4
-prices without building a ``TopKList`` per phrase.  :meth:`ColumnarThresholdKernel.rank_phrase`
-takes one phrase through them and is kept as its differential oracle:
-same stop depths, same accesses, same floats.
+The engine does not run this kernel: a round of several phrases under
+``mode="shared-sort"`` is one scan of the round's cells scored with
+``c_i^q``, which beat it by the clock (DESIGN section 7, EXPERIMENTS
+E42).  The class stays because the benchmark of record's span table
+names its methods; Section III's TA as a paper result is
+:mod:`repro.sharedsort.threshold` (E7).
 """
 
 from __future__ import annotations
@@ -47,11 +43,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.columnar import (
-    ColumnarStore,
-    columnar_top_k,
-    segmented_top_k_picks,
-)
+from repro.core.columnar import ColumnarStore, columnar_top_k
 from repro.core.topk import TopKList
 from repro.errors import InvalidPlanError
 from repro.instrument import NULL, Collector, names as metric_names
@@ -64,8 +56,7 @@ class RankedRound:
     """A round's rankings, as flat arrays.
 
     What every ranking backend hands stage 4 of
-    :class:`repro.engine.pipeline.SharedAuctionEngine` (this kernel's
-    :meth:`ColumnarThresholdKernel.rank_round` among them): every
+    :class:`repro.engine.pipeline.SharedAuctionEngine`: every
     phrase's ranked entries laid end to end in (phrase, rank) order,
     with the two values pricing needs -- its
     ``c_i^q`` for that phrase and its effective bid ``b̂``.  No
@@ -102,20 +93,15 @@ class RankedRound:
 
 
 class ColumnarThresholdKernel:
-    """Per-round shared bid presort + vectorized TA.
+    """Per-round shared bid presort + vectorized TA, one phrase at a time.
 
-    :meth:`rank_round` runs TA for every phrase of a round in lockstep
-    array stages and is what the engine calls for a round of two or
-    more phrases (a round of one is a plain scan).  :meth:`rank_phrase` runs it for one phrase -- the same
-    rankings, accesses and ``ta.*`` counts -- and stays as the
-    differential oracle the tests hold ``rank_round`` to.
-
-    The kernel holds no copy of phrase membership or CTR order: both
-    methods read the store's cell-aligned columns every round.
+    No engine builds it (see the module docstring).  The kernel holds no
+    copy of phrase membership or CTR order: :meth:`rank_phrase` reads
+    the store's cell-aligned columns every round.
 
     Args:
         store: The columnar population.
-        k: Ranking capacity (the engine passes ``slots + 1``).
+        k: Ranking capacity (``slots + 1`` to price the last slot).
         collector: Receives the ``ta.*`` counters (runs, sorted
             accesses, random accesses, stages, stop depth), so
             shared-sort work tables keep reporting through the same
@@ -152,8 +138,7 @@ class ColumnarThresholdKernel:
             rows: The round's occurring row indices (ascending).
 
         Returns:
-            The number of rows materialized into the shared order --
-            the engine reports it as the round's shared-sort work.
+            The number of rows materialized into the shared order.
         """
         self._effective_by_row = effective_by_row
         order = np.lexsort(
@@ -234,181 +219,3 @@ class ColumnarThresholdKernel:
             collector.incr(metric_names.TA_STAGES, stages)
             collector.gauge(metric_names.TA_STOP_DEPTH, depth)
         return ranking, sorted_accesses
-
-    def rank_round(
-        self, phrases: Sequence[str]
-    ) -> Tuple[RankedRound, "np.ndarray"]:
-        """TA for every phrase of the round, in lockstep array stages.
-
-        The round's (phrase, member) *cells* are one boolean compress of
-        the store's phrase CSR (:meth:`ColumnarStore.phrase_cells`), and
-        their ``c_i^q`` and CTR lists compress by the same mask; the
-        phrases run as segments in the store's phrase order and every
-        per-phrase output comes back in the caller's.  One ``argsort``
-        of ``segment * size + shared_rank[row]`` yields every phrase's
-        bid list at once (the batched form of :meth:`rank_phrase`'s
-        ``order[membership[order]]``; ranks of rows outside the round
-        are never read).
-        Stage ``s`` reads depth ``d = k * 2**s`` of both lists of the
-        still-active phrases as two ``(active, d)`` tables of cells and
-        scores only those: a CTR-prefix cell that sorts at or before the
-        last cell of its phrase's bid prefix is in that prefix already
-        and is blanked, so a row of the ``(active, 2d)`` score table is
-        exactly the set ``rank_phrase`` has seen at that depth.  Its
-        k-th best is one
-        ``np.partition`` (an element, not an arithmetic result), the
-        threshold the same two operations on column ``d - 1``, and the
-        stop the same strict ``kth > threshold`` -- or ``n <= d``, the
-        lists exhausted.  Every phrase therefore stops at
-        ``rank_phrase``'s depth after its number of stages and
-        accesses, and the work is TA's own, the sum over stages of
-        ``active * 2d``: no table is padded to the longest phrase.  A
-        phrase leaves with its seen cells that score at least its k-th
-        best (no other can rank), and one ``(segment, -score, id)``
-        sort over those picks every phrase's entries.
-
-        Args:
-            phrases: The round's phrases; a phrase without members
-                ranks empty, as in :meth:`rank_phrase`.
-
-        Returns:
-            ``(ranked, sorted_accesses)`` -- the rankings as flat
-            arrays and the sorted accesses charged to each phrase.
-
-        Raises:
-            InvalidPlanError: If called before :meth:`begin_round`, if
-                a phrase repeats, or if a phrase has a member row the
-                round's shared order does not hold.
-        """
-        if self._order is None or self._effective_by_row is None:
-            raise InvalidPlanError("rank_round before begin_round")
-        store = self.store
-        k = self.k
-        order = self._order
-        effective = self._effective_by_row
-        count = len(phrases)
-        positions = store.phrase_positions(phrases)
-        # The TA stages run over segments, one per phrase with members,
-        # in the store's phrase order; `phrase_at` names each segment's
-        # phrase in the caller's order, which every per-phrase output
-        # (lens, accesses) follows.
-        listed = np.flatnonzero(positions >= 0)
-        occurring, in_round = store.phrase_cells(positions[listed])
-        if occurring.sum() != len(listed):
-            raise InvalidPlanError(f"a phrase repeats in {list(phrases)!r}")
-        phrase_at = listed[np.argsort(positions[listed])]
-        sizes = store.phrase_lens[occurring]
-        depth = np.zeros(count, dtype=np.int64)
-        if not len(listed):
-            no_ints = np.zeros(0, dtype=np.int64)
-            no_floats = np.zeros(0, dtype=np.float64)
-            return (
-                RankedRound(
-                    phrases, k, np.zeros(count, dtype=np.int64), no_floats,
-                    no_ints, no_floats, no_floats,
-                ),
-                depth,
-            )
-        starts = np.cumsum(sizes) - sizes
-        # One compress of each cell-aligned column: entry starts[s] + j
-        # is the j-th of segment s's members, c_i^q and CTR list (which
-        # holds positions within the phrase).
-        cell_rows = store.cell_rows[in_round]
-        cell_c = store.cell_ctrs(occurring)[in_round]
-        ctr_list = store.cell_ctr_rank_positions(occurring)[in_round]
-        shared_rank = np.full(store.size, -1, dtype=np.int64)
-        shared_rank[order] = np.arange(len(order))
-        cell_rank = shared_rank[cell_rows]
-        if cell_rank.min() < 0:
-            unranked = cell_rows[np.flatnonzero(cell_rank < 0)[0]]
-            raise InvalidPlanError(
-                f"advertiser {int(store.ids[unranked])} is a member of a "
-                "ranked phrase but not in the round's shared order "
-                "(begin_round takes every member row of every phrase)"
-            )
-        segments = len(sizes)
-        bid_key = np.repeat(np.arange(segments) * len(order), sizes) + cell_rank
-        bid_list = np.argsort(bid_key)
-
-        stages = np.zeros(count, dtype=np.int64)
-        seen = np.zeros(count, dtype=np.int64)
-        kept_cells = []
-        kept_scores = []
-        kept_phrases = []
-        active = np.arange(segments)
-        d = k
-        stage = 0
-        while len(active):
-            stage += 1
-            n = sizes[active]
-            first = starts[active][:, None]
-            columns = np.arange(d)
-            # Lists shorter than d repeat their last entry; `held` says
-            # which table cells are real.
-            at = first + np.minimum(columns, n[:, None] - 1)
-            held = columns < n[:, None]
-            bid_cells = bid_list[at]
-            ctr_cells = first + ctr_list[at]
-            cells = np.concatenate((bid_cells, ctr_cells), axis=1)
-            # A CTR-prefix cell that sorts at or before the bid prefix's
-            # last cell is in the bid prefix already.
-            last_bid_key = bid_key[bid_cells[:, -1:]]
-            fresh = np.concatenate(
-                (held, held & (bid_key[ctr_cells] > last_bid_key)), axis=1
-            )
-            bids = effective[cell_rows[cells]]
-            factors = cell_c[cells]
-            # Same operation order as rank_phrase: (cents / 100.0) * c.
-            scores = np.where(fresh, bids / 100.0 * factors, -np.inf)
-            kth = np.partition(scores, 2 * d - k, axis=1)[:, 2 * d - k]
-            threshold = bids[:, d - 1] / 100.0 * factors[:, 2 * d - 1]
-            # Strict: at kth == threshold an unseen row could still tie
-            # and win on the id tie-break, so keep reading.
-            done = (n <= d) | (kth > threshold)
-            leaving = active[done]
-            seen_cells = fresh[done]
-            final_scores = scores[done]
-            keep = seen_cells & (final_scores >= kth[done, None])
-            kept_cells.append(cells[done][keep])
-            kept_scores.append(final_scores[keep])
-            leaving = phrase_at[leaving]
-            kept_phrases.append(np.repeat(leaving, keep.sum(axis=1)))
-            depth[leaving] = np.minimum(n[done], d)
-            stages[leaving] = stage
-            seen[leaving] = seen_cells.sum(axis=1)
-            active = active[~done]
-            d *= 2
-
-        candidates = np.concatenate(kept_cells)
-        candidate_scores = np.concatenate(kept_scores)
-        candidate_rows = cell_rows[candidates]
-        candidate_ids = store.ids[candidate_rows]
-        picked, _, _, lens = segmented_top_k_picks(
-            k,
-            candidate_scores,
-            candidate_ids,
-            np.concatenate(kept_phrases),
-            count,
-        )
-        sorted_accesses = 2 * depth
-        collector = self.collector
-        if collector.enabled:
-            collector.incr(metric_names.TA_RUNS, segments)
-            collector.incr(
-                metric_names.TA_SORTED_ACCESSES, int(sorted_accesses.sum())
-            )
-            collector.incr(metric_names.TA_RANDOM_ACCESSES, int(seen.sum()))
-            collector.incr(metric_names.TA_STAGES, int(stages.sum()))
-            collector.gauge(metric_names.TA_STOP_DEPTH, int(depth[listed[-1]]))
-        return (
-            RankedRound(
-                phrases,
-                k,
-                lens,
-                candidate_scores[picked],
-                candidate_ids[picked],
-                cell_c[candidates[picked]],
-                effective[candidate_rows[picked]],
-            ),
-            sorted_accesses,
-        )

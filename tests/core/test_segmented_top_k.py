@@ -9,11 +9,14 @@ segment alone and what a left fold of
 returns -- entry for entry, including ties, signed zeros, empty
 segments, segments shorter than ``k`` and equal scores in different
 segments.  A large batch grouped by segment first drops the candidates
-below their segment's k-th best; that route is held to the same oracle.
+below their segment's k-th best and orders the few left by row-wise
+sorts; that route is held to the same oracle and, array for array, to
+the lexsort of the whole batch.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import reduce
 
 import numpy as np
@@ -151,23 +154,46 @@ def grouped_batches(draw):
     return k, scores[order], ids[order], seg[order], seg_count
 
 
+@contextmanager
+def _filter_from(candidates):
+    """Run with :data:`SEGMENT_FILTER_MIN_CANDIDATES` at ``candidates``."""
+    floor = columnar.SEGMENT_FILTER_MIN_CANDIDATES
+    columnar.SEGMENT_FILTER_MIN_CANDIDATES = candidates
+    try:
+        yield
+    finally:
+        columnar.SEGMENT_FILTER_MIN_CANDIDATES = floor
+
+
+def _assert_routes_agree(k, scores, ids, seg, seg_count):
+    """The filtered route's ``(picked, picked_seg, picked_rank,
+    counts)`` equal the whole batch's lexsort, element by element (the
+    same picked positions, so the same zero signs too)."""
+    with _filter_from(0):
+        filtered = segmented_top_k_picks(k, scores, ids, seg, seg_count)
+    with _filter_from(len(seg) + 1):
+        whole = segmented_top_k_picks(k, scores, ids, seg, seg_count)
+    for name, one, other in zip(
+        ("picked", "segment", "rank", "counts"), filtered, whole
+    ):
+        assert one.dtype == other.dtype, name
+        assert one.tolist() == other.tolist(), name
+
+
 @settings(max_examples=300, deadline=None)
 @given(grouped_batches())
 def test_the_kth_best_filter_keeps_every_answer(batch):
     k, scores, ids, seg, seg_count = batch
     sizes = np.bincount(seg, minlength=seg_count)
-    floor = columnar.SEGMENT_FILTER_MIN_CANDIDATES
-    columnar.SEGMENT_FILTER_MIN_CANDIDATES = 0
-    try:
+    with _filter_from(0):
         kept = columnar._contenders(k, scores, seg, sizes)
         rows = _rows(k, scores, ids, seg, seg_count)
-    finally:
-        columnar.SEGMENT_FILTER_MIN_CANDIDATES = floor
     if kept is not None:
         # Every segment keeps at least its answer.
         assert (np.bincount(seg[kept], minlength=seg_count) >= np.minimum(
             sizes, k
         )).all()
+    _assert_routes_agree(k, scores, ids, seg, seg_count)
     for s in range(seg_count):
         member = seg == s
         scan = columnar_top_k(k, scores[member], ids[member])
@@ -177,22 +203,34 @@ def test_the_kth_best_filter_keeps_every_answer(batch):
 
 
 def test_a_large_grouped_batch_takes_the_filter():
-    # 600 candidates over 3 segments, one shorter than k, scores from a
-    # pool of five (ties at every k-th best) with both zeros.
+    # 800 candidates over 4 segments, one shorter than k, ids in no
+    # order within a segment (as in the fragment executor's second
+    # call), scores from a pool of five (ties at every k-th best) with
+    # both zeros; in the last segment the k-th best is a zero, tied
+    # both ways by +-0.0.
     rng = np.random.default_rng(5)
-    sizes = np.array([2, 298, 300])
-    seg = np.repeat(np.arange(3), sizes)
+    sizes = np.array([2, 298, 300, 200])
+    seg = np.repeat(np.arange(4), sizes)
     scores = rng.choice([0.0, -0.0, 0.5, 1.0, 2.5], size=len(seg))
+    scores[600:] = rng.choice([0.0, -0.0], size=200)
+    scores[[650, 720]] = [1.0, 0.5]
     ids = rng.permutation(len(seg)).astype(np.int64)
+    zeros = np.signbit(scores[600:][scores[600:] == 0.0])
+    assert zeros.any() and not zeros.all()
     kept = columnar._contenders(4, scores, seg, sizes)
-    assert kept is not None and len(kept) < len(seg) // 2
-    rows = _rows(4, scores, ids, seg, 3)
-    for s in range(3):
+    assert kept is not None
+    # The zero-tied segment keeps every candidate, the others under half.
+    kept_per_segment = np.bincount(seg[kept], minlength=4)
+    assert kept_per_segment[3] == 200 and kept_per_segment[:3].sum() < 300
+    rows = _rows(4, scores, ids, seg, 4)
+    for s in range(4):
         member = seg == s
         scan = columnar_top_k(4, scores[member], ids[member])
         assert _signed(rows[s]) == _signed(
             [(e.score, e.advertiser_id) for e in scan.entries]
         )
+    assert [score for score, _ in rows[3]] == [1.0, 0.5, 0.0, 0.0]
+    _assert_routes_agree(4, scores, ids, seg, 4)
     # Out of segment order the same batch is sorted whole.
     shuffled = rng.permutation(len(seg))
     unordered = columnar._contenders(

@@ -21,6 +21,8 @@ from repro.instrument import MetricsCollector, names
 from repro.reference import ReferenceEngine
 from repro.workloads.generator import MarketConfig, generate_market
 
+from .round_scans import assert_scanned_with_phrase_ctrs, watch_round_scans
+
 DIFFERENTIAL_SEEDS = range(50)
 
 
@@ -119,15 +121,18 @@ class TestSharedMatchesUnshared:
 
 
 class TestSharedSortMatchesUnshared:
-    # The columnar Section III kernel held to the reference: every seed.
+    # The c_i^q round scan held to the reference: every seed.
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
-    def test_identical_outcomes(self, seed):
+    def test_identical_outcomes(self, seed, monkeypatch):
         market = _small_market(seed)
+        scans = watch_round_scans(monkeypatch)
         _, (shared_sort,) = _run_lockstep(
             market, seed, "unshared", ("shared-sort",)
         )
-        assert shared_sort.counter(names.TA_RUNS) > 0
-        assert shared_sort.counter(names.TA_SORTED_ACCESSES) > 0
+        assert_scanned_with_phrase_ctrs(scans)
+        assert shared_sort.counter(names.TOPK_SCANS) == shared_sort.counter(
+            names.ENGINE_PHRASES
+        )
 
 
 class TestExecCacheMatchesShared:

@@ -1,8 +1,8 @@
 """The engine against the reference, round for round.
 
 :class:`SharedAuctionEngine` runs each mode's mechanism -- the Section
-II fragment executor, the Section III lockstep threshold kernel, the
-vectorized scans -- over standing score columns.
+II fragment executor, or the scan of a round's cells (with ``c_i^q``
+under ``"shared-sort"``) -- over standing score columns.
 :class:`repro.reference.ReferenceEngine` is the paper's auction written
 plainly: exact Section IV scoring and one scan of ``b̂ * c`` per phrase
 in every mode.  The implementation promise is *byte identity*, not
@@ -42,6 +42,8 @@ from repro.reference import ReferenceEngine
 from repro.serving import ServingEngine, TrafficGenerator
 from repro.workloads.generator import MarketConfig, generate_market
 
+from .round_scans import assert_scanned_with_phrase_ctrs, watch_round_scans
+
 DIFFERENTIAL_SEEDS = range(50)
 
 # Every engine configuration.  The reference runs each one uncached (see
@@ -73,10 +75,9 @@ def _small_market(seed: int):
 def _with_overrides(advertisers, seed: int):
     """Give a third of the population per-phrase CTR overrides.
 
-    The shared-sort TA kernel walks per-phrase CTR-ranked lists, so the
-    ``c_i^q`` override path (Section III) needs its own coverage: the
-    phrase-independent rank order and the per-phrase order genuinely
-    differ on these markets.
+    The shared-sort scan scores with ``c_i^q``, so the override path
+    (Section III) needs its own coverage: the phrase-independent rank
+    order and the per-phrase order genuinely differ on these markets.
     """
     rng = random.Random(f"overrides-{seed}")
     result = []
@@ -210,26 +211,27 @@ class TestEngineMatchesReference:
         assert columnar.counter(names.PLAN_NODES_REUSED) > 0
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
-    def test_shared_sort_with_overrides(self, seed):
+    def test_shared_sort_with_overrides(self, seed, monkeypatch):
         market = _small_market(seed)
         advertisers = _with_overrides(market.advertisers, seed)
-        columnar = _run_lockstep(
+        scans = watch_round_scans(monkeypatch)
+        _run_lockstep(
             advertisers, market.search_rates, seed,
             **CONFIGS["shared-sort"],
         )
-        assert columnar.counter(names.TA_RUNS) > 0
-        assert columnar.counter(names.TA_SORTED_ACCESSES) > 0
+        assert_scanned_with_phrase_ctrs(scans)
 
     @pytest.mark.parametrize("seed", DIFFERENTIAL_SEEDS)
-    def test_shared_sort_unthrottled(self, seed):
-        # The lockstep TA kernel on every seed, without the Section IV
+    def test_shared_sort_unthrottled(self, seed, monkeypatch):
+        # The c_i^q round scan on every seed, without the Section IV
         # throttle: effective bids are min(b, remaining budget).
         market = _small_market(seed)
-        columnar = _run_lockstep(
+        scans = watch_round_scans(monkeypatch)
+        _run_lockstep(
             market.advertisers, market.search_rates, seed,
             **CONFIGS["shared-sort-unthrottled"],
         )
-        assert columnar.counter(names.TA_RUNS) > 0
+        assert_scanned_with_phrase_ctrs(scans)
 
 
 def _half_unbudgeted(advertisers):

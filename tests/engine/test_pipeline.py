@@ -435,14 +435,16 @@ class TestStageTimers:
         assert timers[names.ENGINE_STAGE_SCORE_TIMER].count == 3
         assert timers[names.ENGINE_STAGE_RANK_TIMER].count == 3
 
-    def test_the_null_collector_path_starts_no_timer(
-        self, population, monkeypatch
+    @pytest.mark.parametrize("mode", ("unshared", "shared", "shared-sort"))
+    def test_the_null_collector_path_times_and_counts_nothing(
+        self, population, monkeypatch, mode
     ):
-        def no_timer(self, name):
-            raise AssertionError(f"timer({name!r}) on the null collector")
+        def refused(self, name, value=None):
+            raise AssertionError(f"{name!r} reached the null collector")
 
-        monkeypatch.setattr(type(NULL), "timer", no_timer, raising=False)
-        engine = build_engine(population, mode="unshared")
+        for method in ("add_time", "incr"):
+            monkeypatch.setattr(type(NULL), method, refused)
+        engine = build_engine(population, mode=mode)
         phrases = sorted(engine.phrase_advertisers)
         assert engine.run_round(phrases).displays
         engine.serve_query(phrases[0])

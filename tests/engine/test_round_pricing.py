@@ -8,9 +8,9 @@ crossover must come out the same to the last bit -- prices (half-even
 rounding on an exact half cent included), CTRs, skipped slots.
 
 Both read stage 3's flat arrays (``RankedRound``), which every ranking
-backend hands over: the fragment executor, the Section III round kernel
-and the scan for a round of several phrases, and the one-phrase scan for
-a round of one (a served tick).  That hand-off is held to the same
+backend hands over: the fragment executor and the round scan (with
+``c_i^q`` under ``"shared-sort"``) for a round of several phrases, and
+the one-phrase scan for a round of one (a served tick).  That hand-off is held to the same
 oracle, to arrays built from :class:`repro.reference.ReferenceEngine`'s
 ``TopKList``s and ``b̂``, and to building no ``TopKList`` at all.
 """
@@ -26,13 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.advertiser import Advertiser
-from repro.core.topk import TopKList
-from repro.engine.pipeline import ARRAY_PRICING_MIN_SLOTS, SharedAuctionEngine
+from repro.core.topk import ScoredAdvertiser, TopKList
+from repro.engine.pipeline import (
+    ARRAY_PRICING_MIN_SLOTS, RoundReport, SharedAuctionEngine,
+)
 from repro.reference import ReferenceEngine
 from repro.sharedsort.columnar import RankedRound
 from repro.workloads.generator import MarketConfig, generate_market
-
-from ..sharedsort.test_rank_round import ranked_lists
 
 SLOT_FACTORS = (0.3, 0.2, 0.1)
 K = len(SLOT_FACTORS)
@@ -93,6 +93,19 @@ ranked = st.lists(
     max_size=K + 1,
     unique_by=lambda entry: entry[1],
 )
+
+
+def ranked_lists(ranked: RankedRound):
+    """``{phrase: TopKList}`` read off a round's flat arrays."""
+    lists, end = {}, 0
+    scores, ids = ranked.scores.tolist(), ranked.ids.tolist()
+    for phrase, count in zip(ranked.phrases, ranked.lens.tolist()):
+        start, end = end, end + count
+        lists[phrase] = TopKList.from_ranked(
+            ranked.k,
+            tuple(map(ScoredAdvertiser, scores[start:end], ids[start:end])),
+        )
+    return lists
 
 
 def _ranked_round(engine, phrases, rankings, bid_by_row):
@@ -224,7 +237,7 @@ def test_recorded_edges():
 
 
 # ----------------------------------------------------------------------
-# pricing from the Section III round kernel's arrays
+# pricing from the shared-sort round scan's arrays
 # ----------------------------------------------------------------------
 SORT_SIZES = (1, 2, 3, 4, 5, 12)
 
@@ -267,10 +280,9 @@ SORT_ENGINE = _sort_engine()
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_pricing_from_the_round_kernels_arrays(data):
+def test_pricing_from_the_round_scans_arrays(data):
     engine = SORT_ENGINE
     store = engine._store
-    kernel = engine._columnar_sort
     # From one phrase up, through the slot-count crossover.
     count = data.draw(st.integers(min_value=1, max_value=len(PHRASES)))
     phrases = PHRASES[:count]
@@ -283,15 +295,18 @@ def test_pricing_from_the_round_kernels_arrays(data):
             )
         )
     )
-    member = np.zeros(store.size, dtype=bool)
-    for phrase in phrases:
-        member[store.phrase_rows(phrase)] = True
-    kernel.begin_round(bid_by_row, np.flatnonzero(member))
-    ranked, _ = kernel.rank_round(phrases)
+    # Stage 3 as a round reaches it: stage 2's rows and b̂ (and, for
+    # several phrases, its compress of the round's cells).
+    rows, _ = engine._round_rows(phrases)
+    ranked = engine._rank_phrases(
+        phrases,
+        (rows, bid_by_row[rows], np.zeros(len(rows))),
+        RoundReport(0, phrases),
+    )
     assert isinstance(ranked, RankedRound)
     lens, _, ids, c, carried_bids = ranked.arrays
     assert carried_bids.tobytes() == bid_by_row[store.rows_of(ids)].tobytes()
-    # What the kernel carries is c_i^q, not c_i.
+    # What the scan carries is c_i^q, not c_i, and it ranked by it.
     by_id = engine._by_id
     carried = iter(zip(ids.tolist(), c.tolist()))
     for phrase, entries in zip(phrases, lens.tolist()):
@@ -299,9 +314,24 @@ def test_pricing_from_the_round_kernels_arrays(data):
         for _ in range(entries):
             advertiser_id, factor = next(carried)
             assert factor == by_id[advertiser_id].ctr_factor_for(phrase)
+    lists = ranked_lists(ranked)
+    for phrase in phrases:
+        scanned = sorted(
+            (
+                (
+                    float(bid_by_row[store.row_of(i)]) / 100.0
+                    * by_id[i].ctr_factor_for(phrase),
+                    i,
+                )
+                for i in engine.phrase_advertisers[phrase]
+            ),
+            key=lambda entry: (-entry[0], entry[1]),
+        )
+        assert [
+            (repr(e.score), e.advertiser_id) for e in lists[phrase].entries
+        ] == [(repr(score), i) for score, i in scanned[: K + 1]]
     # The scalar oracle reads TopKLists built from the arrays, and
     # arrays rebuilt from those price the same.
-    lists = ranked_lists(ranked)
     expected = _scalar(engine, phrases, lists, bid_by_row)
     rebuilt = _ranked_round(engine, phrases, lists, bid_by_row)
     for rankings in (ranked, rebuilt):
@@ -327,8 +357,8 @@ def test_the_sort_market_has_the_cases_it_claims():
 
 def test_shared_sort_rounds_across_the_pricing_crossover(monkeypatch):
     # Rounds sized around ARRAY_PRICING_MIN_SLOTS allocate exactly as
-    # the reference does, whether stage 4 prices the round kernel's
-    # arrays or the TopKLists it materializes from them.
+    # the reference does, whether stage 4 prices the round scan's
+    # arrays as arrays or phrase by phrase.
     columnar, oracle = _sort_engine(), _sort_engine(reference=True)
     routes = []
 

@@ -1,4 +1,9 @@
-"""Tests for the engine's Section III mode (shared sort + TA)."""
+"""Tests for the engine's Section III mode: rankings by ``c_i^q``.
+
+A round of several phrases is one scan of its cells scored with the
+per-phrase CTR factors; the shared sort and threshold algorithm of
+Section III are a library result (:mod:`repro.sharedsort.threshold`).
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,8 @@ from repro.core.advertiser import Advertiser
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.instrument import MetricsCollector, names
 from repro.reference import ReferenceEngine
+
+from .round_scans import assert_scanned_with_phrase_ctrs, watch_round_scans
 
 
 def population(per_phrase_factors: bool):
@@ -48,7 +55,7 @@ class TestSharedSortMode:
         report = engine.run(20)
         assert report.displays > 0
         assert report.scans > 0
-        assert report.merges > 0
+        assert report.merges == 0
 
     def test_matches_unshared_when_factors_are_global(self):
         """With phrase-independent factors both mechanisms agree with the
@@ -142,13 +149,13 @@ def build_full(seed=5, **kwargs):
     )
 
 
-class TestRoundPresort:
-    def test_round_merges_are_the_rows_the_round_presorts(self):
-        # The columnar kernel sorts the rows of each round of several
-        # phrases once: the merges that round reports are those rows,
-        # and its scans are the threshold algorithm's sorted accesses.
-        # A round of one phrase is a scan of its members: no presort, no
-        # threshold algorithm.
+class TestRoundScan:
+    def test_a_round_is_one_scan_of_its_cells(self, monkeypatch):
+        # A round of several phrases is one scan of its (phrase, member)
+        # cells scored with c_i^q: its scans are those cells, one
+        # topk.scans per phrase, no merges and no threshold algorithm.
+        # A round of one phrase is a scan of its members too.
+        scans = watch_round_scans(monkeypatch)
         collector = MetricsCollector()
         engine = build_full(seed=3, collector=collector)
         history = engine.run(20).history
@@ -156,18 +163,15 @@ class TestRoundPresort:
         sizes = {len(r.occurring_phrases) for r in history}
         assert 1 in sizes and max(sizes) > 1
         for round_report in history:
-            members = set().union(
-                *(
-                    engine.phrase_advertisers[phrase]
-                    for phrase in round_report.occurring_phrases
-                )
+            phrases = round_report.occurring_phrases
+            cells = sum(
+                len(engine.phrase_advertisers[phrase]) for phrase in phrases
             )
-            sorted_accesses = round_report.counters.get(
-                names.TA_SORTED_ACCESSES, 0
-            )
-            if len(round_report.occurring_phrases) == 1:
-                assert round_report.merges == sorted_accesses == 0
-                assert round_report.scans == len(members)
-            else:
-                assert round_report.merges == len(members)
-                assert round_report.scans == sorted_accesses
+            counters = round_report.counters
+            assert round_report.merges == 0
+            assert round_report.scans == cells
+            assert counters.get(names.TOPK_SCANS, 0) == len(phrases)
+            assert counters.get(names.TOPK_SCAN_ENTRIES, 0) == cells
+            assert not [name for name in counters if name.startswith("ta.")]
+        assert len(scans) == sum(len(r.occurring_phrases) > 1 for r in history)
+        assert_scanned_with_phrase_ctrs(scans)

@@ -178,8 +178,9 @@ class TestRejectedOperationKeepsTheTickClock:
 class TestATickLeavesTheRoundBackendsAlone:
     """A served query is a round of one phrase: a scan of stage 2's
     arrays in every mode.  It absorbs no score into the exec cache,
-    bumps no epoch and begins no Section III round; the next round of
-    several phrases finds whatever the ticks moved by its own diff."""
+    bumps no epoch and compresses no round's cells for the round scan;
+    the next round of several phrases finds whatever the ticks moved by
+    its own diff."""
 
     def _cache_state(self, executor):
         tables = executor._tables
@@ -205,16 +206,15 @@ class TestATickLeavesTheRoundBackendsAlone:
         market = small_market()
         engine = make_engine(market, **config)
         engine.run_round(phrases_of(market))
-        executor, kernel = engine._columnar_exec, engine._columnar_sort
+        executor, cells = engine._columnar_exec, engine._round_cells
+        assert cells is not None
         before = self._cache_state(executor) if engine.exec_cache else None
-        order = kernel._order if kernel is not None else None
         loop = ServingEngine(engine, make_traffic(market))
         report = loop.run(40)
         assert report.displays
         if before is not None:
             assert self._cache_state(executor) == before
-        if kernel is not None:
-            assert kernel._order is order
+        assert engine._round_cells is cells
         assert not [
             name for name in report.counters
             if name.startswith(("plan.", "ta."))

@@ -1,18 +1,15 @@
-"""Lockstep TA (``rank_round``) equals per-phrase TA (``rank_phrase``).
+"""The columnar threshold kernel (``rank_phrase``) equals a scan.
 
-``ColumnarThresholdKernel`` can answer a round two ways (DESIGN section
-7): every phrase advanced through the threshold algorithm's doubling
-stages together, which is what the engine runs, or phrase by phrase,
-the older route kept as the oracle.  The two must agree on everything an
-observer can see -- the ranked entries to the last bit and in order, and
-the accesses, stages and stop depths TA is charged.  Ties are the point:
-bids and CTR factors are drawn from a few small values, so equal scores
-straddle the k-th place and ``kth == threshold`` occurs.
+``ColumnarThresholdKernel`` runs Section III's threshold algorithm for
+one phrase over a shared bid presort and the phrase's CTR-sorted list.
+No engine runs it any more -- a round is one scan of its cells -- but
+it is kept while the benchmark's span table names it, and held here to
+the brute-force answer: every member scored, one sort.  Ties are the
+point: bids and CTR factors are drawn from a few small values, so equal
+scores straddle the k-th place and ``kth == threshold`` occurs.
 """
 
 from __future__ import annotations
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,21 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sharedsort.columnar as sharedsort_columnar
 from repro.core.advertiser import Advertiser
 from repro.core.columnar import ColumnarStore
-from repro.core.topk import ScoredAdvertiser, TopKList
 from repro.engine.pipeline import SharedAuctionEngine
 from repro.errors import InvalidPlanError
 from repro.instrument import MetricsCollector, names
-from repro.sharedsort.columnar import ColumnarThresholdKernel, RankedRound
-
-TA_COUNTERS = (
-    names.TA_RUNS,
-    names.TA_SORTED_ACCESSES,
-    names.TA_RANDOM_ACCESSES,
-    names.TA_STAGES,
-)
+from repro.sharedsort.columnar import ColumnarThresholdKernel
 
 
 def _occurring_rows(store, phrases):
@@ -44,77 +32,40 @@ def _occurring_rows(store, phrases):
     return np.flatnonzero(member)
 
 
-def _both_routes(store, k, effective, phrases, rows=None):
-    """One round through each route on its own kernel and collector.
-
-    ``rows`` is what ``begin_round`` orders: the phrases' members by
-    default, or a superset of them.
-
-    Returns:
-        ``(ranked, per_phrase, lockstep_collector, loop_collector)``:
-        the lockstep answer and ``{phrase: (TopKList, accesses)}`` from
-        the loop.
-    """
-    if rows is None:
-        rows = _occurring_rows(store, phrases)
-    lockstep_collector = MetricsCollector()
-    lockstep = ColumnarThresholdKernel(store, k, lockstep_collector)
-    lockstep.begin_round(effective, rows)
-    ranked, accesses = lockstep.rank_round(phrases)
-    loop_collector = MetricsCollector()
-    loop = ColumnarThresholdKernel(store, k, loop_collector)
-    loop.begin_round(effective, rows)
-    per_phrase = {phrase: loop.rank_phrase(phrase) for phrase in phrases}
-    assert accesses.tolist() == [per_phrase[p][1] for p in phrases]
-    return ranked, per_phrase, lockstep_collector, loop_collector
-
-
-def ranked_lists(ranked: RankedRound):
-    """``{phrase: TopKList}`` read off a round's flat arrays."""
-    lists, end = {}, 0
-    scores, ids = ranked.scores.tolist(), ranked.ids.tolist()
-    for phrase, count in zip(ranked.phrases, ranked.lens.tolist()):
-        start, end = end, end + count
-        lists[phrase] = TopKList.from_ranked(
-            ranked.k,
-            tuple(map(ScoredAdvertiser, scores[start:end], ids[start:end])),
-        )
-    return lists
-
-
-def _entries(ranking: TopKList):
+def _entries(ranking):
     # repr keeps the sign of a zero and every last bit.
     return [(repr(e.score), e.advertiser_id) for e in ranking.entries]
 
 
+def _brute_force(store, effective, phrase, k):
+    """Every member scored, one sort: the answer TA must reproduce."""
+    rows = store.phrase_rows(phrase)
+    scores = effective[rows] / 100.0 * store.phrase_ctr(phrase)
+    ranked = sorted(
+        zip(scores.tolist(), store.ids[rows].tolist()),
+        key=lambda entry: (-entry[0], entry[1]),
+    )
+    return [(repr(score), advertiser) for score, advertiser in ranked[:k]]
+
+
 def _assert_identical(store, k, effective, phrases, rows=None):
-    ranked, per_phrase, lockstep, loop = _both_routes(
-        store, k, effective, phrases, rows
-    )
-    assert isinstance(ranked, RankedRound)
-    assert ranked.phrases == tuple(phrases)
-    lists = ranked_lists(ranked)
+    """Every phrase through ``rank_phrase`` equals the brute force;
+    returns ``{phrase: TopKList}``."""
+    if rows is None:
+        rows = _occurring_rows(store, phrases)
+    collector = MetricsCollector()
+    kernel = ColumnarThresholdKernel(store, k, collector)
+    kernel.begin_round(effective, rows)
+    lists = {}
     for phrase in phrases:
-        assert _entries(lists[phrase]) == _entries(per_phrase[phrase][0])
+        lists[phrase], accesses = kernel.rank_phrase(phrase)
+        assert _entries(lists[phrase]) == _brute_force(
+            store, effective, phrase, k
+        )
         assert lists[phrase].k == k
-    for counter in TA_COUNTERS:
-        assert lockstep.counter(counter) == loop.counter(counter), counter
-    assert lockstep.gauges.get(names.TA_STOP_DEPTH) == loop.gauges.get(
-        names.TA_STOP_DEPTH
-    )
-    # The flat hand-off: c and b̂ are those of the ranked ids.
-    lens, scores, ids, c, bids = ranked.arrays
-    assert lens.tolist() == [len(lists[p].entries) for p in phrases]
-    assert bids.tobytes() == effective[store.rows_of(ids)].tobytes()
-    at = 0
-    for phrase, count in zip(phrases, lens.tolist()):
-        for advertiser_id, factor in zip(
-            ids[at:at + count].tolist(), c[at:at + count].tolist()
-        ):
-            assert factor == store._overrides_of[advertiser_id].get(
-                phrase, store.ctr_factors[store.row_of(advertiser_id)]
-            )
-        at += count
+        assert accesses <= 2 * len(store.phrase_rows(phrase))
+    ran = sum(1 for phrase in phrases if len(store.phrase_rows(phrase)))
+    assert collector.counter(names.TA_RUNS) == ran
     return lists
 
 
@@ -169,7 +120,7 @@ def markets(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(market=markets())
-def test_lockstep_equals_per_phrase(market):
+def test_rank_phrase_equals_a_scan(market):
     advertisers, effective, k, occurring = market
     store = ColumnarStore(advertisers)
     _assert_identical(store, k, effective, occurring)
@@ -249,60 +200,6 @@ class TestPinned:
             ("1.0", 5), ("-0.0", 1), ("0.0", 2), ("0.0", 3)
         ]
 
-    def test_one_long_phrase_beside_many_short_ones(self):
-        # A table padded to the longest phrase would be 401 x 2000
-        # cells; the lockstep stages only ever hold tables of the
-        # still-active phrases at the current depth.
-        long_members = 2000
-        short = [f"s{index:03d}" for index in range(400)]
-        advertisers = [
-            Advertiser(
-                i, 1.0, ctr_factor=1.0 + (i * 37 % 101) / 101.0,
-                # The first 1200 also form the 400 three-member phrases.
-                phrases=frozenset(["long", *short[i // 3:i // 3 + 1]]),
-            )
-            for i in range(long_members)
-        ]
-        store = ColumnarStore(advertisers)
-        effective = np.asarray(
-            [100.0 + (i * 53 % 997) for i in range(long_members)]
-        )
-        phrases = sorted(["long", *short])
-        cells = long_members + 3 * len(short)
-        kernel = ColumnarThresholdKernel(store, 4)
-        rows = _occurring_rows(store, phrases)
-        kernel.begin_round(effective, rows)
-        kernel.rank_round(phrases)  # warm the store's per-phrase caches
-        tracemalloc.start()
-        try:
-            kernel.rank_round(phrases)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # Every live array together, not just the largest: a few dozen
-        # bytes a cell.  The padded table alone would be 6.4 MB.
-        assert peak < 40 * 8 * cells
-        _assert_identical(store, 4, effective, phrases)
-
-    def test_phrase_order_does_not_matter(self):
-        advertisers = [
-            Advertiser(
-                i, 1.0, ctr_factor=float(1 + i % 3),
-                phrases=frozenset(
-                    p for j, p in enumerate(PHRASES) if (i + j) % 2
-                ),
-                phrase_ctr_factors={PHRASES[i % 6]: float(1 + i % 4)},
-            )
-            for i in range(30)
-        ]
-        store = ColumnarStore(advertisers)
-        effective = np.asarray([float(100 * (1 + i % 5)) for i in range(30)])
-        forward = _assert_identical(store, 3, effective, list(PHRASES))
-        shuffled = [PHRASES[i] for i in (4, 0, 5, 2, 1, 3)]
-        backward = _assert_identical(store, 3, effective, shuffled)
-        for phrase in PHRASES:
-            assert _entries(forward[phrase]) == _entries(backward[phrase])
-
     def test_an_order_covering_rows_outside_the_round(self):
         advertisers = [
             Advertiser(
@@ -313,8 +210,8 @@ class TestPinned:
         ]
         store = ColumnarStore(advertisers)
         effective = np.asarray([float(100 * (1 + i % 7)) for i in range(40)])
-        # One phrase pair, ranked off an order of all 40 rows: ranks of
-        # rows outside the round are written and never read.
+        # One phrase pair, ranked off an order of all 40 rows: the bid
+        # list is filtered to each phrase's members.
         some = [PHRASES[0], PHRASES[3]]
         everyone = np.arange(store.size)
         assert len(everyone) > len(_occurring_rows(store, some))
@@ -371,11 +268,8 @@ def _round_rows(store, phrases, order):
 
 
 @pytest.mark.parametrize("order", ["members", "everyone"])
-@pytest.mark.parametrize("route", ["rank_round", "rank_phrase"])
 @pytest.mark.parametrize("move", sorted(MOVES))
-def test_a_reused_kernel_ranks_moved_scores_like_a_fresh_kernel(
-    move, route, order
-):
+def test_a_reused_kernel_ranks_moved_scores_like_a_fresh_kernel(move, order):
     # The kernel sized its row scratch once, at construction; a second
     # round over moved scores must read none of the first round's ranks.
     phrases = ["a", "b", "c"]
@@ -385,10 +279,6 @@ def test_a_reused_kernel_ranks_moved_scores_like_a_fresh_kernel(
         kernel.begin_round(
             effective.copy(), _round_rows(store, phrases, order)
         )
-        if route == "rank_round":
-            ranked, accesses = kernel.rank_round(phrases)
-            lists = ranked_lists(ranked)
-            return [_entries(lists[p]) for p in phrases], accesses.tolist()
         results = [kernel.rank_phrase(p) for p in phrases]
         return [_entries(r) for r, _ in results], [a for _, a in results]
 
@@ -401,17 +291,6 @@ def test_a_reused_kernel_ranks_moved_scores_like_a_fresh_kernel(
     assert after[0] != before[0]
     for phrase, entries in zip(phrases, after[0]):
         assert entries == _brute_force(store, effective, phrase, 3)
-
-
-def _brute_force(store, effective, phrase, k):
-    """Every member scored, one sort: the answer TA must reproduce."""
-    rows = store.phrase_rows(phrase)
-    scores = effective[rows] / 100.0 * store.phrase_ctr(phrase)
-    ranked = sorted(
-        zip(scores.tolist(), store.ids[rows].tolist()),
-        key=lambda entry: (-entry[0], entry[1]),
-    )
-    return [(repr(score), advertiser) for score, advertiser in ranked[:k]]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -447,22 +326,10 @@ def test_a_reused_kernel_ranks_partial_rounds_from_scratch(seed):
         )
         rows = _occurring_rows(store, occurring)
         assert kernel.begin_round(effective.copy(), rows) == len(rows)
-        ranked, _ = kernel.rank_round(occurring)
-        lists = ranked_lists(ranked)
         for phrase in occurring:
-            assert _entries(lists[phrase]) == _brute_force(
+            assert _entries(kernel.rank_phrase(phrase)[0]) == _brute_force(
                 store, effective, phrase, k
             )
-
-
-def test_a_member_outside_the_shared_order_is_refused():
-    # begin_round was given only phrase b's rows; phrase a has members
-    # the round's order never ranked.
-    store = _small_store()
-    kernel = ColumnarThresholdKernel(store, 3)
-    kernel.begin_round(_effective(store), _occurring_rows(store, ["b"]))
-    with pytest.raises(InvalidPlanError, match="not in the round's shared"):
-        kernel.rank_round(["a", "b"])
 
 
 @pytest.mark.parametrize("phrases", [["nobody"], ["a", "nobody", "b"]])
@@ -471,25 +338,20 @@ def test_a_phrase_without_members_ranks_empty(phrases):
     collector = MetricsCollector()
     kernel = ColumnarThresholdKernel(store, 3, collector)
     kernel.begin_round(_effective(store), _occurring_rows(store, phrases))
-    ranked, accesses = kernel.rank_round(phrases)
-    at = phrases.index("nobody")
-    assert ranked_lists(ranked)["nobody"].entries == ()
-    assert ranked.k == 3
-    assert accesses[at] == 0
-    assert collector.counter(names.TA_RUNS) == len(phrases) - 1
-    lens = ranked.arrays[0]
-    assert lens.tolist() == [0 if p == "nobody" else 3 for p in phrases]
+    ranking, accesses = kernel.rank_phrase("nobody")
+    assert ranking.entries == () and ranking.k == 3
+    assert accesses == 0
+    assert collector.counter(names.TA_RUNS) == 0
 
 
-def test_rank_round_before_begin_round():
+def test_rank_phrase_before_begin_round():
     with pytest.raises(InvalidPlanError):
-        ColumnarThresholdKernel(_small_store(), 3).rank_round(["a"])
+        ColumnarThresholdKernel(_small_store(), 3).rank_phrase("a")
 
 
-# ----------------------------------------------------------------------
-# cost: the engine never goes phrase by phrase
-# ----------------------------------------------------------------------
-def test_no_round_reaches_the_per_phrase_top_k(monkeypatch):
+def test_no_engine_builds_the_kernel(monkeypatch):
+    # A round of several phrases under shared-sort is one scan of its
+    # cells scored with c_i^q; the kernel is never built.
     phrases = [f"w{index:03d}" for index in range(244)]
     advertisers = [
         Advertiser(
@@ -503,16 +365,15 @@ def test_no_round_reaches_the_per_phrase_top_k(monkeypatch):
         )
         for i in range(60)
     ]
+
+    def built(*args, **kwargs):
+        raise AssertionError("the engine built ColumnarThresholdKernel")
+
+    monkeypatch.setattr(ColumnarThresholdKernel, "__init__", built)
     engine = SharedAuctionEngine(
         advertisers, (0.3, 0.2, 0.1), {p: 1.0 for p in phrases},
         mode="shared-sort", seed=5,
     )
-
-    def reached(*args, **kwargs):
-        raise AssertionError("the engine reached columnar_top_k")
-
-    # rank_phrase ends in it; rank_round sorts the whole round at once.
-    monkeypatch.setattr(sharedsort_columnar, "columnar_top_k", reached)
     report = engine.run_round(phrases)
     assert report.displays and len(report.allocations) == 244
     assert engine.run_round(phrases[:1]).displays

@@ -251,8 +251,8 @@ ENGINE_CLOSURE = {
     "repro.plans.instance": "the aggregate queries the shared mode plans",
     "repro.plans.fragments": "Section II-D.1 fragments the executor ranks",
     "repro.plans.columnar_exec": "the shared mode's fragment executor",
-    "repro.sharedsort": "parent package of the threshold kernel",
-    "repro.sharedsort.columnar": "the shared-sort mode's lockstep TA kernel",
+    "repro.sharedsort": "parent package of RankedRound's module",
+    "repro.sharedsort.columnar": "RankedRound, stage 3's hand-off",
     "repro.engine": "re-exports the engine's classes",
     "repro.engine.pipeline": "SharedAuctionEngine: the entry point",
     "repro.engine.budget_manager": "the budget books",

@@ -179,11 +179,16 @@ class TestCommands:
         if mode == "shared":
             # The columnar fragment executor.
             assert payload["counters"]["plan.leaf_scans"] > 0
-        elif mode == "unshared":
-            assert payload["counters"]["topk.scans"] > 0
         else:
-            assert payload["counters"]["ta.runs"] > 0
-            assert payload["gauges"]["ta.stop_depth"] >= 1
+            # Both scan: every phrase of every round is one topk.scans,
+            # and no mode of the engine runs the threshold algorithm.
+            counters = payload["counters"]
+            assert counters["topk.scans"] == counters["engine.phrases"] > 0
+            assert not [
+                name
+                for name in (*counters, *payload["gauges"])
+                if name.startswith("ta.")
+            ]
 
     def test_engine_exec_cache(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
@@ -345,7 +350,7 @@ class TestEngineFlags:
         assert "+exec-cache" in out
 
     def test_engine_columnar_shared_sort_serving(self, capsys):
-        # Per-query serving through the lockstep Section III kernel.
+        # Per-query serving under shared-sort: one c_i^q scan a query.
         assert (
             main(
                 [
