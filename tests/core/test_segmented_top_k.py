@@ -237,3 +237,93 @@ def test_a_large_grouped_batch_takes_the_filter():
         4, scores[shuffled], seg[shuffled], sizes
     )
     assert unordered is None
+
+
+@pytest.mark.parametrize(
+    "sizes", [[3], [1, 0, 2], [0, 0, 5, 1], [2, 2, 2], [0, 4, 0]]
+)
+def test_table_cells_lay_every_segment_out_as_a_row(sizes):
+    # Entry j of segment s lands in row s, column j of the table; empty
+    # segments leave their row to the padding.
+    sizes = np.array(sizes, dtype=np.int64)
+    widest = int(sizes.max())
+    expected = [s * widest + j for s, n in enumerate(sizes) for j in range(n)]
+    assert columnar._table_cells(sizes, widest).tolist() == expected
+
+
+def _batch(sizes, scores, ids):
+    """A batch grouped by segment: ``sizes`` candidates per segment."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    return (
+        np.asarray(scores, dtype=np.float64),
+        np.asarray(ids, dtype=np.int64),
+        seg,
+        len(sizes),
+    )
+
+
+def _pool(rng, sizes):
+    """Tie-heavy scores with both zeros and ids in no order."""
+    n = int(np.sum(sizes))
+    scores = rng.choice([0.0, -0.0, 0.5, 1.0, 2.5], size=n)
+    return _batch(sizes, scores, rng.permutation(n))
+
+
+def _minus_infinity(rng):
+    # Segment 0: two finite scores, the rest -inf, so the k-th best is
+    # -inf and the -inf scores rank by id; segment 2 is all -inf and
+    # shorter than k, so its row's padding ties its scores on -score
+    # and must still sort last.
+    sizes = [300, 250, 3]
+    scores = rng.choice([0.5, 1.0, 2.5], size=553)
+    scores[2:300] = -np.inf
+    scores[550:] = -np.inf
+    return _batch(sizes, scores, rng.permutation(553))
+
+
+# Batches of at least SEGMENT_FILTER_MIN_CANDIDATES, each with whether
+# the k-th-best filter takes it: ``(k, builder, filtered)``.
+EDGE_SHAPES = {
+    "empty_segments_between": (
+        4, lambda rng: _pool(rng, [0, 300, 0, 0, 250, 0]), True
+    ),
+    "k_of_one": (1, lambda rng: _pool(rng, [200, 200, 200]), True),
+    "one_over_k_everywhere": (4, lambda rng: _pool(rng, [5] * 130), True),
+    "every_score_tied": (
+        4, lambda rng: _batch([256, 256], np.ones(512), rng.permutation(512)),
+        True,
+    ),
+    "minus_infinity_at_the_kth_best": (4, _minus_infinity, True),
+    "ids_descending": (
+        4,
+        lambda rng: _batch(
+            [300, 300], rng.choice([0.0, 1.0, 2.0], size=600),
+            np.arange(600)[::-1],
+        ),
+        True,
+    ),
+    # A table padded to the long segment would be 401 x 2000 cells.
+    "one_long_beside_many_short": (
+        4, lambda rng: _pool(rng, [2000] + [3] * 400), False
+    ),
+    "no_segment_longer_than_k": (4, lambda rng: _pool(rng, [3] * 200), False),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_SHAPES))
+def test_edge_shapes_rank_as_columnar_top_k_on_either_route(shape):
+    k, build, filtered = EDGE_SHAPES[shape]
+    scores, ids, seg, seg_count = build(np.random.default_rng(11))
+    assert len(seg) >= columnar.SEGMENT_FILTER_MIN_CANDIDATES
+    sizes = np.bincount(seg, minlength=seg_count)
+    kept = columnar._contenders(k, scores, seg, sizes)
+    assert (kept is not None) == filtered
+    rows = _rows(k, scores, ids, seg, seg_count)
+    for s in range(seg_count):
+        member = seg == s
+        scan = columnar_top_k(k, scores[member], ids[member])
+        assert _signed(rows[s]) == _signed(
+            [(e.score, e.advertiser_id) for e in scan.entries]
+        )
+    _assert_routes_agree(k, scores, ids, seg, seg_count)

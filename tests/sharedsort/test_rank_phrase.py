@@ -200,6 +200,27 @@ class TestPinned:
             ("1.0", 5), ("-0.0", 1), ("0.0", 2), ("0.0", 3)
         ]
 
+    def test_phrase_order_does_not_matter(self):
+        # rank_phrase reuses one row scratch across the phrases of a
+        # round; ranking them in another order must not change a list.
+        advertisers = [
+            Advertiser(
+                i, 1.0, ctr_factor=float(1 + i % 3),
+                phrases=frozenset(
+                    p for j, p in enumerate(PHRASES) if (i + j) % 2
+                ),
+                phrase_ctr_factors={PHRASES[i % 6]: float(1 + i % 4)},
+            )
+            for i in range(30)
+        ]
+        store = ColumnarStore(advertisers)
+        effective = np.asarray([float(100 * (1 + i % 5)) for i in range(30)])
+        forward = _assert_identical(store, 3, effective, list(PHRASES))
+        shuffled = [PHRASES[i] for i in (4, 0, 5, 2, 1, 3)]
+        backward = _assert_identical(store, 3, effective, shuffled)
+        for phrase in PHRASES:
+            assert _entries(forward[phrase]) == _entries(backward[phrase])
+
     def test_an_order_covering_rows_outside_the_round(self):
         advertisers = [
             Advertiser(
