@@ -25,7 +25,8 @@ runs each module.  It provides:
   and shared pruning of non-separable auctions (Section V).
 - :mod:`repro.budgets` -- budget uncertainty (Section IV): outstanding-ad
   ledgers, exact and bounded throttled-bid computation, the Hoeffding
-  bound refinement engine, bound-driven top-k, and the gaming attack.
+  bound refinement engine, bound-driven top-k, and the gaming attack's
+  markets, run on the engine.
 - :mod:`repro.aggregates` -- generalized aggregate operators (Section VII).
 - :mod:`repro.bidding` -- automated bidding strategies and a bidding war
   run on the engine.

@@ -16,7 +16,8 @@ This package implements the paper's principled treatment:
   *expanding out* the largest-price outstanding ads exactly.
 - :mod:`repro.budgets.comparison` -- deciding ``b̂_i`` vs ``b̂_i'`` with
   successive refinement, and top-k selection under uncertainty.
-- :mod:`repro.budgets.gaming` -- the Section IV gaming attack: what a
-  nearly-exhausted advertiser gains when the system ignores budget
-  uncertainty, and how throttling removes the exploit.
+- :mod:`repro.budgets.gaming` -- the Section IV gaming attack's
+  markets, run on the engine: what a nearly-exhausted advertiser gains
+  when the system ignores budget uncertainty, and how throttling removes
+  the exploit.
 """

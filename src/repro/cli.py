@@ -6,7 +6,8 @@ entry points:
 - ``example`` -- the Figures 1-3 worked auction.
 - ``fig4`` -- the Fig. 4 cost-vs-probability sweep.
 - ``shoes`` -- the Section II-B shoe-store sharing example.
-- ``gaming`` -- the Section IV gaming attack, naive vs throttled.
+- ``gaming`` -- the Section IV gaming attack on the engine, naive vs
+  throttled (E5's market, or E19's with ``--at-scale``).
 - ``engine`` -- run a generated market through the round engine, or
   (``--serve``) serve it query-at-a-time from seeded Poisson/Zipf
   traffic with exact p50/p99 latency reporting.
@@ -83,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     shoes.add_argument("--fashion", type=_non_negative_int, default=30)
     shoes.add_argument("--seed", type=int, default=0, help="score-draw seed")
 
-    gaming = sub.add_parser("gaming", help="Section IV gaming attack")
+    gaming = sub.add_parser(
+        "gaming", help="Section IV gaming attack on the engine"
+    )
     gaming.add_argument("--rounds", type=_positive_int, default=120)
     gaming.add_argument("--delay", type=_non_negative_int, default=3)
     gaming.add_argument(
@@ -91,21 +94,19 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         metavar="ATTACKERS",
         help=(
-            "run the attack through the full engine with this many "
-            "near-exhausted advertisers (plus honest competitors), "
-            "comparing throttling off vs on and reporting the "
-            "revenue-loss fraction instead of the single-attacker "
-            "mini-simulation"
+            "run E19's market with this many near-exhausted advertisers "
+            "(plus --honest competitors) on three slots, instead of "
+            "E5's one attacker against three rivals on one slot"
         ),
     )
     gaming.add_argument(
         "--honest",
         type=_positive_int,
-        default=200,
-        help="honest deep-budget competitors in --at-scale mode",
+        default=None,
+        help="honest deep-budget competitors with --at-scale (default 200)",
     )
     gaming.add_argument(
-        "--seed", type=int, default=0, help="market/click seed (--at-scale)"
+        "--seed", type=int, default=0, help="market and click seed"
     )
 
     engine = sub.add_parser("engine", help="run a generated market")
@@ -263,39 +264,69 @@ def _cmd_shoes(general: int, sports: int, fashion: int, seed: int = 0) -> int:
     return 0
 
 
-def _cmd_gaming_at_scale(
-    rounds: int, delay: int, attackers: int, honest: int, seed: int
+def _cmd_gaming(
+    rounds: int,
+    delay: int,
+    seed: int,
+    attackers: Optional[int],
+    honest: Optional[int],
 ) -> int:
-    """The attack through the full engine: revenue loss, off vs on."""
-    from repro.budgets.gaming import forgiven_fraction, gaming_market_at_scale
+    """The attack on the engine: throttling off, then on.
+
+    Without ``attackers`` the market is E5's: one near-exhausted
+    attacker against three rivals, all on five always-occurring phrases
+    (``m = 5``), one slot.  With it, E19's market at that size, on
+    E19's three slots.
+    """
+    from repro.budgets.gaming import (
+        attacker_wins,
+        forgiven_fraction,
+        gaming_market_at_scale,
+    )
     from repro.engine import SharedAuctionEngine
 
-    market = gaming_market_at_scale(
-        num_attackers=attackers, num_honest=honest, seed=seed
-    )
+    if attackers is None:
+        market = gaming_market_at_scale(
+            num_attackers=1,
+            num_honest=3,
+            num_phrases=5,
+            phrases_per_advertiser=5,
+            seed=seed,
+        )
+        slot_factors = [1.0]
+        title = f"Gaming attack ({rounds} rounds, delay {delay})"
+    else:
+        honest = 200 if honest is None else honest
+        market = gaming_market_at_scale(
+            num_attackers=attackers, num_honest=honest, seed=seed
+        )
+        slot_factors = [1.0, 0.6, 0.3]
+        title = (
+            f"Gaming at scale ({attackers} attackers, {honest} honest, "
+            f"{rounds} rounds, delay {delay})"
+        )
     table = ExperimentTable(
-        f"Gaming at scale ({attackers} attackers, {honest} honest, "
-        f"{rounds} rounds, delay {delay})",
+        title,
         [
             "throttling",
             "revenue ($)",
             "forgiven ($)",
             "revenue loss",
+            "attacker wins",
         ],
     )
     for throttle in (False, True):
-        engine = SharedAuctionEngine(
+        report = SharedAuctionEngine(
             market.advertisers,
-            slot_factors=[1.0, 0.6, 0.3],
+            slot_factors=slot_factors,
             search_rates=market.search_rates,
             mode="unshared",
             throttle=throttle,
             mean_click_delay_rounds=float(delay),
             seed=seed,
-        )
-        report = engine.run(rounds)
+        ).run(rounds)
         table.add(
-            "on" if throttle else "off",
+            "on (throttled)" if throttle else "off (naive)",
             report.revenue_cents / 100,
             report.forgiven_cents / 100,
             round(
@@ -304,33 +335,7 @@ def _cmd_gaming_at_scale(
                 ),
                 4,
             ),
-        )
-    table.show()
-    return 0
-
-
-def _cmd_gaming(rounds: int, delay: int) -> int:
-    from repro.budgets.gaming import GamingAdvertiser, simulate_gaming
-
-    population = [
-        GamingAdvertiser(0, bid_cents=100, budget_cents=150, ctr=0.5)
-    ] + [
-        GamingAdvertiser(i, bid_cents=80, budget_cents=100_000, ctr=0.5)
-        for i in range(1, 4)
-    ]
-    table = ExperimentTable(
-        f"Gaming attack ({rounds} rounds, delay {delay})",
-        ["policy", "revenue ($)", "forgiven ($)", "attacker wins"],
-    )
-    for policy in ("naive", "throttled"):
-        report = simulate_gaming(
-            population, rounds, 5, delay, policy, seed=42
-        )
-        table.add(
-            policy,
-            report.revenue_cents / 100,
-            report.forgiven_cents / 100,
-            report.wins[0],
+            attacker_wins(report, market.attacker_ids),
         )
     table.show()
     return 0
@@ -465,11 +470,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         return _cmd_shoes(args.general, args.sports, args.fashion, args.seed)
     if args.command == "gaming":
-        if args.at_scale is not None:
-            return _cmd_gaming_at_scale(
-                args.rounds, args.delay, args.at_scale, args.honest, args.seed
-            )
-        return _cmd_gaming(args.rounds, args.delay)
+        if args.honest is not None and args.at_scale is None:
+            parser.error("gaming: --honest needs --at-scale")
+        return _cmd_gaming(
+            args.rounds, args.delay, args.seed, args.at_scale, args.honest
+        )
     if args.command == "engine":
         return _cmd_engine(args)
     if args.command == "plan":

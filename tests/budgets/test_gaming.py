@@ -4,62 +4,56 @@ from __future__ import annotations
 
 import pytest
 
-from repro.budgets.gaming import GamingAdvertiser, simulate_gaming
+from repro.budgets.gaming import attacker_wins, gaming_market_at_scale
+from repro.engine.pipeline import EngineReport, RoundReport, SharedAuctionEngine
 from repro.errors import BudgetError
 
 
-def attack_population():
-    """A nearly exhausted attacker against deep-pocketed competitors."""
-    attacker = GamingAdvertiser(0, bid_cents=100, budget_cents=150, ctr=0.5)
-    honest = [
-        GamingAdvertiser(i, bid_cents=80, budget_cents=100_000, ctr=0.5)
-        for i in range(1, 4)
-    ]
-    return [attacker] + honest
+def attack_market(seed=0):
+    """E5's market: one nearly exhausted attacker against three
+    deep-pocketed rivals, all on five always-occurring phrases."""
+    return gaming_market_at_scale(
+        num_attackers=1,
+        num_honest=3,
+        num_phrases=5,
+        phrases_per_advertiser=5,
+        seed=seed,
+    )
 
 
-class TestValidation:
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(BudgetError):
-            simulate_gaming(attack_population(), 1, 1, 1, "magic", 0)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(BudgetError):
-            simulate_gaming(attack_population(), 1, 1, -1, "naive", 0)
-
-    def test_bad_ctr_rejected(self):
-        with pytest.raises(BudgetError):
-            GamingAdvertiser(0, 1, 1, 1.5)
+def attack(delay, throttle, seed=0, rounds=60):
+    """One policy's run on the engine: one slot, five auctions a round."""
+    market = attack_market(seed)
+    return SharedAuctionEngine(
+        market.advertisers,
+        slot_factors=[1.0],
+        search_rates=market.search_rates,
+        mode="unshared",
+        throttle=throttle,
+        mean_click_delay_rounds=float(delay),
+        seed=seed,
+    ).run(rounds)
 
 
 class TestAttack:
     @pytest.fixture(scope="class")
     def reports(self):
-        kwargs = dict(
-            rounds=60, auctions_per_round=5, click_delay_rounds=3, seed=42
-        )
         return {
-            policy: simulate_gaming(attack_population(), policy=policy, **kwargs)
+            policy: attack(delay=3, throttle=policy == "throttled")
             for policy in ("naive", "throttled")
         }
 
-    def test_naive_forgives_clicks(self, reports):
-        assert reports["naive"].forgiven_cents > 0
-        assert reports["naive"].free_clicks[0] > 0
-
-    def test_attacker_overshoots_budget_under_naive(self, reports):
+    def test_naive_forgives_clicks_the_attacker_won(self, reports):
         naive = reports["naive"]
-        clicks_value = (
-            naive.paid_clicks[0] + naive.free_clicks[0]
-        )
-        # The attacker received strictly more click value than it paid:
-        # the shortfall is the forgiven amount.
         assert naive.forgiven_cents > 0
-        assert clicks_value > naive.paid_clicks[0]
+        assert attacker_wins(naive, attack_market().attacker_ids) > 0
 
     def test_throttling_eliminates_forgiven_clicks(self, reports):
         assert reports["throttled"].forgiven_cents == 0
-        assert reports["throttled"].free_clicks[0] == 0
+        assert all(
+            round_report.forgiven_cents == 0
+            for round_report in reports["throttled"].history
+        )
 
     def test_throttling_recovers_revenue(self, reports):
         assert (
@@ -67,39 +61,45 @@ class TestAttack:
             >= reports["naive"].revenue_cents
         )
 
-    def test_naive_attacker_wins_many_auctions(self, reports):
-        # The attacker keeps winning while its clicks are in flight.
-        assert reports["naive"].wins[0] > 5
+    def test_throttling_takes_slots_from_the_attacker(self, reports):
+        attackers = attack_market().attacker_ids
+        assert attacker_wins(reports["throttled"], attackers) < attacker_wins(
+            reports["naive"], attackers
+        )
 
-    def test_throttled_attacker_capped(self, reports):
-        """With budget 150 and 5 auctions per round, the throttled bid is
-        at most 30 < 80 (honest bid), so the attacker never wins."""
-        assert reports["throttled"].wins[0] == 0
+
+class TestAttackerWins:
+    def test_counts_the_attackers_displayed_slots(self):
+        report = EngineReport()
+        report.absorb(
+            RoundReport(
+                0,
+                ("a", "b"),
+                allocations={
+                    "a": ((0, 1, 90), (1, 7, 40)),
+                    "b": ((0, 7, 80),),
+                },
+            )
+        )
+        report.absorb(RoundReport(1, ("a",), allocations={"a": ((0, 2, 50),)}))
+        assert attacker_wins(report, frozenset({1, 2})) == 2
+        assert attacker_wins(report, frozenset({7})) == 2
+        assert attacker_wins(report, frozenset()) == 0
 
 
 class TestNoDelayBaseline:
-    def test_without_delay_policies_agree_on_forgiveness(self):
-        """With instant clicks there are no outstanding ads, so naive and
-        throttled collect the same revenue and forgive a click only when
-        the budget cannot cover the last price."""
-        population = attack_population()
-        naive = simulate_gaming(
-            population, rounds=40, auctions_per_round=1,
-            click_delay_rounds=0, policy="naive", seed=7,
-        )
-        throttled = simulate_gaming(
-            population, rounds=40, auctions_per_round=1,
-            click_delay_rounds=0, policy="throttled", seed=7,
-        )
-        assert naive.forgiven_cents == throttled.forgiven_cents == 0
-        assert naive.revenue_cents == throttled.revenue_cents
+    def test_throttling_forgives_nothing_at_delay_zero(self):
+        """A zero mean delay still leaves a round's clicks outstanding
+        until the next round; throttling covers them too."""
+        assert attack(delay=0, throttle=True).forgiven_cents == 0
 
-    def test_deterministic_given_seed(self):
-        population = attack_population()
-        a = simulate_gaming(population, 30, 3, 2, "naive", seed=5)
-        b = simulate_gaming(population, 30, 3, 2, "naive", seed=5)
-        assert a.revenue_cents == b.revenue_cents
-        assert a.wins == b.wins
+    @pytest.mark.parametrize("throttle", [False, True])
+    def test_deterministic_given_seed(self, throttle):
+        first = attack(delay=2, throttle=throttle, seed=5, rounds=30)
+        second = attack(delay=2, throttle=throttle, seed=5, rounds=30)
+        assert first.revenue_cents == second.revenue_cents
+        assert first.forgiven_cents == second.forgiven_cents
+        assert first.history == second.history
 
 
 class TestAtScaleMarket:

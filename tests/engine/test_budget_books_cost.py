@@ -1,4 +1,4 @@
-"""Cost bounds of the budget books' display blocks (ROADMAP item 10).
+"""Cost bounds of the budget books' display blocks (DESIGN §5).
 
 The per-tick bookkeeping must cost what changed -- blocks that expired,
 clicks that settled, debt carriers that occur -- not the number of

@@ -73,6 +73,11 @@ class TestParser:
             (["gaming", "--rounds", "-3"], "must be positive"),
             (["gaming", "--rounds", "0"], "must be positive"),
             (["gaming", "--delay", "-2"], "must be >= 0"),
+            (["gaming", "--honest", "5"], "--honest needs --at-scale"),
+            (
+                ["gaming", "--at-scale", "3", "--honest", "0"],
+                "must be positive",
+            ),
             (["shoes", "--general", "-1"], "must be >= 0"),
             (["shoes", "--sports", "-1"], "must be >= 0"),
             (["shoes", "--fashion", "-1"], "must be >= 0"),
@@ -127,6 +132,15 @@ class TestCommands:
         assert main(["gaming", "--rounds", "30", "--delay", "3"]) == 0
         out = capsys.readouterr().out
         assert "naive" in out and "throttled" in out
+
+    def test_gaming_seed_seeds_the_market_and_the_clicks(self, capsys):
+        def table(seed):
+            argv = ["gaming", "--rounds", "30", "--seed", str(seed)]
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        assert table(4) == table(4)
+        assert table(4) != table(5)
 
     def test_engine(self, capsys):
         assert main(["engine", "--rounds", "5", "--mode", "unshared"]) == 0
